@@ -13,6 +13,9 @@ Usage::
     PYTHONPATH=src python scripts/update_goldens.py --point 0.1:7
 
 ``--point SCALE:SEED`` (repeatable) replaces the default point set.
+For each world point the script prints which per-artifact digests
+changed relative to the committed file, e.g.
+``scale=0.12 seed=11 world=... changed: ihr, rib``.
 """
 
 from __future__ import annotations
@@ -116,6 +119,16 @@ def scenario_entry() -> dict:
     }
 
 
+def _changed(before: dict, after: dict) -> str:
+    """Which artifacts' digests moved from ``before`` to ``after``."""
+    names = sorted(
+        name
+        for name in before.keys() | after.keys()
+        if before.get(name) != after.get(name)
+    )
+    return f"changed: {', '.join(names)}" if names else "unchanged"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -132,6 +145,14 @@ def main(argv: list[str] | None = None) -> int:
         for text in args.point:
             scale_text, _, seed_text = text.partition(":")
             points.append((float(scale_text), int(seed_text)))
+    try:
+        committed = json.loads(GOLDENS_PATH.read_text())["entries"]
+    except (OSError, ValueError, KeyError):
+        committed = []
+    committed_points = {
+        (entry["scale"], entry["seed"]): entry["datasets"]
+        for entry in committed
+    }
     payload = {
         "comment": (
             "Golden dataset digests; regenerate with "
@@ -142,9 +163,11 @@ def main(argv: list[str] | None = None) -> int:
     GOLDENS_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDENS_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     for entry in payload["entries"]:
+        before = committed_points.get((entry["scale"], entry["seed"]), {})
         print(
             f"scale={entry['scale']:g} seed={entry['seed']} "
-            f"world={entry['world_digest'][:16]}"
+            f"world={entry['world_digest'][:16]} "
+            f"{_changed(before, entry['datasets'])}"
         )
     print(f"wrote {len(payload['entries'])} entries to {GOLDENS_PATH}")
     replay = {

@@ -457,9 +457,10 @@ def _replay(args: argparse.Namespace) -> int:
     With ``--verify`` (the default) every checkpoint is also rebuilt cold
     from the base world plus the applied prefix of the stream, and the
     two digests compared — the replay==rebuild invariant as a CLI
-    one-liner.  Exits 1 on any mismatch.
+    one-liner.  A mismatch names the artifacts whose digests differ;
+    exits 1 on any mismatch.
     """
-    from repro.datasets.checkpoint import world_digest
+    from repro.datasets.checkpoint import dataset_digests, fold_digests
     from repro.delta import LiveWorld, cold_rebuild, synthesize_events
 
     if args.events < 1:
@@ -489,18 +490,28 @@ def _replay(args: argparse.Namespace) -> int:
             while applied < mark:
                 live.apply(events[applied])
                 applied += 1
-            digest = world_digest(live.world())
+            digests = dataset_digests(live.world())
+            digest = fold_digests(digests)
             if args.verify:
-                reference = world_digest(
+                references = dataset_digests(
                     cold_rebuild(world, events[:applied])
                 )
+                reference = fold_digests(references)
                 if digest == reference:
                     print(f"checkpoint {applied:>4}  {digest[:16]}  ok")
                 else:
                     failures += 1
+                    differs = ", ".join(
+                        sorted(
+                            name
+                            for name, value in digests.items()
+                            if value != references[name]
+                        )
+                    )
                     print(
                         f"checkpoint {applied:>4}  {digest[:16]}  "
-                        f"MISMATCH (rebuild {reference[:16]})"
+                        f"MISMATCH (rebuild {reference[:16]}; "
+                        f"differs: {differs})"
                     )
             else:
                 print(f"checkpoint {applied:>4}  {digest[:16]}  ok")

@@ -9,25 +9,30 @@ snapshots (Reuter et al. stress exactly this for reproducible RPKI
 measurement).
 
 An entry is keyed by ``sha256(canonical(config), scale, seed, schema)``
-and contains:
+and contains exactly the files its loaders read:
 
-* the :func:`~repro.datasets.store.export_world` dataset bundle
-  (prefix2as, as2org, as-rel, VRPs, MANRS participants, AS rank, IRR
-  route dumps) — the files a downstream user could feed to any tool;
-* the behavioural/scenario state the bundle cannot reconstruct:
-  ``topology.json`` (org/AS records), ``scenario.json`` (behaviours,
-  originations, delegations, quiescent set, vantage points, ROV VRPs,
-  IRR database order + non-route objects), ``rpki.json`` (certificates
-  and ROAs), ``rib.json`` and ``ihr.json`` (exact collector snapshot
-  and IHR tables, order-preserving);
+* ``arrays.npz``: every bulk column (prefixes, paths, rows), one
+  uncompressed archive that warm starts memory-map;
+* the small JSON metas beside those columns: ``topology.json`` (org/AS
+  records), ``scenario.json`` (behaviours, delegation orgs, quiescent
+  set, vantage points, IRR database strings and non-route objects),
+  ``rpki.json`` (certificate rows), ``rib.json`` and ``ihr.json``
+  (vantage points, status legends);
+* two dataset-bundle files: ``as-rel.txt`` (the topology's links) and
+  ``manrs-participants.csv``;
 * ``MANIFEST.json`` with the schema version, the canonical key inputs
   and a SHA-256 digest per file.
+
+The full dataset bundle is :func:`~repro.datasets.store.export_world`'s
+job (``repro export``); entries do not carry it.
 
 Loading is safe by default: any digest mismatch, schema-version skew or
 parse error logs a warning, discards the entry and reports a miss so the
 caller falls back to a cold build.  A warm-started world is
 digest-identical to a cold build (asserted by ``tests/test_checkpoint``)
 — :func:`dataset_digests` / :func:`world_digest` define that identity.
+The RIB and IHR digests hash the same columns the entry stores; the
+other artifacts hash their bundle serialisations.
 
 Hit/miss/corrupt/save counts land in the :mod:`repro.obs` metrics
 registry under ``checkpoint.*``.
@@ -42,7 +47,6 @@ import logging
 import os
 import shutil
 import time
-from array import array as _packed_array
 from itertools import chain
 from dataclasses import dataclass
 from datetime import date
@@ -56,13 +60,9 @@ from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
-from repro.bgp.table import Prefix2AS
+from repro.bgp.table import Prefix2AS, serialize_prefix2as
 from repro.datasets.arraystore import ColumnWriter
-from repro.datasets.store import (
-    PARTICIPANTS_FILE,
-    RELATIONSHIPS_FILE,
-    export_world,
-)
+from repro.datasets.store import PARTICIPANTS_FILE, RELATIONSHIPS_FILE
 from repro.ihr.records import (
     IHRDataset,
     PrefixOriginRecord,
@@ -111,6 +111,7 @@ __all__ = [
     "content_key",
     "dataset_digests",
     "default_store",
+    "fold_digests",
     "world_digest",
     "world_load_mode",
 ]
@@ -119,7 +120,7 @@ log = logging.getLogger(__name__)
 
 #: Bumped whenever the entry layout or any serialisation format changes;
 #: entries written under another version are discarded on load.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment variable naming the on-disk store root (unset = disabled).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -263,165 +264,25 @@ def _sha256_file(path: Path, chunk_bytes: int = 1 << 20) -> str:
     return digest.hexdigest()
 
 
-# -- exact (order-preserving) payloads for the derived structures -----------
+def _sha256_columns(meta: dict, arrays: dict[str, np.ndarray]) -> str:
+    """Digest one stored ``(meta, columns)`` pair.
 
-
-def _rib_payload(rib: RibSnapshot) -> dict:
-    # Paths repeat massively across groups (every group from the same
-    # origin propagates along the same vantage-point paths), so the
-    # payload stores each distinct path once and references it by index
-    # — the RIB file shrinks severalfold and so does its decode time.
-    path_table: list[list[int]] = []
-    path_index: dict[tuple[int, ...], int] = {}
-    groups = []
-    for group in rib.groups:
-        paths = []
-        for vantage_point, path in group.paths.items():
-            index = path_index.get(path)
-            if index is None:
-                index = len(path_table)
-                path_index[path] = index
-                path_table.append(list(path))
-            paths.append([vantage_point, index])
-        groups.append(
-            {
-                "origin": group.origin,
-                "rpki_invalid": group.route_class.rpki_invalid,
-                "irr_invalid": group.route_class.irr_invalid,
-                "prefixes": [str(prefix) for prefix in group.prefixes],
-                "paths": paths,
-            }
-        )
-    return {
-        "vantage_points": list(rib.vantage_points),
-        "path_table": path_table,
-        "groups": groups,
-    }
-
-
-def _json_array_chunks(batches):
-    """Render a JSON array from batches of items, one chunk per batch.
-
-    Each batch is dumped in one C-speed ``json.dumps`` call and the
-    outer brackets stripped, so the emitted text is byte-identical to
-    dumping the whole array at once while only one batch of rendered
-    text is ever resident.  Empty batches are skipped (an all-empty
-    stream renders ``[]``).
+    The canonical meta JSON comes first, then each column's name, dtype,
+    shape and C-order bytes in the order ``arrays`` holds them.  The
+    header fixes how many bytes follow it, so no two column sets hash
+    the same byte stream.
     """
-    yield "["
-    first = True
-    for items in batches:
-        if not items:
-            continue
-        text = json.dumps(items, **_JSON_COMPACT)[1:-1]
-        yield text if first else "," + text
-        first = False
-    yield "]"
-
-
-def _repeated_path_hashes(rib: RibSnapshot) -> set[int]:
-    """Hash values shared by more than one path reference in the RIB.
-
-    One sorted int64 array over every reference finds them; the array is
-    transient.  The set is a superset of the *duplicated paths* (it also
-    catches the astronomically rare accidental 64-bit collision between
-    distinct paths, which is harmless: flagged paths merely take the
-    exact dict route in :func:`_rib_payload_chunks`).
-    """
-    total = sum(len(group.paths) for group in rib.groups)
-    hashes = np.fromiter(
-        (
-            hash(path)
-            for group in rib.groups
-            for path in group.paths.values()
-        ),
-        dtype=np.int64,
-        count=total,
+    digest = hashlib.sha256(
+        json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     )
-    hashes.sort()
-    repeats = hashes[1:][hashes[1:] == hashes[:-1]]
-    return set(np.unique(repeats).tolist())
+    for name, column in arrays.items():
+        header = [name, column.dtype.str, list(column.shape)]
+        digest.update(json.dumps(header, separators=(",", ":")).encode())
+        digest.update(np.ascontiguousarray(column).data)
+    return digest.hexdigest()
 
 
-def _rib_payload_chunks(rib: RibSnapshot, batch: int = 16384):
-    """Yield ``json.dumps(_rib_payload(rib), **_JSON_COMPACT)`` in pieces.
-
-    The RIB payload text is the largest digest input (tens of MB at
-    scale), and materialising the payload object graph plus its full
-    JSON rendering doubled the digest-time working set.  This generator
-    emits the byte-identical text in bounded batches of path-table
-    entries / groups so the hash can stream.
-
-    The payload numbers distinct paths in first-occurrence order, which
-    naively needs a tuple-keyed dict spanning every distinct path — at
-    scale that dict alone rivals the save-time savings.  But ~96% of
-    paths occur exactly once, so their table index is just a running
-    counter: only paths whose hash occurs more than once (found up
-    front by :func:`_repeated_path_hashes`) go through an exact dict,
-    and the per-reference indices are carried to the second pass in a
-    packed int array.  Identity with :func:`_rib_payload` is pinned by
-    tests (including a forced-duplicate one).
-    """
-    repeated = _repeated_path_hashes(rib)
-    ref_index = _packed_array("q")
-    shared_index: dict[tuple[int, ...], int] = {}
-
-    def path_batches():
-        pending = []
-        next_index = 0
-        for group in rib.groups:
-            for path in group.paths.values():
-                if hash(path) in repeated:
-                    index = shared_index.get(path)
-                    if index is None:
-                        index = next_index
-                        next_index += 1
-                        shared_index[path] = index
-                        pending.append(list(path))
-                else:
-                    index = next_index
-                    next_index += 1
-                    pending.append(list(path))
-                ref_index.append(index)
-                if len(pending) >= batch:
-                    yield pending
-                    pending = []
-        yield pending
-
-    def group_batches():
-        pending = []
-        pos = 0
-        for group in rib.groups:
-            k = len(group.paths)
-            pending.append(
-                {
-                    "origin": group.origin,
-                    "rpki_invalid": group.route_class.rpki_invalid,
-                    "irr_invalid": group.route_class.irr_invalid,
-                    "prefixes": [str(prefix) for prefix in group.prefixes],
-                    "paths": [
-                        list(pair)
-                        for pair in zip(
-                            group.paths.keys(),
-                            ref_index[pos:pos + k],
-                        )
-                    ],
-                }
-            )
-            pos += k
-            if len(pending) >= max(1, batch // 16):
-                yield pending
-                pending = []
-        yield pending
-
-    yield '{"vantage_points":'
-    yield json.dumps(list(rib.vantage_points), **_JSON_COMPACT)
-    yield ',"path_table":'
-    yield from _json_array_chunks(path_batches())
-    shared_index.clear()
-    yield ',"groups":'
-    yield from _json_array_chunks(group_batches())
-    yield "}"
+# -- stored forms: JSON metas + numpy columns, order-preserving --------------
 
 
 # The four possible route classes, shared across every rebuilt group.
@@ -508,13 +369,16 @@ def _rib_arrays(rib: RibSnapshot) -> tuple[dict, dict[str, np.ndarray]]:
     — the RIB is by far the largest derived structure, and its decode
     dominated warm-start time as JSON.
 
-    The path table stores one entry per reference (``rib_ref_path`` is
-    the identity): deduplicating repeated paths only removes ~4% of the
-    rows on real worlds but needs a tuple-keyed hash table spanning the
-    whole RIB, which at large scales cost hundreds of MB of save-time
-    RSS.  Rows stream straight into preallocated columns instead.
-    :func:`_rebuild_rib` indexes through ``rib_ref_path`` either way, so
-    entries written with the old deduplicated layout still load.
+    The path table stores one path per (group, vantage point) reference,
+    in reference order, so ``rib_ref_offsets`` slices it per group just
+    as it slices ``rib_ref_vp``.  Deduplicating repeated paths would
+    remove only ~4% of the rows on real worlds but needs a tuple-keyed
+    hash table spanning the whole RIB, which at large scales cost
+    hundreds of MB of save-time RSS; rows stream straight into
+    preallocated columns instead.
+
+    These columns, in this order, are also what the ``rib`` digest
+    hashes (:func:`dataset_digests`).
     """
     groups = rib.groups
     n = len(groups)
@@ -567,7 +431,6 @@ def _rib_arrays(rib: RibSnapshot) -> tuple[dict, dict[str, np.ndarray]]:
         "rib_path_values": path_values,
         "rib_path_offsets": path_offsets,
         "rib_ref_vp": ref_vp,
-        "rib_ref_path": np.arange(total_refs, dtype=np.int64),
         "rib_ref_offsets": ref_offsets,
     }
     return meta, arrays
@@ -594,9 +457,7 @@ def _rebuild_rib(meta: dict, arrays) -> RibSnapshot:
     prefixes = _prefix_list(arrays, "rib_prefix")
     prefix_offsets = arrays["rib_prefix_offsets"].tolist()
     ref_vp = arrays["rib_ref_vp"].tolist()
-    ref_path = arrays["rib_ref_path"].tolist()
     ref_offsets = arrays["rib_ref_offsets"].tolist()
-    get_path = path_table.__getitem__
     groups = [
         _replay(
             RouteGroup,
@@ -609,10 +470,7 @@ def _rebuild_rib(meta: dict, arrays) -> RibSnapshot:
                 "paths": dict(
                     zip(
                         ref_vp[ref_offsets[g]:ref_offsets[g + 1]],
-                        map(
-                            get_path,
-                            ref_path[ref_offsets[g]:ref_offsets[g + 1]],
-                        ),
+                        path_table[ref_offsets[g]:ref_offsets[g + 1]],
                     )
                 ),
             },
@@ -622,36 +480,6 @@ def _rebuild_rib(meta: dict, arrays) -> RibSnapshot:
     return RibSnapshot(
         vantage_points=tuple(meta["vantage_points"]), groups=groups
     )
-
-
-def _ihr_payload(ihr: IHRDataset) -> dict:
-    return {
-        "prefix_origins": [
-            [
-                str(record.prefix),
-                record.origin,
-                record.rpki.value,
-                record.irr.value,
-                record.visibility,
-            ]
-            for record in ihr.prefix_origins
-        ],
-        "transit_groups": [
-            {
-                "origin": group.origin,
-                "prefixes": [str(prefix) for prefix in group.prefixes],
-                "statuses": [
-                    [rpki.value, irr.value] for rpki, irr in group.statuses
-                ],
-                "transits": [
-                    [transit, info.hegemony, info.from_customer]
-                    for transit, info in group.transits.items()
-                ],
-                "visibility": group.visibility,
-            }
-            for group in ihr.transit_groups
-        ],
-    }
 
 
 #: Enum ``__call__`` is surprisingly expensive at checkpoint-load call
@@ -669,6 +497,9 @@ def _ihr_arrays(ihr: IHRDataset) -> tuple[dict, dict[str, np.ndarray]]:
     legend lookup loudly (→ corrupt fallback) instead of silently
     reinterpreting codes.  Prefix/status columns of the transit groups
     are parallel (aligned with ``prefixes``) and share one offsets array.
+
+    These columns, in this order, are also what the ``ihr`` digest
+    hashes (:func:`dataset_digests`).
     """
     rpki_index = {status: i for i, status in enumerate(RPKIStatus)}
     irr_index = {status: i for i, status in enumerate(IRRStatus)}
@@ -1265,19 +1096,20 @@ def _rebuild_irr(meta: dict, arrays) -> IRRCollection:
 
 
 def dataset_digests(world: World) -> dict[str, str]:
-    """Per-artifact SHA-256 digests of a world's canonical serialisations.
+    """Per-artifact SHA-256 digests of a world.
 
-    Every artifact is rendered through the same serialisers the dataset
-    bundle and checkpoint entries use, so two worlds with equal digests
-    export byte-identical files.  This is the identity the golden-digest
-    suite pins and the warm-equals-cold tests assert.
+    The RIB and the IHR tables are hashed from the columns a checkpoint
+    entry stores for them (:func:`_sha256_columns` over
+    :func:`_rib_arrays` / :func:`_ihr_arrays`); every other artifact is
+    hashed as rendered by its dataset-bundle serialiser, so two worlds
+    with equal digests export byte-identical files.  This is the
+    identity the golden-digest suite pins and the warm-equals-cold tests
+    assert.
     """
-    # Each artifact is hashed as soon as it is rendered (the largest —
-    # the RIB — streams through _rib_payload_chunks without ever being
-    # rendered whole), so digesting never holds more than one
-    # serialisation resident at a time.
+    # Each artifact is hashed as soon as it is rendered, so digesting
+    # never holds more than one serialisation resident at a time.
     return {
-        "prefix2as": _sha256_text(serialize_prefix2as_text(world)),
+        "prefix2as": _sha256_text(serialize_prefix2as(world.prefix2as)),
         "as2org": _sha256_text(serialize_as2org(world.as2org)),
         "relationships": _sha256_text(
             serialize_relationships(world.topology)
@@ -1296,23 +1128,20 @@ def dataset_digests(world: World) -> dict[str, str]:
             + serialize_database(list(database.all_routes()))
             for database in world.irr.databases
         ),
-        "rib": _sha256_chunks(_rib_payload_chunks(world.rib)),
-        "ihr": _sha256_text(
-            json.dumps(_ihr_payload(world.ihr), **_JSON_COMPACT)
-        ),
+        "rib": _sha256_columns(*_rib_arrays(world.rib)),
+        "ihr": _sha256_columns(*_ihr_arrays(world.ihr)),
     }
 
 
-def serialize_prefix2as_text(world: World) -> str:
-    from repro.bgp.table import serialize_prefix2as
-
-    return serialize_prefix2as(world.prefix2as)
+def fold_digests(digests: dict[str, str]) -> str:
+    """The world digest of precomputed :func:`dataset_digests`."""
+    payload = json.dumps(digests, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def world_digest(world: World) -> str:
     """One digest over all of :func:`dataset_digests` (sorted by name)."""
-    payload = json.dumps(dataset_digests(world), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return fold_digests(dataset_digests(world))
 
 
 # -- the store ---------------------------------------------------------------
@@ -1370,7 +1199,7 @@ class CheckpointStore:
         if staging.exists():
             shutil.rmtree(staging)
         with obs.span("checkpoint.save", key=key[:12]):
-            export_world(world, staging)
+            staging.mkdir()
             # One stage's columns are alive at a time: each stage's
             # arrays stream into the archive (same member order np.savez
             # produced) and are released before the next stage is even
@@ -1396,6 +1225,14 @@ class CheckpointStore:
                 (staging / name).write_text(
                     json.dumps(payload, **_JSON_COMPACT)
                 )
+            # The two dataset-bundle files the loaders parse; the full
+            # bundle is export_world's job (``repro export``).
+            (staging / RELATIONSHIPS_FILE).write_text(
+                serialize_relationships(world.topology)
+            )
+            (staging / PARTICIPANTS_FILE).write_text(
+                serialize_participants(world.manrs)
+            )
             files = {
                 path.name: _sha256_file(path)
                 for path in sorted(staging.iterdir())

@@ -183,7 +183,8 @@ def apply_raw(state: DeltaState, event: Event) -> str:
     ``policy``) tells incremental consumers which derived artifacts the
     event can possibly touch.  Raises :class:`DeltaError` when the event
     does not apply to the current state (withdrawing an absent ROA,
-    duplicating a membership, linking unknown ASes, ...).
+    duplicating a membership, a member org or ASN outside the topology,
+    linking unknown ASes, ...).
     """
     if isinstance(event, RoaIssued):
         state.repository.add_roa(event.roa)
@@ -214,9 +215,13 @@ def apply_raw(state: DeltaState, event: Event) -> str:
             )
         return "irr"
     if isinstance(event, MemberJoined):
+        participant = event.participant
         try:
-            state.manrs.add(event.participant)
-        except DatasetError as error:
+            state.topology.get_org(participant.org_id)
+            for asn in participant.asns:
+                state.topology.get_as(asn)
+            state.manrs.add(participant)
+        except (DatasetError, TopologyError) as error:
             raise DeltaError(str(error)) from error
         return "manrs"
     if isinstance(event, MemberLeft):

@@ -69,10 +69,9 @@ def _pick(rng: np.random.Generator, items: Sequence):
 
 
 class _Synthesizer:
-    def __init__(self, world: World, rng: np.random.Generator, seed: int):
+    def __init__(self, world: World, rng: np.random.Generator):
         self._world = world
         self._rng = rng
-        self._seed = seed
         self._state = DeltaState.from_world(world)
         self._origin_asns = sorted(
             asn
@@ -88,7 +87,6 @@ class _Synthesizer:
             )
             if certificate.issuer_id is None
         ]
-        self._counter = 0
 
     def _origination(self):
         asn = _pick(self._rng, self._origin_asns)
@@ -143,11 +141,22 @@ class _Synthesizer:
         return RouteObjectRemoved(route=_pick(self._rng, registered))
 
     def _member_joined(self) -> Event:
-        asn = _pick(self._rng, self._state.topology.asns)
-        self._counter += 1
+        topology = self._state.topology
+        isp_orgs = {
+            participant.org_id
+            for participant in self._state.manrs.participants_in(Program.ISP)
+        }
+        candidates = [
+            asn
+            for asn in topology.asns
+            if topology.get_as(asn).org_id not in isp_orgs
+        ]
+        if not candidates:
+            return self._member_left()
+        asn = _pick(self._rng, candidates)
         return MemberJoined(
             participant=Participant(
-                org_id=f"ORG-DELTA-{self._seed}-{self._counter}",
+                org_id=topology.get_as(asn).org_id,
                 program=Program.ISP,
                 asns=(asn,),
                 joined=self._world.snapshot_date,
@@ -210,7 +219,7 @@ def synthesize_events(
     if (n is None) == (kinds is None):
         raise ValueError("pass exactly one of n= or kinds=")
     rng = np.random.default_rng(seed)
-    synthesizer = _Synthesizer(world, rng, seed)
+    synthesizer = _Synthesizer(world, rng)
     if kinds is None:
         weights = np.array([weight for _, weight in _WEIGHTED_KINDS])
         cumulative = np.cumsum(weights / weights.sum())

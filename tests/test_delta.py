@@ -22,6 +22,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
+from repro.bgp.collector import RibSnapshot
 from repro.config import RuntimeConfig, use
 from repro.datasets.checkpoint import (
     CheckpointStore,
@@ -39,6 +41,7 @@ from repro.datasets.checkpoint import (
 from repro.delta import (
     EVENT_KINDS,
     LiveWorld,
+    MemberJoined,
     RoaExpired,
     RouteCoverIndex,
     cold_rebuild,
@@ -47,6 +50,9 @@ from repro.delta import (
     vrp_delta,
 )
 from repro.errors import DeltaError
+from repro.experiments.registry import REGISTRY
+from repro.manrs.actions import Program
+from repro.manrs.registry import Participant
 from repro.net.prefix import Prefix
 from repro.registry.rir import RIR
 from repro.rpki.roa import ROA, VRP
@@ -218,6 +224,81 @@ def test_inapplicable_event_raises_delta_error():
     )
     with pytest.raises(DeltaError):
         LiveWorld(world).apply(RoaExpired(roa=stranger))
+
+
+def test_member_joined_outside_the_topology_raises_delta_error():
+    world = delta_world()
+    topology = world.topology
+    isp_orgs = {
+        participant.org_id
+        for participant in world.manrs.participants_in(Program.ISP)
+    }
+    asn = next(
+        asn
+        for asn in topology.asns
+        if topology.get_as(asn).org_id not in isp_orgs
+    )
+    org_id = topology.get_as(asn).org_id
+    unknown_org = Participant(
+        org_id="ORG-NOWHERE",
+        program=Program.ISP,
+        asns=(asn,),
+        joined=world.snapshot_date,
+    )
+    unknown_asn = replace(
+        unknown_org, org_id=org_id, asns=(max(topology.asns) + 1,)
+    )
+    for participant in (unknown_org, unknown_asn):
+        with pytest.raises(DeltaError):
+            LiveWorld(world).apply(MemberJoined(participant=participant))
+
+
+def test_synthesized_member_joined_renders_like_cold_rebuild(small_world):
+    """The joining org is a real one, so the artefacts that look members
+    up in as2org render on the live world, equal to the cold rebuild."""
+    events = synthesize_events(small_world, kinds=["MemberJoined"], seed=5)
+    (event,) = events
+    topology = small_world.topology
+    asn = event.participant.asns[0]
+    assert event.participant.org_id == topology.get_as(asn).org_id
+    live = LiveWorld(small_world)
+    live.apply(event)
+    rebuilt = cold_rebuild(small_world, events)
+    for name in ("f70", "f83", "tab2"):
+        spec = REGISTRY[name]
+        assert spec.render(spec.run(live.world())) == spec.render(
+            spec.run(rebuilt)
+        ), name
+
+
+def test_replay_cli_names_the_differing_artifact(monkeypatch, capsys):
+    import repro.delta
+    from repro.cli import main
+
+    real_cold_rebuild = repro.delta.cold_rebuild
+
+    def perturbed_cold_rebuild(world, events):
+        rebuilt = real_cold_rebuild(world, events)
+        groups = list(rebuilt.rib.groups)
+        i = next(i for i, group in enumerate(groups) if group.paths)
+        vp, path = next(iter(groups[i].paths.items()))
+        groups[i] = replace(
+            groups[i], paths={**groups[i].paths, vp: (path[0] + 1, *path[1:])}
+        )
+        rib = RibSnapshot(rebuilt.rib.vantage_points, groups)
+        return replace(rebuilt, rib=rib)
+
+    monkeypatch.setattr(repro.delta, "cold_rebuild", perturbed_cold_rebuild)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    code = main(
+        [
+            "--scale", "0.05", "--seed", "3",
+            "replay", "--events", "2", "--checkpoints", "1",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "MISMATCH" in out and "differs: rib)" in out
 
 
 def test_synthesize_events_is_deterministic():
