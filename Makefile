@@ -5,12 +5,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-JOBS ?=
-SCALE ?= 1.0
-LABEL ?= local
-SMOKE_BUDGET ?= 120
-
-.PHONY: test lint bench bench-baseline bench-pytest bench-smoke bench-compare build-smoke profile smoke-profile trace-smoke sweep-smoke scale-smoke serve-smoke delta-smoke scenarios-smoke
+.PHONY: test lint bench-smoke build-smoke trace-smoke sweep-smoke scale-smoke serve-smoke delta-smoke scenarios-smoke
 
 ## Tier-1 test suite (unit + integration + equivalence).
 test:
@@ -31,16 +26,6 @@ trace-smoke:
 	$(PYTHON) -m repro reproduce --scale 0.05 --trace-json /tmp/trace-smoke.json > /dev/null
 	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke.json
 
-## Substrate benchmarks: end-to-end build + timeline, written to
-## BENCH_$(LABEL).json.  Override JOBS=4 to exercise parallel collection.
-bench:
-	$(PYTHON) benchmarks/run.py --label $(LABEL) --scale $(SCALE) \
-		$(if $(JOBS),--jobs $(JOBS))
-
-## Paper-analysis benchmarks (pytest-benchmark; one per table/figure).
-bench-pytest:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 ## Kernel-parity tripwire: a scale-0.1 world must be digest-identical
 ## under REPRO_KERNELS=python and =numpy (uncached builds, both modes).
 bench-smoke:
@@ -59,35 +44,6 @@ scale-smoke:
 build-smoke:
 	$(PYTHON) scripts/check_build_budget.py --scale 0.3 --shards 2 --jobs 2 \
 		--budget-mb 0.05
-
-## Regenerate benchmarks/BASELINE.json from a trusted local run.
-## Refuses to overwrite the committed baseline when world digests
-## drifted; acknowledge an intentional world change with
-## BASELINE_FLAGS=--expect-digest-change.
-BASELINE_FLAGS ?=
-bench-baseline:
-	$(PYTHON) scripts/refresh_baseline.py $(BASELINE_FLAGS)
-
-## Perf gate: one quick benchmark run compared against the committed
-## baseline.  COMPARE_MODE=all (default) exits 3 on >25% regression or
-## digest drift; COMPARE_MODE=digests (the CI setting) warns on timing
-## and exits 3 on digest drift only.
-COMPARE_MODE ?= all
-bench-compare:
-	$(PYTHON) benchmarks/run.py --label compare --scale 0.3 --rounds 3 \
-		--scale-sweep 0.3 --output-dir /tmp \
-		--compare benchmarks/BASELINE.json \
-		--compare-mode $(COMPARE_MODE)
-
-## Stage-level wall-clock breakdown of one full-scale build.
-profile:
-	REPRO_PERF=1 $(PYTHON) benchmarks/run.py --label profile --rounds 1 \
-		--scale $(SCALE) --output-dir /tmp $(if $(JOBS),--jobs $(JOBS))
-
-## CI tripwire: scale-0.3 end-to-end build must fit a generous budget.
-smoke-profile:
-	$(PYTHON) benchmarks/run.py --smoke --budget $(SMOKE_BUDGET) \
-		--label smoke --output-dir /tmp
 
 ## Measurement-service smoke: start `repro serve` as a subprocess, then
 ## liveness -> cold build -> warm hit -> 304 -> metrics -> SIGINT.

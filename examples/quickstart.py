@@ -10,7 +10,7 @@ Usage::
     python examples/quickstart.py [scale] [seed]
 
 ``scale`` (default 0.2) multiplies the world size; 1.0 reproduces the
-paper-shaped ~10k-AS world used by the benchmarks.
+paper-shaped ~10k-AS world.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ Commands::
     serve      run the measurement service (async HTTP query API)
     replay     replay a synthetic event stream through the live world and
                verify each checkpoint digest-equals a cold rebuild
-    bench      manage the benchmark ledger (run, list, baseline, compare,
-               trend, clean)
 
 ``repro reproduce --list`` and ``repro sweep list`` print the
 experiment registry table (name, title, paper ref) without building a
@@ -250,64 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cold-rebuild at each checkpoint and compare digests "
              "(--no-verify prints live digests only)",
     )
-    bench = sub.add_parser(
-        "bench", parents=[common],
-        help="manage the benchmark ledger (run, list, baseline, compare, "
-             "trend, clean)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_run = bench_sub.add_parser(
-        "run", parents=[common],
-        help="run benchmarks/run.py and record the result",
-    )
-    bench_run.add_argument(
-        "--label", default=None, help="run label (default: timestamp)"
-    )
-    bench_run.add_argument(
-        "--from-json", metavar="PATH", default=None,
-        help="ingest an existing BENCH_*.json instead of running",
-    )
-    bench_run.add_argument(
-        "--args", default="", metavar="ARGS",
-        help="extra arguments passed through to benchmarks/run.py",
-    )
-    bench_sub.add_parser(
-        "list", parents=[common], help="list recorded benchmark runs"
-    )
-    baseline = bench_sub.add_parser(
-        "baseline", parents=[common],
-        help="mark a recorded run as the comparison baseline",
-    )
-    baseline.add_argument("label", nargs="?", default=None,
-                          help="run label (default: the latest run)")
-    compare = bench_sub.add_parser(
-        "compare", parents=[common],
-        help="compare a run against the baseline (exit 3 on regression)",
-    )
-    compare.add_argument("label", nargs="?", default=None,
-                         help="run label (default: the latest run)")
-    compare.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="regression threshold as a fraction (default: 0.25)",
-    )
-    trend = bench_sub.add_parser(
-        "trend", parents=[common],
-        help="per-metric series across recorded runs (oldest to newest)",
-    )
-    trend.add_argument(
-        "--json", action="store_true", help="emit the trend as JSON"
-    )
-    trend.add_argument(
-        "--last", type=int, default=None, metavar="N",
-        help="restrict to the N most recent runs (default: all)",
-    )
-    clean = bench_sub.add_parser(
-        "clean", parents=[common], help="drop old benchmark records"
-    )
-    clean.add_argument(
-        "--keep", type=int, default=10, metavar="N",
-        help="keep the N most recent runs (default: 10)",
-    )
     return parser
 
 
@@ -350,8 +290,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _sweep(args)
     if args.command == "serve":
         return _serve(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "replay":
         return _replay(args)
     if args.command == "reproduce":
@@ -443,12 +381,6 @@ def _serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     return 0
-
-
-def _bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    return bench.main(args)
 
 
 def _replay(args: argparse.Namespace) -> int:

@@ -130,10 +130,12 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: full object graph up front (the pre-PR-6 behaviour).
 WORLD_LOAD_ENV = "REPRO_WORLD_LOAD"
 
-#: Store subdirectories that are not world entries: the sweep ledgers,
-#: the serve layer's rendered-result cache and the bench ledger live
-#: beside the content-addressed entries and are skipped by
-#: :meth:`CheckpointStore.entries`/``verify``/``prune``.
+#: Store subdirectories that are not world entries: the sweep ledgers and
+#: the serve layer's rendered-result cache live beside the
+#: content-addressed entries and are skipped by
+#: :meth:`CheckpointStore.entries`/``verify``/``prune``.  ``bench`` held
+#: the benchmark ledger of earlier releases; it stays reserved so a store
+#: that still has one is not read as a corrupt entry.
 RESERVED_DIRS = ("sweeps", "results", "bench")
 
 MANIFEST_FILE = "MANIFEST.json"

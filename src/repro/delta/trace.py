@@ -8,8 +8,8 @@ route objects are removed only if registered, memberships leave only if
 joined.  The same trace therefore replays cleanly through both
 :class:`~repro.delta.live.LiveWorld` and
 :func:`~repro.delta.rebuild.cold_rebuild`, which is exactly what the
-replay==rebuild tests, ``repro replay``, and ``benchmarks/run.py
---delta`` need.
+replay==rebuild tests, ``repro replay``, and perfbench's ``replay``
+workload need.
 
 Determinism: the stream is a pure function of ``(world, n, seed,
 kinds)`` — a ``numpy`` Generator seeded explicitly, draws in a fixed

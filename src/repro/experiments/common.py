@@ -3,8 +3,8 @@
 Every experiment consumes a built :class:`~repro.scenario.world.World`,
 groups per-AS metrics into the paper's six populations (size class ×
 MANRS membership), and returns printable rows/series.  ``world_cache``
-memoises worlds by (scale, seed) so the benchmark suite builds each world
-once and times only the analyses.
+memoises worlds by (scale, seed) so experiments run back to back on one
+(scale, seed) build its world once.
 """
 
 from __future__ import annotations

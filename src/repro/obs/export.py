@@ -26,8 +26,8 @@ SCHEMA_VERSION = 1
 def snapshot(spans: bool = True) -> dict:
     """The complete observability state as a JSON-ready document.
 
-    ``spans=False`` omits the span tree (the benchmark runner stores only
-    timings and metrics so BENCH files stay small).
+    ``spans=False`` omits the span tree (the serve layer's ``/metrics``
+    answers with timings and metrics only).
     """
     document: dict[str, object] = {
         "schema_version": SCHEMA_VERSION,

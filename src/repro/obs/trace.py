@@ -42,8 +42,8 @@ __all__ = [
 
 PERF_ENV = "REPRO_PERF"
 
-#: Opt-in per-span RSS stamping (used by the benchmark scale sweep's
-#: cold leg): at span close the process high-water RSS is attached as an
+#: Opt-in per-span RSS stamping (set by perfbench's traced processes):
+#: at span close the process high-water RSS is attached as an
 #: ``rss_mb`` attribute, so the span tree shows which stage pushed the
 #: high-water mark where.
 RSS_ENV = "REPRO_SPAN_RSS"
@@ -69,8 +69,9 @@ def rss_stamping() -> bool:
 def high_water_rss_mb() -> float:
     """The process's high-water RSS in MiB (0.0 where unsupported).
 
-    ``ru_maxrss`` is KiB on Linux; the benchmark runner divides the same
-    way, so stamped spans and sweep points are directly comparable.
+    ``ru_maxrss`` is KiB on Linux.  perfbench reads its per-round peak
+    through this function too, so stamped spans and its ``peak_rss_mb``
+    are directly comparable.
     """
     try:
         import resource

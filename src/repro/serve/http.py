@@ -9,7 +9,7 @@ oversized request line, a malformed header — maps to a clean 4xx via
 :class:`HttpError` rather than undefined behaviour.
 
 :func:`http_get` is the matching client: the tests, the load generator
-(``benchmarks/run.py --serve``) and the smoke script all speak to the
+(perfbench's ``serve`` workload) and the smoke script all speak to the
 server through it, so the protocol subset is exercised end to end from
 both sides.
 """

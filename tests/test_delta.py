@@ -10,8 +10,8 @@ set that makes the incremental path cheap is property-tested against a
 brute-force containment scan in both kernel modes.
 
 The satellites ride along: the ``repro.perf`` removal-window guards, the
-tampered year-snapshot counter, ``repro bench trend`` exit codes, and
-the serving layer's ``at=`` live-world hook.
+tampered year-snapshot counter, and the serving layer's ``at=``
+live-world hook.
 """
 
 from __future__ import annotations
@@ -414,58 +414,6 @@ def test_year_validators_seed_from_neighbours(small_world):
         Timeline(small_world).saturation_series()
     after = obs.counters().get("timeline.rov_verdicts_carried", 0)
     assert after > before, "adjacent years should carry verdicts over"
-
-
-# -- repro bench trend (satellite 5) -----------------------------------------
-
-
-class TestBenchTrend:
-    def _main(self, tmp_path, *argv):
-        from repro.cli import main
-
-        return main(["--cache-dir", str(tmp_path), "bench", "trend", *argv])
-
-    def test_empty_ledger_exits_2(self, tmp_path, capsys):
-        assert self._main(tmp_path) == 2
-        assert "no recorded runs" in capsys.readouterr().err
-
-    def test_corrupt_ledger_exits_2(self, tmp_path, capsys):
-        bench_dir = tmp_path / "bench"
-        bench_dir.mkdir(parents=True)
-        (bench_dir / "ledger.jsonl").write_text(
-            'not json at all\n{"event": "run", "label": "x", "sha256": "0"}\n'
-        )
-        assert self._main(tmp_path) == 2
-        assert "no recorded runs" in capsys.readouterr().err
-
-    def test_series_over_runs(self, tmp_path, capsys):
-        from repro.bench import BenchLedger
-
-        ledger = BenchLedger(tmp_path / "bench")
-        ledger.append(
-            "run",
-            "pr7",
-            payload={"benchmarks": {"build_world": {"min": 2.0}}},
-        )
-        ledger.append(
-            "run",
-            "pr8",
-            payload={
-                "benchmarks": {
-                    "build_world": {"min": 1.5},
-                    "delta_apply": {"min": 0.1},
-                }
-            },
-        )
-        assert self._main(tmp_path) == 0
-        out = capsys.readouterr().out
-        assert "build_world" in out and "pr7" in out and "pr8" in out
-
-        assert self._main(tmp_path, "--json") == 0
-        trend = json.loads(capsys.readouterr().out)
-        assert trend["labels"] == ["pr7", "pr8"]
-        assert trend["metrics"]["build_world"] == [2.0, 1.5]
-        assert trend["metrics"]["delta_apply"] == [None, 0.1]
 
 
 # -- serving a live world at an instant (tentpole surface) -------------------

@@ -152,13 +152,13 @@ class TestF83Action4:
         cdn = summaries[Program.CDN]
         assert cdn.total_members >= 5
         assert 1 <= len(cdn.unconformant_asns) <= 4
-        assert cdn.pct_conformant >= 60.0
+        assert 60.0 <= cdn.pct_conformant <= 97.0
 
 
 class TestTab1CaseStudies:
     def test_rows_exist_and_attribute(self, mid_world):
         rows = ex.tab1_casestudies.run(mid_world)
-        assert len(rows) >= 4  # 3 CDNs + at least one ISP org
+        assert len(rows) == 6  # 3 CDNs + 3 ISP orgs
         cdn_rows = [row for row in rows if row.label.startswith("CDN")]
         assert len(cdn_rows) == 3
         for row in cdn_rows:
@@ -197,7 +197,7 @@ class TestF87Stability:
         total = len(report.classification)
         assert report.always_conformant / total > 0.8
         assert report.always_unconformant >= 1
-        assert report.flapping >= 1
+        assert 1 <= report.flapping <= max(2, int(0.06 * total))
 
     def test_flapping_matches_injected_churn(self, mid_world):
         result = ex.f87_stability.run(mid_world, seed=3)
@@ -216,13 +216,16 @@ class TestFig6Saturation:
         points = ex.fig6_saturation.run(mid_world)
         final = points[-1]
         assert final.manrs_saturation > 1.5 * final.other_saturation
-        assert final.manrs_saturation < 85.0  # legacy space caps it
+        # Paper: 58.2% in May 2022; legacy space caps it.
+        assert 40.0 <= final.manrs_saturation <= 80.0
         by_year = {p.year: p.manrs_saturation for p in points}
         increments = {
             year: by_year[year] - by_year[year - 1]
             for year in range(2016, 2023)
         }
         assert max(increments, key=increments.get) == 2020
+        assert increments[2020] > 8.0
+        assert by_year[2022] > by_year[2019] + 15.0
 
 
 class TestFig7Filtering:
@@ -247,10 +250,12 @@ class TestFig7Filtering:
         assert result.rpki_cdf[LARGE_N].fraction_at_most(0.0) < 1.0
 
     def test_irr_invalid_propagation_widespread_for_large(self, mid_world):
-        """Figure 7b: every large AS propagates some IRR-Invalids."""
+        """Figure 7b: every large AS propagates some IRR-Invalids, and
+        the non-MANRS tail is heavier than the MANRS middle."""
         result = ex.fig7_filtering.run(mid_world)
         assert result.irr_cdf[LARGE_M].maximum > 0.0
         assert result.irr_cdf[LARGE_N].maximum > 0.0
+        assert result.irr_cdf[LARGE_N].maximum > result.irr_cdf[LARGE_M].median
 
 
 class TestFig8Tab2Action1:
@@ -265,7 +270,7 @@ class TestFig8Tab2Action1:
         """Table 2: 97.1% of small transit MANRS ASes conformant."""
         summaries = ex.tab2_action1.run(mid_world)
         small = summaries[SizeClass.SMALL]
-        assert small.pct_transit_conformant > 85.0
+        assert small.pct_transit_conformant > 88.0
         assert small.pct_total_conformant > 95.0
 
     def test_medium_in_between(self, mid_world):
@@ -280,10 +285,14 @@ class TestFig8Tab2Action1:
         assert small.transit_total < 0.5 * small.total_members
 
     def test_large_manrs_unconformant_share_bounded(self, mid_world):
-        """Figure 8: every large MANRS AS below 15% unconformant."""
+        """Figure 8: every large MANRS AS below 15% unconformant, with a
+        low single-digit median (2.5% in the paper); small MANRS ASes
+        propagate essentially nothing unconformant."""
         cdfs = ex.fig8_unconformant.run(mid_world)
         assert cdfs[LARGE_M].n > 0
         assert cdfs[LARGE_M].maximum < 15.0
+        assert cdfs[LARGE_M].median < 8.0
+        assert cdfs[SMALL_M].median == 0.0
 
 
 class TestFig9Preference:

@@ -168,19 +168,27 @@ class TestAblations:
         )
         none, full = points
         assert none.deployed_large_members == 0
-        assert full.deployed_large_members >= none.deployed_large_members
-        assert full.separation >= none.separation - 0.05
+        assert full.deployed_large_members > none.deployed_large_members
+        # The separation is Figure 9's filtering signal: it must not shrink
+        # with deployment and is substantial at full deployment, while
+        # Valid routes are indifferent to ROV.
+        assert full.separation >= none.separation
+        assert full.separation > 0.10
+        assert abs(full.valid_prefer_manrs - none.valid_prefer_manrs) < 0.10
         text = ablations.render_rov_ablation(points)
         assert "separation" in text
 
     def test_visibility_sweep_shapes(self, small_world):
         points = ablations.visibility_ablation(
-            small_world, fractions=(0.2, 1.0)
+            small_world, fractions=(0.1, 0.5, 1.0)
         )
         assert points[0].n_vantage_points < points[-1].n_vantage_points
+        visible = [p.visible_prefix_origins for p in points]
+        assert visible == sorted(visible)
+        # §11: limited visibility can only overestimate conformance.
         assert (
-            points[0].visible_prefix_origins
-            <= points[-1].visible_prefix_origins
+            points[0].isp_conformance_pct
+            >= points[-1].isp_conformance_pct - 0.5
         )
         text = ablations.render_visibility_ablation(points)
         assert "visibility" in text
@@ -191,11 +199,16 @@ class TestCounterfactual:
         from repro.experiments import counterfactual
 
         result = counterfactual.run(small_world)
+        assert result.measured.invalid_member_transit_pairs > 0
         assert result.full_compliance.invalid_member_transit_pairs == 0
         assert (
             result.full_compliance.invalid_prefer_manrs
             <= result.measured.invalid_prefer_manrs
         )
+        assert result.full_compliance.invalid_prefer_manrs < 0.05
+        # Full compliance cannot fix what non-members originate outside
+        # MANRS cones: some invalids stay visible (§10's limit).
+        assert result.full_compliance.visible_invalid_announcements > 0
         assert 0.0 <= result.invalid_visibility_reduction <= 1.0
         text = counterfactual.render(result)
         assert "full compliance" in text

@@ -1,7 +1,7 @@
 """Golden-digest regression suite.
 
-Pins :func:`~repro.datasets.checkpoint.dataset_digests` at two small
-(scale, seed) points.  Any change to world construction or dataset
+Pins :func:`~repro.datasets.checkpoint.dataset_digests` at the
+(scale, seed) points ``scripts/update_goldens.py`` lists.  Any change to world construction or dataset
 serialisation — intended or not — shows up here as a named per-dataset
 drift, not a silent behaviour change.  Regenerate the goldens with
 ``PYTHONPATH=src python scripts/update_goldens.py`` only when the drift

@@ -299,6 +299,9 @@ class TestIncrementalRelyingParty:
     def test_timeline_rov_matches_fresh(self, small_world):
         timeline = Timeline(small_world)
         party = RelyingParty(small_world.rpki_repository)
+        assert len(party.validate(small_world.snapshot_date).vrps) == len(
+            small_world.rov
+        )
         for year in timeline.years[:: max(1, len(timeline.years) // 3)]:
             as_of = (
                 small_world.config.snapshot_date

@@ -182,9 +182,13 @@ class TestMRT:
 
     def test_parsed_rib_feeds_pipeline(self, small_world):
         """A dump can be fed back through the IHR pipeline: prefix-origin
-        statuses recomputed off the file match the originals."""
+        statuses recomputed off the file match the originals, and the
+        pipeline rerun on the in-memory RIB reproduces the dataset."""
         from repro.ihr.pipeline import build_ihr_dataset
 
+        assert build_ihr_dataset(
+            small_world.rib, small_world.rov, small_world.irr, small_world.topology
+        ) == small_world.ihr
         text = serialize_rib(small_world.rib, small_world.snapshot_date)
         recovered = parse_rib(text)
         dataset = build_ihr_dataset(
