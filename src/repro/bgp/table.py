@@ -82,6 +82,7 @@ class Prefix2AS:
         self._by_origin: dict[int, list[Prefix]] | None = None
         self._origin_asns: list[int] | None = None
         self._v4_columns: V4Columns | None = None
+        self._total_address_space: int | None = None
 
     @classmethod
     def from_rib(cls, snapshot: RibSnapshot) -> "Prefix2AS":
@@ -164,10 +165,12 @@ class Prefix2AS:
 
     @property
     def total_address_space(self) -> int:
-        """Distinct IPv4 addresses in the whole table."""
-        return aggregate_address_count(
-            prefix for prefix in self._origin_map() if prefix.version == 4
-        )
+        """Distinct IPv4 addresses in the whole table (computed once)."""
+        if self._total_address_space is None:
+            self._total_address_space = aggregate_address_count(
+                prefix for prefix in self._origin_map() if prefix.version == 4
+            )
+        return self._total_address_space
 
     def __len__(self) -> int:
         return len(self._origin_map())

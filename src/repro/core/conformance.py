@@ -17,6 +17,7 @@ Propagation metrics (Action 1), computed over the IHR transit dataset:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.classification import is_conformant, is_unconformant
@@ -50,27 +51,27 @@ class OriginationStats:
     conformant: int = 0
     unconformant: int = 0
 
-    def add(self, rpki: RPKIStatus, irr: IRRStatus) -> None:
-        """Account one originated prefix."""
-        self.total += 1
+    def add(self, rpki: RPKIStatus, irr: IRRStatus, count: int = 1) -> None:
+        """Account ``count`` originated prefixes with these statuses."""
+        self.total += count
         if rpki is RPKIStatus.VALID:
-            self.rpki_valid += 1
+            self.rpki_valid += count
         elif rpki.is_invalid:
-            self.rpki_invalid += 1
+            self.rpki_invalid += count
         else:
-            self.rpki_not_found += 1
+            self.rpki_not_found += count
         if irr is IRRStatus.VALID:
-            self.irr_valid += 1
+            self.irr_valid += count
         elif irr is IRRStatus.INVALID_ORIGIN:
-            self.irr_invalid_origin += 1
+            self.irr_invalid_origin += count
         elif irr is IRRStatus.INVALID_LENGTH:
-            self.irr_invalid_length += 1
+            self.irr_invalid_length += count
         else:
-            self.irr_not_found += 1
+            self.irr_not_found += count
         if is_conformant(rpki, irr):
-            self.conformant += 1
+            self.conformant += count
         if is_unconformant(rpki, irr):
-            self.unconformant += 1
+            self.unconformant += count
 
     def _pct(self, count: int) -> float:
         return 100.0 * count / self.total if self.total else 0.0
@@ -125,17 +126,31 @@ class PropagationStats:
         rpki: RPKIStatus,
         irr: IRRStatus,
         from_customer: bool,
+        count: int = 1,
     ) -> None:
-        """Account one propagated prefix."""
-        self.total += 1
+        """Account ``count`` propagated prefixes with these statuses."""
+        self.total += count
         if rpki.is_invalid:
-            self.rpki_invalid += 1
+            self.rpki_invalid += count
         if irr is IRRStatus.INVALID_ORIGIN:
-            self.irr_invalid += 1
+            self.irr_invalid += count
         if from_customer:
-            self.customer_total += 1
+            self.customer_total += count
             if is_unconformant(rpki, irr):
-                self.customer_unconformant += 1
+                self.customer_unconformant += count
+
+    def add_tally(self, tally: "PropagationStats", from_customer: bool) -> None:
+        """Account every prefix counted in ``tally`` at once.
+
+        ``tally`` counts its prefixes as learned from a customer; its
+        customer counts carry over only when ``from_customer`` holds.
+        """
+        self.total += tally.total
+        self.rpki_invalid += tally.rpki_invalid
+        self.irr_invalid += tally.irr_invalid
+        if from_customer:
+            self.customer_total += tally.customer_total
+            self.customer_unconformant += tally.customer_unconformant
 
     @property
     def pg_rpki_invalid(self) -> float:
@@ -156,24 +171,40 @@ class PropagationStats:
 
 
 def origination_stats(dataset: IHRDataset) -> dict[int, OriginationStats]:
-    """Per-origin statistics over the IHR prefix-origin dataset."""
+    """Per-origin statistics over the IHR prefix-origin dataset.
+
+    Records are tallied per ``(origin, rpki, irr)`` and each combination
+    is added once with its count.  The tally keeps first-seen order, so
+    origins keep the order of their first record.
+    """
+    tally = Counter(
+        (record.origin, record.rpki, record.irr)
+        for record in dataset.prefix_origins
+    )
     stats: dict[int, OriginationStats] = {}
-    for record in dataset.prefix_origins:
-        stats.setdefault(record.origin, OriginationStats()).add(
-            record.rpki, record.irr
-        )
+    for (origin, rpki, irr), count in tally.items():
+        stats.setdefault(origin, OriginationStats()).add(rpki, irr, count)
     return stats
 
 
 def propagation_stats(dataset: IHRDataset) -> dict[int, PropagationStats]:
-    """Per-transit statistics over the IHR transit dataset."""
+    """Per-transit statistics over the IHR transit dataset.
+
+    Every transit of a group sees the same prefix statuses, so each
+    group's ``(rpki, irr)`` combinations are counted once and the group's
+    totals are added to every transit, in the group's transit order.
+    """
     stats: dict[int, PropagationStats] = {}
     for group in dataset.transit_groups:
-        for _, (rpki, irr) in zip(group.prefixes, group.statuses):
-            for transit, info in group.transits.items():
-                stats.setdefault(transit, PropagationStats()).add(
-                    rpki, irr, info.from_customer
-                )
+        if not group.prefixes:
+            continue
+        tally = PropagationStats()
+        for (rpki, irr), count in Counter(group.statuses).items():
+            tally.add(rpki, irr, True, count)
+        for transit, info in group.transits.items():
+            stats.setdefault(transit, PropagationStats()).add_tally(
+                tally, info.from_customer
+            )
     return stats
 
 

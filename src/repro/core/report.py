@@ -4,7 +4,9 @@
 returns a structured summary; ``render_report`` formats it as the textual
 report the examples print.  This is the "operator-facing" entry point the
 paper's future-work section promises ("we will make our analysis code
-available to network operators").
+available to network operators").  The Action 4 and Action 1 sections
+are also callable alone (``action4_summaries``, ``action1_summaries``),
+so an artefact that renders one section computes only that section.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "Action4Summary",
     "Action1Summary",
     "EcosystemReport",
+    "action1_summaries",
+    "action4_summaries",
     "build_report",
     "render_report",
     "report_as_dict",
@@ -105,12 +109,9 @@ class EcosystemReport:
     preference_positive: dict[str, float]
 
 
-def build_report(world: World) -> EcosystemReport:
-    """Run the complete methodology over ``world``."""
-    members = world.members()
+def action4_summaries(world: World) -> dict[Program, Action4Summary]:
+    """Action 4 conformance per program (Findings 8.3/8.4)."""
     og_stats = origination_stats(world.ihr)
-    pg_stats = propagation_stats(world.ihr)
-
     action4: dict[Program, Action4Summary] = {}
     for program in (Program.ISP, Program.CDN):
         summary = Action4Summary(program=program)
@@ -127,11 +128,16 @@ def build_report(world: World) -> EcosystemReport:
             else:
                 summary.unconformant_asns.append(asn)
         action4[program] = summary
+    return action4
 
+
+def action1_summaries(world: World) -> dict[SizeClass, Action1Summary]:
+    """Action 1 conformance per size class (Table 2)."""
+    pg_stats = propagation_stats(world.ihr)
     action1: dict[SizeClass, Action1Summary] = {}
     for size in SizeClass:
         action1[size] = Action1Summary(size=size)
-    for asn in sorted(members):
+    for asn in sorted(world.members()):
         if asn not in world.topology:
             continue
         summary = action1[world.size_of[asn]]
@@ -144,7 +150,12 @@ def build_report(world: World) -> EcosystemReport:
                 summary.transit_conformant += 1
         if fully:
             summary.total_conformant += 1
+    return action1
 
+
+def build_report(world: World) -> EcosystemReport:
+    """Run the complete methodology over ``world``."""
+    members = world.members()
     sat_m, sat_n = rpki_saturation(world.prefix2as, world.rov, members)
     cov_m, cov_n = irr_coverage(world.prefix2as, world.irr, members)
     scores = preference_scores(world.ihr, members)
@@ -161,8 +172,8 @@ def build_report(world: World) -> EcosystemReport:
         completeness=registration_completeness(
             world.topology, world.manrs, world.prefix2as, world.snapshot_date
         ),
-        action4=action4,
-        action1=action1,
+        action4=action4_summaries(world),
+        action1=action1_summaries(world),
         saturation_manrs=sat_m.saturation,
         saturation_other=sat_n.saturation,
         irr_coverage_manrs=cov_m.saturation,

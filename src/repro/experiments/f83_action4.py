@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.report import Action4Summary, build_report
+from repro.core.report import Action4Summary, action4_summaries
 from repro.manrs.actions import Program
 from repro.scenario.world import World
 
@@ -11,7 +11,7 @@ __all__ = ["run", "render"]
 
 def run(world: World) -> dict[Program, Action4Summary]:
     """Action 4 conformance per program (CDN needs 100%, ISP 90%)."""
-    return build_report(world).action4
+    return action4_summaries(world)
 
 
 def render(summaries: dict[Program, Action4Summary]) -> str:

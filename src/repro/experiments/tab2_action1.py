@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.report import Action1Summary, build_report
+from repro.core.report import Action1Summary, action1_summaries
 from repro.scenario.world import World
 from repro.topology.classify import SizeClass
 
@@ -11,7 +11,7 @@ __all__ = ["run", "render"]
 
 def run(world: World) -> dict[SizeClass, Action1Summary]:
     """Table 2's rows: transit-conformant and total-conformant counts."""
-    return build_report(world).action1
+    return action1_summaries(world)
 
 
 def render(summaries: dict[SizeClass, Action1Summary]) -> str:

@@ -143,6 +143,15 @@ class ROVValidator:
         """Every loaded VRP, in address order."""
         return [vrp for _, vrp in self._trie().items()]
 
+    def loaded_vrps(self) -> list[VRP]:
+        """Every loaded VRP, in load order (builds no trie)."""
+        return list(self._vrps)
+
+    def memoised_verdicts(self) -> int:
+        """Memoised route verdicts plus coverage bits: what
+        :meth:`seed_from` can carry from this validator."""
+        return len(self._memo) + len(self._covered_memo)
+
     def covering_vrps(self, prefix: Prefix) -> list[VRP]:
         """All VRPs whose prefix contains ``prefix``."""
         return self._trie().covering(prefix)

@@ -75,9 +75,10 @@ class Timeline:
     counted (``timeline.rov_years_corrupt``) rather than folded silently
     into the never-saved case, so tampering is observable.
 
-    Year-over-year validation reuses the delta layer's machinery: each
-    fresh year's validator is seeded from the nearest already-computed
-    year via :func:`~repro.delta.cover.vrp_delta` +
+    Year-over-year validation reuses the delta layer's machinery: when
+    the nearest already-computed year holds memoised verdicts (only the
+    pure-Python kernels fill them), the fresh year's validator is seeded
+    from it via :func:`~repro.delta.cover.vrp_delta` +
     :meth:`~repro.rpki.rov.ROVValidator.seed_from`, so the saturation
     sweep re-classifies only prefixes whose covering VRPs actually
     changed across the year boundary.
@@ -160,10 +161,11 @@ class Timeline:
                 report = self._relying_party.validate(self._year_end(year))
                 validator = ROVValidator(report.vrps)
                 previous = self._nearest_cached(year)
-                if previous is not None:
-                    changed = vrp_delta(
-                        previous.all_vrps(), report.vrps
-                    )
+                # Only the pure-Python kernels memoise the sweep's
+                # verdicts; a neighbour without any has nothing to carry,
+                # so the VRP diff would be wasted work.
+                if previous is not None and previous.memoised_verdicts():
+                    changed = vrp_delta(previous.loaded_vrps(), report.vrps)
                     carried = validator.seed_from(previous, changed)
                     obs.add("timeline.rov_verdicts_carried", carried)
             obs.add("timeline.rov_years_validated")

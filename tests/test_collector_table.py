@@ -10,7 +10,7 @@ from repro.bgp.policy import ASPolicy, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS, parse_prefix2as, serialize_prefix2as
 from repro.errors import DatasetError
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, aggregate_address_count
 from repro.registry.rir import RIR
 from repro.topology.model import (
     ASCategory,
@@ -141,7 +141,11 @@ class TestPrefix2AS:
     def test_address_space_is_v4_only(self):
         mapping = self._mapping()
         assert mapping.address_space_of({2}) == 2**16  # v6 excluded
-        assert mapping.total_address_space == 2 * 2**16
+        v4 = [prefix for prefix in mapping.prefixes if prefix.version == 4]
+        # The total is computed once; a second read returns the same count.
+        first = mapping.total_address_space
+        second = mapping.total_address_space
+        assert first == second == aggregate_address_count(v4) == 2 * 2**16
 
     def test_roundtrip(self):
         mapping = self._mapping()

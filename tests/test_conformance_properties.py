@@ -5,9 +5,21 @@ from __future__ import annotations
 from hypothesis import given, strategies as st
 
 from repro.core.classification import is_conformant, is_unconformant
-from repro.core.conformance import OriginationStats, PropagationStats
+from repro.core.conformance import (
+    OriginationStats,
+    PropagationStats,
+    origination_stats,
+    propagation_stats,
+)
+from repro.ihr.records import (
+    IHRDataset,
+    PrefixOriginRecord,
+    TransitGroup,
+    TransitInfo,
+)
 from repro.irr.validation import IRRStatus
 from repro.manrs.actions import Program
+from repro.net.prefix import Prefix
 from repro.rpki.rov import RPKIStatus
 
 status_pairs = st.tuples(
@@ -101,3 +113,88 @@ def test_adding_valid_prefix_never_lowers_conformance(pairs):
     before = stats.og_conformant
     stats.add(RPKIStatus.VALID, IRRStatus.VALID)
     assert stats.og_conformant >= before
+
+
+# -- tallied stats against the per-record reference loops ---------------------
+
+#: A small ASN pool, so origins repeat and transits are shared by groups.
+asns = st.integers(1, 5)
+
+
+@st.composite
+def ihr_datasets(draw):
+    rows = draw(st.lists(st.tuples(asns, status_pairs), min_size=1, max_size=40))
+    rows.append(rows[0])  # a repeated (origin, status) row
+    prefix_origins = [
+        PrefixOriginRecord(
+            Prefix.parse(f"10.{i}.0.0/16"), origin, rpki, irr, visibility=1
+        )
+        for i, (origin, (rpki, irr)) in enumerate(rows)
+    ]
+    groups = draw(
+        st.lists(
+            st.tuples(
+                asns,
+                st.lists(status_pairs, min_size=1, max_size=6),
+                st.dictionaries(asns, st.booleans(), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    # The first group's transits reappear, relationship flipped, in a
+    # later group, and lead an empty group together with a transit (99)
+    # that no other group has: an empty group must insert nothing.
+    origin, statuses, transits = groups[0]
+    groups.append((origin, statuses[::-1], {t: not c for t, c in transits.items()}))
+    groups.insert(0, (origin, [], {99: True, **transits}))
+    transit_groups = [
+        TransitGroup(
+            origin=origin,
+            prefixes=tuple(
+                Prefix.parse(f"11.{i}.0.0/16") for i in range(len(statuses))
+            ),
+            statuses=tuple(statuses),
+            transits={
+                transit: TransitInfo(hegemony=0.5, from_customer=customer)
+                for transit, customer in transits.items()
+            },
+            visibility=1,
+        )
+        for origin, statuses, transits in groups
+    ]
+    return IHRDataset(prefix_origins=prefix_origins, transit_groups=transit_groups)
+
+
+def reference_origination_stats(dataset):
+    stats = {}
+    for record in dataset.prefix_origins:
+        stats.setdefault(record.origin, OriginationStats()).add(
+            record.rpki, record.irr
+        )
+    return stats
+
+
+def reference_propagation_stats(dataset):
+    stats = {}
+    for group in dataset.transit_groups:
+        for _, (rpki, irr) in zip(group.prefixes, group.statuses):
+            for transit, info in group.transits.items():
+                stats.setdefault(transit, PropagationStats()).add(
+                    rpki, irr, info.from_customer
+                )
+    return stats
+
+
+@given(ihr_datasets())
+def test_tallied_stats_match_per_record_reference(dataset):
+    tallied = origination_stats(dataset)
+    reference = reference_origination_stats(dataset)
+    assert tallied == reference
+    assert list(tallied) == list(reference)
+
+    tallied = propagation_stats(dataset)
+    reference = reference_propagation_stats(dataset)
+    assert tallied == reference
+    assert list(tallied) == list(reference)
+    assert 99 not in tallied

@@ -416,6 +416,30 @@ def test_year_validators_seed_from_neighbours(small_world):
     assert after > before, "adjacent years should carry verdicts over"
 
 
+def test_year_validators_carry_nothing_under_numpy(small_world, monkeypatch):
+    # The numpy kernels leave every year validator's memo empty, so there
+    # is nothing to carry: no year diffs against its neighbour, yet each
+    # year is still validated once.
+    from repro.scenario import timeline as timeline_module
+    from repro.scenario.timeline import Timeline
+
+    def no_diff(old, new):
+        raise AssertionError("a neighbour with an empty memo needs no VRP diff")
+
+    monkeypatch.setattr(timeline_module, "vrp_delta", no_diff)
+    counters = obs.counters()
+    carried = counters.get("timeline.rov_verdicts_carried", 0)
+    validated = counters.get("timeline.rov_years_validated", 0)
+    with use(RuntimeConfig.resolve(kernels="numpy")):
+        timeline = Timeline(small_world)
+        timeline.saturation_series()
+    counters = obs.counters()
+    assert counters.get("timeline.rov_verdicts_carried", 0) == carried
+    assert counters.get("timeline.rov_years_validated", 0) == validated + len(
+        timeline.years
+    )
+
+
 # -- serving a live world at an instant (tentpole surface) -------------------
 
 

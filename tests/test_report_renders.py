@@ -36,6 +36,12 @@ class TestEcosystemReport:
             assert summary.total_conformant <= summary.total_members
             assert summary.transit_total <= summary.total_members
 
+    def test_split_sections_match_report(self, small_world, report):
+        # f83 and tab2 compute only their own section; the full report
+        # composes the same section functions, so the two cannot drift.
+        assert ex.f83_action4.run(small_world) == report.action4
+        assert ex.tab2_action1.run(small_world) == report.action1
+
     def test_action1_members_partition_by_size(self, small_world, report):
         in_topology = sum(
             1 for a in small_world.members() if a in small_world.topology
