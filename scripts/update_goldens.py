@@ -55,11 +55,11 @@ REPLAY_CHECKPOINTS = (3, 6)
 
 #: (scale, seed) points pinned by the suite.  The first matches the
 #: session-scoped ``small_world`` test fixture so the golden check reuses
-#: the already-built world instead of building a third one; the 0.5
-#: point matches ``make scale-smoke`` so the sharded-parity gate and the
-#: golden suite pin the same world.  The 0.3 point is the world
-#: ``make build-smoke`` builds spilled and unspilled: that gate checks
-#: the two builds agree, and this pin fixes what they must agree on.
+#: the already-built world instead of building a third one.  The 0.3
+#: point is the world ``tests/test_parity.py`` builds sharded, spilled
+#: and reopened from a checkpoint: every one of those axes must land on
+#: this pin.  The 0.5 point is the largest pinned world, the one serial
+#: build above the parity table's scale.
 DEFAULT_POINTS: list[tuple[float, int]] = [
     (0.12, 11), (0.05, 3), (0.5, 7), (0.3, 7),
 ]

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro import config as _config
-from repro import kernels, obs
+from repro import obs
 from repro.bgp.announcement import Announcement, RibEntry
 from repro.config import RuntimeConfig
 from repro.bgp.policy import RouteClass
@@ -241,13 +241,7 @@ def _collect_rib(
     if paths_by_key is None and jobs > 1 and len(keys) >= MIN_PARALLEL_GROUPS:
         paths_by_key = _parallel_paths(engine, keys, vantage_points, jobs)
     if paths_by_key is None:
-        if kernels.use_numpy():
-            paths_by_key = engine.paths_to_many(keys, vantage_points)
-        else:
-            paths_by_key = [
-                engine.paths_to(origin, vantage_points, route_class)
-                for origin, route_class in keys
-            ]
+        paths_by_key = engine.paths_to_many(keys, vantage_points)
     obs.add(
         "collect.routes_propagated",
         sum(len(paths) for paths in paths_by_key),

@@ -3,12 +3,13 @@
 The performance work of PRs 1–6 accreted a knob per subsystem, each its
 own environment variable read at its own call site: ``REPRO_JOBS``
 (worker processes), ``REPRO_SHARDS`` (column shards), ``REPRO_KERNELS``
-(numpy vs pure-Python kernels), ``REPRO_MMAP`` (memory-mapped column
-loads), ``REPRO_WORLD_LOAD`` (columnar vs eager warm starts),
-``REPRO_CACHE_DIR`` (the checkpoint store), ``REPRO_WORLD_CACHE_SIZE``
-(the in-memory world LRU) and ``REPRO_PATHS_CACHE`` (the propagation
-path cache).  This module consolidates them into a single frozen
-dataclass resolved **once** with a fixed precedence:
+(once numpy vs pure-Python kernels; numpy is now the only mode),
+``REPRO_MMAP`` (memory-mapped column loads), ``REPRO_WORLD_LOAD``
+(columnar vs eager warm starts), ``REPRO_CACHE_DIR`` (the checkpoint
+store), ``REPRO_WORLD_CACHE_SIZE`` (the in-memory world LRU) and
+``REPRO_PATHS_CACHE`` (the propagation path cache).  This module
+consolidates them into a single frozen dataclass resolved **once** with
+a fixed precedence:
 
     explicit overrides  >  environment variables  >  defaults
 
@@ -29,9 +30,10 @@ re-resolves from the environment on each call, preserving the historical
 "read at call time" semantics tests rely on.
 
 :func:`use` installs a config for a ``with`` block (the world builder
-does this when handed ``runtime=``, so even leaf decisions like kernel
-mode honour the explicit object); :func:`set_current` installs one for
-the rest of the process (sweep and serve workers do this at pool init).
+does this when handed ``runtime=``, so even leaf decisions like the
+build budget honour the explicit object); :func:`set_current` installs
+one for the rest of the process (sweep and serve workers do this at pool
+init).
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Recognised kernel implementations (see :mod:`repro.kernels`).
-KERNEL_MODES = ("numpy", "python")
+#: Recognised kernel implementations (see :mod:`repro.kernels`).  The
+#: pure-Python mode was removed; its paths are test oracles now.
+KERNEL_MODES = ("numpy",)
 
 #: Recognised warm-start strategies (see :mod:`repro.datasets.checkpoint`).
 WORLD_LOAD_MODES = ("columnar", "eager")
@@ -89,7 +92,7 @@ class RuntimeConfig:
     jobs: int = 1
     #: Column shards for the dominant build stages (1 = sharding off).
     shards: int = 1
-    #: Kernel implementation: ``numpy`` or ``python``.
+    #: Kernel implementation; ``numpy`` is the only one.
     kernels: str = "numpy"
     #: Memory-map checkpoint columns (False = eager decode only).
     mmap: bool = True
@@ -107,11 +110,7 @@ class RuntimeConfig:
     build_budget_mb: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kernels not in KERNEL_MODES:
-            raise ValueError(
-                f"kernels={self.kernels!r} is not a kernel mode; "
-                f"expected one of {', '.join(KERNEL_MODES)}"
-            )
+        _check_kernels("kernels", self.kernels)
         if self.world_load not in WORLD_LOAD_MODES:
             raise ValueError(
                 f"world_load={self.world_load!r} is not a load mode; "
@@ -131,8 +130,9 @@ class RuntimeConfig:
         Parsing is as lenient as the per-site readers it replaced — a
         malformed value falls back to the field default rather than
         breaking an analysis run — with one deliberate exception:
-        ``REPRO_KERNELS`` raises on unrecognised values, because a typo
-        there must not silently change which implementation ran.
+        ``REPRO_KERNELS`` raises on anything but ``numpy``, so a run that
+        asks for the removed python mode fails instead of silently
+        running numpy.
         """
         env = os.environ if env is None else env
         values: dict[str, object] = {}
@@ -157,11 +157,7 @@ class RuntimeConfig:
 
         raw = env.get(ENV_VARS["kernels"], "").strip().lower()
         if raw:
-            if raw not in KERNEL_MODES:
-                raise ValueError(
-                    f"{ENV_VARS['kernels']}={raw!r} is not a kernel mode; "
-                    f"expected one of {', '.join(KERNEL_MODES)}"
-                )
+            _check_kernels(ENV_VARS["kernels"], raw)
             values["kernels"] = raw
 
         raw = env.get(ENV_VARS["mmap"], "").strip().lower()
@@ -250,6 +246,20 @@ class RuntimeConfig:
         return self.jobs
 
 
+def _check_kernels(name: str, value: str) -> None:
+    if value == "python":
+        raise ValueError(
+            f"{name}={value!r}: the python kernel mode was removed; "
+            "numpy is the only kernel mode (the pure-Python paths remain "
+            "as test oracles in tests/test_kernels.py)"
+        )
+    if value not in KERNEL_MODES:
+        raise ValueError(
+            f"{name}={value!r} is not a kernel mode; "
+            f"expected one of {', '.join(KERNEL_MODES)}"
+        )
+
+
 # -- the process-wide active config ------------------------------------------
 
 _active: RuntimeConfig | None = None
@@ -260,7 +270,7 @@ def current() -> RuntimeConfig:
 
     When nothing is installed this re-reads the environment on every
     call, preserving the historical call-time semantics (tests flip
-    ``REPRO_KERNELS`` etc. with ``monkeypatch.setenv`` mid-process).
+    ``REPRO_SHARDS`` etc. with ``monkeypatch.setenv`` mid-process).
     """
     return _active if _active is not None else RuntimeConfig.from_env()
 

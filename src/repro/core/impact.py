@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.bgp.table import Prefix2AS
 from repro.ihr.records import IHRDataset
 from repro.irr.database import IRRCollection, IRRDatabase
@@ -54,31 +53,13 @@ def rpki_saturation(
     rov: ROVValidator,
     member_asns: frozenset[int],
 ) -> tuple[SaturationReport, SaturationReport]:
-    """(MANRS, non-MANRS) saturation over the routed IPv4 table."""
-    if kernels.use_numpy():
-        return _rpki_saturation_numpy(prefix2as, rov, member_asns)
-    member_prefixes: list[Prefix] = []
-    other_prefixes: list[Prefix] = []
-    for asn in prefix2as.origin_asns:
-        bucket = member_prefixes if asn in member_asns else other_prefixes
-        bucket.extend(p for p in prefix2as.prefixes_of(asn) if p.version == 4)
-    return (
-        _saturation_of(member_prefixes, rov),
-        _saturation_of(other_prefixes, rov),
-    )
+    """(MANRS, non-MANRS) saturation over the routed IPv4 table.
 
-
-def _rpki_saturation_numpy(
-    prefix2as: Prefix2AS,
-    rov: ROVValidator,
-    member_asns: frozenset[int],
-) -> tuple[SaturationReport, SaturationReport]:
-    """Columnar saturation: per-population sweeps over presorted rows.
-
-    The routed/covered address counts are unions of integer intervals,
-    so they only depend on which rows each population selects, not on
+    Columnar: per-population sweeps over presorted rows.  The
+    routed/covered address counts are unions of integer intervals, so
+    they only depend on which rows each population selects, not on
     bucket assembly order — the presorted columns plus boolean masks
-    yield the exact integers of the per-prefix reference path.
+    yield the exact integers of :func:`_rpki_saturation_python`.
     """
     cols = prefix2as.v4_columns()
     covered = rov.interval_index().covers_v4(
@@ -102,8 +83,31 @@ def _rpki_saturation_numpy(
     return reports[0], reports[1]
 
 
+def _rpki_saturation_python(
+    prefix2as: Prefix2AS,
+    rov: ROVValidator,
+    member_asns: frozenset[int],
+) -> tuple[SaturationReport, SaturationReport]:
+    """The per-prefix reference for :func:`rpki_saturation`.
+
+    Buckets each origin's IPv4 prefixes by population, asks the radix
+    trie whether any VRP covers each one, and aggregates the address
+    counts.  Only ``tests/test_kernels.py`` calls it, as the oracle the
+    columnar path must match exactly.
+    """
+    member_prefixes: list[Prefix] = []
+    other_prefixes: list[Prefix] = []
+    for asn in prefix2as.origin_asns:
+        bucket = member_prefixes if asn in member_asns else other_prefixes
+        bucket.extend(p for p in prefix2as.prefixes_of(asn) if p.version == 4)
+    return (
+        _saturation_of(member_prefixes, rov),
+        _saturation_of(other_prefixes, rov),
+    )
+
+
 def _saturation_of(prefixes: list[Prefix], rov: ROVValidator) -> SaturationReport:
-    covered = rov.covered_space(prefixes)
+    covered = [prefix for prefix in prefixes if rov.covering_vrps(prefix)]
     return SaturationReport(
         routed_space=aggregate_address_count(prefixes),
         covered_space=aggregate_address_count(covered),

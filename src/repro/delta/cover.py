@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro import kernels
 from repro.net.prefix import Prefix
 from repro.rpki.roa import VRP
 
@@ -36,10 +35,11 @@ class RouteCoverIndex:
 
     Routes are ``(prefix, origin)`` pairs; :meth:`affected` returns the
     sorted, de-duplicated *indices* (into the construction sequence) of
-    every route some changed prefix contains.  The numpy and pure-python
-    paths scan the identical per-version sorted arrays and agree exactly
-    (pinned by a Hypothesis property test); which one runs is decided by
-    the kernel mode at call time, like every other kernel in the repo.
+    every route some changed prefix contains.  IPv4 probes the sorted
+    columns with ``np.searchsorted``; IPv6 (whose addresses overflow
+    int64) bisects the same sorted entries in :meth:`_affected_python`.
+    Both agree exactly with a brute-force containment scan (pinned by a
+    Hypothesis property test).
     """
 
     def __init__(self, routes: Sequence[tuple[Prefix, int]]):
@@ -84,12 +84,6 @@ class RouteCoverIndex:
             self._arrays[version] = arrays
         return arrays
 
-    def affected(self, changed: Iterable[Prefix]) -> list[int]:
-        """Indices of routes contained in any changed prefix (sorted)."""
-        if kernels.use_numpy():
-            return self._affected_numpy(changed)
-        return self._affected_python(changed)
-
     def _affected_python(self, changed: Iterable[Prefix]) -> list[int]:
         hits: set[int] = set()
         for prefix in changed:
@@ -104,7 +98,8 @@ class RouteCoverIndex:
                     hits.add(index)
         return sorted(hits)
 
-    def _affected_numpy(self, changed: Iterable[Prefix]) -> list[int]:
+    def affected(self, changed: Iterable[Prefix]) -> list[int]:
+        """Indices of routes contained in any changed prefix (sorted)."""
         hits: set[int] = set()
         v6_pending: list[Prefix] = []
         for prefix in changed:

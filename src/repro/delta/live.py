@@ -25,15 +25,15 @@ buckets — propagation comes from the (mostly warm) engine memo and
 transit scoring from a per-group cache keyed on everything a group's
 hegemony depends on.  The result must digest-equal
 :func:`~repro.delta.rebuild.cold_rebuild` of the same events — the
-replay==rebuild invariant pinned by ``tests/test_delta.py`` and the
-``make delta-smoke`` gate.
+replay==rebuild invariant pinned by ``tests/test_delta.py`` and by the
+``repro replay`` axis of ``tests/test_parity.py``.
 """
 
 from __future__ import annotations
 
 from datetime import date
 
-from repro import kernels, obs
+from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
@@ -183,7 +183,7 @@ class LiveWorld:
         obs.add("delta.vrps_removed", removed)
         new_rov = ROVValidator(report.vrps)
         carried = new_rov.seed_from(self._rov, changed)
-        obs.add("delta.rov_verdicts_carried", carried)
+        obs.add("delta.rov_memo_carried", carried)
         cover = self._cover.affected(changed)
         obs.add("delta.rpki_cover_routes", len(cover))
         cover_routes = [self._routes[i] for i in cover]
@@ -280,13 +280,7 @@ class LiveWorld:
         )
         vantage_points = base.vantage_points
         engine.ensure_cache_capacity(len(keys))
-        if kernels.use_numpy():
-            paths_by_key = engine.paths_to_many(keys, vantage_points)
-        else:
-            paths_by_key = [
-                engine.paths_to(origin, vantage_points, route_class)
-                for origin, route_class in keys
-            ]
+        paths_by_key = engine.paths_to_many(keys, vantage_points)
         groups = [
             RouteGroup(
                 origin=origin,

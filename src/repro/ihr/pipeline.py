@@ -7,10 +7,12 @@ toward it, and emit the prefix-origin and transit datasets the paper's
 conformance and impact analyses consume.
 
 The construction batches its lookups: all (prefix, origin) pairs are
-classified up front through the bulk/memoised validator paths (one radix
-walk per distinct prefix instead of one per record), and each group's
-vantage-point paths are prepending-stripped once and shared between the
-hegemony and learned-from-customer computations.
+classified up front through the bulk/memoised validator paths (one
+interval-kernel pass instead of one lookup per record), and transit
+scoring runs as one columnar reduction over every group's paths
+(:func:`repro.kernels.groupby.hegemony_transits`).  The per-group loop
+it replaced, :func:`_transit_groups_python`, stays as the reference
+``tests/test_kernels.py`` checks it against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from repro import config as _config
-from repro import kernels, obs
+from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.config import RuntimeConfig
 from repro.hegemony.scores import DEFAULT_TRIM, hegemony_scores
@@ -131,14 +133,9 @@ def build_ihr_dataset(
                 visible, group_statuses, topology, trim, shards, jobs
             )
         if transit_groups is None:
-            if kernels.use_numpy():
-                transit_groups = _transit_groups_numpy(
-                    visible, group_statuses, topology, trim
-                )
-            else:
-                transit_groups = _transit_groups_python(
-                    visible, group_statuses, topology, trim
-                )
+            transit_groups = _transit_groups_numpy(
+                visible, group_statuses, topology, trim
+            )
     obs.add("ihr.prefix_origins", len(prefix_origins))
     obs.add("ihr.transit_groups", len(transit_groups))
     return IHRDataset(prefix_origins=prefix_origins, transit_groups=transit_groups)
@@ -150,7 +147,12 @@ def _transit_groups_python(
     topology: ASTopology,
     trim: float,
 ) -> list[TransitGroup]:
-    """The reference per-group transit scoring loop."""
+    """The reference per-group transit scoring loop.
+
+    Production scoring is :func:`_transit_groups_numpy`; this loop is
+    the oracle ``tests/test_kernels.py`` checks it (and
+    :func:`transit_groups_indexed`) against.
+    """
     # Materialise customer sets once: ASTopology.customers_of copies a
     # frozenset per call, far too slow for millions of path positions.
     customers_of = {asn: topology.customers_of(asn) for asn in topology.asns}
@@ -191,49 +193,19 @@ def transit_groups_indexed(
     Per-group outputs are identical to the batch builders above, but each
     surviving group is tagged with its index into ``visible`` so an
     incremental caller (:mod:`repro.delta`) can score a sparse subset of
-    groups and splice the results between cached ones.  Kernel-mode
-    dispatch matches :func:`build_ihr_dataset`.
+    groups and splice the results between cached ones.
     """
     if not visible:
         return []
-    if kernels.use_numpy():
-        columns = _hegemony_columns(visible, topology, trim)
-        groups = _groups_from_columns(visible, group_statuses, columns)
-        group_ids = columns[0]
-        if not len(group_ids):
-            return []
-        bounds = np.flatnonzero(
-            np.concatenate(([True], group_ids[1:] != group_ids[:-1]))
-        )
-        return list(zip(group_ids[bounds].tolist(), groups))
-    customers_of = {asn: topology.customers_of(asn) for asn in topology.asns}
-    pairs: list[tuple[int, TransitGroup]] = []
-    for index, (group, statuses) in enumerate(zip(visible, group_statuses)):
-        stripped = [strip_prepending(path) for path in group.paths.values()]
-        scores = hegemony_scores(stripped, trim=trim, prestripped=True)
-        if not scores:
-            continue
-        learned_from_customer = _customer_learning(stripped, customers_of)
-        transits = {
-            asn: TransitInfo(
-                hegemony=score,
-                from_customer=learned_from_customer.get(asn, False),
-            )
-            for asn, score in scores.items()
-        }
-        pairs.append(
-            (
-                index,
-                TransitGroup(
-                    origin=group.origin,
-                    prefixes=group.prefixes,
-                    statuses=statuses,
-                    transits=transits,
-                    visibility=len(group.paths),
-                ),
-            )
-        )
-    return pairs
+    columns = _hegemony_columns(visible, topology, trim)
+    groups = _groups_from_columns(visible, group_statuses, columns)
+    group_ids = columns[0]
+    if not len(group_ids):
+        return []
+    bounds = np.flatnonzero(
+        np.concatenate(([True], group_ids[1:] != group_ids[:-1]))
+    )
+    return list(zip(group_ids[bounds].tolist(), groups))
 
 
 def _hegemony_columns(
@@ -413,20 +385,11 @@ def _transit_shard(task: tuple) -> tuple[dict, tuple]:
 
     Group ids in the emitted columns are chunk-local — the driver
     materialises each shard's groups directly against its own chunk.
-    Under the python kernels the shard carries finished TransitGroups
-    instead (the reference loop has no columnar intermediate).
     """
-    index, total, chunk, chunk_statuses = task
+    index, total, chunk = task
     assert _shard_topology is not None
-    if kernels.use_numpy():
-        columns = _hegemony_columns(chunk, _shard_topology, _shard_trim)
-        manifest = shard_manifest("ihr.transit", index, total, len(columns[0]))
-        return manifest, ("columns", columns)
-    groups = _transit_groups_python(
-        chunk, list(chunk_statuses), _shard_topology, _shard_trim
-    )
-    manifest = shard_manifest("ihr.transit", index, total, len(groups))
-    return manifest, ("groups", groups)
+    columns = _hegemony_columns(chunk, _shard_topology, _shard_trim)
+    return shard_manifest("ihr.transit", index, total, len(columns[0])), columns
 
 
 def _sharded_transit_groups(
@@ -451,13 +414,9 @@ def _sharded_transit_groups(
     for chunk in chunks:
         status_chunks.append(group_statuses[start : start + len(chunk)])
         start += len(chunk)
-    tasks = [
-        (index, total, list(chunk), status_chunks[index])
-        for index, chunk in enumerate(chunks)
-    ]
+    tasks = [(index, total, list(chunk)) for index, chunk in enumerate(chunks)]
     obs.add("ihr.transit_shards", total)
     manifests: list[dict] = []
-    kinds: set[str] = set()
     parts: list[list[TransitGroup]] = []
 
     def consume(result: tuple[dict, tuple]) -> None:
@@ -467,20 +426,15 @@ def _sharded_transit_groups(
         # resident.  Should manifest validation below reject the set,
         # the materialised parts are discarded wholesale (the usual
         # discard-don't-stitch contract), never partially reused.
-        manifest, payload = result
+        manifest, columns = result
         position = len(manifests)
         manifests.append(manifest)
-        kinds.add(payload[0])
-        if payload[0] == "columns" and position < total:
+        if position < total:
             parts.append(
                 _groups_from_columns(
-                    list(chunks[position]),
-                    status_chunks[position],
-                    payload[1],
+                    list(chunks[position]), status_chunks[position], columns
                 )
             )
-        elif payload[0] == "groups":
-            parts.append(payload[1])
 
     ok = pool_map_consume(
         _transit_shard,
@@ -493,8 +447,6 @@ def _sharded_transit_groups(
     if not ok:
         return None
     problems = check_shard_manifests(manifests, "ihr.transit", total)
-    if not problems and len(kinds) != 1:
-        problems.append(f"mixed shard payload kinds {sorted(kinds)}")
     if problems:
         log.warning(
             "discarding sharded transit scoring (%s); recomputing unsharded",

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from repro import config as _config
-from repro import kernels, obs
+from repro import obs
 from repro.config import RuntimeConfig
 from repro.kernels.intervals import RouteIntervalIndex
 from repro.irr.database import IRRCollection, IRRDatabase
@@ -194,8 +194,14 @@ def _classify_pending(
     registry: IRRCollection | IRRDatabase,
     pending: list[tuple[Prefix, int]],
 ) -> list[IRRStatus]:
-    """Bulk-classify not-yet-memoised routes, aligned with ``pending``."""
-    index = _index_of(registry) if kernels.use_numpy() else None
+    """Bulk-classify not-yet-memoised routes, aligned with ``pending``.
+
+    Versioned registries answer from their interval index; a registry
+    without a mutation counter falls back to the bulk trie walk, which
+    is also the reference ``tests/test_kernels.py`` checks the index
+    against.
+    """
+    index = _index_of(registry)
     if index is not None:
         codes = index.classify_routes(pending)
         return [_STATUS_BY_CODE[code] for code in codes.tolist()]
@@ -275,11 +281,11 @@ def validate_irr_many(
     jobs: int | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> dict[tuple[Prefix, int], IRRStatus]:
-    """Classify a batch of routes with one bulk covering walk.
+    """Classify a batch of routes with one interval-kernel pass.
 
-    Equivalent to calling :func:`validate_irr` per route; covering
-    objects for all not-yet-memoised prefixes are collected via the
-    registry's ``routes_covering_many`` bulk lookup first.
+    Equivalent to calling :func:`validate_irr` per route; every
+    not-yet-memoised route is classified in one ``searchsorted`` sweep
+    over the registry's interval index.
 
     ``shards`` (default: the runtime config / ``REPRO_SHARDS``, else 1)
     fans the bulk classification across a process pool by prefix range;

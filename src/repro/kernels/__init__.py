@@ -9,46 +9,10 @@ Each of those admits a columnar formulation — integer prefix columns,
 CSR adjacency, sort-then-reduce groupings — that numpy executes one to
 two orders of magnitude faster than the per-object Python loops.
 
-Every kernel is a *drop-in* behind an existing API and is required to be
-**byte-identical** to the pure-Python reference implementation it
-shadows (the original code paths, which all remain in place).  The
-golden-digest suite pins that equivalence end to end; `tests/
-test_kernels.py` pins it property-by-property on generated inputs.
-
-Mode selection
---------------
-
-``REPRO_KERNELS`` picks the implementation:
-
-* ``numpy`` (default) — columnar kernels;
-* ``python`` — the original pure-Python reference paths.
-
-The variable is read at *call* time, not import time, so tests can flip
-modes with ``monkeypatch.setenv`` and compare both implementations in
-one process.
+Every kernel sits *behind* an existing API and is the only production
+path.  The pure-Python loops it replaced stay next to it as reference
+implementations, and each kernel must be **byte-identical** to its
+reference: ``tests/test_kernels.py`` calls both directly on generated
+inputs and on a built world, and the golden-digest suite pins the
+kernels end to end.
 """
-
-from __future__ import annotations
-
-from repro import config as _config
-from repro.config import KERNEL_MODES
-
-__all__ = ["KERNEL_MODES", "kernel_mode", "use_numpy"]
-
-_ENV_VAR = "REPRO_KERNELS"
-
-
-def kernel_mode() -> str:
-    """The active kernel mode (``numpy`` or ``python``).
-
-    Resolved through the active :class:`repro.config.RuntimeConfig`
-    (which falls back to ``REPRO_KERNELS``).  Unset or empty selects
-    ``numpy``; anything unrecognised raises so a typo cannot silently
-    change which implementation ran.
-    """
-    return _config.current().kernels
-
-
-def use_numpy() -> bool:
-    """True when the columnar numpy kernels are active."""
-    return kernel_mode() == "numpy"

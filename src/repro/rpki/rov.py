@@ -10,8 +10,10 @@ Given the VRP set, classify a route (prefix, origin AS):
 * **INVALID_ASN** — covering VRPs exist but none matches the origin ASN
   (this includes AS0 ROAs, which can never match).
 
-The classifier is backed by the radix trie, so a lookup costs
-O(prefix length) regardless of table size.
+Bulk classification (:meth:`ROVValidator.validate_many`) runs the
+``searchsorted`` interval kernel over the whole VRP set; the per-route
+:meth:`ROVValidator.validate` walks the radix trie, which makes it the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from repro import config as _config
-from repro import kernels, obs
+from repro import obs
 from repro.config import RuntimeConfig
 from repro.kernels.intervals import RouteIntervalIndex
 from repro.net.prefix import Prefix
@@ -94,22 +96,21 @@ class ROVValidator:
     The VRP set is frozen at construction, so per-route verdicts are
     memoised: within one snapshot the same (prefix, origin) is typically
     classified several times (announcement classing, the IHR pipeline,
-    conformance analyses) and only the first lookup walks the trie.
+    conformance analyses) and only the first lookup classifies it.
     """
 
     def __init__(self, vrps: Iterable[VRP]):
         self._vrps: list[VRP] = list(vrps)
         self._count = len(self._vrps)
-        # Both lookup structures are lazy: the radix trie backs the
-        # per-route reference path and ad-hoc covering queries, the
-        # interval index backs the bulk numpy kernels.  A validator used
-        # only through one path never builds the other.
+        # Both lookup structures are lazy: the radix trie backs
+        # per-route validation and covering queries, the interval index
+        # backs bulk validation and coverage.  A validator used only
+        # through one path never builds the other.
         self._tree: RadixTree[VRP] | None = None
         self._index: RouteIntervalIndex | None = None
         obs.add("rov.validators_built")
         obs.add("rov.vrps_loaded", self._count)
         self._memo: dict[tuple[Prefix, int], RPKIStatus] = {}
-        self._covered_memo: dict[Prefix, bool] = {}
 
     def __len__(self) -> int:
         """Number of VRPs loaded."""
@@ -143,15 +144,6 @@ class ROVValidator:
         """Every loaded VRP, in address order."""
         return [vrp for _, vrp in self._trie().items()]
 
-    def loaded_vrps(self) -> list[VRP]:
-        """Every loaded VRP, in load order (builds no trie)."""
-        return list(self._vrps)
-
-    def memoised_verdicts(self) -> int:
-        """Memoised route verdicts plus coverage bits: what
-        :meth:`seed_from` can carry from this validator."""
-        return len(self._memo) + len(self._covered_memo)
-
     def covering_vrps(self, prefix: Prefix) -> list[VRP]:
         """All VRPs whose prefix contains ``prefix``."""
         return self._trie().covering(prefix)
@@ -169,14 +161,8 @@ class ROVValidator:
         self, pending: list[tuple[Prefix, int]]
     ) -> list[RPKIStatus]:
         """Bulk-classify not-yet-memoised routes, aligned with ``pending``."""
-        if kernels.use_numpy():
-            codes = self.interval_index().classify_routes(pending)
-            return [_STATUS_BY_CODE[code] for code in codes.tolist()]
-        covering = self._trie().covering_many(prefix for prefix, _ in pending)
-        return [
-            _classify(covering[prefix], prefix, origin)
-            for prefix, origin in pending
-        ]
+        codes = self.interval_index().classify_routes(pending)
+        return [_STATUS_BY_CODE[code] for code in codes.tolist()]
 
     def _sharded_statuses(
         self, pending: list[tuple[Prefix, int]], shards: int, jobs: int
@@ -247,11 +233,11 @@ class ROVValidator:
         jobs: int | None = None,
         runtime: RuntimeConfig | None = None,
     ) -> dict[tuple[Prefix, int], RPKIStatus]:
-        """Classify a batch of routes with one bulk trie walk.
+        """Classify a batch of routes with one interval-kernel pass.
 
-        Equivalent to calling :meth:`validate` per route, but covering
-        VRPs for all not-yet-memoised prefixes are gathered via
-        :meth:`RadixTree.covering_many` first.
+        Equivalent to calling :meth:`validate` per route, but every
+        not-yet-memoised route is classified in one ``searchsorted``
+        sweep over the VRP intervals.
 
         ``shards`` (default: the runtime config / ``REPRO_SHARDS``, else
         1) fans the bulk classification across a process pool by prefix
@@ -294,30 +280,17 @@ class ROVValidator:
         obs.add("rov.memo_misses", len(pending))
         return results
 
-    def seed_verdicts(
-        self, verdicts: dict[tuple[Prefix, int], RPKIStatus]
-    ) -> None:
-        """Pre-populate the per-route memo with externally known verdicts.
-
-        The caller asserts the verdicts are what this validator would
-        compute itself — the sound use is carrying verdicts across a
-        validator rebuild for routes whose covering VRP set provably did
-        not change (see :mod:`repro.delta`).
-        """
-        self._memo.update(verdicts)
-
     def seed_from(
         self, other: "ROVValidator", changed: Iterable[Prefix]
     ) -> int:
-        """Carry memoised state over from ``other`` for unaffected routes.
+        """Carry memoised verdicts over from ``other`` for unaffected routes.
 
         ``changed`` is the set of prefixes whose VRP entries differ
         between the two validators' VRP sets.  A route's RFC 6811 verdict
-        is a function of its covering VRPs, and its coverage bit of
-        whether any covering VRP exists; both can only change when some
-        added/removed VRP covers the route, i.e. when the route's prefix
-        lies inside a changed prefix.  Everything outside that cover set
-        is copied; returns the number of entries carried.
+        is a function of its covering VRPs, so it can only change when
+        some added/removed VRP covers the route, i.e. when the route's
+        prefix lies inside a changed prefix.  Everything outside that
+        cover set is copied; returns the number of verdicts carried.
         """
         spans: dict[int, list[tuple[int, int]]] = {}
         for prefix in changed:
@@ -336,36 +309,19 @@ class ROVValidator:
             if unaffected(prefix):
                 self._memo[(prefix, origin)] = status
                 carried += 1
-        for prefix, covered in other._covered_memo.items():
-            if unaffected(prefix):
-                self._covered_memo[prefix] = covered
-                carried += 1
         return carried
 
     def covered_space(self, prefixes: Iterable[Prefix]) -> list[Prefix]:
         """Subset of ``prefixes`` that have at least one covering VRP.
 
         This is the paper's "ROA covered ... address space" numerator for
-        RPKI saturation (Equation 7/8).  Coverage per prefix is memoised:
-        saturation sweeps re-query the same routed table against one
-        validator (member and non-member splits, repeated series).
+        RPKI saturation (Equation 7/8), answered by the interval index in
+        one vectorised probe.
         """
-        if kernels.use_numpy():
-            if not isinstance(prefixes, (list, tuple)):
-                prefixes = list(prefixes)
-            mask = self.interval_index().covers_prefixes(prefixes)
-            return [p for p, hit in zip(prefixes, mask.tolist()) if hit]
-        memo = self._covered_memo
-        has_covering = self._trie().has_covering
-        result: list[Prefix] = []
-        for prefix in prefixes:
-            covered = memo.get(prefix)
-            if covered is None:
-                covered = has_covering(prefix)
-                memo[prefix] = covered
-            if covered:
-                result.append(prefix)
-        return result
+        if not isinstance(prefixes, (list, tuple)):
+            prefixes = list(prefixes)
+        mask = self.interval_index().covers_prefixes(prefixes)
+        return [p for p, hit in zip(prefixes, mask.tolist()) if hit]
 
 
 # Worker-process state for prefix-range sharded validation, installed

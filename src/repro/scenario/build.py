@@ -83,7 +83,7 @@ def build_world(
     test-sized worlds in well under a second.
 
     ``runtime`` installs a :class:`repro.config.RuntimeConfig` for the
-    duration of the build, so every knob underneath (kernel mode, mmap,
+    duration of the build, so every knob underneath (build budget, mmap,
     shard/worker counts, path-cache sizing) honours the explicit object
     instead of the environment.
 

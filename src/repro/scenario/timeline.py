@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro import obs
 from repro.core.conformance import origination_stats
-from repro.delta.cover import vrp_delta
 from repro.core.impact import rpki_saturation
 from repro.core.participation import members_by_rir, routed_space_share_by_rir
 from repro.manrs.actions import Program, action4_threshold
@@ -75,13 +74,9 @@ class Timeline:
     counted (``timeline.rov_years_corrupt``) rather than folded silently
     into the never-saved case, so tampering is observable.
 
-    Year-over-year validation reuses the delta layer's machinery: when
-    the nearest already-computed year holds memoised verdicts (only the
-    pure-Python kernels fill them), the fresh year's validator is seeded
-    from it via :func:`~repro.delta.cover.vrp_delta` +
-    :meth:`~repro.rpki.rov.ROVValidator.seed_from`, so the saturation
-    sweep re-classifies only prefixes whose covering VRPs actually
-    changed across the year boundary.
+    Each year's validator starts empty: the saturation sweep answers
+    coverage from the validator's interval index in one vectorised
+    probe, which leaves no per-route verdicts to carry between years.
     """
 
     def __init__(self, world: World, store: "CheckpointStore | None" = None):
@@ -104,19 +99,6 @@ class Timeline:
         self.years = list(
             range(config.first_year, config.snapshot_date.year + 1)
         )
-
-    def _nearest_cached(self, year: int) -> ROVValidator | None:
-        """The closest already-built year validator, for delta seeding.
-
-        Adjacent years share almost their whole VRP set (only objects
-        whose validity window the boundary crosses differ), so verdicts
-        carried from the nearest neighbour leave very little for the new
-        year's validator to classify from scratch.
-        """
-        candidates = [other for other in self._rov_cache if other != year]
-        if not candidates:
-            return None
-        return self._rov_cache[min(candidates, key=lambda y: abs(y - year))]
 
     def _year_end(self, year: int) -> date:
         if year == self._world.config.snapshot_date.year:
@@ -160,14 +142,6 @@ class Timeline:
             with obs.span("timeline.rov_at", year=year), obs.gc_paused():
                 report = self._relying_party.validate(self._year_end(year))
                 validator = ROVValidator(report.vrps)
-                previous = self._nearest_cached(year)
-                # Only the pure-Python kernels memoise the sweep's
-                # verdicts; a neighbour without any has nothing to carry,
-                # so the VRP diff would be wasted work.
-                if previous is not None and previous.memoised_verdicts():
-                    changed = vrp_delta(previous.loaded_vrps(), report.vrps)
-                    carried = validator.seed_from(previous, changed)
-                    obs.add("timeline.rov_verdicts_carried", carried)
             obs.add("timeline.rov_years_validated")
             self._rov_cache[year] = validator
             if self._store is not None and self._store_key is not None:

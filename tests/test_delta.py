@@ -4,10 +4,11 @@ The central invariant — applying an event stream incrementally through
 :class:`~repro.delta.live.LiveWorld` produces a world digest-identical
 to rebuilding everything cold from the mutated inputs — is pinned three
 ways: a Hypothesis sweep over random event sequences (with shrinking),
-an every-event-kind checkpoint walk under the pure-Python kernels, and a
-committed golden replay digest on the shared ``small_world``.  The cover
-set that makes the incremental path cheap is property-tested against a
-brute-force containment scan in both kernel modes.
+an every-event-kind checkpoint walk, and a committed golden replay
+digest on the shared ``small_world``.  The cover set that makes the
+incremental path cheap is property-tested against a brute-force
+containment scan, through both its searchsorted kernel and the bisect
+reference it keeps for IPv6.
 
 The satellites ride along: the ``repro.perf`` removal-window guards, the
 tampered year-snapshot counter, and the serving layer's ``at=``
@@ -31,7 +32,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.bgp.collector import RibSnapshot
-from repro.config import RuntimeConfig, use
 from repro.datasets.checkpoint import (
     CheckpointStore,
     checkpoint_key,
@@ -70,10 +70,6 @@ def delta_world():
     return build_world(scale=0.05, seed=3)
 
 
-def kernel_modes():
-    return ("numpy", "python")
-
-
 # -- cover sets vs brute force (satellite 1) ---------------------------------
 
 prefix_v4 = st.builds(
@@ -108,11 +104,12 @@ def brute_force_cover(routes, changed):
     changed=st.lists(prefix_strategy, min_size=0, max_size=8),
 )
 def test_cover_index_matches_bruteforce_both_kernels(routes, changed):
+    # Both implementations: the searchsorted kernel and the bisect scan
+    # it keeps as the reference (and as its IPv6 path).
     index = RouteCoverIndex(routes)
     expected = brute_force_cover(routes, changed)
-    for mode in kernel_modes():
-        with use(RuntimeConfig.resolve(kernels=mode)):
-            assert index.affected(changed) == expected, mode
+    assert index.affected(changed) == expected
+    assert index._affected_python(changed) == expected
 
 
 vrp_strategy = st.builds(
@@ -181,18 +178,16 @@ def test_replay_digest_equals_cold_rebuild(kinds, salt):
     )
 
 
-def test_every_event_kind_checkpoints_equal_python_kernels():
-    """One event of each kind, digest-checked at every instant, with the
-    pure-Python kernels driving validation, propagation and hegemony."""
+def test_every_event_kind_checkpoints_equal_cold_rebuild():
+    """One event of each kind, digest-checked at every instant."""
     world = delta_world()
-    with use(RuntimeConfig.resolve(kernels="python")):
-        events = synthesize_events(world, kinds=list(EVENT_KINDS), seed=13)
-        live = LiveWorld(world)
-        for applied, event in enumerate(events, start=1):
-            live.apply(event)
-            assert dataset_digests(live.world()) == dataset_digests(
-                cold_rebuild(world, events[:applied])
-            ), f"diverged after {applied} events ({type(event).__name__})"
+    events = synthesize_events(world, kinds=list(EVENT_KINDS), seed=13)
+    live = LiveWorld(world)
+    for applied, event in enumerate(events, start=1):
+        live.apply(event)
+        assert dataset_digests(live.world()) == dataset_digests(
+            cold_rebuild(world, events[:applied])
+        ), f"diverged after {applied} events ({type(event).__name__})"
 
 
 def test_live_world_at_instant_zero_is_the_base():
@@ -403,41 +398,25 @@ def test_tampered_year_sidecar_counts_as_corrupt(tmp_path, small_world):
     assert store.load_year_vrps(key, year, strict=True) is not None
 
 
-def test_year_validators_seed_from_neighbours(small_world):
-    # The memo-carrying path only matters (and only fills) under the
-    # pure-Python kernels: the numpy path answers coverage from a
-    # rebuilt interval index and never touches the per-prefix memo.
-    from repro.scenario.timeline import Timeline
-
-    before = obs.counters().get("timeline.rov_verdicts_carried", 0)
-    with use(RuntimeConfig.resolve(kernels="python")):
-        Timeline(small_world).saturation_series()
-    after = obs.counters().get("timeline.rov_verdicts_carried", 0)
-    assert after > before, "adjacent years should carry verdicts over"
-
-
 def test_year_validators_carry_nothing_under_numpy(small_world, monkeypatch):
-    # The numpy kernels leave every year validator's memo empty, so there
-    # is nothing to carry: no year diffs against its neighbour, yet each
-    # year is still validated once.
-    from repro.scenario import timeline as timeline_module
+    # The saturation sweep answers coverage from each year's interval
+    # index and leaves the verdict memo empty, so no year seeds from its
+    # neighbour; each year is still validated exactly once.
     from repro.scenario.timeline import Timeline
 
-    def no_diff(old, new):
-        raise AssertionError("a neighbour with an empty memo needs no VRP diff")
+    def no_seed(self, other, changed):
+        raise AssertionError("year validators have no verdicts to carry")
 
-    monkeypatch.setattr(timeline_module, "vrp_delta", no_diff)
-    counters = obs.counters()
-    carried = counters.get("timeline.rov_verdicts_carried", 0)
-    validated = counters.get("timeline.rov_years_validated", 0)
-    with use(RuntimeConfig.resolve(kernels="numpy")):
-        timeline = Timeline(small_world)
-        timeline.saturation_series()
-    counters = obs.counters()
-    assert counters.get("timeline.rov_verdicts_carried", 0) == carried
-    assert counters.get("timeline.rov_years_validated", 0) == validated + len(
-        timeline.years
+    monkeypatch.setattr(ROVValidator, "seed_from", no_seed)
+    validated = obs.counters().get("timeline.rov_years_validated", 0)
+    timeline = Timeline(small_world)
+    timeline.saturation_series()
+    assert obs.counters().get("timeline.rov_years_validated", 0) == (
+        validated + len(timeline.years)
     )
+    assert all(
+        not timeline.rov_at(year)._memo for year in timeline.years
+    ), "the sweep must not fill the verdict memo"
 
 
 # -- serving a live world at an instant (tentpole surface) -------------------

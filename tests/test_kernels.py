@@ -1,23 +1,24 @@
 """Property-based equivalence: columnar kernels vs pure-Python references.
 
-Every kernel in ``repro.kernels`` must be byte-identical to the Python
-reference path it shadows.  The golden-digest suite pins that end to end
-on two fixed worlds; these tests pin it property-by-property on
-*generated* inputs, where Hypothesis explores corner cases (empty
-inputs, duplicate prefixes, AS0 entries, shared covering sets) a fixed
-world may never hit.
+Every kernel in ``repro.kernels`` is the only production path behind
+its API, and must be byte-identical to the pure-Python loop it replaced.
+Those loops stay in the source as oracles, and these tests call both
+sides directly: on *generated* inputs, where Hypothesis explores corner
+cases (empty inputs, duplicate prefixes, AS0 entries, shared covering
+sets) a fixed world may never hit, and on the built ``small_world``.
+The golden-digest suite pins the kernels end to end.
 
-Each test drives the public API with ``REPRO_KERNELS`` flipped between
-modes and asserts full equality, so the suite is meaningful regardless
-of the ambient mode it runs under.
+The oracles: the radix-trie classifier behind ``ROVValidator.validate``,
+the bulk trie walk IRR validation falls back to for registries without
+a mutation counter, ``_transit_groups_python``, scalar
+``PropagationEngine.paths_to``, the per-prefix saturation loop
+``_rpki_saturation_python`` and the bisect cover scan
+``RouteCoverIndex._affected_python`` (tested in ``tests/test_delta.py``).
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +29,22 @@ from hypothesis import strategies as st
 from repro.bgp.collector import RouteGroup
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
-from repro.ihr.pipeline import _transit_groups_numpy, _transit_groups_python
+from repro.config import KERNEL_MODES, RuntimeConfig
+from repro.core.impact import _rpki_saturation_python, rpki_saturation
+from repro.ihr.pipeline import (
+    _transit_groups_numpy,
+    _transit_groups_python,
+    transit_groups_indexed,
+)
 from repro.irr.database import IRRDatabase
 from repro.irr.objects import RouteObject
-from repro.irr.validation import validate_irr_many
-from repro.kernels import kernel_mode
+from repro.irr.validation import _classify_pending, validate_irr_many
 from repro.kernels.intervals import union_address_count
 from repro.net.prefix import Prefix, aggregate_address_count
 from repro.registry.rir import RIR
 from repro.rpki.roa import VRP
 from repro.rpki.rov import ROVValidator
+from repro.scenario.build import build_world
 from repro.scenario.timeline import Timeline
 from repro.topology.model import (
     ASCategory,
@@ -50,18 +57,21 @@ from repro.topology.model import (
 GOLDENS = Path(__file__).parent / "goldens" / "world_digests.json"
 
 
-@contextmanager
-def kernel_env(mode: str):
-    """Temporarily force ``REPRO_KERNELS`` to ``mode``."""
-    previous = os.environ.get("REPRO_KERNELS")
-    os.environ["REPRO_KERNELS"] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNELS", None)
-        else:
-            os.environ["REPRO_KERNELS"] = previous
+class Unversioned:
+    """A registry without a mutation counter.
+
+    IRR validation cannot memoise or index such a registry, so it walks
+    the radix trie: the reference path the interval kernel must match.
+    """
+
+    def __init__(self, database: IRRDatabase):
+        self._database = database
+
+    def routes_covering(self, prefix: Prefix) -> list[RouteObject]:
+        return self._database.routes_covering(prefix)
+
+    def routes_covering_many(self, prefixes):
+        return self._database.routes_covering_many(prefixes)
 
 
 # -- strategies -------------------------------------------------------------
@@ -107,11 +117,14 @@ class TestClassificationEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(vrp_list=st.lists(vrps(), max_size=30), routes=ROUTES)
     def test_rov_interval_classify_matches_trie(self, vrp_list, routes):
-        results = {}
-        for mode in ("python", "numpy"):
-            with kernel_env(mode):
-                results[mode] = ROVValidator(vrp_list).validate_many(routes)
-        assert results["python"] == results["numpy"]
+        columnar = ROVValidator(vrp_list).validate_many(routes)
+        trie = ROVValidator(vrp_list)
+        assert columnar == {route: trie.validate(*route) for route in routes}
+        # The covering-VRP bit behind saturation, both ways.
+        prefixes = [prefix for prefix, _ in routes]
+        assert ROVValidator(vrp_list).covered_space(prefixes) == [
+            prefix for prefix in prefixes if trie.covering_vrps(prefix)
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -119,16 +132,18 @@ class TestClassificationEquivalence:
         routes=ROUTES,
     )
     def test_irr_interval_classify_matches_trie(self, objects, routes):
-        results = {}
-        for mode in ("python", "numpy"):
-            database = IRRDatabase("TEST")
-            for prefix, origin in objects:
-                database.add_route(
-                    RouteObject(prefix=prefix, origin=origin, source="TEST")
-                )
-            with kernel_env(mode):
-                results[mode] = validate_irr_many(database, routes)
-        assert results["python"] == results["numpy"]
+        database = IRRDatabase("TEST")
+        for prefix, origin in objects:
+            database.add_route(
+                RouteObject(prefix=prefix, origin=origin, source="TEST")
+            )
+        columnar = validate_irr_many(database, routes)
+        reference = Unversioned(database)
+        pending = list(dict.fromkeys(routes))
+        assert columnar == dict(
+            zip(pending, _classify_pending(reference, pending))
+        )
+        assert columnar == validate_irr_many(reference, routes)
 
 
 # -- address-space accounting ----------------------------------------------
@@ -215,6 +230,25 @@ class TestTransitGroups:
         for left, right in zip(columnar, reference):
             assert list(left.transits) == list(right.transits)
 
+    @settings(max_examples=50, deadline=None)
+    @given(scenario=transit_scenarios())
+    def test_indexed_matches_python(self, scenario):
+        topology, groups, statuses = scenario
+        # Scoring each group alone tags the reference with its index.
+        reference = [
+            (index, transit_group)
+            for index, (group, group_statuses) in enumerate(
+                zip(groups, statuses)
+            )
+            for transit_group in _transit_groups_python(
+                [group], [group_statuses], topology, 0.1
+            )
+        ]
+        indexed = transit_groups_indexed(groups, statuses, topology, 0.1)
+        assert indexed == reference
+        for (_, left), (_, right) in zip(indexed, reference):
+            assert list(left.transits) == list(right.transits)
+
 
 # -- batched propagation ----------------------------------------------------
 
@@ -254,30 +288,39 @@ class TestBatchPaths:
             )
 
 
-# -- timeline and goldens ---------------------------------------------------
+# -- timeline ---------------------------------------------------------------
 
 
 class TestEndToEndEquivalence:
     def test_saturation_series_matches(self, small_world):
-        results = {}
-        for mode in ("python", "numpy"):
-            with kernel_env(mode):
-                results[mode] = Timeline(small_world).saturation_series()
-        assert results["python"] == results["numpy"]
+        timeline = Timeline(small_world)
+        series = timeline.saturation_series()
+        assert [point.year for point in series] == timeline.years
+        for point in series:
+            members = small_world.manrs.member_asns(
+                as_of=timeline._year_end(point.year)
+            )
+            rov = timeline.rov_at(point.year)
+            reference = _rpki_saturation_python(
+                small_world.prefix2as, rov, members
+            )
+            assert (
+                rpki_saturation(small_world.prefix2as, rov, members)
+                == reference
+            )
+            assert point.manrs_saturation == reference[0].saturation
+            assert point.other_saturation == reference[1].saturation
 
-    @pytest.mark.parametrize("mode", ["python", "numpy"])
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
     def test_golden_digest_per_mode(self, mode):
         from repro.datasets.checkpoint import world_digest
-        from repro.scenario.build import _build_world
 
         entry = next(
             e
             for e in json.loads(GOLDENS.read_text())["entries"]
             if e["scale"] == 0.05
         )
-        with kernel_env(mode):
-            assert kernel_mode() == mode
-            world = _build_world(
-                entry["scale"], entry["seed"], None, None, None, None
-            )
+        world = build_world(
+            entry["scale"], entry["seed"], runtime=RuntimeConfig(kernels=mode)
+        )
         assert world_digest(world) == entry["world_digest"]

@@ -3,8 +3,8 @@
 The contract under test: one frozen dataclass resolved with ``explicit
 > environment > default`` precedence, installable process-wide or for a
 ``with`` block, consulted by every call-time reader the per-site env
-lookups used to own (kernel mode, mmap, world-load strategy, default
-store, jobs/shards resolution).
+lookups used to own (mmap, world-load strategy, default store,
+jobs/shards resolution, the build budget).
 """
 
 from __future__ import annotations
@@ -53,30 +53,41 @@ class TestDefaults:
         with pytest.raises(ValueError, match="world_cache_size"):
             RuntimeConfig(world_cache_size=0)
 
+    def test_python_kernels_were_removed(self):
+        with pytest.raises(ValueError, match="python kernel mode was removed"):
+            RuntimeConfig(kernels="python")
+        with pytest.raises(
+            ValueError, match="REPRO_KERNELS='python': the python kernel mode was removed"
+        ):
+            RuntimeConfig.from_env({"REPRO_KERNELS": "python"})
+
 
 class TestFromEnv:
     def test_reads_every_documented_variable(self):
         env = {
             "REPRO_JOBS": "4",
             "REPRO_SHARDS": "8",
-            "REPRO_KERNELS": "python",
+            "REPRO_KERNELS": "NumPy",
             "REPRO_MMAP": "0",
             "REPRO_WORLD_LOAD": "eager",
             "REPRO_CACHE_DIR": "/tmp/store",
             "REPRO_WORLD_CACHE_SIZE": "9",
             "REPRO_PATHS_CACHE": "123",
+            "REPRO_BUILD_BUDGET_MB": "0.5",
         }
         runtime = RuntimeConfig.from_env(env)
         assert runtime == RuntimeConfig(
             jobs=4,
             shards=8,
-            kernels="python",
+            kernels="numpy",
             mmap=False,
             world_load="eager",
             cache_dir="/tmp/store",
             world_cache_size=9,
             paths_cache=123,
+            build_budget_mb=0.5,
         )
+        assert set(env) == set(ENV_VARS.values())
 
     def test_malformed_values_fall_back_leniently(self):
         env = {
@@ -107,7 +118,7 @@ class TestResolvePrecedence:
         runtime = RuntimeConfig.resolve(env=env, jobs=2)
         assert runtime.jobs == 2  # explicit wins
         assert runtime.shards == 8  # env fills the unspecified
-        assert runtime.kernels == "numpy"  # default fills the rest
+        assert runtime.world_load == "columnar"  # default fills the rest
 
     def test_none_override_means_unspecified(self):
         env = {"REPRO_JOBS": "4"}
@@ -132,9 +143,9 @@ class TestResolvePrecedence:
 
 class TestActiveConfig:
     def test_current_reads_env_at_call_time_when_uninstalled(self, monkeypatch):
-        assert config.current().kernels == "numpy"
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        assert config.current().kernels == "python"
+        assert config.current().shards == 1
+        monkeypatch.setenv("REPRO_SHARDS", "3")
+        assert config.current().shards == 3
 
     def test_set_current_overrides_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
@@ -175,11 +186,15 @@ class TestCallTimeReaders:
             assert resolve_jobs() == 6
             assert resolve_jobs(2) == 2  # explicit argument still wins
 
-    def test_kernel_mode_honours_installed_config(self):
-        from repro.kernels import kernel_mode
+    def test_shards_and_build_budget_honour_installed_config(self, monkeypatch):
+        from repro.shard import resolve_build_budget, resolve_shards
 
-        with config.use(RuntimeConfig(kernels="python")):
-            assert kernel_mode() == "python"
+        monkeypatch.setenv("REPRO_SHARDS", "5")
+        monkeypatch.setenv("REPRO_BUILD_BUDGET_MB", "7")
+        with config.use(RuntimeConfig(shards=3, build_budget_mb=1)):
+            assert resolve_shards() == 3
+            assert resolve_shards(2) == 2  # explicit argument still wins
+            assert resolve_build_budget() == 1024 * 1024
 
     def test_mmap_and_world_load_honour_installed_config(self):
         from repro.datasets.arraystore import mmap_enabled
@@ -201,40 +216,27 @@ class TestCallTimeReaders:
     def test_picklable_for_pool_initializers(self):
         import pickle
 
-        runtime = RuntimeConfig(jobs=3, kernels="python")
+        runtime = RuntimeConfig(jobs=3, shards=2, world_load="eager")
         assert pickle.loads(pickle.dumps(runtime)) == runtime
 
 
 class TestRuntimeParameter:
     """``runtime=`` on an entry point governs the whole call."""
 
-    def test_build_world_runtime_controls_kernel_mode(self):
-        from repro.scenario.build import build_world
-
-        python_world = build_world(
-            scale=0.03, seed=5, runtime=RuntimeConfig(kernels="python")
-        )
-        numpy_world = build_world(
-            scale=0.03, seed=5, runtime=RuntimeConfig(kernels="numpy")
-        )
-        from repro.datasets.checkpoint import world_digest
-
-        assert world_digest(python_world) == world_digest(numpy_world)
-
     def test_explicit_runtime_beats_environment(self, monkeypatch):
-        from repro.kernels import kernel_mode
         from repro.scenario import build as build_mod
+        from repro.shard import resolve_shards
 
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        seen: dict[str, str] = {}
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        seen: dict[str, int] = {}
         original = build_mod._build_world
 
         def spy(*args, **kwargs):
-            seen["mode"] = kernel_mode()
+            seen["shards"] = resolve_shards()
             return original(*args, **kwargs)
 
         monkeypatch.setattr(build_mod, "_build_world", spy)
         build_mod.build_world(
-            scale=0.02, seed=1, runtime=RuntimeConfig(kernels="numpy")
+            scale=0.02, seed=1, runtime=RuntimeConfig(shards=1)
         )
-        assert seen["mode"] == "numpy"
+        assert seen["shards"] == 1
