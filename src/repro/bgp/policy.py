@@ -26,6 +26,7 @@ __all__ = [
     "RouteClass",
     "ASPolicy",
     "CONFORMANT_CLASS",
+    "ROUTE_CLASSES",
     "covers_session",
 ]
 
@@ -46,8 +47,18 @@ class RouteClass:
     irr_invalid: bool = False
 
 
+#: The whole (rpki_invalid, irr_invalid) space: four frozen value-equal
+#: instances.  Every per-route stream (classify → collect, checkpoint
+#: replay, live regrouping) looks its class up here instead of
+#: allocating one RouteClass per route.
+ROUTE_CLASSES: dict[tuple[bool, bool], RouteClass] = {
+    (rpki, irr): RouteClass(rpki_invalid=rpki, irr_invalid=irr)
+    for rpki in (False, True)
+    for irr in (False, True)
+}
+
 #: Routes that no filter in the model ever drops.
-CONFORMANT_CLASS = RouteClass()
+CONFORMANT_CLASS = ROUTE_CLASSES[(False, False)]
 
 
 def covers_session(provider: int, customer: int, coverage: float) -> bool:

@@ -46,9 +46,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
 
-from repro import config as _config
 from repro import obs
-from repro.bgp.policy import ASPolicy, RouteClass, covers_session
+from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass, covers_session
 from repro.errors import TopologyError
 from repro.kernels.csr import CollectionPlan, batch_paths
 from repro.topology.model import ASTopology
@@ -62,8 +61,8 @@ _DEFAULT_POLICY = ASPolicy()
 #: floor, not a ceiling: collection grows it to the observed route-group
 #: count (see :meth:`PropagationEngine.ensure_cache_capacity`) so one
 #: snapshot's working set never thrashes the memo.  An explicit
-#: ``paths_cache_size`` argument or a ``REPRO_PATHS_CACHE`` environment
-#: value pins the bound instead.
+#: ``paths_cache_size`` argument pins the bound instead (the uncached
+#: reference oracles pass 0).
 DEFAULT_PATHS_CACHE_SIZE = 8192
 
 
@@ -153,11 +152,8 @@ class PropagationEngine:
             self._customers[asn] = tuple(sorted(topology.customers_of(asn)))
             self._peers[asn] = tuple(sorted(topology.peers_of(asn)))
             self._policies[asn] = policies.get(asn, _DEFAULT_POLICY)
-        # An explicit size (argument or the runtime config's paths_cache,
-        # fed by REPRO_PATHS_CACHE) is pinned; otherwise the default acts
-        # as a floor that collection may grow.
-        if paths_cache_size is None:
-            paths_cache_size = _config.current().paths_cache
+        # An explicit size is pinned; otherwise the default acts as a
+        # floor that collection may grow.
         if paths_cache_size is None:
             self._paths_cache_size = DEFAULT_PATHS_CACHE_SIZE
             self._cache_pinned = False
@@ -297,8 +293,8 @@ class PropagationEngine:
 
         Collection calls this with the route-group count of the snapshot
         it is about to build, so one snapshot's keys never evict each
-        other.  No-op when the bound was pinned explicitly (constructor
-        argument or ``REPRO_PATHS_CACHE``) or is already large enough.
+        other.  No-op when the constructor argument pinned the bound or
+        it is already large enough.
         """
         if self._cache_pinned or entries <= self._paths_cache_size:
             return
@@ -320,11 +316,7 @@ class PropagationEngine:
         the topology is untouched and typically half the route classes
         keep their signatures).  Returns the number of entries adopted.
         """
-        classes = [
-            RouteClass(rpki_invalid=rpki, irr_invalid=irr)
-            for rpki in (False, True)
-            for irr in (False, True)
-        ]
+        classes = ROUTE_CLASSES.values()
         mine = {
             self.class_filters(rc).signature: self.signature_id(rc)
             for rc in classes

@@ -1,15 +1,12 @@
 """One front door for every runtime knob: :class:`RuntimeConfig`.
 
-The performance work of PRs 1–6 accreted a knob per subsystem, each its
-own environment variable read at its own call site: ``REPRO_JOBS``
-(worker processes), ``REPRO_SHARDS`` (column shards), ``REPRO_KERNELS``
-(once numpy vs pure-Python kernels; numpy is now the only mode),
-``REPRO_MMAP`` (memory-mapped column loads), ``REPRO_WORLD_LOAD``
-(columnar vs eager warm starts), ``REPRO_CACHE_DIR`` (the checkpoint
-store), ``REPRO_WORLD_CACHE_SIZE`` (the in-memory world LRU) and
-``REPRO_PATHS_CACHE`` (the propagation path cache).  This module
-consolidates them into a single frozen dataclass resolved **once** with
-a fixed precedence:
+Five knobs remain, each with an environment-variable fallback:
+``REPRO_JOBS`` (worker processes), ``REPRO_SHARDS`` (column shards),
+``REPRO_KERNELS`` (once numpy vs pure-Python kernels; numpy is now the
+only mode), ``REPRO_CACHE_DIR`` (the checkpoint store) and
+``REPRO_BUILD_BUDGET_MB`` (the build's spill budget).  A knob stays
+only while a workload sets it (DESIGN §15).  This module holds them in
+a single frozen dataclass resolved **once** with a fixed precedence:
 
     explicit overrides  >  environment variables  >  defaults
 
@@ -47,7 +44,6 @@ from typing import Iterator, Mapping
 __all__ = [
     "ENV_VARS",
     "KERNEL_MODES",
-    "WORLD_LOAD_MODES",
     "RuntimeConfig",
     "current",
     "set_current",
@@ -60,21 +56,14 @@ log = logging.getLogger(__name__)
 #: pure-Python mode was removed; its paths are test oracles now.
 KERNEL_MODES = ("numpy",)
 
-#: Recognised warm-start strategies (see :mod:`repro.datasets.checkpoint`).
-WORLD_LOAD_MODES = ("columnar", "eager")
-
 #: Field name → environment variable.  The table *is* the documentation
-#: of the fallback contract; README's knob table renders from the same
-#: names.
+#: of the fallback contract; README's knob table lists exactly these
+#: pairs (``tests/test_runtime_config.py`` checks it).
 ENV_VARS: Mapping[str, str] = {
     "jobs": "REPRO_JOBS",
     "shards": "REPRO_SHARDS",
     "kernels": "REPRO_KERNELS",
-    "mmap": "REPRO_MMAP",
-    "world_load": "REPRO_WORLD_LOAD",
     "cache_dir": "REPRO_CACHE_DIR",
-    "world_cache_size": "REPRO_WORLD_CACHE_SIZE",
-    "paths_cache": "REPRO_PATHS_CACHE",
     "build_budget_mb": "REPRO_BUILD_BUDGET_MB",
 }
 
@@ -84,8 +73,8 @@ class RuntimeConfig:
     """Resolved runtime knobs; immutable, comparable, picklable.
 
     Defaults reproduce the historical behaviour of an empty environment:
-    serial single-shard builds, numpy kernels, memory-mapped columnar
-    warm starts, no on-disk store.
+    serial single-shard builds, numpy kernels, no on-disk store, no
+    spill budget.
     """
 
     #: Worker processes for parallel collection/sharding (0 = all cores).
@@ -94,16 +83,8 @@ class RuntimeConfig:
     shards: int = 1
     #: Kernel implementation; ``numpy`` is the only one.
     kernels: str = "numpy"
-    #: Memory-map checkpoint columns (False = eager decode only).
-    mmap: bool = True
-    #: Warm-start strategy: ``columnar`` (lazy views) or ``eager``.
-    world_load: str = "columnar"
     #: Checkpoint store root; None disables on-disk persistence.
     cache_dir: str | None = None
-    #: Most worlds held by the in-memory LRU at once.
-    world_cache_size: int = 4
-    #: Pinned propagation path-cache size; None lets collection size it.
-    paths_cache: int | None = None
     #: Byte budget (in MB) for buffered build columns before sharded
     #: stages spill completed blocks to a scratch file; None keeps
     #: everything in memory (the historical behaviour).
@@ -111,13 +92,6 @@ class RuntimeConfig:
 
     def __post_init__(self) -> None:
         _check_kernels("kernels", self.kernels)
-        if self.world_load not in WORLD_LOAD_MODES:
-            raise ValueError(
-                f"world_load={self.world_load!r} is not a load mode; "
-                f"expected one of {', '.join(WORLD_LOAD_MODES)}"
-            )
-        if self.world_cache_size < 1:
-            raise ValueError("world_cache_size must be >= 1")
         if self.build_budget_mb is not None and self.build_budget_mb < 0:
             raise ValueError("build_budget_mb must be >= 0 (or None)")
 
@@ -160,33 +134,9 @@ class RuntimeConfig:
             _check_kernels(ENV_VARS["kernels"], raw)
             values["kernels"] = raw
 
-        raw = env.get(ENV_VARS["mmap"], "").strip().lower()
-        if raw:
-            values["mmap"] = raw not in ("0", "false", "off", "no")
-
-        raw = env.get(ENV_VARS["world_load"], "").strip().lower()
-        if raw in WORLD_LOAD_MODES:
-            values["world_load"] = raw
-
         raw = env.get(ENV_VARS["cache_dir"], "").strip()
         if raw:
             values["cache_dir"] = raw
-
-        raw = env.get(ENV_VARS["world_cache_size"], "").strip()
-        if raw:
-            try:
-                size = int(raw)
-            except ValueError:
-                size = 0
-            if size > 0:
-                values["world_cache_size"] = size
-
-        raw = env.get(ENV_VARS["paths_cache"], "").strip()
-        if raw:
-            try:
-                values["paths_cache"] = int(raw)
-            except ValueError:
-                pass
 
         raw = env.get(ENV_VARS["build_budget_mb"], "").strip()
         if raw:

@@ -15,9 +15,8 @@ foreign dtype — logs a warning and falls back to the eager
 ``np.load`` decode (and if *that* fails too, the caller's corrupt-entry
 handling discards the entry).  Mapped and eagerly loaded columns are
 bit-identical by construction; ``tests/test_columnar.py`` pins it.
-
-``REPRO_MMAP=0`` disables mapping process-wide (eager loads only), for
-filesystems where ``mmap`` is unavailable or regresses.
+That fallback is also what a filesystem without ``mmap`` gets, so there
+is no switch to turn mapping off.
 """
 
 from __future__ import annotations
@@ -30,28 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import config as _config
 from repro import obs
 
-__all__ = ["ColumnSet", "ColumnWriter", "mmap_enabled", "open_columns"]
+__all__ = ["ColumnSet", "ColumnWriter", "open_columns"]
 
 log = logging.getLogger(__name__)
-
-MMAP_ENV = "REPRO_MMAP"
 
 #: Zip local-file-header layout (PKZIP appnote 4.3.7): signature,
 #: version, flags, method, time, date, crc, csize, usize, namelen, extralen.
 _LOCAL_HEADER = struct.Struct("<4s5H3L2H")
 _LOCAL_MAGIC = b"PK\x03\x04"
-
-
-def mmap_enabled() -> bool:
-    """True unless the active runtime config disables mapping.
-
-    Resolved through :func:`repro.config.current` (falling back to
-    ``REPRO_MMAP``; 0/false/off/no disables).
-    """
-    return _config.current().mmap
 
 
 class ColumnSet:
@@ -214,17 +201,15 @@ def _member_layout(path: Path) -> dict[str, tuple]:
     return members
 
 
-def open_columns(path: str | Path, mmap: bool | None = None) -> ColumnSet:
+def open_columns(path: str | Path, mmap: bool = True) -> ColumnSet:
     """Open one ``arrays.npz`` as a :class:`ColumnSet`.
 
-    ``mmap=None`` defers to ``REPRO_MMAP`` (mapped by default).  Any
-    problem establishing the map logs a warning and decodes eagerly
+    Maps the archive unless ``mmap=False`` (the tests' eager reference).
+    Any problem establishing the map logs a warning and decodes eagerly
     instead; eager decode errors propagate to the caller's corrupt-entry
     handling.
     """
     path = Path(path)
-    if mmap is None:
-        mmap = mmap_enabled()
     if mmap:
         try:
             members = _member_layout(path)

@@ -58,10 +58,10 @@ import numpy as np
 from repro import config as _config
 from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
-from repro.bgp.policy import RouteClass
-from repro.bgp.propagation import PropagationEngine
-from repro.bgp.table import Prefix2AS, serialize_prefix2as
+from repro.bgp.policy import ROUTE_CLASSES
+from repro.bgp.table import serialize_prefix2as
 from repro.datasets.arraystore import ColumnWriter
+from repro.datasets.columnar import LazyWorld, WorldColumns
 from repro.datasets.store import PARTICIPANTS_FILE, RELATIONSHIPS_FILE
 from repro.ihr.records import (
     IHRDataset,
@@ -74,19 +74,18 @@ from repro.irr.objects import AsSetObject, AutNumObject, RouteObject
 from repro.irr.rpsl import serialize_database
 from repro.irr.validation import IRRStatus
 from repro.manrs.actions import Program
-from repro.manrs.registry import parse_participants, serialize_participants
+from repro.manrs.registry import serialize_participants
 from repro.net.prefix import Prefix
-from repro.registry.allocation import AddressSpace, Delegation
+from repro.registry.allocation import Delegation
 from repro.registry.rir import RIR
 from repro.rpki.archive import parse_vrps, serialize_vrps
 from repro.rpki.ca import ResourceCertificate, RPKIRepository
 from repro.rpki.roa import ROA, VRP
-from repro.rpki.rov import ROVValidator, RPKIStatus
+from repro.rpki.rov import RPKIStatus
 from repro.scenario.config import ScenarioConfig
-from repro.scenario.world import ASBehavior, Origination, World, derive_policies
-from repro.topology.as2org import As2Org, serialize_as2org
+from repro.scenario.world import ASBehavior, Origination, World
+from repro.topology.as2org import serialize_as2org
 from repro.topology.asrank import build_asrank, serialize_asrank
-from repro.topology.classify import classify_all
 from repro.topology.model import (
     ASCategory,
     ASTopology,
@@ -102,7 +101,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CACHE_DIR_ENV",
     "RESERVED_DIRS",
-    "WORLD_LOAD_ENV",
     "CheckpointError",
     "CheckpointInfo",
     "CheckpointStore",
@@ -113,7 +111,6 @@ __all__ = [
     "default_store",
     "fold_digests",
     "world_digest",
-    "world_load_mode",
 ]
 
 log = logging.getLogger(__name__)
@@ -124,11 +121,6 @@ SCHEMA_VERSION = 2
 
 #: Environment variable naming the on-disk store root (unset = disabled).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Load strategy for warm starts: ``columnar`` (default) maps the entry's
-#: columns and materialises object views lazily; ``eager`` decodes the
-#: full object graph up front (the pre-PR-6 behaviour).
-WORLD_LOAD_ENV = "REPRO_WORLD_LOAD"
 
 #: Store subdirectories that are not world entries: the sweep ledgers and
 #: the serve layer's rendered-result cache live beside the
@@ -148,15 +140,6 @@ ARRAYS_FILE = "arrays.npz"
 YEARS_DIR = "years"
 
 _JSON_COMPACT = {"sort_keys": False, "separators": (",", ":")}
-
-
-def world_load_mode() -> str:
-    """The warm-start strategy from the active runtime config.
-
-    Resolved through :func:`repro.config.current` (falling back to
-    ``REPRO_WORLD_LOAD``; default columnar).
-    """
-    return _config.current().world_load
 
 
 class CheckpointError(Exception):
@@ -285,14 +268,6 @@ def _sha256_columns(meta: dict, arrays: dict[str, np.ndarray]) -> str:
 
 
 # -- stored forms: JSON metas + numpy columns, order-preserving --------------
-
-
-# The four possible route classes, shared across every rebuilt group.
-_ROUTE_CLASSES = {
-    (rpki, irr): RouteClass(rpki_invalid=rpki, irr_invalid=irr)
-    for rpki in (False, True)
-    for irr in (False, True)
-}
 
 
 def _int_array(values: list) -> np.ndarray:
@@ -465,7 +440,7 @@ def _rebuild_rib(meta: dict, arrays) -> RibSnapshot:
             RouteGroup,
             {
                 "origin": origins[g],
-                "route_class": _ROUTE_CLASSES[(rpki_flags[g], irr_flags[g])],
+                "route_class": ROUTE_CLASSES[(rpki_flags[g], irr_flags[g])],
                 "prefixes": tuple(
                     prefixes[prefix_offsets[g]:prefix_offsets[g + 1]]
                 ),
@@ -1348,36 +1323,37 @@ class CheckpointStore:
         config: ScenarioConfig,
         scale: float,
         seed: int,
-        mode: str | None = None,
-    ) -> World | None:
-        """Reconstruct the world for these inputs, or None on any problem.
+        mode: str = "columnar",
+    ) -> LazyWorld | None:
+        """Open the world for these inputs, or None on any problem.
+
+        The verified columns are memory-mapped and every field
+        materialises lazily (:class:`~repro.datasets.columnar.LazyWorld`);
+        a fully materialised world is digest-identical to a cold build.
 
         Never raises for a bad entry: digest mismatches, schema skew and
         parse errors log a warning, discard the entry, count
         ``checkpoint.corrupt`` and fall back to a miss.
 
-        ``mode`` selects the reconstruction strategy and defaults to
-        ``REPRO_WORLD_LOAD`` (``columnar`` unless overridden): the
-        columnar path memory-maps the verified columns and materialises
-        dataclass views lazily; ``eager`` decodes the whole object graph
-        up front as earlier releases did.  Both yield digest-identical
-        worlds.
+        ``columnar`` is the only ``mode``; any other value raises
+        :class:`ValueError`, since the eager load mode was removed.
         """
+        if mode != "columnar":
+            raise ValueError(
+                f"mode={mode!r}: the eager load mode was removed; a "
+                "checkpoint only opens columnar, as a LazyWorld"
+            )
         key = checkpoint_key(config, scale, seed)
         entry = self.path_for(key)
         if not (entry / MANIFEST_FILE).is_file():
             obs.add("checkpoint.miss")
             return None
-        if mode is None:
-            mode = world_load_mode()
         try:
-            # Eager reconstruction allocates the same millions of
-            # long-lived, acyclic objects a cold build does; pause the
-            # cyclic GC for the batch exactly like build_world does
-            # (symmetry matters: mid-load generation-2 collections
-            # re-scan every world held by the process and dwarf the load
-            # itself).  The columnar path defers that pause to each
-            # field's materialisation.
+            # Parsing the metas allocates long-lived, acyclic objects
+            # that live as long as the world; pause the cyclic GC for
+            # the open and freeze its survivors, like build_world does,
+            # so later collections never re-scan them.  Each field's
+            # materialisation pauses the GC again for its own burst.
             with obs.span("checkpoint.load", key=key[:12]), obs.gc_paused(
                 freeze=True
             ):
@@ -1385,10 +1361,7 @@ class CheckpointStore:
                 problems = self._verify_files(entry, manifest)
                 if problems:
                     raise CheckpointError("; ".join(problems))
-                if mode == "columnar":
-                    world = self._open_columnar(entry, config)
-                else:
-                    world = self._reconstruct(entry, manifest, config)
+                world = LazyWorld.from_columns(WorldColumns.open(entry), config)
         except Exception as error:  # noqa: BLE001 - fall back to cold build
             log.warning(
                 "discarding corrupt checkpoint %s (%s); falling back to a "
@@ -1430,62 +1403,6 @@ class CheckpointStore:
                 elif _sha256_text(path.read_text()) != sidecar.read_text().strip():
                     problems.append(f"{YEARS_DIR}/{path.name}: digest mismatch")
         return problems
-
-    def _open_columnar(self, entry: Path, config: ScenarioConfig) -> World:
-        """The columnar-first load: map columns, materialise views lazily."""
-        from repro.datasets.columnar import LazyWorld, WorldColumns
-
-        return LazyWorld.from_columns(WorldColumns.open(entry), config)
-
-    def _reconstruct(
-        self, entry: Path, manifest: dict, config: ScenarioConfig
-    ) -> World:
-        scenario = json.loads((entry / SCENARIO_FILE).read_text())
-        topology = _rebuild_topology(
-            json.loads((entry / TOPOLOGY_FILE).read_text()),
-            (entry / RELATIONSHIPS_FILE).read_text(),
-        )
-        behaviors = {
-            int(asn): _rebuild_behavior(fields)
-            for asn, fields in scenario["behaviors"].items()
-        }
-        policies = derive_policies(topology, behaviors)
-        with np.load(entry / ARRAYS_FILE, allow_pickle=False) as arrays:
-            rib = _rebuild_rib(
-                json.loads((entry / RIB_FILE).read_text()), arrays
-            )
-            ihr = _rebuild_ihr(
-                json.loads((entry / IHR_FILE).read_text()), arrays
-            )
-            originations = _rebuild_originations(arrays)
-            delegations = _rebuild_delegations(scenario, arrays)
-            vrps = _rebuild_vrps(scenario, arrays)
-            irr = _rebuild_irr(scenario, arrays)
-            rpki_repository = _rebuild_rpki(
-                json.loads((entry / RPKI_FILE).read_text()), arrays
-            )
-        return World(
-            config=config,
-            seed=scenario["seed"],
-            topology=topology,
-            quiescent=frozenset(scenario["quiescent"]),
-            as2org=As2Org.from_topology(topology),
-            size_of=classify_all(topology),
-            manrs=parse_participants((entry / PARTICIPANTS_FILE).read_text()),
-            address_space=AddressSpace.restore(delegations),
-            originations=originations,
-            behaviors=behaviors,
-            policies=policies,
-            rpki_repository=rpki_repository,
-            irr=irr,
-            engine=PropagationEngine(topology, policies),
-            vantage_points=tuple(scenario["vantage_points"]),
-            rov=ROVValidator(vrps),
-            rib=rib,
-            ihr=ihr,
-            prefix2as=Prefix2AS.from_rib(rib),
-            scale=scenario["scale"],
-        )
 
     # -- timeline year side-cars --------------------------------------------
 

@@ -10,15 +10,16 @@ touches it.  A consumer that reads nothing but the RIB never allocates a
 single ROA object; one that only checks membership never decodes the
 RIB's half-million paths.
 
-Materialisation is exact: every field goes through the same
-digest-verified ``_rebuild_*`` replay functions the eager loader uses,
-so a :class:`LazyWorld` is byte-identical to an eager load and to a cold
-build (``tests/test_columnar.py`` pins all three pairings).
+Materialisation is exact: every field goes through the checkpoint's
+digest-verified ``_rebuild_*`` replay functions, so a fully materialised
+:class:`LazyWorld` is byte-identical to a cold build
+(``tests/test_columnar.py`` and the parity table's ``reopened-mmap``
+axis pin it).  This is the only way a checkpoint opens.
 
 All JSON metas and text files are parsed up front at open time — they
 are small, and reading them eagerly (plus holding the column map's file
 descriptor open) means a :class:`LazyWorld` survives its entry being
-pruned from the store mid-lifetime, exactly like an eager world does.
+pruned from the store mid-lifetime.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class WorldColumns:
         self.meta = meta
 
     @classmethod
-    def open(cls, entry: str | Path, mmap: bool | None = None) -> "WorldColumns":
+    def open(cls, entry: str | Path) -> "WorldColumns":
         """Open a verified checkpoint entry directory columnar-first.
 
         The caller is responsible for having verified the entry against
@@ -73,7 +74,7 @@ class WorldColumns:
         )
 
         entry = Path(entry)
-        arrays = open_columns(entry / ARRAYS_FILE, mmap=mmap)
+        arrays = open_columns(entry / ARRAYS_FILE)
         meta: dict[str, object] = {
             name: json.loads((entry / name).read_text())
             for name in (
@@ -149,7 +150,7 @@ class LazyWorld(World):
     Constructed without running the dataclass ``__init__``: only
     ``config`` and the backing :class:`WorldColumns` are installed up
     front, and every other field materialises on first attribute access
-    through the same replay path the eager loader uses.  Downstream code
+    through the checkpoint's replay functions.  Downstream code
     cannot tell the difference (it is an instance of ``World`` holding
     the exact same objects once touched) — it simply pays only for what
     it reads.
@@ -184,7 +185,7 @@ class LazyWorld(World):
             raise AttributeError(name)
         # The replay allocates the same long-lived acyclic objects a cold
         # build does; pause the cyclic GC for the burst like the builder
-        # and the eager loader both do.
+        # does.
         with obs.span(f"columnar.materialize.{name}"), obs.gc_paused():
             value = build(columns, self)
         self.__dict__[name] = value

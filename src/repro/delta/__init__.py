@@ -26,7 +26,7 @@ from repro.delta.events import (
     apply_raw,
 )
 from repro.delta.live import LiveWorld, run_job_at
-from repro.delta.rebuild import cold_rebuild, recompute_world, route_table
+from repro.delta.rebuild import cold_rebuild
 from repro.delta.trace import EVENT_KINDS, synthesize_events
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "RouteCoverIndex",
     "vrp_delta",
     "vrp_churn",
-    "route_table",
-    "recompute_world",
     "cold_rebuild",
     "LiveWorld",
     "run_job_at",

@@ -8,22 +8,25 @@ moves, topology growth, policy flips — applied to a
 :class:`DeltaState`: independent clones of the world's mutable inputs
 (registries, topology, policies) that events mutate in place.
 
-Two consumers share :func:`apply_raw`:
+Two consumers share :func:`apply_raw` and :meth:`DeltaState.world`:
 
 * :func:`repro.delta.rebuild.cold_rebuild` applies a whole event stream
-  and re-runs the full measurement pipeline — the reference semantics;
+  and re-runs the builder's measurement pipeline — the reference
+  semantics;
 * :class:`repro.delta.live.LiveWorld` applies events one at a time and
   recomputes only what each event can affect.
 
-Both paths mutate state through the same function, which is what makes
-"replay digest-equals rebuild" a meaningful invariant rather than two
+Both paths mutate state through the same function and assemble their
+world through the same method, which is what makes "replay
+digest-equals rebuild" a meaningful invariant rather than two
 independent interpretations of the same event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
+from datetime import date
+from typing import TYPE_CHECKING, Union
 
 from repro.bgp.policy import ASPolicy
 from repro.errors import DatasetError, DeltaError, RPSLError, TopologyError
@@ -34,7 +37,11 @@ from repro.manrs.registry import MANRSRegistry, Participant
 from repro.rpki.ca import RPKIRepository
 from repro.rpki.roa import ROA
 from repro.scenario.world import World
+from repro.topology.classify import classify_all
 from repro.topology.model import ASTopology, Relationship
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenario.build import Measurements
 
 __all__ = [
     "RoaIssued",
@@ -173,6 +180,50 @@ class DeltaState:
             ),
             irr=_clone_irr(world.irr),
             manrs=world.manrs.copy(),
+        )
+
+    def world(self, base: World, as_of: date, measured: "Measurements") -> World:
+        """The world this state and ``measured`` describe at ``as_of``.
+
+        The cold rebuild and the live world both assemble their result
+        here, so they agree on three rules:
+
+        * the config's snapshot date becomes ``as_of``;
+        * size classes are re-derived only once a topology event has
+          landed;
+        * topology, policies, registries and membership come from this
+          state; what events cannot change (originations, behaviours,
+          address space, as2org, the quiescent set, vantage points)
+          comes from ``base``.  Vantage points are never re-selected:
+          re-selection depends on size classes, which a topology event
+          may shift, and would make every downstream artifact
+          incomparable with the base.
+        """
+        config = base.config
+        if as_of != config.snapshot_date:
+            config = replace(config, snapshot_date=as_of)
+        size_of = (
+            classify_all(self.topology)
+            if self.topology_changed
+            else dict(base.size_of)
+        )
+        return World(
+            config=config,
+            seed=base.seed,
+            topology=self.topology,
+            quiescent=base.quiescent,
+            as2org=base.as2org,
+            size_of=size_of,
+            manrs=self.manrs,
+            address_space=base.address_space,
+            originations=base.originations,
+            behaviors=base.behaviors,
+            policies=self.policies,
+            rpki_repository=self.repository,
+            irr=self.irr,
+            vantage_points=base.vantage_points,
+            scale=base.scale,
+            **measured._asdict(),
         )
 
 

@@ -23,10 +23,13 @@ Verdict changes *regroup* routes among (origin, route class) buckets;
 exactly the builder's collection and IHR derivation over the current
 buckets — propagation comes from the (mostly warm) engine memo and
 transit scoring from a per-group cache keyed on everything a group's
-hegemony depends on.  The result must digest-equal
-:func:`~repro.delta.rebuild.cold_rebuild` of the same events — the
-replay==rebuild invariant pinned by ``tests/test_delta.py`` and by the
-``repro replay`` axis of ``tests/test_parity.py``.
+hegemony depends on — and assembles it through
+:meth:`~repro.delta.events.DeltaState.world`, as the cold rebuild does.
+The result must digest-equal :func:`~repro.delta.rebuild.cold_rebuild`
+of the same events, which runs the builder's own
+:func:`~repro.scenario.build.derive_measurements` — the replay==rebuild
+invariant pinned by ``tests/test_delta.py`` and by the ``replay`` axis
+of ``tests/test_parity.py``.
 """
 
 from __future__ import annotations
@@ -35,29 +38,21 @@ from datetime import date
 
 from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
-from repro.bgp.policy import RouteClass
+from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
 from repro.delta.cover import RouteCoverIndex, vrp_churn, vrp_delta
 from repro.delta.events import DeltaState, Event, apply_raw
-from repro.delta.rebuild import recompute_world, route_table
 from repro.ihr.pipeline import transit_groups_indexed
 from repro.ihr.records import IHRDataset, PrefixOriginRecord, TransitGroup
 from repro.irr.validation import IRRStatus, seed_memo, validate_irr_many
 from repro.net.prefix import Prefix
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
+from repro.scenario.build import Measurements, route_table
 from repro.scenario.world import World
-from repro.topology.classify import classify_all
 
 __all__ = ["LiveWorld", "run_job_at"]
-
-#: The four route classes a bucket key can carry.
-_ALL_CLASSES = tuple(
-    RouteClass(rpki_invalid=rpki, irr_invalid=irr)
-    for rpki in (False, True)
-    for irr in (False, True)
-)
 
 
 class LiveWorld:
@@ -72,7 +67,7 @@ class LiveWorld:
         # its VRP set is exactly what the relying party emits for the
         # unmutated repository, and its memo is warm from the build.
         self._rov: ROVValidator = base.rov
-        self._routes = route_table(base)
+        self._routes = route_table(base.originations)
         self._cover = RouteCoverIndex(self._routes)
         with obs.span("delta.init", routes=len(self._routes)):
             self._rpki_status = dict(base.rov.validate_many(self._routes))
@@ -115,11 +110,12 @@ class LiveWorld:
         return self._date
 
     def _route_class(self, prefix: Prefix, asn: int) -> RouteClass:
-        return RouteClass(
-            rpki_invalid=self._rpki_status[(prefix, asn)].is_invalid,
-            irr_invalid=self._irr_status[(prefix, asn)]
-            is IRRStatus.INVALID_ORIGIN,
-        )
+        return ROUTE_CLASSES[
+            (
+                self._rpki_status[(prefix, asn)].is_invalid,
+                self._irr_status[(prefix, asn)] is IRRStatus.INVALID_ORIGIN,
+            )
+        ]
 
     def _signature_id(self, engine: PropagationEngine, rc: RouteClass) -> int:
         signature = engine.class_filters(rc).signature
@@ -230,16 +226,11 @@ class LiveWorld:
         """Move one route between (origin, class) buckets after a flip."""
         prefix, asn = key
         old_class = self._route_class(prefix, asn)
+        rpki, irr = old_class.rpki_invalid, old_class.irr_invalid
         if rpki_flipped:
-            new_class = RouteClass(
-                rpki_invalid=not old_class.rpki_invalid,
-                irr_invalid=old_class.irr_invalid,
-            )
+            new_class = ROUTE_CLASSES[(not rpki, irr)]
         else:
-            new_class = RouteClass(
-                rpki_invalid=old_class.rpki_invalid,
-                irr_invalid=not old_class.irr_invalid,
-            )
+            new_class = ROUTE_CLASSES[(rpki, not irr)]
         old_bucket = self._groups[(asn, old_class)]
         old_bucket.discard(prefix)
         if not old_bucket:
@@ -291,40 +282,14 @@ class LiveWorld:
             for (origin, route_class), paths in zip(keys, paths_by_key)
         ]
         rib = RibSnapshot(vantage_points=vantage_points, groups=groups)
-        prefix2as = Prefix2AS.from_rib(rib)
-        ihr = self._derive_ihr(rib, engine)
-        config = base.config
-        if self._date != config.snapshot_date:
-            from dataclasses import replace
-
-            config = replace(config, snapshot_date=self._date)
-        size_of = (
-            classify_all(self._state.topology)
-            if self._state.topology_changed
-            else dict(base.size_of)
-        )
-        return World(
-            config=config,
-            seed=base.seed,
-            topology=self._state.topology,
-            quiescent=base.quiescent,
-            as2org=base.as2org,
-            size_of=size_of,
-            manrs=self._state.manrs,
-            address_space=base.address_space,
-            originations=base.originations,
-            behaviors=base.behaviors,
-            policies=self._state.policies,
-            rpki_repository=self._state.repository,
-            irr=self._state.irr,
+        measured = Measurements(
             engine=engine,
-            vantage_points=vantage_points,
             rov=self._rov,
             rib=rib,
-            ihr=ihr,
-            prefix2as=prefix2as,
-            scale=base.scale,
+            ihr=self._derive_ihr(rib, engine),
+            prefix2as=Prefix2AS.from_rib(rib),
         )
+        return self._state.world(base, self._date, measured)
 
     def _derive_ihr(
         self, rib: RibSnapshot, engine: PropagationEngine

@@ -2,128 +2,55 @@
 
 ``cold_rebuild(base, events)`` applies every event to a fresh
 :class:`~repro.delta.events.DeltaState` clone of ``base`` and re-runs
-the *entire* measurement pipeline over the mutated inputs — relying
-party, route classification, propagation, collection, IHR derivation —
-exactly as :func:`repro.scenario.build.build_world` runs it over freshly
-generated inputs.  This is what the live world's incremental apply is
-checked against: at every checkpoint, ``world_digest(live.world())``
-must equal ``world_digest(cold_rebuild(base, applied_events))``.
+the builder's own measurement pipeline,
+:func:`~repro.scenario.build.derive_measurements` — relying party,
+route classification, propagation, collection, IHR derivation — over
+the mutated inputs.  It shares the builder's sharding, worker and
+spill-budget knobs through the active runtime config.  This is what the
+live world's incremental apply is checked against: at every
+checkpoint, ``world_digest(live.world())`` must equal
+``world_digest(cold_rebuild(base, applied_events))``.
 
-Ground truth that events cannot change (originations, behaviours,
-address space, as2org, vantage points) is carried over from ``base``
-unchanged; in particular the vantage-point set is **never re-selected**,
-in either path — re-selection depends on size classes, which a topology
-event may shift, and the two paths diverging on vantage points would
-make every downstream artifact incomparable.
+Both paths assemble their world through
+:meth:`~repro.delta.events.DeltaState.world`, which fixes what comes
+from ``base`` and what from the mutated state.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from datetime import date
 from typing import Iterable, Sequence
 
 from repro import obs
-from repro.bgp.announcement import Announcement
-from repro.bgp.collector import collect_rib
-from repro.bgp.policy import RouteClass
-from repro.bgp.propagation import PropagationEngine
-from repro.bgp.table import Prefix2AS
 from repro.delta.events import DeltaState, Event, apply_raw
-from repro.ihr.pipeline import build_ihr_dataset
-from repro.irr.validation import IRRStatus, validate_irr_many
-from repro.net.prefix import Prefix
-from repro.rpki.rov import ROVValidator
-from repro.rpki.validator import RelyingParty
+from repro.scenario.build import derive_measurements
 from repro.scenario.world import World
-from repro.topology.classify import classify_all
 
-__all__ = ["route_table", "recompute_world", "cold_rebuild"]
-
-
-def route_table(world: World) -> list[tuple[Prefix, int]]:
-    """The fixed announced-route table, in the builder's classify order.
-
-    Events change registries and policies, never what is announced, so
-    this table is shared by the live world, the rebuild path, and the
-    cover index.
-    """
-    return [
-        (origination.prefix, asn)
-        for asn in sorted(world.originations)
-        for origination in world.originations[asn]
-    ]
-
-
-def recompute_world(
-    state: DeltaState, base: World, as_of: date | None = None
-) -> World:
-    """Run the full derived pipeline over a (possibly mutated) state.
-
-    Mirrors the derived half of ``build_world`` stage for stage; with an
-    unmutated state and ``as_of=None`` the result digest-equals ``base``.
-    """
-    snapshot = as_of or base.config.snapshot_date
-    config = base.config
-    if snapshot != config.snapshot_date:
-        config = replace(config, snapshot_date=snapshot)
-    with obs.span("delta.rebuild", events_seen=int(state.topology_changed)):
-        rov = ROVValidator(RelyingParty(state.repository).validate(snapshot).vrps)
-        routes = route_table(base)
-        rpki_by_route = rov.validate_many(routes)
-        irr_by_route = validate_irr_many(state.irr, routes)
-        announcements = [
-            (
-                Announcement(prefix, asn),
-                RouteClass(
-                    rpki_invalid=rpki_by_route[(prefix, asn)].is_invalid,
-                    irr_invalid=irr_by_route[(prefix, asn)]
-                    is IRRStatus.INVALID_ORIGIN,
-                ),
-            )
-            for prefix, asn in routes
-        ]
-        engine = PropagationEngine(state.topology, state.policies)
-        rib = collect_rib(engine, announcements, base.vantage_points)
-        prefix2as = Prefix2AS.from_rib(rib)
-        ihr = build_ihr_dataset(rib, rov, state.irr, state.topology)
-        size_of = (
-            classify_all(state.topology)
-            if state.topology_changed
-            else dict(base.size_of)
-        )
-    return World(
-        config=config,
-        seed=base.seed,
-        topology=state.topology,
-        quiescent=base.quiescent,
-        as2org=base.as2org,
-        size_of=size_of,
-        manrs=state.manrs,
-        address_space=base.address_space,
-        originations=base.originations,
-        behaviors=base.behaviors,
-        policies=state.policies,
-        rpki_repository=state.repository,
-        irr=state.irr,
-        engine=engine,
-        vantage_points=base.vantage_points,
-        rov=rov,
-        rib=rib,
-        ihr=ihr,
-        prefix2as=prefix2as,
-        scale=base.scale,
-    )
+__all__ = ["cold_rebuild"]
 
 
 def cold_rebuild(
     base: World, events: Sequence[Event] | Iterable[Event], as_of: date | None = None
 ) -> World:
-    """Apply ``events`` to a clone of ``base`` and rebuild everything."""
+    """Apply ``events`` to a clone of ``base`` and rebuild everything.
+
+    With no events and ``as_of=None`` the result digest-equals ``base``.
+    """
     state = DeltaState.from_world(base)
     applied = 0
     for event in events:
         apply_raw(state, event)
         applied += 1
     obs.add("delta.rebuild_events", applied)
-    return recompute_world(state, base, as_of)
+    snapshot = as_of or base.config.snapshot_date
+    with obs.span("delta.rebuild", events=applied):
+        measured = derive_measurements(
+            topology=state.topology,
+            policies=state.policies,
+            repository=state.repository,
+            irr=state.irr,
+            originations=base.originations,
+            vantage_points=base.vantage_points,
+            snapshot=snapshot,
+        )
+    return state.world(base, snapshot, measured)

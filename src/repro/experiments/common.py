@@ -25,7 +25,6 @@ __all__ = [
     "population_label",
     "group_metric",
     "world_cache",
-    "world_cache_bound",
 ]
 
 T = TypeVar("T")
@@ -64,40 +63,18 @@ def group_metric(
     return {key: make_cdf(values) for key, values in samples.items()}
 
 
-#: Most worlds kept alive at once.  Registry sweeps across several
-#: scales would otherwise pin every world in memory for the whole run;
-#: four comfortably covers the usual small/mid/full working set while
-#: bounding the cache at a few GB even at full scale.  Override through
-#: :class:`repro.config.RuntimeConfig` (``world_cache_size``, fed by the
-#: ``REPRO_WORLD_CACHE_SIZE`` environment variable) — resolved at call
-#: time, so tests and batch drivers can tune the bound without importing
-#: this module first.
+#: Most worlds kept alive at once (at least one is always kept).
+#: Registry sweeps across several scales would otherwise pin every world
+#: in memory for the whole run; four comfortably covers the usual
+#: small/mid/full working set while bounding the cache at a few GB even
+#: at full scale.  Read at call time, so tests can patch it.
 WORLD_CACHE_SIZE = 4
-
-WORLD_CACHE_SIZE_ENV = "REPRO_WORLD_CACHE_SIZE"
 
 #: Keys are ``(scale, seed)`` for the default scenario config and
 #: ``(scale, seed, config_key)`` for overridden configs (sweep jobs) —
 #: the short key keeps default-config entries introspectable by tests
 #: and tooling that predate config-aware caching.
 _WORLDS: OrderedDict[tuple, World] = OrderedDict()
-
-
-def world_cache_bound() -> int:
-    """The in-memory LRU bound from the active runtime config.
-
-    Resolved through :func:`repro.config.current` (falling back to
-    ``REPRO_WORLD_CACHE_SIZE``, else :data:`WORLD_CACHE_SIZE` — the
-    module constant stays the patchable default for tests and batch
-    drivers).  Unparseable or non-positive overrides fall back to the
-    default — a misconfigured environment should never break an
-    analysis run.
-    """
-    size = _config.current().world_cache_size
-    if size == _config.RuntimeConfig.world_cache_size:
-        # Nothing specified it: defer to the (patchable) module default.
-        size = WORLD_CACHE_SIZE
-    return max(1, size)
 
 
 def world_cache(
@@ -108,10 +85,10 @@ def world_cache(
 ) -> World:
     """Build (once) and return the world for (scale, seed[, config]).
 
-    Two-tier: a small in-memory LRU (:func:`world_cache_bound` worlds,
-    default :data:`WORLD_CACHE_SIZE`) in front of the on-disk checkpoint
-    store named by the runtime config's ``cache_dir`` (fallback
-    ``REPRO_CACHE_DIR``; unset disables it).  A memory miss tries the
+    Two-tier: a small in-memory LRU (:data:`WORLD_CACHE_SIZE` worlds) in
+    front of the on-disk checkpoint store named by the runtime config's
+    ``cache_dir`` (fallback ``REPRO_CACHE_DIR``; unset disables it).
+    A memory miss tries the
     disk store before building cold, and a cold build is saved back so
     the *next process* warm-starts too.  Disk entries that fail
     verification are discarded by the store and rebuilt here — callers
@@ -121,7 +98,7 @@ def world_cache(
     worlds); ``None`` means the default :class:`ScenarioConfig`, cached
     under the historical ``(scale, seed)`` key.  ``runtime`` installs a
     :class:`repro.config.RuntimeConfig` for the duration of the call
-    (store location, LRU bound, and every build knob underneath).
+    (store location and every build knob underneath).
     """
     with _config.use(runtime):
         if config is None:
@@ -146,6 +123,6 @@ def world_cache(
             _WORLDS[key] = world
         else:
             _WORLDS.move_to_end(key)
-        while len(_WORLDS) > world_cache_bound():
+        while len(_WORLDS) > max(1, WORLD_CACHE_SIZE):
             _WORLDS.popitem(last=False)
         return world

@@ -12,13 +12,17 @@ benchmarks use.  It wires together every substrate in dependency order:
 5. run the relying party, assign import policies, propagate all
    announcements to the collector vantage points;
 6. derive the IHR datasets and prefix2as mapping.
+
+Steps 5–6 are :func:`derive_measurements`, the derived half of a world.
+:func:`repro.delta.rebuild.cold_rebuild` runs the same function over
+event-mutated inputs, so a build and a rebuild derive one way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Iterator
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,12 +30,13 @@ from repro import config as _runtime_config
 from repro import obs
 from repro.bgp.announcement import Announcement
 from repro.config import RuntimeConfig
-from repro.bgp.collector import collect_rib, select_vantage_points
-from repro.bgp.policy import RouteClass
+from repro.bgp.collector import RibSnapshot, collect_rib, select_vantage_points
+from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
 from repro.errors import AllocationError
 from repro.ihr.pipeline import build_ihr_dataset
+from repro.ihr.records import IHRDataset
 from repro.irr.database import IRRCollection, IRRDatabase
 from repro.irr.objects import AsSetObject, AutNumObject, RouteObject, as_set_member
 from repro.irr.validation import IRRStatus, validate_irr_many
@@ -45,25 +50,16 @@ from repro.rpki.ca import ResourceCertificate, RPKIRepository
 from repro.rpki.roa import ROA
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import RelyingParty
-from repro.scenario.config import RegistrationBehavior, ScenarioConfig
+from repro.scenario.config import ScenarioConfig
 from repro.scenario.world import ASBehavior, Origination, World, derive_policies
 from repro.topology.as2org import As2Org
 from repro.topology.classify import SizeClass, classify_all
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.model import ASCategory, ASTopology
 
-__all__ = ["build_world"]
+__all__ = ["Measurements", "build_world", "derive_measurements", "route_table"]
 
 _RADB = "RADB"
-
-#: The whole (rpki_invalid, irr_invalid) space is four frozen value-equal
-#: instances; interning them keeps the classify → collect stream from
-#: allocating one RouteClass per route.
-_ROUTE_CLASSES = {
-    (rpki, irr): RouteClass(rpki_invalid=rpki, irr_invalid=irr)
-    for rpki in (False, True)
-    for irr in (False, True)
-}
 
 
 def build_world(
@@ -83,9 +79,9 @@ def build_world(
     test-sized worlds in well under a second.
 
     ``runtime`` installs a :class:`repro.config.RuntimeConfig` for the
-    duration of the build, so every knob underneath (build budget, mmap,
-    shard/worker counts, path-cache sizing) honours the explicit object
-    instead of the environment.
+    duration of the build, so every knob underneath (build budget,
+    shard/worker counts) honours the explicit object instead of the
+    environment.
 
     ``jobs`` sets the worker count for the RIB-collection fan-out
     (``None`` defers to the runtime config, whose fallback is the
@@ -163,20 +159,98 @@ def _build_world(
         obs.add("build.irr_routes", ctx.irr.route_count)
 
     policies = derive_policies(topology, ctx.behaviors)
+    vantage_points = select_vantage_points(
+        topology,
+        n_medium=config.n_medium_vantage_points,
+        n_small=config.n_small_vantage_points,
+        seed=seed + 2,
+    )
+    measured = derive_measurements(
+        topology=topology,
+        policies=policies,
+        repository=ctx.rpki_repository,
+        irr=ctx.irr,
+        originations=ctx.originations,
+        vantage_points=vantage_points,
+        snapshot=config.snapshot_date,
+        jobs=jobs,
+        shards=shards,
+    )
+    return World(
+        config=config,
+        seed=seed,
+        topology=topology,
+        quiescent=generated.quiescent,
+        as2org=as2org,
+        size_of=size_of,
+        manrs=manrs,
+        address_space=ctx.address_space,
+        originations={a: tuple(o) for a, o in ctx.originations.items()},
+        behaviors=ctx.behaviors,
+        policies=policies,
+        rpki_repository=ctx.rpki_repository,
+        irr=ctx.irr,
+        vantage_points=vantage_points,
+        scale=scale,
+        **measured._asdict(),
+    )
+
+
+class Measurements(NamedTuple):
+    """The derived half of a world: what the measurement pipeline
+    computes from its registries, topology and policies."""
+
+    engine: PropagationEngine
+    rov: ROVValidator
+    rib: RibSnapshot
+    ihr: IHRDataset
+    prefix2as: Prefix2AS
+
+
+def route_table(
+    originations: Mapping[int, Sequence[Origination]],
+) -> list[tuple[Prefix, int]]:
+    """Every announced (prefix, origin) pair, in classify order.
+
+    Events change registries and policies, never what is announced, so
+    the builder, the live world and its cover index share this table.
+    """
+    return [
+        (origination.prefix, asn)
+        for asn in sorted(originations)
+        for origination in originations[asn]
+    ]
+
+
+def derive_measurements(
+    *,
+    topology: ASTopology,
+    policies: Mapping[int, ASPolicy],
+    repository: RPKIRepository,
+    irr: IRRCollection,
+    originations: Mapping[int, Sequence[Origination]],
+    vantage_points: Sequence[int],
+    snapshot: date,
+    jobs: int | None = None,
+    shards: int | None = None,
+) -> Measurements:
+    """Run the measurement pipeline over a world's inputs.
+
+    Relying party → ROV/IRR classification → propagation engine →
+    collector RIB → prefix2as → IHR, under the ``build.*`` spans.
+    :func:`build_world` runs it over freshly generated inputs and
+    :func:`repro.delta.rebuild.cold_rebuild` over event-mutated ones.
+    ``jobs``/``shards`` of ``None`` defer to the active runtime config.
+    """
     with obs.span("build.relying_party"):
-        relying_party = RelyingParty(ctx.rpki_repository)
-        rov = ROVValidator(relying_party.validate(config.snapshot_date).vrps)
+        rov = ROVValidator(RelyingParty(repository).validate(snapshot).vrps)
 
     with obs.span("build.classify"):
-        routes = [
-            (origination.prefix, asn)
-            for asn in sorted(ctx.originations)
-            for origination in ctx.originations[asn]
-        ]
+        routes = route_table(originations)
         # Bulk classification also warms the validators' per-route memos,
         # which the IHR pipeline re-queries for the visible routes below.
         rpki_by_route = rov.validate_many(routes, shards=shards, jobs=jobs)
-        irr_by_route = validate_irr_many(ctx.irr, routes, shards=shards, jobs=jobs)
+        irr_by_route = validate_irr_many(irr, routes, shards=shards, jobs=jobs)
         obs.add("build.routes_classified", len(routes))
         obs.add(
             "build.routes_rpki_invalid",
@@ -200,7 +274,7 @@ def _build_world(
         for prefix, asn in routes:
             yield (
                 Announcement(prefix, asn),
-                _ROUTE_CLASSES[
+                ROUTE_CLASSES[
                     (
                         rpki_by_route[(prefix, asn)].is_invalid,
                         irr_by_route[(prefix, asn)] is IRRStatus.INVALID_ORIGIN,
@@ -209,43 +283,15 @@ def _build_world(
             )
 
     engine = PropagationEngine(topology, policies)
-    vantage_points = select_vantage_points(
-        topology,
-        n_medium=config.n_medium_vantage_points,
-        n_small=config.n_small_vantage_points,
-        seed=seed + 2,
-    )
     with obs.span("build.collect_rib"):
         rib = collect_rib(
             engine, announcements(), vantage_points, jobs=jobs, shards=shards
         )
     prefix2as = Prefix2AS.from_rib(rib)
     with obs.span("build.ihr"):
-        ihr = build_ihr_dataset(
-            rib, rov, ctx.irr, topology, shards=shards, jobs=jobs
-        )
-
-    return World(
-        config=config,
-        seed=seed,
-        topology=topology,
-        quiescent=generated.quiescent,
-        as2org=as2org,
-        size_of=size_of,
-        manrs=manrs,
-        address_space=ctx.address_space,
-        originations={a: tuple(o) for a, o in ctx.originations.items()},
-        behaviors=ctx.behaviors,
-        policies=policies,
-        rpki_repository=ctx.rpki_repository,
-        irr=ctx.irr,
-        engine=engine,
-        vantage_points=vantage_points,
-        rov=rov,
-        rib=rib,
-        ihr=ihr,
-        prefix2as=prefix2as,
-        scale=scale,
+        ihr = build_ihr_dataset(rib, rov, irr, topology, shards=shards, jobs=jobs)
+    return Measurements(
+        engine=engine, rov=rov, rib=rib, ihr=ihr, prefix2as=prefix2as
     )
 
 

@@ -576,7 +576,6 @@ def fresh_world_cache(monkeypatch):
     snapshot = dict(common._WORLDS)
     common._WORLDS.clear()
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv(common.WORLD_CACHE_SIZE_ENV, raising=False)
     yield
     common._WORLDS.clear()
     common._WORLDS.update(snapshot)
@@ -599,37 +598,6 @@ class TestWorldCacheTiers:
     def test_memory_tier_returns_same_object(self, fresh_world_cache):
         first = common.world_cache(scale=0.05, seed=6)
         assert common.world_cache(scale=0.05, seed=6) is first
-
-    def test_lru_bound_respects_env_override(
-        self, fresh_world_cache, monkeypatch
-    ):
-        built = []
-
-        def fake_build(scale, seed):
-            built.append((scale, seed))
-            return object()
-
-        monkeypatch.setattr(common, "build_world", fake_build)
-        monkeypatch.setenv(common.WORLD_CACHE_SIZE_ENV, "2")
-        for seed in range(4):
-            common.world_cache(scale=0.5, seed=seed)
-        assert len(common._WORLDS) == 2
-        assert list(common._WORLDS) == [(0.5, 2), (0.5, 3)]
-        # The evicted worlds rebuild; the retained ones do not.
-        common.world_cache(scale=0.5, seed=3)
-        assert built.count((0.5, 3)) == 1
-        common.world_cache(scale=0.5, seed=0)
-        assert built.count((0.5, 0)) == 2
-
-    def test_lru_bound_ignores_bad_override(
-        self, fresh_world_cache, monkeypatch
-    ):
-        monkeypatch.setenv(common.WORLD_CACHE_SIZE_ENV, "not-a-number")
-        assert common.world_cache_bound() == common.WORLD_CACHE_SIZE
-        monkeypatch.setenv(common.WORLD_CACHE_SIZE_ENV, "-3")
-        assert common.world_cache_bound() == common.WORLD_CACHE_SIZE
-        monkeypatch.setenv(common.WORLD_CACHE_SIZE_ENV, "7")
-        assert common.world_cache_bound() == 7
 
 
 class TestTimelineYearSnapshots:

@@ -1,10 +1,11 @@
 """Columnar-first warm starts: mmap identity, laziness, safe fallbacks.
 
 The contract under test (DESIGN §13): a memory-mapped, lazily
-materialised world is digest-identical to both the eager load and the
-cold build; anything wrong with the column archive — truncation,
-corruption, unmappable layout — warns and falls back (eager load, or
-discard-and-cold-build), never surfacing a broken world.
+materialised world is digest-identical to the cold build, and it is the
+only way a checkpoint opens; anything wrong with the column archive —
+truncation, corruption, unmappable layout — warns and falls back (eager
+column decode, or discard-and-cold-build), never surfacing a broken
+world.
 """
 
 from __future__ import annotations
@@ -15,16 +16,14 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.datasets.arraystore import mmap_enabled, open_columns
+from repro.datasets.arraystore import open_columns
 from repro.datasets.checkpoint import (
     ARRAYS_FILE,
     CheckpointStore,
     checkpoint_key,
     world_digest,
-    world_load_mode,
 )
 from repro.datasets.columnar import LazyWorld
-from repro.scenario.world import World
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +60,6 @@ class TestColumnSet:
         finally:
             mapped.close()
 
-    def test_mmap_env_kill_switch(self, saved, monkeypatch):
-        store, key = saved
-        path = store.path_for(key) / ARRAYS_FILE
-        monkeypatch.setenv("REPRO_MMAP", "0")
-        assert not mmap_enabled()
-        columns = open_columns(path)
-        assert not columns.mapped
-
     def test_compressed_archive_falls_back_to_eager(self, tmp_path, caplog):
         path = tmp_path / "compressed.npz"
         with open(path, "wb") as handle:
@@ -93,28 +84,21 @@ class TestColumnSet:
 class TestLazyWorld:
     def test_digest_identical_across_load_modes(self, saved, small_world):
         store, _ = saved
-        config = small_world.config
-        lazy = store.load(config, small_world.scale, small_world.seed)
-        eager = store.load(
-            config, small_world.scale, small_world.seed, mode="eager"
-        )
-        assert isinstance(lazy, LazyWorld)
-        assert isinstance(eager, World)
-        assert not isinstance(eager, LazyWorld)
-        cold = world_digest(small_world)
-        assert world_digest(lazy) == cold
-        assert world_digest(eager) == cold
-
-    def test_load_mode_env_switch(self, saved, small_world, monkeypatch):
-        store, _ = saved
-        monkeypatch.setenv("REPRO_WORLD_LOAD", "eager")
-        assert world_load_mode() == "eager"
-        world = store.load(
+        lazy = store.load(
             small_world.config, small_world.scale, small_world.seed
         )
-        assert not isinstance(world, LazyWorld)
-        monkeypatch.setenv("REPRO_WORLD_LOAD", "columnar")
-        assert world_load_mode() == "columnar"
+        assert isinstance(lazy, LazyWorld)
+        assert world_digest(lazy) == world_digest(small_world)
+
+    def test_eager_mode_was_removed(self, saved, small_world):
+        store, _ = saved
+        with pytest.raises(ValueError, match="eager load mode was removed"):
+            store.load(
+                small_world.config,
+                small_world.scale,
+                small_world.seed,
+                mode="eager",
+            )
 
     def test_fields_materialise_on_demand_only(self, saved, small_world):
         store, _ = saved

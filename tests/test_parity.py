@@ -12,9 +12,13 @@ path can never pass as parity:
 * ``spilled`` — the same build under a zero build budget.  Each of the
   three column accumulators (collect_rib, ROV, IRR) opens a spill file;
   transit scoring materialises per shard and owns none.
-* ``reopened-mmap`` / ``reopened-eager`` — the sharded world saved to a
-  checkpoint and reopened lazily over memory-mapped columns (the column
-  file must actually map), or decoded up front.
+* ``reopened-mmap`` — the sharded world saved to a checkpoint and
+  reopened lazily over memory-mapped columns (the column file must
+  actually map), then fully materialised, so every ``_rebuild_*``
+  decoder runs (a digest alone reads only some of the fields).
+* ``rebuilt-sharded`` — ``cold_rebuild`` of the sharded world with no
+  events, under the sharded runtime: the rebuild runs the builder's
+  derive half, so every sharded stage must count its shards again.
 * ``replay`` — ``repro replay`` in a subprocess: a synthetic event
   stream applied through the live world must digest-equal cold rebuilds
   at three instants (replay == rebuild, end to end through the CLI).
@@ -25,6 +29,7 @@ families by ``tests/test_scenarios.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -38,8 +43,10 @@ from repro import config, obs
 from repro.config import RuntimeConfig
 from repro.datasets.checkpoint import CheckpointStore, world_digest
 from repro.datasets.columnar import LazyWorld
+from repro.delta import cold_rebuild
 from repro.scenario.build import build_world
 from repro.scenario.config import ScenarioConfig
+from repro.scenario.world import World
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "world_digests.json"
@@ -90,12 +97,16 @@ def store(sharded, tmp_path_factory):
     return store
 
 
-def _sharded_axis(request):
-    world, moved = request.getfixturevalue("sharded")
+def _assert_sharded(moved):
     for name in SHARD_COUNTERS:
         assert moved.get(name, 0) > 0, f"{name} never rose: a stage ran unsharded"
     assert "shard.discarded" not in moved
     assert "shard.pool_unavailable" not in moved
+
+
+def _sharded_axis(request):
+    world, moved = request.getfixturevalue("sharded")
+    _assert_sharded(moved)
     return world_digest(world)
 
 
@@ -106,21 +117,28 @@ def _spilled_axis(request):
     return world_digest(world)
 
 
-def _reopened_axis(mode: str):
-    def axis(request):
-        store = request.getfixturevalue("store")
-        with config.use(RuntimeConfig()):
-            world, moved = _counted(
-                lambda: store.load(ScenarioConfig(), SCALE, SEED, mode=mode)
-            )
-        assert moved.get("checkpoint.hit") == 1, moved
-        assert isinstance(world, LazyWorld) == (mode == "columnar")
-        if mode == "columnar":
-            assert moved.get("columns.open.mapped", 0) >= 1, moved
-            assert "columns.open.map_failed" not in moved
-        return world_digest(world)
+def _reopened_axis(request):
+    store = request.getfixturevalue("store")
+    with config.use(RuntimeConfig()):
+        world, moved = _counted(
+            lambda: store.load(ScenarioConfig(), SCALE, SEED).materialize()
+        )
+    assert moved.get("checkpoint.hit") == 1, moved
+    assert isinstance(world, LazyWorld)
+    assert moved.get("columns.open.mapped", 0) >= 1, moved
+    assert "columns.open.map_failed" not in moved
+    assert world.materialized_fields() == {
+        field.name for field in dataclasses.fields(World)
+    }
+    return world_digest(world)
 
-    return axis
+
+def _rebuilt_axis(request):
+    base, _ = request.getfixturevalue("sharded")
+    with config.use(SHARDED):
+        world, moved = _counted(lambda: cold_rebuild(base, []))
+    _assert_sharded(moved)
+    return world_digest(world)
 
 
 #: Axis name → a check that reaches the pinned world along that axis,
@@ -128,8 +146,8 @@ def _reopened_axis(mode: str):
 AXES = {
     "sharded": _sharded_axis,
     "spilled": _spilled_axis,
-    "reopened-mmap": _reopened_axis("columnar"),
-    "reopened-eager": _reopened_axis("eager"),
+    "reopened-mmap": _reopened_axis,
+    "rebuilt-sharded": _rebuilt_axis,
 }
 
 

@@ -1,18 +1,24 @@
 """Tests for the unified runtime configuration (repro.config).
 
-The contract under test: one frozen dataclass resolved with ``explicit
-> environment > default`` precedence, installable process-wide or for a
-``with`` block, consulted by every call-time reader the per-site env
-lookups used to own (mmap, world-load strategy, default store,
-jobs/shards resolution, the build budget).
+The contract under test: one frozen dataclass of five knobs resolved
+with ``explicit > environment > default`` precedence, installable
+process-wide or for a ``with`` block, consulted by every call-time
+reader the per-site env lookups used to own (default store, jobs/shards
+resolution, the build budget), and documented by README's knob table.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from repro import config
 from repro.config import ENV_VARS, RuntimeConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -32,11 +38,8 @@ class TestDefaults:
         assert runtime.jobs == 1
         assert runtime.shards == 1
         assert runtime.kernels == "numpy"
-        assert runtime.mmap is True
-        assert runtime.world_load == "columnar"
         assert runtime.cache_dir is None
-        assert runtime.world_cache_size == 4
-        assert runtime.paths_cache is None
+        assert runtime.build_budget_mb is None
 
     def test_frozen_and_comparable(self):
         runtime = RuntimeConfig()
@@ -48,10 +51,8 @@ class TestDefaults:
     def test_validation_rejects_bad_modes(self):
         with pytest.raises(ValueError, match="kernel mode"):
             RuntimeConfig(kernels="fortran")
-        with pytest.raises(ValueError, match="load mode"):
-            RuntimeConfig(world_load="sideways")
-        with pytest.raises(ValueError, match="world_cache_size"):
-            RuntimeConfig(world_cache_size=0)
+        with pytest.raises(ValueError, match="build_budget_mb"):
+            RuntimeConfig(build_budget_mb=-1)
 
     def test_python_kernels_were_removed(self):
         with pytest.raises(ValueError, match="python kernel mode was removed"):
@@ -68,11 +69,7 @@ class TestFromEnv:
             "REPRO_JOBS": "4",
             "REPRO_SHARDS": "8",
             "REPRO_KERNELS": "NumPy",
-            "REPRO_MMAP": "0",
-            "REPRO_WORLD_LOAD": "eager",
             "REPRO_CACHE_DIR": "/tmp/store",
-            "REPRO_WORLD_CACHE_SIZE": "9",
-            "REPRO_PATHS_CACHE": "123",
             "REPRO_BUILD_BUDGET_MB": "0.5",
         }
         runtime = RuntimeConfig.from_env(env)
@@ -80,36 +77,31 @@ class TestFromEnv:
             jobs=4,
             shards=8,
             kernels="numpy",
-            mmap=False,
-            world_load="eager",
             cache_dir="/tmp/store",
-            world_cache_size=9,
-            paths_cache=123,
             build_budget_mb=0.5,
         )
         assert set(env) == set(ENV_VARS.values())
+        assert set(ENV_VARS) == {
+            field.name for field in dataclasses.fields(RuntimeConfig)
+        }
 
     def test_malformed_values_fall_back_leniently(self):
         env = {
             "REPRO_JOBS": "many",
             "REPRO_SHARDS": "several",
-            "REPRO_WORLD_LOAD": "sideways",
-            "REPRO_WORLD_CACHE_SIZE": "-3",
-            "REPRO_PATHS_CACHE": "big",
+            "REPRO_CACHE_DIR": "   ",
+            "REPRO_BUILD_BUDGET_MB": "lots",
         }
         assert RuntimeConfig.from_env(env) == RuntimeConfig()
+        assert RuntimeConfig.from_env({"REPRO_BUILD_BUDGET_MB": "-1"}) == (
+            RuntimeConfig()
+        )
 
     def test_bad_kernels_value_raises(self):
         # The one deliberate exception to lenient parsing: a kernel-mode
         # typo must not silently change which implementation ran.
         with pytest.raises(ValueError, match="REPRO_KERNELS"):
             RuntimeConfig.from_env({"REPRO_KERNELS": "fortran"})
-
-    def test_mmap_falsey_spellings(self):
-        for raw in ("0", "false", "off", "no", "FALSE", "Off"):
-            assert RuntimeConfig.from_env({"REPRO_MMAP": raw}).mmap is False
-        for raw in ("1", "true", "yes", "on"):
-            assert RuntimeConfig.from_env({"REPRO_MMAP": raw}).mmap is True
 
 
 class TestResolvePrecedence:
@@ -118,7 +110,7 @@ class TestResolvePrecedence:
         runtime = RuntimeConfig.resolve(env=env, jobs=2)
         assert runtime.jobs == 2  # explicit wins
         assert runtime.shards == 8  # env fills the unspecified
-        assert runtime.world_load == "columnar"  # default fills the rest
+        assert runtime.cache_dir is None  # default fills the rest
 
     def test_none_override_means_unspecified(self):
         env = {"REPRO_JOBS": "4"}
@@ -196,14 +188,6 @@ class TestCallTimeReaders:
             assert resolve_shards(2) == 2  # explicit argument still wins
             assert resolve_build_budget() == 1024 * 1024
 
-    def test_mmap_and_world_load_honour_installed_config(self):
-        from repro.datasets.arraystore import mmap_enabled
-        from repro.datasets.checkpoint import world_load_mode
-
-        with config.use(RuntimeConfig(mmap=False, world_load="eager")):
-            assert mmap_enabled() is False
-            assert world_load_mode() == "eager"
-
     def test_default_store_honours_installed_config(self, tmp_path):
         from repro.datasets.checkpoint import default_store
 
@@ -216,7 +200,9 @@ class TestCallTimeReaders:
     def test_picklable_for_pool_initializers(self):
         import pickle
 
-        runtime = RuntimeConfig(jobs=3, shards=2, world_load="eager")
+        runtime = RuntimeConfig(
+            jobs=3, shards=2, cache_dir="/tmp/store", build_budget_mb=0.5
+        )
         assert pickle.loads(pickle.dumps(runtime)) == runtime
 
 
@@ -240,3 +226,18 @@ class TestRuntimeParameter:
             scale=0.02, seed=1, runtime=RuntimeConfig(shards=1)
         )
         assert seen["shards"] == 1
+
+
+class TestReadmeKnobTable:
+    """README's knob table documents exactly the ``ENV_VARS`` pairs."""
+
+    ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*`(REPRO_\w+)`\s*\|")
+
+    def test_table_lists_every_knob_and_nothing_else(self):
+        rows = [
+            match.groups()
+            for line in README.read_text().splitlines()
+            for match in (self.ROW.match(line),)
+            if match
+        ]
+        assert sorted(rows) == sorted(ENV_VARS.items())
