@@ -3,11 +3,12 @@
 Starts ``python -m repro serve`` as a real subprocess on an ephemeral
 port, then drives it exactly as a client would: liveness, the
 experiment registry, one cold build, the warm cache hit (same ETag,
-``x-repro-key``), conditional revalidation (304), the metrics snapshot
-(hit/miss counters must reflect the requests just made), and finally a
-clean SIGINT shutdown.  Any deviation is a non-zero exit — this is the
-one gate that exercises the CLI entry point, the spawn build pool and
-the wire protocol together.
+``x-repro-key``), conditional revalidation (304), one dated request
+(``&at=``, answered by a live world advanced to that instant under its
+own key), the metrics snapshot (hit/miss counters must reflect the
+requests just made), and finally a clean SIGINT shutdown.  Any
+deviation is a non-zero exit — this is the one gate that exercises the
+CLI entry point, the spawn build pool and the wire protocol together.
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ async def drive(host: str, port: int, scale: float) -> None:
     if status != 304 or body:
         fail(f"revalidation returned {status} with {len(body)} body bytes")
     print("conditional GET ok (304, empty body)")
+
+    at = "2021-06-01"
+    status, at_headers, at_body = await http_get(
+        host, port, f"{target}&at={at}", timeout=300
+    )
+    if status != 200:
+        fail(f"GET {target}&at={at} returned {status}: {at_body[:200]!r}")
+    if json.loads(at_body).get("at") != at:
+        fail(f"dated payload does not answer for {at}")
+    if at_headers.get("x-repro-key") == cold_headers.get("x-repro-key"):
+        fail("dated request shares the undated request's key")
+    print(f"dated GET ok (at={at}, key {at_headers['x-repro-key'][:16]})")
 
     status, _headers, body = await http_get(host, port, "/metrics")
     counters = json.loads(body)["metrics"]["counters"]

@@ -11,7 +11,7 @@ deterministic traces that the tests, ``repro replay``, and the delta
 benchmark all share.
 """
 
-from repro.delta.cover import RouteCoverIndex, vrp_churn, vrp_delta
+from repro.delta.cover import RouteCoverIndex, vrp_delta
 from repro.delta.events import (
     DeltaState,
     Event,
@@ -43,7 +43,6 @@ __all__ = [
     "apply_raw",
     "RouteCoverIndex",
     "vrp_delta",
-    "vrp_churn",
     "cold_rebuild",
     "LiveWorld",
     "run_job_at",

@@ -27,7 +27,7 @@ import numpy as np
 from repro.net.prefix import Prefix
 from repro.rpki.roa import VRP
 
-__all__ = ["RouteCoverIndex", "vrp_delta", "vrp_churn"]
+__all__ = ["RouteCoverIndex", "vrp_delta"]
 
 
 class RouteCoverIndex:
@@ -123,37 +123,21 @@ class RouteCoverIndex:
         return sorted(hits)
 
 
-def vrp_delta(old: Iterable[VRP], new: Iterable[VRP]) -> set[Prefix]:
-    """Prefixes whose VRP entries differ between two VRP multisets.
+def vrp_delta(
+    old: Iterable[VRP], new: Iterable[VRP]
+) -> tuple[list[VRP], list[VRP]]:
+    """``(added, removed)``: the multiset difference of two VRP lists.
 
     VRP lists compare as multisets (the relying party can emit genuine
     duplicates from duplicate ROAs, and dropping one of two equal VRPs
-    changes nothing).  The returned prefixes drive the cover-set
-    re-validation; an empty result certifies that every route's covering
-    VRP set — hence every RFC 6811 verdict — is unchanged.
+    removes one copy), so both sides are blind to order.  The prefixes
+    of the added and removed VRPs drive the cover-set re-validation;
+    two empty lists certify that every route's covering VRP set — hence
+    every RFC 6811 verdict — is unchanged.
     """
     old_counts = Counter(old)
     new_counts = Counter(new)
-    changed: set[Prefix] = set()
-    for vrp, count in old_counts.items():
-        if new_counts.get(vrp, 0) != count:
-            changed.add(vrp.prefix)
-    for vrp, count in new_counts.items():
-        if old_counts.get(vrp, 0) != count:
-            changed.add(vrp.prefix)
-    return changed
-
-
-def vrp_churn(old: Iterable[VRP], new: Iterable[VRP]) -> tuple[int, int]:
-    """``(added, removed)`` VRP counts between two multisets."""
-    old_counts = Counter(old)
-    new_counts = Counter(new)
-    added = sum(
-        max(count - old_counts.get(vrp, 0), 0)
-        for vrp, count in new_counts.items()
+    return (
+        list((new_counts - old_counts).elements()),
+        list((old_counts - new_counts).elements()),
     )
-    removed = sum(
-        max(count - new_counts.get(vrp, 0), 0)
-        for vrp, count in old_counts.items()
-    )
-    return added, removed

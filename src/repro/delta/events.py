@@ -241,12 +241,10 @@ def apply_raw(state: DeltaState, event: Event) -> str:
         state.repository.add_roa(event.roa)
         return "rpki"
     if isinstance(event, RoaExpired):
-        try:
-            state.repository.roas.remove(event.roa)
-        except ValueError:
+        if not state.repository.remove_roa(event.roa):
             raise DeltaError(
                 f"cannot expire unpublished ROA for {event.roa.prefix}"
-            ) from None
+            )
         return "rpki"
     if isinstance(event, RouteObjectAdded):
         try:

@@ -4,12 +4,18 @@
 and applies :mod:`repro.delta.events` one at a time, re-deriving only
 what each event can affect:
 
-* **RPKI events** re-run the (plan-cached) relying party, diff the VRP
-  multiset, and re-validate only the routes the changed prefixes cover
-  (:class:`~repro.delta.cover.RouteCoverIndex`); verdict memos for
-  everything outside the cover set carry over via ``seed_from``.
+* **RPKI events** take their VRP delta from the event: the relying
+  party evaluates that one ROA at the live instant
+  (:meth:`~repro.rpki.validator.IncrementalRelyingParty.vrp_at`), the
+  successor :class:`~repro.rpki.rov.ROVValidator` is the current VRP
+  list with that VRP appended or one equal copy removed, and only the
+  routes its prefix covers (:class:`~repro.delta.cover.RouteCoverIndex`)
+  are re-validated.  :meth:`LiveWorld.advance_to` reaches the same step
+  through one full (plan-cached) relying-party run and one multiset
+  diff (:func:`~repro.delta.cover.vrp_delta`).
 * **IRR events** re-validate the cover set of the edited object's
-  prefix, seeding the registry memo with the carried verdicts first.
+  prefix route by route through the registry's memoised trie path; no
+  registry-wide index is rebuilt.
 * **Membership events** touch nothing derived (the participants dataset
   serialises straight from the registry).
 * **Topology events** rebuild the propagation engine (structure
@@ -17,6 +23,10 @@ what each event can affect:
 * **Policy flips** rebuild the engine against the new policy table but
   adopt every cached path whose effective-filter signature is unchanged
   (:meth:`~repro.bgp.propagation.PropagationEngine.adopt_cache`).
+
+No event copies a table-sized memo: :meth:`LiveWorld.world` seeds the
+materialised world's ROV and IRR memos once per state, from the live
+verdict maps that hold every table route's current verdict.
 
 Verdict changes *regroup* routes among (origin, route class) buckets;
 :meth:`LiveWorld.world` then materialises a full ``World`` by replaying
@@ -41,12 +51,24 @@ from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
-from repro.delta.cover import RouteCoverIndex, vrp_churn, vrp_delta
-from repro.delta.events import DeltaState, Event, apply_raw
+from repro.delta.cover import RouteCoverIndex, vrp_delta
+from repro.delta.events import (
+    DeltaState,
+    Event,
+    RoaExpired,
+    RoaIssued,
+    apply_raw,
+)
 from repro.ihr.pipeline import transit_groups_indexed
 from repro.ihr.records import IHRDataset, PrefixOriginRecord, TransitGroup
-from repro.irr.validation import IRRStatus, seed_memo, validate_irr_many
+from repro.irr.validation import (
+    IRRStatus,
+    seed_memo,
+    validate_irr,
+    validate_irr_many,
+)
 from repro.net.prefix import Prefix
+from repro.rpki.roa import VRP
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
 from repro.scenario.build import Measurements, route_table
@@ -63,20 +85,22 @@ class LiveWorld:
         self._state = DeltaState.from_world(base)
         self._date: date = base.config.snapshot_date
         self._rp = IncrementalRelyingParty(self._state.repository)
-        # The base validator is reused as-is until the first RPKI event:
+        # The base validator is reused as-is until the first VRP change:
         # its VRP set is exactly what the relying party emits for the
-        # unmutated repository, and its memo is warm from the build.
+        # unmutated repository.  Successors are always new validators,
+        # so neither it nor one an earlier world() handed out ever
+        # changes its VRP set.
         self._rov: ROVValidator = base.rov
         self._routes = route_table(base.originations)
         self._cover = RouteCoverIndex(self._routes)
         with obs.span("delta.init", routes=len(self._routes)):
             self._rpki_status = dict(base.rov.validate_many(self._routes))
-            irr_status = validate_irr_many(base.irr, self._routes)
-            self._irr_status = dict(irr_status)
-            # The cloned registry starts with an empty (version-fresh)
-            # memo; seed it so the first IRR event only walks its cover
-            # set instead of the whole table.
-            seed_memo(self._state.irr, irr_status)
+            self._irr_status = dict(validate_irr_many(base.irr, self._routes))
+        # Set while the current validator's (the cloned registry's) memo
+        # holds every table verdict.  The base validator's is warm from
+        # the line above; the clone's starts empty.
+        self._rov_seeded = True
+        self._irr_seeded = False
         self._groups: dict[tuple[int, RouteClass], set[Prefix]] = {}
         for prefix, asn in self._routes:
             self._groups.setdefault(
@@ -136,7 +160,7 @@ class LiveWorld:
         with obs.span("delta.apply", event=type(event).__name__):
             domain = apply_raw(self._state, event)
             if domain == "rpki":
-                self._refresh_vrps()
+                self._follow_roa(event)
             elif domain == "irr":
                 self._reclassify_irr(event.route.prefix)
             elif domain == "topology":
@@ -153,37 +177,56 @@ class LiveWorld:
             return domain
 
     def advance_to(self, as_of: date) -> None:
-        """Move the observation instant (ROA validity windows shift)."""
+        """Move the observation instant (ROA validity windows shift).
+
+        A shift can move any ROA across its window, so this runs the
+        full (plan-cached) relying party and diffs its VRP multiset
+        against the current validator's.
+        """
         if as_of == self._date:
             return
         with obs.span("delta.advance", to=as_of.isoformat()):
             self._date = as_of
-            self._refresh_vrps(refresh_plans=False)
+            report = self._rp.validate(as_of)
+            old_vrps = self._rov._vrps  # noqa: SLF001 - read-only diff
+            added, removed = vrp_delta(old_vrps, report.vrps)
+            if added or removed:
+                self._swap_rov(ROVValidator(report.vrps), added, removed)
             self._cached_world = None
 
-    def _refresh_vrps(self, refresh_plans: bool = True) -> None:
-        if refresh_plans:
-            # The incremental RP's staleness fingerprint only tracks
-            # object counts; event streams can remove+add without
-            # changing them, so invalidate explicitly.
-            self._rp.refresh()
-        report = self._rp.validate(self._date)
-        old_vrps = self._rov._vrps  # noqa: SLF001 - same-package coupling
-        changed = vrp_delta(old_vrps, report.vrps)
-        if not changed:
-            # Identical VRP multiset: every covering set, hence every
-            # verdict and the (sorted) serialisation, is unchanged.
+    def _follow_roa(self, event: RoaIssued | RoaExpired) -> None:
+        """Take a ROA event's VRP delta from the event itself.
+
+        A relying party's output is one independent verdict per ROA, so
+        publishing or withdrawing one ROA adds or removes at most that
+        ROA's VRP — none when the ROA does not validate at the current
+        instant — and every other verdict stands (cf. RRDP deltas,
+        RFC 8182).
+        """
+        vrp = self._rp.vrp_at(event.roa, self._date)
+        if vrp is None:
             return
-        added, removed = vrp_churn(old_vrps, report.vrps)
-        obs.add("delta.vrps_added", added)
-        obs.add("delta.vrps_removed", removed)
-        new_rov = ROVValidator(report.vrps)
-        carried = new_rov.seed_from(self._rov, changed)
-        obs.add("delta.rov_memo_carried", carried)
-        cover = self._cover.affected(changed)
+        if isinstance(event, RoaIssued):
+            self._swap_rov(self._rov.with_vrp(vrp), [vrp], [])
+        else:
+            self._swap_rov(self._rov.without_vrp(vrp), [], [vrp])
+
+    def _swap_rov(
+        self, rov: ROVValidator, added: list[VRP], removed: list[VRP]
+    ) -> None:
+        """Install the successor validator ``rov``.
+
+        ``added`` and ``removed`` are the VRPs it differs by.  A route's
+        RFC 6811 verdict depends only on its covering VRPs, so only the
+        routes inside a changed VRP's prefix are re-validated, and only
+        verdict flips regroup.
+        """
+        obs.add("delta.vrps_added", len(added))
+        obs.add("delta.vrps_removed", len(removed))
+        cover = self._cover.affected({vrp.prefix for vrp in added + removed})
         obs.add("delta.rpki_cover_routes", len(cover))
         cover_routes = [self._routes[i] for i in cover]
-        new_status = new_rov.validate_many(cover_routes)
+        new_status = rov.validate_many(cover_routes)
         for key in cover_routes:
             old = self._rpki_status[key]
             new = new_status[key]
@@ -192,28 +235,23 @@ class LiveWorld:
             if new.is_invalid != old.is_invalid:
                 self._regroup(key, rpki_flipped=True)
             self._rpki_status[key] = new
-        self._rov = new_rov
+        self._rov = rov
+        self._rov_seeded = False
 
     def _reclassify_irr(self, changed_prefix: Prefix) -> None:
+        """Re-validate the cover set of an edited route object's prefix.
+
+        The edit bumped the registry's mutation counter, so its memo
+        starts empty; each covered route walks the registry trie once
+        (``validate_irr``), and no registry-wide index is rebuilt.
+        """
         cover = self._cover.affected([changed_prefix])
         obs.add("delta.irr_cover_routes", len(cover))
-        cover_set = set(cover)
-        # Carry every untouched verdict into the registry's fresh
-        # (version-tagged) memo; only the cover set is re-walked.
-        seed_memo(
-            self._state.irr,
-            {
-                key: status
-                for index, key in enumerate(self._routes)
-                if index not in cover_set
-                for status in (self._irr_status[key],)
-            },
-        )
-        cover_routes = [self._routes[i] for i in cover]
-        new_status = validate_irr_many(self._state.irr, cover_routes)
-        for key in cover_routes:
+        registry = self._state.irr
+        for index in cover:
+            key = self._routes[index]
             old = self._irr_status[key]
-            new = new_status[key]
+            new = validate_irr(registry, *key)
             if new is old:
                 continue
             if (new is IRRStatus.INVALID_ORIGIN) != (
@@ -221,6 +259,7 @@ class LiveWorld:
             ):
                 self._regroup(key, rpki_flipped=False)
             self._irr_status[key] = new
+        self._irr_seeded = False
 
     def _regroup(self, key: tuple[Prefix, int], rpki_flipped: bool) -> None:
         """Move one route between (origin, class) buckets after a flip."""
@@ -265,6 +304,7 @@ class LiveWorld:
     def _materialise(self) -> World:
         base = self._base
         engine = self._engine
+        self._seed_memos()
         keys = sorted(
             self._groups,
             key=lambda key: (key[0], key[1].rpki_invalid, key[1].irr_invalid),
@@ -290,6 +330,21 @@ class LiveWorld:
             prefix2as=Prefix2AS.from_rib(rib),
         )
         return self._state.world(base, self._date, measured)
+
+    def _seed_memos(self) -> None:
+        """Give the world's validators the verdict of every table route.
+
+        ``_rpki_status`` and ``_irr_status`` are the current verdicts of
+        the whole route table, so analyses of the materialised world hit
+        the memos instead of re-walking a trie or re-indexing a registry.
+        Each memo is seeded once per state, never per event.
+        """
+        if not self._rov_seeded:
+            self._rov.seed_memo(self._rpki_status)
+            self._rov_seeded = True
+        if not self._irr_seeded:
+            seed_memo(self._state.irr, self._irr_status)
+            self._irr_seeded = True
 
     def _derive_ihr(
         self, rib: RibSnapshot, engine: PropagationEngine

@@ -163,10 +163,10 @@ def seed_memo(
     """Pre-populate the registry's current-version verdict memo.
 
     After a registry mutation the version-tagged memo starts empty; a
-    caller that knows which routes the mutation *cannot* have affected
-    (no added/removed object covers them — see :mod:`repro.delta`) can
-    seed their old verdicts instead of re-walking the trie for each.
-    Returns False when the registry does not support memoisation.
+    caller that already holds the current verdicts (the live world's
+    verdict map — see :mod:`repro.delta`) can seed them instead of
+    re-walking the trie for each.  Returns False when the registry does
+    not support memoisation.
     """
     memo = _memo_of(registry)
     if memo is None:

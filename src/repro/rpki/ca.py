@@ -99,6 +99,8 @@ class RPKIRepository:
     certificates: dict[str, ResourceCertificate] = field(default_factory=dict)
     roas: list[ROA] = field(default_factory=list)
     _next_cert: int = 0
+    #: Bumped on every mutation; relying parties key their plans on it.
+    _version: int = field(default=0, init=False, repr=False, compare=False)
 
     def add_trust_anchor(
         self,
@@ -151,6 +153,7 @@ class RPKIRepository:
         if certificate.certificate_id in self.certificates:
             raise RPKIError(f"duplicate certificate {certificate.certificate_id}")
         self.certificates[certificate.certificate_id] = certificate
+        self._version += 1
 
     def revoke(self, certificate_id: str) -> None:
         """Mark a certificate revoked (its ROAs stop validating)."""
@@ -167,10 +170,26 @@ class RPKIRepository:
             not_after=certificate.not_after,
             revoked=True,
         )
+        self._version += 1
 
     def add_roa(self, roa: ROA) -> None:
         """Publish a ROA (validated later by the relying party)."""
         self.roas.append(roa)
+        self._version += 1
+
+    def remove_roa(self, roa: ROA) -> bool:
+        """Withdraw one published copy of ``roa``; True if it was present."""
+        try:
+            self.roas.remove(roa)
+        except ValueError:
+            return False
+        self._version += 1
+        return True
+
+    @property
+    def version(self) -> int:
+        """Mutation counter for cache invalidation."""
+        return self._version
 
     def chain_of(
         self, certificate: ResourceCertificate

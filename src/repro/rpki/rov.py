@@ -280,36 +280,28 @@ class ROVValidator:
         obs.add("rov.memo_misses", len(pending))
         return results
 
-    def seed_from(
-        self, other: "ROVValidator", changed: Iterable[Prefix]
-    ) -> int:
-        """Carry memoised verdicts over from ``other`` for unaffected routes.
+    def with_vrp(self, vrp: VRP) -> "ROVValidator":
+        """A new validator over this VRP list with ``vrp`` appended."""
+        return ROVValidator([*self._vrps, vrp])
 
-        ``changed`` is the set of prefixes whose VRP entries differ
-        between the two validators' VRP sets.  A route's RFC 6811 verdict
-        is a function of its covering VRPs, so it can only change when
-        some added/removed VRP covers the route, i.e. when the route's
-        prefix lies inside a changed prefix.  Everything outside that
-        cover set is copied; returns the number of verdicts carried.
+    def without_vrp(self, vrp: VRP) -> "ROVValidator":
+        """A new validator over this VRP list minus one copy of ``vrp``.
+
+        Raises ``ValueError`` when no equal VRP is loaded.
         """
-        spans: dict[int, list[tuple[int, int]]] = {}
-        for prefix in changed:
-            spans.setdefault(prefix.version, []).append(
-                (prefix.first, prefix.last)
-            )
+        vrps = list(self._vrps)
+        vrps.remove(vrp)
+        return ROVValidator(vrps)
 
-        def unaffected(prefix: Prefix) -> bool:
-            for first, last in spans.get(prefix.version, ()):
-                if prefix.first >= first and prefix.last <= last:
-                    return False
-            return True
+    def seed_memo(
+        self, verdicts: dict[tuple[Prefix, int], RPKIStatus]
+    ) -> None:
+        """Pre-populate the verdict memo with known verdicts.
 
-        carried = 0
-        for (prefix, origin), status in other._memo.items():
-            if unaffected(prefix):
-                self._memo[(prefix, origin)] = status
-                carried += 1
-        return carried
+        The caller vouches that each verdict is this VRP set's, as the
+        live world does for its route table (see :mod:`repro.delta`).
+        """
+        self._memo.update(verdicts)
 
     def covered_space(self, prefixes: Iterable[Prefix]) -> list[Prefix]:
         """Subset of ``prefixes`` that have at least one covering VRP.

@@ -14,7 +14,10 @@ resolution) and on date windows (its own and its chain's not_before /
 not_after); precomputing both reduces each additional validation run to
 one pair of date comparisons per ROA.  Only objects whose validity
 window is crossed between two query dates can change verdict — the full
-walk is never repeated.
+walk is repeated only after the repository's mutation counter moves.
+The same per-ROA plan also answers for one ROA alone
+(:meth:`IncrementalRelyingParty.vrp_at`), which is how the live world
+follows a publication or withdrawal without a full run.
 """
 
 from __future__ import annotations
@@ -138,109 +141,100 @@ class _RoaPlan:
     vrp: VRP
 
 
+def _run_plans(plans: list[_RoaPlan], as_of: date) -> ValidationReport:
+    """Evaluate ``plans`` at ``as_of``: VRPs in plan order, plus the
+    rejection reason of every other plan."""
+    report = ValidationReport()
+    vrps = report.vrps
+    for plan in plans:
+        if plan.static_reason is not None:
+            report._reject(plan.static_reason)
+            continue
+        low, high = plan.roa_window
+        if not low <= as_of <= high:
+            report._reject("roa_expired")
+            continue
+        if plan.coverage_reason is not None:
+            report._reject(plan.coverage_reason)
+            continue
+        low, high = plan.chain_window
+        if not low <= as_of <= high:
+            report._reject("bad_certificate_chain")
+            continue
+        vrps.append(plan.vrp)
+    return report
+
+
 class IncrementalRelyingParty:
     """Relying party specialised for many validations at many dates.
 
     Results are identical to ``RelyingParty(repository).validate(as_of)``
     (asserted in the equivalence tests); the precomputed per-ROA plans
-    are invalidated whenever the repository grows.
+    are keyed on the repository's mutation counter, so any publication,
+    withdrawal or revocation invalidates them.
     """
 
     def __init__(self, repository: RPKIRepository):
         self._repository = repository
-        self._plans: list[_RoaPlan] | None = None
-        self._fingerprint: tuple[int, int, int] | None = None
-
-    def _current_fingerprint(self) -> tuple[int, int, int]:
-        # Revocation swaps a certificate in place (same id, same count),
-        # so the revoked tally must be part of the staleness check.
-        return (
-            len(self._repository.roas),
-            len(self._repository.certificates),
-            sum(
-                1
-                for certificate in self._repository.certificates.values()
-                if certificate.revoked
-            ),
-        )
-
-    def refresh(self) -> None:
-        """Drop the precomputed plans; the next validate rebuilds them.
-
-        The fingerprint only tracks object *counts*, so an in-place
-        mutation that removes one object and adds another (a delta
-        event stream withdrawing one ROA and publishing a different one)
-        can leave the counts unchanged while invalidating every plan.
-        Callers that mutate the repository directly must call this after
-        each mutation batch.
-        """
-        self._plans = None
-        self._fingerprint = None
+        self._plans: list[_RoaPlan] = []
+        self._plans_version = -1
 
     def validate(self, as_of: date) -> ValidationReport:
         """Produce the VRP set a router would receive on ``as_of``."""
-        fingerprint = self._current_fingerprint()
-        if self._plans is None or fingerprint != self._fingerprint:
+        if self._plans_version != self._repository.version:
             self._plans = self._build_plans()
-            self._fingerprint = fingerprint
-        report = ValidationReport()
-        vrps = report.vrps
-        for plan in self._plans:
-            if plan.static_reason is not None:
-                report._reject(plan.static_reason)
-                continue
-            low, high = plan.roa_window
-            if not low <= as_of <= high:
-                report._reject("roa_expired")
-                continue
-            if plan.coverage_reason is not None:
-                report._reject(plan.coverage_reason)
-                continue
-            low, high = plan.chain_window
-            if not low <= as_of <= high:
-                report._reject("bad_certificate_chain")
-                continue
-            vrps.append(plan.vrp)
+            self._plans_version = self._repository.version
+        report = _run_plans(self._plans, as_of)
         obs.add("rpki.rp_runs")
-        obs.add("rpki.vrps_emitted", len(vrps))
+        obs.add("rpki.vrps_emitted", len(report.vrps))
         obs.add("rpki.roas_rejected", report.rejected_total)
         return report
 
+    def vrp_at(self, roa: ROA, as_of: date) -> VRP | None:
+        """The VRP ``roa`` contributes to :meth:`validate` at ``as_of``.
+
+        None when the ROA is rejected.  The verdict comes from the same
+        per-ROA plan a full run builds, against the repository's current
+        certificates, without planning any other ROA — what a delta
+        consumer needs to follow one publication or withdrawal.
+        """
+        vrps = _run_plans([self._plan(roa, {})], as_of).vrps
+        return vrps[0] if vrps else None
+
     def _build_plans(self) -> list[_RoaPlan]:
-        repository = self._repository
         chain_windows: dict[str, tuple[date, date]] = {}
-        plans: list[_RoaPlan] = []
-        for roa in repository.roas:
-            certificate = repository.certificates.get(roa.certificate_id)
-            if certificate is None:
-                plans.append(
-                    _RoaPlan("orphan_roa", _NEVER, None, _NEVER, None)
-                )
-                continue
-            coverage_reason = (
-                None
-                if certificate.covers(roa.prefix)
-                else "roa_outside_certificate"
-            )
-            chain_window = chain_windows.get(certificate.certificate_id)
-            if chain_window is None:
-                chain_window = self._chain_window(certificate)
-                chain_windows[certificate.certificate_id] = chain_window
-            plans.append(
-                _RoaPlan(
-                    None,
-                    (roa.not_before, roa.not_after),
-                    coverage_reason,
-                    chain_window,
-                    VRP(
-                        prefix=roa.prefix,
-                        asn=roa.asn,
-                        max_length=roa.max_length,
-                        trust_anchor=certificate.trust_anchor,
-                    ),
-                )
-            )
-        return plans
+        return [
+            self._plan(roa, chain_windows) for roa in self._repository.roas
+        ]
+
+    def _plan(
+        self, roa: ROA, chain_windows: dict[str, tuple[date, date]]
+    ) -> _RoaPlan:
+        """One ROA's plan; ``chain_windows`` caches windows by certificate."""
+        certificate = self._repository.certificates.get(roa.certificate_id)
+        if certificate is None:
+            return _RoaPlan("orphan_roa", _NEVER, None, _NEVER, None)
+        coverage_reason = (
+            None
+            if certificate.covers(roa.prefix)
+            else "roa_outside_certificate"
+        )
+        chain_window = chain_windows.get(certificate.certificate_id)
+        if chain_window is None:
+            chain_window = self._chain_window(certificate)
+            chain_windows[certificate.certificate_id] = chain_window
+        return _RoaPlan(
+            None,
+            (roa.not_before, roa.not_after),
+            coverage_reason,
+            chain_window,
+            VRP(
+                prefix=roa.prefix,
+                asn=roa.asn,
+                max_length=roa.max_length,
+                trust_anchor=certificate.trust_anchor,
+            ),
+        )
 
     def _chain_window(
         self, certificate: ResourceCertificate

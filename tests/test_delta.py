@@ -24,6 +24,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from datetime import date
 from functools import lru_cache
 from pathlib import Path
 
@@ -43,21 +44,24 @@ from repro.delta import (
     LiveWorld,
     MemberJoined,
     RoaExpired,
+    RoaIssued,
     RouteCoverIndex,
     cold_rebuild,
     synthesize_events,
-    vrp_churn,
     vrp_delta,
 )
 from repro.errors import DeltaError
 from repro.experiments.registry import REGISTRY
+from repro.irr.validation import _classify as classify_irr
+from repro.irr.validation import validate_irr
 from repro.manrs.actions import Program
 from repro.manrs.registry import Participant
 from repro.net.prefix import Prefix
 from repro.registry.rir import RIR
 from repro.rpki.roa import ROA, VRP
 from repro.rpki.rov import ROVValidator
-from repro.scenario.build import build_world
+from repro.rpki.validator import RelyingParty
+from repro.scenario.build import build_world, route_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -132,7 +136,8 @@ vrp_strategy = st.builds(
 @settings(deadline=None)
 def test_verdict_diff_is_within_cover_set(old, new, routes):
     """Full-revalidation diff (before vs after) ⊆ the radix cover set."""
-    changed = vrp_delta(old, new)
+    added, removed = vrp_delta(old, new)
+    changed = {vrp.prefix for vrp in added + removed}
     cover = set(RouteCoverIndex(routes).affected(changed))
     before = ROVValidator(old).validate_many(routes)
     after = ROVValidator(new).validate_many(routes)
@@ -149,10 +154,9 @@ def test_vrp_delta_is_multiset_and_order_blind():
     other = Prefix.parse("192.168.0.0/16")
     a = VRP(prefix, 1, 8, list(RIR)[0])
     b = VRP(other, 2, 16, list(RIR)[0])
-    assert vrp_delta([a, b], [b, a]) == set()
-    assert vrp_delta([a, a, b], [a, b]) == {prefix}
-    assert vrp_churn([a, a, b], [a, b]) == (0, 1)
-    assert vrp_churn([a], [a, b, b]) == (2, 0)
+    assert vrp_delta([a, b], [b, a]) == ([], [])
+    assert vrp_delta([a, a, b], [a, b]) == ([], [a])
+    assert vrp_delta([a], [a, b, b]) == ([b, b], [])
 
 
 # -- replay == rebuild (the tentpole invariant) ------------------------------
@@ -188,6 +192,80 @@ def test_every_event_kind_checkpoints_equal_cold_rebuild():
         assert dataset_digests(live.world()) == dataset_digests(
             cold_rebuild(world, events[:applied])
         ), f"diverged after {applied} events ({type(event).__name__})"
+
+
+@pytest.mark.parametrize(
+    "event_seed, last_kind", [(1, "RouteObjectAdded"), (2, "RoaIssued")]
+)
+def test_advance_to_equals_cold_rebuild_at_the_instant(
+    small_world, event_seed, last_kind
+):
+    """Time shifts around a count-neutral ROA pair, then one more event.
+
+    The pair leaves every repository object count as it was, so only a
+    relying party keyed on the repository's mutation counter replans
+    for the second shift.
+    """
+    first, second = date(2021, 6, 1), date(2020, 3, 1)
+    issued, expired, last = synthesize_events(
+        small_world,
+        kinds=["RoaIssued", "RoaExpired", last_kind],
+        seed=event_seed,
+    )
+    assert expired.roa != issued.roa
+    live = LiveWorld(small_world)
+    live.advance_to(first)
+    live.apply(issued)
+    live.apply(expired)
+    live.advance_to(second)
+    live.apply(last)
+    assert live.current_date == second
+    assert dataset_digests(live.world()) == dataset_digests(
+        cold_rebuild(small_world, [issued, expired, last], as_of=second)
+    )
+
+
+def _event_route(event) -> tuple[Prefix, int]:
+    if isinstance(event, (RoaIssued, RoaExpired)):
+        return event.roa.prefix, event.roa.asn
+    return event.route.prefix, event.route.origin
+
+
+def test_verdict_memos_stay_sound_off_the_route_table(small_world):
+    """A memoised verdict for a route outside the table, on the next
+    event's own prefix, never outlives the event that changes it."""
+    table = set(route_table(small_world.originations))
+    events = synthesize_events(
+        small_world,
+        kinds=[
+            "RoaIssued", "RouteObjectAdded", "RoaExpired",
+            "RouteObjectRemoved", "RoaIssued", "RouteObjectAdded",
+            "RoaExpired", "RouteObjectRemoved",
+        ],
+        seed=8,
+    )
+    live = LiveWorld(small_world)
+    for event in events:
+        prefix, asn = _event_route(event)
+        origin = next(
+            candidate
+            for candidate in (asn, asn + 1, asn + 2)
+            if (prefix, candidate) not in table
+        )
+        before = live.world()
+        before.rov.validate(prefix, origin)
+        validate_irr(before.irr, prefix, origin)
+        live.apply(event)
+        after = live.world()
+        vrps = RelyingParty(after.rpki_repository).validate(
+            after.snapshot_date
+        ).vrps
+        assert after.rov.validate(prefix, origin) is ROVValidator(
+            vrps
+        ).validate(prefix, origin), type(event).__name__
+        assert validate_irr(after.irr, prefix, origin) is classify_irr(
+            after.irr.routes_covering(prefix), prefix, origin
+        ), type(event).__name__
 
 
 def test_live_world_at_instant_zero_is_the_base():
@@ -398,16 +476,12 @@ def test_tampered_year_sidecar_counts_as_corrupt(tmp_path, small_world):
     assert store.load_year_vrps(key, year, strict=True) is not None
 
 
-def test_year_validators_carry_nothing_under_numpy(small_world, monkeypatch):
+def test_year_validators_carry_nothing_under_numpy(small_world):
     # The saturation sweep answers coverage from each year's interval
-    # index and leaves the verdict memo empty, so no year seeds from its
-    # neighbour; each year is still validated exactly once.
+    # index and leaves the verdict memo empty, so no year has verdicts
+    # to carry to its neighbour; each year is validated exactly once.
     from repro.scenario.timeline import Timeline
 
-    def no_seed(self, other, changed):
-        raise AssertionError("year validators have no verdicts to carry")
-
-    monkeypatch.setattr(ROVValidator, "seed_from", no_seed)
     validated = obs.counters().get("timeline.rov_years_validated", 0)
     timeline = Timeline(small_world)
     timeline.saturation_series()

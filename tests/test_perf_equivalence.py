@@ -280,6 +280,10 @@ class TestIncrementalRelyingParty:
             slow = RelyingParty(repo).validate(as_of)
             assert sorted(fast.vrps, key=repr) == sorted(slow.vrps, key=repr)
             assert fast.rejected == slow.rejected, f"year={year}"
+            # One ROA at a time: a VRP exactly where the full run emits
+            # one, in the same (repository) order.
+            single = [incremental.vrp_at(roa, as_of) for roa in repo.roas]
+            assert [vrp for vrp in single if vrp is not None] == slow.vrps
 
     def test_detects_repository_growth(self):
         repo = self._repo()
@@ -295,6 +299,33 @@ class TestIncrementalRelyingParty:
         assert len(after.vrps) == len(before.vrps) + 1
         slow = RelyingParty(repo).validate(date(2022, 1, 1))
         assert sorted(after.vrps, key=repr) == sorted(slow.vrps, key=repr)
+
+    def test_count_neutral_edit_invalidates_plans(self):
+        # Publishing one ROA and withdrawing another leaves every object
+        # count as it was; the plans must still be rebuilt.  So must a
+        # lone withdrawal and a revocation.
+        repo = self._repo()
+        incremental = IncrementalRelyingParty(repo)
+        as_of = date(2022, 1, 1)
+
+        def assert_fresh():
+            fast = incremental.validate(as_of)
+            slow = RelyingParty(repo).validate(as_of)
+            assert sorted(fast.vrps, key=repr) == sorted(slow.vrps, key=repr)
+            assert fast.rejected == slow.rejected
+
+        incremental.validate(as_of)
+        withdrawn = repo.roas[0]
+        issued = ROA(Prefix.parse("12.9.0.0/16"), 65009, 16,
+                     withdrawn.certificate_id, self.T0, self.T9)
+        repo.add_roa(issued)
+        assert repo.remove_roa(withdrawn)
+        assert_fresh()
+        assert repo.remove_roa(issued)
+        assert not repo.remove_roa(issued)
+        assert_fresh()
+        repo.revoke(withdrawn.certificate_id)
+        assert_fresh()
 
     def test_timeline_rov_matches_fresh(self, small_world):
         timeline = Timeline(small_world)
