@@ -23,10 +23,14 @@ lint:
 	fi
 
 ## Observability tripwire: a tiny reproduce run must emit a parseable
-## trace whose span tree covers the build and every registry experiment.
+## trace whose span tree covers the build and every registry experiment,
+## and a tiny replay run one that covers the delta apply and checkpoint
+## spans and their cache counters.
 trace-smoke:
 	$(PYTHON) -m repro reproduce --scale 0.05 --trace-json /tmp/trace-smoke.json > /dev/null
 	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke.json
+	$(PYTHON) -m repro replay --scale 0.05 --trace-json /tmp/trace-smoke-replay.json > /dev/null
+	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke-replay.json
 
 ## Measurement-service smoke: start `repro serve` as a subprocess, then
 ## liveness -> cold build -> warm hit -> 304 -> metrics -> SIGINT.

@@ -3,7 +3,9 @@
 Checks that the document parses, that the span tree covers the world
 build and every registry experiment, and that the headline counters
 (routes propagated, memo hits) are present — the invariants the
-observability layer promises tooling.
+observability layer promises tooling.  A ``repro replay`` trace (one
+with a ``cli.replay`` root span) must cover the delta apply and
+checkpoint spans and their cache counters instead of the experiments.
 """
 
 from __future__ import annotations
@@ -35,19 +37,30 @@ def main(argv: list[str]) -> int:
     problems: list[str] = []
     if document.get("schema_version") != 1:
         problems.append("missing/unexpected schema_version")
+    roots = {node["name"] for node in document.get("spans", [])}
+    replay = "cli.replay" in roots
     names = span_names(document.get("spans", []))
-    for required in ("cli.build_world", "build.topology", "build.collect_rib"):
-        if required not in names:
-            problems.append(f"span tree misses {required}")
-    for name in REGISTRY:
-        if f"experiment.{name}" not in names:
-            problems.append(f"span tree misses experiment.{name}")
-    counters = document.get("metrics", {}).get("counters", {})
-    for required in (
+    required_spans = ["cli.build_world", "build.topology", "build.collect_rib"]
+    required_counters = [
         "collect.routes_propagated",
         "rov.memo_hits",
         "build.routes_classified",
-    ):
+    ]
+    if replay:
+        required_spans += [
+            "delta.apply",
+            "delta.materialise",
+            "delta.materialise.paths",
+            "delta.materialise.ihr",
+        ]
+        required_counters += ["delta.transit_hits", "propagation.cache_hits"]
+    else:
+        required_spans += [f"experiment.{name}" for name in REGISTRY]
+    for required in required_spans:
+        if required not in names:
+            problems.append(f"span tree misses {required}")
+    counters = document.get("metrics", {}).get("counters", {})
+    for required in required_counters:
         if required not in counters:
             problems.append(f"counters miss {required}")
     if problems:

@@ -44,13 +44,16 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from repro import obs
 from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass, covers_session
 from repro.errors import TopologyError
 from repro.kernels.csr import CollectionPlan, batch_paths
 from repro.topology.model import ASTopology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.bgp.collector import RibSnapshot
 
 __all__ = ["RouteKind", "Route", "PropagationEngine"]
 
@@ -304,17 +307,57 @@ class PropagationEngine:
         """Drop all memoised propagation results."""
         self._paths_cache.clear()
 
-    def adopt_cache(self, other: "PropagationEngine") -> int:
+    def seed_cache(self, rib: "RibSnapshot") -> int:
+        """Memoise the paths of a snapshot this engine's inputs produced.
+
+        The caller vouches that each group's paths are what
+        :meth:`paths_to` returns for its ``(origin, route class)`` at
+        ``rib.vantage_points`` — as a world's RIB is for the engine of
+        the same world.  A reopened world's engine starts with an empty
+        memo while its RIB holds exactly those paths, so seeding spares
+        the first collection over it a full re-propagation.  Existing
+        entries are kept; a no-op when the memo is disabled
+        (``paths_cache_size=0``).  Returns the number of entries added.
+        """
+        if self._paths_cache_size <= 0:
+            return 0
+        self.ensure_cache_capacity(len(rib.groups))
+        cache = self._paths_cache
+        vantage_points = tuple(rib.vantage_points)
+        seeded = 0
+        for group in rib.groups:
+            key = (
+                group.origin,
+                self.signature_id(group.route_class),
+                vantage_points,
+            )
+            if key not in cache:
+                cache[key] = group.paths
+                seeded += 1
+        while len(cache) > self._paths_cache_size:
+            cache.popitem(last=False)
+            self._cache_evictions += 1
+        obs.add("propagation.cache_seeded", seeded)
+        return seeded
+
+    def adopt_cache(
+        self,
+        other: "PropagationEngine",
+        skip_origins: Collection[int] = (),
+    ) -> int:
         """Carry memoised paths over from another engine where sound.
 
-        Cached entries transfer for route classes whose effective-filter
-        signatures are identical in both engines: propagation is a pure
-        function of (topology, class filters), so over the *same*
-        topology an identical signature guarantees identical paths.  The
-        caller is responsible for only pairing engines that share a
-        topology (the delta layer uses this after a policy flip, where
-        the topology is untouched and typically half the route classes
-        keep their signatures).  Returns the number of entries adopted.
+        An entry transfers when its route class has identical
+        effective-filter signatures in both engines and its origin is
+        not in ``skip_origins``.  Propagation is a pure function of
+        (topology, class filters), so the caller vouches that the two
+        topologies route every origin outside ``skip_origins`` alike.
+        The delta layer pairs engines two ways: after a policy flip the
+        topology is the same and nothing is skipped (typically half the
+        route classes keep their signatures); after a new peer link it
+        skips every origin inside either endpoint's customer cone, the
+        only origins whose routes can cross that link (DESIGN §16).
+        Returns the number of entries adopted.
         """
         classes = ROUTE_CLASSES.values()
         mine = {
@@ -334,7 +377,7 @@ class PropagationEngine:
         adopted = 0
         for (origin, sig_id, vantage_points), paths in other._paths_cache.items():
             my_id = id_map.get(sig_id)
-            if my_id is None:
+            if my_id is None or origin in skip_origins:
                 continue
             key = (origin, my_id, vantage_points)
             if key not in cache:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.bgp.collector import RibSnapshot
 from repro.errors import DatasetError
-from repro.net.prefix import Prefix, aggregate_address_count
+from repro.net.prefix import Prefix, address_key, aggregate_address_count
 
 __all__ = [
     "Prefix2AS",
@@ -111,7 +111,7 @@ class Prefix2AS:
     @property
     def prefixes(self) -> list[Prefix]:
         """All routed prefixes in address order."""
-        return sorted(self._origin_map())
+        return sorted(self._origin_map(), key=address_key)
 
     def _origin_index(self) -> dict[int, list[Prefix]]:
         if self._by_origin is None:
@@ -178,9 +178,10 @@ class Prefix2AS:
 
 def serialize_prefix2as(mapping: Prefix2AS) -> str:
     """Render the CAIDA tab-separated prefix2as format."""
+    origin_map = mapping._origin_map()  # noqa: SLF001 - read once, not per prefix
     lines = []
     for prefix in mapping.prefixes:
-        origins = ",".join(str(asn) for asn in sorted(mapping.origins_of(prefix)))
+        origins = ",".join(map(str, sorted(origin_map[prefix])))
         lines.append(f"{prefix.network_address}\t{prefix.length}\t{origins}")
     return "\n".join(lines) + "\n"
 

@@ -18,8 +18,13 @@ what each event can affect:
   registry-wide index is rebuilt.
 * **Membership events** touch nothing derived (the participants dataset
   serialises straight from the registry).
-* **Topology events** rebuild the propagation engine (structure
-  changed; no cached path is sound) and mark size classes stale.
+* **Topology events** rebuild the propagation engine and mark size
+  classes stale.  After a new *peer* link the engine adopts every cached
+  path whose origin lies outside both endpoints' customer cones: only
+  ASes holding a customer or origin route export over a peer link, and
+  for an origin those are the origin and its transitive providers, so
+  no route toward an origin outside both cones can cross the link.  A
+  new provider–customer link invalidates every cached path.
 * **Policy flips** rebuild the engine against the new policy table but
   adopt every cached path whose effective-filter signature is unchanged
   (:meth:`~repro.bgp.propagation.PropagationEngine.adopt_cache`).
@@ -31,10 +36,13 @@ verdict maps that hold every table route's current verdict.
 Verdict changes *regroup* routes among (origin, route class) buckets;
 :meth:`LiveWorld.world` then materialises a full ``World`` by replaying
 exactly the builder's collection and IHR derivation over the current
-buckets — propagation comes from the (mostly warm) engine memo and
-transit scoring from a per-group cache keyed on everything a group's
-hegemony depends on — and assembles it through
+buckets — propagation comes from the engine memo and transit scoring
+from a per-group cache that re-scores a group only when its paths
+changed — and assembles it through
 :meth:`~repro.delta.events.DeltaState.world`, as the cold rebuild does.
+Both caches start warm: the constructor seeds the engine memo from the
+base world's RIB and the transit cache from its RIB and IHR tables, so
+a checkpoint re-derives only the groups the events reached.
 The result must digest-equal :func:`~repro.delta.rebuild.cold_rebuild`
 of the same events, which runs the builder's own
 :func:`~repro.scenario.build.derive_measurements` — the replay==rebuild
@@ -45,6 +53,7 @@ of ``tests/test_parity.py``.
 from __future__ import annotations
 
 from datetime import date
+from typing import Collection
 
 from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
@@ -55,12 +64,18 @@ from repro.delta.cover import RouteCoverIndex, vrp_delta
 from repro.delta.events import (
     DeltaState,
     Event,
+    LinkAdded,
     RoaExpired,
     RoaIssued,
     apply_raw,
 )
 from repro.ihr.pipeline import transit_groups_indexed
-from repro.ihr.records import IHRDataset, PrefixOriginRecord, TransitGroup
+from repro.ihr.records import (
+    IHRDataset,
+    PrefixOriginRecord,
+    TransitGroup,
+    TransitInfo,
+)
 from repro.irr.validation import (
     IRRStatus,
     seed_memo,
@@ -73,8 +88,13 @@ from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
 from repro.scenario.build import Measurements, route_table
 from repro.scenario.world import World
+from repro.topology.model import ASTopology, Relationship
 
 __all__ = ["LiveWorld", "run_job_at"]
+
+#: A group's vantage-point paths and their transit scores (None when no
+#: path has a transit AS).
+_TransitEntry = tuple[dict[int, tuple[int, ...]], dict[int, TransitInfo] | None]
 
 
 class LiveWorld:
@@ -107,12 +127,11 @@ class LiveWorld:
                 (asn, self._route_class(prefix, asn)), set()
             ).add(prefix)
         self._engine: PropagationEngine = base.engine
-        self._topo_version = 0
-        # Interned effective-filter signatures, surviving engine
-        # rebuilds: the transit cache keys on them so a policy flip only
-        # invalidates the route classes whose filters actually changed.
-        self._signature_ids: dict[tuple, int] = {}
-        self._transit_cache: dict[tuple, TransitGroup | None] = {}
+        # Both caches start from the base world, whose RIB holds exactly
+        # the paths its engine computes per group and whose IHR tables
+        # hold their transit scores.
+        self._engine.seed_cache(base.rib)
+        self._transit_cache = _transit_entries(base.rib, base.ihr)
         self._events_applied = 0
         self._cached_world: World | None = base
 
@@ -141,14 +160,6 @@ class LiveWorld:
             )
         ]
 
-    def _signature_id(self, engine: PropagationEngine, rc: RouteClass) -> int:
-        signature = engine.class_filters(rc).signature
-        sig_id = self._signature_ids.get(signature)
-        if sig_id is None:
-            sig_id = len(self._signature_ids)
-            self._signature_ids[signature] = sig_id
-        return sig_id
-
     # -- event application ---------------------------------------------------
 
     def apply(self, event: Event) -> str:
@@ -164,10 +175,9 @@ class LiveWorld:
             elif domain == "irr":
                 self._reclassify_irr(event.route.prefix)
             elif domain == "topology":
-                self._rebuild_engine(adopt=False)
-                self._topo_version += 1
+                self._follow_link(event)
             elif domain == "policy":
-                self._rebuild_engine(adopt=True)
+                self._rebuild_engine()
             # "manrs" events only touch the participants dataset, which
             # serialises straight from the (already mutated) registry.
             self._events_applied += 1
@@ -277,14 +287,33 @@ class LiveWorld:
         self._groups.setdefault((asn, new_class), set()).add(prefix)
         obs.add("delta.routes_regrouped")
 
-    def _rebuild_engine(self, adopt: bool) -> None:
+    def _follow_link(self, event: LinkAdded) -> None:
+        """Rebuild the engine over the grown topology.
+
+        A new peer link only carries routes toward origins inside either
+        endpoint's customer cone (see the module docstring), so every
+        other origin's cached paths stay sound.  A new provider–customer
+        link changes customer routes themselves; nothing is carried.
+        """
+        if event.relationship is Relationship.PEER:
+            self._rebuild_engine(
+                skip_origins=_customer_cones(
+                    self._state.topology, event.a, event.b
+                )
+            )
+        else:
+            self._rebuild_engine(adopt=False)
+
+    def _rebuild_engine(
+        self, adopt: bool = True, skip_origins: Collection[int] = ()
+    ) -> None:
         previous = self._engine
         self._engine = PropagationEngine(
             self._state.topology, self._state.policies
         )
         obs.add("delta.engine_rebuilds")
         if adopt:
-            carried = self._engine.adopt_cache(previous)
+            carried = self._engine.adopt_cache(previous, skip_origins)
             obs.add("delta.paths_carried", carried)
 
     # -- materialisation -----------------------------------------------------
@@ -311,7 +340,8 @@ class LiveWorld:
         )
         vantage_points = base.vantage_points
         engine.ensure_cache_capacity(len(keys))
-        paths_by_key = engine.paths_to_many(keys, vantage_points)
+        with obs.span("delta.materialise.paths", groups=len(keys)):
+            paths_by_key = engine.paths_to_many(keys, vantage_points)
         groups = [
             RouteGroup(
                 origin=origin,
@@ -322,11 +352,13 @@ class LiveWorld:
             for (origin, route_class), paths in zip(keys, paths_by_key)
         ]
         rib = RibSnapshot(vantage_points=vantage_points, groups=groups)
+        with obs.span("delta.materialise.ihr"):
+            ihr = self._derive_ihr(rib)
         measured = Measurements(
             engine=engine,
             rov=self._rov,
             rib=rib,
-            ihr=self._derive_ihr(rib, engine),
+            ihr=ihr,
             prefix2as=Prefix2AS.from_rib(rib),
         )
         return self._state.world(base, self._date, measured)
@@ -346,23 +378,29 @@ class LiveWorld:
             seed_memo(self._state.irr, self._irr_status)
             self._irr_seeded = True
 
-    def _derive_ihr(
-        self, rib: RibSnapshot, engine: PropagationEngine
-    ) -> IHRDataset:
-        """The IHR tables, with per-group transit results cached.
+    def _derive_ihr(self, rib: RibSnapshot) -> IHRDataset:
+        """The IHR tables, re-scoring only groups whose paths changed.
 
         Record order mirrors :func:`repro.ihr.pipeline.build_ihr_dataset`
         exactly: prefix origins in visible-group order, transit groups in
-        visible order restricted to groups with scores.  A group's transit
-        result is a pure function of (origin, effective-filter signature,
-        topology state, prefixes, statuses) — everything in the cache key
-        — so cached entries splice in byte-identically.
+        visible order restricted to groups with scores.  Hegemony scores
+        read only a group's paths and the type of each link on them, and
+        a link's type never changes (links are only added, and
+        ``add_link`` refuses an existing pair), so a group whose paths
+        are unchanged keeps its cached scores.  Paths compare in
+        vantage-point order, which the scoring kernel's per-group
+        emission order follows.  Each :class:`TransitGroup` is built from
+        the group's current prefixes and statuses, so a verdict flip
+        that moves a prefix between groups forces no re-score.  The
+        cache keeps one entry per visible group.
         """
         visible = [group for group in rib.groups if group.paths]
         prefix_origins: list[PrefixOriginRecord] = []
         group_statuses: list[tuple] = []
-        cache_keys: list[tuple] = []
-        for group in visible:
+        previous = self._transit_cache
+        cache: dict[tuple[int, RouteClass], _TransitEntry] = {}
+        misses: list[int] = []
+        for index, group in enumerate(visible):
             statuses = tuple(
                 (
                     self._rpki_status[(prefix, group.origin)],
@@ -384,43 +422,95 @@ class LiveWorld:
                         visibility=visibility,
                     )
                 )
-            cache_keys.append(
-                (
-                    group.origin,
-                    self._signature_id(engine, group.route_class),
-                    self._topo_version,
-                    group.prefixes,
-                    statuses,
-                )
-            )
-        miss_indices = [
-            index
-            for index, cache_key in enumerate(cache_keys)
-            if cache_key not in self._transit_cache
-        ]
-        obs.add("delta.transit_hits", len(visible) - len(miss_indices))
-        obs.add("delta.transit_misses", len(miss_indices))
-        if miss_indices:
+            key = (group.origin, group.route_class)
+            entry = previous.get(key)
+            if entry is not None and _same_paths(entry[0], group.paths):
+                cache[key] = entry
+            else:
+                misses.append(index)
+        obs.add("delta.transit_hits", len(visible) - len(misses))
+        obs.add("delta.transit_misses", len(misses))
+        if misses:
             scored = dict(
                 transit_groups_indexed(
-                    [visible[i] for i in miss_indices],
-                    [group_statuses[i] for i in miss_indices],
+                    [visible[i] for i in misses],
+                    [group_statuses[i] for i in misses],
                     self._state.topology,
                 )
             )
-            for local, index in enumerate(miss_indices):
-                self._transit_cache[cache_keys[index]] = scored.get(local)
+            for local, index in enumerate(misses):
+                group = visible[index]
+                transit_group = scored.get(local)
+                cache[(group.origin, group.route_class)] = (
+                    group.paths,
+                    None if transit_group is None else transit_group.transits,
+                )
+        self._transit_cache = cache
         transit_groups = [
-            transit_group
-            for cache_key in cache_keys
-            for transit_group in (self._transit_cache[cache_key],)
-            if transit_group is not None
+            TransitGroup(
+                origin=group.origin,
+                prefixes=group.prefixes,
+                statuses=statuses,
+                transits=transits,
+                visibility=len(group.paths),
+            )
+            for group, statuses in zip(visible, group_statuses)
+            for transits in (cache[(group.origin, group.route_class)][1],)
+            if transits is not None
         ]
         obs.add("ihr.prefix_origins", len(prefix_origins))
         obs.add("ihr.transit_groups", len(transit_groups))
         return IHRDataset(
             prefix_origins=prefix_origins, transit_groups=transit_groups
         )
+
+
+def _same_paths(
+    cached: dict[int, tuple[int, ...]], current: dict[int, tuple[int, ...]]
+) -> bool:
+    """Equal paths in the same vantage-point order (dict ``==`` alone
+    ignores order)."""
+    return cached == current and list(cached) == list(current)
+
+
+def _transit_entries(
+    rib: RibSnapshot, ihr: IHRDataset
+) -> dict[tuple[int, RouteClass], _TransitEntry]:
+    """The transit cache of a built world: one entry per visible group.
+
+    ``ihr.transit_groups`` is the visible groups in order, restricted to
+    those with scores; a transit group belongs to the visible group with
+    its origin and prefixes (one origin's groups hold disjoint prefixes).
+    Should the tables not line up, the cache starts empty instead.
+    """
+    cache: dict[tuple[int, RouteClass], _TransitEntry] = {}
+    transit_groups = iter(ihr.transit_groups)
+    pending = next(transit_groups, None)
+    for group in rib.groups:
+        if not group.paths:
+            continue
+        transits = None
+        if (
+            pending is not None
+            and pending.origin == group.origin
+            and pending.prefixes == group.prefixes
+        ):
+            transits = pending.transits
+            pending = next(transit_groups, None)
+        cache[(group.origin, group.route_class)] = (group.paths, transits)
+    return cache if pending is None else {}
+
+
+def _customer_cones(topology: ASTopology, *roots: int) -> set[int]:
+    """``roots`` and every AS below them along customer links."""
+    cone = set(roots)
+    stack = list(cone)
+    while stack:
+        for customer in topology.customers_of(stack.pop()):
+            if customer not in cone:
+                cone.add(customer)
+                stack.append(customer)
+    return cone
 
 
 def run_job_at(job, at: str) -> dict[str, dict[str, str]]:

@@ -31,6 +31,19 @@ __all__ = [
 
 RPSLObject = RouteObject | AutNumObject | AsSetObject | MntnerObject
 
+#: ``attribute:`` padded so values start in column 17 (at least one
+#: space after the colon), for every attribute :func:`serialize_object`
+#: writes.
+_LABELS = {
+    attribute: f"{attribute}:".ljust(15) + " "
+    for attribute in (
+        "route", "route6", "descr", "origin", "mnt-by", "created",
+        "last-modified", "source", "aut-num", "as-name", "import",
+        "export", "admin-c", "tech-c", "as-set", "members", "mntner",
+        "auth",
+    )
+}
+
 
 def parse_rpsl_blocks(text: str) -> list[list[tuple[str, str]]]:
     """Split RPSL text into blocks of (attribute, value) pairs."""
@@ -145,24 +158,33 @@ def _parse_object_inner(block: list[tuple[str, str]]) -> RPSLObject:
 
 
 def serialize_object(obj: RPSLObject) -> str:
-    """Render one typed object as RPSL text."""
-    lines: list[str] = []
+    """Render one typed object as RPSL text (empty attributes omitted)."""
+    labels = _LABELS
+    if isinstance(obj, RouteObject):
+        # Route objects fill whole database dumps, so their lines are
+        # written straight from the padded labels.
+        lines = [labels[obj.rpsl_class] + str(obj.prefix)]
+        if obj.descr:
+            lines.append(labels["descr"] + obj.descr)
+        lines.append(labels["origin"] + format_asn(obj.origin))
+        if obj.mnt_by:
+            lines.append(labels["mnt-by"] + obj.mnt_by)
+        if obj.created:
+            lines.append(labels["created"] + obj.created.isoformat())
+        if obj.last_modified:
+            lines.append(
+                labels["last-modified"] + obj.last_modified.isoformat()
+            )
+        if obj.source:
+            lines.append(labels["source"] + obj.source)
+        return "\n".join(lines) + "\n"
+    lines = []
 
     def put(attribute: str, value: str) -> None:
         if value:
-            lines.append(f"{attribute}:{' ' * max(1, 16 - len(attribute) - 1)}{value}")
+            lines.append(labels[attribute] + value)
 
-    if isinstance(obj, RouteObject):
-        put(obj.rpsl_class, str(obj.prefix))
-        put("descr", obj.descr)
-        put("origin", format_asn(obj.origin))
-        put("mnt-by", obj.mnt_by)
-        if obj.created:
-            put("created", obj.created.isoformat())
-        if obj.last_modified:
-            put("last-modified", obj.last_modified.isoformat())
-        put("source", obj.source)
-    elif isinstance(obj, AutNumObject):
+    if isinstance(obj, AutNumObject):
         put("aut-num", format_asn(obj.asn))
         put("as-name", obj.as_name or "UNNAMED")
         for line in obj.import_lines:

@@ -23,6 +23,7 @@ from repro.errors import PrefixError
 
 __all__ = [
     "Prefix",
+    "address_key",
     "aggregate_address_count",
     "coalesce",
 ]
@@ -74,7 +75,10 @@ def _parse_v6(text: str) -> int:
 
 
 def _format_v4(value: int) -> str:
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return (
+        f"{value >> 24}.{(value >> 16) & 0xFF}."
+        f"{(value >> 8) & 0xFF}.{value & 0xFF}"
+    )
 
 
 def _format_v6(value: int) -> str:
@@ -323,6 +327,17 @@ class Prefix:
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
+
+
+def address_key(prefix: Prefix) -> tuple[int, int, int]:
+    """The ``(version, value, length)`` tuple prefixes are ordered by.
+
+    ``sorted(prefixes, key=address_key)`` gives the order of
+    ``sorted(prefixes)`` (stable on ties, like any key sort) while
+    comparing plain int tuples instead of calling :meth:`Prefix.__lt__`
+    per comparison.
+    """
+    return (prefix._version, prefix._value, prefix._length)
 
 
 def aggregate_address_count(prefixes: Iterable[Prefix]) -> int:

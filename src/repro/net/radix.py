@@ -242,19 +242,26 @@ class RadixTree(Generic[V]):
         return bool(node.values)
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
-        """Iterate over every (prefix, value) pair in address order."""
-        for version in (4, 6):
-            yield from self._walk(self._roots[version], 0, 0, version)
+        """Iterate over every (prefix, value) pair in address order.
 
-    def _walk(
-        self, node: _Node[V], value: int, depth: int, version: int
-    ) -> Iterator[tuple[Prefix, V]]:
-        if node.values:
-            bits = 32 if version == 4 else 128
-            prefix = Prefix(value << (bits - depth) if depth else 0, depth, version)
-            for stored in node.values:
-                yield prefix, stored
-        for bit in (0, 1):
-            child = node.children[bit]
-            if child is not None:
-                yield from self._walk(child, (value << 1) | bit, depth + 1, version)
+        A pre-order walk, 0-child first, with each node's values in
+        insertion order: ascending ``(version, value, length)``, ties in
+        insertion order.  An explicit stack keeps the per-item cost flat
+        (nested generators would re-yield each item once per trie
+        level), and each node's prefix is built once, unchecked, from
+        the bits that led to it.
+        """
+        trusted = Prefix._from_trusted  # noqa: SLF001 - bits are a valid prefix
+        for version, bits in ((4, 32), (6, 128)):
+            stack = [(self._roots[version], 0, 0)]
+            while stack:
+                node, value, depth = stack.pop()
+                if node.values:
+                    prefix = trusted(value << (bits - depth), depth, version)
+                    for stored in node.values:
+                        yield prefix, stored
+                zero, one = node.children
+                if one is not None:
+                    stack.append((one, (value << 1) | 1, depth + 1))
+                if zero is not None:
+                    stack.append((zero, value << 1, depth + 1))

@@ -28,7 +28,7 @@ from repro import config as _config
 from repro import obs
 from repro.config import RuntimeConfig
 from repro.kernels.intervals import RouteIntervalIndex
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, address_key
 from repro.net.radix import RadixTree
 from repro.rpki.roa import VRP
 from repro.shard import (
@@ -141,8 +141,13 @@ class ROVValidator:
         return index
 
     def all_vrps(self) -> list[VRP]:
-        """Every loaded VRP, in address order."""
-        return [vrp for _, vrp in self._trie().items()]
+        """Every loaded VRP, in address order.
+
+        The order the trie would list them in — address order, equal
+        prefixes in load order — from one stable key sort, so listing
+        never builds the trie.
+        """
+        return sorted(self._vrps, key=lambda vrp: address_key(vrp.prefix))
 
     def covering_vrps(self, prefix: Prefix) -> list[VRP]:
         """All VRPs whose prefix contains ``prefix``."""

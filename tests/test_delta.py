@@ -8,7 +8,11 @@ an every-event-kind checkpoint walk, and a committed golden replay
 digest on the shared ``small_world``.  The cover set that makes the
 incremental path cheap is property-tested against a brute-force
 containment scan, through both its searchsorted kernel and the bisect
-reference it keeps for IPv6.
+reference it keeps for IPv6.  Link events the synthesizer never draws
+(a provider–customer link, a peer link between large transits) get a
+hand-built checkpoint walk, and what a checkpoint re-derives is pinned
+twice: paths adopted across a peer link against an uncached engine,
+and the re-propagation and re-scoring counts after a stub–stub link.
 
 The satellites ride along: the ``repro.perf`` removal-window guards, the
 tampered year-snapshot counter, and the serving layer's ``at=``
@@ -18,6 +22,7 @@ live-world hook.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import subprocess
 import sys
@@ -33,6 +38,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.bgp.collector import RibSnapshot
+from repro.bgp.propagation import PropagationEngine
 from repro.datasets.checkpoint import (
     CheckpointStore,
     checkpoint_key,
@@ -41,6 +47,7 @@ from repro.datasets.checkpoint import (
 )
 from repro.delta import (
     EVENT_KINDS,
+    LinkAdded,
     LiveWorld,
     MemberJoined,
     RoaExpired,
@@ -62,6 +69,7 @@ from repro.rpki.roa import ROA, VRP
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import RelyingParty
 from repro.scenario.build import build_world, route_table
+from repro.topology.model import Relationship
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -194,6 +202,65 @@ def test_every_event_kind_checkpoints_equal_cold_rebuild():
         ), f"diverged after {applied} events ({type(event).__name__})"
 
 
+def _largest_unlinked_pair(topology) -> tuple[int, int]:
+    """The two unlinked ASes, among the 20 with the largest customer
+    cones, whose smaller cone is largest."""
+    cone = {asn: len(topology.customer_cone(asn)) for asn in topology.asns}
+    top = sorted(topology.asns, key=lambda asn: (-cone[asn], asn))[:20]
+    return max(
+        (pair for pair in itertools.combinations(top, 2)
+         if not topology.linked(*pair)),
+        key=lambda pair: (min(cone[pair[0]], cone[pair[1]]), -pair[0], -pair[1]),
+    )
+
+
+def _unlinked_stubs(world) -> tuple[int, int]:
+    """Two unlinked origins with no customers, outside the vantage
+    points."""
+    topology = world.topology
+    stubs = [
+        asn
+        for asn in sorted({group.origin for group in world.rib.groups})
+        if not topology.customers_of(asn)
+        and asn not in world.vantage_points
+    ]
+    return next(
+        pair for pair in itertools.combinations(stubs, 2)
+        if not topology.linked(*pair)
+    )
+
+
+def test_link_events_checkpoint_equal_cold_rebuild():
+    """Hand-built links the synthesizer never draws: a customerless
+    vantage point becomes the customer of the largest transit (its paths
+    toward origins outside both cones change too, so no cached path may
+    be kept), then two large transits peer (paths toward origins outside
+    their cones are kept)."""
+    world = delta_world()
+    topology = world.topology
+    transit = max(
+        topology.asns,
+        key=lambda asn: (len(topology.customer_cone(asn)), -asn),
+    )
+    stub = next(
+        asn
+        for asn in world.vantage_points
+        if not topology.customers_of(asn)
+        and not topology.linked(transit, asn)
+    )
+    a, b = _largest_unlinked_pair(topology)
+    events = [
+        LinkAdded(transit, stub, Relationship.PROVIDER_CUSTOMER),
+        LinkAdded(a, b, Relationship.PEER),
+    ]
+    live = LiveWorld(world)
+    for applied, event in enumerate(events, start=1):
+        live.apply(event)
+        assert dataset_digests(live.world()) == dataset_digests(
+            cold_rebuild(world, events[:applied])
+        ), f"diverged after {event}"
+
+
 @pytest.mark.parametrize(
     "event_seed, last_kind", [(1, "RouteObjectAdded"), (2, "RoaIssued")]
 )
@@ -266,6 +333,68 @@ def test_verdict_memos_stay_sound_off_the_route_table(small_world):
         assert validate_irr(after.irr, prefix, origin) is classify_irr(
             after.irr.routes_covering(prefix), prefix, origin
         ), type(event).__name__
+
+
+# -- what a checkpoint re-derives --------------------------------------------
+
+
+def _paths_in_order(engine, keys, vantage_points):
+    return [
+        list(engine.paths_to(origin, vantage_points, route_class).items())
+        for origin, route_class in keys
+    ]
+
+
+def test_peer_link_adoption_matches_an_uncached_engine(small_world):
+    """Paths adopted across a new peer link, skipping both endpoints'
+    customer cones, are what an uncached engine computes; adopting every
+    path is not (the control that shows this test can fail)."""
+    topology, policies = small_world.topology, small_world.policies
+    vantage_points = small_world.vantage_points
+    keys = [(group.origin, group.route_class) for group in small_world.rib.groups]
+    previous = PropagationEngine(topology, policies)
+    previous.paths_to_many(keys, vantage_points)
+    large = _largest_unlinked_pair(topology)
+    stubs = _unlinked_stubs(small_world)
+    for a, b in (large, stubs):
+        grown = topology.copy()
+        grown.add_link(a, b, Relationship.PEER)
+        cones = grown.customer_cone(a) | grown.customer_cone(b)
+        expected = _paths_in_order(
+            PropagationEngine(grown, policies, paths_cache_size=0),
+            keys,
+            vantage_points,
+        )
+        adopting = PropagationEngine(grown, policies)
+        assert adopting.adopt_cache(previous, cones) > 0
+        assert _paths_in_order(adopting, keys, vantage_points) == expected, (a, b)
+        if (a, b) == large:
+            careless = PropagationEngine(grown, policies)
+            careless.adopt_cache(previous)
+            assert _paths_in_order(careless, keys, vantage_points) != expected
+
+
+def test_stub_peer_link_rederives_only_the_stubs_groups(small_world):
+    """After a peer link between two customerless, non-vantage-point
+    stubs, a checkpoint re-propagates only the stubs' own route groups
+    and re-scores no group (no vantage-point path changed)."""
+    a, b = _unlinked_stubs(small_world)
+    live = LiveWorld(small_world)
+    live.apply(LinkAdded(a, b, Relationship.PEER))
+    before = obs.counters()
+    live.world()
+    after = obs.counters()
+
+    def moved(name: str) -> float:
+        return after.get(name, 0) - before.get(name, 0)
+
+    stub_groups = sum(
+        group.origin in (a, b) for group in small_world.rib.groups
+    )
+    assert stub_groups > 0
+    assert moved("delta.transit_misses") == 0
+    assert moved("delta.transit_hits") > 0
+    assert moved("propagation.cache_misses") == stub_groups
 
 
 def test_live_world_at_instant_zero_is_the_base():

@@ -89,8 +89,63 @@ class TestRPSLCodec:
             created=date(2021, 1, 1),
             last_modified=date(2022, 1, 1),
         )
-        recovered = parse_object(parse_rpsl_blocks(serialize_object(route))[0])
-        assert recovered == route
+        bare6 = RouteObject(
+            prefix=_p("2001:db8::/32"),
+            origin=65002,
+            source="RIPE",
+            mnt_by="MAINT-Y",
+        )
+        dated6 = RouteObject(
+            prefix=_p("2001:db8:1::/48"),
+            origin=65003,
+            source="RADB",
+            mnt_by="MAINT-Z",
+            descr="v6 route",
+            created=date(2020, 5, 17),
+            last_modified=date(2023, 2, 3),
+        )
+        bare4 = RouteObject(
+            prefix=_p("192.0.2.0/24"),
+            origin=4200000000,
+            source="ARIN",
+            mnt_by="MAINT-W",
+        )
+        # The exact text, so the IRR dump's bytes are pinned here too.
+        expected = {
+            route: (
+                "route:          12.0.0.0/16\n"
+                "descr:          test route\n"
+                "origin:         AS65001\n"
+                "mnt-by:         MAINT-X\n"
+                "created:        2021-01-01\n"
+                "last-modified:  2022-01-01\n"
+                "source:         RADB\n"
+            ),
+            bare6: (
+                "route6:         2001:db8::/32\n"
+                "origin:         AS65002\n"
+                "mnt-by:         MAINT-Y\n"
+                "source:         RIPE\n"
+            ),
+            dated6: (
+                "route6:         2001:db8:1::/48\n"
+                "descr:          v6 route\n"
+                "origin:         AS65003\n"
+                "mnt-by:         MAINT-Z\n"
+                "created:        2020-05-17\n"
+                "last-modified:  2023-02-03\n"
+                "source:         RADB\n"
+            ),
+            bare4: (
+                "route:          192.0.2.0/24\n"
+                "origin:         AS4200000000\n"
+                "mnt-by:         MAINT-W\n"
+                "source:         ARIN\n"
+            ),
+        }
+        for obj, text in expected.items():
+            assert serialize_object(obj) == text
+            assert parse_object(parse_rpsl_blocks(text)[0]) == obj
 
     def test_aut_num_roundtrip(self):
         aut_num = AutNumObject(

@@ -133,10 +133,37 @@ def test_covered_matches_bruteforce(stored, query):
     assert sorted(tree.covered(query)) == expected
 
 
-@given(st.lists(prefix_strategy, min_size=1, max_size=25))
+prefix_v6_strategy = st.builds(
+    lambda value, length: Prefix.from_host(value, length, 6),
+    st.integers(min_value=0, max_value=2**128 - 1),
+    st.integers(min_value=0, max_value=64),
+)
+
+#: A few short prefixes in a tiny address space, so lists repeat and
+#: nest prefixes: per-prefix insertion order and parent-before-child
+#: order both get exercised.
+crowded_strategy = st.builds(
+    lambda value, length: Prefix.from_host(value << 29, length, 4),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+@given(
+    st.lists(
+        st.one_of(prefix_strategy, prefix_v6_strategy, crowded_strategy),
+        min_size=1,
+        max_size=25,
+    )
+)
 def test_items_roundtrip(stored):
+    """``items()`` is the stable ``(version, value, length)`` sort of the
+    insertion pairs: address order, equal prefixes in insertion order."""
     tree: RadixTree[int] = RadixTree()
     for index, prefix in enumerate(stored):
         tree.insert(prefix, index)
-    recovered = sorted((p, v) for p, v in tree.items())
-    assert recovered == sorted(zip(stored, range(len(stored))))
+    expected = sorted(
+        zip(stored, range(len(stored))),
+        key=lambda item: (item[0].version, item[0].value, item[0].length),
+    )
+    assert list(tree.items()) == expected
