@@ -3,12 +3,15 @@
 CAIDA's Routeviews prefix2as files map each routed prefix to the origin
 AS(es) observed at the collectors.  The paper uses them for routed address
 space accounting (Figures 4b and 6) and registration completeness
-(Finding 7.0).  We derive the same mapping from a :class:`RibSnapshot` and
-serialise it in the upstream tab-separated format
-(``<network>\t<length>\t<asn[,asn...]>``).
+(Finding 7.0).  We derive the same mapping from the collectors' visible
+``(origin, prefixes)`` groups — a :class:`RibSnapshot`'s, or the same
+groups read from a checkpoint's stored RIB columns — and serialise it in
+the upstream tab-separated format (``<network>\t<length>\t<asn[,asn...]>``).
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -66,14 +69,42 @@ class V4Columns:
         self.unique_inverse = inverse
 
 
+def _build_origin_map(
+    groups: Iterable[tuple[int, Iterable[Prefix]]],
+) -> dict[Prefix, frozenset[int]]:
+    """Prefix → origin ASes over visible ``(origin, prefixes)`` groups.
+
+    The one builder behind both feeds: :meth:`Prefix2AS.from_rib` walks
+    a snapshot's groups, and a checkpoint's lazy world walks the same
+    groups in the same order straight from the stored RIB columns
+    (:meth:`Prefix2AS.from_groups`).  Keys are in first-sighting order,
+    group by group and prefix by prefix, so the two feeds give equal
+    mappings item for item.  Single-origin prefixes (nearly all of
+    them) share one frozenset per origin.
+    """
+    origins: dict[Prefix, frozenset[int]] = {}
+    singles: dict[int, frozenset[int]] = {}
+    for origin, prefixes in groups:
+        single = singles.get(origin)
+        if single is None:
+            single = singles[origin] = frozenset((origin,))
+        for prefix in prefixes:
+            seen = origins.setdefault(prefix, single)
+            if origin not in seen:
+                origins[prefix] = seen | single
+    return origins
+
+
 class Prefix2AS:
     """An immutable prefix → origin-AS mapping snapshot.
 
     Built from a RIB the mapping is *lazy*: :meth:`from_rib` only keeps
     a reference to the snapshot and the prefix → origins dict
-    materialises on first use.  Both world builds and checkpoint
-    restores construct a Prefix2AS unconditionally, while many callers
-    (unit experiments, cache warms) never query it.
+    materialises on first use, since a world build constructs a
+    Prefix2AS unconditionally while many callers (unit experiments,
+    cache warms) never query it.  A checkpoint's lazy world builds its
+    mapping with :meth:`from_groups` from the stored RIB columns
+    instead, so reading ``prefix2as`` never decodes the RIB's paths.
     """
 
     def __init__(self, origins: dict[Prefix, frozenset[int]]):
@@ -92,15 +123,22 @@ class Prefix2AS:
         mapping._rib = snapshot
         return mapping
 
+    @classmethod
+    def from_groups(
+        cls, groups: Iterable[tuple[int, Iterable[Prefix]]]
+    ) -> "Prefix2AS":
+        """Build the mapping now from visible ``(origin, prefixes)`` groups."""
+        mapping = cls({})
+        mapping._origins = _build_origin_map(groups)
+        return mapping
+
     def _origin_map(self) -> dict[Prefix, frozenset[int]]:
         if self._origins is None:
-            origins: dict[Prefix, set[int]] = {}
-            for group in self._rib.groups:
-                if not group.paths:
-                    continue
-                for prefix in group.prefixes:
-                    origins.setdefault(prefix, set()).add(group.origin)
-            self._origins = {p: frozenset(o) for p, o in origins.items()}
+            self._origins = _build_origin_map(
+                (group.origin, group.prefixes)
+                for group in self._rib.groups
+                if group.paths
+            )
             self._rib = None
         return self._origins
 

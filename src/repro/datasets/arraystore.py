@@ -21,6 +21,7 @@ is no switch to turn mapping off.
 
 from __future__ import annotations
 
+import gc
 import logging
 import mmap as _mmap
 import struct
@@ -210,13 +211,14 @@ def open_columns(path: str | Path, mmap: bool = True) -> ColumnSet:
     handling.
     """
     path = Path(path)
+    columns = None
     if mmap:
         try:
             members = _member_layout(path)
             handle = open(path, "rb")
             buffer = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
             obs.add("columns.open.mapped")
-            return ColumnSet(path, members, handle, buffer, mapped=True)
+            columns = ColumnSet(path, members, handle, buffer, mapped=True)
         except Exception as error:  # noqa: BLE001 - map is an optimisation
             log.warning(
                 "cannot memory-map %s (%s); falling back to eager load",
@@ -224,7 +226,15 @@ def open_columns(path: str | Path, mmap: bool = True) -> ColumnSet:
                 error,
             )
             obs.add("columns.open.map_failed")
-    with np.load(path, allow_pickle=False) as eager:
-        members = {name: eager[name] for name in eager.files}
-    obs.add("columns.open.eager")
-    return ColumnSet(path, members, None, None, mapped=False)
+    if columns is None:
+        with np.load(path, allow_pickle=False) as eager:
+            members = {name: eager[name] for name in eager.files}
+        obs.add("columns.open.eager")
+        columns = ColumnSet(path, members, None, None, mapped=False)
+    # numpy parses each member's .npy header with ast.literal_eval, whose
+    # nested closures leave one small reference cycle per call (≈880
+    # objects per entry).  CheckpointStore.load opens the columns under a
+    # freezing GC pause, and a frozen cycle is never collected, so reap
+    # them now, while the young generations hold little else.
+    gc.collect(1)
+    return columns

@@ -59,7 +59,7 @@ from repro import config as _config
 from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.bgp.policy import ROUTE_CLASSES
-from repro.bgp.table import serialize_prefix2as
+from repro.bgp.table import Prefix2AS, serialize_prefix2as
 from repro.datasets.arraystore import ColumnWriter
 from repro.datasets.columnar import LazyWorld, WorldColumns
 from repro.datasets.store import PARTICIPANTS_FILE, RELATIONSHIPS_FILE
@@ -456,6 +456,25 @@ def _rebuild_rib(meta: dict, arrays) -> RibSnapshot:
     ]
     return RibSnapshot(
         vantage_points=tuple(meta["vantage_points"]), groups=groups
+    )
+
+
+def _rebuild_prefix2as(arrays) -> Prefix2AS:
+    """prefix2as straight from the stored RIB columns.
+
+    Feeds :meth:`Prefix2AS.from_groups` the groups :meth:`Prefix2AS.from_rib`
+    walks over the decoded RIB, in the same order: a group is visible
+    when its ``rib_ref_offsets`` slice is non-empty.  No path is decoded
+    and no ``RouteGroup`` is built.
+    """
+    origins = arrays["rib_origin"].tolist()
+    prefixes = _prefix_list(arrays, "rib_prefix")
+    prefix_offsets = arrays["rib_prefix_offsets"].tolist()
+    ref_offsets = arrays["rib_ref_offsets"].tolist()
+    return Prefix2AS.from_groups(
+        (origin, prefixes[prefix_offsets[g]:prefix_offsets[g + 1]])
+        for g, origin in enumerate(origins)
+        if ref_offsets[g] != ref_offsets[g + 1]
     )
 
 

@@ -8,7 +8,9 @@ world — the dict-of-dataclass object graph a cold build produces is
 materialised lazily, field by field, only where an experiment actually
 touches it.  A consumer that reads nothing but the RIB never allocates a
 single ROA object; one that only checks membership never decodes the
-RIB's half-million paths.
+RIB's half-million paths, and neither does one that reads prefix2as,
+which is built from the RIB's origin and prefix columns alone.  Each
+field is frozen out of the cyclic GC as it materialises.
 
 Materialisation is exact: every field goes through the checkpoint's
 digest-verified ``_rebuild_*`` replay functions, so a fully materialised
@@ -137,7 +139,15 @@ def _materializers() -> dict:
         ),
         "rib": lambda c, w: ckpt._rebuild_rib(c.meta[ckpt.RIB_FILE], c.arrays),
         "ihr": lambda c, w: ckpt._rebuild_ihr(c.meta[ckpt.IHR_FILE], c.arrays),
-        "prefix2as": lambda c, w: Prefix2AS.from_rib(w.rib),
+        # From the RIB's columns, so a warm round never decodes the RIB.
+        # A RIB decoded already (a full materialize()) lends its prefix
+        # objects instead: from_rib walks the same groups through the
+        # same builder, and stays lazy until first queried.
+        "prefix2as": lambda c, w: (
+            Prefix2AS.from_rib(w.__dict__["rib"])
+            if "rib" in w.__dict__
+            else ckpt._rebuild_prefix2as(c.arrays)
+        ),
     }
 
 
@@ -184,9 +194,13 @@ class LazyWorld(World):
         if build is None or columns is None:
             raise AttributeError(name)
         # The replay allocates the same long-lived acyclic objects a cold
-        # build does; pause the cyclic GC for the burst like the builder
-        # does.
-        with obs.span(f"columnar.materialize.{name}"), obs.gc_paused():
+        # build does: pause the cyclic GC for the burst and freeze what
+        # survives, like the builder, so no later collection re-scans
+        # the field.  The freeze also happens under an outer pause (fig6
+        # first reads prefix2as inside its saturation sweep's).
+        with obs.span(f"columnar.materialize.{name}"), obs.gc_paused(
+            freeze=True
+        ):
             value = build(columns, self)
         self.__dict__[name] = value
         obs.add(f"columnar.materialized.{name}")

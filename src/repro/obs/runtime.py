@@ -53,21 +53,25 @@ def gc_paused(freeze: bool = False) -> Iterator[None]:
 
     With ``freeze=True`` the batch's survivors are moved to the
     permanent generation on success (``gc.freeze()``, a constant-time
-    list splice).  Without it, the first full collections after a large
-    paused batch re-scan the whole surviving graph looking for cycles a
-    builder never creates — measured here at ~0.8s per scan at full
-    scale, recurring until the collector's long-lived quota catches up.
-    Frozen objects are simply exempt from future scans; they are still
-    freed by reference counting as usual.  Only pass ``freeze=True``
-    from top-level builders whose output lives for the rest of the
-    process (anything else alive at that moment is frozen too).
+    list splice), also when an outer pause is active.  Without it, the
+    collections after a large paused batch re-scan the surviving graph
+    looking for cycles a builder never creates — measured here at ~0.8s
+    per scan at full scale, recurring until the collector's long-lived
+    quota catches up.  Frozen objects are exempt from every later scan;
+    acyclic ones are still freed by reference counting as usual, so a
+    dropped world releases its frozen objects.  Three callers freeze,
+    each over objects that live as long as their world:
+    ``build_world``, ``CheckpointStore.load`` and the materialisation of
+    each lazy-world field.  Everything else alive in the young
+    generations at that moment is frozen too, and a reference cycle
+    frozen that way is never collected.
     """
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()
     try:
         yield
-        if freeze and was_enabled:
+        if freeze:
             gc.freeze()
     finally:
         if was_enabled:

@@ -5,8 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp.announcement import Announcement, RibEntry
-from repro.bgp.collector import collect_rib, select_vantage_points
-from repro.bgp.policy import ASPolicy, RouteClass
+from repro.bgp.collector import (
+    RibSnapshot,
+    RouteGroup,
+    collect_rib,
+    select_vantage_points,
+)
+from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS, parse_prefix2as, serialize_prefix2as
 from repro.errors import DatasetError
@@ -170,3 +175,47 @@ class TestPrefix2AS:
         rib = collect_rib(engine, announcements, [1])
         mapping = Prefix2AS.from_rib(rib)
         assert mapping.origins_of(prefix) == {2, 3}
+
+    def test_column_feed_equals_from_rib(self):
+        # The lazy world reads prefix2as from the stored RIB columns; it
+        # must walk the same groups in the same order as from_rib.
+        from repro.datasets.checkpoint import _rebuild_prefix2as, _rib_arrays
+
+        p = Prefix.parse
+        moas = p("12.1.0.0/16")
+        hidden = p("13.0.0.0/16")
+        rib = RibSnapshot(
+            vantage_points=(1, 3),
+            groups=[
+                RouteGroup(
+                    4,
+                    ROUTE_CLASSES[(False, False)],
+                    (p("12.0.0.0/16"), moas),
+                    {1: (1, 2, 4), 3: (3, 1, 2, 4)},
+                ),
+                # Filtered everywhere: no vantage point holds a path.
+                RouteGroup(3, ROUTE_CLASSES[(True, False)], (hidden,), {}),
+                RouteGroup(
+                    2,
+                    ROUTE_CLASSES[(False, False)],
+                    (p("2600::/32"), moas),
+                    {1: (1, 2)},
+                ),
+                RouteGroup(
+                    4,
+                    ROUTE_CLASSES[(False, True)],
+                    (p("14.0.0.0/16"),),
+                    {3: (3, 1, 2, 4)},
+                ),
+            ],
+        )
+        from_rib = Prefix2AS.from_rib(rib)
+        from_columns = _rebuild_prefix2as(_rib_arrays(rib)[1])
+        items = list(from_columns._origin_map().items())
+        assert items == list(from_rib._origin_map().items())
+        assert [prefix for prefix, _ in items] == [
+            p("12.0.0.0/16"), moas, p("2600::/32"), p("14.0.0.0/16")
+        ]
+        assert from_columns.origins_of(moas) == {2, 4}
+        assert from_columns.origins_of(hidden) == frozenset()
+        assert serialize_prefix2as(from_columns) == serialize_prefix2as(from_rib)

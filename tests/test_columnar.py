@@ -10,12 +10,14 @@ world.
 
 from __future__ import annotations
 
+import gc
 import shutil
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.bgp.table import serialize_prefix2as
 from repro.datasets.arraystore import open_columns
 from repro.datasets.checkpoint import (
     ARRAYS_FILE,
@@ -112,6 +114,41 @@ class TestLazyWorld:
         assert "rib" in fields
         assert "rpki_repository" not in fields
         assert "engine" not in fields
+        assert "prefix2as" not in fields
+        _ = lazy.prefix2as
+        assert lazy.materialized_fields() == fields | {"prefix2as"}
+
+    def test_prefix2as_reads_the_rib_columns_not_the_rib(
+        self, saved, small_world
+    ):
+        store, _ = saved
+        lazy = store.load(
+            small_world.config, small_world.scale, small_world.seed
+        )
+        mapping = lazy.prefix2as
+        assert "rib" not in lazy.materialized_fields()
+        assert serialize_prefix2as(mapping) == serialize_prefix2as(
+            small_world.prefix2as
+        )
+
+    def test_paper_artefacts_never_materialise_the_rib(
+        self, saved, small_world
+    ):
+        from repro.experiments.registry import REGISTRY
+        from repro.scenarios import FAMILIES
+
+        store, _ = saved
+        lazy = store.load(
+            small_world.config, small_world.scale, small_world.seed
+        )
+        names = [name for name in REGISTRY if name not in FAMILIES]
+        assert len(names) == 12
+        before = obs.counters().get("columnar.materialized.rib", 0)
+        for name in names:
+            spec = REGISTRY[name]
+            spec.render(spec.run(lazy))
+        assert obs.counters().get("columnar.materialized.rib", 0) == before
+        assert "rib" not in lazy.materialized_fields()
 
     def test_lazy_world_survives_entry_pruning(
         self, saved, small_world, tmp_path
@@ -134,6 +171,53 @@ class TestLazyWorld:
         )
         clone = pickle.loads(pickle.dumps(lazy))
         assert world_digest(clone) == world_digest(small_world)
+
+
+class TestFreeze:
+    """Materialised fields move to the permanent GC generation.
+
+    World objects are acyclic, so frozen ones are still freed by
+    reference counting when their world is dropped.
+    """
+
+    def _open(self, saved, small_world) -> LazyWorld:
+        store, _ = saved
+        return store.load(
+            small_world.config, small_world.scale, small_world.seed
+        )
+
+    def test_reading_a_field_freezes_it(self, saved, small_world):
+        lazy = self._open(saved, small_world)
+        before = gc.get_freeze_count()
+        _ = lazy.topology
+        assert gc.get_freeze_count() > before
+        assert gc.isenabled()
+
+    def test_a_read_under_an_outer_pause_freezes_too(
+        self, saved, small_world
+    ):
+        # fig6 first reads prefix2as inside its saturation sweep's pause.
+        lazy = self._open(saved, small_world)
+        before = gc.get_freeze_count()
+        with obs.gc_paused():
+            _ = lazy.prefix2as
+        assert gc.get_freeze_count() > before
+        assert gc.isenabled()
+
+    def test_dropped_worlds_release_their_frozen_objects(
+        self, saved, small_world
+    ):
+        def cycle() -> tuple[int, int]:
+            lazy = self._open(saved, small_world).materialize()
+            peak = gc.get_freeze_count()
+            del lazy
+            return peak, gc.get_freeze_count()
+
+        peak, first = cycle()
+        _, second = cycle()
+        assert peak - first > 50_000
+        assert abs(second - first) < 300
+        assert gc.isenabled()
 
 
 class TestSafeFallbacks:

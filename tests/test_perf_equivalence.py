@@ -524,3 +524,15 @@ class TestGcPaused:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    def test_freeze_also_under_an_outer_pause(self):
+        before = gc.get_freeze_count()
+        with obs.gc_paused():
+            with obs.gc_paused(freeze=True):
+                batch = [[i] for i in range(1000)]
+            assert gc.get_freeze_count() >= before + 1000
+        assert gc.isenabled()
+        # Frozen acyclic objects are still freed by reference counting.
+        frozen = gc.get_freeze_count()
+        del batch
+        assert gc.get_freeze_count() <= frozen - 1000
