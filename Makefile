@@ -5,11 +5,12 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint trace-smoke sweep-smoke serve-smoke
+.PHONY: test lint trace-smoke sweep-smoke serve-smoke memory-smoke
 
 ## Tier-1 test suite (unit + integration + equivalence).  Includes the
-## parity table (tests/test_parity.py): sharded, spilled and reopened
-## builds against the pinned digest, and `repro replay` == rebuild.
+## parity table (tests/test_parity.py): the materialised mmap reopen and
+## the cold rebuild of the pinned world against its digest, and
+## `repro replay` == rebuild.
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -31,6 +32,12 @@ trace-smoke:
 	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke.json
 	$(PYTHON) -m repro replay --scale 0.05 --trace-json /tmp/trace-smoke-replay.json > /dev/null
 	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke-replay.json
+
+## Memory gate for the one build path: a fresh process builds the
+## (1.0, 7) world and fails if its peak RSS exceeds the bound in
+## scripts/check_memory.py.
+memory-smoke:
+	$(PYTHON) scripts/check_memory.py
 
 ## Measurement-service smoke: start `repro serve` as a subprocess, then
 ## liveness -> cold build -> warm hit -> 304 -> metrics -> SIGINT.

@@ -56,10 +56,10 @@ REPLAY_CHECKPOINTS = (3, 6)
 #: (scale, seed) points pinned by the suite.  The first matches the
 #: session-scoped ``small_world`` test fixture so the golden check reuses
 #: the already-built world instead of building a third one.  The 0.3
-#: point is the world ``tests/test_parity.py`` builds sharded, spilled
-#: and reopened from a checkpoint: every one of those axes must land on
-#: this pin.  The 0.5 point is the largest pinned world, the one serial
-#: build above the parity table's scale.
+#: point is the world ``tests/test_parity.py`` reopens from a checkpoint
+#: and cold-rebuilds: every one of its axes must land on this pin, and it
+#: is large enough to run several propagation batches and hegemony
+#: partitions.  The 0.5 point is the largest pinned world.
 DEFAULT_POINTS: list[tuple[float, int]] = [
     (0.12, 11), (0.05, 3), (0.5, 7), (0.3, 7),
 ]

@@ -68,6 +68,13 @@ _DEFAULT_POLICY = ASPolicy()
 #: reference oracles pass 0).
 DEFAULT_PATHS_CACHE_SIZE = 8192
 
+#: Origins resolved per :func:`~repro.kernels.csr.batch_paths` call.  The
+#: kernel's working set is a few (origins × closure) matrices plus each
+#: origin's phase-1 routes, so the bound caps a build's peak memory.  An
+#: origin's paths do not depend on the batch it is resolved in, so the
+#: bound is an identity transform (DESIGN §18).
+BATCH_ORIGINS = 512
+
 
 class _ClassFilters:
     """One route class resolved against every AS policy.
@@ -665,7 +672,8 @@ class PropagationEngine:
         order: tuple[int, ...],
     ) -> dict:
         """Compute ``{key: paths}`` for every ``key: (origin, class)`` in
-        ``need`` via the columnar phase-2/3 kernel, grouped by signature."""
+        ``need`` via the columnar phase-2/3 kernel, grouped by signature
+        and fed to it :data:`BATCH_ORIGINS` origins at a time."""
         if not need:
             return {}
         plan = self._batch_plans.get(vantage_points)
@@ -686,19 +694,22 @@ class PropagationEngine:
             p2_keep, level_keeps = plan.filter_masks(
                 filters.drops_peers, filters.drops_everywhere
             )
-            bases = [
-                {
-                    asn: route.path
-                    for asn, route in self._customer_routes(
-                        origin, filters
-                    ).items()
-                }
-                for _, origin, _ in entries
-            ]
-            for (key, _, _), paths in zip(
-                entries, batch_paths(plan, bases, p2_keep, level_keeps)
-            ):
-                computed[key] = paths
+            for start in range(0, len(entries), BATCH_ORIGINS):
+                batch = entries[start : start + BATCH_ORIGINS]
+                bases = [
+                    {
+                        asn: route.path
+                        for asn, route in self._customer_routes(
+                            origin, filters
+                        ).items()
+                    }
+                    for _, origin, _ in batch
+                ]
+                obs.add("propagation.batches")
+                for (key, _, _), paths in zip(
+                    batch, batch_paths(plan, bases, p2_keep, level_keeps)
+                ):
+                    computed[key] = paths
         return computed
 
     def _fast_paths(

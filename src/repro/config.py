@@ -1,12 +1,18 @@
 """One front door for every runtime knob: :class:`RuntimeConfig`.
 
-Five knobs remain, each with an environment-variable fallback:
-``REPRO_JOBS`` (worker processes), ``REPRO_SHARDS`` (column shards),
-``REPRO_KERNELS`` (once numpy vs pure-Python kernels; numpy is now the
-only mode), ``REPRO_CACHE_DIR`` (the checkpoint store) and
-``REPRO_BUILD_BUDGET_MB`` (the build's spill budget).  A knob stays
-only while a workload sets it (DESIGN §15).  This module holds them in
-a single frozen dataclass resolved **once** with a fixed precedence:
+Five fields remain, each with an environment-variable fallback, and
+three of them still choose anything: ``REPRO_JOBS`` (the sweep
+scheduler's default worker count), ``REPRO_CACHE_DIR`` (the checkpoint
+store) and ``REPRO_KERNELS`` (once numpy vs pure-Python kernels; numpy
+is now the only mode).  ``REPRO_SHARDS`` and ``REPRO_BUILD_BUDGET_MB``
+selected process-pool sharding and spill-to-disk builds, both removed:
+a build runs in one process and bounds its own working set (DESIGN
+§18).  Like ``kernels``, each keeps one legal value (``shards=1``,
+``build_budget_mb=None``) and raises on any other, so a run that asks
+for a removed mode fails instead of silently running the one path.  A
+knob stays only while a workload sets it (DESIGN §15).  This module
+holds them in a single frozen dataclass resolved **once** with a fixed
+precedence:
 
     explicit overrides  >  environment variables  >  defaults
 
@@ -15,22 +21,19 @@ keep working unchanged), but the programmatic API is the config object:
 
     from repro.config import RuntimeConfig
 
-    runtime = RuntimeConfig.resolve(jobs=4, shards=2)   # env fills the rest
+    runtime = RuntimeConfig.resolve(cache_dir="/var/cache/repro")
     world = build_world(scale=1.0, seed=7, runtime=runtime)
 
-Every entry point that used to read an environment variable now accepts
-``runtime=`` (``build_world``, ``collect_rib``, ``validate_many``,
-``validate_irr_many``, ``build_ihr_dataset``, ``run_sweep``, the serve
-layer) and low-level call-time readers consult :func:`current`, which
-returns the installed process-wide config or — when none is installed —
-re-resolves from the environment on each call, preserving the historical
-"read at call time" semantics tests rely on.
+Entry points that own a process accept ``runtime=`` (``build_world``,
+``world_cache``, ``run_sweep``, the serve layer) and low-level call-time
+readers consult :func:`current`, which returns the installed
+process-wide config or — when none is installed — re-resolves from the
+environment on each call, preserving the historical "read at call time"
+semantics tests rely on.
 
-:func:`use` installs a config for a ``with`` block (the world builder
-does this when handed ``runtime=``, so even leaf decisions like the
-build budget honour the explicit object); :func:`set_current` installs
-one for the rest of the process (sweep and serve workers do this at pool
-init).
+:func:`use` installs a config for a ``with`` block; :func:`set_current`
+installs one for the rest of the process (sweep and serve workers do
+this at pool init).
 """
 
 from __future__ import annotations
@@ -72,28 +75,25 @@ ENV_VARS: Mapping[str, str] = {
 class RuntimeConfig:
     """Resolved runtime knobs; immutable, comparable, picklable.
 
-    Defaults reproduce the historical behaviour of an empty environment:
-    serial single-shard builds, numpy kernels, no on-disk store, no
-    spill budget.
+    Defaults reproduce the behaviour of an empty environment: one sweep
+    worker, numpy kernels, no on-disk store.
     """
 
-    #: Worker processes for parallel collection/sharding (0 = all cores).
+    #: Default sweep worker processes (0 = all cores).
     jobs: int = 1
-    #: Column shards for the dominant build stages (1 = sharding off).
+    #: Removed (process-pool sharding); 1 is the one legal value.
     shards: int = 1
     #: Kernel implementation; ``numpy`` is the only one.
     kernels: str = "numpy"
     #: Checkpoint store root; None disables on-disk persistence.
     cache_dir: str | None = None
-    #: Byte budget (in MB) for buffered build columns before sharded
-    #: stages spill completed blocks to a scratch file; None keeps
-    #: everything in memory (the historical behaviour).
+    #: Removed (spill-to-disk builds); None is the one legal value.
     build_budget_mb: float | None = None
 
     def __post_init__(self) -> None:
         _check_kernels("kernels", self.kernels)
-        if self.build_budget_mb is not None and self.build_budget_mb < 0:
-            raise ValueError("build_budget_mb must be >= 0 (or None)")
+        _check_removed("shards", self.shards)
+        _check_removed("build_budget_mb", self.build_budget_mb)
 
     # -- construction --------------------------------------------------------
 
@@ -103,10 +103,11 @@ class RuntimeConfig:
 
         Parsing is as lenient as the per-site readers it replaced — a
         malformed value falls back to the field default rather than
-        breaking an analysis run — with one deliberate exception:
-        ``REPRO_KERNELS`` raises on anything but ``numpy``, so a run that
-        asks for the removed python mode fails instead of silently
-        running numpy.
+        breaking an analysis run — with deliberate exceptions for the
+        removed modes: ``REPRO_KERNELS`` raises on anything but
+        ``numpy``, and a well-formed ``REPRO_SHARDS`` above 1 or
+        ``REPRO_BUILD_BUDGET_MB`` raises, so a run that asks for a
+        removed mode fails instead of silently running the one path.
         """
         env = os.environ if env is None else env
         values: dict[str, object] = {}
@@ -121,13 +122,13 @@ class RuntimeConfig:
         raw = env.get(ENV_VARS["shards"], "").strip()
         if raw:
             try:
-                values["shards"] = max(1, int(raw))
+                shards = int(raw)
             except ValueError:
                 log.warning(
-                    "%s=%r is non-integer; sharding stays off",
-                    ENV_VARS["shards"],
-                    raw,
+                    "%s=%r is non-integer; ignored", ENV_VARS["shards"], raw
                 )
+            else:
+                _check_removed("shards", max(1, shards), ENV_VARS["shards"])
 
         raw = env.get(ENV_VARS["kernels"], "").strip().lower()
         if raw:
@@ -144,13 +145,15 @@ class RuntimeConfig:
                 budget = float(raw)
             except ValueError:
                 log.warning(
-                    "%s=%r is non-numeric; build stays in memory",
+                    "%s=%r is non-numeric; ignored",
                     ENV_VARS["build_budget_mb"],
                     raw,
                 )
             else:
                 if budget >= 0:
-                    values["build_budget_mb"] = budget
+                    _check_removed(
+                        "build_budget_mb", budget, ENV_VARS["build_budget_mb"]
+                    )
 
         return cls(**values)
 
@@ -187,13 +190,24 @@ class RuntimeConfig:
         }
         return replace(self, **explicit) if explicit else self
 
-    # -- derived values ------------------------------------------------------
 
-    def effective_jobs(self) -> int:
-        """Concrete worker count: ``jobs`` with 0 meaning all cores."""
-        if self.jobs <= 0:
-            return os.cpu_count() or 1
-        return self.jobs
+#: Removed knob → (its one legal value, the removal an error names).
+_REMOVED_KNOBS: Mapping[str, tuple[object, str]] = {
+    "shards": (1, "process-pool sharding was removed"),
+    "build_budget_mb": (None, "the spill-to-disk build budget was removed"),
+}
+
+
+def _check_removed(field: str, value: object, name: str = "") -> None:
+    """Raise unless ``value`` is the removed knob's one legal value;
+    ``name`` (default: ``field``) is what the message calls it."""
+    legal, removal = _REMOVED_KNOBS[field]
+    if value != legal:
+        raise ValueError(
+            f"{name or field}={value!r}: {removal}; a build runs in one process "
+            "and bounds its own working set (DESIGN §18), and "
+            f"{field}={legal!r} is the one legal value"
+        )
 
 
 def _check_kernels(name: str, value: str) -> None:
@@ -220,7 +234,7 @@ def current() -> RuntimeConfig:
 
     When nothing is installed this re-reads the environment on every
     call, preserving the historical call-time semantics (tests flip
-    ``REPRO_SHARDS`` etc. with ``monkeypatch.setenv`` mid-process).
+    ``REPRO_JOBS`` etc. with ``monkeypatch.setenv`` mid-process).
     """
     return _active if _active is not None else RuntimeConfig.from_env()
 

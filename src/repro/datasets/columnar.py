@@ -50,8 +50,7 @@ class WorldColumns:
 
     ``arrays`` is the (usually memory-mapped) integer column set;
     ``meta`` the parsed JSON payloads and auxiliary texts.  Instances
-    are what the sharded build's driver concatenates into and what
-    :class:`LazyWorld` materialises object views from.
+    are what :class:`LazyWorld` materialises object views from.
     """
 
     def __init__(self, arrays: ColumnSet, meta: dict[str, object]):

@@ -51,15 +51,6 @@ PARTICIPANTS_FILE = "manrs-participants.csv"
 ASRANK_FILE = "as-rank.txt"
 IRR_SUFFIX = ".irr.txt"
 
-# Backwards-compatible private aliases (pre-checkpoint callers).
-_PREFIX2AS = PREFIX2AS_FILE
-_AS2ORG = AS2ORG_FILE
-_RELATIONSHIPS = RELATIONSHIPS_FILE
-_VRPS = VRPS_FILE
-_PARTICIPANTS = PARTICIPANTS_FILE
-_ASRANK = ASRANK_FILE
-_IRR_SUFFIX = IRR_SUFFIX
-
 
 def export_world(world: World, directory: str | Path) -> Path:
     """Write every dataset of ``world`` into ``directory``.
@@ -69,19 +60,19 @@ def export_world(world: World, directory: str | Path) -> Path:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / _PREFIX2AS).write_text(serialize_prefix2as(world.prefix2as))
-    (directory / _AS2ORG).write_text(serialize_as2org(world.as2org))
-    (directory / _RELATIONSHIPS).write_text(
+    (directory / PREFIX2AS_FILE).write_text(serialize_prefix2as(world.prefix2as))
+    (directory / AS2ORG_FILE).write_text(serialize_as2org(world.as2org))
+    (directory / RELATIONSHIPS_FILE).write_text(
         serialize_relationships(world.topology)
     )
-    (directory / _VRPS).write_text(
+    (directory / VRPS_FILE).write_text(
         serialize_vrps(world.rov.all_vrps(), world.snapshot_date)
     )
-    (directory / _PARTICIPANTS).write_text(serialize_participants(world.manrs))
-    (directory / _ASRANK).write_text(serialize_asrank(build_asrank(world.topology)))
+    (directory / PARTICIPANTS_FILE).write_text(serialize_participants(world.manrs))
+    (directory / ASRANK_FILE).write_text(serialize_asrank(build_asrank(world.topology)))
     for database in world.irr.databases:
         objects = list(database.all_routes())
-        (directory / f"{database.name.lower()}{_IRR_SUFFIX}").write_text(
+        (directory / f"{database.name.lower()}{IRR_SUFFIX}").write_text(
             serialize_database(objects)
         )
     return directory
@@ -113,21 +104,21 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
     """Load a directory written by :func:`export_world`."""
     directory = Path(directory)
     irr = IRRCollection()
-    for dump in sorted(directory.glob(f"*{_IRR_SUFFIX}")):
-        name = dump.name[: -len(_IRR_SUFFIX)].upper()
+    for dump in sorted(directory.glob(f"*{IRR_SUFFIX}")):
+        name = dump.name[: -len(IRR_SUFFIX)].upper()
         database = IRRDatabase(name)
         for obj in parse_database(dump.read_text()):
             if hasattr(obj, "prefix"):
                 database.add_route(obj)
         irr.add_database(database)
     return DatasetBundle(
-        prefix2as=parse_prefix2as((directory / _PREFIX2AS).read_text()),
-        as2org=parse_as2org((directory / _AS2ORG).read_text()),
+        prefix2as=parse_prefix2as((directory / PREFIX2AS_FILE).read_text()),
+        as2org=parse_as2org((directory / AS2ORG_FILE).read_text()),
         relationships=parse_relationships(
-            (directory / _RELATIONSHIPS).read_text()
+            (directory / RELATIONSHIPS_FILE).read_text()
         ),
-        vrps=parse_vrps((directory / _VRPS).read_text()),
-        manrs=parse_participants((directory / _PARTICIPANTS).read_text()),
+        vrps=parse_vrps((directory / VRPS_FILE).read_text()),
+        manrs=parse_participants((directory / PARTICIPANTS_FILE).read_text()),
         irr=irr,
-        asrank=parse_asrank((directory / _ASRANK).read_text()),
+        asrank=parse_asrank((directory / ASRANK_FILE).read_text()),
     )

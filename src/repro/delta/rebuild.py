@@ -5,8 +5,7 @@
 the builder's own measurement pipeline,
 :func:`~repro.scenario.build.derive_measurements` — relying party,
 route classification, propagation, collection, IHR derivation — over
-the mutated inputs.  It shares the builder's sharding, worker and
-spill-budget knobs through the active runtime config.  This is what the
+the mutated inputs.  This is what the
 live world's incremental apply is checked against: at every
 checkpoint, ``world_digest(live.world())`` must equal
 ``world_digest(cold_rebuild(base, applied_events))``.

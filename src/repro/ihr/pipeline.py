@@ -9,23 +9,20 @@ conformance and impact analyses consume.
 The construction batches its lookups: all (prefix, origin) pairs are
 classified up front through the bulk/memoised validator paths (one
 interval-kernel pass instead of one lookup per record), and transit
-scoring runs as one columnar reduction over every group's paths
-(:func:`repro.kernels.groupby.hegemony_transits`).  The per-group loop
-it replaced, :func:`_transit_groups_python`, stays as the reference
-``tests/test_kernels.py`` checks it against.
+scoring runs as a columnar reduction over bounded partitions of the
+groups' paths (:func:`repro.kernels.groupby.hegemony_transits`).  The
+per-group loop it replaced, :func:`_transit_groups_python`, stays as the
+reference ``tests/test_kernels.py`` checks it against.
 """
 
 from __future__ import annotations
 
-import logging
 from itertools import chain
 
 import numpy as np
 
-from repro import config as _config
 from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
-from repro.config import RuntimeConfig
 from repro.hegemony.scores import DEFAULT_TRIM, hegemony_scores
 from repro.kernels.groupby import hegemony_transits
 from repro.ihr.records import (
@@ -38,30 +35,16 @@ from repro.irr.database import IRRCollection, IRRDatabase
 from repro.irr.validation import validate_irr_many
 from repro.net.asn import strip_prepending
 from repro.rpki.rov import ROVValidator
-from repro.shard import (
-    check_shard_manifests,
-    pool_map_consume,
-    resolve_build_budget,
-    resolve_shards,
-    shard_manifest,
-    split_evenly,
-)
 from repro.topology.model import ASTopology
 
 __all__ = ["build_ihr_dataset", "transit_groups_indexed"]
 
-log = logging.getLogger(__name__)
-
-#: Below this many visible route groups the per-pool topology pickling
-#: cannot pay for itself; transit scoring stays in-process.
-MIN_SHARD_GROUPS = 64
-
-#: Flat-path working-set bound (bytes) for one in-process hegemony
-#: partition when no ``REPRO_BUILD_BUDGET_MB`` is configured.  Per-group
-#: scores depend only on that group's paths, so partitioning the flat
-#: reduction is an identity transform — it just caps how much of the
-#: RIB's path table is ever flattened into int64 columns at once.
-DEFAULT_HEGEMONY_PARTITION_BYTES = 64 * 1024 * 1024
+#: Flat-path bytes scored per hegemony partition.  Per-group scores
+#: depend only on that group's paths, so partitioning the flat reduction
+#: is an identity transform; the bound caps how much of the RIB's path
+#: table is flattened into int64 columns, and the kernel temporaries
+#: that scale with it, at once (DESIGN §18).
+HEGEMONY_PARTITION_BYTES = 2 * 1024 * 1024
 
 
 def build_ihr_dataset(
@@ -70,39 +53,23 @@ def build_ihr_dataset(
     irr: IRRCollection | IRRDatabase,
     topology: ASTopology,
     trim: float = DEFAULT_TRIM,
-    shards: int | None = None,
-    jobs: int | None = None,
-    runtime: RuntimeConfig | None = None,
 ) -> IHRDataset:
     """Build both IHR tables from one collector snapshot.
 
     Vantage-point paths are identical for every prefix in a
     :class:`~repro.bgp.collector.RouteGroup`, so hegemony and the
     learned-from-customer flags are computed once per group.
-
-    ``shards`` (default: the runtime config / ``REPRO_SHARDS``, else 1)
-    fans both the bulk route validation (by prefix range) and the
-    transit scoring (by route-group chunk) across a process pool;
-    per-route verdicts and per-group hegemony are independent, so the
-    sharded dataset is identical.  ``runtime`` installs a
-    :class:`repro.config.RuntimeConfig` for the duration of the call.
     """
-    if runtime is not None:
-        with _config.use(runtime):
-            return build_ihr_dataset(
-                snapshot, rov, irr, topology, trim=trim, shards=shards, jobs=jobs
-            )
     prefix_origins: list[PrefixOriginRecord] = []
     visible = [group for group in snapshot.groups if group.paths]
-    shards = resolve_shards(shards)
     with obs.span("ihr.validate"):
         routes = [
             (prefix, group.origin)
             for group in visible
             for prefix in group.prefixes
         ]
-        rpki_by_route = rov.validate_many(routes, shards=shards, jobs=jobs)
-        irr_by_route = validate_irr_many(irr, routes, shards=shards, jobs=jobs)
+        rpki_by_route = rov.validate_many(routes)
+        irr_by_route = validate_irr_many(irr, routes)
     with obs.span("ihr.hegemony"):
         group_statuses: list[tuple] = []
         for group in visible:
@@ -127,15 +94,9 @@ def build_ihr_dataset(
                         visibility=visibility,
                     )
                 )
-        transit_groups = None
-        if shards > 1 and len(visible) >= MIN_SHARD_GROUPS:
-            transit_groups = _sharded_transit_groups(
-                visible, group_statuses, topology, trim, shards, jobs
-            )
-        if transit_groups is None:
-            transit_groups = _transit_groups_numpy(
-                visible, group_statuses, topology, trim
-            )
+        transit_groups = _transit_groups_numpy(
+            visible, group_statuses, topology, trim
+        )
     obs.add("ihr.prefix_origins", len(prefix_origins))
     obs.add("ihr.transit_groups", len(transit_groups))
     return IHRDataset(prefix_origins=prefix_origins, transit_groups=transit_groups)
@@ -214,8 +175,8 @@ def _hegemony_columns(
     """The flat hegemony reduction as columns (group id, ASN, score, flag).
 
     Rows come out grouped by ascending group index; each group's rows
-    depend only on that group's paths, which is what makes group-chunk
-    sharding an identity transform.
+    depend only on that group's paths, which is what makes partitioning
+    the groups an identity transform.
     """
     all_paths: list[tuple[int, ...]] = []
     counts: list[int] = []
@@ -283,11 +244,11 @@ def _groups_from_columns(
 
 
 def _partition_groups(
-    visible: list[RouteGroup], budget_bytes: int
+    visible: list[RouteGroup], bound_bytes: int
 ) -> list[list[RouteGroup]]:
     """Contiguous partitions of ``visible`` bounded by flat-path bytes.
 
-    A group whose paths alone exceed the budget gets a partition of its
+    A group whose paths alone exceed the bound gets a partition of its
     own — partitions are never empty and their concatenation is
     ``visible``, so the streamed reduction visits every group exactly
     once in the serial order.
@@ -297,7 +258,7 @@ def _partition_groups(
     current_bytes = 0
     for group in visible:
         group_bytes = 8 * sum(len(path) for path in group.paths.values())
-        if current and current_bytes + group_bytes > budget_bytes:
+        if current and current_bytes + group_bytes > bound_bytes:
             partitions.append(current)
             current = []
             current_bytes = 0
@@ -323,12 +284,9 @@ def _transit_groups_numpy(
     depend only on its own paths and partitions are contiguous slices,
     so per-partition columns materialise exactly the groups the global
     reduction would — with the flattened int64 working set capped at
-    ``REPRO_BUILD_BUDGET_MB`` (default
-    :data:`DEFAULT_HEGEMONY_PARTITION_BYTES`).
+    :data:`HEGEMONY_PARTITION_BYTES`.
     """
-    budget = resolve_build_budget()
-    bound = budget if budget is not None else DEFAULT_HEGEMONY_PARTITION_BYTES
-    partitions = _partition_groups(visible, max(1, bound))
+    partitions = _partition_groups(visible, HEGEMONY_PARTITION_BYTES)
     obs.add("hegemony.partitions", len(partitions))
     transit_groups: list[TransitGroup] = []
     start = 0
@@ -367,94 +325,3 @@ def _customer_learning(
             learned[transit] = toward_origin in customers_of[transit]
     return learned
 
-
-# Worker-process state for group-chunk sharded transit scoring, installed
-# once per worker by the pool initializer (the topology pickles once).
-_shard_topology: ASTopology | None = None
-_shard_trim: float = DEFAULT_TRIM
-
-
-def _init_ihr_shard_worker(topology: ASTopology, trim: float) -> None:
-    global _shard_topology, _shard_trim
-    _shard_topology = topology
-    _shard_trim = trim
-
-
-def _transit_shard(task: tuple) -> tuple[dict, tuple]:
-    """Score one route-group chunk; emits hegemony column shards.
-
-    Group ids in the emitted columns are chunk-local — the driver
-    materialises each shard's groups directly against its own chunk.
-    """
-    index, total, chunk = task
-    assert _shard_topology is not None
-    columns = _hegemony_columns(chunk, _shard_topology, _shard_trim)
-    return shard_manifest("ihr.transit", index, total, len(columns[0])), columns
-
-
-def _sharded_transit_groups(
-    visible: list[RouteGroup],
-    group_statuses: list[tuple],
-    topology: ASTopology,
-    trim: float,
-    shards: int,
-    jobs: int | None,
-) -> list[TransitGroup] | None:
-    """Group-chunk sharded transit scoring; None falls back in-process.
-
-    Chunks are contiguous slices of ``visible`` and every group's rows
-    depend only on its own paths, so materialising each shard's groups
-    from its chunk-local columns and extending in ascending shard order
-    reproduces the unsharded reduction exactly.
-    """
-    chunks = split_evenly(visible, shards)
-    total = len(chunks)
-    status_chunks: list[list[tuple]] = []
-    start = 0
-    for chunk in chunks:
-        status_chunks.append(group_statuses[start : start + len(chunk)])
-        start += len(chunk)
-    tasks = [(index, total, list(chunk)) for index, chunk in enumerate(chunks)]
-    obs.add("ihr.transit_shards", total)
-    manifests: list[dict] = []
-    parts: list[list[TransitGroup]] = []
-
-    def consume(result: tuple[dict, tuple]) -> None:
-        # Shard columns carry chunk-local group ids, so each shard's
-        # TransitGroups materialise on arrival against its own chunk —
-        # no global column concatenation, at most one shard's columns
-        # resident.  Should manifest validation below reject the set,
-        # the materialised parts are discarded wholesale (the usual
-        # discard-don't-stitch contract), never partially reused.
-        manifest, columns = result
-        position = len(manifests)
-        manifests.append(manifest)
-        if position < total:
-            parts.append(
-                _groups_from_columns(
-                    list(chunks[position]), status_chunks[position], columns
-                )
-            )
-
-    ok = pool_map_consume(
-        _transit_shard,
-        tasks,
-        workers=obs.resolve_jobs(jobs),
-        consume=consume,
-        initializer=_init_ihr_shard_worker,
-        initargs=(topology, trim),
-    )
-    if not ok:
-        return None
-    problems = check_shard_manifests(manifests, "ihr.transit", total)
-    if problems:
-        log.warning(
-            "discarding sharded transit scoring (%s); recomputing unsharded",
-            "; ".join(problems),
-        )
-        obs.add("shard.discarded")
-        return None
-    transit_groups: list[TransitGroup] = []
-    for part in parts:
-        transit_groups.extend(part)
-    return transit_groups

@@ -22,37 +22,16 @@ adding or removing route objects transparently invalidates it.
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 from typing import Iterable
 
-import numpy as np
-
-from repro import config as _config
 from repro import obs
-from repro.config import RuntimeConfig
 from repro.kernels.intervals import RouteIntervalIndex
 from repro.irr.database import IRRCollection, IRRDatabase
 from repro.irr.objects import RouteObject
 from repro.net.prefix import Prefix
-from repro.shard import (
-    ColumnAccumulator,
-    SpillError,
-    check_shard_manifests,
-    pool_map_consume,
-    resolve_build_budget,
-    resolve_shards,
-    shard_manifest,
-    split_evenly,
-)
 
 __all__ = ["IRRStatus", "validate_irr", "validate_irr_many"]
-
-log = logging.getLogger(__name__)
-
-#: Below this many pending routes the per-pool registry pickling cannot
-#: pay for itself; bulk validation stays in-process regardless of shards.
-MIN_SHARD_ROUTES = 2048
 
 
 class IRRStatus(str, Enum):
@@ -92,9 +71,6 @@ _STATUS_BY_CODE = (
     IRRStatus.INVALID_LENGTH,
     IRRStatus.INVALID_ORIGIN,
 )
-
-#: The inverse mapping, for packing verdicts into column shards.
-_CODE_BY_STATUS = {status: code for code, status in enumerate(_STATUS_BY_CODE)}
 
 
 def _index_of(
@@ -212,90 +188,16 @@ def _classify_pending(
     ]
 
 
-def _sharded_statuses(
-    registry: IRRCollection | IRRDatabase,
-    pending: list[tuple[Prefix, int]],
-    shards: int,
-    jobs: int,
-) -> list[IRRStatus] | None:
-    """Classify prefix-range shards on a process pool; None = fall back.
-
-    Same contract as the ROV variant: ``pending`` is sorted, chunks are
-    contiguous prefix ranges, workers emit verdict-code columns, and the
-    driver concatenates in shard order.
-    """
-    chunks = split_evenly(pending, shards)
-    total = len(chunks)
-    tasks = [(index, total, list(chunk)) for index, chunk in enumerate(chunks)]
-    obs.add("irr.validate_shards", total)
-    manifests: list[dict] = []
-    rows_seen = 0
-    try:
-        with ColumnAccumulator(
-            "irr.validate", budget_bytes=resolve_build_budget()
-        ) as accumulator:
-
-            def consume(result: tuple[dict, np.ndarray]) -> None:
-                nonlocal rows_seen
-                manifest, codes = result
-                manifests.append(manifest)
-                rows_seen += len(codes)
-                accumulator.append({"codes": codes})
-
-            ok = pool_map_consume(
-                _classify_route_shard,
-                tasks,
-                workers=max(jobs, 1),
-                consume=consume,
-                initializer=_init_irr_shard_worker,
-                initargs=(registry,),
-            )
-            if not ok:
-                return None
-            problems = check_shard_manifests(manifests, "irr.validate", total)
-            if not problems and rows_seen != len(pending):
-                problems.append("row accounting mismatch")
-            if problems:
-                log.warning(
-                    "discarding sharded IRR validation (%s); "
-                    "recomputing unsharded",
-                    "; ".join(problems),
-                )
-                obs.add("shard.discarded")
-                return None
-            codes = accumulator.concat()["codes"]
-    except SpillError as error:
-        log.warning(
-            "discarding sharded IRR validation (%s); recomputing unsharded",
-            error,
-        )
-        obs.add("shard.discarded")
-        return None
-    return [_STATUS_BY_CODE[code] for code in codes.tolist()]
-
-
 def validate_irr_many(
     registry: IRRCollection | IRRDatabase,
     routes: Iterable[tuple[Prefix, int]],
-    shards: int | None = None,
-    jobs: int | None = None,
-    runtime: RuntimeConfig | None = None,
 ) -> dict[tuple[Prefix, int], IRRStatus]:
     """Classify a batch of routes with one interval-kernel pass.
 
     Equivalent to calling :func:`validate_irr` per route; every
     not-yet-memoised route is classified in one ``searchsorted`` sweep
     over the registry's interval index.
-
-    ``shards`` (default: the runtime config / ``REPRO_SHARDS``, else 1)
-    fans the bulk classification across a process pool by prefix range;
-    verdicts are per-route pure, so the sharded result is identical.
-    ``runtime`` installs a :class:`repro.config.RuntimeConfig` for the
-    duration of the call.
     """
-    if runtime is not None:
-        with _config.use(runtime):
-            return validate_irr_many(registry, routes, shards=shards, jobs=jobs)
     routes = set(routes)
     memo = _memo_of(registry)
     if memo is None:
@@ -312,17 +214,7 @@ def validate_irr_many(
         else:
             results[key] = status
     if pending:
-        statuses = None
-        shards = resolve_shards(shards)
-        if shards > 1 and len(pending) >= MIN_SHARD_ROUTES:
-            # Sort so chunks are genuine prefix ranges (and shard
-            # boundaries never depend on set-iteration order).
-            pending.sort()
-            statuses = _sharded_statuses(
-                registry, pending, shards, obs.resolve_jobs(jobs)
-            )
-        if statuses is None:
-            statuses = _classify_pending(registry, pending)
+        statuses = _classify_pending(registry, pending)
         tallies: dict[IRRStatus, int] = {}
         for key, status in zip(pending, statuses):
             memo[key] = status
@@ -334,25 +226,3 @@ def validate_irr_many(
     obs.add("irr.memo_misses", len(pending))
     return results
 
-
-# Worker-process state for prefix-range sharded validation, installed
-# once per worker by the pool initializer (the registry pickles once).
-_shard_registry: IRRCollection | IRRDatabase | None = None
-
-
-def _init_irr_shard_worker(registry: IRRCollection | IRRDatabase) -> None:
-    global _shard_registry
-    _shard_registry = registry
-
-
-def _classify_route_shard(task: tuple) -> tuple[dict, np.ndarray]:
-    """Classify one prefix-range chunk; emits a verdict-code column."""
-    index, total, chunk = task
-    assert _shard_registry is not None
-    statuses = _classify_pending(_shard_registry, chunk)
-    codes = np.fromiter(
-        (_CODE_BY_STATUS[status] for status in statuses),
-        dtype=np.int8,
-        count=len(statuses),
-    )
-    return shard_manifest("irr.validate", index, total, len(chunk)), codes

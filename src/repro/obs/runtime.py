@@ -23,13 +23,12 @@ JOBS_ENV = "REPRO_JOBS"
 def resolve_jobs(jobs: int | None = None) -> int:
     """Number of worker processes to use.
 
-    An explicit ``jobs`` argument wins; otherwise the active
-    :class:`repro.config.RuntimeConfig` decides (which falls back to
-    ``REPRO_JOBS`` when none is installed).  ``0`` (either way) means
-    "all cores"; anything else is clamped to at least 1.  The default
-    with no argument, no installed config and no env var is 1 (serial),
-    which keeps single-shot builds free of process-pool overhead and
-    bit-reproducible under the simplest configuration.
+    The sweep scheduler's default worker count is its one reader; builds
+    run in one process.  An explicit ``jobs`` argument wins; otherwise
+    the active :class:`repro.config.RuntimeConfig` decides (which falls
+    back to ``REPRO_JOBS`` when none is installed).  ``0`` or less
+    (either way) means "all cores".  The default with no argument, no
+    installed config and no env var is 1.
     """
     if jobs is None:
         jobs = _config.current().jobs

@@ -10,8 +10,8 @@ any counters incremented while it was the innermost open span (see
 The hooks stay as cheap as the bare ``perf_counter`` pairs they replaced:
 entering a span is one object construction plus a list append, exiting is
 one subtraction and two dict updates.  Nothing here is thread-safe by
-design — the pipeline's process-parallel fan-out never traces inside
-workers, and the per-process stack keeps the hot path lock-free.
+design — every process keeps its own stack, and the pipeline fans out
+over processes, never threads, so the hot path stays lock-free.
 
 Alongside the tree, a flat ``name → accumulated seconds`` aggregate is
 maintained with the semantics of the retired ``repro.perf`` timings
@@ -47,6 +47,13 @@ PERF_ENV = "REPRO_PERF"
 #: ``rss_mb`` attribute, so the span tree shows which stage pushed the
 #: high-water mark where.
 RSS_ENV = "REPRO_SPAN_RSS"
+
+#: Root spans that time one request or job of a long-lived process
+#: (``repro serve`` and its pool workers, sweep workers).  Such a root
+#: adds its time to the flat aggregate and is then dropped: nothing
+#: reads those trees, and keeping them grew the process by one tree per
+#: request.  Opened under another span, they are kept as children.
+_UNKEPT_ROOTS = frozenset({"serve.request", "serve.job_at", "sweep.job"})
 
 #: Completed top-level spans, in completion order.
 _roots: list["Span"] = []
@@ -111,7 +118,9 @@ def span(name: str, **attrs: object) -> Iterator[Span]:
     """Open a trace span around a block of pipeline work.
 
     Nested spans become children of the enclosing one; top-level spans
-    accumulate in the trace's root list.  Counter increments issued while
+    accumulate in the trace's root list, except the per-request and
+    per-job roots of long-lived processes (``_UNKEPT_ROOTS``), which
+    only add to the flat timings.  Counter increments issued while
     the span is innermost are attributed to it.  With ``REPRO_PERF`` set,
     the span prints the same ``[perf] name: N.NNNs`` stderr line the old
     ``perf.stage`` printed, indented by nesting depth.
@@ -129,7 +138,7 @@ def span(name: str, **attrs: object) -> Iterator[Span]:
         _stack.pop()
         if _stack:
             _stack[-1].children.append(current)
-        else:
+        elif name not in _UNKEPT_ROOTS:
             _roots.append(current)
         _aggregate[name] = _aggregate.get(name, 0.0) + current.elapsed
         if enabled():

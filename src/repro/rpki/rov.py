@@ -18,37 +18,16 @@ reference the kernel is tested against.
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 from typing import Iterable
 
-import numpy as np
-
-from repro import config as _config
 from repro import obs
-from repro.config import RuntimeConfig
 from repro.kernels.intervals import RouteIntervalIndex
 from repro.net.prefix import Prefix, address_key
 from repro.net.radix import RadixTree
 from repro.rpki.roa import VRP
-from repro.shard import (
-    ColumnAccumulator,
-    SpillError,
-    check_shard_manifests,
-    pool_map_consume,
-    resolve_build_budget,
-    resolve_shards,
-    shard_manifest,
-    split_evenly,
-)
 
 __all__ = ["RPKIStatus", "ROVValidator"]
-
-log = logging.getLogger(__name__)
-
-#: Below this many pending routes the per-pool VRP pickling cannot pay
-#: for itself; bulk validation stays in-process regardless of shards.
-MIN_SHARD_ROUTES = 2048
 
 
 class RPKIStatus(str, Enum):
@@ -85,9 +64,6 @@ _STATUS_BY_CODE = (
     RPKIStatus.INVALID_LENGTH,
     RPKIStatus.INVALID_ASN,
 )
-
-#: The inverse mapping, for packing verdicts into column shards.
-_CODE_BY_STATUS = {status: code for code, status in enumerate(_STATUS_BY_CODE)}
 
 
 class ROVValidator:
@@ -169,90 +145,15 @@ class ROVValidator:
         codes = self.interval_index().classify_routes(pending)
         return [_STATUS_BY_CODE[code] for code in codes.tolist()]
 
-    def _sharded_statuses(
-        self, pending: list[tuple[Prefix, int]], shards: int, jobs: int
-    ) -> list[RPKIStatus] | None:
-        """Classify prefix-range shards on a process pool; None = fall back.
-
-        ``pending`` must already be sorted, so each contiguous chunk is
-        one prefix range.  Workers emit verdict-code column shards which
-        concatenate in shard order; verdicts are per-route pure, so the
-        result is identical to the in-process bulk walk.
-        """
-        chunks = split_evenly(pending, shards)
-        total = len(chunks)
-        tasks = [(index, total, list(chunk)) for index, chunk in enumerate(chunks)]
-        obs.add("rov.validate_shards", total)
-        manifests: list[dict] = []
-        rows_seen = 0
-        try:
-            with ColumnAccumulator(
-                "rov.validate", budget_bytes=resolve_build_budget()
-            ) as accumulator:
-
-                def consume(result: tuple[dict, np.ndarray]) -> None:
-                    nonlocal rows_seen
-                    manifest, codes = result
-                    manifests.append(manifest)
-                    rows_seen += len(codes)
-                    accumulator.append({"codes": codes})
-
-                ok = pool_map_consume(
-                    _classify_route_shard,
-                    tasks,
-                    workers=max(jobs, 1),
-                    consume=consume,
-                    initializer=_init_rov_shard_worker,
-                    initargs=(self._vrps,),
-                )
-                if not ok:
-                    return None
-                problems = check_shard_manifests(
-                    manifests, "rov.validate", total
-                )
-                if not problems and rows_seen != len(pending):
-                    problems.append("row accounting mismatch")
-                if problems:
-                    log.warning(
-                        "discarding sharded ROV validation (%s); recomputing "
-                        "unsharded",
-                        "; ".join(problems),
-                    )
-                    obs.add("shard.discarded")
-                    return None
-                codes = accumulator.concat()["codes"]
-        except SpillError as error:
-            log.warning(
-                "discarding sharded ROV validation (%s); recomputing "
-                "unsharded",
-                error,
-            )
-            obs.add("shard.discarded")
-            return None
-        return [_STATUS_BY_CODE[code] for code in codes.tolist()]
-
     def validate_many(
-        self,
-        routes: Iterable[tuple[Prefix, int]],
-        shards: int | None = None,
-        jobs: int | None = None,
-        runtime: RuntimeConfig | None = None,
+        self, routes: Iterable[tuple[Prefix, int]]
     ) -> dict[tuple[Prefix, int], RPKIStatus]:
         """Classify a batch of routes with one interval-kernel pass.
 
         Equivalent to calling :meth:`validate` per route, but every
         not-yet-memoised route is classified in one ``searchsorted``
         sweep over the VRP intervals.
-
-        ``shards`` (default: the runtime config / ``REPRO_SHARDS``, else
-        1) fans the bulk classification across a process pool by prefix
-        range; verdicts are per-route pure, so the sharded result is
-        identical.  ``runtime`` installs a
-        :class:`repro.config.RuntimeConfig` for the duration of the call.
         """
-        if runtime is not None:
-            with _config.use(runtime):
-                return self.validate_many(routes, shards=shards, jobs=jobs)
         routes = set(routes)
         results: dict[tuple[Prefix, int], RPKIStatus] = {}
         pending: list[tuple[Prefix, int]] = []
@@ -263,17 +164,7 @@ class ROVValidator:
             else:
                 results[key] = status
         if pending:
-            statuses = None
-            shards = resolve_shards(shards)
-            if shards > 1 and len(pending) >= MIN_SHARD_ROUTES:
-                # Sort so chunks are genuine prefix ranges (and shard
-                # boundaries never depend on set-iteration order).
-                pending.sort()
-                statuses = self._sharded_statuses(
-                    pending, shards, obs.resolve_jobs(jobs)
-                )
-            if statuses is None:
-                statuses = self._classify_pending(pending)
+            statuses = self._classify_pending(pending)
             tallies: dict[RPKIStatus, int] = {}
             for key, status in zip(pending, statuses):
                 self._memo[key] = status
@@ -320,25 +211,3 @@ class ROVValidator:
         mask = self.interval_index().covers_prefixes(prefixes)
         return [p for p, hit in zip(prefixes, mask.tolist()) if hit]
 
-
-# Worker-process state for prefix-range sharded validation, installed
-# once per worker by the pool initializer (the VRP list pickles once).
-_shard_validator: ROVValidator | None = None
-
-
-def _init_rov_shard_worker(vrps: list[VRP]) -> None:
-    global _shard_validator
-    _shard_validator = ROVValidator(vrps)
-
-
-def _classify_route_shard(task: tuple) -> tuple[dict, np.ndarray]:
-    """Classify one prefix-range chunk; emits a verdict-code column."""
-    index, total, chunk = task
-    assert _shard_validator is not None
-    statuses = _shard_validator._classify_pending(chunk)
-    codes = np.fromiter(
-        (_CODE_BY_STATUS[status] for status in statuses),
-        dtype=np.int8,
-        count=len(statuses),
-    )
-    return shard_manifest("rov.validate", index, total, len(chunk)), codes

@@ -68,8 +68,6 @@ def build_world(
     config: ScenarioConfig | None = None,
     topology_config: TopologyConfig | None = None,
     recruitment_config: RecruitmentConfig | None = None,
-    jobs: int | None = None,
-    shards: int | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> World:
     """Build a complete world.
@@ -79,31 +77,12 @@ def build_world(
     test-sized worlds in well under a second.
 
     ``runtime`` installs a :class:`repro.config.RuntimeConfig` for the
-    duration of the build, so every knob underneath (build budget,
-    shard/worker counts) honours the explicit object instead of the
-    environment.
-
-    ``jobs`` sets the worker count for the RIB-collection fan-out
-    (``None`` defers to the runtime config, whose fallback is the
-    ``REPRO_JOBS`` environment variable; the result is identical at any
-    worker count).
-
-    ``shards`` (``None`` defers to the runtime config / ``REPRO_SHARDS``,
-    else 1) shards the three dominant stages across worker processes —
-    RIB collection by vantage-point chunk, ROV/IRR bulk validation by
-    prefix range, transit scoring by route-group chunk.  Workers emit
-    column shards merged in deterministic shard order, so the built world
-    is byte-identical at any shard count (DESIGN §13).
+    duration of the build.  No build stage reads a knob: the build runs
+    in this process, in bounded batches (DESIGN §18).
     """
     with _runtime_config.use(runtime), obs.gc_paused(freeze=True):
         return _build_world(
-            scale,
-            seed,
-            config,
-            topology_config,
-            recruitment_config,
-            jobs,
-            shards,
+            scale, seed, config, topology_config, recruitment_config
         )
 
 
@@ -113,8 +92,6 @@ def _build_world(
     config: ScenarioConfig | None,
     topology_config: TopologyConfig | None,
     recruitment_config: RecruitmentConfig | None,
-    jobs: int | None,
-    shards: int | None = None,
 ) -> World:
     config = config or ScenarioConfig()
     topology_config = (topology_config or TopologyConfig()).scaled(scale)
@@ -173,8 +150,6 @@ def _build_world(
         originations=ctx.originations,
         vantage_points=vantage_points,
         snapshot=config.snapshot_date,
-        jobs=jobs,
-        shards=shards,
     )
     return World(
         config=config,
@@ -231,8 +206,6 @@ def derive_measurements(
     originations: Mapping[int, Sequence[Origination]],
     vantage_points: Sequence[int],
     snapshot: date,
-    jobs: int | None = None,
-    shards: int | None = None,
 ) -> Measurements:
     """Run the measurement pipeline over a world's inputs.
 
@@ -240,7 +213,6 @@ def derive_measurements(
     collector RIB → prefix2as → IHR, under the ``build.*`` spans.
     :func:`build_world` runs it over freshly generated inputs and
     :func:`repro.delta.rebuild.cold_rebuild` over event-mutated ones.
-    ``jobs``/``shards`` of ``None`` defer to the active runtime config.
     """
     with obs.span("build.relying_party"):
         rov = ROVValidator(RelyingParty(repository).validate(snapshot).vrps)
@@ -249,8 +221,8 @@ def derive_measurements(
         routes = route_table(originations)
         # Bulk classification also warms the validators' per-route memos,
         # which the IHR pipeline re-queries for the visible routes below.
-        rpki_by_route = rov.validate_many(routes, shards=shards, jobs=jobs)
-        irr_by_route = validate_irr_many(irr, routes, shards=shards, jobs=jobs)
+        rpki_by_route = rov.validate_many(routes)
+        irr_by_route = validate_irr_many(irr, routes)
         obs.add("build.routes_classified", len(routes))
         obs.add(
             "build.routes_rpki_invalid",
@@ -284,12 +256,10 @@ def derive_measurements(
 
     engine = PropagationEngine(topology, policies)
     with obs.span("build.collect_rib"):
-        rib = collect_rib(
-            engine, announcements(), vantage_points, jobs=jobs, shards=shards
-        )
+        rib = collect_rib(engine, announcements(), vantage_points)
     prefix2as = Prefix2AS.from_rib(rib)
     with obs.span("build.ihr"):
-        ihr = build_ihr_dataset(rib, rov, irr, topology, shards=shards, jobs=jobs)
+        ihr = build_ihr_dataset(rib, rov, irr, topology)
     return Measurements(
         engine=engine, rov=rov, rib=rib, ihr=ihr, prefix2as=prefix2as
     )

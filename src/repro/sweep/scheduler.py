@@ -100,8 +100,8 @@ def run_sweep(
 
     ``runtime`` installs a :class:`repro.config.RuntimeConfig` for the
     driver *and* every pool worker (via a pool initializer), so an
-    explicit config governs warm-start stores, kernels and shard counts
-    end to end instead of relying on inherited environment variables.
+    explicit config governs warm-start stores end to end instead of
+    relying on inherited environment variables.
     """
     with _config.use(runtime):
         jobs = spec.expand()

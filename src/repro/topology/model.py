@@ -84,8 +84,8 @@ class TopologyCSR:
         """Sorted packed ``provider<<32 | customer`` ASN keys, one per
         provider→customer edge — the membership table the hegemony
         kernel probes for learned-from-customer flags.  Built once per
-        CSR and shared by every consumer (including IHR shard workers,
-        which each hold their own CSR copy)."""
+        CSR and shared by every consumer (every hegemony partition of a
+        build probes the same table)."""
         keys = self._customer_edge_keys
         if keys is None:
             provider_rows = np.repeat(

@@ -26,11 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.bgp import propagation
 from repro.bgp.collector import RouteGroup
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.config import KERNEL_MODES, RuntimeConfig
 from repro.core.impact import _rpki_saturation_python, rpki_saturation
+from repro.ihr import pipeline
 from repro.ihr.pipeline import (
     _transit_groups_numpy,
     _transit_groups_python,
@@ -249,6 +252,26 @@ class TestTransitGroups:
         for (_, left), (_, right) in zip(indexed, reference):
             assert list(left.transits) == list(right.transits)
 
+    def test_partition_bound_is_an_identity(self, small_world, monkeypatch):
+        """One group per partition scores what one partition scores."""
+        visible = [group for group in small_world.rib.groups if group.paths]
+        statuses = [(("valid", "valid"),) * len(g.prefixes) for g in visible]
+
+        def scored(bound: int):
+            monkeypatch.setattr(pipeline, "HEGEMONY_PARTITION_BYTES", bound)
+            before = obs.counters().get("hegemony.partitions", 0)
+            groups = _transit_groups_numpy(
+                visible, statuses, small_world.topology, 0.1
+            )
+            return groups, obs.counters()["hegemony.partitions"] - before
+
+        whole, one = scored(1 << 62)
+        split, many = scored(1)
+        assert (one, many) == (1, len(visible))
+        assert split == whole
+        for left, right in zip(split, whole):
+            assert list(left.transits) == list(right.transits)
+
 
 # -- batched propagation ----------------------------------------------------
 
@@ -265,6 +288,32 @@ class TestBatchPaths:
         batched = engine.paths_to_many(keys, small_world.vantage_points)
         for (origin, route_class), paths in zip(keys, batched):
             reference = engine.paths_to(
+                origin, small_world.vantage_points, route_class
+            )
+            assert paths == reference
+            assert list(paths) == list(reference)
+
+    def test_one_origin_batches_match_scalar(self, small_world, monkeypatch):
+        """The batch bound is an identity: one origin per ``batch_paths``
+        call resolves what scalar ``paths_to`` does, key by key."""
+        monkeypatch.setattr(propagation, "BATCH_ORIGINS", 1)
+        batched_engine = PropagationEngine(
+            small_world.topology, small_world.policies, paths_cache_size=0
+        )
+        scalar_engine = PropagationEngine(
+            small_world.topology, small_world.policies, paths_cache_size=0
+        )
+        keys = [
+            (group.origin, group.route_class)
+            for group in small_world.rib.groups
+        ]
+        before = obs.counters().get("propagation.batches", 0)
+        batched = batched_engine.paths_to_many(keys, small_world.vantage_points)
+        assert obs.counters()["propagation.batches"] - before == len(
+            {(origin, batched_engine.signature_id(rc)) for origin, rc in keys}
+        )
+        for (origin, route_class), paths in zip(keys, batched):
+            reference = scalar_engine.paths_to(
                 origin, small_world.vantage_points, route_class
             )
             assert paths == reference

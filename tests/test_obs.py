@@ -7,6 +7,7 @@ semantics, snapshot JSON round-tripping, and the exporters.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -65,6 +66,21 @@ class TestSpans:
             with obs.span("failing"):
                 raise ValueError("boom")
         assert [s.name for s in obs.root_spans()] == ["failing"]
+
+    def test_request_and_job_roots_only_add_timings(self):
+        # A serve request or sweep job opened as a root is not kept...
+        names = {"serve.request", "serve.job_at", "sweep.job"}
+        for name in sorted(names):
+            with obs.span(name):
+                pass
+        assert obs.root_spans() == []
+        assert set(obs.timings()) == names
+        # ...but one opened under another span stays in that tree.
+        with obs.span("suite.run_job"):
+            with obs.span("sweep.job"):
+                pass
+        (root,) = obs.root_spans()
+        assert [child.name for child in root.children] == ["sweep.job"]
 
     def test_timings_accumulate_across_repeats(self):
         for _ in range(3):
@@ -183,6 +199,7 @@ class TestRuntimeHelpers:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert obs.resolve_jobs() == 1
         assert obs.resolve_jobs(3) == 3
+        assert obs.resolve_jobs(0) == (os.cpu_count() or 1)  # 0 = all cores
         monkeypatch.setenv("REPRO_JOBS", "5")
         assert obs.resolve_jobs() == 5
         monkeypatch.setenv("REPRO_JOBS", "junk")

@@ -1,34 +1,31 @@
 """The parity table: every way of reaching a world must hash the same.
 
-Each axis builds or reaches the pinned (0.3, 7) world along a different
-mechanism and must land on its ``world_digest`` in
+Each axis reaches the pinned (0.3, 7) world along a different mechanism
+and must land on its ``world_digest`` in
 ``tests/goldens/world_digests.json``.  Each axis also proves through
-counters that its mechanism really ran, so a fallback to the serial
-path can never pass as parity:
+counters that its mechanism really ran:
 
-* ``sharded`` — 2 column shards on 2 workers.  Every sharded stage
-  (RIB collection, ROV and IRR validation, transit scoring) counts its
-  shards, and no shard set is discarded or lacks a pool.
-* ``spilled`` — the same build under a zero build budget.  Each of the
-  three column accumulators (collect_rib, ROV, IRR) opens a spill file;
-  transit scoring materialises per shard and owns none.
-* ``reopened-mmap`` — the sharded world saved to a checkpoint and
+* ``reopened-mmap`` — the built world saved to a checkpoint and
   reopened lazily over memory-mapped columns (the column file must
   actually map), then fully materialised, so every ``_rebuild_*``
   decoder runs (a digest alone reads only some of the fields).
-* ``rebuilt-sharded`` — ``cold_rebuild`` of the sharded world with no
-  events, under the sharded runtime: the rebuild runs the builder's
-  derive half, so every sharded stage must count its shards again.
+* ``rebuilt`` — ``cold_rebuild`` of the built world with no events: the
+  rebuild runs the builder's derive half on a fresh engine, so it must
+  propagate and score hegemony again.
 * ``replay`` — ``repro replay`` in a subprocess: a synthetic event
   stream applied through the live world must digest-equal cold rebuilds
   at three instants (replay == rebuild, end to end through the CLI).
 
-The serial build is pinned by ``tests/test_goldens.py``; the scenario
-families by ``tests/test_scenarios.py``.
+The build itself is pinned by ``tests/test_goldens.py``.  Here it runs
+under a spy that shows the one build path stays in this process and
+bounds its working set: no ``batch_paths`` call takes more than
+``BATCH_ORIGINS`` origins, and hegemony scores more than one partition.
+The scenario families are pinned by ``tests/test_scenarios.py``.
 """
 
 from __future__ import annotations
 
+import _posixsubprocess
 import dataclasses
 import json
 import os
@@ -40,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro import config, obs
+from repro.bgp import propagation
 from repro.config import RuntimeConfig
 from repro.datasets.checkpoint import CheckpointStore, world_digest
 from repro.datasets.columnar import LazyWorld
@@ -51,17 +49,6 @@ from repro.scenario.world import World
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "world_digests.json"
 SCALE, SEED = 0.3, 7
-
-SHARDED = RuntimeConfig(jobs=2, shards=2)
-SPILLED = RuntimeConfig(jobs=2, shards=2, build_budget_mb=0)
-
-#: Counters each sharded stage bumps once per shard set it fans out.
-SHARD_COUNTERS = (
-    "collect.vp_shards",
-    "rov.validate_shards",
-    "irr.validate_shards",
-    "ihr.transit_shards",
-)
 
 CHECKPOINT_LINE = re.compile(r"^checkpoint\s+\d+\s+[0-9a-f]{16}\s+ok$")
 
@@ -86,35 +73,48 @@ def _counted(action):
 
 
 @pytest.fixture(scope="module")
-def sharded():
-    return _counted(lambda: build_world(SCALE, SEED, runtime=SHARDED))
+def built():
+    """The pinned world, built with every ``batch_paths`` batch size
+    recorded and process creation forbidden; returns (world, counters
+    moved, batch sizes)."""
+    sizes: list[int] = []
+    real = propagation.batch_paths
+
+    def spy(plan, bases, *args):
+        sizes.append(len(bases))
+        return real(plan, bases, *args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the build started a process")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "batch_paths", spy)
+        # Every way Python starts a process: fork-started pools,
+        # spawn/forkserver pools, and subprocess.
+        for owner, name in (
+            (os, "fork"),
+            (_posixsubprocess, "fork_exec"),
+            (subprocess.Popen, "_execute_child"),
+        ):
+            patch.setattr(owner, name, forbidden)
+        world, moved = _counted(lambda: build_world(SCALE, SEED))
+    return world, moved, sizes
 
 
 @pytest.fixture(scope="module")
-def store(sharded, tmp_path_factory):
+def store(built, tmp_path_factory):
     store = CheckpointStore(tmp_path_factory.mktemp("parity-store"))
-    store.save(sharded[0])
+    store.save(built[0])
     return store
 
 
-def _assert_sharded(moved):
-    for name in SHARD_COUNTERS:
-        assert moved.get(name, 0) > 0, f"{name} never rose: a stage ran unsharded"
-    assert "shard.discarded" not in moved
-    assert "shard.pool_unavailable" not in moved
-
-
-def _sharded_axis(request):
-    world, moved = request.getfixturevalue("sharded")
-    _assert_sharded(moved)
-    return world_digest(world)
-
-
-def _spilled_axis(request):
-    world, moved = _counted(lambda: build_world(SCALE, SEED, runtime=SPILLED))
-    assert moved.get("build.spill.files") == 3, moved
-    assert "shard.discarded" not in moved
-    return world_digest(world)
+def test_build_bounds_batches_and_partitions(built):
+    world, moved, sizes = built
+    assert world_digest(world) == _golden_digest()
+    assert max(sizes) <= propagation.BATCH_ORIGINS, sizes
+    assert propagation.BATCH_ORIGINS in sizes, "the bound never cut a batch"
+    assert moved["propagation.batches"] == len(sizes)
+    assert moved["hegemony.partitions"] > 1
 
 
 def _reopened_axis(request):
@@ -134,20 +134,18 @@ def _reopened_axis(request):
 
 
 def _rebuilt_axis(request):
-    base, _ = request.getfixturevalue("sharded")
-    with config.use(SHARDED):
-        world, moved = _counted(lambda: cold_rebuild(base, []))
-    _assert_sharded(moved)
+    base, _, _ = request.getfixturevalue("built")
+    world, moved = _counted(lambda: cold_rebuild(base, []))
+    assert moved.get("propagation.batches", 0) > 1, moved
+    assert moved.get("hegemony.partitions", 0) > 1, moved
     return world_digest(world)
 
 
 #: Axis name → a check that reaches the pinned world along that axis,
 #: asserts its mechanism ran, and returns the world's digest.
 AXES = {
-    "sharded": _sharded_axis,
-    "spilled": _spilled_axis,
     "reopened-mmap": _reopened_axis,
-    "rebuilt-sharded": _rebuilt_axis,
+    "rebuilt": _rebuilt_axis,
 }
 
 

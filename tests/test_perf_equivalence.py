@@ -1,6 +1,6 @@
 """Equivalence tests for the performance fast paths.
 
-Every optimisation added for full-scale builds — parallel ``collect_rib``,
+Every optimisation added for full-scale builds — batched ``collect_rib``,
 the propagation memo and targeted fast path, bulk/memoised validation,
 the incremental relying party, and the RIB lookup caches — must produce
 byte-identical results to the straightforward implementation it replaces.
@@ -17,7 +17,6 @@ from datetime import date
 
 import pytest
 
-import repro.bgp.collector as collector_mod
 from repro import obs
 from repro.bgp.collector import collect_rib, select_vantage_points
 from repro.bgp.policy import ASPolicy, RouteClass
@@ -104,31 +103,12 @@ def world_announcements(world):
 
 
 class TestParallelCollect:
-    def test_parallel_matches_serial(self, small_world, monkeypatch):
-        """jobs=2 must reproduce the serial snapshot group-for-group."""
-        announcements = world_announcements(small_world)
-        serial = collect_rib(
-            small_world.engine, announcements, small_world.vantage_points, jobs=1
-        )
-        # Force the pool even for this small workload.
-        monkeypatch.setattr(collector_mod, "MIN_PARALLEL_GROUPS", 1)
-        parallel = collect_rib(
-            small_world.engine, announcements, small_world.vantage_points, jobs=2
-        )
-        assert parallel.vantage_points == serial.vantage_points
-        assert len(parallel.groups) == len(serial.groups)
-        for got, want in zip(parallel.groups, serial.groups):
-            assert (got.origin, got.route_class) == (want.origin, want.route_class)
-            assert got.prefixes == want.prefixes
-            assert got.paths == want.paths
-
     def test_matches_world_rib(self, small_world):
-        """Serial re-collection reproduces the committed world RIB."""
+        """Re-collection reproduces the committed world RIB."""
         snapshot = collect_rib(
             small_world.engine,
             world_announcements(small_world),
             small_world.vantage_points,
-            jobs=1,
         )
         assert [g.paths for g in snapshot.groups] == [
             g.paths for g in small_world.rib.groups

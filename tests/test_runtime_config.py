@@ -3,8 +3,10 @@
 The contract under test: one frozen dataclass of five knobs resolved
 with ``explicit > environment > default`` precedence, installable
 process-wide or for a ``with`` block, consulted by every call-time
-reader the per-site env lookups used to own (default store, jobs/shards
-resolution, the build budget), and documented by README's knob table.
+reader the per-site env lookups used to own (default store, jobs
+resolution), and documented by README's knob table.  The removed build
+modes (``shards``, ``build_budget_mb``) keep one legal value each and
+raise on any other.
 """
 
 from __future__ import annotations
@@ -54,6 +56,23 @@ class TestDefaults:
         with pytest.raises(ValueError, match="build_budget_mb"):
             RuntimeConfig(build_budget_mb=-1)
 
+    def test_removed_build_modes_raise(self):
+        # perfbench's pin spells out every removed mode's legal value.
+        RuntimeConfig(jobs=1, shards=1, kernels="numpy", build_budget_mb=None)
+        for removed in ({"shards": 2}, {"build_budget_mb": 64}, {"build_budget_mb": 0}):
+            with pytest.raises(ValueError, match="was removed"):
+                RuntimeConfig(**removed)
+        with pytest.raises(
+            ValueError, match="REPRO_SHARDS=2: process-pool sharding was removed"
+        ):
+            RuntimeConfig.from_env({"REPRO_SHARDS": "2"})
+        with pytest.raises(
+            ValueError,
+            match="REPRO_BUILD_BUDGET_MB=64.0: the spill-to-disk build budget was removed",
+        ):
+            RuntimeConfig.from_env({"REPRO_BUILD_BUDGET_MB": "64"})
+        assert RuntimeConfig.from_env({"REPRO_SHARDS": "1"}) == RuntimeConfig()
+
     def test_python_kernels_were_removed(self):
         with pytest.raises(ValueError, match="python kernel mode was removed"):
             RuntimeConfig(kernels="python")
@@ -65,20 +84,22 @@ class TestDefaults:
 
 class TestFromEnv:
     def test_reads_every_documented_variable(self):
+        # The removed build modes are read too, at their one legal value
+        # (an empty variable is unset); other values raise (see above).
         env = {
             "REPRO_JOBS": "4",
-            "REPRO_SHARDS": "8",
+            "REPRO_SHARDS": "1",
             "REPRO_KERNELS": "NumPy",
             "REPRO_CACHE_DIR": "/tmp/store",
-            "REPRO_BUILD_BUDGET_MB": "0.5",
+            "REPRO_BUILD_BUDGET_MB": "",
         }
         runtime = RuntimeConfig.from_env(env)
         assert runtime == RuntimeConfig(
             jobs=4,
-            shards=8,
+            shards=1,
             kernels="numpy",
             cache_dir="/tmp/store",
-            build_budget_mb=0.5,
+            build_budget_mb=None,
         )
         assert set(env) == set(ENV_VARS.values())
         assert set(ENV_VARS) == {
@@ -106,11 +127,11 @@ class TestFromEnv:
 
 class TestResolvePrecedence:
     def test_explicit_beats_env_beats_default(self):
-        env = {"REPRO_JOBS": "4", "REPRO_SHARDS": "8"}
+        env = {"REPRO_JOBS": "4", "REPRO_CACHE_DIR": "/tmp/env-store"}
         runtime = RuntimeConfig.resolve(env=env, jobs=2)
         assert runtime.jobs == 2  # explicit wins
-        assert runtime.shards == 8  # env fills the unspecified
-        assert runtime.cache_dir is None  # default fills the rest
+        assert runtime.cache_dir == "/tmp/env-store"  # env fills the unspecified
+        assert runtime.kernels == "numpy"  # default fills the rest
 
     def test_none_override_means_unspecified(self):
         env = {"REPRO_JOBS": "4"}
@@ -121,23 +142,17 @@ class TestResolvePrecedence:
             RuntimeConfig.resolve(env={}, workers=4)
 
     def test_merged_applies_non_none_on_top(self):
-        base = RuntimeConfig(jobs=2, shards=4)
-        merged = base.merged(jobs=None, shards=8)
-        assert merged == RuntimeConfig(jobs=2, shards=8)
+        base = RuntimeConfig(jobs=2, cache_dir="/tmp/a")
+        merged = base.merged(jobs=None, cache_dir="/tmp/b")
+        assert merged == RuntimeConfig(jobs=2, cache_dir="/tmp/b")
         assert base.merged() is base
-
-    def test_effective_jobs_zero_means_all_cores(self):
-        import os
-
-        assert RuntimeConfig(jobs=0).effective_jobs() == (os.cpu_count() or 1)
-        assert RuntimeConfig(jobs=3).effective_jobs() == 3
 
 
 class TestActiveConfig:
     def test_current_reads_env_at_call_time_when_uninstalled(self, monkeypatch):
-        assert config.current().shards == 1
-        monkeypatch.setenv("REPRO_SHARDS", "3")
-        assert config.current().shards == 3
+        assert config.current().jobs == 1
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert config.current().jobs == 3
 
     def test_set_current_overrides_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
@@ -178,16 +193,6 @@ class TestCallTimeReaders:
             assert resolve_jobs() == 6
             assert resolve_jobs(2) == 2  # explicit argument still wins
 
-    def test_shards_and_build_budget_honour_installed_config(self, monkeypatch):
-        from repro.shard import resolve_build_budget, resolve_shards
-
-        monkeypatch.setenv("REPRO_SHARDS", "5")
-        monkeypatch.setenv("REPRO_BUILD_BUDGET_MB", "7")
-        with config.use(RuntimeConfig(shards=3, build_budget_mb=1)):
-            assert resolve_shards() == 3
-            assert resolve_shards(2) == 2  # explicit argument still wins
-            assert resolve_build_budget() == 1024 * 1024
-
     def test_default_store_honours_installed_config(self, tmp_path):
         from repro.datasets.checkpoint import default_store
 
@@ -200,9 +205,7 @@ class TestCallTimeReaders:
     def test_picklable_for_pool_initializers(self):
         import pickle
 
-        runtime = RuntimeConfig(
-            jobs=3, shards=2, cache_dir="/tmp/store", build_budget_mb=0.5
-        )
+        runtime = RuntimeConfig(jobs=3, cache_dir="/tmp/store")
         assert pickle.loads(pickle.dumps(runtime)) == runtime
 
 
@@ -211,21 +214,20 @@ class TestRuntimeParameter:
 
     def test_explicit_runtime_beats_environment(self, monkeypatch):
         from repro.scenario import build as build_mod
-        from repro.shard import resolve_shards
 
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        seen: dict[str, int] = {}
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/env-store")
+        seen: dict[str, object] = {}
         original = build_mod._build_world
 
         def spy(*args, **kwargs):
-            seen["shards"] = resolve_shards()
+            seen["jobs"] = config.current().jobs
+            seen["cache_dir"] = config.current().cache_dir
             return original(*args, **kwargs)
 
         monkeypatch.setattr(build_mod, "_build_world", spy)
-        build_mod.build_world(
-            scale=0.02, seed=1, runtime=RuntimeConfig(shards=1)
-        )
-        assert seen["shards"] == 1
+        build_mod.build_world(scale=0.02, seed=1, runtime=RuntimeConfig(jobs=1))
+        assert seen == {"jobs": 1, "cache_dir": None}
 
 
 class TestReadmeKnobTable:

@@ -27,7 +27,7 @@ from repro.serve import (
     http_get,
     result_key,
 )
-from repro.serve.http import HTTP_VERSION
+from repro.serve.http import HTTP_VERSION, Request
 
 
 @pytest.fixture(autouse=True)
@@ -391,6 +391,34 @@ class TestMetaEndpoints:
         assert counters["serve.requests"] >= 1
         assert counters["serve.misses"] == 1
         assert snapshot["metrics"]["gauges"]["serve.inflight"] == 0
+
+    def test_request_spans_are_not_kept(self, tmp_path):
+        """A long-lived server keeps no span per request: the root count
+        does not grow with the request count, the flat timing does."""
+        service = ReproService(
+            store=CheckpointStore(tmp_path), build_fn=CountingBuilder()
+        )
+        healthz = Request("GET", "/healthz", "/healthz")
+
+        async def serve(n):
+            for _ in range(n):
+                await service._route(healthz)
+
+        def after(n):
+            run(serve(n))
+            return (
+                len(obs.root_spans()),
+                obs.snapshot(spans=False)["timings_s"]["serve.request"],
+                obs.counters()["serve.requests"],
+            )
+
+        with obs.span("outer"):
+            pass
+        roots_10, seconds_10, requests_10 = after(10)
+        roots_200, seconds_200, requests_200 = after(190)
+        assert roots_10 == roots_200 == 1
+        assert seconds_200 > seconds_10 > 0
+        assert (requests_10, requests_200) == (10, 200)
 
     def test_sweep_endpoints_read_the_ledger(self, tmp_path):
         from repro.sweep.ledger import RunLedger
