@@ -62,7 +62,7 @@ def main() -> None:
     print("sample rejections:")
     statuses = {
         (record.prefix, record.origin): (record.rpki, record.irr)
-        for record in world.ihr.prefix_origins
+        for record in world.ihr.prefix_origins()
     }
     shown = 0
     for verdict in report.verdicts:

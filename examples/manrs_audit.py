@@ -24,7 +24,6 @@ from repro.core.conformance import (
 )
 from repro.irr.validation import IRRStatus
 from repro.manrs.actions import Program, action4_threshold
-from repro.rpki.rov import RPKIStatus
 from repro.scenario import World, build_world
 
 

@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Regenerate the golden world digests pinned by tests/test_goldens.py.
+"""Regenerate the goldens under tests/goldens/.
 
-Run this ONLY when a change is *supposed* to alter world construction or
-dataset serialisation (new behaviour, new field, fixed bug).  Commit the
-rewritten ``tests/goldens/world_digests.json`` together with the change
-and explain the drift in the commit message — an unexplained golden
-update defeats the regression suite.
+They are the world digests (``world_digests.json``, pinned by
+tests/test_goldens.py), the replayed-instant digests
+(``replay_digests.json``, tests/test_delta.py) and the rendered-text
+digests of every registry entry (``render_digests.json``,
+tests/test_scenarios.py).  Run this ONLY when a change is *supposed* to
+alter world construction, dataset serialisation or a rendered artefact
+(new behaviour, new field, fixed bug).  Commit the rewritten files
+together with the change and explain the drift in the commit message —
+an unexplained golden update defeats the regression suite.
 
 Usage::
 
@@ -13,7 +17,8 @@ Usage::
 
 For each world point the script prints which per-artifact digests
 changed relative to the committed file, e.g.
-``scale=0.12 seed=11 world=... changed: ihr, rib``.
+``scale=0.12 seed=11 world=... changed: ihr, rib``, and likewise which
+replay checkpoints and which renders changed.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ GOLDENS_PATH = (
 
 REPLAY_GOLDENS_PATH = GOLDENS_PATH.parent / "replay_digests.json"
 
-SCENARIO_GOLDENS_PATH = GOLDENS_PATH.parent / "scenario_digests.json"
+RENDER_GOLDENS_PATH = GOLDENS_PATH.parent / "render_digests.json"
 
-#: The scenario-pack pin: every family rendered at the ``small_world``
-#: point and digested.  (scale, seed) matches the first DEFAULT_POINTS
-#: entry so tests/test_scenarios.py can reuse the session fixture.
-SCENARIO_SCALE, SCENARIO_SEED = 0.12, 11
+#: The render pin: every registry entry (the paper artefacts and the
+#: scenario families) rendered at the ``small_world`` point and
+#: digested.  (scale, seed) matches the first DEFAULT_POINTS entry so
+#: tests/test_scenarios.py can reuse the session fixture.
+RENDER_SCALE, RENDER_SEED = 0.12, 11
 
 #: The replayed-instant pin: synthetic events applied to the
 #: ``small_world`` point through the live world, digested mid-stream and
@@ -103,20 +109,20 @@ def replay_entry() -> dict:
     }
 
 
-def scenario_entry() -> dict:
-    """Digest every scenario family's rendered figure at the pin point."""
+def render_entry() -> dict:
+    """Digest every registry entry's rendered text at the pin point."""
     import hashlib
 
-    from repro.scenarios import FAMILIES
+    from repro.experiments.registry import REGISTRY
 
-    world = build_world(scale=SCENARIO_SCALE, seed=SCENARIO_SEED)
+    world = build_world(scale=RENDER_SCALE, seed=RENDER_SEED)
     digests = {}
-    for name, family in FAMILIES.items():
-        text = family.render(family.run(world))
+    for name, spec in REGISTRY.items():
+        text = spec.render(spec.run(world))
         digests[name] = hashlib.sha256(text.encode()).hexdigest()
     return {
-        "scale": SCENARIO_SCALE,
-        "seed": SCENARIO_SEED,
+        "scale": RENDER_SCALE,
+        "seed": RENDER_SEED,
         "digests": digests,
     }
 
@@ -131,15 +137,22 @@ def _changed(before: dict, after: dict) -> str:
     return f"changed: {', '.join(names)}" if names else "unchanged"
 
 
+def _committed(path: Path, *keys: str):
+    """The committed golden at ``path`` indexed by ``keys``, or None."""
+    try:
+        value = json.loads(path.read_text())
+        for key in keys:
+            value = value[key]
+    except (OSError, ValueError, KeyError):
+        return None
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
-    try:
-        committed = json.loads(GOLDENS_PATH.read_text())["entries"]
-    except (OSError, ValueError, KeyError):
-        committed = []
     committed_points = {
         (entry["scale"], entry["seed"]): entry["datasets"]
-        for entry in committed
+        for entry in _committed(GOLDENS_PATH, "entries") or []
     }
     payload = {
         "comment": (
@@ -158,6 +171,11 @@ def main(argv: list[str] | None = None) -> int:
             f"{_changed(before, entry['datasets'])}"
         )
     print(f"wrote {len(payload['entries'])} entries to {GOLDENS_PATH}")
+    committed_replay = {
+        str(point["applied"]): point["world_digest"]
+        for point in _committed(REPLAY_GOLDENS_PATH, "entry", "checkpoints")
+        or []
+    }
     replay = {
         "comment": (
             "Replayed-instant world digests (event replay through "
@@ -169,26 +187,31 @@ def main(argv: list[str] | None = None) -> int:
     REPLAY_GOLDENS_PATH.write_text(
         json.dumps(replay, indent=1, sort_keys=True) + "\n"
     )
-    for point in replay["entry"]["checkpoints"]:
-        print(
-            f"replay applied={point['applied']} "
-            f"world={point['world_digest'][:16]}"
-        )
-    print(f"wrote replay golden to {REPLAY_GOLDENS_PATH}")
-    scenarios = {
-        "comment": (
-            "Scenario-pack rendered-figure digests (repro.scenarios); "
-            "regenerate with scripts/update_goldens.py and justify "
-            "drift in the commit."
-        ),
-        "entry": scenario_entry(),
+    replayed = {
+        str(point["applied"]): point["world_digest"]
+        for point in replay["entry"]["checkpoints"]
     }
-    SCENARIO_GOLDENS_PATH.write_text(
-        json.dumps(scenarios, indent=1, sort_keys=True) + "\n"
+    for applied, digest in replayed.items():
+        print(f"replay applied={applied} world={digest[:16]}")
+    print(f"replay {_changed(committed_replay, replayed)}")
+    print(f"wrote replay golden to {REPLAY_GOLDENS_PATH}")
+    committed_renders = (
+        _committed(RENDER_GOLDENS_PATH, "entry", "digests") or {}
     )
-    for name, digest in scenarios["entry"]["digests"].items():
-        print(f"scenario {name} digest={digest[:16]}")
-    print(f"wrote scenario goldens to {SCENARIO_GOLDENS_PATH}")
+    renders = {
+        "comment": (
+            "Rendered-text digests of every registry entry (the paper "
+            "artefacts and the scenario families); regenerate with "
+            "scripts/update_goldens.py and justify drift in the commit."
+        ),
+        "entry": render_entry(),
+    }
+    RENDER_GOLDENS_PATH.write_text(
+        json.dumps(renders, indent=1, sort_keys=True) + "\n"
+    )
+    digests = renders["entry"]["digests"]
+    print(f"renders {_changed(committed_renders, digests)}")
+    print(f"wrote {len(digests)} render digests to {RENDER_GOLDENS_PATH}")
     return 0
 
 

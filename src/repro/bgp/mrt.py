@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from datetime import date, datetime, timezone
 
-from repro.bgp.announcement import RibEntry
 from repro.bgp.collector import RibSnapshot, RouteGroup
 from repro.bgp.policy import RouteClass
 from repro.errors import DatasetError

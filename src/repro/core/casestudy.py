@@ -64,9 +64,10 @@ def attribute_unconformant(
     asn_set = set(asns)
     rpki_invalid = rpki_sibling_cp = rpki_unrelated = 0
     irr_invalid = irr_sibling_cp = irr_unrelated = 0
-    for record in dataset.prefix_origins:
-        if record.origin not in asn_set:
-            continue
+    records = (
+        record for asn in sorted(asn_set) for record in dataset.records_of(asn)
+    )
+    for record in records:
         if not is_unconformant(record.rpki, record.irr):
             continue
         if record.rpki.is_invalid:

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.classification import is_conformant, is_unconformant
-from repro.ihr.records import IHRDataset
+from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES, IHRDataset
 from repro.irr.validation import IRRStatus
 from repro.manrs.actions import Program, action4_threshold
 from repro.rpki.rov import RPKIStatus
@@ -173,17 +173,23 @@ class PropagationStats:
 def origination_stats(dataset: IHRDataset) -> dict[int, OriginationStats]:
     """Per-origin statistics over the IHR prefix-origin dataset.
 
-    Records are tallied per ``(origin, rpki, irr)`` and each combination
-    is added once with its count.  The tally keeps first-seen order, so
-    origins keep the order of their first record.
+    Rows are tallied per ``(origin, rpki, irr)`` code triple and each
+    combination is added once with its count.  The tally keeps
+    first-seen order, so origins keep the order of their first row.
     """
+    columns = dataset.arrays
     tally = Counter(
-        (record.origin, record.rpki, record.irr)
-        for record in dataset.prefix_origins
+        zip(
+            columns["po_origin"].tolist(),
+            columns["po_rpki"].tolist(),
+            columns["po_irr"].tolist(),
+        )
     )
     stats: dict[int, OriginationStats] = {}
     for (origin, rpki, irr), count in tally.items():
-        stats.setdefault(origin, OriginationStats()).add(rpki, irr, count)
+        stats.setdefault(origin, OriginationStats()).add(
+            RPKI_STATUSES[rpki], IRR_STATUSES[irr], count
+        )
     return stats
 
 
@@ -194,17 +200,29 @@ def propagation_stats(dataset: IHRDataset) -> dict[int, PropagationStats]:
     group's ``(rpki, irr)`` combinations are counted once and the group's
     totals are added to every transit, in the group's transit order.
     """
+    columns = dataset.arrays
+    rpki = columns["tg_rpki"].tolist()
+    irr = columns["tg_irr"].tolist()
+    prefix_offsets = columns["tg_offsets"].tolist()
+    transit_offsets = columns["tr_offsets"].tolist()
+    transits = columns["tr_asn"].tolist()
+    from_customer = columns["tr_from_customer"].tolist()
     stats: dict[int, PropagationStats] = {}
-    for group in dataset.transit_groups:
-        if not group.prefixes:
+    for group in range(len(prefix_offsets) - 1):
+        begin, end = prefix_offsets[group], prefix_offsets[group + 1]
+        if begin == end:
             continue
         tally = PropagationStats()
-        for (rpki, irr), count in Counter(group.statuses).items():
-            tally.add(rpki, irr, True, count)
-        for transit, info in group.transits.items():
-            stats.setdefault(transit, PropagationStats()).add_tally(
-                tally, info.from_customer
-            )
+        for (rpki_code, irr_code), count in Counter(
+            zip(rpki[begin:end], irr[begin:end])
+        ).items():
+            tally.add(RPKI_STATUSES[rpki_code], IRR_STATUSES[irr_code], True, count)
+        rows = slice(transit_offsets[group], transit_offsets[group + 1])
+        for transit, customer in zip(transits[rows], from_customer[rows]):
+            entry = stats.get(transit)
+            if entry is None:
+                entry = stats[transit] = PropagationStats()
+            entry.add_tally(tally, customer)
     return stats
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bgp.table import Prefix2AS
-from repro.ihr.records import IHRDataset
+from repro.ihr.records import RPKI_STATUSES, IHRDataset
 from repro.irr.database import IRRCollection, IRRDatabase
 from repro.kernels.intervals import _sorted_contains, union_address_count
 from repro.net.prefix import Prefix, aggregate_address_count
@@ -59,7 +59,8 @@ def rpki_saturation(
     routed/covered address counts are unions of integer intervals, so
     they only depend on which rows each population selects, not on
     bucket assembly order — the presorted columns plus boolean masks
-    yield the exact integers of :func:`_rpki_saturation_python`.
+    yield the exact integers of the per-prefix bucket loop
+    ``tests/test_kernels.py`` keeps as the oracle.
     """
     cols = prefix2as.v4_columns()
     covered = rov.interval_index().covers_v4(
@@ -81,37 +82,6 @@ def rpki_saturation(
             )
         )
     return reports[0], reports[1]
-
-
-def _rpki_saturation_python(
-    prefix2as: Prefix2AS,
-    rov: ROVValidator,
-    member_asns: frozenset[int],
-) -> tuple[SaturationReport, SaturationReport]:
-    """The per-prefix reference for :func:`rpki_saturation`.
-
-    Buckets each origin's IPv4 prefixes by population, asks the radix
-    trie whether any VRP covers each one, and aggregates the address
-    counts.  Only ``tests/test_kernels.py`` calls it, as the oracle the
-    columnar path must match exactly.
-    """
-    member_prefixes: list[Prefix] = []
-    other_prefixes: list[Prefix] = []
-    for asn in prefix2as.origin_asns:
-        bucket = member_prefixes if asn in member_asns else other_prefixes
-        bucket.extend(p for p in prefix2as.prefixes_of(asn) if p.version == 4)
-    return (
-        _saturation_of(member_prefixes, rov),
-        _saturation_of(other_prefixes, rov),
-    )
-
-
-def _saturation_of(prefixes: list[Prefix], rov: ROVValidator) -> SaturationReport:
-    covered = [prefix for prefix in prefixes if rov.covering_vrps(prefix)]
-    return SaturationReport(
-        routed_space=aggregate_address_count(prefixes),
-        covered_space=aggregate_address_count(covered),
-    )
 
 
 def irr_coverage(
@@ -144,23 +114,27 @@ def preference_scores(
     """MANRS preference score per prefix-origin, grouped by RPKI status.
 
     Returns ``{"valid": [...], "not_found": [...], "invalid": [...]}`` —
-    the paper folds both invalid flavours into one Figure 9 series.
+    the paper folds both invalid flavours into one Figure 9 series.  A
+    group's hegemonies are summed left to right in transit order.
     """
     scores: dict[str, list[float]] = {"valid": [], "not_found": [], "invalid": []}
-    for group in dataset.transit_groups:
+    names = {RPKIStatus.VALID: "valid", RPKIStatus.NOT_FOUND: "not_found"}
+    series = [scores[names.get(status, "invalid")] for status in RPKI_STATUSES]
+    columns = dataset.arrays
+    rpki = columns["tg_rpki"].tolist()
+    prefix_offsets = columns["tg_offsets"].tolist()
+    transit_offsets = columns["tr_offsets"].tolist()
+    transits = columns["tr_asn"].tolist()
+    hegemony = columns["tr_hegemony"].tolist()
+    for group in range(len(prefix_offsets) - 1):
         member_sum = 0.0
         other_sum = 0.0
-        for transit, info in group.transits.items():
-            if transit in member_asns:
-                member_sum += info.hegemony
+        for row in range(transit_offsets[group], transit_offsets[group + 1]):
+            if transits[row] in member_asns:
+                member_sum += hegemony[row]
             else:
-                other_sum += info.hegemony
+                other_sum += hegemony[row]
         score = member_sum - other_sum
-        for _, (rpki, _irr) in zip(group.prefixes, group.statuses):
-            if rpki is RPKIStatus.VALID:
-                scores["valid"].append(score)
-            elif rpki is RPKIStatus.NOT_FOUND:
-                scores["not_found"].append(score)
-            else:
-                scores["invalid"].append(score)
+        for row in range(prefix_offsets[group], prefix_offsets[group + 1]):
+            series[rpki[row]].append(score)
     return scores

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.conformance import (
-    OriginationStats,
-    PropagationStats,
     is_action1_fully_conformant,
     is_action4_conformant,
     origination_stats,

@@ -31,8 +31,9 @@ parse error logs a warning, discards the entry and reports a miss so the
 caller falls back to a cold build.  A warm-started world is
 digest-identical to a cold build (asserted by ``tests/test_checkpoint``)
 — :func:`dataset_digests` / :func:`world_digest` define that identity.
-The RIB and IHR digests hash the same columns the entry stores; the
-other artifacts hash their bundle serialisations.
+The RIB and IHR digests hash the same columns the entry stores (the
+IHR's are the world's own ``ihr`` columns, written and hashed as they
+are); the other artifacts hash their bundle serialisations.
 
 Hit/miss/corrupt/save counts land in the :mod:`repro.obs` metrics
 registry under ``checkpoint.*``.
@@ -63,25 +64,18 @@ from repro.bgp.table import Prefix2AS, serialize_prefix2as
 from repro.datasets.arraystore import ColumnWriter
 from repro.datasets.columnar import LazyWorld, WorldColumns
 from repro.datasets.store import PARTICIPANTS_FILE, RELATIONSHIPS_FILE
-from repro.ihr.records import (
-    IHRDataset,
-    PrefixOriginRecord,
-    TransitGroup,
-    TransitInfo,
-)
+from repro.ihr.records import LEGEND as IHR_LEGEND
 from repro.irr.database import IRRCollection, IRRDatabase
 from repro.irr.objects import AsSetObject, AutNumObject, RouteObject
 from repro.irr.rpsl import serialize_database
-from repro.irr.validation import IRRStatus
 from repro.manrs.actions import Program
 from repro.manrs.registry import serialize_participants
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.registry.allocation import Delegation
 from repro.registry.rir import RIR
 from repro.rpki.archive import parse_vrps, serialize_vrps
 from repro.rpki.ca import ResourceCertificate, RPKIRepository
 from repro.rpki.roa import ROA, VRP
-from repro.rpki.rov import RPKIStatus
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.world import ASBehavior, Origination, World
 from repro.topology.as2org import serialize_as2org
@@ -274,49 +268,6 @@ def _int_array(values: list) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-_U64_MASK = (1 << 64) - 1
-
-
-def _prefix_arrays(name: str, prefixes: list[Prefix]) -> dict[str, np.ndarray]:
-    """Four parallel columns storing prefixes as integers.
-
-    A prefix is ``(value, length, version)``; the value is up to 128
-    bits, split into two unsigned-64 halves.  Integer columns decode
-    with :meth:`Prefix._from_trusted` in a fraction of the time text
-    columns take to parse (and at a quarter of the bytes of ``U18``
-    unicode storage).
-    """
-    values = [p.value for p in prefixes]
-    return {
-        f"{name}_hi": np.asarray(
-            [v >> 64 for v in values], dtype=np.uint64
-        ),
-        f"{name}_lo": np.asarray(
-            [v & _U64_MASK for v in values], dtype=np.uint64
-        ),
-        f"{name}_len": np.asarray(
-            [p.length for p in prefixes], dtype=np.uint8
-        ),
-        f"{name}_ver": np.asarray(
-            [p.version for p in prefixes], dtype=np.uint8
-        ),
-    }
-
-
-def _prefix_list(arrays, name: str) -> list[Prefix]:
-    """Decode one :func:`_prefix_arrays` column set back to prefixes."""
-    make = Prefix._from_trusted  # noqa: SLF001 - digest-verified replay
-    return [
-        make((hi << 64) | lo if hi else lo, length, version)
-        for hi, lo, length, version in zip(
-            arrays[f"{name}_hi"].tolist(),
-            arrays[f"{name}_lo"].tolist(),
-            arrays[f"{name}_len"].tolist(),
-            arrays[f"{name}_ver"].tolist(),
-        )
-    ]
-
-
 def _replay(cls, fields: dict):
     """Construct a frozen dataclass instance from digest-verified fields.
 
@@ -403,7 +354,7 @@ def _rib_arrays(rib: RibSnapshot) -> tuple[dict, dict[str, np.ndarray]]:
         "rib_origin": origins,
         "rib_rpki_invalid": rpki_flags,
         "rib_irr_invalid": irr_flags,
-        **_prefix_arrays("rib_prefix", prefixes),
+        **prefix_columns("rib_prefix", prefixes),
         "rib_prefix_offsets": prefix_offsets,
         "rib_path_values": path_values,
         "rib_path_offsets": path_offsets,
@@ -431,7 +382,7 @@ def _rebuild_rib(meta: dict, arrays) -> RibSnapshot:
     origins = arrays["rib_origin"].tolist()
     rpki_flags = arrays["rib_rpki_invalid"].tolist()
     irr_flags = arrays["rib_irr_invalid"].tolist()
-    prefixes = _prefix_list(arrays, "rib_prefix")
+    prefixes = prefixes_from_columns(arrays, "rib_prefix")
     prefix_offsets = arrays["rib_prefix_offsets"].tolist()
     ref_vp = arrays["rib_ref_vp"].tolist()
     ref_offsets = arrays["rib_ref_offsets"].tolist()
@@ -468,7 +419,7 @@ def _rebuild_prefix2as(arrays) -> Prefix2AS:
     and no ``RouteGroup`` is built.
     """
     origins = arrays["rib_origin"].tolist()
-    prefixes = _prefix_list(arrays, "rib_prefix")
+    prefixes = prefixes_from_columns(arrays, "rib_prefix")
     prefix_offsets = arrays["rib_prefix_offsets"].tolist()
     ref_offsets = arrays["rib_ref_offsets"].tolist()
     return Prefix2AS.from_groups(
@@ -476,132 +427,6 @@ def _rebuild_prefix2as(arrays) -> Prefix2AS:
         for g, origin in enumerate(origins)
         if ref_offsets[g] != ref_offsets[g + 1]
     )
-
-
-#: Enum ``__call__`` is surprisingly expensive at checkpoint-load call
-#: counts (hundreds of thousands of status lookups); plain dicts are ~5x
-#: cheaper and raise KeyError on unknown values just as safely.
-_RPKI_BY_VALUE = {status.value: status for status in RPKIStatus}
-_IRR_BY_VALUE = {status.value: status for status in IRRStatus}
-
-
-def _ihr_arrays(ihr: IHRDataset) -> tuple[dict, dict[str, np.ndarray]]:
-    """The stored form of the IHR tables: JSON meta + flat numpy columns.
-
-    Statuses are stored as indexes into per-enum legends recorded in the
-    meta, so an entry written under a different enum definition fails the
-    legend lookup loudly (→ corrupt fallback) instead of silently
-    reinterpreting codes.  Prefix/status columns of the transit groups
-    are parallel (aligned with ``prefixes``) and share one offsets array.
-
-    These columns, in this order, are also what the ``ihr`` digest
-    hashes (:func:`dataset_digests`).
-    """
-    rpki_index = {status: i for i, status in enumerate(RPKIStatus)}
-    irr_index = {status: i for i, status in enumerate(IRRStatus)}
-    po = ihr.prefix_origins
-    tg_prefix: list[Prefix] = []
-    tg_rpki: list[int] = []
-    tg_irr: list[int] = []
-    tg_offsets = [0]
-    tr_asn: list[int] = []
-    tr_hegemony: list[float] = []
-    tr_from_customer: list[bool] = []
-    tr_offsets = [0]
-    for group in ihr.transit_groups:
-        tg_prefix.extend(group.prefixes)
-        tg_rpki.extend(rpki_index[rpki] for rpki, _ in group.statuses)
-        tg_irr.extend(irr_index[irr] for _, irr in group.statuses)
-        tg_offsets.append(len(tg_prefix))
-        for transit, info in group.transits.items():
-            tr_asn.append(transit)
-            tr_hegemony.append(info.hegemony)
-            tr_from_customer.append(info.from_customer)
-        tr_offsets.append(len(tr_asn))
-    meta = {
-        "rpki_values": [status.value for status in RPKIStatus],
-        "irr_values": [status.value for status in IRRStatus],
-    }
-    arrays = {
-        **_prefix_arrays("po_prefix", [r.prefix for r in po]),
-        "po_origin": _int_array([r.origin for r in po]),
-        "po_rpki": _int_array([rpki_index[r.rpki] for r in po]),
-        "po_irr": _int_array([irr_index[r.irr] for r in po]),
-        "po_visibility": _int_array([r.visibility for r in po]),
-        "tg_origin": _int_array([g.origin for g in ihr.transit_groups]),
-        "tg_visibility": _int_array(
-            [g.visibility for g in ihr.transit_groups]
-        ),
-        **_prefix_arrays("tg_prefix", tg_prefix),
-        "tg_rpki": _int_array(tg_rpki),
-        "tg_irr": _int_array(tg_irr),
-        "tg_offsets": _int_array(tg_offsets),
-        "tr_asn": _int_array(tr_asn),
-        "tr_hegemony": np.asarray(tr_hegemony, dtype=np.float64),
-        "tr_from_customer": np.asarray(tr_from_customer, dtype=np.bool_),
-        "tr_offsets": _int_array(tr_offsets),
-    }
-    return meta, arrays
-
-
-def _rebuild_ihr(meta: dict, arrays) -> IHRDataset:
-    rpki_legend = [_RPKI_BY_VALUE[value] for value in meta["rpki_values"]]
-    irr_legend = [_IRR_BY_VALUE[value] for value in meta["irr_values"]]
-    prefix_origins = [
-        _replay(
-            PrefixOriginRecord,
-            {
-                "prefix": prefix,
-                "origin": origin,
-                "rpki": rpki_legend[rpki],
-                "irr": irr_legend[irr],
-                "visibility": visibility,
-            },
-        )
-        for prefix, origin, rpki, irr, visibility in zip(
-            _prefix_list(arrays, "po_prefix"),
-            arrays["po_origin"].tolist(),
-            arrays["po_rpki"].tolist(),
-            arrays["po_irr"].tolist(),
-            arrays["po_visibility"].tolist(),
-        )
-    ]
-    tg_prefix = _prefix_list(arrays, "tg_prefix")
-    tg_rpki = arrays["tg_rpki"].tolist()
-    tg_irr = arrays["tg_irr"].tolist()
-    tg_offsets = arrays["tg_offsets"].tolist()
-    tr_asn = arrays["tr_asn"].tolist()
-    tr_hegemony = arrays["tr_hegemony"].tolist()
-    tr_from_customer = arrays["tr_from_customer"].tolist()
-    tr_offsets = arrays["tr_offsets"].tolist()
-    transit_groups = [
-        _replay(
-            TransitGroup,
-            {
-                "origin": origin,
-                "prefixes": tuple(tg_prefix[tg_offsets[g]:tg_offsets[g + 1]]),
-                "statuses": tuple(
-                    (rpki_legend[tg_rpki[j]], irr_legend[tg_irr[j]])
-                    for j in range(tg_offsets[g], tg_offsets[g + 1])
-                ),
-                "transits": {
-                    tr_asn[j]: _replay(
-                        TransitInfo,
-                        {
-                            "hegemony": tr_hegemony[j],
-                            "from_customer": tr_from_customer[j],
-                        },
-                    )
-                    for j in range(tr_offsets[g], tr_offsets[g + 1])
-                },
-                "visibility": visibility,
-            },
-        )
-        for g, (origin, visibility) in enumerate(
-            zip(arrays["tg_origin"].tolist(), arrays["tg_visibility"].tolist())
-        )
-    ]
-    return IHRDataset(prefix_origins=prefix_origins, transit_groups=transit_groups)
 
 
 def _topology_payload(topology: ASTopology) -> dict:
@@ -681,9 +506,9 @@ def _rpki_payload(
         "roa_cert_ids": [roa.certificate_id for roa in roas],
     }
     arrays = {
-        **_prefix_arrays("cert_res", resources),
+        **prefix_columns("cert_res", resources),
         "cert_res_offsets": _int_array(res_offsets),
-        **_prefix_arrays("roa_prefix", [r.prefix for r in roas]),
+        **prefix_columns("roa_prefix", [r.prefix for r in roas]),
         "roa_asn": _int_array([r.asn for r in roas]),
         "roa_maxlen": np.asarray(
             [r.max_length for r in roas], dtype=np.uint8
@@ -698,7 +523,7 @@ def _rpki_payload(
 
 def _rebuild_rpki(payload: dict, arrays) -> RPKIRepository:
     rir_legend = [_RIR_BY_VALUE[value] for value in payload["rir_values"]]
-    resources = _prefix_list(arrays, "cert_res")
+    resources = prefixes_from_columns(arrays, "cert_res")
     res_offsets = arrays["cert_res_offsets"].tolist()
     from_ordinal = date.fromordinal
     certificates = {
@@ -740,7 +565,7 @@ def _rebuild_rpki(payload: dict, arrays) -> RPKIRepository:
             },
         )
         for prefix, asn, max_length, certificate_id, not_before, not_after in zip(
-            _prefix_list(arrays, "roa_prefix"),
+            prefixes_from_columns(arrays, "roa_prefix"),
             arrays["roa_asn"].tolist(),
             arrays["roa_maxlen"].tolist(),
             payload["roa_cert_ids"],
@@ -889,15 +714,15 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
     arrays = {
         "orig_asn": _int_array(list(world.originations)),
         "orig_offsets": _int_array(orig_offsets),
-        **_prefix_arrays("orig_prefix", [o.prefix for o in originations]),
-        **_prefix_arrays("orig_block", [o.block for o in originations]),
+        **prefix_columns("orig_prefix", [o.prefix for o in originations]),
+        **prefix_columns("orig_block", [o.block for o in originations]),
         "orig_legacy": np.asarray(
             [o.legacy for o in originations], dtype=np.bool_
         ),
         "orig_deagg": np.asarray(
             [o.deaggregated for o in originations], dtype=np.bool_
         ),
-        **_prefix_arrays("del_prefix", [d.prefix for d in delegations]),
+        **prefix_columns("del_prefix", [d.prefix for d in delegations]),
         "del_rir": np.asarray(
             [rir_index[d.rir] for d in delegations], dtype=np.uint8
         ),
@@ -907,7 +732,7 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
         "del_legacy": np.asarray(
             [d.legacy for d in delegations], dtype=np.bool_
         ),
-        **_prefix_arrays("vrp_prefix", [v.prefix for v in vrps]),
+        **prefix_columns("vrp_prefix", [v.prefix for v in vrps]),
         "vrp_asn": _int_array([v.asn for v in vrps]),
         "vrp_maxlen": np.asarray(
             [v.max_length for v in vrps], dtype=np.uint8
@@ -915,7 +740,7 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
         "vrp_ta": np.asarray(
             [rir_index[v.trust_anchor] for v in vrps], dtype=np.uint8
         ),
-        **_prefix_arrays("irr_prefix", [r.prefix for r in irr_routes]),
+        **prefix_columns("irr_prefix", [r.prefix for r in irr_routes]),
         "irr_origin": _int_array([r.origin for r in irr_routes]),
         "irr_created": _int_array(
             [_date_ordinal(r.created) for r in irr_routes]
@@ -929,8 +754,8 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _rebuild_originations(arrays) -> dict[int, tuple[Origination, ...]]:
-    prefixes = _prefix_list(arrays, "orig_prefix")
-    blocks = _prefix_list(arrays, "orig_block")
+    prefixes = prefixes_from_columns(arrays, "orig_prefix")
+    blocks = prefixes_from_columns(arrays, "orig_block")
     legacy = arrays["orig_legacy"].tolist()
     deagg = arrays["orig_deagg"].tolist()
     offsets = arrays["orig_offsets"].tolist()
@@ -967,7 +792,7 @@ def _rebuild_delegations(meta: dict, arrays) -> list[Delegation]:
             },
         )
         for prefix, rir, org_id, ordinal, legacy in zip(
-            _prefix_list(arrays, "del_prefix"),
+            prefixes_from_columns(arrays, "del_prefix"),
             arrays["del_rir"].tolist(),
             meta["delegation_orgs"],
             arrays["del_date"].tolist(),
@@ -989,7 +814,7 @@ def _rebuild_vrps(meta: dict, arrays) -> list[VRP]:
             },
         )
         for prefix, asn, max_length, ta in zip(
-            _prefix_list(arrays, "vrp_prefix"),
+            prefixes_from_columns(arrays, "vrp_prefix"),
             arrays["vrp_asn"].tolist(),
             arrays["vrp_maxlen"].tolist(),
             arrays["vrp_ta"].tolist(),
@@ -998,7 +823,7 @@ def _rebuild_vrps(meta: dict, arrays) -> list[VRP]:
 
 
 def _rebuild_irr(meta: dict, arrays) -> IRRCollection:
-    prefixes = _prefix_list(arrays, "irr_prefix")
+    prefixes = prefixes_from_columns(arrays, "irr_prefix")
     origins = arrays["irr_origin"].tolist()
     created = arrays["irr_created"].tolist()
     modified = arrays["irr_modified"].tolist()
@@ -1095,12 +920,12 @@ def dataset_digests(world: World) -> dict[str, str]:
     """Per-artifact SHA-256 digests of a world.
 
     The RIB and the IHR tables are hashed from the columns a checkpoint
-    entry stores for them (:func:`_sha256_columns` over
-    :func:`_rib_arrays` / :func:`_ihr_arrays`); every other artifact is
-    hashed as rendered by its dataset-bundle serialiser, so two worlds
-    with equal digests export byte-identical files.  This is the
-    identity the golden-digest suite pins and the warm-equals-cold tests
-    assert.
+    entry stores for them (:func:`_sha256_columns`): the RIB's as
+    :func:`_rib_arrays` encodes them, the IHR's as ``world.ihr`` holds
+    them, whether built or opened.  Every other artifact is hashed as
+    rendered by its dataset-bundle serialiser, so two worlds with equal
+    digests export byte-identical files.  This is the identity the
+    golden-digest suite pins and the warm-equals-cold tests assert.
     """
     # Each artifact is hashed as soon as it is rendered, so digesting
     # never holds more than one serialisation resident at a time.
@@ -1125,7 +950,7 @@ def dataset_digests(world: World) -> dict[str, str]:
             for database in world.irr.databases
         ),
         "rib": _sha256_columns(*_rib_arrays(world.rib)),
-        "ihr": _sha256_columns(*_ihr_arrays(world.ihr)),
+        "ihr": _sha256_columns(world.ihr.meta, world.ihr.arrays),
     }
 
 
@@ -1203,8 +1028,7 @@ class CheckpointStore:
             with ColumnWriter(staging / ARRAYS_FILE) as writer:
                 rib_meta, stage_arrays = _rib_arrays(world.rib)
                 writer.write_all(stage_arrays)
-                ihr_meta, stage_arrays = _ihr_arrays(world.ihr)
-                writer.write_all(stage_arrays)
+                writer.write_all(world.ihr.arrays)
                 scenario_meta, stage_arrays = _scenario_payload(world)
                 writer.write_all(stage_arrays)
                 rpki_meta, stage_arrays = _rpki_payload(world.rpki_repository)
@@ -1215,7 +1039,7 @@ class CheckpointStore:
                 SCENARIO_FILE: scenario_meta,
                 RPKI_FILE: rpki_meta,
                 RIB_FILE: rib_meta,
-                IHR_FILE: ihr_meta,
+                IHR_FILE: world.ihr.meta,
             }
             for name, payload in payloads.items():
                 (staging / name).write_text(
@@ -1350,8 +1174,9 @@ class CheckpointStore:
         materialises lazily (:class:`~repro.datasets.columnar.LazyWorld`);
         a fully materialised world is digest-identical to a cold build.
 
-        Never raises for a bad entry: digest mismatches, schema skew and
-        parse errors log a warning, discard the entry, count
+        Never raises for a bad entry: digest mismatches, schema skew,
+        IHR status legends that differ from the current enums and parse
+        errors log a warning, discard the entry, count
         ``checkpoint.corrupt`` and fall back to a miss.
 
         ``columnar`` is the only ``mode``; any other value raises
@@ -1380,7 +1205,12 @@ class CheckpointStore:
                 problems = self._verify_files(entry, manifest)
                 if problems:
                     raise CheckpointError("; ".join(problems))
-                world = LazyWorld.from_columns(WorldColumns.open(entry), config)
+                columns = WorldColumns.open(entry)
+                # Status codes index the current enums; an entry written
+                # under other enum values must not be reinterpreted.
+                if columns.meta[IHR_FILE] != IHR_LEGEND:
+                    raise CheckpointError("IHR status legend skew")
+                world = LazyWorld.from_columns(columns, config)
         except Exception as error:  # noqa: BLE001 - fall back to cold build
             log.warning(
                 "discarding corrupt checkpoint %s (%s); falling back to a "

@@ -12,9 +12,10 @@ RIB's half-million paths, and neither does one that reads prefix2as,
 which is built from the RIB's origin and prefix columns alone.  Each
 field is frozen out of the cyclic GC as it materialises.
 
-Materialisation is exact: every field goes through the checkpoint's
-digest-verified ``_rebuild_*`` replay functions, so a fully materialised
-:class:`LazyWorld` is byte-identical to a cold build
+Materialisation is exact: every field but ``ihr`` goes through the
+checkpoint's digest-verified ``_rebuild_*`` replay functions, and
+``ihr`` wraps its stored columns as they are (they are the tables), so a
+fully materialised :class:`LazyWorld` is byte-identical to a cold build
 (``tests/test_columnar.py`` and the parity table's ``reopened-mmap``
 axis pin it).  This is the only way a checkpoint opens.
 
@@ -34,6 +35,7 @@ from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
 from repro.datasets.arraystore import ColumnSet, open_columns
 from repro.datasets.store import PARTICIPANTS_FILE, RELATIONSHIPS_FILE
+from repro.ihr.records import IHRDataset
 from repro.manrs.registry import parse_participants
 from repro.registry.allocation import AddressSpace
 from repro.rpki.rov import ROVValidator
@@ -137,7 +139,8 @@ def _materializers() -> dict:
             ckpt._rebuild_vrps(scenario(c), c.arrays)
         ),
         "rib": lambda c, w: ckpt._rebuild_rib(c.meta[ckpt.RIB_FILE], c.arrays),
-        "ihr": lambda c, w: ckpt._rebuild_ihr(c.meta[ckpt.IHR_FILE], c.arrays),
+        # The stored columns are the tables: wrapped, not decoded.
+        "ihr": lambda c, w: IHRDataset(c.meta[ckpt.IHR_FILE], c.arrays),
         # From the RIB's columns, so a warm round never decodes the RIB.
         # A RIB decoded already (a full materialize()) lends its prefix
         # objects instead: from_rib walks the same groups through the

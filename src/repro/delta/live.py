@@ -53,7 +53,9 @@ of ``tests/test_parity.py``.
 from __future__ import annotations
 
 from datetime import date
-from typing import Collection
+from typing import Collection, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.bgp.collector import RibSnapshot, RouteGroup
@@ -69,20 +71,16 @@ from repro.delta.events import (
     RoaIssued,
     apply_raw,
 )
-from repro.ihr.pipeline import transit_groups_indexed
-from repro.ihr.records import (
-    IHRDataset,
-    PrefixOriginRecord,
-    TransitGroup,
-    TransitInfo,
-)
+from repro.hegemony.scores import DEFAULT_TRIM
+from repro.ihr.pipeline import HegemonyRows, assemble_ihr, hegemony_rows
+from repro.ihr.records import IHRDataset
 from repro.irr.validation import (
     IRRStatus,
     seed_memo,
     validate_irr,
     validate_irr_many,
 )
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, prefixes_from_columns
 from repro.rpki.roa import VRP
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
@@ -92,9 +90,17 @@ from repro.topology.model import ASTopology, Relationship
 
 __all__ = ["LiveWorld", "run_job_at"]
 
-#: A group's vantage-point paths and their transit scores (None when no
-#: path has a transit AS).
-_TransitEntry = tuple[dict[int, tuple[int, ...]], dict[int, TransitInfo] | None]
+#: One group's transit rows (ASN, hegemony, from customer) in scoring
+#: order; empty when no path has a transit AS.
+_TransitRows = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: A group's vantage-point paths and their transit rows.
+_TransitEntry = tuple[dict[int, tuple[int, ...]], _TransitRows]
+#: No transit rows, in the scoring kernel's dtypes.
+_NO_ROWS: _TransitRows = (
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.float64),
+    np.empty(0, dtype=bool),
+)
 
 
 class LiveWorld:
@@ -381,47 +387,23 @@ class LiveWorld:
     def _derive_ihr(self, rib: RibSnapshot) -> IHRDataset:
         """The IHR tables, re-scoring only groups whose paths changed.
 
-        Record order mirrors :func:`repro.ihr.pipeline.build_ihr_dataset`
-        exactly: prefix origins in visible-group order, transit groups in
-        visible order restricted to groups with scores.  Hegemony scores
-        read only a group's paths and the type of each link on them, and
-        a link's type never changes (links are only added, and
-        ``add_link`` refuses an existing pair), so a group whose paths
-        are unchanged keeps its cached scores.  Paths compare in
-        vantage-point order, which the scoring kernel's per-group
-        emission order follows.  Each :class:`TransitGroup` is built from
-        the group's current prefixes and statuses, so a verdict flip
-        that moves a prefix between groups forces no re-score.  The
-        cache keeps one entry per visible group.
+        The tables are assembled as :func:`repro.ihr.pipeline.build_ihr_dataset`
+        assembles them, from the visible groups, the current verdicts
+        and the groups' transit rows.  Hegemony scores read only a
+        group's paths and the type of each link on them, and a link's
+        type never changes (links are only added, and ``add_link``
+        refuses an existing pair), so a group whose paths are unchanged
+        keeps its cached rows.  Paths compare in vantage-point order,
+        which the scoring kernel's per-group emission order follows.
+        The rows carry no prefix or status, so a verdict flip that moves
+        a prefix between groups forces no re-score.  The cache keeps one
+        entry per visible group.
         """
         visible = [group for group in rib.groups if group.paths]
-        prefix_origins: list[PrefixOriginRecord] = []
-        group_statuses: list[tuple] = []
         previous = self._transit_cache
         cache: dict[tuple[int, RouteClass], _TransitEntry] = {}
         misses: list[int] = []
         for index, group in enumerate(visible):
-            statuses = tuple(
-                (
-                    self._rpki_status[(prefix, group.origin)],
-                    self._irr_status[(prefix, group.origin)],
-                )
-                for prefix in group.prefixes
-            )
-            group_statuses.append(statuses)
-            visibility = len(group.paths)
-            for prefix, (rpki_status, irr_status) in zip(
-                group.prefixes, statuses
-            ):
-                prefix_origins.append(
-                    PrefixOriginRecord(
-                        prefix=prefix,
-                        origin=group.origin,
-                        rpki=rpki_status,
-                        irr=irr_status,
-                        visibility=visibility,
-                    )
-                )
             key = (group.origin, group.route_class)
             entry = previous.get(key)
             if entry is not None and _same_paths(entry[0], group.paths):
@@ -431,37 +413,20 @@ class LiveWorld:
         obs.add("delta.transit_hits", len(visible) - len(misses))
         obs.add("delta.transit_misses", len(misses))
         if misses:
-            scored = dict(
-                transit_groups_indexed(
-                    [visible[i] for i in misses],
-                    [group_statuses[i] for i in misses],
-                    self._state.topology,
-                )
+            scored = _transit_rows(
+                [visible[i] for i in misses], self._state.topology
             )
-            for local, index in enumerate(misses):
+            for index, rows in zip(misses, scored):
                 group = visible[index]
-                transit_group = scored.get(local)
-                cache[(group.origin, group.route_class)] = (
-                    group.paths,
-                    None if transit_group is None else transit_group.transits,
-                )
+                cache[(group.origin, group.route_class)] = (group.paths, rows)
         self._transit_cache = cache
-        transit_groups = [
-            TransitGroup(
-                origin=group.origin,
-                prefixes=group.prefixes,
-                statuses=statuses,
-                transits=transits,
-                visibility=len(group.paths),
-            )
-            for group, statuses in zip(visible, group_statuses)
-            for transits in (cache[(group.origin, group.route_class)][1],)
-            if transits is not None
-        ]
-        obs.add("ihr.prefix_origins", len(prefix_origins))
-        obs.add("ihr.transit_groups", len(transit_groups))
-        return IHRDataset(
-            prefix_origins=prefix_origins, transit_groups=transit_groups
+        return assemble_ihr(
+            visible,
+            self._rpki_status,
+            self._irr_status,
+            _joined_rows(
+                [cache[(group.origin, group.route_class)][1] for group in visible]
+            ),
         )
 
 
@@ -473,32 +438,74 @@ def _same_paths(
     return cached == current and list(cached) == list(current)
 
 
+def _transit_rows(
+    groups: Sequence[RouteGroup], topology: ASTopology
+) -> list[_TransitRows]:
+    """Score ``groups`` in one reduction and split the rows per group."""
+    group_ids, asns, scores, flags = hegemony_rows(
+        groups, topology, DEFAULT_TRIM
+    )
+    bounds = np.searchsorted(group_ids, np.arange(len(groups) + 1)).tolist()
+    return [
+        (asns[begin:end], scores[begin:end], flags[begin:end])
+        for begin, end in zip(bounds, bounds[1:])
+    ]
+
+
+def _joined_rows(per_group: list[_TransitRows]) -> HegemonyRows:
+    """The hegemony rows of the groups ``per_group`` lists, in order."""
+    group_ids = np.repeat(
+        np.arange(len(per_group), dtype=np.int64),
+        [len(rows[0]) for rows in per_group],
+    )
+    # The empty rows seed each concatenation: no groups, no rows.
+    asns, scores, flags = (
+        np.concatenate([seed, *(rows[k] for rows in per_group)])
+        for k, seed in enumerate(_NO_ROWS)
+    )
+    return group_ids, asns, scores, flags
+
+
 def _transit_entries(
     rib: RibSnapshot, ihr: IHRDataset
 ) -> dict[tuple[int, RouteClass], _TransitEntry]:
     """The transit cache of a built world: one entry per visible group.
 
-    ``ihr.transit_groups`` is the visible groups in order, restricted to
-    those with scores; a transit group belongs to the visible group with
-    its origin and prefixes (one origin's groups hold disjoint prefixes).
-    Should the tables not line up, the cache starts empty instead.
+    The transit groups are the visible groups in order, restricted to
+    those with transit rows; a transit group belongs to the visible
+    group with its origin and prefixes (one origin's groups hold
+    disjoint prefixes).  Should the tables not line up, the cache starts
+    empty instead.
     """
+    columns = ihr.arrays
+    origins = columns["tg_origin"].tolist()
+    prefix_offsets = columns["tg_offsets"].tolist()
+    transit_offsets = columns["tr_offsets"].tolist()
+    prefixes = prefixes_from_columns(columns, "tg_prefix")
+    transit_columns = (
+        columns["tr_asn"],
+        columns["tr_hegemony"],
+        columns["tr_from_customer"],
+    )
     cache: dict[tuple[int, RouteClass], _TransitEntry] = {}
-    transit_groups = iter(ihr.transit_groups)
-    pending = next(transit_groups, None)
+    pending = 0
     for group in rib.groups:
         if not group.paths:
             continue
-        transits = None
+        rows = _NO_ROWS
         if (
-            pending is not None
-            and pending.origin == group.origin
-            and pending.prefixes == group.prefixes
+            pending < len(origins)
+            and origins[pending] == group.origin
+            and tuple(
+                prefixes[prefix_offsets[pending]:prefix_offsets[pending + 1]]
+            )
+            == group.prefixes
         ):
-            transits = pending.transits
-            pending = next(transit_groups, None)
-        cache[(group.origin, group.route_class)] = (group.paths, transits)
-    return cache if pending is None else {}
+            begin, end = transit_offsets[pending], transit_offsets[pending + 1]
+            rows = tuple(column[begin:end] for column in transit_columns)
+            pending += 1
+        cache[(group.origin, group.route_class)] = (group.paths, rows)
+    return cache if pending == len(origins) else {}
 
 
 def _customer_cones(topology: ASTopology, *roots: int) -> set[int]:

@@ -41,9 +41,5 @@ class DatasetError(ReproError):
     """A dataset snapshot is missing, duplicated, or malformed."""
 
 
-class ScenarioError(ReproError):
-    """A scenario configuration is internally inconsistent."""
-
-
 class DeltaError(ReproError):
     """A delta event cannot be applied to the current world state."""

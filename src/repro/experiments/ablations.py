@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.bgp.collector import collect_rib
-from repro.bgp.policy import ASPolicy, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.core.conformance import (
     is_action4_conformant,
@@ -22,7 +21,6 @@ from repro.core.conformance import (
 )
 from repro.core.impact import preference_scores
 from repro.ihr.pipeline import build_ihr_dataset
-from repro.irr.validation import IRRStatus, validate_irr
 from repro.manrs.actions import Program
 from repro.scenario.world import World
 from repro.topology.classify import SizeClass
@@ -150,7 +148,7 @@ def visibility_ablation(
         points.append(
             VisibilityPoint(
                 n_vantage_points=count,
-                visible_prefix_origins=len(dataset.prefix_origins),
+                visible_prefix_origins=len(dataset.arrays["po_origin"]),
                 isp_conformance_pct=100.0 * conformant / len(member_isps)
                 if member_isps
                 else 100.0,

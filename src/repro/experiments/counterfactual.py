@@ -24,6 +24,7 @@ from repro.bgp.collector import RibSnapshot, collect_rib
 from repro.bgp.propagation import PropagationEngine
 from repro.core.impact import preference_scores
 from repro.ihr.pipeline import build_ihr_dataset
+from repro.ihr.records import RPKI_STATUSES
 from repro.scenario.world import World
 
 __all__ = ["ComplianceScenario", "CounterfactualResult", "run", "render"]
@@ -90,17 +91,26 @@ def run(world: World) -> CounterfactualResult:
 
 def _scenario(label: str, world: World, rib: RibSnapshot) -> ComplianceScenario:
     dataset = build_ihr_dataset(rib, world.rov, world.irr, world.topology)
+    columns = dataset.arrays
+    invalid = [status.is_invalid for status in RPKI_STATUSES]
     visible_invalid = sum(
-        1 for record in dataset.prefix_origins if record.rpki.is_invalid
+        1 for code in columns["po_rpki"].tolist() if invalid[code]
     )
     members = world.members()
+    rpki = columns["tg_rpki"].tolist()
+    prefix_offsets = columns["tg_offsets"].tolist()
+    transit_offsets = columns["tr_offsets"].tolist()
+    transits = columns["tr_asn"].tolist()
     invalid_transit = 0
     invalid_member_transit = 0
-    for group in dataset.transit_groups:
-        member_transits = sum(1 for t in group.transits if t in members)
-        for _, (rpki, _irr) in zip(group.prefixes, group.statuses):
-            if rpki.is_invalid:
-                invalid_transit += len(group.transits)
+    for group in range(len(prefix_offsets) - 1):
+        group_transits = transits[
+            transit_offsets[group]:transit_offsets[group + 1]
+        ]
+        member_transits = sum(1 for t in group_transits if t in members)
+        for row in range(prefix_offsets[group], prefix_offsets[group + 1]):
+            if invalid[rpki[row]]:
+                invalid_transit += len(group_transits)
                 invalid_member_transit += member_transits
     scores = preference_scores(dataset, world.members())
     invalid_scores = scores["invalid"]

@@ -1,22 +1,10 @@
 """Internet Health Report substitute: prefix-origin and transit datasets."""
 
 from repro.ihr.pipeline import build_ihr_dataset
-from repro.ihr.serialize import parse_ihr, serialize_ihr
-from repro.ihr.records import (
-    IHRDataset,
-    PrefixOriginRecord,
-    TransitGroup,
-    TransitInfo,
-    TransitRecord,
-)
+from repro.ihr.records import IHRDataset, PrefixOriginRecord
 
 __all__ = [
     "IHRDataset",
     "PrefixOriginRecord",
-    "TransitGroup",
-    "TransitInfo",
-    "TransitRecord",
     "build_ihr_dataset",
-    "parse_ihr",
-    "serialize_ihr",
 ]

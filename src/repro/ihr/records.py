@@ -1,34 +1,88 @@
-"""Record types of the Internet Health Report substitute.
+"""The Internet Health Report substitute's two tables, as columns.
 
 The paper consumes two IHR-derived tables (§5.3):
 
-* the **prefix-origin dataset** — one record per routed (prefix, origin)
-  with its RPKI and IRR statuses (origin hegemony is trivially 1);
-* the **transit dataset** — for each (prefix, origin), the transit ASes on
-  paths toward it with their hegemony scores.
+* the **prefix-origin dataset** — one row per routed (prefix, origin)
+  with its RPKI and IRR statuses and the number of vantage points that
+  saw it (origin hegemony is trivially 1): the ``po_*`` columns, in
+  visible route-group order;
+* the **transit dataset** — for each (prefix, origin), the transit ASes
+  on paths toward it with their hegemony scores and whether they learned
+  the route from a direct customer.
 
-``TransitGroup`` batches the transit records of all prefixes sharing an
-(origin, filter-class) propagation outcome, since their paths — and hence
-their transit sets — are identical; :meth:`IHRDataset.iter_transits`
-expands them on demand.
+Every prefix of one (origin, filter-class) route group shares the
+group's paths, hence its transit set, so the transit dataset is stored
+per group.  The ``tg_*`` columns hold each transit group's origin and
+visibility, and the ``po_*`` rows of its prefixes (sliced per group by
+``tg_offsets``); ``tr_*`` holds its transits in scoring order (sliced
+by ``tr_offsets``).  A row of the paper's transit dataset is one
+(prefix row, transit row) pair of a group.
+
+These columns are the one form of the tables: the IHR pipeline and the
+live world assemble them (:func:`repro.ihr.pipeline.assemble_ihr`), a
+checkpoint stores them and the ``ihr`` digest hashes them as they are,
+and the analyses walk them.  Statuses are codes, indexes into
+:data:`RPKI_STATUSES` and :data:`IRR_STATUSES`, whose values the meta's
+legend (:data:`LEGEND`) records.  :class:`PrefixOriginRecord` is the
+decoded row of :meth:`IHRDataset.records_of` and
+:meth:`IHRDataset.prefix_origins`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Mapping
+
+import numpy as np
 
 from repro.irr.validation import IRRStatus
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, prefixes_from_columns
 from repro.rpki.rov import RPKIStatus
 
 __all__ = [
+    "COLUMNS",
+    "IRR_STATUSES",
+    "LEGEND",
+    "RPKI_STATUSES",
     "PrefixOriginRecord",
-    "TransitInfo",
-    "TransitGroup",
-    "TransitRecord",
     "IHRDataset",
 ]
+
+#: Status codes: a code is its status's index here.
+RPKI_STATUSES: tuple[RPKIStatus, ...] = tuple(RPKIStatus)
+IRR_STATUSES: tuple[IRRStatus, ...] = tuple(IRRStatus)
+
+#: The meta every dataset carries: the status values its codes index.
+LEGEND = {
+    "rpki_values": [status.value for status in RPKI_STATUSES],
+    "irr_values": [status.value for status in IRR_STATUSES],
+}
+
+#: The stored columns, in the order a checkpoint writes them and the
+#: ``ihr`` digest hashes them.
+COLUMNS = (
+    "po_prefix_hi",
+    "po_prefix_lo",
+    "po_prefix_len",
+    "po_prefix_ver",
+    "po_origin",
+    "po_rpki",
+    "po_irr",
+    "po_visibility",
+    "tg_origin",
+    "tg_visibility",
+    "tg_prefix_hi",
+    "tg_prefix_lo",
+    "tg_prefix_len",
+    "tg_prefix_ver",
+    "tg_rpki",
+    "tg_irr",
+    "tg_offsets",
+    "tr_asn",
+    "tr_hegemony",
+    "tr_from_customer",
+    "tr_offsets",
+)
 
 
 @dataclass(frozen=True)
@@ -48,68 +102,41 @@ class PrefixOriginRecord:
         return 1.0
 
 
-@dataclass(frozen=True)
-class TransitInfo:
-    """One transit AS's relationship to a propagation group."""
-
-    hegemony: float
-    #: True when this AS learned the route from one of its direct
-    #: customers (the Action 1 filtering scope).
-    from_customer: bool
-
-
-@dataclass(frozen=True)
-class TransitRecord:
-    """A fully expanded transit-dataset row."""
-
-    prefix: Prefix
-    origin: int
-    transit: int
-    rpki: RPKIStatus
-    irr: IRRStatus
-    hegemony: float
-    from_customer: bool
-
-
-@dataclass(frozen=True)
-class TransitGroup:
-    """Transit info shared by all prefixes of one (origin, class) group."""
-
-    origin: int
-    prefixes: tuple[Prefix, ...]
-    #: (rpki, irr) statuses aligned with ``prefixes``.
-    statuses: tuple[tuple[RPKIStatus, IRRStatus], ...]
-    transits: dict[int, TransitInfo]
-    #: Vantage points that saw the group's announcements.
-    visibility: int
-
-
-@dataclass
 class IHRDataset:
-    """The two IHR tables for one snapshot date."""
+    """The two IHR tables for one snapshot date: a legend and columns.
 
-    prefix_origins: list[PrefixOriginRecord]
-    transit_groups: list[TransitGroup]
+    ``arrays`` maps each name of :data:`COLUMNS`, in that order, to the
+    array it was given; nothing is copied or decoded.
+    """
 
-    def iter_transits(self) -> Iterator[TransitRecord]:
-        """Expand transit groups into per-(prefix, transit) rows."""
-        for group in self.transit_groups:
-            for prefix, (rpki, irr) in zip(group.prefixes, group.statuses):
-                for transit, info in group.transits.items():
-                    yield TransitRecord(
-                        prefix=prefix,
-                        origin=group.origin,
-                        transit=transit,
-                        rpki=rpki,
-                        irr=irr,
-                        hegemony=info.hegemony,
-                        from_customer=info.from_customer,
-                    )
-
-    def origins(self) -> set[int]:
-        """All ASNs originating at least one visible prefix."""
-        return {record.origin for record in self.prefix_origins}
+    def __init__(self, meta: dict, arrays: Mapping[str, np.ndarray]):
+        self.meta = meta
+        self.arrays = {name: arrays[name] for name in COLUMNS}
 
     def records_of(self, origin: int) -> list[PrefixOriginRecord]:
         """Prefix-origin records originated by one AS."""
-        return [r for r in self.prefix_origins if r.origin == origin]
+        return self._rows(np.flatnonzero(self.arrays["po_origin"] == origin))
+
+    def prefix_origins(self) -> list[PrefixOriginRecord]:
+        """Every prefix-origin record, in row order."""
+        return self._rows(slice(None))
+
+    def _rows(self, rows) -> list[PrefixOriginRecord]:
+        """Decode the prefix-origin rows ``rows`` (indexes or a slice)."""
+        columns = self.arrays
+        return [
+            PrefixOriginRecord(
+                prefix=prefix,
+                origin=origin,
+                rpki=RPKI_STATUSES[rpki],
+                irr=IRR_STATUSES[irr],
+                visibility=visibility,
+            )
+            for prefix, origin, rpki, irr, visibility in zip(
+                prefixes_from_columns(columns, "po_prefix", rows),
+                columns["po_origin"][rows].tolist(),
+                columns["po_rpki"][rows].tolist(),
+                columns["po_irr"][rows].tolist(),
+                columns["po_visibility"][rows].tolist(),
+            )
+        ]

@@ -10,7 +10,7 @@ realism of the database model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 
 from repro.errors import RPSLError

@@ -8,8 +8,8 @@ plus offsets and reduces them with one sort pass and ``reduceat``
 segment reductions.
 
 Byte-identity with the reference requires reproducing not just the
-scores but the **emission order** of each group's transits dict — world
-digests serialise it in insertion order.  The reference inserts an AS
+scores but the **emission order** of each group's transits — the IHR's
+transit rows keep it, and world digests hash them in that order.  The reference inserts an AS
 when first encountered scanning paths in order; within a stripped path
 of length 3 or 4 the scan order is the position order, but longer paths
 count their interior through ``set(stripped[1:-1])``, whose iteration
@@ -53,7 +53,8 @@ def hegemony_transits(
 
     Returns ``(group_ids, asns, scores, from_customer)`` rows holding
     exactly the entries, values and per-group order of the reference
-    ``hegemony_scores`` + ``_customer_learning`` combination.
+    ``hegemony_scores`` + customer-learning loop
+    (``_transit_groups_python`` in ``tests/test_kernels.py``).
     """
     if not 0 <= trim < 0.5:
         raise ValueError(f"trim must be in [0, 0.5), got {trim}")

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import PrefixError
 
@@ -26,6 +28,8 @@ __all__ = [
     "address_key",
     "aggregate_address_count",
     "coalesce",
+    "prefix_columns",
+    "prefixes_from_columns",
 ]
 
 _V4_BITS = 32
@@ -399,3 +403,50 @@ def coalesce(prefixes: Iterable[Prefix]) -> list[Prefix]:
                     merged = True
         result.extend(current)
     return sorted(result)
+
+
+_U64_MASK = (1 << 64) - 1
+
+
+def prefix_columns(name: str, prefixes: Sequence[Prefix]) -> dict[str, np.ndarray]:
+    """Four parallel columns storing prefixes as integers.
+
+    A prefix is ``(value, length, version)``; the value is up to 128
+    bits, split into two unsigned-64 halves.  Integer columns decode
+    with :meth:`Prefix._from_trusted` in a fraction of the time text
+    columns take to parse (and at a quarter of the bytes of ``U18``
+    unicode storage).
+    """
+    values = [p._value for p in prefixes]
+    return {
+        f"{name}_hi": np.asarray([v >> 64 for v in values], dtype=np.uint64),
+        f"{name}_lo": np.asarray(
+            [v & _U64_MASK for v in values], dtype=np.uint64
+        ),
+        f"{name}_len": np.asarray(
+            [p._length for p in prefixes], dtype=np.uint8
+        ),
+        f"{name}_ver": np.asarray(
+            [p._version for p in prefixes], dtype=np.uint8
+        ),
+    }
+
+
+def prefixes_from_columns(
+    columns: Mapping[str, np.ndarray], name: str, rows=slice(None)
+) -> list[Prefix]:
+    """Decode the ``rows`` of one :func:`prefix_columns` set.
+
+    The columns must have been written by :func:`prefix_columns` from
+    live prefixes, so the triples are replayed without re-validation.
+    """
+    make = Prefix._from_trusted
+    return [
+        make((hi << 64) | lo if hi else lo, length, version)
+        for hi, lo, length, version in zip(
+            columns[f"{name}_hi"][rows].tolist(),
+            columns[f"{name}_lo"][rows].tolist(),
+            columns[f"{name}_len"][rows].tolist(),
+            columns[f"{name}_ver"][rows].tolist(),
+        )
+    ]

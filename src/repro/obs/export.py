@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import json
-from typing import TextIO
 
 from repro.obs import metrics, trace
 
@@ -89,10 +88,3 @@ def render_flat() -> str:
         f"gauge.{name} {value:g}" for name, value in metrics.gauges().items()
     )
     return "\n".join(lines)
-
-
-def dump_tree(stream: TextIO) -> None:
-    """Write :func:`render_tree` (with trailing newline) to ``stream``."""
-    text = render_tree()
-    if text:
-        stream.write(text + "\n")

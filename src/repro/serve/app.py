@@ -49,7 +49,7 @@ import asyncio
 import json
 import logging
 from collections import OrderedDict
-from typing import Awaitable, Callable, Mapping
+from typing import Callable, Mapping
 
 from repro import obs
 from repro.config import RuntimeConfig

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.registry.rir import RIR, rir_for_country
+from repro.registry.rir import rir_for_country
 from repro.topology.model import (
     ASCategory,
     ASTopology,

@@ -2,17 +2,20 @@
 
 The contract under test (DESIGN §10): a world loaded from a checkpoint
 is *digest-identical* to the cold build that produced it, and any
-corrupt, tampered or schema-skewed entry is discarded with a warning —
-never surfaced to a caller.  The digest itself must see every element
-of the RIB and IHR columns it hashes: changing any single one moves it.
+corrupt, tampered, schema-skewed or legend-skewed entry is discarded
+with a warning — never surfaced to a caller.  The digest itself must see
+every element of the RIB and IHR columns it hashes: changing any single
+one moves it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +25,6 @@ from repro.datasets.checkpoint import (
     MANIFEST_FILE,
     SCHEMA_VERSION,
     CheckpointStore,
-    _ihr_arrays,
     _rib_arrays,
     _sha256_columns,
     checkpoint_key,
@@ -31,9 +33,8 @@ from repro.datasets.checkpoint import (
     world_digest,
 )
 from repro.experiments import common
-from repro.irr.validation import IRRStatus
-from repro.net.prefix import Prefix
-from repro.rpki.rov import RPKIStatus
+from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES, IHRDataset
+from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.scenario.build import build_world
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.timeline import Timeline
@@ -267,10 +268,6 @@ def _group_prefix(change):
     return mutate
 
 
-def _record_prefix(record, draw):
-    return replace(record, prefix=_prefix_network(record.prefix, draw))
-
-
 def _route_class_flag(flag):
     def mutate(group, draw):
         flipped = not getattr(group.route_class, flag)
@@ -288,48 +285,118 @@ def _vantage_point_tuple(world, draw):
     return _with(world, "rib", vantage_points=tuple(vantage_points))
 
 
-def _record_status(field, members):
-    def mutate(record, draw):
-        status = _other(draw, getattr(record, field), members)
-        return replace(record, **{field: status})
+def _ihr_arrays(ihr):
+    """The stored form of the IHR tables: the dataset's own legend and
+    columns, as a checkpoint writes them and the digest hashes them."""
+    return ihr.meta, ihr.arrays
+
+
+def _ihr_with(world, **columns):
+    """``("ihr", world)`` with some IHR columns replaced."""
+    ihr = IHRDataset(world.ihr.meta, {**world.ihr.arrays, **columns})
+    return "ihr", replace(world, ihr=ihr)
+
+
+def _column_edit(name, change):
+    """Mutator: one drawn element of the IHR column ``name`` changes."""
+
+    def mutate(world, draw):
+        column = world.ihr.arrays[name].copy()
+        row = _index(draw, column)
+        column[row] = change(column[row].item(), draw)
+        return _ihr_with(world, **{name: column})
 
     return mutate
 
 
-def _group_status(position, members):
-    def mutate(group, draw):
-        statuses = list(group.statuses)
-        k = _index(draw, statuses)
-        pair = list(statuses[k])
-        pair[position] = _other(draw, pair[position], members)
-        statuses[k] = tuple(pair)
-        return replace(group, statuses=tuple(statuses))
-
-    return mutate
+def _bumped_value(value, draw):
+    return _bump(draw, value)
 
 
-def _transit(change):
-    def mutate(group, draw):
-        transit = list(group.transits)[_index(draw, group.transits)]
-        info = change(group.transits[transit], draw)
-        return replace(group, transits={**group.transits, transit: info})
+def _other_code(statuses):
+    def change(code, draw):
+        return _other(draw, code, range(len(statuses)))
 
-    return mutate
+    return change
 
 
-def _hegemony(info, draw):
-    return replace(
-        info,
-        hegemony=draw(
-            st.floats(min_value=0.0, max_value=1.0).filter(
-                lambda value: value != info.hegemony
-            )
-        ),
+def _other_hegemony(value, draw):
+    return draw(
+        st.floats(min_value=0.0, max_value=1.0).filter(
+            lambda other: other != value
+        )
     )
 
 
-def _from_customer(info, draw):
-    return replace(info, from_customer=not info.from_customer)
+def _flipped(value, draw):
+    return not value
+
+
+def _prefix_edit(name):
+    """Mutator: one row's prefix becomes another network of its length
+    and version."""
+
+    def mutate(world, draw):
+        columns = world.ihr.arrays
+        row = _index(draw, columns[f"{name}_lo"])
+        prefix = prefixes_from_columns(columns, name, slice(row, row + 1))[0]
+        changed = {}
+        for key, value in prefix_columns(
+            name, [_prefix_network(prefix, draw)]
+        ).items():
+            changed[key] = columns[key].copy()
+            changed[key][row] = value[0]
+        return _ihr_with(world, **changed)
+
+    return mutate
+
+
+#: Per-group IHR columns, and the row columns each offsets column slices.
+_GROUP_COLUMNS = ("tg_origin", "tg_visibility")
+_SLICED_COLUMNS = {
+    "tg_offsets": (
+        "tg_prefix_hi",
+        "tg_prefix_lo",
+        "tg_prefix_len",
+        "tg_prefix_ver",
+        "tg_rpki",
+        "tg_irr",
+    ),
+    "tr_offsets": ("tr_asn", "tr_hegemony", "tr_from_customer"),
+}
+
+
+def _group_order(world, draw):
+    """Mutator: two unequal transit groups swap places."""
+    columns = world.ihr.arrays
+    parts = {name: list(columns[name]) for name in _GROUP_COLUMNS}
+    for offsets_name, names in _SLICED_COLUMNS.items():
+        offsets = columns[offsets_name].tolist()
+        for name in names:
+            parts[name] = [
+                columns[name][begin:end]
+                for begin, end in zip(offsets, offsets[1:])
+            ]
+
+    def content(g):
+        return [np.asarray(part[g]).tolist() for part in parts.values()]
+
+    groups = range(len(columns["tg_origin"]))
+    i = _index(draw, groups)
+    others = [g for g in groups if content(g) != content(i)]
+    j = others[_index(draw, others)]
+    order = list(groups)
+    order[i], order[j] = j, i
+    changed = {
+        name: np.array([parts[name][g] for g in order], columns[name].dtype)
+        for name in _GROUP_COLUMNS
+    }
+    for offsets_name, names in _SLICED_COLUMNS.items():
+        for name in names:
+            changed[name] = np.concatenate([parts[name][g] for g in order])
+        lengths = [len(parts[names[0]][g]) for g in order]
+        changed[offsets_name] = np.concatenate(([0], np.cumsum(lengths)))
+    return _ihr_with(world, **changed)
 
 
 #: One mutator per kind of RIB/IHR element: each returns the artifact it
@@ -354,46 +421,28 @@ MUTATIONS = {
     ),
     "rib-vantage-point-tuple": _vantage_point_tuple,
     "rib-group-order": _order_change("rib", "groups"),
-    "ihr-prefix-origin-prefix": _element_change(
-        "ihr", "prefix_origins", _record_prefix
+    "ihr-prefix-origin-prefix": _prefix_edit("po_prefix"),
+    "ihr-prefix-origin-origin": _column_edit("po_origin", _bumped_value),
+    "ihr-prefix-origin-rpki": _column_edit(
+        "po_rpki", _other_code(RPKI_STATUSES)
     ),
-    "ihr-prefix-origin-origin": _element_change(
-        "ihr", "prefix_origins", _bumped("origin")
+    "ihr-prefix-origin-irr": _column_edit("po_irr", _other_code(IRR_STATUSES)),
+    "ihr-prefix-origin-visibility": _column_edit(
+        "po_visibility", _bumped_value
     ),
-    "ihr-prefix-origin-rpki": _element_change(
-        "ihr", "prefix_origins", _record_status("rpki", list(RPKIStatus))
+    "ihr-transit-group-origin": _column_edit("tg_origin", _bumped_value),
+    "ihr-transit-group-prefix": _prefix_edit("tg_prefix"),
+    "ihr-transit-group-visibility": _column_edit(
+        "tg_visibility", _bumped_value
     ),
-    "ihr-prefix-origin-irr": _element_change(
-        "ihr", "prefix_origins", _record_status("irr", list(IRRStatus))
+    "ihr-transit-group-rpki": _column_edit(
+        "tg_rpki", _other_code(RPKI_STATUSES)
     ),
-    "ihr-prefix-origin-visibility": _element_change(
-        "ihr", "prefix_origins", _bumped("visibility")
-    ),
-    "ihr-transit-group-origin": _element_change(
-        "ihr", "transit_groups", _bumped("origin")
-    ),
-    "ihr-transit-group-prefix": _element_change(
-        "ihr", "transit_groups", _group_prefix(_prefix_network)
-    ),
-    "ihr-transit-group-visibility": _element_change(
-        "ihr", "transit_groups", _bumped("visibility")
-    ),
-    "ihr-transit-group-rpki": _element_change(
-        "ihr", "transit_groups", _group_status(0, list(RPKIStatus))
-    ),
-    "ihr-transit-group-irr": _element_change(
-        "ihr", "transit_groups", _group_status(1, list(IRRStatus))
-    ),
-    "ihr-transit-asn": _element_change(
-        "ihr", "transit_groups", _dict_key("transits")
-    ),
-    "ihr-hegemony": _element_change(
-        "ihr", "transit_groups", _transit(_hegemony)
-    ),
-    "ihr-from-customer": _element_change(
-        "ihr", "transit_groups", _transit(_from_customer)
-    ),
-    "ihr-transit-group-order": _order_change("ihr", "transit_groups"),
+    "ihr-transit-group-irr": _column_edit("tg_irr", _other_code(IRR_STATUSES)),
+    "ihr-transit-asn": _column_edit("tr_asn", _bumped_value),
+    "ihr-hegemony": _column_edit("tr_hegemony", _other_hegemony),
+    "ihr-from-customer": _column_edit("tr_from_customer", _flipped),
+    "ihr-transit-group-order": _group_order,
 }
 
 
@@ -492,6 +541,34 @@ class TestSafeFallback:
             is None
         )
         assert not store.path_for(key).exists()
+
+    def test_permuted_ihr_legend_discards_entry(
+        self, saved, small_world, tmp_path
+    ):
+        """Status codes index the current enums: an entry whose IHR
+        legend lists them in another order is corrupt, even with every
+        file digest re-signed, and is never decoded."""
+        store, key = _copy_store(saved, tmp_path)
+        entry = store.path_for(key)
+        legend = json.loads((entry / "ihr.json").read_text())
+        legend["rpki_values"] = legend["rpki_values"][::-1]
+        (entry / "ihr.json").write_text(json.dumps(legend))
+        manifest_path = entry / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["ihr.json"] = hashlib.sha256(
+            (entry / "ihr.json").read_bytes()
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.verify() == {key: []}
+        before = obs.counters().get("checkpoint.corrupt", 0)
+        assert (
+            store.load(
+                small_world.config, small_world.scale, small_world.seed
+            )
+            is None
+        )
+        assert obs.counters().get("checkpoint.corrupt", 0) == before + 1
+        assert not entry.exists()
 
     @pytest.mark.parametrize("name", ENTRY_FILES)
     def test_missing_file_discards_entry(

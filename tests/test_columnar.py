@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.datasets.checkpoint import (
     world_digest,
 )
 from repro.datasets.columnar import LazyWorld
+from repro.ihr.records import COLUMNS, IHRDataset
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,56 @@ class TestLazyWorld:
             spec.render(spec.run(lazy))
         assert obs.counters().get("columnar.materialized.rib", 0) == before
         assert "rib" not in lazy.materialized_fields()
+
+    def test_ihr_wraps_the_stored_columns(self, saved, small_world):
+        store, _ = saved
+        lazy = store.load(
+            small_world.config, small_world.scale, small_world.seed
+        )
+        stored = lazy._columns.arrays
+        assert list(lazy.ihr.arrays) == list(COLUMNS)
+        for name, column in lazy.ihr.arrays.items():
+            assert column is stored[name], name
+        assert lazy.ihr.meta is lazy._columns.meta["ihr.json"]
+
+    def test_artefacts_and_digest_decode_only_tab1_rows(
+        self, saved, small_world, monkeypatch
+    ):
+        """The digest and the paper artefacts walk the IHR columns; the
+        only rows decoded into records are those of the ASNs Table 1
+        attributes, each once."""
+        from repro.experiments.registry import REGISTRY
+        from repro.experiments.tab1_casestudies import case_study_targets
+        from repro.scenarios import FAMILIES
+
+        tab1_asns = {
+            asn for _, asns in case_study_targets(small_world) for asn in asns
+        }
+        expected = Counter(
+            (record.prefix, record.origin)
+            for record in small_world.ihr.prefix_origins()
+            if record.origin in tab1_asns
+        )
+        store, _ = saved
+        lazy = store.load(
+            small_world.config, small_world.scale, small_world.seed
+        )
+        decoded: Counter = Counter()
+        decode = IHRDataset._rows
+
+        def spy(dataset, rows):
+            records = decode(dataset, rows)
+            decoded.update((record.prefix, record.origin) for record in records)
+            return records
+
+        monkeypatch.setattr(IHRDataset, "_rows", spy)
+        assert world_digest(lazy) == world_digest(small_world)
+        for name in REGISTRY:
+            if name not in FAMILIES:
+                REGISTRY[name].render(REGISTRY[name].run(lazy))
+        assert expected
+        assert decoded == expected
+        assert sum(decoded.values()) < len(lazy.ihr.arrays["po_origin"])
 
     def test_lazy_world_survives_entry_pruning(
         self, saved, small_world, tmp_path

@@ -11,16 +11,12 @@ from repro.core.conformance import (
     origination_stats,
     propagation_stats,
 )
-from repro.ihr.records import (
-    IHRDataset,
-    PrefixOriginRecord,
-    TransitGroup,
-    TransitInfo,
-)
+from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES
 from repro.irr.validation import IRRStatus
 from repro.manrs.actions import Program
 from repro.net.prefix import Prefix
 from repro.rpki.rov import RPKIStatus
+from tests.ihr_tables import ihr_dataset
 
 status_pairs = st.tuples(
     st.sampled_from(list(RPKIStatus)), st.sampled_from(list(IRRStatus))
@@ -123,52 +119,48 @@ asns = st.integers(1, 5)
 
 @st.composite
 def ihr_datasets(draw):
-    rows = draw(st.lists(st.tuples(asns, status_pairs), min_size=1, max_size=40))
-    rows.append(rows[0])  # a repeated (origin, status) row
-    prefix_origins = [
-        PrefixOriginRecord(
-            Prefix.parse(f"10.{i}.0.0/16"), origin, rpki, irr, visibility=1
-        )
-        for i, (origin, (rpki, irr)) in enumerate(rows)
-    ]
     groups = draw(
         st.lists(
             st.tuples(
                 asns,
                 st.lists(status_pairs, min_size=1, max_size=6),
-                st.dictionaries(asns, st.booleans(), min_size=1, max_size=4),
+                st.dictionaries(asns, st.booleans(), max_size=4),
             ),
             min_size=1,
             max_size=12,
         )
     )
     # The first group's transits reappear, relationship flipped, in a
-    # later group, and lead an empty group together with a transit (99)
+    # later group of the same origin that repeats its first (origin,
+    # status) row, and lead an empty group together with a transit (99)
     # that no other group has: an empty group must insert nothing.
+    # Groups drawn without transits are prefix-origin rows only.
     origin, statuses, transits = groups[0]
-    groups.append((origin, statuses[::-1], {t: not c for t, c in transits.items()}))
-    groups.insert(0, (origin, [], {99: True, **transits}))
-    transit_groups = [
-        TransitGroup(
-            origin=origin,
-            prefixes=tuple(
-                Prefix.parse(f"11.{i}.0.0/16") for i in range(len(statuses))
-            ),
-            statuses=tuple(statuses),
-            transits={
-                transit: TransitInfo(hegemony=0.5, from_customer=customer)
-                for transit, customer in transits.items()
-            },
-            visibility=1,
+    groups.append(
+        (
+            origin,
+            statuses[::-1] + statuses[:1],
+            {t: not c for t, c in transits.items()},
         )
-        for origin, statuses, transits in groups
-    ]
-    return IHRDataset(prefix_origins=prefix_origins, transit_groups=transit_groups)
+    )
+    groups.insert(0, (origin, [], {99: True, **transits}))
+    prefixes = (Prefix((10 << 24) + (i << 8), 24) for i in range(1 << 16))
+    return ihr_dataset(
+        [
+            (
+                origin,
+                1,
+                [(next(prefixes), rpki, irr) for rpki, irr in statuses],
+                [(t, 0.5, c) for t, c in transits.items()],
+            )
+            for origin, statuses, transits in groups
+        ]
+    )
 
 
 def reference_origination_stats(dataset):
     stats = {}
-    for record in dataset.prefix_origins:
+    for record in dataset.prefix_origins():
         stats.setdefault(record.origin, OriginationStats()).add(
             record.rpki, record.irr
         )
@@ -176,13 +168,20 @@ def reference_origination_stats(dataset):
 
 
 def reference_propagation_stats(dataset):
+    columns = dataset.arrays
+    prefix_offsets = columns["tg_offsets"].tolist()
+    transit_offsets = columns["tr_offsets"].tolist()
     stats = {}
-    for group in dataset.transit_groups:
-        for _, (rpki, irr) in zip(group.prefixes, group.statuses):
-            for transit, info in group.transits.items():
-                stats.setdefault(transit, PropagationStats()).add(
-                    rpki, irr, info.from_customer
-                )
+    for group in range(len(prefix_offsets) - 1):
+        for row in range(prefix_offsets[group], prefix_offsets[group + 1]):
+            rpki = RPKI_STATUSES[int(columns["tg_rpki"][row])]
+            irr = IRR_STATUSES[int(columns["tg_irr"][row])]
+            for transit in range(
+                transit_offsets[group], transit_offsets[group + 1]
+            ):
+                stats.setdefault(
+                    int(columns["tr_asn"][transit]), PropagationStats()
+                ).add(rpki, irr, bool(columns["tr_from_customer"][transit]))
     return stats
 
 

@@ -10,10 +10,11 @@ from repro.core.stability import (
     conformance_stability,
 )
 from repro.core.stats import make_cdf
-from repro.ihr.records import IHRDataset, TransitGroup, TransitInfo
+from repro.ihr.records import RPKI_STATUSES, IHRDataset
 from repro.irr.validation import IRRStatus
 from repro.net.prefix import Prefix
 from repro.rpki.rov import RPKIStatus
+from tests.ihr_tables import ihr_dataset
 
 
 class TestCDF:
@@ -73,26 +74,22 @@ class TestStability:
 def _dataset_with_groups() -> IHRDataset:
     prefix_a = Prefix.parse("12.0.0.0/16")
     prefix_b = Prefix.parse("12.1.0.0/16")
-    groups = [
-        TransitGroup(
-            origin=100,
-            prefixes=(prefix_a,),
-            statuses=((RPKIStatus.VALID, IRRStatus.VALID),),
-            transits={
-                1: TransitInfo(hegemony=1.0, from_customer=True),   # member
-                2: TransitInfo(hegemony=0.4, from_customer=False),  # other
-            },
-            visibility=10,
-        ),
-        TransitGroup(
-            origin=101,
-            prefixes=(prefix_b,),
-            statuses=((RPKIStatus.INVALID_ASN, IRRStatus.NOT_FOUND),),
-            transits={2: TransitInfo(hegemony=0.9, from_customer=True)},
-            visibility=4,
-        ),
-    ]
-    return IHRDataset(prefix_origins=[], transit_groups=groups)
+    return ihr_dataset(
+        [
+            (
+                100,
+                10,
+                [(prefix_a, RPKIStatus.VALID, IRRStatus.VALID)],
+                [(1, 1.0, True), (2, 0.4, False)],  # member, other
+            ),
+            (
+                101,
+                4,
+                [(prefix_b, RPKIStatus.INVALID_ASN, IRRStatus.NOT_FOUND)],
+                [(2, 0.9, True)],
+            ),
+        ]
+    )
 
 
 class TestPreferenceScores:
@@ -101,6 +98,32 @@ class TestPreferenceScores:
         assert scores["valid"] == [pytest.approx(0.6)]
         assert scores["invalid"] == [pytest.approx(-0.9)]
         assert scores["not_found"] == []
+
+    def test_sums_run_left_to_right_in_transit_order(self, small_world):
+        """Each score sums its group's hegemonies in transit order, so the
+        Figure 9 series are bit-identical to a per-row reference (float
+        addition is not associative)."""
+        members = small_world.members()
+        columns = small_world.ihr.arrays
+        prefix_offsets = columns["tg_offsets"].tolist()
+        transit_offsets = columns["tr_offsets"].tolist()
+        rows = list(
+            zip(columns["tr_asn"].tolist(), columns["tr_hegemony"].tolist())
+        )
+        series = {
+            RPKIStatus.VALID: "valid",
+            RPKIStatus.NOT_FOUND: "not_found",
+        }
+        reference = {"valid": [], "not_found": [], "invalid": []}
+        for group in range(len(prefix_offsets) - 1):
+            transits = rows[transit_offsets[group]:transit_offsets[group + 1]]
+            score = sum(h for asn, h in transits if asn in members) - sum(
+                h for asn, h in transits if asn not in members
+            )
+            for row in range(prefix_offsets[group], prefix_offsets[group + 1]):
+                status = RPKI_STATUSES[int(columns["tg_rpki"][row])]
+                reference[series.get(status, "invalid")].append(score)
+        assert preference_scores(small_world.ihr, members) == reference
 
 
 class TestSaturation:

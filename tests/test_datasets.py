@@ -37,7 +37,7 @@ class TestExportImport:
         export_world(small_world, tmp_path)
         bundle = load_bundle(tmp_path)
         reloaded = ROVValidator(bundle.vrps)
-        for record in small_world.ihr.prefix_origins[:100]:
+        for record in small_world.ihr.prefix_origins()[:100]:
             assert (
                 reloaded.validate(record.prefix, record.origin) is record.rpki
             )
@@ -47,7 +47,7 @@ class TestExportImport:
 
         export_world(small_world, tmp_path)
         bundle = load_bundle(tmp_path)
-        for record in small_world.ihr.prefix_origins[:100]:
+        for record in small_world.ihr.prefix_origins()[:100]:
             assert (
                 validate_irr(bundle.irr, record.prefix, record.origin)
                 is record.irr

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.experiments.common import POPULATIONS, group_metric
 from repro.experiments.tab1_casestudies import case_study_targets
-from repro.topology.classify import SizeClass
 
 
 class TestGroupMetric:

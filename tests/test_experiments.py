@@ -9,8 +9,6 @@ the finding it reproduces.
 
 from __future__ import annotations
 
-import pytest
-
 from repro import experiments as ex
 from repro.manrs.actions import Program
 from repro.registry.rir import RIR

@@ -89,6 +89,20 @@ def _star_topology() -> ASTopology:
     return topo
 
 
+def _transits(dataset, group: int = 0) -> dict[int, tuple[float, bool]]:
+    """One transit group's ``{asn: (hegemony, from_customer)}``."""
+    columns = dataset.arrays
+    begin, end = columns["tr_offsets"].tolist()[group:group + 2]
+    return {
+        asn: (hegemony, from_customer)
+        for asn, hegemony, from_customer in zip(
+            columns["tr_asn"][begin:end].tolist(),
+            columns["tr_hegemony"][begin:end].tolist(),
+            columns["tr_from_customer"][begin:end].tolist(),
+        )
+    }
+
+
 class TestIHRPipeline:
     def _build(self):
         topo = _star_topology()
@@ -103,8 +117,10 @@ class TestIHRPipeline:
 
     def test_prefix_origin_record(self):
         dataset, prefix = self._build()
-        assert len(dataset.prefix_origins) == 1
-        record = dataset.prefix_origins[0]
+        records = dataset.prefix_origins()
+        assert len(records) == 1
+        record = records[0]
+        assert record.prefix == prefix
         assert record.origin == 5
         assert record.rpki is RPKIStatus.VALID
         assert record.irr is IRRStatus.VALID
@@ -113,25 +129,19 @@ class TestIHRPipeline:
 
     def test_transit_group_contains_transits_not_endpoints(self):
         dataset, _ = self._build()
-        assert len(dataset.transit_groups) == 1
-        transits = dataset.transit_groups[0].transits
+        assert dataset.arrays["tg_origin"].tolist() == [5]
+        assert dataset.arrays["tg_offsets"].tolist() == [0, 1]
+        transits = _transits(dataset)
         # paths: (3,1,2,5) and (4,1,2,5): transits are 1 and 2
         assert set(transits) == {1, 2}
-        assert transits[1].hegemony == pytest.approx(1.0)
-        assert transits[2].hegemony == pytest.approx(1.0)
+        assert transits[1][0] == pytest.approx(1.0)
+        assert transits[2][0] == pytest.approx(1.0)
 
     def test_from_customer_flags(self):
         dataset, _ = self._build()
-        transits = dataset.transit_groups[0].transits
-        assert transits[1].from_customer  # 1 learned from customer 2
-        assert transits[2].from_customer  # 2 learned from customer 5
-
-    def test_iter_transits_expansion(self):
-        dataset, prefix = self._build()
-        rows = list(dataset.iter_transits())
-        assert len(rows) == 2
-        assert {row.transit for row in rows} == {1, 2}
-        assert all(row.prefix == prefix for row in rows)
+        transits = _transits(dataset)
+        assert transits[1][1]  # 1 learned from customer 2
+        assert transits[2][1]  # 2 learned from customer 5
 
     def test_peer_learned_route_not_from_customer(self):
         topo = ASTopology()
@@ -148,12 +158,11 @@ class TestIHRPipeline:
         dataset = build_ihr_dataset(
             rib, ROVValidator([]), IRRDatabase("RADB"), topo
         )
-        transits = dataset.transit_groups[0].transits
-        assert not transits[1].from_customer
+        assert not _transits(dataset)[1][1]
 
     def test_origins_and_records_of(self, small_world):
         dataset = small_world.ihr
-        origins = dataset.origins()
+        origins = set(dataset.arrays["po_origin"].tolist())
         assert origins
         some_origin = next(iter(origins))
         records = dataset.records_of(some_origin)

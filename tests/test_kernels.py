@@ -2,24 +2,27 @@
 
 Every kernel in ``repro.kernels`` is the only production path behind
 its API, and must be byte-identical to the pure-Python loop it replaced.
-Those loops stay in the source as oracles, and these tests call both
-sides directly: on *generated* inputs, where Hypothesis explores corner
-cases (empty inputs, duplicate prefixes, AS0 entries, shared covering
-sets) a fixed world may never hit, and on the built ``small_world``.
+Those loops stay as oracles, and these tests call both sides directly:
+on *generated* inputs, where Hypothesis explores corner cases (empty
+inputs, duplicate prefixes, AS0 entries, shared covering sets) a fixed
+world may never hit, and on the built ``small_world``.
 The golden-digest suite pins the kernels end to end.
 
 The oracles: the radix-trie classifier behind ``ROVValidator.validate``,
 the bulk trie walk IRR validation falls back to for registries without
-a mutation counter, ``_transit_groups_python``, scalar
-``PropagationEngine.paths_to``, the per-prefix saturation loop
-``_rpki_saturation_python`` and the bisect cover scan
-``RouteCoverIndex._affected_python`` (tested in ``tests/test_delta.py``).
+a mutation counter, scalar ``PropagationEngine.paths_to`` and the bisect
+cover scan ``RouteCoverIndex._affected_python`` (tested in
+``tests/test_delta.py``) stay in the source; the per-group transit
+scoring loop ``_transit_groups_python`` and the per-prefix saturation
+loop ``_rpki_saturation_python`` are test code, defined here.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,21 +35,20 @@ from repro.bgp.collector import RouteGroup
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.config import KERNEL_MODES, RuntimeConfig
-from repro.core.impact import _rpki_saturation_python, rpki_saturation
+from repro.core.impact import SaturationReport, rpki_saturation
+from repro.delta import live
+from repro.hegemony.scores import DEFAULT_TRIM, hegemony_scores
 from repro.ihr import pipeline
-from repro.ihr.pipeline import (
-    _transit_groups_numpy,
-    _transit_groups_python,
-    transit_groups_indexed,
-)
+from repro.ihr.pipeline import assemble_ihr
 from repro.irr.database import IRRDatabase
 from repro.irr.objects import RouteObject
 from repro.irr.validation import _classify_pending, validate_irr_many
 from repro.kernels.intervals import union_address_count
-from repro.net.prefix import Prefix, aggregate_address_count
+from repro.net.asn import strip_prepending
+from repro.net.prefix import Prefix, aggregate_address_count, prefixes_from_columns
 from repro.registry.rir import RIR
 from repro.rpki.roa import VRP
-from repro.rpki.rov import ROVValidator
+from repro.rpki.rov import ROVValidator, RPKIStatus
 from repro.scenario.build import build_world
 from repro.scenario.timeline import Timeline
 from repro.topology.model import (
@@ -204,7 +206,6 @@ def transit_scenarios(draw):
         max_size=8,
     )
     groups = []
-    statuses = []
     for gi in range(draw(st.integers(min_value=1, max_value=4))):
         group_paths = {path[0]: path for path in draw(paths)}
         prefix = Prefix((10 << 24) + (gi << 8), 24, 4)
@@ -216,61 +217,146 @@ def transit_scenarios(draw):
                 paths=group_paths,
             )
         )
-        statuses.append((("valid", "valid"),))
-    return topology, groups, statuses
+    return topology, groups
+
+
+def _transit_groups_python(
+    visible: list[RouteGroup], topology: ASTopology, trim: float
+) -> list[tuple[tuple[Prefix, ...], int, list[tuple[int, float, bool]]]]:
+    """The reference per-group transit scoring loop.
+
+    For each group with transit scores, in order: its prefixes, its
+    origin and its ``(asn, hegemony, from_customer)`` rows in the
+    insertion order of ``hegemony_scores``.  The columnar reduction
+    behind both the build (``_partitioned_rows``) and the live world's
+    re-scoring (``live._transit_rows``) must match it exactly.
+    """
+    # Materialise customer sets once: ASTopology.customers_of copies a
+    # frozenset per call, far too slow for millions of path positions.
+    customers_of = {asn: topology.customers_of(asn) for asn in topology.asns}
+    groups = []
+    for group in visible:
+        stripped = [strip_prepending(path) for path in group.paths.values()]
+        scores = hegemony_scores(stripped, trim=trim, prestripped=True)
+        if not scores:
+            continue
+        learned = _customer_learning(stripped, customers_of)
+        groups.append(
+            (
+                group.prefixes,
+                group.origin,
+                [
+                    (asn, score, learned.get(asn, False))
+                    for asn, score in scores.items()
+                ],
+            )
+        )
+    return groups
+
+
+def _customer_learning(
+    stripped_paths: list[tuple[int, ...]],
+    customers_of: dict[int, frozenset[int]],
+) -> dict[int, bool]:
+    """For each on-path AS, did it learn the route from a direct customer?
+
+    Paths arrive prepending-stripped.  On a path ``(vp, ..., t, next, ...,
+    origin)`` the AS after ``t`` (toward the origin) is the neighbour ``t``
+    accepted the route from; the flag is set when that neighbour is
+    ``t``'s customer.  The propagation engine gives every AS a single
+    selected route, so the flag is consistent across paths.
+    """
+    learned: dict[int, bool] = {}
+    for stripped in stripped_paths:
+        for position in range(1, len(stripped) - 1):
+            transit = stripped[position]
+            if transit in learned:
+                continue
+            toward_origin = stripped[position + 1]
+            learned[transit] = toward_origin in customers_of[transit]
+    return learned
+
+
+def _assembled(visible: list[RouteGroup], rows) -> list:
+    """The transit groups of the tables assembled from hegemony
+    ``rows``, in the form :func:`_transit_groups_python` returns."""
+    statuses = defaultdict(lambda: RPKIStatus.VALID)
+    columns = assemble_ihr(visible, statuses, statuses, rows).arrays
+    prefix_offsets = columns["tg_offsets"].tolist()
+    transit_offsets = columns["tr_offsets"].tolist()
+    transits = list(
+        zip(
+            columns["tr_asn"].tolist(),
+            columns["tr_hegemony"].tolist(),
+            columns["tr_from_customer"].tolist(),
+        )
+    )
+    return [
+        (
+            tuple(
+                prefixes_from_columns(
+                    columns,
+                    "tg_prefix",
+                    slice(prefix_offsets[g], prefix_offsets[g + 1]),
+                )
+            ),
+            origin,
+            transits[transit_offsets[g]:transit_offsets[g + 1]],
+        )
+        for g, origin in enumerate(columns["tg_origin"].tolist())
+    ]
 
 
 class TestTransitGroups:
     @settings(max_examples=50, deadline=None)
     @given(scenario=transit_scenarios())
     def test_numpy_matches_python(self, scenario):
-        topology, groups, statuses = scenario
-        reference = _transit_groups_python(groups, statuses, topology, 0.1)
-        columnar = _transit_groups_numpy(groups, statuses, topology, 0.1)
-        assert columnar == reference
-        # Insertion order of each transits dict is part of the contract
-        # (it feeds serialisation, hence the golden digests).
-        for left, right in zip(columnar, reference):
-            assert list(left.transits) == list(right.transits)
+        """The build path, whole and one group per partition."""
+        topology, groups = scenario
+        reference = _transit_groups_python(groups, topology, 0.1)
+        for bound in (pipeline.HEGEMONY_PARTITION_BYTES, 1):
+            with patch.object(pipeline, "HEGEMONY_PARTITION_BYTES", bound):
+                rows = pipeline._partitioned_rows(groups, topology, 0.1)
+            assert _assembled(groups, rows) == reference
 
     @settings(max_examples=50, deadline=None)
-    @given(scenario=transit_scenarios())
-    def test_indexed_matches_python(self, scenario):
-        topology, groups, statuses = scenario
-        # Scoring each group alone tags the reference with its index.
-        reference = [
-            (index, transit_group)
-            for index, (group, group_statuses) in enumerate(
-                zip(groups, statuses)
-            )
-            for transit_group in _transit_groups_python(
-                [group], [group_statuses], topology, 0.1
-            )
-        ]
-        indexed = transit_groups_indexed(groups, statuses, topology, 0.1)
-        assert indexed == reference
-        for (_, left), (_, right) in zip(indexed, reference):
-            assert list(left.transits) == list(right.transits)
+    @given(scenario=transit_scenarios(), data=st.data())
+    def test_indexed_matches_python(self, scenario, data):
+        """The live world's miss path: a subset of groups scored in one
+        reduction, split per group, and joined back in group order."""
+        topology, groups = scenario
+        misses = data.draw(
+            st.lists(st.sampled_from(groups), unique_by=id, min_size=1)
+        )
+        misses.sort(key=groups.index)
+        reference = _transit_groups_python(misses, topology, DEFAULT_TRIM)
+        per_group = live._transit_rows(misses, topology)
+        assert [
+            (group.prefixes, group.origin, list(zip(*(c.tolist() for c in rows))))
+            for group, rows in zip(misses, per_group)
+            if len(rows[0])
+        ] == reference
+        assert _assembled(misses, live._joined_rows(per_group)) == reference
 
     def test_partition_bound_is_an_identity(self, small_world, monkeypatch):
         """One group per partition scores what one partition scores."""
         visible = [group for group in small_world.rib.groups if group.paths]
-        statuses = [(("valid", "valid"),) * len(g.prefixes) for g in visible]
 
         def scored(bound: int):
             monkeypatch.setattr(pipeline, "HEGEMONY_PARTITION_BYTES", bound)
             before = obs.counters().get("hegemony.partitions", 0)
-            groups = _transit_groups_numpy(
-                visible, statuses, small_world.topology, 0.1
+            rows = pipeline._partitioned_rows(
+                visible, small_world.topology, 0.1
             )
-            return groups, obs.counters()["hegemony.partitions"] - before
+            return (
+                [column.tolist() for column in rows],
+                obs.counters()["hegemony.partitions"] - before,
+            )
 
         whole, one = scored(1 << 62)
         split, many = scored(1)
         assert (one, many) == (1, len(visible))
         assert split == whole
-        for left, right in zip(split, whole):
-            assert list(left.transits) == list(right.transits)
 
 
 # -- batched propagation ----------------------------------------------------
@@ -338,6 +424,34 @@ class TestBatchPaths:
 
 
 # -- timeline ---------------------------------------------------------------
+
+
+def _rpki_saturation_python(
+    prefix2as, rov: ROVValidator, member_asns: frozenset[int]
+) -> tuple[SaturationReport, SaturationReport]:
+    """The per-prefix reference for ``rpki_saturation``.
+
+    Buckets each origin's IPv4 prefixes by population, asks the radix
+    trie whether any VRP covers each one, and aggregates the address
+    counts.  The columnar path must match it exactly.
+    """
+    member_prefixes: list[Prefix] = []
+    other_prefixes: list[Prefix] = []
+    for asn in prefix2as.origin_asns:
+        bucket = member_prefixes if asn in member_asns else other_prefixes
+        bucket.extend(p for p in prefix2as.prefixes_of(asn) if p.version == 4)
+    return (
+        _saturation_of(member_prefixes, rov),
+        _saturation_of(other_prefixes, rov),
+    )
+
+
+def _saturation_of(prefixes: list[Prefix], rov: ROVValidator) -> SaturationReport:
+    covered = [prefix for prefix in prefixes if rov.covering_vrps(prefix)]
+    return SaturationReport(
+        routed_space=aggregate_address_count(prefixes),
+        covered_space=aggregate_address_count(covered),
+    )
 
 
 class TestEndToEndEquivalence:

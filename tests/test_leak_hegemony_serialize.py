@@ -1,5 +1,5 @@
-"""Tests for route leaks, global hegemony, IHR serialisation, and the
-delegated-stats parser."""
+"""Tests for route leaks, global hegemony and the delegated-stats
+parser."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ import pytest
 from repro.bgp.leak import simulate_leak
 from repro.bgp.policy import ASPolicy, RouteClass
 from repro.bgp.propagation import PropagationEngine, RouteKind
-from repro.errors import AllocationError, DatasetError, ReproError
-from repro.hegemony.scores import global_hegemony, hegemony_scores
-from repro.ihr.serialize import parse_ihr, serialize_ihr
+from repro.errors import AllocationError, ReproError
+from repro.hegemony.scores import global_hegemony
 from repro.registry.allocation import parse_delegations
 from repro.registry.rir import RIR
 from repro.topology.model import (
@@ -138,62 +137,17 @@ class TestGlobalHegemony:
     def test_world_global_hegemony_tops_out_at_large_transits(self, small_world):
         from repro.topology.classify import SizeClass
 
+        columns = small_world.ihr.arrays
+        offsets = columns["tr_offsets"].tolist()
+        asns = columns["tr_asn"].tolist()
+        hegemony = columns["tr_hegemony"].tolist()
         local = [
-            {asn: info.hegemony for asn, info in group.transits.items()}
-            for group in small_world.ihr.transit_groups
+            dict(zip(asns[begin:end], hegemony[begin:end]))
+            for begin, end in zip(offsets, offsets[1:])
         ]
         scores = global_hegemony(local)
         top = max(scores, key=scores.get)
         assert small_world.size_of[top] in (SizeClass.LARGE, SizeClass.MEDIUM)
-
-
-class TestIHRSerialization:
-    def test_roundtrip_prefix_origins(self, small_world):
-        text = serialize_ihr(small_world.ihr)
-        recovered = parse_ihr(text)
-        original = {
-            (r.prefix, r.origin): (r.rpki, r.irr, r.visibility)
-            for r in small_world.ihr.prefix_origins
-        }
-        rebuilt = {
-            (r.prefix, r.origin): (r.rpki, r.irr, r.visibility)
-            for r in recovered.prefix_origins
-        }
-        assert rebuilt == original
-
-    def test_roundtrip_transit_rows(self, small_world):
-        text = serialize_ihr(small_world.ihr)
-        recovered = parse_ihr(text)
-        original = {
-            (t.prefix, t.origin, t.transit): (t.hegemony, t.from_customer)
-            for t in small_world.ihr.iter_transits()
-        }
-        rebuilt = {
-            (t.prefix, t.origin, t.transit): (t.hegemony, t.from_customer)
-            for t in recovered.iter_transits()
-        }
-        assert set(rebuilt) == set(original)
-        for key, (hegemony, from_customer) in rebuilt.items():
-            assert hegemony == pytest.approx(original[key][0], abs=1e-6)
-            assert from_customer == original[key][1]
-
-    def test_conformance_analysis_identical_after_roundtrip(self, small_world):
-        from repro.core.conformance import propagation_stats
-
-        recovered = parse_ihr(serialize_ihr(small_world.ihr))
-        original_stats = propagation_stats(small_world.ihr)
-        rebuilt_stats = propagation_stats(recovered)
-        assert set(original_stats) == set(rebuilt_stats)
-        for asn in original_stats:
-            assert original_stats[asn].total == rebuilt_stats[asn].total
-            assert (
-                original_stats[asn].customer_unconformant
-                == rebuilt_stats[asn].customer_unconformant
-            )
-
-    def test_parse_rejects_rows_before_header(self):
-        with pytest.raises(DatasetError):
-            parse_ihr("1.2.3.0/24,5,valid,valid,3\n")
 
 
 class TestDelegatedStats:

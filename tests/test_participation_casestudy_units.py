@@ -12,7 +12,6 @@ from repro.core.participation import (
     registration_completeness,
     routed_space_share_by_rir,
 )
-from repro.ihr.records import IHRDataset, PrefixOriginRecord
 from repro.irr.database import IRRDatabase
 from repro.irr.objects import RouteObject
 from repro.irr.validation import IRRStatus
@@ -30,6 +29,7 @@ from repro.topology.model import (
     Organization,
     Relationship,
 )
+from tests.ihr_tables import ihr_dataset
 
 MAY = date(2022, 5, 1)
 
@@ -123,26 +123,33 @@ class TestCaseStudyUnits:
         irr = IRRDatabase("RADB")
         irr.add_route(RouteObject(_p("12.1.0.0/16"), 99, "RADB"))  # unrelated
         irr.add_route(RouteObject(_p("12.2.0.0/16"), 3, "RADB"))  # customer
-        dataset = IHRDataset(
-            prefix_origins=[
-                PrefixOriginRecord(
-                    _p("12.0.0.0/16"), 1,
-                    RPKIStatus.INVALID_ASN, IRRStatus.NOT_FOUND, 5,
-                ),
-                PrefixOriginRecord(
-                    _p("12.1.0.0/16"), 1,
-                    RPKIStatus.NOT_FOUND, IRRStatus.INVALID_ORIGIN, 5,
-                ),
-                PrefixOriginRecord(
-                    _p("12.2.0.0/16"), 1,
-                    RPKIStatus.NOT_FOUND, IRRStatus.INVALID_ORIGIN, 5,
-                ),
-                PrefixOriginRecord(  # conformant, must be ignored
-                    _p("12.3.0.0/16"), 1,
-                    RPKIStatus.VALID, IRRStatus.VALID, 5,
-                ),
-            ],
-            transit_groups=[],
+        dataset = ihr_dataset(
+            [
+                (
+                    1,
+                    5,
+                    [
+                        (
+                            _p("12.0.0.0/16"),
+                            RPKIStatus.INVALID_ASN,
+                            IRRStatus.NOT_FOUND,
+                        ),
+                        (
+                            _p("12.1.0.0/16"),
+                            RPKIStatus.NOT_FOUND,
+                            IRRStatus.INVALID_ORIGIN,
+                        ),
+                        (
+                            _p("12.2.0.0/16"),
+                            RPKIStatus.NOT_FOUND,
+                            IRRStatus.INVALID_ORIGIN,
+                        ),
+                        # conformant, must be ignored
+                        (_p("12.3.0.0/16"), RPKIStatus.VALID, IRRStatus.VALID),
+                    ],
+                    [],
+                )
+            ]
         )
         return dataset, rov, irr, topo, as2org
 

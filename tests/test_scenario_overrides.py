@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.manrs.recruitment import RecruitmentConfig
 from repro.scenario.build import build_world
 from repro.scenario.config import (
@@ -70,7 +68,7 @@ class TestBehaviorOverrides:
         }
         invalids = [
             record
-            for record in world.ihr.prefix_origins
+            for record in world.ihr.prefix_origins()
             if record.rpki.is_invalid and record.origin not in flagships
         ]
         assert invalids == []
@@ -96,7 +94,7 @@ class TestBehaviorOverrides:
             for asn, behavior in world.behaviors.items()
             if behavior.irr_fraction > 0 or behavior.rpki_fraction > 0
         }
-        for record in world.ihr.prefix_origins:
+        for record in world.ihr.prefix_origins():
             if record.origin in overridden:
                 continue
             assert record.rpki.value == "not_found"
@@ -112,7 +110,7 @@ class TestBehaviorOverrides:
         # vantage points' own ROV also rejects — so nothing invalid shows.
         invalid_visible = [
             record
-            for record in world.ihr.prefix_origins
+            for record in world.ihr.prefix_origins()
             if record.rpki.is_invalid
         ]
         assert invalid_visible == []

@@ -7,8 +7,9 @@ Three layers of coverage:
 * per-family invariants on the ``small_world`` fixture, including the
   composition discipline — running every family leaves the world's
   checkpoint digest untouched;
-* golden pinning: the rendered figures at the fixture's (scale, seed)
-  must match ``tests/goldens/scenario_digests.json``, and every family
+* golden pinning: the rendered text of every registry entry (the paper
+  artefacts and the scenario families) at the fixture's (scale, seed)
+  must match ``tests/goldens/render_digests.json``, and every family
   must be visible through the experiment registry.
 """
 
@@ -25,7 +26,7 @@ from repro.experiments.registry import REGISTRY
 from repro.scenarios import FAMILIES
 from repro.scenarios.base import ScenarioFamily
 
-GOLDENS_PATH = Path(__file__).parent / "goldens" / "scenario_digests.json"
+GOLDENS_PATH = Path(__file__).parent / "goldens" / "render_digests.json"
 
 
 def _digest(text: str) -> str:
@@ -104,9 +105,9 @@ class TestFamiliesOnWorld:
             small_world.scale,
             small_world.seed,
         )
-        assert set(entry["digests"]) == set(FAMILIES)
-        for name, family in FAMILIES.items():
-            rendered = family.render(family.run(small_world))
+        assert list(entry["digests"]) == sorted(REGISTRY)
+        for name, spec in REGISTRY.items():
+            rendered = spec.render(spec.run(small_world))
             assert _digest(rendered) == entry["digests"][name], (
                 f"{name} drifted from its golden; regenerate with "
                 "scripts/update_goldens.py if intended"

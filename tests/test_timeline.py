@@ -107,7 +107,7 @@ class TestArchiveIntegration:
         final = archive.latest_at(small_world.snapshot_date)
         rebuilt = ROVValidator(list(final))
         assert len(rebuilt) == len(small_world.rov)
-        for record in small_world.ihr.prefix_origins[:50]:
+        for record in small_world.ihr.prefix_origins()[:50]:
             assert (
                 rebuilt.validate(record.prefix, record.origin) is record.rpki
             )

@@ -19,6 +19,7 @@ from repro.irr.filtergen import build_prefix_filter
 from repro.irr.objects import AsSetObject, RouteObject
 from repro.net.prefix import Prefix
 from repro.topology.classify import SizeClass
+from tests.ihr_tables import tables
 
 
 class TestROVInference:
@@ -186,9 +187,14 @@ class TestMRT:
         pipeline rerun on the in-memory RIB reproduces the dataset."""
         from repro.ihr.pipeline import build_ihr_dataset
 
-        assert build_ihr_dataset(
-            small_world.rib, small_world.rov, small_world.irr, small_world.topology
-        ) == small_world.ihr
+        assert tables(
+            build_ihr_dataset(
+                small_world.rib,
+                small_world.rov,
+                small_world.irr,
+                small_world.topology,
+            )
+        ) == tables(small_world.ihr)
         text = serialize_rib(small_world.rib, small_world.snapshot_date)
         recovered = parse_rib(text)
         dataset = build_ihr_dataset(
@@ -196,10 +202,10 @@ class TestMRT:
         )
         original = {
             (r.prefix, r.origin): (r.rpki, r.irr)
-            for r in small_world.ihr.prefix_origins
+            for r in small_world.ihr.prefix_origins()
         }
         rebuilt = {
             (r.prefix, r.origin): (r.rpki, r.irr)
-            for r in dataset.prefix_origins
+            for r in dataset.prefix_origins()
         }
         assert rebuilt == original

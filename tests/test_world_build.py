@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.bgp.policy import RouteClass
 from repro.core.classification import is_unconformant
+from repro.ihr.records import RPKI_STATUSES
 from repro.irr.validation import IRRStatus, validate_irr
 from repro.manrs.actions import Program
 from repro.rpki.rov import RPKIStatus
@@ -86,7 +87,7 @@ class TestMeasurementPipeline:
                 assert group.route_class == expected
 
     def test_ihr_statuses_match_direct_validation(self, small_world):
-        for record in small_world.ihr.prefix_origins[:200]:
+        for record in small_world.ihr.prefix_origins()[:200]:
             assert (
                 small_world.rov.validate(record.prefix, record.origin)
                 is record.rpki
@@ -112,10 +113,19 @@ class TestMeasurementPipeline:
             for asn, policy in small_world.policies.items()
             if policy.rov
         }
-        for group in small_world.ihr.transit_groups:
-            for _, (rpki, _irr) in zip(group.prefixes, group.statuses):
-                if rpki.is_invalid:
-                    assert not (set(group.transits) & rov_deployers)
+        columns = small_world.ihr.arrays
+        prefix_offsets = columns["tg_offsets"].tolist()
+        transit_offsets = columns["tr_offsets"].tolist()
+        invalid = [status.is_invalid for status in RPKI_STATUSES]
+        rpki = columns["tg_rpki"].tolist()
+        transits = columns["tr_asn"].tolist()
+        for group in range(len(prefix_offsets) - 1):
+            rows = range(prefix_offsets[group], prefix_offsets[group + 1])
+            if any(invalid[rpki[row]] for row in rows):
+                carried = transits[
+                    transit_offsets[group]:transit_offsets[group + 1]
+                ]
+                assert not (set(carried) & rov_deployers)
 
     def test_flagship_cdns_are_barely_unconformant(self, small_world):
         from repro.core.conformance import origination_stats
@@ -140,7 +150,7 @@ class TestMeasurementPipeline:
         members = small_world.members()
         affirmative = [
             r
-            for r in small_world.ihr.prefix_origins
+            for r in small_world.ihr.prefix_origins()
             if r.origin in members and is_unconformant(r.rpki, r.irr)
         ]
         assert affirmative
@@ -150,7 +160,7 @@ class TestIPv6Originations:
     def test_v6_prefixes_exist_and_validate(self, small_world):
         """IPv6 announcements flow through RPKI/IRR validation like v4."""
         v6_records = [
-            r for r in small_world.ihr.prefix_origins if r.prefix.version == 6
+            r for r in small_world.ihr.prefix_origins() if r.prefix.version == 6
         ]
         assert v6_records, "scenario should announce some IPv6"
         from repro.rpki.rov import RPKIStatus
