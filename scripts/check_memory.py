@@ -34,7 +34,7 @@ def main() -> int:
     verdict = "ok" if peak_mb <= BOUND_MB else "FAIL"
     print(
         f"memory-smoke: build_world({SCALE:g}, {SEED}) "
-        f"{len(world.rib.groups)} route groups in {seconds:.1f}s, "
+        f"{len(world.rib.arrays['rib_origin'])} route groups in {seconds:.1f}s, "
         f"peak RSS {peak_mb:.0f} MB (bound {BOUND_MB} MB): {verdict}"
     )
     return 0 if verdict == "ok" else 1

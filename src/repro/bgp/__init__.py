@@ -1,14 +1,13 @@
 """BGP substrate: announcements, policy, propagation, collectors, hijacks."""
 
-from repro.bgp.announcement import Announcement, RibEntry
+from repro.bgp.announcement import Announcement
 from repro.bgp.collector import (
     RibSnapshot,
-    RouteGroup,
+    assemble_rib,
     collect_rib,
     select_vantage_points,
 )
 from repro.bgp.leak import LeakOutcome, simulate_leak
-from repro.bgp.mrt import parse_rib, serialize_rib
 from repro.bgp.hijack import HijackKind, HijackOutcome, simulate_hijack
 from repro.bgp.policy import CONFORMANT_CLASS, ASPolicy, NeighborKind, RouteClass
 from repro.bgp.propagation import PropagationEngine, Route, RouteKind
@@ -25,21 +24,18 @@ __all__ = [
     "NeighborKind",
     "Prefix2AS",
     "PropagationEngine",
-    "RibEntry",
     "RibSnapshot",
     "Route",
     "RouteClass",
-    "RouteGroup",
     "RouteServer",
     "RouteServerReport",
     "RouteServerVerdict",
     "RouteKind",
+    "assemble_rib",
     "collect_rib",
     "parse_prefix2as",
-    "parse_rib",
     "select_vantage_points",
     "serialize_prefix2as",
-    "serialize_rib",
     "simulate_hijack",
     "simulate_leak",
 ]

@@ -1,19 +1,19 @@
-"""BGP announcement and RIB-entry value types.
+"""The BGP announcement value type.
 
 An :class:`Announcement` is what an origin AS injects into the routing
-system: a prefix plus the originating ASN.  A :class:`RibEntry` is what a
-route-collector vantage point ends up with after propagation: the
-announcement plus the AS path from the vantage point to the origin.
+system: a prefix plus the originating ASN.  What the collectors' vantage
+points end up with after propagation is a
+:class:`~repro.bgp.collector.RibSnapshot`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.asn import format_as_path, strip_prepending, validate_asn
+from repro.net.asn import validate_asn
 from repro.net.prefix import Prefix
 
-__all__ = ["Announcement", "RibEntry"]
+__all__ = ["Announcement"]
 
 
 @dataclass(frozen=True)
@@ -28,38 +28,3 @@ class Announcement:
 
     def __str__(self) -> str:
         return f"{self.prefix} origin AS{self.origin}"
-
-
-@dataclass(frozen=True)
-class RibEntry:
-    """One route in a vantage point's table.
-
-    ``path`` runs from the vantage point (first element) to the origin
-    (last element), matching the AS_PATH a collector would record.
-    """
-
-    vantage_point: int
-    prefix: Prefix
-    origin: int
-    path: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.path:
-            raise ValueError("empty AS path")
-        if self.path[0] != self.vantage_point:
-            raise ValueError(
-                f"path {self.path} does not start at vantage point "
-                f"AS{self.vantage_point}"
-            )
-        if self.path[-1] != self.origin:
-            raise ValueError(
-                f"path {self.path} does not end at origin AS{self.origin}"
-            )
-
-    @property
-    def transit_ases(self) -> tuple[int, ...]:
-        """ASes on the path excluding the vantage point and origin."""
-        return strip_prepending(self.path)[1:-1]
-
-    def __str__(self) -> str:
-        return f"{self.prefix} via {format_as_path(self.path)}"

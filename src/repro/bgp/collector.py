@@ -7,9 +7,17 @@ records the AS path each vantage point selects, producing a
 IHR pipeline.
 
 Announcements sharing (origin AS, filter class) propagate identically, so
-the snapshot stores one :class:`RouteGroup` per such pair — paths are kept
-once per group rather than once per prefix, which keeps full-table
-collection affordable in both time and memory.
+the snapshot stores one route group per such pair — paths are kept once
+per group rather than once per prefix, which keeps full-table collection
+affordable in both time and memory.
+
+The snapshot is its stored columns: :func:`assemble_rib` builds them
+once, for :func:`collect_rib` and the live world alike; a checkpoint
+writes them and the ``rib`` digest hashes them as they are, and every
+reader (prefix2as, the IHR pipeline, the counterfactual and ablation
+experiments) walks them.  Only the live world decodes the groups
+(:meth:`RibSnapshot.groups`), since its propagation memo and transit
+cache hold path dicts.
 
 Real collectors see the Internet through a limited, biased set of vantage
 points (mostly large transit networks); §11 of the paper calls this out as
@@ -23,104 +31,238 @@ bounds its own working set (DESIGN §18).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress, repeat
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.bgp.announcement import Announcement, RibEntry
-from repro.bgp.policy import RouteClass
+from repro.bgp.announcement import Announcement
+from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.topology.classify import SizeClass, classify_all
 from repro.topology.model import ASTopology
 
-__all__ = ["RouteGroup", "RibSnapshot", "collect_rib", "select_vantage_points"]
+__all__ = [
+    "COLUMNS",
+    "RibSnapshot",
+    "assemble_rib",
+    "collect_rib",
+    "select_vantage_points",
+]
+
+#: The stored columns, in the order a checkpoint writes them and the
+#: ``rib`` digest hashes them.
+COLUMNS = (
+    "rib_origin",
+    "rib_rpki_invalid",
+    "rib_irr_invalid",
+    "rib_prefix_hi",
+    "rib_prefix_lo",
+    "rib_prefix_len",
+    "rib_prefix_ver",
+    "rib_prefix_offsets",
+    "rib_path_values",
+    "rib_path_offsets",
+    "rib_ref_vp",
+    "rib_ref_offsets",
+)
 
 
-@dataclass(frozen=True)
-class RouteGroup:
-    """Routes for all prefixes of one (origin, filter-class) pair.
 
-    ``paths`` maps each vantage point that selected a route to its AS path
-    (vantage point first, origin last).  Vantage points missing from the
-    mapping did not receive the announcement — typically because filters
-    dropped it on every valley-free path.
+class Group(NamedTuple):
+    """One route group, the unit :func:`assemble_rib` stores.
+
+    ``paths`` maps each vantage point that selected a route to its AS
+    path (vantage point first, origin last).  Vantage points missing
+    from the mapping did not receive the announcement — typically
+    because filters dropped it on every valley-free path.
     """
 
     origin: int
     route_class: RouteClass
-    prefixes: tuple[Prefix, ...]
-    paths: dict[int, tuple[int, ...]]
+    prefixes: Sequence[Prefix]
+    paths: Mapping[int, tuple[int, ...]]
 
 
-@dataclass
 class RibSnapshot:
-    """All routes observed by the collector's vantage points.
+    """All routes observed by the collector's vantage points, as columns.
 
-    Lookup helpers are backed by lazily built caches (an ``(origin,
-    prefix) → groups`` index for :meth:`paths_for` and a materialised
-    visible-announcement set).  The caches key off ``len(groups)``:
-    appending groups invalidates them, which covers every mutation the
-    pipeline performs (``RouteGroup`` itself is frozen).
+    ``meta`` holds the vantage points; ``arrays`` maps each name of
+    :data:`COLUMNS`, in that order, to the array it was given (nothing
+    is copied).  Per group: ``rib_origin`` and the two route
+    class flags; ``rib_prefix_offsets`` slices its rows of the four
+    prefix columns and ``rib_ref_offsets`` its (vantage point, path)
+    references.  The path table stores one path per reference, in
+    reference order, so ``rib_ref_offsets`` slices the paths of
+    ``rib_path_offsets`` just as it slices ``rib_ref_vp``.  A group is
+    visible when at least one vantage point holds a path.
     """
 
-    vantage_points: tuple[int, ...]
-    groups: list[RouteGroup]
-    _group_index: dict[tuple[int, Prefix], list[RouteGroup]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _visible: frozenset[Announcement] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _cached_group_count: int = field(
-        default=-1, init=False, repr=False, compare=False
-    )
-
-    def iter_entries(self) -> Iterator[RibEntry]:
-        """Expand groups into per-(vantage point, prefix) RIB entries."""
-        for group in self.groups:
-            for prefix in group.prefixes:
-                for vantage_point, path in group.paths.items():
-                    yield RibEntry(
-                        vantage_point=vantage_point,
-                        prefix=prefix,
-                        origin=group.origin,
-                        path=path,
-                    )
-
-    def _refresh_caches(self) -> None:
-        if self._cached_group_count == len(self.groups):
-            return
-        index: dict[tuple[int, Prefix], list[RouteGroup]] = {}
-        visible: set[Announcement] = set()
-        for group in self.groups:
-            for prefix in group.prefixes:
-                index.setdefault((group.origin, prefix), []).append(group)
-                if group.paths:
-                    visible.add(Announcement(prefix, group.origin))
-        self._group_index = index
-        self._visible = frozenset(visible)
-        self._cached_group_count = len(self.groups)
+    def __init__(self, meta: dict, arrays: Mapping[str, np.ndarray]):
+        self.meta = meta
+        self.arrays = {name: arrays[name] for name in COLUMNS}
+        self._prefixes: list[Prefix] | None = None
 
     @property
-    def visible_announcements(self) -> set[Announcement]:
-        """Announcements seen by at least one vantage point."""
-        self._refresh_caches()
-        return set(self._visible or ())
+    def vantage_points(self) -> tuple[int, ...]:
+        """The collector's vantage points, as the meta records them."""
+        return tuple(self.meta["vantage_points"])
 
-    def paths_for(self, announcement: Announcement) -> list[tuple[int, ...]]:
-        """Every vantage-point path recorded for one announcement."""
-        self._refresh_caches()
-        assert self._group_index is not None
-        groups = self._group_index.get(
-            (announcement.origin, announcement.prefix), ()
+    def visible(self) -> np.ndarray:
+        """Per group: did any vantage point see it?"""
+        return np.diff(self.arrays["rib_ref_offsets"]) > 0
+
+    def visible_rows(self) -> np.ndarray:
+        """Per prefix row: is its group visible?"""
+        return np.repeat(
+            self.visible(), np.diff(self.arrays["rib_prefix_offsets"])
         )
-        paths: list[tuple[int, ...]] = []
-        for group in groups:
-            paths.extend(group.paths.values())
-        return paths
+
+    def row_origins(self) -> np.ndarray:
+        """Each prefix row's origin."""
+        return np.repeat(
+            self.arrays["rib_origin"], np.diff(self.arrays["rib_prefix_offsets"])
+        )
+
+    def prefix_rows(self, name: str, rows=slice(None)) -> dict[str, np.ndarray]:
+        """The prefix columns at ``rows`` (a mask or an index), as the
+        column set ``name`` of :func:`~repro.net.prefix.prefix_columns`."""
+        return {
+            f"{name}_{part}": self.arrays[f"rib_prefix_{part}"][rows]
+            for part in ("hi", "lo", "len", "ver")
+        }
+
+    def prefixes(self) -> list[Prefix]:
+        """The prefix rows, decoded once per snapshot.  A snapshot
+        :func:`assemble_rib` built holds the prefixes it was given, so
+        lookups keyed by them hit by identity."""
+        if self._prefixes is None:
+            self._prefixes = prefixes_from_columns(self.arrays, "rib_prefix")
+        return self._prefixes
+
+    def routes(self, rows: np.ndarray | None = None) -> list[tuple[Prefix, int]]:
+        """The ``(prefix, origin)`` routes of every prefix row, or of the
+        rows the boolean mask ``rows`` selects."""
+        routes = zip(self.prefixes(), self.row_origins().tolist())
+        return list(routes if rows is None else compress(routes, rows.tolist()))
+
+    def route_classes(self) -> list[RouteClass]:
+        """Each group's route class."""
+        columns = self.arrays
+        return [
+            ROUTE_CLASSES[flags]
+            for flags in zip(
+                columns["rib_rpki_invalid"].tolist(),
+                columns["rib_irr_invalid"].tolist(),
+            )
+        ]
+
+    def announcements(self) -> list[tuple[Announcement, RouteClass]]:
+        """Every route with its route class, in row order: the input
+        :func:`collect_rib` regroups into this snapshot's groups."""
+        counts = np.diff(self.arrays["rib_prefix_offsets"]).tolist()
+        classes = chain.from_iterable(map(repeat, self.route_classes(), counts))
+        return [
+            (Announcement(prefix, origin), route_class)
+            for (prefix, origin), route_class in zip(self.routes(), classes)
+        ]
+
+    def groups(self) -> list[Group]:
+        """Decode every group, in order: the inverse of
+        :func:`assemble_rib`."""
+        columns = self.arrays
+        values = columns["rib_path_values"].tolist()
+        offsets = columns["rib_path_offsets"].tolist()
+        # One path per (group, vantage point) reference — a million-plus
+        # at full scale — so the table is cut with map() over slices.
+        paths = list(
+            map(tuple, map(values.__getitem__, map(slice, offsets, offsets[1:])))
+        )
+        prefixes = self.prefixes()
+        prefix_offsets = columns["rib_prefix_offsets"].tolist()
+        ref_vp = columns["rib_ref_vp"].tolist()
+        ref_offsets = columns["rib_ref_offsets"].tolist()
+        return [
+            Group(
+                origin,
+                route_class,
+                tuple(prefixes[prefix_offsets[g]:prefix_offsets[g + 1]]),
+                dict(
+                    zip(
+                        ref_vp[ref_offsets[g]:ref_offsets[g + 1]],
+                        paths[ref_offsets[g]:ref_offsets[g + 1]],
+                    )
+                ),
+            )
+            for g, (origin, route_class) in enumerate(
+                zip(columns["rib_origin"].tolist(), self.route_classes())
+            )
+        ]
+
+
+def _offsets(lengths: Iterable[int], count: int) -> np.ndarray:
+    """Slice boundaries of consecutive runs of ``lengths``."""
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    offsets[1:] = np.fromiter(lengths, dtype=np.int64, count=count)
+    np.cumsum(offsets, out=offsets)
+    return offsets
+
+
+def assemble_rib(
+    vantage_points: Sequence[int], groups: Sequence[Group]
+) -> RibSnapshot:
+    """The snapshot of ``groups``, in order.
+
+    Ragged structure is flattened into value + offset columns, which
+    hash, store and map without a transform.  Paths are not
+    deduplicated: that would remove only ~4% of the rows on real worlds
+    but needs a tuple-keyed hash table spanning the whole RIB, which at
+    large scales cost hundreds of MB; the rows stream straight into
+    preallocated columns instead.
+    """
+    n = len(groups)
+
+    def paths():
+        return chain.from_iterable(group.paths.values() for group in groups)
+
+    prefixes = list(chain.from_iterable(group.prefixes for group in groups))
+    path_offsets = _offsets(
+        map(len, paths()), sum(len(group.paths) for group in groups)
+    )
+    arrays = {
+        "rib_origin": np.fromiter(
+            (group.origin for group in groups), dtype=np.int64, count=n
+        ),
+        "rib_rpki_invalid": np.fromiter(
+            (group.route_class.rpki_invalid for group in groups),
+            dtype=np.bool_,
+            count=n,
+        ),
+        "rib_irr_invalid": np.fromiter(
+            (group.route_class.irr_invalid for group in groups),
+            dtype=np.bool_,
+            count=n,
+        ),
+        **prefix_columns("rib_prefix", prefixes),
+        "rib_prefix_offsets": _offsets((len(group.prefixes) for group in groups), n),
+        "rib_path_values": np.fromiter(
+            chain.from_iterable(paths()),
+            dtype=np.int64,
+            count=int(path_offsets[-1]),
+        ),
+        "rib_path_offsets": path_offsets,
+        "rib_ref_vp": np.fromiter(
+            chain.from_iterable(group.paths for group in groups),
+            dtype=np.int64,
+            count=len(path_offsets) - 1,
+        ),
+        "rib_ref_offsets": _offsets((len(group.paths) for group in groups), n),
+    }
+    snapshot = RibSnapshot({"vantage_points": list(vantage_points)}, arrays)
+    snapshot._prefixes = prefixes
+    return snapshot
 
 
 def select_vantage_points(
@@ -183,13 +325,10 @@ def collect_rib(
         "collect.routes_propagated",
         sum(len(paths) for paths in paths_by_key),
     )
-    groups = [
-        RouteGroup(
-            origin=origin,
-            route_class=route_class,
-            prefixes=tuple(sorted(set(grouped[(origin, route_class)]))),
-            paths=paths,
-        )
-        for (origin, route_class), paths in zip(keys, paths_by_key)
-    ]
-    return RibSnapshot(vantage_points=vantage_points, groups=groups)
+    return assemble_rib(
+        vantage_points,
+        [
+            Group(*key, sorted(set(grouped[key])), paths)
+            for key, paths in zip(keys, paths_by_key)
+        ],
+    )

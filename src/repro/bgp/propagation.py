@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass, covers_session
@@ -53,7 +53,7 @@ from repro.kernels.csr import CollectionPlan, batch_paths
 from repro.topology.model import ASTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bgp.collector import RibSnapshot
+    from repro.bgp.collector import Group
 
 __all__ = ["RouteKind", "Route", "PropagationEngine"]
 
@@ -314,32 +314,32 @@ class PropagationEngine:
         """Drop all memoised propagation results."""
         self._paths_cache.clear()
 
-    def seed_cache(self, rib: "RibSnapshot") -> int:
-        """Memoise the paths of a snapshot this engine's inputs produced.
+    def seed_cache(
+        self, vantage_points: Iterable[int], groups: Sequence["Group"]
+    ) -> int:
+        """Memoise the paths of route groups this engine's inputs produced.
 
-        The caller vouches that each group's paths are what
-        :meth:`paths_to` returns for its ``(origin, route class)`` at
-        ``rib.vantage_points`` — as a world's RIB is for the engine of
-        the same world.  A reopened world's engine starts with an empty
-        memo while its RIB holds exactly those paths, so seeding spares
-        the first collection over it a full re-propagation.  Existing
-        entries are kept; a no-op when the memo is disabled
-        (``paths_cache_size=0``).  Returns the number of entries added.
+        ``groups`` are decoded ``(origin, route class, prefixes, paths)``
+        groups (:meth:`~repro.bgp.collector.RibSnapshot.groups`); the
+        caller vouches that each group's paths are what :meth:`paths_to`
+        returns for its ``(origin, route class)`` at ``vantage_points`` —
+        as a world's RIB is for the engine of the same world.  A
+        reopened world's engine starts with an empty memo while its RIB
+        holds exactly those paths, so seeding spares the first
+        collection over it a full re-propagation.  Existing entries are
+        kept; a no-op when the memo is disabled (``paths_cache_size=0``).
+        Returns the number of entries added.
         """
         if self._paths_cache_size <= 0:
             return 0
-        self.ensure_cache_capacity(len(rib.groups))
+        self.ensure_cache_capacity(len(groups))
         cache = self._paths_cache
-        vantage_points = tuple(rib.vantage_points)
+        vantage_points = tuple(vantage_points)
         seeded = 0
-        for group in rib.groups:
-            key = (
-                group.origin,
-                self.signature_id(group.route_class),
-                vantage_points,
-            )
+        for origin, route_class, _, paths in groups:
+            key = (origin, self.signature_id(route_class), vantage_points)
             if key not in cache:
-                cache[key] = group.paths
+                cache[key] = paths
                 seeded += 1
         while len(cache) > self._paths_cache_size:
             cache.popitem(last=False)

@@ -3,10 +3,10 @@
 CAIDA's Routeviews prefix2as files map each routed prefix to the origin
 AS(es) observed at the collectors.  The paper uses them for routed address
 space accounting (Figures 4b and 6) and registration completeness
-(Finding 7.0).  We derive the same mapping from the collectors' visible
-``(origin, prefixes)`` groups — a :class:`RibSnapshot`'s, or the same
-groups read from a checkpoint's stored RIB columns — and serialise it in
-the upstream tab-separated format (``<network>\t<length>\t<asn[,asn...]>``).
+(Finding 7.0).  We derive the same mapping from the routes of a
+:class:`RibSnapshot`'s visible groups, read from its columns, and
+serialise it in the upstream tab-separated format
+(``<network>\t<length>\t<asn[,asn...]>``).
 """
 
 from __future__ import annotations
@@ -70,28 +70,22 @@ class V4Columns:
 
 
 def _build_origin_map(
-    groups: Iterable[tuple[int, Iterable[Prefix]]],
+    routes: Iterable[tuple[Prefix, int]],
 ) -> dict[Prefix, frozenset[int]]:
-    """Prefix → origin ASes over visible ``(origin, prefixes)`` groups.
+    """Prefix → origin ASes over visible ``(prefix, origin)`` routes.
 
-    The one builder behind both feeds: :meth:`Prefix2AS.from_rib` walks
-    a snapshot's groups, and a checkpoint's lazy world walks the same
-    groups in the same order straight from the stored RIB columns
-    (:meth:`Prefix2AS.from_groups`).  Keys are in first-sighting order,
-    group by group and prefix by prefix, so the two feeds give equal
-    mappings item for item.  Single-origin prefixes (nearly all of
-    them) share one frozenset per origin.
+    Keys are in first-sighting order, row by row.  Single-origin
+    prefixes (nearly all of them) share one frozenset per origin.
     """
     origins: dict[Prefix, frozenset[int]] = {}
     singles: dict[int, frozenset[int]] = {}
-    for origin, prefixes in groups:
+    for prefix, origin in routes:
         single = singles.get(origin)
         if single is None:
             single = singles[origin] = frozenset((origin,))
-        for prefix in prefixes:
-            seen = origins.setdefault(prefix, single)
-            if origin not in seen:
-                origins[prefix] = seen | single
+        seen = origins.setdefault(prefix, single)
+        if origin not in seen:
+            origins[prefix] = seen | single
     return origins
 
 
@@ -100,11 +94,10 @@ class Prefix2AS:
 
     Built from a RIB the mapping is *lazy*: :meth:`from_rib` only keeps
     a reference to the snapshot and the prefix → origins dict
-    materialises on first use, since a world build constructs a
+    materialises on first use, from the snapshot's origin and prefix
+    columns (no path is read), since a world build constructs a
     Prefix2AS unconditionally while many callers (unit experiments,
-    cache warms) never query it.  A checkpoint's lazy world builds its
-    mapping with :meth:`from_groups` from the stored RIB columns
-    instead, so reading ``prefix2as`` never decodes the RIB's paths.
+    cache warms) never query it.
     """
 
     def __init__(self, origins: dict[Prefix, frozenset[int]]):
@@ -123,22 +116,10 @@ class Prefix2AS:
         mapping._rib = snapshot
         return mapping
 
-    @classmethod
-    def from_groups(
-        cls, groups: Iterable[tuple[int, Iterable[Prefix]]]
-    ) -> "Prefix2AS":
-        """Build the mapping now from visible ``(origin, prefixes)`` groups."""
-        mapping = cls({})
-        mapping._origins = _build_origin_map(groups)
-        return mapping
-
     def _origin_map(self) -> dict[Prefix, frozenset[int]]:
         if self._origins is None:
-            self._origins = _build_origin_map(
-                (group.origin, group.prefixes)
-                for group in self._rib.groups
-                if group.paths
-            )
+            rib = self._rib
+            self._origins = _build_origin_map(rib.routes(rib.visible_rows()))
             self._rib = None
         return self._origins
 

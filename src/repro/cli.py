@@ -164,13 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep", type=int, default=0, metavar="N",
         help="keep the N most recently created entries (default: none)",
     )
-    warm = cache_sub.add_parser(
+    cache_sub.add_parser(
         "warm", parents=[common],
         help="build (or load) the world for --scale/--seed and store it",
-    )
-    warm.add_argument(
-        "--years", action="store_true",
-        help="also checkpoint the per-year timeline VRP snapshots",
     )
     sweep = sub.add_parser(
         "sweep", parents=[common],
@@ -548,16 +544,11 @@ def _cache(args: argparse.Namespace) -> int:
         print(f"-- {len(removed)} entries removed, {args.keep} kept")
     elif args.cache_command == "warm":
         with obs.span("cli.cache_warm", scale=args.scale, seed=args.seed):
-            world = _obtain_world(args)
-            summary = f"world scale={args.scale:g} seed={args.seed} stored"
-            if args.years:
-                from repro.scenario.timeline import Timeline
-
-                timeline = Timeline(world, store=store)
-                for year in timeline.years:
-                    timeline.rov_at(year)
-                summary += f" (+{len(timeline.years)} year snapshots)"
-        print(f"{summary} in {store.root}")
+            _obtain_world(args)
+        print(
+            f"world scale={args.scale:g} seed={args.seed} stored in "
+            f"{store.root}"
+        )
     return 0
 
 

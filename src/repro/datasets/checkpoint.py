@@ -32,7 +32,7 @@ caller falls back to a cold build.  A warm-started world is
 digest-identical to a cold build (asserted by ``tests/test_checkpoint``)
 — :func:`dataset_digests` / :func:`world_digest` define that identity.
 The RIB and IHR digests hash the same columns the entry stores (the
-IHR's are the world's own ``ihr`` columns, written and hashed as they
+world's own ``rib`` and ``ihr`` columns, written and hashed as they
 are); the other artifacts hash their bundle serialisations.
 
 Hit/miss/corrupt/save counts land in the :mod:`repro.obs` metrics
@@ -48,7 +48,6 @@ import logging
 import os
 import shutil
 import time
-from itertools import chain
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -58,9 +57,7 @@ import numpy as np
 
 from repro import config as _config
 from repro import obs
-from repro.bgp.collector import RibSnapshot, RouteGroup
-from repro.bgp.policy import ROUTE_CLASSES
-from repro.bgp.table import Prefix2AS, serialize_prefix2as
+from repro.bgp.table import serialize_prefix2as
 from repro.datasets.arraystore import ColumnWriter
 from repro.datasets.columnar import LazyWorld, WorldColumns
 from repro.datasets.store import PARTICIPANTS_FILE, RELATIONSHIPS_FILE
@@ -73,7 +70,7 @@ from repro.manrs.registry import serialize_participants
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.registry.allocation import Delegation
 from repro.registry.rir import RIR
-from repro.rpki.archive import parse_vrps, serialize_vrps
+from repro.rpki.archive import serialize_vrps
 from repro.rpki.ca import ResourceCertificate, RPKIRepository
 from repro.rpki.roa import ROA, VRP
 from repro.scenario.config import ScenarioConfig
@@ -131,7 +128,6 @@ RPKI_FILE = "rpki.json"
 RIB_FILE = "rib.json"
 IHR_FILE = "ihr.json"
 ARRAYS_FILE = "arrays.npz"
-YEARS_DIR = "years"
 
 _JSON_COMPACT = {"sort_keys": False, "separators": (",", ":")}
 
@@ -286,147 +282,6 @@ def _replay(cls, fields: dict):
     # bypasses it.
     obj.__dict__.update(fields)
     return obj
-
-
-def _rib_arrays(rib: RibSnapshot) -> tuple[dict, dict[str, np.ndarray]]:
-    """The stored form of a RIB: a small JSON meta + flat numpy columns.
-
-    Ragged structure (per-group prefix lists, the path table, per-group
-    path references) is flattened into value + offset arrays.  Binary
-    columns decode orders of magnitude faster than the equivalent JSON
-    — the RIB is by far the largest derived structure, and its decode
-    dominated warm-start time as JSON.
-
-    The path table stores one path per (group, vantage point) reference,
-    in reference order, so ``rib_ref_offsets`` slices it per group just
-    as it slices ``rib_ref_vp``.  Deduplicating repeated paths would
-    remove only ~4% of the rows on real worlds but needs a tuple-keyed
-    hash table spanning the whole RIB, which at large scales cost
-    hundreds of MB of save-time RSS; rows stream straight into
-    preallocated columns instead.
-
-    These columns, in this order, are also what the ``rib`` digest
-    hashes (:func:`dataset_digests`).
-    """
-    groups = rib.groups
-    n = len(groups)
-    origins = np.empty(n, dtype=np.int64)
-    rpki_flags = np.empty(n, dtype=np.bool_)
-    irr_flags = np.empty(n, dtype=np.bool_)
-    ref_offsets = np.zeros(n + 1, dtype=np.int64)
-    prefix_offsets = np.zeros(n + 1, dtype=np.int64)
-    for i, group in enumerate(groups):
-        origins[i] = group.origin
-        rpki_flags[i] = group.route_class.rpki_invalid
-        irr_flags[i] = group.route_class.irr_invalid
-        ref_offsets[i + 1] = len(group.paths)
-        prefix_offsets[i + 1] = len(group.prefixes)
-    np.cumsum(ref_offsets, out=ref_offsets)
-    np.cumsum(prefix_offsets, out=prefix_offsets)
-    total_refs = int(ref_offsets[-1])
-    ref_vp = np.empty(total_refs, dtype=np.int64)
-    # Inclusive cumsum over per-path lengths shifted one slot right
-    # turns the length buffer into the offsets column in place.
-    path_offsets = np.zeros(total_refs + 1, dtype=np.int64)
-    prefixes: list[Prefix] = []
-    pos = 0
-    for group in groups:
-        k = len(group.paths)
-        if k:
-            ref_vp[pos:pos + k] = list(group.paths.keys())
-            path_offsets[pos + 1:pos + 1 + k] = [
-                len(path) for path in group.paths.values()
-            ]
-            pos += k
-        prefixes.extend(group.prefixes)
-    np.cumsum(path_offsets, out=path_offsets)
-    path_values = np.fromiter(
-        chain.from_iterable(
-            chain.from_iterable(
-                group.paths.values() for group in groups
-            )
-        ),
-        dtype=np.int64,
-        count=int(path_offsets[-1]),
-    )
-    meta = {"vantage_points": list(rib.vantage_points)}
-    arrays = {
-        "rib_origin": origins,
-        "rib_rpki_invalid": rpki_flags,
-        "rib_irr_invalid": irr_flags,
-        **prefix_columns("rib_prefix", prefixes),
-        "rib_prefix_offsets": prefix_offsets,
-        "rib_path_values": path_values,
-        "rib_path_offsets": path_offsets,
-        "rib_ref_vp": ref_vp,
-        "rib_ref_offsets": ref_offsets,
-    }
-    return meta, arrays
-
-
-def _rebuild_rib(meta: dict, arrays) -> RibSnapshot:
-    path_values = arrays["rib_path_values"].tolist()
-    path_offsets = arrays["rib_path_offsets"].tolist()
-    # The path table is large (one entry per (vantage point, group)
-    # reference — a million-plus at full scale), so it is rebuilt with
-    # map() over slice objects rather than an index-arithmetic loop.
-    path_table = list(
-        map(
-            tuple,
-            map(
-                path_values.__getitem__,
-                map(slice, path_offsets, path_offsets[1:]),
-            ),
-        )
-    )
-    origins = arrays["rib_origin"].tolist()
-    rpki_flags = arrays["rib_rpki_invalid"].tolist()
-    irr_flags = arrays["rib_irr_invalid"].tolist()
-    prefixes = prefixes_from_columns(arrays, "rib_prefix")
-    prefix_offsets = arrays["rib_prefix_offsets"].tolist()
-    ref_vp = arrays["rib_ref_vp"].tolist()
-    ref_offsets = arrays["rib_ref_offsets"].tolist()
-    groups = [
-        _replay(
-            RouteGroup,
-            {
-                "origin": origins[g],
-                "route_class": ROUTE_CLASSES[(rpki_flags[g], irr_flags[g])],
-                "prefixes": tuple(
-                    prefixes[prefix_offsets[g]:prefix_offsets[g + 1]]
-                ),
-                "paths": dict(
-                    zip(
-                        ref_vp[ref_offsets[g]:ref_offsets[g + 1]],
-                        path_table[ref_offsets[g]:ref_offsets[g + 1]],
-                    )
-                ),
-            },
-        )
-        for g in range(len(origins))
-    ]
-    return RibSnapshot(
-        vantage_points=tuple(meta["vantage_points"]), groups=groups
-    )
-
-
-def _rebuild_prefix2as(arrays) -> Prefix2AS:
-    """prefix2as straight from the stored RIB columns.
-
-    Feeds :meth:`Prefix2AS.from_groups` the groups :meth:`Prefix2AS.from_rib`
-    walks over the decoded RIB, in the same order: a group is visible
-    when its ``rib_ref_offsets`` slice is non-empty.  No path is decoded
-    and no ``RouteGroup`` is built.
-    """
-    origins = arrays["rib_origin"].tolist()
-    prefixes = prefixes_from_columns(arrays, "rib_prefix")
-    prefix_offsets = arrays["rib_prefix_offsets"].tolist()
-    ref_offsets = arrays["rib_ref_offsets"].tolist()
-    return Prefix2AS.from_groups(
-        (origin, prefixes[prefix_offsets[g]:prefix_offsets[g + 1]])
-        for g, origin in enumerate(origins)
-        if ref_offsets[g] != ref_offsets[g + 1]
-    )
 
 
 def _topology_payload(topology: ASTopology) -> dict:
@@ -919,10 +774,10 @@ def _rebuild_irr(meta: dict, arrays) -> IRRCollection:
 def dataset_digests(world: World) -> dict[str, str]:
     """Per-artifact SHA-256 digests of a world.
 
-    The RIB and the IHR tables are hashed from the columns a checkpoint
-    entry stores for them (:func:`_sha256_columns`): the RIB's as
-    :func:`_rib_arrays` encodes them, the IHR's as ``world.ihr`` holds
-    them, whether built or opened.  Every other artifact is hashed as
+    The RIB and the IHR tables are hashed as the columns ``world.rib``
+    and ``world.ihr`` hold, whether built or opened, which are the
+    columns a checkpoint entry stores (:func:`_sha256_columns`).  Every
+    other artifact is hashed as
     rendered by its dataset-bundle serialiser, so two worlds with equal
     digests export byte-identical files.  This is the identity the
     golden-digest suite pins and the warm-equals-cold tests assert.
@@ -949,7 +804,7 @@ def dataset_digests(world: World) -> dict[str, str]:
             + serialize_database(list(database.all_routes()))
             for database in world.irr.databases
         ),
-        "rib": _sha256_columns(*_rib_arrays(world.rib)),
+        "rib": _sha256_columns(world.rib.meta, world.rib.arrays),
         "ihr": _sha256_columns(world.ihr.meta, world.ihr.arrays),
     }
 
@@ -1021,13 +876,13 @@ class CheckpointStore:
             shutil.rmtree(staging)
         with obs.span("checkpoint.save", key=key[:12]):
             staging.mkdir()
-            # One stage's columns are alive at a time: each stage's
-            # arrays stream into the archive (same member order np.savez
-            # produced) and are released before the next stage is even
-            # built, so save-time RSS no longer doubles the world.
+            # The RIB and IHR columns are the world's own and are
+            # written as held; each other stage's arrays stream into
+            # the archive (same member order np.savez produced) and are
+            # released before the next stage is even built, so save-time
+            # RSS never doubles the world.
             with ColumnWriter(staging / ARRAYS_FILE) as writer:
-                rib_meta, stage_arrays = _rib_arrays(world.rib)
-                writer.write_all(stage_arrays)
+                writer.write_all(world.rib.arrays)
                 writer.write_all(world.ihr.arrays)
                 scenario_meta, stage_arrays = _scenario_payload(world)
                 writer.write_all(stage_arrays)
@@ -1038,7 +893,7 @@ class CheckpointStore:
                 TOPOLOGY_FILE: _topology_payload(world.topology),
                 SCENARIO_FILE: scenario_meta,
                 RPKI_FILE: rpki_meta,
-                RIB_FILE: rib_meta,
+                RIB_FILE: world.rib.meta,
                 IHR_FILE: world.ihr.meta,
             }
             for name, payload in payloads.items():
@@ -1243,66 +1098,7 @@ class CheckpointStore:
                 continue
             if _sha256_file(path) != expected:
                 problems.append(f"{name}: digest mismatch")
-        years = entry / YEARS_DIR
-        if years.is_dir():
-            for path in sorted(years.glob("*.csv")):
-                sidecar = path.with_suffix(".csv.sha256")
-                if not sidecar.is_file():
-                    problems.append(f"{YEARS_DIR}/{path.name}: no digest")
-                elif _sha256_text(path.read_text()) != sidecar.read_text().strip():
-                    problems.append(f"{YEARS_DIR}/{path.name}: digest mismatch")
         return problems
-
-    # -- timeline year side-cars --------------------------------------------
-
-    def year_path(self, key: str, year: int) -> Path:
-        return self.path_for(key) / YEARS_DIR / f"vrps-{year}.csv"
-
-    def save_year_vrps(
-        self, key: str, year: int, vrps: list[VRP], as_of: date
-    ) -> Path:
-        """Persist one year-end VRP snapshot next to its world entry."""
-        path = self.year_path(key, year)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = serialize_vrps(vrps, as_of)
-        path.write_text(text)
-        path.with_suffix(".csv.sha256").write_text(_sha256_text(text) + "\n")
-        obs.add("checkpoint.year_saved")
-        return path
-
-    def load_year_vrps(
-        self, key: str, year: int, strict: bool = False
-    ) -> list[VRP] | None:
-        """One stored year-end VRP snapshot, or None when absent.
-
-        A snapshot that is present but fails its sidecar digest (or does
-        not parse) is discarded either way; with ``strict=False`` that is
-        silently folded into the absent case, with ``strict=True`` a
-        :class:`CheckpointError` is raised after cleanup so callers can
-        tell "never saved" apart from "saved but corrupt" (the timeline
-        counts the latter separately).
-        """
-        path = self.year_path(key, year)
-        sidecar = path.with_suffix(".csv.sha256")
-        if not path.is_file() or not sidecar.is_file():
-            return None
-        try:
-            text = path.read_text()
-            if _sha256_text(text) != sidecar.read_text().strip():
-                raise CheckpointError("digest mismatch")
-            return parse_vrps(text)
-        except Exception as error:  # noqa: BLE001 - recompute instead
-            log.warning(
-                "discarding corrupt year snapshot %s (%s)", path, error
-            )
-            obs.add("checkpoint.corrupt")
-            path.unlink(missing_ok=True)
-            sidecar.unlink(missing_ok=True)
-            if strict:
-                raise CheckpointError(
-                    f"corrupt year snapshot for {key} year {year}: {error}"
-                ) from error
-            return None
 
     # -- maintenance (the `repro cache` subcommand) -------------------------
 

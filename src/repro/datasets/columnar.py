@@ -7,15 +7,15 @@ columns (``arrays.npz``, memory-mapped via
 world — the dict-of-dataclass object graph a cold build produces is
 materialised lazily, field by field, only where an experiment actually
 touches it.  A consumer that reads nothing but the RIB never allocates a
-single ROA object; one that only checks membership never decodes the
-RIB's half-million paths, and neither does one that reads prefix2as,
-which is built from the RIB's origin and prefix columns alone.  Each
-field is frozen out of the cyclic GC as it materialises.
+single ROA object, and no field decodes the RIB's half-million paths:
+``rib`` and ``ihr`` wrap their stored columns as they are (they are the
+RIB and the tables), and prefix2as reads the RIB's origin and prefix
+columns alone.  Each field is frozen out of the cyclic GC as it
+materialises.
 
-Materialisation is exact: every field but ``ihr`` goes through the
-checkpoint's digest-verified ``_rebuild_*`` replay functions, and
-``ihr`` wraps its stored columns as they are (they are the tables), so a
-fully materialised :class:`LazyWorld` is byte-identical to a cold build
+Materialisation is exact: every other field goes through the
+checkpoint's digest-verified ``_rebuild_*`` replay functions, so a fully
+materialised :class:`LazyWorld` is byte-identical to a cold build
 (``tests/test_columnar.py`` and the parity table's ``reopened-mmap``
 axis pin it).  This is the only way a checkpoint opens.
 
@@ -31,6 +31,7 @@ import json
 from pathlib import Path
 
 from repro import obs
+from repro.bgp.collector import RibSnapshot
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
 from repro.datasets.arraystore import ColumnSet, open_columns
@@ -138,18 +139,13 @@ def _materializers() -> dict:
         "rov": lambda c, w: ROVValidator(
             ckpt._rebuild_vrps(scenario(c), c.arrays)
         ),
-        "rib": lambda c, w: ckpt._rebuild_rib(c.meta[ckpt.RIB_FILE], c.arrays),
-        # The stored columns are the tables: wrapped, not decoded.
+        # The stored columns are the RIB and the tables: wrapped, not
+        # decoded.
+        "rib": lambda c, w: RibSnapshot(c.meta[ckpt.RIB_FILE], c.arrays),
         "ihr": lambda c, w: IHRDataset(c.meta[ckpt.IHR_FILE], c.arrays),
-        # From the RIB's columns, so a warm round never decodes the RIB.
-        # A RIB decoded already (a full materialize()) lends its prefix
-        # objects instead: from_rib walks the same groups through the
-        # same builder, and stays lazy until first queried.
-        "prefix2as": lambda c, w: (
-            Prefix2AS.from_rib(w.__dict__["rib"])
-            if "rib" in w.__dict__
-            else ckpt._rebuild_prefix2as(c.arrays)
-        ),
+        # Lazy until first queried, then read from the RIB's origin and
+        # prefix columns.
+        "prefix2as": lambda c, w: Prefix2AS.from_rib(w.rib),
     }
 
 
@@ -215,7 +211,8 @@ class LazyWorld(World):
         )
 
     def materialize(self) -> "LazyWorld":
-        """Force every field; afterwards the columns are no longer needed."""
+        """Force every field.  ``rib`` and ``ihr`` stay views of the
+        stored columns, so the column map lives as long as the world."""
         global _MATERIALIZERS
         if _MATERIALIZERS is None:
             _MATERIALIZERS = _materializers()

@@ -40,9 +40,12 @@ buckets — propagation comes from the engine memo and transit scoring
 from a per-group cache that re-scores a group only when its paths
 changed — and assembles it through
 :meth:`~repro.delta.events.DeltaState.world`, as the cold rebuild does.
-Both caches start warm: the constructor seeds the engine memo from the
-base world's RIB and the transit cache from its RIB and IHR tables, so
-a checkpoint re-derives only the groups the events reached.
+Both caches start warm: the constructor decodes the base world's RIB
+once and seeds the engine memo from its groups' paths and the transit
+cache from those and the IHR tables, so a checkpoint re-derives only
+the groups the events reached.  The verdict maps start from the base
+IHR's ``po_rpki``/``po_irr`` rows where they line up with the visible
+RIB rows, so only the routes no vantage point saw are validated.
 The result must digest-equal :func:`~repro.delta.rebuild.cold_rebuild`
 of the same events, which runs the builder's own
 :func:`~repro.scenario.build.derive_measurements` — the replay==rebuild
@@ -58,7 +61,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from repro import obs
-from repro.bgp.collector import RibSnapshot, RouteGroup
+from repro.bgp.collector import Group, RibSnapshot, assemble_rib
 from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
@@ -73,14 +76,14 @@ from repro.delta.events import (
 )
 from repro.hegemony.scores import DEFAULT_TRIM
 from repro.ihr.pipeline import HegemonyRows, assemble_ihr, hegemony_rows
-from repro.ihr.records import IHRDataset
+from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES, IHRDataset
 from repro.irr.validation import (
     IRRStatus,
     seed_memo,
     validate_irr,
     validate_irr_many,
 )
-from repro.net.prefix import Prefix, prefixes_from_columns
+from repro.net.prefix import Prefix, prefix_keys
 from repro.rpki.roa import VRP
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
@@ -120,12 +123,18 @@ class LiveWorld:
         self._routes = route_table(base.originations)
         self._cover = RouteCoverIndex(self._routes)
         with obs.span("delta.init", routes=len(self._routes)):
-            self._rpki_status = dict(base.rov.validate_many(self._routes))
-            self._irr_status = dict(validate_irr_many(base.irr, self._routes))
-        # Set while the current validator's (the cloned registry's) memo
-        # holds every table verdict.  The base validator's is warm from
-        # the line above; the clone's starts empty.
-        self._rov_seeded = True
+            verdicts = _base_verdicts(base, self._routes)
+            # Set while the current validator's (the cloned registry's)
+            # memo holds every table verdict.  Full validation warms the
+            # base validator's; verdicts read from the IHR leave it to
+            # the first world(); the clone's starts empty.
+            self._rov_seeded = verdicts is None
+            if verdicts is None:
+                verdicts = (
+                    dict(base.rov.validate_many(self._routes)),
+                    dict(validate_irr_many(base.irr, self._routes)),
+                )
+            self._rpki_status, self._irr_status = verdicts
         self._irr_seeded = False
         self._groups: dict[tuple[int, RouteClass], set[Prefix]] = {}
         for prefix, asn in self._routes:
@@ -135,9 +144,11 @@ class LiveWorld:
         self._engine: PropagationEngine = base.engine
         # Both caches start from the base world, whose RIB holds exactly
         # the paths its engine computes per group and whose IHR tables
-        # hold their transit scores.
-        self._engine.seed_cache(base.rib)
-        self._transit_cache = _transit_entries(base.rib, base.ihr)
+        # hold their transit scores.  This is the one decode of the
+        # base RIB's paths.
+        groups = base.rib.groups()
+        self._engine.seed_cache(base.rib.vantage_points, groups)
+        self._transit_cache = _transit_entries(base.rib, groups, base.ihr)
         self._events_applied = 0
         self._cached_world: World | None = base
 
@@ -349,17 +360,12 @@ class LiveWorld:
         with obs.span("delta.materialise.paths", groups=len(keys)):
             paths_by_key = engine.paths_to_many(keys, vantage_points)
         groups = [
-            RouteGroup(
-                origin=origin,
-                route_class=route_class,
-                prefixes=tuple(sorted(self._groups[(origin, route_class)])),
-                paths=paths,
-            )
-            for (origin, route_class), paths in zip(keys, paths_by_key)
+            Group(*key, sorted(self._groups[key]), paths)
+            for key, paths in zip(keys, paths_by_key)
         ]
-        rib = RibSnapshot(vantage_points=vantage_points, groups=groups)
+        rib = assemble_rib(vantage_points, groups)
         with obs.span("delta.materialise.ihr"):
-            ihr = self._derive_ihr(rib)
+            ihr = self._derive_ihr(rib, groups)
         measured = Measurements(
             engine=engine,
             rov=self._rov,
@@ -384,48 +390,50 @@ class LiveWorld:
             seed_memo(self._state.irr, self._irr_status)
             self._irr_seeded = True
 
-    def _derive_ihr(self, rib: RibSnapshot) -> IHRDataset:
+    def _derive_ihr(self, rib: RibSnapshot, groups: list[Group]) -> IHRDataset:
         """The IHR tables, re-scoring only groups whose paths changed.
 
-        The tables are assembled as :func:`repro.ihr.pipeline.build_ihr_dataset`
-        assembles them, from the visible groups, the current verdicts
-        and the groups' transit rows.  Hegemony scores read only a
-        group's paths and the type of each link on them, and a link's
-        type never changes (links are only added, and ``add_link``
-        refuses an existing pair), so a group whose paths are unchanged
-        keeps its cached rows.  Paths compare in vantage-point order,
-        which the scoring kernel's per-group emission order follows.
-        The rows carry no prefix or status, so a verdict flip that moves
-        a prefix between groups forces no re-score.  The cache keeps one
-        entry per visible group.
+        The tables are assembled as
+        :func:`repro.ihr.pipeline.build_ihr_dataset` assembles them, from
+        ``rib`` (the snapshot of ``groups``), the current verdicts and the
+        groups' transit rows.  Hegemony scores read only a group's paths
+        and the type of each link on them, and a link's type never
+        changes (links are only added, and ``add_link`` refuses an
+        existing pair), so a group whose paths are unchanged keeps its
+        cached rows.  Paths compare in vantage-point order, which the
+        scoring kernel's per-group emission order follows.  The rows
+        carry no prefix or status, so a verdict flip that moves a prefix
+        between groups forces no re-score.  The cache keeps one entry per
+        visible group.
         """
-        visible = [group for group in rib.groups if group.paths]
+        visible = [index for index, group in enumerate(groups) if group.paths]
         previous = self._transit_cache
         cache: dict[tuple[int, RouteClass], _TransitEntry] = {}
         misses: list[int] = []
-        for index, group in enumerate(visible):
-            key = (group.origin, group.route_class)
-            entry = previous.get(key)
-            if entry is not None and _same_paths(entry[0], group.paths):
-                cache[key] = entry
+        for index in visible:
+            origin, route_class, _, paths = groups[index]
+            entry = previous.get((origin, route_class))
+            if entry is not None and _same_paths(entry[0], paths):
+                cache[(origin, route_class)] = entry
             else:
                 misses.append(index)
         obs.add("delta.transit_hits", len(visible) - len(misses))
         obs.add("delta.transit_misses", len(misses))
         if misses:
-            scored = _transit_rows(
-                [visible[i] for i in misses], self._state.topology
-            )
+            scored = _transit_rows(rib, misses, self._state.topology)
             for index, rows in zip(misses, scored):
-                group = visible[index]
-                cache[(group.origin, group.route_class)] = (group.paths, rows)
+                origin, route_class, _, paths = groups[index]
+                cache[(origin, route_class)] = (paths, rows)
         self._transit_cache = cache
         return assemble_ihr(
-            visible,
+            rib,
             self._rpki_status,
             self._irr_status,
             _joined_rows(
-                [cache[(group.origin, group.route_class)][1] for group in visible]
+                [
+                    cache[(group.origin, group.route_class)][1]
+                    for group in map(groups.__getitem__, visible)
+                ]
             ),
         )
 
@@ -439,11 +447,12 @@ def _same_paths(
 
 
 def _transit_rows(
-    groups: Sequence[RouteGroup], topology: ASTopology
+    rib: RibSnapshot, groups: Sequence[int], topology: ASTopology
 ) -> list[_TransitRows]:
-    """Score ``groups`` in one reduction and split the rows per group."""
+    """Score the groups ``groups`` of ``rib`` in one reduction and split
+    the rows per group."""
     group_ids, asns, scores, flags = hegemony_rows(
-        groups, topology, DEFAULT_TRIM
+        rib, groups, topology, DEFAULT_TRIM
     )
     bounds = np.searchsorted(group_ids, np.arange(len(groups) + 1)).tolist()
     return [
@@ -466,22 +475,70 @@ def _joined_rows(per_group: list[_TransitRows]) -> HegemonyRows:
     return group_ids, asns, scores, flags
 
 
+def _lines_up(rib: RibSnapshot, ihr: IHRDataset) -> bool:
+    """Are the IHR's prefix-origin rows the visible RIB rows, in order?"""
+    po = ihr.arrays
+    rows = rib.visible_rows()
+    return np.array_equal(po["po_origin"], rib.row_origins()[rows]) and all(
+        np.array_equal(po[name], column)
+        for name, column in rib.prefix_rows("po_prefix", rows).items()
+    )
+
+
+def _base_verdicts(
+    base: World, routes: list[tuple[Prefix, int]]
+) -> tuple[dict, dict] | None:
+    """The RPKI and IRR verdict of every route of ``routes``, keyed in
+    that order.
+
+    The base IHR holds the verdict of every visible route, and its
+    ``po_*`` rows are the visible RIB rows, so only the routes of groups
+    no vantage point saw are validated.  None when the rows do not line
+    up or a route is not in the RIB.
+    """
+    rib = base.rib
+    if not _lines_up(rib, base.ihr):
+        return None
+    visible = rib.visible_rows()
+    seen = rib.routes(visible)
+    unseen = rib.routes(~visible)
+    columns = base.ihr.arrays
+    rpki = dict(
+        zip(seen, map(RPKI_STATUSES.__getitem__, columns["po_rpki"].tolist()))
+    )
+    rpki.update(base.rov.validate_many(unseen))
+    irr = dict(
+        zip(seen, map(IRR_STATUSES.__getitem__, columns["po_irr"].tolist()))
+    )
+    irr.update(validate_irr_many(base.irr, unseen))
+    try:
+        return (
+            {route: rpki[route] for route in routes},
+            {route: irr[route] for route in routes},
+        )
+    except KeyError:
+        return None
+
+
 def _transit_entries(
-    rib: RibSnapshot, ihr: IHRDataset
+    rib: RibSnapshot, groups: list[Group], ihr: IHRDataset
 ) -> dict[tuple[int, RouteClass], _TransitEntry]:
     """The transit cache of a built world: one entry per visible group.
 
-    The transit groups are the visible groups in order, restricted to
-    those with transit rows; a transit group belongs to the visible
-    group with its origin and prefixes (one origin's groups hold
-    disjoint prefixes).  Should the tables not line up, the cache starts
-    empty instead.
+    ``groups`` decodes ``rib``.  The transit groups are the visible
+    groups in order, restricted to those with transit rows; a transit
+    group belongs to the visible group with its origin and prefix rows
+    (one origin's groups hold disjoint prefixes), compared on the
+    integer prefix columns.  Should the tables not line up, the cache
+    starts empty instead.
     """
     columns = ihr.arrays
     origins = columns["tg_origin"].tolist()
     prefix_offsets = columns["tg_offsets"].tolist()
     transit_offsets = columns["tr_offsets"].tolist()
-    prefixes = prefixes_from_columns(columns, "tg_prefix")
+    prefixes = prefix_keys(columns, "tg_prefix")
+    rib_prefixes = prefix_keys(rib.arrays, "rib_prefix")
+    rib_offsets = rib.arrays["rib_prefix_offsets"].tolist()
     transit_columns = (
         columns["tr_asn"],
         columns["tr_hegemony"],
@@ -489,22 +546,20 @@ def _transit_entries(
     )
     cache: dict[tuple[int, RouteClass], _TransitEntry] = {}
     pending = 0
-    for group in rib.groups:
-        if not group.paths:
+    for index, (origin, route_class, _, paths) in enumerate(groups):
+        if not paths:
             continue
         rows = _NO_ROWS
         if (
             pending < len(origins)
-            and origins[pending] == group.origin
-            and tuple(
-                prefixes[prefix_offsets[pending]:prefix_offsets[pending + 1]]
-            )
-            == group.prefixes
+            and origins[pending] == origin
+            and prefixes[prefix_offsets[pending]:prefix_offsets[pending + 1]]
+            == rib_prefixes[rib_offsets[index]:rib_offsets[index + 1]]
         ):
             begin, end = transit_offsets[pending], transit_offsets[pending + 1]
             rows = tuple(column[begin:end] for column in transit_columns)
             pending += 1
-        cache[(group.origin, group.route_class)] = (group.paths, rows)
+        cache[(origin, route_class)] = (paths, rows)
     return cache if pending == len(origins) else {}
 
 

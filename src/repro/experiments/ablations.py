@@ -67,11 +67,7 @@ def rov_deployment_ablation(
         ),
         key=lambda a: -len(world.topology.customer_cone(a)),
     )
-    announcements = [
-        (record_announcement, group.route_class)
-        for group in world.rib.groups
-        for record_announcement in _announcements_of(group)
-    ]
+    announcements = world.rib.announcements()
     points = []
     for level in levels:
         n_deployed = round(level * len(large_members))
@@ -92,12 +88,6 @@ def rov_deployment_ablation(
             )
         )
     return points
-
-
-def _announcements_of(group):
-    from repro.bgp.announcement import Announcement
-
-    return [Announcement(prefix, group.origin) for prefix in group.prefixes]
 
 
 def _positive_fraction(values: list[float]) -> float:
@@ -128,15 +118,11 @@ def visibility_ablation(
     member_isps = world.manrs.member_asns(
         as_of=world.snapshot_date, program=Program.ISP
     )
+    announcements = world.rib.announcements()
     points = []
     for fraction in fractions:
         count = max(1, round(fraction * len(world.vantage_points)))
         vantage_points = world.vantage_points[:count]
-        announcements = [
-            (announcement, group.route_class)
-            for group in world.rib.groups
-            for announcement in _announcements_of(group)
-        ]
         rib = collect_rib(world.engine, announcements, vantage_points)
         dataset = build_ihr_dataset(rib, world.rov, world.irr, world.topology)
         stats = origination_stats(dataset)

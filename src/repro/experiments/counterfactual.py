@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.bgp.announcement import Announcement
-from repro.bgp.collector import RibSnapshot, collect_rib
+from repro.bgp.collector import collect_rib
 from repro.bgp.propagation import PropagationEngine
 from repro.core.impact import preference_scores
 from repro.ihr.pipeline import build_ihr_dataset
-from repro.ihr.records import RPKI_STATUSES
+from repro.ihr.records import RPKI_STATUSES, IHRDataset
 from repro.scenario.world import World
 
 __all__ = ["ComplianceScenario", "CounterfactualResult", "run", "render"]
@@ -64,7 +63,7 @@ class CounterfactualResult:
 
 def run(world: World) -> CounterfactualResult:
     """Compare the measured world against full member compliance."""
-    measured = _scenario("measured", world, world.rib)
+    measured = _scenario("measured", world, world.ihr)
 
     members = world.members()
     policies = dict(world.policies)
@@ -79,18 +78,18 @@ def run(world: World) -> CounterfactualResult:
             customer_filter_coverage=1.0,
         )
     engine = PropagationEngine(world.topology, policies)
-    announcements = [
-        (Announcement(prefix, group.origin), group.route_class)
-        for group in world.rib.groups
-        for prefix in group.prefixes
-    ]
-    rib = collect_rib(engine, announcements, world.vantage_points)
-    compliant = _scenario("full compliance", world, rib)
+    rib = collect_rib(engine, world.rib.announcements(), world.vantage_points)
+    compliant = _scenario(
+        "full compliance",
+        world,
+        build_ihr_dataset(rib, world.rov, world.irr, world.topology),
+    )
     return CounterfactualResult(measured=measured, full_compliance=compliant)
 
 
-def _scenario(label: str, world: World, rib: RibSnapshot) -> ComplianceScenario:
-    dataset = build_ihr_dataset(rib, world.rov, world.irr, world.topology)
+def _scenario(
+    label: str, world: World, dataset: IHRDataset
+) -> ComplianceScenario:
     columns = dataset.arrays
     invalid = [status.is_invalid for status in RPKI_STATUSES]
     visible_invalid = sum(

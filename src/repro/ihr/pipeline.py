@@ -7,33 +7,34 @@ toward it, and emit the prefix-origin and transit tables the paper's
 conformance and impact analyses consume, as the stored columns of
 :class:`~repro.ihr.records.IHRDataset`.
 
-The construction batches its lookups: all (prefix, origin) pairs are
-classified up front through the bulk/memoised validator paths (one
-interval-kernel pass instead of one lookup per record), and transit
-scoring runs as a columnar reduction over bounded partitions of the
-groups' paths (:func:`repro.kernels.groupby.hegemony_transits`).  The
-per-group loop it replaced stays in ``tests/test_kernels.py`` as the
-oracle both the partitioned build path and the live world's re-scoring
-path are checked against.  :func:`assemble_ihr` turns the visible
-groups, their routes' statuses and their hegemony rows into the tables;
-the build and the live world (:mod:`repro.delta.live`) both call it.
+The construction batches its lookups: the visible (prefix, origin)
+pairs of the RIB's columns are classified up front through the
+bulk/memoised validator paths (one interval-kernel pass instead of one
+lookup per record), and transit scoring runs as a columnar reduction
+over bounded partitions of the visible groups' rows of
+``rib_path_values`` (:func:`repro.kernels.groupby.hegemony_transits`).
+The per-group loop it replaced stays in ``tests/test_kernels.py`` as
+the oracle both the partitioned build path and the live world's
+re-scoring path are checked against.  :func:`assemble_ihr` turns the
+visible groups, their routes' statuses and their hegemony rows into
+the tables; the build and the live world (:mod:`repro.delta.live`)
+both call it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.bgp.collector import RibSnapshot, RouteGroup
+from repro.bgp.collector import RibSnapshot
 from repro.hegemony.scores import DEFAULT_TRIM
 from repro.ihr.records import IRR_STATUSES, LEGEND, RPKI_STATUSES, IHRDataset
 from repro.irr.database import IRRCollection, IRRDatabase
 from repro.irr.validation import IRRStatus, validate_irr_many
 from repro.kernels.groupby import hegemony_transits
-from repro.net.prefix import Prefix, prefix_columns
+from repro.net.prefix import Prefix
 from repro.rpki.rov import ROVValidator, RPKIStatus
 from repro.topology.model import ASTopology
 
@@ -46,8 +47,8 @@ __all__ = [
 #: Flat-path bytes scored per hegemony partition.  Per-group scores
 #: depend only on that group's paths, so partitioning the flat reduction
 #: is an identity transform; the bound caps how much of the RIB's path
-#: table is flattened into int64 columns, and the kernel temporaries
-#: that scale with it, at once (DESIGN §18).
+#: table is gathered into the kernel's input, and the kernel
+#: temporaries that scale with it, at once (DESIGN §18).
 HEGEMONY_PARTITION_BYTES = 2 * 1024 * 1024
 
 #: Status → its code in the tables.
@@ -66,47 +67,45 @@ def build_ihr_dataset(
     topology: ASTopology,
     trim: float = DEFAULT_TRIM,
 ) -> IHRDataset:
-    """Build both IHR tables from one collector snapshot.
+    """Build both IHR tables from one collector snapshot, validating
+    its visible routes against ``rov`` and ``irr``.
 
-    Vantage-point paths are identical for every prefix in a
-    :class:`~repro.bgp.collector.RouteGroup`, so hegemony and the
-    learned-from-customer flags are computed once per group.
+    Vantage-point paths are identical for every prefix of a route
+    group, so hegemony and the learned-from-customer flags are computed
+    once per group.
     """
-    visible = [group for group in snapshot.groups if group.paths]
     with obs.span("ihr.validate"):
-        routes = [
-            (prefix, group.origin)
-            for group in visible
-            for prefix in group.prefixes
-        ]
+        routes = snapshot.routes(snapshot.visible_rows())
         rpki_by_route = rov.validate_many(routes)
         irr_by_route = validate_irr_many(irr, routes)
     with obs.span("ihr.hegemony"):
         return assemble_ihr(
-            visible,
+            snapshot,
             rpki_by_route,
             irr_by_route,
-            _partitioned_rows(visible, topology, trim),
+            _partitioned_rows(snapshot, topology, trim),
         )
 
 
 def assemble_ihr(
-    visible: Sequence[RouteGroup],
+    rib: RibSnapshot,
     rpki_of: Mapping[tuple[Prefix, int], RPKIStatus],
     irr_of: Mapping[tuple[Prefix, int], IRRStatus],
     transits: HegemonyRows,
 ) -> IHRDataset:
-    """The IHR tables of the visible route groups.
+    """The IHR tables of the visible route groups of ``rib``.
 
     ``rpki_of`` and ``irr_of`` give the statuses of every
     ``(prefix, origin)`` route of the groups; ``transits`` are the
-    groups' hegemony rows.  The transit groups are the visible groups
-    that have a row, in order, and their prefix and status rows are
-    theirs in ``po_*``.
+    groups' hegemony rows, numbered by visible group.  The prefix-origin
+    rows are the visible groups' rows of the RIB, gathered.  The transit
+    groups are the visible groups that have a row, in order, and their
+    prefix and status rows are theirs in ``po_*``.
     """
-    routes = [
-        (prefix, group.origin) for group in visible for prefix in group.prefixes
-    ]
+    columns = rib.arrays
+    visible = rib.visible()
+    rows = rib.visible_rows()
+    routes = rib.routes(rows)
     rpki = np.fromiter(
         (_RPKI_CODE[rpki_of[route]] for route in routes),
         dtype=np.int64,
@@ -117,19 +116,12 @@ def assemble_ihr(
         dtype=np.int64,
         count=len(routes),
     )
-    n = len(visible)
-    counts = np.fromiter(
-        (len(group.prefixes) for group in visible), dtype=np.int64, count=n
-    )
-    origins = np.fromiter(
-        (group.origin for group in visible), dtype=np.int64, count=n
-    )
-    visibility = np.fromiter(
-        (len(group.paths) for group in visible), dtype=np.int64, count=n
-    )
-    po_prefix = prefix_columns("po_prefix", [prefix for prefix, _ in routes])
+    counts = np.diff(columns["rib_prefix_offsets"])[visible]
+    origins = columns["rib_origin"][visible]
+    visibility = np.diff(columns["rib_ref_offsets"])[visible]
+    po_prefix = rib.prefix_rows("po_prefix", rows)
     group_ids, asns, scores, flags = transits
-    per_group = np.bincount(group_ids, minlength=n)
+    per_group = np.bincount(group_ids, minlength=len(origins))
     scored = per_group > 0
     in_transit_group = np.repeat(scored, counts)
     dataset = IHRDataset(
@@ -167,87 +159,92 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def hegemony_rows(
-    visible: Sequence[RouteGroup], topology: ASTopology, trim: float
-) -> HegemonyRows:
-    """The flat hegemony reduction of ``visible`` as rows.
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indexes ``starts[i] .. starts[i] + lengths[i] - 1``, run after
+    run."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - ends + lengths, lengths
+    )
 
-    Rows come out grouped by ascending group index; each group's rows
-    depend only on that group's paths, which is what makes partitioning
-    the groups an identity transform.
+
+def hegemony_rows(
+    rib: RibSnapshot,
+    groups: np.ndarray,
+    topology: ASTopology,
+    trim: float,
+) -> HegemonyRows:
+    """The flat hegemony reduction of the groups ``groups`` of ``rib``.
+
+    ``groups`` are ascending group indexes, and a row's group id is its
+    group's position in ``groups``.  The groups' paths are gathered from
+    ``rib_path_values`` as stored.  Rows come out grouped by ascending
+    group id; each group's rows depend only on that group's paths, which
+    is what makes partitioning the groups an identity transform.
     """
-    all_paths: list[tuple[int, ...]] = []
-    counts: list[int] = []
-    for group in visible:
-        paths = group.paths
-        all_paths.extend(paths.values())
-        counts.append(len(paths))
-    lens = np.fromiter(map(len, all_paths), dtype=np.int64, count=len(all_paths))
-    offsets = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lens)))
-    flat = np.fromiter(
-        chain.from_iterable(all_paths), dtype=np.int64, count=int(offsets[-1])
-    )
-    paths_per_group = np.array(counts, dtype=np.int64)
-    group_of_path = np.repeat(
-        np.arange(len(visible), dtype=np.int64), paths_per_group
-    )
-    edges = topology.csr().customer_edge_keys()
+    groups = np.asarray(groups, dtype=np.int64)
+    columns = rib.arrays
+    ref_offsets = columns["rib_ref_offsets"]
+    path_offsets = columns["rib_path_offsets"]
+    paths_per_group = ref_offsets[groups + 1] - ref_offsets[groups]
+    refs = _spans(ref_offsets[groups], paths_per_group)
+    lengths = path_offsets[refs + 1] - path_offsets[refs]
     return hegemony_transits(
-        flat,
-        offsets,
-        group_of_path,
+        columns["rib_path_values"][_spans(path_offsets[refs], lengths)],
+        _offsets(lengths),
+        np.repeat(np.arange(len(groups), dtype=np.int64), paths_per_group),
         paths_per_group,
         trim,
-        edges,
+        topology.csr().customer_edge_keys(),
     )
 
 
-def _partition_groups(
-    visible: list[RouteGroup], bound_bytes: int
-) -> list[list[RouteGroup]]:
-    """Contiguous partitions of ``visible`` bounded by flat-path bytes.
+def _partition_bounds(sizes: Sequence[int], bound_bytes: int) -> list[int]:
+    """Boundaries of contiguous partitions of groups of ``sizes`` bytes.
 
     A group whose paths alone exceed the bound gets a partition of its
-    own — partitions are never empty and their concatenation is
-    ``visible``, so the streamed reduction visits every group exactly
-    once in the serial order.
+    own — partitions are never empty and together they cover every
+    group, so the streamed reduction visits every group exactly once in
+    the serial order.
     """
-    partitions: list[list[RouteGroup]] = []
-    current: list[RouteGroup] = []
-    current_bytes = 0
-    for group in visible:
-        group_bytes = 8 * sum(len(path) for path in group.paths.values())
-        if current and current_bytes + group_bytes > bound_bytes:
-            partitions.append(current)
-            current = []
-            current_bytes = 0
-        current.append(group)
-        current_bytes += group_bytes
-    if current:
-        partitions.append(current)
-    return partitions
+    bounds = [0]
+    current = 0
+    for index, size in enumerate(sizes):
+        if current and current + size > bound_bytes:
+            bounds.append(index)
+            current = 0
+        current += size
+    if sizes:
+        bounds.append(len(sizes))
+    return bounds
 
 
 def _partitioned_rows(
-    visible: list[RouteGroup], topology: ASTopology, trim: float
+    rib: RibSnapshot, topology: ASTopology, trim: float
 ) -> HegemonyRows:
-    """:func:`hegemony_rows`, streamed over route-group partitions.
+    """:func:`hegemony_rows` of the visible groups, streamed over
+    partitions.
 
     Each group's rows depend only on its own paths and partitions are
-    contiguous slices, so per-partition rows, with their group indexes
-    shifted by the partition's start, are exactly the rows the global
-    reduction would emit — with the flattened int64 working set capped
-    at :data:`HEGEMONY_PARTITION_BYTES`.
+    contiguous runs of visible groups, so per-partition rows, with
+    their group ids shifted by the partition's start, are exactly the
+    rows the global reduction would emit — with the gathered int64
+    working set capped at :data:`HEGEMONY_PARTITION_BYTES`.
     """
-    partitions = _partition_groups(visible, HEGEMONY_PARTITION_BYTES)
-    obs.add("hegemony.partitions", len(partitions))
+    visible = np.flatnonzero(rib.visible())
+    ref_offsets = rib.arrays["rib_ref_offsets"]
+    path_offsets = rib.arrays["rib_path_offsets"]
+    sizes = 8 * (
+        path_offsets[ref_offsets[visible + 1]] - path_offsets[ref_offsets[visible]]
+    )
+    bounds = _partition_bounds(sizes.tolist(), HEGEMONY_PARTITION_BYTES)
+    obs.add("hegemony.partitions", len(bounds) - 1)
     # The empty reduction seeds the concatenation: no groups, no rows.
-    parts = [hegemony_rows([], topology, trim)]
-    start = 0
-    for partition in partitions:
+    parts = [hegemony_rows(rib, visible[:0], topology, trim)]
+    for begin, end in zip(bounds, bounds[1:]):
         group_ids, asns, scores, flags = hegemony_rows(
-            partition, topology, trim
+            rib, visible[begin:end], topology, trim
         )
-        parts.append((group_ids + start, asns, scores, flags))
-        start += len(partition)
+        parts.append((group_ids + begin, asns, scores, flags))
     return tuple(np.concatenate(column) for column in zip(*parts))

@@ -29,6 +29,7 @@ __all__ = [
     "aggregate_address_count",
     "coalesce",
     "prefix_columns",
+    "prefix_keys",
     "prefixes_from_columns",
 ]
 
@@ -450,3 +451,18 @@ def prefixes_from_columns(
             columns[f"{name}_ver"][rows].tolist(),
         )
     ]
+
+
+def prefix_keys(
+    columns: Mapping[str, np.ndarray], name: str
+) -> list[tuple[int, int, int, int]]:
+    """The rows of one :func:`prefix_columns` set as integer tuples,
+    equal where the prefixes are equal, without decoding them."""
+    return list(
+        zip(
+            columns[f"{name}_hi"].tolist(),
+            columns[f"{name}_lo"].tolist(),
+            columns[f"{name}_len"].tolist(),
+            columns[f"{name}_ver"].tolist(),
+        )
+    )

@@ -17,12 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.datasets.checkpoint import CheckpointStore
 
 from repro import obs
 from repro.core.conformance import origination_stats
@@ -66,30 +62,14 @@ class SaturationPoint:
 class Timeline:
     """Annual series derived from one built world.
 
-    When a checkpoint ``store`` is supplied, per-year VRP snapshots are
-    persisted next to the world's entry (``years/vrps-<year>.csv`` with a
-    digest side-car) and restored instead of re-validated on later runs.
-    Restoration is safe-by-default like every checkpoint load: a failed
-    digest discards the snapshot and re-validates — but the failure is
-    counted (``timeline.rov_years_corrupt``) rather than folded silently
-    into the never-saved case, so tampering is observable.
-
     Each year's validator starts empty: the saturation sweep answers
     coverage from the validator's interval index in one vectorised
     probe, which leaves no per-route verdicts to carry between years.
     """
 
-    def __init__(self, world: World, store: "CheckpointStore | None" = None):
+    def __init__(self, world: World):
         self._world = world
         self._rov_cache: dict[int, ROVValidator] = {}
-        self._store = store
-        self._store_key: str | None = None
-        if store is not None:
-            from repro.datasets.checkpoint import checkpoint_key
-
-            self._store_key = checkpoint_key(
-                world.config, world.scale, world.seed
-            )
         # One incremental relying party serves every year: per-ROA
         # validity windows are precomputed once, and each additional
         # year-end costs date comparisons only (objects whose windows the
@@ -105,49 +85,15 @@ class Timeline:
             return self._world.config.snapshot_date
         return date(year, 12, 31)
 
-    def _restore_year(self, year: int) -> ROVValidator | None:
-        """A validator from the stored year snapshot, if one verifies.
-
-        ROV classification is order-independent over the VRP set, so
-        restoring the (sorted) CSV yields verdicts identical to a fresh
-        validation — asserted by the checkpoint tests.
-        """
-        if self._store is None or self._store_key is None:
-            return None
-        from repro.datasets.checkpoint import CheckpointError
-
-        try:
-            vrps = self._store.load_year_vrps(
-                self._store_key, year, strict=True
-            )
-        except CheckpointError:
-            # The snapshot existed but failed its digest (or parse):
-            # fall through to re-validation, but leave a distinct trace —
-            # a corrupt store is worth noticing, an absent one is not.
-            obs.add("timeline.rov_years_corrupt")
-            return None
-        if vrps is None:
-            return None
-        obs.add("timeline.rov_years_restored")
-        return ROVValidator(vrps)
-
     def rov_at(self, year: int) -> ROVValidator:
         """ROV validator over the VRPs published by the end of ``year``."""
         validator = self._rov_cache.get(year)
         if validator is None:
-            validator = self._restore_year(year)
-            if validator is not None:
-                self._rov_cache[year] = validator
-                return validator
             with obs.span("timeline.rov_at", year=year), obs.gc_paused():
                 report = self._relying_party.validate(self._year_end(year))
                 validator = ROVValidator(report.vrps)
             obs.add("timeline.rov_years_validated")
             self._rov_cache[year] = validator
-            if self._store is not None and self._store_key is not None:
-                self._store.save_year_vrps(
-                    self._store_key, year, report.vrps, self._year_end(year)
-                )
         else:
             obs.add("timeline.rov_cache_hits")
         return validator

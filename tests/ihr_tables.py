@@ -1,15 +1,16 @@
 """Hand-built IHR tables for unit tests.
 
 :func:`ihr_dataset` assembles the tables through the production
-assembler (:func:`repro.ihr.pipeline.assemble_ihr`) from plain rows, so
-a test states its groups, prefixes, statuses and transits directly.
+builders (:func:`repro.bgp.collector.assemble_rib` and
+:func:`repro.ihr.pipeline.assemble_ihr`) from plain rows, so a test
+states its groups, prefixes, statuses and transits directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bgp.collector import RouteGroup
+from repro.bgp.collector import Group, assemble_rib
 from repro.bgp.policy import RouteClass
 from repro.ihr.pipeline import assemble_ihr
 from repro.ihr.records import IHRDataset
@@ -21,17 +22,21 @@ def ihr_dataset(groups) -> IHRDataset:
     ``rows`` are a group's ``(prefix, rpki, irr)`` prefixes and
     ``transits`` its ``(asn, hegemony, from_customer)`` transit rows in
     scoring order; a group without transits is in the prefix-origin
-    table only.  Visibility becomes that many vantage-point paths.
+    table only.  Visibility becomes that many vantage-point paths, and
+    must be at least 1: the tables hold visible groups only.
     """
-    visible = [
-        RouteGroup(
-            origin=origin,
-            route_class=RouteClass(),
-            prefixes=tuple(prefix for prefix, _, _ in rows),
-            paths={vp: (vp, origin) for vp in range(visibility)},
-        )
-        for origin, visibility, rows, _ in groups
-    ]
+    rib = assemble_rib(
+        range(max(visibility for _, visibility, _, _ in groups)),
+        [
+            Group(
+                origin,
+                RouteClass(),
+                [prefix for prefix, _, _ in rows],
+                {vp: (vp, origin) for vp in range(visibility)},
+            )
+            for origin, visibility, rows, _ in groups
+        ],
+    )
     rpki_of = {
         (prefix, origin): rpki
         for origin, _, rows, _ in groups
@@ -51,7 +56,7 @@ def ihr_dataset(groups) -> IHRDataset:
         zip(*transits) if transits else ((),) * 4
     )
     return assemble_ihr(
-        visible,
+        rib,
         rpki_of,
         irr_of,
         (

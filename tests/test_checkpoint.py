@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.bgp.collector import RibSnapshot
+from repro.datasets.arraystore import open_columns
 from repro.datasets.checkpoint import (
     ARRAYS_FILE,
     MANIFEST_FILE,
     SCHEMA_VERSION,
     CheckpointStore,
-    _rib_arrays,
     _sha256_columns,
     checkpoint_key,
     dataset_digests,
@@ -33,11 +34,10 @@ from repro.datasets.checkpoint import (
     world_digest,
 )
 from repro.experiments import common
-from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES, IHRDataset
+from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.scenario.build import build_world
 from repro.scenario.config import ScenarioConfig
-from repro.scenario.timeline import Timeline
 
 
 #: Every file a saved entry holds besides its manifest: the columns, the
@@ -161,82 +161,6 @@ def _always(item) -> bool:
     return True
 
 
-def _change_one(draw, items, change, eligible=_always):
-    """``items`` with one drawn eligible element replaced by ``change(it)``."""
-    candidates = [i for i, item in enumerate(items) if eligible(item)]
-    pick = candidates[_index(draw, candidates)]
-    items = list(items)
-    items[pick] = change(items[pick])
-    return items
-
-
-def _with(world, artifact, **fields):
-    """``(artifact, world)`` with some fields of that artifact replaced."""
-    part = replace(getattr(world, artifact), **fields)
-    return artifact, replace(world, **{artifact: part})
-
-
-def _element_change(artifact, field, change, eligible=_always):
-    """Mutator: one drawn element of ``world.<artifact>.<field>`` changes."""
-
-    def mutate(world, draw):
-        items = _change_one(
-            draw,
-            getattr(getattr(world, artifact), field),
-            lambda item: change(item, draw),
-            eligible,
-        )
-        return _with(world, artifact, **{field: items})
-
-    return mutate
-
-
-def _order_change(artifact, field):
-    """Mutator: two unequal elements of ``world.<artifact>.<field>`` swap."""
-
-    def mutate(world, draw):
-        items = list(getattr(getattr(world, artifact), field))
-        i = _index(draw, items)
-        others = [k for k, item in enumerate(items) if item != items[i]]
-        j = others[_index(draw, others)]
-        items[i], items[j] = items[j], items[i]
-        return _with(world, artifact, **{field: items})
-
-    return mutate
-
-
-def _has_paths(group) -> bool:
-    return bool(group.paths)
-
-
-def _path_hop(group, draw):
-    vp = list(group.paths)[_index(draw, group.paths)]
-    path = list(group.paths[vp])
-    hop = _index(draw, path)
-    path[hop] = _bump(draw, path[hop])
-    return replace(group, paths={**group.paths, vp: tuple(path)})
-
-
-def _bumped(field):
-    def mutate(item, draw):
-        return replace(item, **{field: _bump(draw, getattr(item, field))})
-
-    return mutate
-
-
-def _dict_key(field):
-    """Mutator: one key of the ``field`` dict becomes an unused one."""
-
-    def mutate(item, draw):
-        mapping = getattr(item, field)
-        entries = list(mapping.items())
-        k = _index(draw, entries)
-        entries[k] = (_bump(draw, max(mapping)), entries[k][1])
-        return replace(item, **{field: dict(entries)})
-
-    return mutate
-
-
 def _bits(prefix) -> int:
     return 32 if prefix.version == 4 else 128
 
@@ -258,31 +182,18 @@ def _prefix_length(prefix, draw):
     return Prefix.from_host(prefix.value, length, prefix.version)
 
 
-def _group_prefix(change):
-    def mutate(group, draw):
-        prefixes = _change_one(
-            draw, group.prefixes, lambda prefix: change(prefix, draw)
-        )
-        return replace(group, prefixes=tuple(prefixes))
-
-    return mutate
-
-
-def _route_class_flag(flag):
-    def mutate(group, draw):
-        flipped = not getattr(group.route_class, flag)
-        return replace(
-            group, route_class=replace(group.route_class, **{flag: flipped})
-        )
-
-    return mutate
-
-
 def _vantage_point_tuple(world, draw):
     vantage_points = list(world.rib.vantage_points)
     k = _index(draw, vantage_points)
     vantage_points[k] = _bump(draw, vantage_points[k])
-    return _with(world, "rib", vantage_points=tuple(vantage_points))
+    rib = RibSnapshot({"vantage_points": vantage_points}, world.rib.arrays)
+    return "rib", replace(world, rib=rib)
+
+
+def _rib_arrays(rib):
+    """The stored form of the RIB: the snapshot's own meta and columns,
+    as a checkpoint writes them and the digest hashes them."""
+    return rib.meta, rib.arrays
 
 
 def _ihr_arrays(ihr):
@@ -291,20 +202,22 @@ def _ihr_arrays(ihr):
     return ihr.meta, ihr.arrays
 
 
-def _ihr_with(world, **columns):
-    """``("ihr", world)`` with some IHR columns replaced."""
-    ihr = IHRDataset(world.ihr.meta, {**world.ihr.arrays, **columns})
-    return "ihr", replace(world, ihr=ihr)
+def _columns_with(world, artifact, **columns):
+    """``(artifact, world)`` with some of that artifact's columns
+    replaced."""
+    part = getattr(world, artifact)
+    changed = type(part)(part.meta, {**part.arrays, **columns})
+    return artifact, replace(world, **{artifact: changed})
 
 
-def _column_edit(name, change):
-    """Mutator: one drawn element of the IHR column ``name`` changes."""
+def _column_edit(artifact, name, change):
+    """Mutator: one drawn element of the column ``name`` changes."""
 
     def mutate(world, draw):
-        column = world.ihr.arrays[name].copy()
+        column = getattr(world, artifact).arrays[name].copy()
         row = _index(draw, column)
         column[row] = change(column[row].item(), draw)
-        return _ihr_with(world, **{name: column})
+        return _columns_with(world, artifact, **{name: column})
 
     return mutate
 
@@ -332,21 +245,26 @@ def _flipped(value, draw):
     return not value
 
 
-def _prefix_edit(name):
-    """Mutator: one row's prefix becomes another network of its length
-    and version."""
+def _shorter_than_host(prefix) -> bool:
+    return prefix.length < _bits(prefix)
+
+
+def _prefix_edit(artifact, name, change=_prefix_network, eligible=_always):
+    """Mutator: one drawn eligible row's prefix becomes ``change`` of
+    it (by default another network of its length and version)."""
 
     def mutate(world, draw):
-        columns = world.ihr.arrays
-        row = _index(draw, columns[f"{name}_lo"])
-        prefix = prefixes_from_columns(columns, name, slice(row, row + 1))[0]
+        columns = getattr(world, artifact).arrays
+        prefixes = prefixes_from_columns(columns, name)
+        rows = [row for row, prefix in enumerate(prefixes) if eligible(prefix)]
+        row = rows[_index(draw, rows)]
         changed = {}
         for key, value in prefix_columns(
-            name, [_prefix_network(prefix, draw)]
+            name, [change(prefixes[row], draw)]
         ).items():
             changed[key] = columns[key].copy()
             changed[key][row] = value[0]
-        return _ihr_with(world, **changed)
+        return _columns_with(world, artifact, **changed)
 
     return mutate
 
@@ -396,52 +314,106 @@ def _group_order(world, draw):
             changed[name] = np.concatenate([parts[name][g] for g in order])
         lengths = [len(parts[names[0]][g]) for g in order]
         changed[offsets_name] = np.concatenate(([0], np.cumsum(lengths)))
-    return _ihr_with(world, **changed)
+    return _columns_with(world, "ihr", **changed)
+
+
+def _rib_group_order(world, draw):
+    """Mutator: two unequal RIB groups swap places.
+
+    A group's slices nest: ``rib_ref_offsets`` slices its references,
+    and each reference's path is a slice of ``rib_path_values``.  The
+    group's prefix rows, references and path values move with it, and
+    the three offsets columns are rebuilt from the moved lengths.
+    """
+    columns = world.rib.arrays
+    groups = range(len(columns["rib_origin"]))
+    prefix_offsets = columns["rib_prefix_offsets"].tolist()
+    ref_offsets = columns["rib_ref_offsets"].tolist()
+    path_offsets = columns["rib_path_offsets"].tolist()
+    path_lengths = np.diff(columns["rib_path_offsets"])
+    slicing = {
+        "rib_origin": range(len(groups) + 1),
+        "rib_rpki_invalid": range(len(groups) + 1),
+        "rib_irr_invalid": range(len(groups) + 1),
+        **{
+            f"rib_prefix_{part}": prefix_offsets
+            for part in ("hi", "lo", "len", "ver")
+        },
+        "rib_ref_vp": ref_offsets,
+        "rib_path_values": [path_offsets[ref] for ref in ref_offsets],
+    }
+    parts = {
+        name: [columns[name][offsets[g]:offsets[g + 1]] for g in groups]
+        for name, offsets in slicing.items()
+    }
+    parts["path_lengths"] = [
+        path_lengths[ref_offsets[g]:ref_offsets[g + 1]] for g in groups
+    ]
+
+    def content(g):
+        return [part[g].tolist() for part in parts.values()]
+
+    i = _index(draw, groups)
+    others = [g for g in groups if content(g) != content(i)]
+    j = others[_index(draw, others)]
+    order = list(groups)
+    order[i], order[j] = j, i
+    moved = {
+        name: np.concatenate([part[g] for g in order])
+        for name, part in parts.items()
+    }
+
+    def offsets(name):
+        lengths = [len(parts[name][g]) for g in order]
+        return np.concatenate(([0], np.cumsum(lengths)))
+
+    moved["rib_prefix_offsets"] = offsets("rib_prefix_lo")
+    moved["rib_ref_offsets"] = offsets("rib_ref_vp")
+    moved["rib_path_offsets"] = np.concatenate(
+        ([0], np.cumsum(moved.pop("path_lengths")))
+    )
+    return _columns_with(world, "rib", **moved)
 
 
 #: One mutator per kind of RIB/IHR element: each returns the artifact it
 #: touched and a world differing from the base in that one element.
 MUTATIONS = {
-    "rib-path-hop": _element_change("rib", "groups", _path_hop, _has_paths),
-    "rib-vantage-point-key": _element_change(
-        "rib", "groups", _dict_key("paths"), _has_paths
+    "rib-path-hop": _column_edit("rib", "rib_path_values", _bumped_value),
+    "rib-vantage-point-key": _column_edit("rib", "rib_ref_vp", _bumped_value),
+    "rib-group-prefix-network": _prefix_edit("rib", "rib_prefix"),
+    "rib-group-prefix-length": _prefix_edit(
+        "rib", "rib_prefix", _prefix_length, _shorter_than_host
     ),
-    "rib-group-prefix-network": _element_change(
-        "rib", "groups", _group_prefix(_prefix_network)
-    ),
-    "rib-group-prefix-length": _element_change(
-        "rib", "groups", _group_prefix(_prefix_length)
-    ),
-    "rib-origin": _element_change("rib", "groups", _bumped("origin")),
-    "rib-rpki-invalid-flag": _element_change(
-        "rib", "groups", _route_class_flag("rpki_invalid")
-    ),
-    "rib-irr-invalid-flag": _element_change(
-        "rib", "groups", _route_class_flag("irr_invalid")
-    ),
+    "rib-origin": _column_edit("rib", "rib_origin", _bumped_value),
+    "rib-rpki-invalid-flag": _column_edit("rib", "rib_rpki_invalid", _flipped),
+    "rib-irr-invalid-flag": _column_edit("rib", "rib_irr_invalid", _flipped),
     "rib-vantage-point-tuple": _vantage_point_tuple,
-    "rib-group-order": _order_change("rib", "groups"),
-    "ihr-prefix-origin-prefix": _prefix_edit("po_prefix"),
-    "ihr-prefix-origin-origin": _column_edit("po_origin", _bumped_value),
+    "rib-group-order": _rib_group_order,
+    "ihr-prefix-origin-prefix": _prefix_edit("ihr", "po_prefix"),
+    "ihr-prefix-origin-origin": _column_edit("ihr", "po_origin", _bumped_value),
     "ihr-prefix-origin-rpki": _column_edit(
-        "po_rpki", _other_code(RPKI_STATUSES)
+        "ihr", "po_rpki", _other_code(RPKI_STATUSES)
     ),
-    "ihr-prefix-origin-irr": _column_edit("po_irr", _other_code(IRR_STATUSES)),
+    "ihr-prefix-origin-irr": _column_edit(
+        "ihr", "po_irr", _other_code(IRR_STATUSES)
+    ),
     "ihr-prefix-origin-visibility": _column_edit(
-        "po_visibility", _bumped_value
+        "ihr", "po_visibility", _bumped_value
     ),
-    "ihr-transit-group-origin": _column_edit("tg_origin", _bumped_value),
-    "ihr-transit-group-prefix": _prefix_edit("tg_prefix"),
+    "ihr-transit-group-origin": _column_edit("ihr", "tg_origin", _bumped_value),
+    "ihr-transit-group-prefix": _prefix_edit("ihr", "tg_prefix"),
     "ihr-transit-group-visibility": _column_edit(
-        "tg_visibility", _bumped_value
+        "ihr", "tg_visibility", _bumped_value
     ),
     "ihr-transit-group-rpki": _column_edit(
-        "tg_rpki", _other_code(RPKI_STATUSES)
+        "ihr", "tg_rpki", _other_code(RPKI_STATUSES)
     ),
-    "ihr-transit-group-irr": _column_edit("tg_irr", _other_code(IRR_STATUSES)),
-    "ihr-transit-asn": _column_edit("tr_asn", _bumped_value),
-    "ihr-hegemony": _column_edit("tr_hegemony", _other_hegemony),
-    "ihr-from-customer": _column_edit("tr_from_customer", _flipped),
+    "ihr-transit-group-irr": _column_edit(
+        "ihr", "tg_irr", _other_code(IRR_STATUSES)
+    ),
+    "ihr-transit-asn": _column_edit("ihr", "tr_asn", _bumped_value),
+    "ihr-hegemony": _column_edit("ihr", "tr_hegemony", _other_hegemony),
+    "ihr-from-customer": _column_edit("ihr", "tr_from_customer", _flipped),
     "ihr-transit-group-order": _group_order,
 }
 
@@ -597,6 +569,22 @@ class TestMaintenance:
             path.name for path in store.path_for(key).iterdir()
         ) == sorted([*ENTRY_FILES, MANIFEST_FILE])
 
+    def test_stored_rib_is_the_world_rib(self, saved, small_world):
+        """The entry's ``rib_*`` members and ``rib.json`` are the built
+        world's RIB columns and meta, byte for byte."""
+        store, key = saved
+        entry = store.path_for(key)
+        stored = open_columns(entry / ARRAYS_FILE, mmap=False)
+        names = [name for name in stored.keys() if name.startswith("rib_")]
+        assert names == list(small_world.rib.arrays)
+        for name, column in small_world.rib.arrays.items():
+            assert stored[name].dtype == column.dtype, name
+            assert stored[name].shape == column.shape, name
+            assert stored[name].tobytes() == column.tobytes(), name
+        assert json.loads((entry / "rib.json").read_text()) == (
+            small_world.rib.meta
+        )
+
     def test_entries_reports_saved_world(self, saved, small_world):
         store, key = saved
         infos = store.entries()
@@ -675,39 +663,6 @@ class TestWorldCacheTiers:
     def test_memory_tier_returns_same_object(self, fresh_world_cache):
         first = common.world_cache(scale=0.05, seed=6)
         assert common.world_cache(scale=0.05, seed=6) is first
-
-
-class TestTimelineYearSnapshots:
-    def test_year_restore_matches_fresh_validation(
-        self, saved, small_world
-    ):
-        store, _ = saved
-        writer = Timeline(small_world, store=store)
-        year = writer.years[0]
-        fresh = writer.rov_at(year)
-        before = obs.counters().get("timeline.rov_years_restored", 0)
-        reader = Timeline(small_world, store=store)
-        restored = reader.rov_at(year)
-        assert (
-            obs.counters().get("timeline.rov_years_restored", 0)
-            == before + 1
-        )
-        assert set(restored.all_vrps()) == set(fresh.all_vrps())
-
-    def test_corrupt_year_snapshot_recomputes(self, saved, small_world):
-        store, key = saved
-        writer = Timeline(small_world, store=store)
-        year = writer.years[-1]
-        fresh = writer.rov_at(year)
-        path = store.year_path(key, year)
-        path.write_text(path.read_text() + "tamper\n")
-        before = obs.counters().get("checkpoint.corrupt", 0)
-        reader = Timeline(small_world, store=store)
-        recomputed = reader.rov_at(year)
-        assert obs.counters().get("checkpoint.corrupt", 0) == before + 1
-        assert set(recomputed.all_vrps()) == set(fresh.all_vrps())
-        # The discarded snapshot is re-saved for the next run.
-        assert path.is_file()
 
 
 class TestCacheCLI:

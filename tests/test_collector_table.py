@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.bgp.announcement import Announcement, RibEntry
+from repro.bgp.announcement import Announcement
 from repro.bgp.collector import (
+    COLUMNS,
+    Group,
     RibSnapshot,
-    RouteGroup,
+    assemble_rib,
     collect_rib,
     select_vantage_points,
 )
 from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS, parse_prefix2as, serialize_prefix2as
+from repro.datasets.arraystore import ColumnWriter, open_columns
 from repro.errors import DatasetError
 from repro.net.prefix import Prefix, aggregate_address_count
 from repro.registry.rir import RIR
@@ -43,21 +47,21 @@ def _ann(text: str, origin: int) -> Announcement:
 
 
 class TestRibEntry:
-    def test_validates_endpoints(self):
-        entry = RibEntry(1, Prefix.parse("10.0.0.0/24"), 3, (1, 2, 3))
-        assert entry.transit_ases == (2,)
+    """A RIB entry is one vantage point's route: a stored reference's
+    path for each prefix of its group."""
 
-    def test_rejects_wrong_start(self):
-        with pytest.raises(ValueError):
-            RibEntry(9, Prefix.parse("10.0.0.0/24"), 3, (1, 2, 3))
-
-    def test_rejects_wrong_end(self):
-        with pytest.raises(ValueError):
-            RibEntry(1, Prefix.parse("10.0.0.0/24"), 9, (1, 2, 3))
-
-    def test_rejects_empty_path(self):
-        with pytest.raises(ValueError):
-            RibEntry(1, Prefix.parse("10.0.0.0/24"), 1, ())
+    def test_validates_endpoints(self, small_world):
+        columns = small_world.rib.arrays
+        values = columns["rib_path_values"]
+        offsets = columns["rib_path_offsets"]
+        assert (np.diff(offsets) > 0).all()
+        # Every path starts at its reference's vantage point and ends
+        # at its group's origin.
+        assert np.array_equal(values[offsets[:-1]], columns["rib_ref_vp"])
+        assert np.array_equal(
+            values[offsets[1:] - 1],
+            np.repeat(columns["rib_origin"], np.diff(columns["rib_ref_offsets"])),
+        )
 
 
 class TestCollectRib:
@@ -68,8 +72,8 @@ class TestCollectRib:
             (_ann("12.1.0.0/16", 4), RouteClass()),
         ]
         rib = collect_rib(engine, announcements, [1, 3])
-        assert len(rib.groups) == 1
-        assert len(rib.groups[0].prefixes) == 2
+        assert rib.arrays["rib_origin"].tolist() == [4]
+        assert rib.arrays["rib_prefix_offsets"].tolist() == [0, 2]
 
     def test_distinct_classes_distinct_groups(self):
         engine = PropagationEngine(simple_topology())
@@ -78,13 +82,20 @@ class TestCollectRib:
             (_ann("12.1.0.0/16", 4), RouteClass(rpki_invalid=True)),
         ]
         rib = collect_rib(engine, announcements, [1, 3])
-        assert len(rib.groups) == 2
+        assert rib.route_classes() == [
+            RouteClass(),
+            RouteClass(rpki_invalid=True),
+        ]
 
     def test_entries_expand(self):
         engine = PropagationEngine(simple_topology())
         rib = collect_rib(engine, [(_ann("12.0.0.0/16", 4), RouteClass())], [1, 3])
-        entries = list(rib.iter_entries())
-        assert {(e.vantage_point, e.prefix, e.origin) for e in entries} == {
+        assert {
+            (vantage_point, prefix, origin)
+            for origin, _, prefixes, paths in rib.groups()
+            for prefix in prefixes
+            for vantage_point in paths
+        } == {
             (1, Prefix.parse("12.0.0.0/16"), 4),
             (3, Prefix.parse("12.0.0.0/16"), 4),
         }
@@ -97,14 +108,46 @@ class TestCollectRib:
             [(_ann("12.0.0.0/16", 4), RouteClass(rpki_invalid=True))],
             [1, 3],
         )
-        assert rib.visible_announcements == set()
+        assert rib.visible().tolist() == [False]
+        assert rib.routes(rib.visible_rows()) == []
+        assert rib.routes() == [(Prefix.parse("12.0.0.0/16"), 4)]
 
     def test_paths_for(self):
         engine = PropagationEngine(simple_topology())
         announcement = _ann("12.0.0.0/16", 4)
         rib = collect_rib(engine, [(announcement, RouteClass())], [1, 3])
-        paths = rib.paths_for(announcement)
-        assert sorted(paths) == [(1, 2, 4), (3, 1, 2, 4)]
+        [(origin, _, prefixes, paths)] = rib.groups()
+        assert (origin, prefixes) == (4, (announcement.prefix,))
+        assert sorted(paths.values()) == [(1, 2, 4), (3, 1, 2, 4)]
+        for vantage_point, path in paths.items():
+            assert path[0] == vantage_point
+
+
+class TestRibColumns:
+    def test_columns_in_stored_order(self, small_world):
+        rib = small_world.rib
+        assert list(rib.arrays) == list(COLUMNS)
+        assert rib.meta == {"vantage_points": list(small_world.vantage_points)}
+
+    def test_decoded_groups_reassemble_byte_for_byte(self, small_world):
+        """``groups`` is the inverse of the builder: the decoded groups
+        assemble into the same columns, dtypes and bytes."""
+        rib = small_world.rib
+        again = assemble_rib(rib.vantage_points, rib.groups())
+        assert again.meta == rib.meta
+        assert list(again.arrays) == list(rib.arrays)
+        for name, column in rib.arrays.items():
+            assert again.arrays[name].dtype == column.dtype, name
+            assert again.arrays[name].tobytes() == column.tobytes(), name
+
+    def test_announcements_regroup_into_the_same_rib(self, small_world):
+        rib = collect_rib(
+            small_world.engine,
+            small_world.rib.announcements(),
+            small_world.vantage_points,
+        )
+        for name, column in small_world.rib.arrays.items():
+            assert np.array_equal(rib.arrays[name], column), name
 
 
 class TestSelectVantagePoints:
@@ -176,32 +219,31 @@ class TestPrefix2AS:
         mapping = Prefix2AS.from_rib(rib)
         assert mapping.origins_of(prefix) == {2, 3}
 
-    def test_column_feed_equals_from_rib(self):
-        # The lazy world reads prefix2as from the stored RIB columns; it
-        # must walk the same groups in the same order as from_rib.
-        from repro.datasets.checkpoint import _rebuild_prefix2as, _rib_arrays
-
+    def test_column_feed_equals_from_rib(self, tmp_path):
+        # A lazy world reads prefix2as from the stored, mapped RIB
+        # columns: it must walk the visible rows in the same order as
+        # the RIB built in memory.
         p = Prefix.parse
         moas = p("12.1.0.0/16")
         hidden = p("13.0.0.0/16")
-        rib = RibSnapshot(
-            vantage_points=(1, 3),
-            groups=[
-                RouteGroup(
+        rib = assemble_rib(
+            (1, 3),
+            [
+                Group(
                     4,
                     ROUTE_CLASSES[(False, False)],
                     (p("12.0.0.0/16"), moas),
                     {1: (1, 2, 4), 3: (3, 1, 2, 4)},
                 ),
                 # Filtered everywhere: no vantage point holds a path.
-                RouteGroup(3, ROUTE_CLASSES[(True, False)], (hidden,), {}),
-                RouteGroup(
+                Group(3, ROUTE_CLASSES[(True, False)], (hidden,), {}),
+                Group(
                     2,
                     ROUTE_CLASSES[(False, False)],
                     (p("2600::/32"), moas),
                     {1: (1, 2)},
                 ),
-                RouteGroup(
+                Group(
                     4,
                     ROUTE_CLASSES[(False, True)],
                     (p("14.0.0.0/16"),),
@@ -209,8 +251,13 @@ class TestPrefix2AS:
                 ),
             ],
         )
+        path = tmp_path / "rib.npz"
+        with ColumnWriter(path) as writer:
+            writer.write_all(rib.arrays)
+        mapped = open_columns(path)
+        assert mapped.mapped
         from_rib = Prefix2AS.from_rib(rib)
-        from_columns = _rebuild_prefix2as(_rib_arrays(rib)[1])
+        from_columns = Prefix2AS.from_rib(RibSnapshot(rib.meta, mapped))
         items = list(from_columns._origin_map().items())
         assert items == list(from_rib._origin_map().items())
         assert [prefix for prefix, _ in items] == [

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.bgp.collector import COLUMNS as RIB_COLUMNS
 from repro.bgp.table import serialize_prefix2as
 from repro.datasets.arraystore import open_columns
 from repro.datasets.checkpoint import (
@@ -121,36 +122,35 @@ class TestLazyWorld:
         assert lazy.materialized_fields() == fields | {"prefix2as"}
 
     def test_prefix2as_reads_the_rib_columns_not_the_rib(
-        self, saved, small_world
+        self, saved, small_world, monkeypatch
     ):
+        from repro.bgp.collector import RibSnapshot
+
+        def no_decode(rib):
+            raise AssertionError("prefix2as decoded the RIB's groups")
+
+        monkeypatch.setattr(RibSnapshot, "groups", no_decode)
         store, _ = saved
         lazy = store.load(
             small_world.config, small_world.scale, small_world.seed
         )
         mapping = lazy.prefix2as
-        assert "rib" not in lazy.materialized_fields()
         assert serialize_prefix2as(mapping) == serialize_prefix2as(
             small_world.prefix2as
         )
+        for name, column in lazy.rib.arrays.items():
+            assert column is lazy._columns.arrays[name], name
 
-    def test_paper_artefacts_never_materialise_the_rib(
-        self, saved, small_world
-    ):
-        from repro.experiments.registry import REGISTRY
-        from repro.scenarios import FAMILIES
-
+    def test_rib_wraps_the_stored_columns(self, saved, small_world):
         store, _ = saved
         lazy = store.load(
             small_world.config, small_world.scale, small_world.seed
         )
-        names = [name for name in REGISTRY if name not in FAMILIES]
-        assert len(names) == 12
-        before = obs.counters().get("columnar.materialized.rib", 0)
-        for name in names:
-            spec = REGISTRY[name]
-            spec.render(spec.run(lazy))
-        assert obs.counters().get("columnar.materialized.rib", 0) == before
-        assert "rib" not in lazy.materialized_fields()
+        stored = lazy._columns.arrays
+        assert list(lazy.rib.arrays) == list(RIB_COLUMNS)
+        for name, column in lazy.rib.arrays.items():
+            assert column is stored[name], name
+        assert lazy.rib.meta is lazy._columns.meta["rib.json"]
 
     def test_ihr_wraps_the_stored_columns(self, saved, small_world):
         store, _ = saved

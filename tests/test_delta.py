@@ -41,7 +41,6 @@ from repro.bgp.collector import RibSnapshot
 from repro.bgp.propagation import PropagationEngine
 from repro.datasets.checkpoint import (
     CheckpointStore,
-    checkpoint_key,
     dataset_digests,
     world_digest,
 )
@@ -57,10 +56,12 @@ from repro.delta import (
     synthesize_events,
     vrp_delta,
 )
+from repro.delta import live as live_module
 from repro.errors import DeltaError
 from repro.experiments.registry import REGISTRY
+from repro.ihr.records import IHRDataset
 from repro.irr.validation import _classify as classify_irr
-from repro.irr.validation import validate_irr
+from repro.irr.validation import validate_irr, validate_irr_many
 from repro.manrs.actions import Program
 from repro.manrs.registry import Participant
 from repro.net.prefix import Prefix
@@ -220,7 +221,7 @@ def _unlinked_stubs(world) -> tuple[int, int]:
     topology = world.topology
     stubs = [
         asn
-        for asn in sorted({group.origin for group in world.rib.groups})
+        for asn in sorted(set(world.rib.arrays["rib_origin"].tolist()))
         if not topology.customers_of(asn)
         and asn not in world.vantage_points
     ]
@@ -351,7 +352,12 @@ def test_peer_link_adoption_matches_an_uncached_engine(small_world):
     path is not (the control that shows this test can fail)."""
     topology, policies = small_world.topology, small_world.policies
     vantage_points = small_world.vantage_points
-    keys = [(group.origin, group.route_class) for group in small_world.rib.groups]
+    keys = list(
+        zip(
+            small_world.rib.arrays["rib_origin"].tolist(),
+            small_world.rib.route_classes(),
+        )
+    )
     previous = PropagationEngine(topology, policies)
     previous.paths_to_many(keys, vantage_points)
     large = _largest_unlinked_pair(topology)
@@ -389,12 +395,88 @@ def test_stub_peer_link_rederives_only_the_stubs_groups(small_world):
         return after.get(name, 0) - before.get(name, 0)
 
     stub_groups = sum(
-        group.origin in (a, b) for group in small_world.rib.groups
+        origin in (a, b)
+        for origin in small_world.rib.arrays["rib_origin"].tolist()
     )
     assert stub_groups > 0
     assert moved("delta.transit_misses") == 0
     assert moved("delta.transit_hits") > 0
     assert moved("propagation.cache_misses") == stub_groups
+
+
+def test_live_world_reads_base_verdicts_from_the_ihr(small_world, tmp_path):
+    """The visible routes' verdicts come from the base IHR and only the
+    routes no vantage point saw are validated; the maps equal full
+    validation key for key, in route-table order, for the built base
+    and for it reopened from a checkpoint."""
+    routes = route_table(small_world.originations)
+    unseen = len(small_world.rib.routes(~small_world.rib.visible_rows()))
+    assert 0 < unseen < len(routes)
+    store = CheckpointStore(tmp_path)
+    store.save(small_world)
+    reopened = store.load(
+        small_world.config, small_world.scale, small_world.seed
+    )
+    for base in (small_world, reopened):
+        before = obs.counters().get("rov.memo_misses", 0)
+        rpki, irr = live_module._base_verdicts(base, routes)
+        if base is reopened:
+            # A reopened validator starts with an empty memo.
+            assert obs.counters()["rov.memo_misses"] - before == unseen
+        assert list(rpki) == list(irr) == routes
+        assert rpki == dict(base.rov.validate_many(routes))
+        assert irr == dict(validate_irr_many(base.irr, routes))
+    live = LiveWorld(reopened)
+    assert not live._rov_seeded
+
+
+def test_reopened_base_seeds_the_engine_memo(small_world, tmp_path):
+    """A reopened world's engine starts with an empty memo; the live
+    world seeds it and the transit cache from the decoded RIB, so a
+    checkpoint after an event that moves no path re-propagates and
+    re-scores nothing."""
+    store = CheckpointStore(tmp_path)
+    store.save(small_world)
+    reopened = store.load(
+        small_world.config, small_world.scale, small_world.seed
+    )
+    [event] = synthesize_events(reopened, kinds=["MemberJoined"], seed=1)
+    before = obs.counters()
+    live = LiveWorld(reopened)
+    live.apply(event)
+    live.world()
+    after = obs.counters()
+
+    def moved(name: str) -> float:
+        return after.get(name, 0) - before.get(name, 0)
+
+    # Classes with equal filter signatures share one memo entry.
+    keys = {
+        (origin, reopened.engine.signature_id(route_class))
+        for origin, route_class in zip(
+            small_world.rib.arrays["rib_origin"].tolist(),
+            small_world.rib.route_classes(),
+        )
+    }
+    assert moved("propagation.cache_seeded") == len(keys)
+    assert moved("propagation.cache_misses") == 0
+    assert moved("delta.transit_misses") == 0
+    assert moved("delta.transit_hits") == small_world.rib.visible().sum()
+
+
+def test_misaligned_base_ihr_falls_back_to_full_validation(small_world):
+    origins = small_world.ihr.arrays["po_origin"].copy()
+    origins[0] += 1
+    ihr = IHRDataset(
+        small_world.ihr.meta, {**small_world.ihr.arrays, "po_origin": origins}
+    )
+    base = replace(small_world, ihr=ihr)
+    routes = route_table(small_world.originations)
+    assert live_module._base_verdicts(base, routes) is None
+    live = LiveWorld(base)
+    assert live._rov_seeded
+    assert live._rpki_status == dict(small_world.rov.validate_many(routes))
+    assert live._irr_status == dict(validate_irr_many(small_world.irr, routes))
 
 
 def test_live_world_at_instant_zero_is_the_base():
@@ -481,13 +563,12 @@ def test_replay_cli_names_the_differing_artifact(monkeypatch, capsys):
 
     def perturbed_cold_rebuild(world, events):
         rebuilt = real_cold_rebuild(world, events)
-        groups = list(rebuilt.rib.groups)
-        i = next(i for i, group in enumerate(groups) if group.paths)
-        vp, path = next(iter(groups[i].paths.items()))
-        groups[i] = replace(
-            groups[i], paths={**groups[i].paths, vp: (path[0] + 1, *path[1:])}
+        # The first stored path value is the first path's vantage point.
+        values = rebuilt.rib.arrays["rib_path_values"].copy()
+        values[0] += 1
+        rib = RibSnapshot(
+            rebuilt.rib.meta, {**rebuilt.rib.arrays, "rib_path_values": values}
         )
-        rib = RibSnapshot(rebuilt.rib.vantage_points, groups)
         return replace(rebuilt, rib=rib)
 
     monkeypatch.setattr(repro.delta, "cold_rebuild", perturbed_cold_rebuild)
@@ -570,39 +651,6 @@ def test_perf_shim_is_removed():
     )
     assert result.returncode != 0
     assert "ModuleNotFoundError" in result.stderr
-
-
-# -- tampered year snapshots are counted (satellite 4) -----------------------
-
-
-def test_tampered_year_sidecar_counts_as_corrupt(tmp_path, small_world):
-    from repro.scenario.timeline import Timeline
-
-    store = CheckpointStore(tmp_path)
-    first = Timeline(small_world, store=store)
-    year = first.years[0]
-    fresh = first.rov_at(year)
-    key = checkpoint_key(
-        small_world.config, small_world.scale, small_world.seed
-    )
-    path = store.year_path(key, year)
-    assert path.is_file()
-    path.write_text(path.read_text() + "# tampered\n")
-
-    before = obs.counters().get("timeline.rov_years_corrupt", 0)
-    second = Timeline(small_world, store=store)
-    recovered = second.rov_at(year)
-    after = obs.counters().get("timeline.rov_years_corrupt", 0)
-    assert after == before + 1, "tampered snapshot must be counted"
-    vrp_key = lambda v: (v.prefix, v.asn, v.max_length)  # noqa: E731
-    assert sorted(recovered.all_vrps(), key=vrp_key) == sorted(
-        fresh.all_vrps(), key=vrp_key
-    )
-    # The corrupt file is unlinked, then re-validation re-saves a clean
-    # snapshot at the same path: it must verify on the next load.
-    assert path.is_file()
-    assert "# tampered" not in path.read_text()
-    assert store.load_year_vrps(key, year, strict=True) is not None
 
 
 def test_year_validators_carry_nothing_under_numpy(small_world):

@@ -23,6 +23,7 @@ from repro.manrs.sav import (
     assign_sav_deployment,
     run_spoofer_campaign,
 )
+from tests.ihr_tables import tables
 
 NOW = date(2022, 5, 1)
 
@@ -212,3 +213,20 @@ class TestCounterfactual:
         assert 0.0 <= result.invalid_visibility_reduction <= 1.0
         text = counterfactual.render(result)
         assert "full compliance" in text
+
+    def test_rederived_ihr_equals_the_world_ihr(self, small_world, tmp_path):
+        """The measured scenario reads ``world.ihr``: re-deriving the
+        tables from the world's RIB gives the same tables, for the
+        built world and for it reopened from a checkpoint."""
+        from repro.datasets.checkpoint import CheckpointStore
+        from repro.ihr.pipeline import build_ihr_dataset
+
+        store = CheckpointStore(tmp_path)
+        store.save(small_world)
+        reopened = store.load(
+            small_world.config, small_world.scale, small_world.seed
+        )
+        for world in (small_world, reopened):
+            assert tables(
+                build_ihr_dataset(world.rib, world.rov, world.irr, world.topology)
+            ) == tables(world.ihr)

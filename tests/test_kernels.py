@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.bgp import propagation
-from repro.bgp.collector import RouteGroup
+from repro.bgp.collector import Group, RibSnapshot, assemble_rib
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.config import KERNEL_MODES, RuntimeConfig
@@ -209,19 +209,19 @@ def transit_scenarios(draw):
     for gi in range(draw(st.integers(min_value=1, max_value=4))):
         group_paths = {path[0]: path for path in draw(paths)}
         prefix = Prefix((10 << 24) + (gi << 8), 24, 4)
-        groups.append(
-            RouteGroup(
-                origin=draw(member),
-                route_class=RouteClass(),
-                prefixes=(prefix,),
-                paths=group_paths,
-            )
-        )
+        groups.append(Group(draw(member), RouteClass(), (prefix,), group_paths))
     return topology, groups
 
 
+def _rib(groups: list[Group]) -> RibSnapshot:
+    """The snapshot of ``groups``, through the production builder."""
+    return assemble_rib(
+        sorted({vp for *_, paths in groups for vp in paths}), groups
+    )
+
+
 def _transit_groups_python(
-    visible: list[RouteGroup], topology: ASTopology, trim: float
+    visible: list[Group], topology: ASTopology, trim: float
 ) -> list[tuple[tuple[Prefix, ...], int, list[tuple[int, float, bool]]]]:
     """The reference per-group transit scoring loop.
 
@@ -235,16 +235,16 @@ def _transit_groups_python(
     # frozenset per call, far too slow for millions of path positions.
     customers_of = {asn: topology.customers_of(asn) for asn in topology.asns}
     groups = []
-    for group in visible:
-        stripped = [strip_prepending(path) for path in group.paths.values()]
+    for origin, _, prefixes, paths in visible:
+        stripped = [strip_prepending(path) for path in paths.values()]
         scores = hegemony_scores(stripped, trim=trim, prestripped=True)
         if not scores:
             continue
         learned = _customer_learning(stripped, customers_of)
         groups.append(
             (
-                group.prefixes,
-                group.origin,
+                prefixes,
+                origin,
                 [
                     (asn, score, learned.get(asn, False))
                     for asn, score in scores.items()
@@ -277,11 +277,11 @@ def _customer_learning(
     return learned
 
 
-def _assembled(visible: list[RouteGroup], rows) -> list:
+def _assembled(rib: RibSnapshot, rows) -> list:
     """The transit groups of the tables assembled from hegemony
     ``rows``, in the form :func:`_transit_groups_python` returns."""
     statuses = defaultdict(lambda: RPKIStatus.VALID)
-    columns = assemble_ihr(visible, statuses, statuses, rows).arrays
+    columns = assemble_ihr(rib, statuses, statuses, rows).arrays
     prefix_offsets = columns["tg_offsets"].tolist()
     transit_offsets = columns["tr_offsets"].tolist()
     transits = list(
@@ -313,11 +313,12 @@ class TestTransitGroups:
     def test_numpy_matches_python(self, scenario):
         """The build path, whole and one group per partition."""
         topology, groups = scenario
+        rib = _rib(groups)
         reference = _transit_groups_python(groups, topology, 0.1)
         for bound in (pipeline.HEGEMONY_PARTITION_BYTES, 1):
             with patch.object(pipeline, "HEGEMONY_PARTITION_BYTES", bound):
-                rows = pipeline._partitioned_rows(groups, topology, 0.1)
-            assert _assembled(groups, rows) == reference
+                rows = pipeline._partitioned_rows(rib, topology, 0.1)
+            assert _assembled(rib, rows) == reference
 
     @settings(max_examples=50, deadline=None)
     @given(scenario=transit_scenarios(), data=st.data())
@@ -325,28 +326,34 @@ class TestTransitGroups:
         """The live world's miss path: a subset of groups scored in one
         reduction, split per group, and joined back in group order."""
         topology, groups = scenario
-        misses = data.draw(
-            st.lists(st.sampled_from(groups), unique_by=id, min_size=1)
+        misses = sorted(
+            data.draw(
+                st.lists(
+                    st.sampled_from(range(len(groups))), unique=True, min_size=1
+                )
+            )
         )
-        misses.sort(key=groups.index)
-        reference = _transit_groups_python(misses, topology, DEFAULT_TRIM)
-        per_group = live._transit_rows(misses, topology)
+        missed = [groups[index] for index in misses]
+        reference = _transit_groups_python(missed, topology, DEFAULT_TRIM)
+        per_group = live._transit_rows(_rib(groups), misses, topology)
         assert [
-            (group.prefixes, group.origin, list(zip(*(c.tolist() for c in rows))))
-            for group, rows in zip(misses, per_group)
+            (prefixes, origin, list(zip(*(c.tolist() for c in rows))))
+            for (origin, _, prefixes, _), rows in zip(missed, per_group)
             if len(rows[0])
         ] == reference
-        assert _assembled(misses, live._joined_rows(per_group)) == reference
+        assert (
+            _assembled(_rib(missed), live._joined_rows(per_group)) == reference
+        )
 
     def test_partition_bound_is_an_identity(self, small_world, monkeypatch):
         """One group per partition scores what one partition scores."""
-        visible = [group for group in small_world.rib.groups if group.paths]
+        visible = int(small_world.rib.visible().sum())
 
         def scored(bound: int):
             monkeypatch.setattr(pipeline, "HEGEMONY_PARTITION_BYTES", bound)
             before = obs.counters().get("hegemony.partitions", 0)
             rows = pipeline._partitioned_rows(
-                visible, small_world.topology, 0.1
+                small_world.rib, small_world.topology, 0.1
             )
             return (
                 [column.tolist() for column in rows],
@@ -355,11 +362,16 @@ class TestTransitGroups:
 
         whole, one = scored(1 << 62)
         split, many = scored(1)
-        assert (one, many) == (1, len(visible))
+        assert (one, many) == (1, visible)
         assert split == whole
 
 
 # -- batched propagation ----------------------------------------------------
+
+
+def _group_keys(rib: RibSnapshot) -> list[tuple[int, RouteClass]]:
+    """Each route group's ``(origin, route class)`` key, in order."""
+    return list(zip(rib.arrays["rib_origin"].tolist(), rib.route_classes()))
 
 
 class TestBatchPaths:
@@ -367,10 +379,7 @@ class TestBatchPaths:
         engine = PropagationEngine(
             small_world.topology, small_world.policies, paths_cache_size=0
         )
-        keys = [
-            (group.origin, group.route_class)
-            for group in small_world.rib.groups
-        ]
+        keys = _group_keys(small_world.rib)
         batched = engine.paths_to_many(keys, small_world.vantage_points)
         for (origin, route_class), paths in zip(keys, batched):
             reference = engine.paths_to(
@@ -389,10 +398,7 @@ class TestBatchPaths:
         scalar_engine = PropagationEngine(
             small_world.topology, small_world.policies, paths_cache_size=0
         )
-        keys = [
-            (group.origin, group.route_class)
-            for group in small_world.rib.groups
-        ]
+        keys = _group_keys(small_world.rib)
         before = obs.counters().get("propagation.batches", 0)
         batched = batched_engine.paths_to_many(keys, small_world.vantage_points)
         assert obs.counters()["propagation.batches"] - before == len(
@@ -408,10 +414,7 @@ class TestBatchPaths:
     def test_cached_replay_matches_scalar(self, small_world):
         cached = PropagationEngine(small_world.topology, small_world.policies)
         scalar = PropagationEngine(small_world.topology, small_world.policies)
-        keys = [
-            (group.origin, group.route_class)
-            for group in small_world.rib.groups[:64]
-        ]
+        keys = _group_keys(small_world.rib)[:64]
         keys = keys + keys  # replay: second half must come from the cache
         batched = cached.paths_to_many(keys, small_world.vantage_points)
         # At least the duplicated half hits (distinct RouteClass values

@@ -238,10 +238,10 @@ class TestPipelineIntegration:
         from repro.scenario.build import build_world
 
         def fingerprint(world):
-            return [
-                (g.origin, g.route_class, g.prefixes, g.paths)
-                for g in world.rib.groups
-            ]
+            return world.rib.meta, {
+                name: (column.dtype.str, column.tobytes())
+                for name, column in world.rib.arrays.items()
+            }
 
         obs.reset()
         first = fingerprint(build_world(scale=0.05, seed=9))

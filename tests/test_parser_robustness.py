@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.bgp.mrt import parse_rib
 from repro.bgp.table import parse_prefix2as
 from repro.errors import (
     AllocationError,
@@ -77,13 +76,6 @@ class TestParsersNeverCrash:
     def test_participants(self, text):
         try:
             parse_participants(text)
-        except DatasetError:
-            pass
-
-    @given(fuzz_text)
-    def test_mrt(self, text):
-        try:
-            parse_rib(text)
         except DatasetError:
             pass
 

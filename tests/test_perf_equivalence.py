@@ -91,27 +91,16 @@ def random_policies(rng: random.Random, topo: ASTopology) -> dict[int, ASPolicy]
     return policies
 
 
-def world_announcements(world):
-    """Reconstruct the (announcement, class) stream from the built RIB."""
-    from repro.bgp.announcement import Announcement
-
-    pairs = []
-    for group in world.rib.groups:
-        for prefix in group.prefixes:
-            pairs.append((Announcement(prefix, group.origin), group.route_class))
-    return pairs
-
-
 class TestParallelCollect:
     def test_matches_world_rib(self, small_world):
         """Re-collection reproduces the committed world RIB."""
         snapshot = collect_rib(
             small_world.engine,
-            world_announcements(small_world),
+            small_world.rib.announcements(),
             small_world.vantage_points,
         )
-        assert [g.paths for g in snapshot.groups] == [
-            g.paths for g in small_world.rib.groups
+        assert [paths for *_, paths in snapshot.groups()] == [
+            paths for *_, paths in small_world.rib.groups()
         ]
 
 
@@ -327,51 +316,35 @@ class TestIncrementalRelyingParty:
 
 
 class TestRibSnapshotIndex:
+    """The snapshot's lookups, against brute-force walks of the
+    decoded groups and the raw path columns."""
+
     def test_paths_for_matches_brute_force(self, small_world):
         rib = small_world.rib
-        sample = [g for g in rib.groups[::11] if g.prefixes][:20]
-        from repro.bgp.announcement import Announcement
-
-        for group in sample:
-            announcement = Announcement(group.prefixes[0], group.origin)
-            brute = []
-            for g in rib.groups:
-                if g.origin == group.origin and announcement.prefix in g.prefixes:
-                    brute.extend(g.paths.values())
-            assert sorted(rib.paths_for(announcement)) == sorted(brute)
+        columns = rib.arrays
+        values = columns["rib_path_values"].tolist()
+        path_offsets = columns["rib_path_offsets"].tolist()
+        ref_offsets = columns["rib_ref_offsets"].tolist()
+        groups = rib.groups()
+        sample = [g for g in range(0, len(groups), 11) if groups[g][3]][:20]
+        assert sample
+        for g in sample:
+            brute = [
+                tuple(values[path_offsets[ref]:path_offsets[ref + 1]])
+                for ref in range(ref_offsets[g], ref_offsets[g + 1])
+            ]
+            assert list(groups[g][3].values()) == brute
 
     def test_visible_announcements_matches_brute_force(self, small_world):
         rib = small_world.rib
-        from repro.bgp.announcement import Announcement
-
-        brute = {
-            Announcement(prefix, g.origin)
-            for g in rib.groups
-            if g.paths
-            for prefix in g.prefixes
-        }
-        assert rib.visible_announcements == brute
-
-    def test_index_invalidated_by_append(self, small_world):
-        from repro.bgp.announcement import Announcement
-        from repro.bgp.collector import RouteGroup
-
-        rib = small_world.rib
-        _ = rib.visible_announcements  # prime the cache
-        prefix = Prefix.parse("203.0.113.0/24")
-        rib.groups.append(
-            RouteGroup(
-                origin=64500,
-                route_class=RouteClass(),
-                prefixes=(prefix,),
-                paths={1: (1, 64500)},
-            )
-        )
-        try:
-            assert Announcement(prefix, 64500) in rib.visible_announcements
-            assert rib.paths_for(Announcement(prefix, 64500)) == [(1, 64500)]
-        finally:
-            rib.groups.pop()
+        brute = [
+            (prefix, origin)
+            for origin, _, prefixes, paths in rib.groups()
+            if paths
+            for prefix in prefixes
+        ]
+        assert rib.routes(rib.visible_rows()) == brute
+        assert len(brute) < len(rib.routes())
 
 
 class TestBulkValidation:
@@ -394,9 +367,8 @@ class TestBulkValidation:
     def test_validate_irr_many_matches_single(self, small_world):
         registry = small_world.irr
         routes = [
-            (prefix, group.origin)
-            for group in small_world.rib.groups[::7]
-            for prefix in group.prefixes[:1]
+            (prefixes[0], origin)
+            for origin, _, prefixes, _ in small_world.rib.groups()[::7]
         ][:120]
         # Off-by-one origins exercise the non-matching classifications too.
         routes += [(prefix, origin + 1) for prefix, origin in routes[:30]]
@@ -415,9 +387,9 @@ class TestBulkValidation:
     def test_rov_validate_many_matches_single(self, small_world):
         rov = small_world.rov
         routes = {
-            (prefix, group.origin)
-            for group in small_world.rib.groups[::5]
-            for prefix in group.prefixes[:2]
+            (prefix, origin)
+            for origin, _, prefixes, _ in small_world.rib.groups()[::5]
+            for prefix in prefixes[:2]
         }
         bulk = rov.validate_many(routes)
         for prefix, origin in routes:

@@ -1,25 +1,20 @@
-"""Tests for the operator tooling: ROV inference, filtergen, MRT dumps."""
+"""Tests for the operator tooling: ROV inference and filtergen."""
 
 from __future__ import annotations
 
-from datetime import date
-
 import pytest
 
-from repro.bgp.mrt import parse_rib, serialize_rib
 from repro.bgp.policy import ASPolicy
 from repro.core.rov_inference import (
     InferenceQuality,
     evaluate_inference,
     infer_rov,
 )
-from repro.errors import DatasetError
 from repro.irr.database import IRRDatabase
 from repro.irr.filtergen import build_prefix_filter
 from repro.irr.objects import AsSetObject, RouteObject
 from repro.net.prefix import Prefix
 from repro.topology.classify import SizeClass
-from tests.ihr_tables import tables
 
 
 class TestROVInference:
@@ -150,62 +145,3 @@ class TestFilterGen:
         assert len(prefix_filter) > 0
         entry = prefix_filter.entries[0]
         assert prefix_filter.admits(entry.prefix, origin=entry.origin)
-
-
-class TestMRT:
-    def test_roundtrip_preserves_entries(self, small_world):
-        text = serialize_rib(small_world.rib, small_world.snapshot_date)
-        recovered = parse_rib(text)
-        original = {
-            (e.vantage_point, e.prefix, e.origin, e.path)
-            for e in small_world.rib.iter_entries()
-        }
-        rebuilt = {
-            (e.vantage_point, e.prefix, e.origin, e.path)
-            for e in recovered.iter_entries()
-        }
-        assert rebuilt == original
-        assert recovered.vantage_points == small_world.vantage_points
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(DatasetError):
-            parse_rib("TABLE_DUMP2|x\n")
-        with pytest.raises(DatasetError):
-            parse_rib(
-                "TABLE_DUMP2|0|B|10.0.0.1|5|12.0.0.0/16|7 9|IGP\n"
-            )  # path does not start at peer AS 5
-
-    def test_empty_serialization(self):
-        from repro.bgp.collector import RibSnapshot
-
-        empty = RibSnapshot(vantage_points=(), groups=[])
-        assert serialize_rib(empty, date(2022, 5, 1)) == ""
-
-    def test_parsed_rib_feeds_pipeline(self, small_world):
-        """A dump can be fed back through the IHR pipeline: prefix-origin
-        statuses recomputed off the file match the originals, and the
-        pipeline rerun on the in-memory RIB reproduces the dataset."""
-        from repro.ihr.pipeline import build_ihr_dataset
-
-        assert tables(
-            build_ihr_dataset(
-                small_world.rib,
-                small_world.rov,
-                small_world.irr,
-                small_world.topology,
-            )
-        ) == tables(small_world.ihr)
-        text = serialize_rib(small_world.rib, small_world.snapshot_date)
-        recovered = parse_rib(text)
-        dataset = build_ihr_dataset(
-            recovered, small_world.rov, small_world.irr, small_world.topology
-        )
-        original = {
-            (r.prefix, r.origin): (r.rpki, r.irr)
-            for r in small_world.ihr.prefix_origins()
-        }
-        rebuilt = {
-            (r.prefix, r.origin): (r.rpki, r.irr)
-            for r in dataset.prefix_origins()
-        }
-        assert rebuilt == original

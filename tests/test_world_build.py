@@ -68,23 +68,23 @@ class TestGroundTruthConsistency:
 
 class TestMeasurementPipeline:
     def test_visible_announcements_have_paths(self, small_world):
-        for group in small_world.rib.groups:
-            for vantage_point, path in group.paths.items():
+        for origin, _, _, paths in small_world.rib.groups():
+            for vantage_point, path in paths.items():
                 assert path[0] == vantage_point
-                assert path[-1] == group.origin
+                assert path[-1] == origin
 
     def test_route_class_matches_statuses(self, small_world):
         """The filter class the builder derived must agree with what the
         measurement side (ROV + IRR validation) computes."""
-        for group in small_world.rib.groups:
-            for prefix in group.prefixes:
-                rpki = small_world.rov.validate(prefix, group.origin)
-                irr = validate_irr(small_world.irr, prefix, group.origin)
+        for origin, route_class, prefixes, _ in small_world.rib.groups():
+            for prefix in prefixes:
+                rpki = small_world.rov.validate(prefix, origin)
+                irr = validate_irr(small_world.irr, prefix, origin)
                 expected = RouteClass(
                     rpki_invalid=rpki.is_invalid,
                     irr_invalid=irr is IRRStatus.INVALID_ORIGIN,
                 )
-                assert group.route_class == expected
+                assert route_class == expected
 
     def test_ihr_statuses_match_direct_validation(self, small_world):
         for record in small_world.ihr.prefix_origins()[:200]:
