@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.bgp.collector import RibSnapshot
 from repro.errors import DatasetError
+from repro.kernels.intervals import union_address_count
 from repro.net.prefix import Prefix, address_key, aggregate_address_count
 
 __all__ = [
@@ -106,7 +107,6 @@ class Prefix2AS:
         self._by_origin: dict[int, list[Prefix]] | None = None
         self._origin_asns: list[int] | None = None
         self._v4_columns: V4Columns | None = None
-        self._total_address_space: int | None = None
 
     @classmethod
     def from_rib(cls, snapshot: RibSnapshot) -> "Prefix2AS":
@@ -138,9 +138,7 @@ class Prefix2AS:
             for prefix, origins in self._origin_map().items():
                 for origin in origins:
                     index.setdefault(origin, []).append(prefix)
-            # Sort once at index build: the saturation sweeps query
-            # prefixes_of for every origin per year, and the mapping is
-            # immutable, so per-call sorting was pure rework.
+            # Sorted once: prefixes_of answers in address order.
             for prefixes in index.values():
                 prefixes.sort()
             self._by_origin = index
@@ -184,12 +182,9 @@ class Prefix2AS:
 
     @property
     def total_address_space(self) -> int:
-        """Distinct IPv4 addresses in the whole table (computed once)."""
-        if self._total_address_space is None:
-            self._total_address_space = aggregate_address_count(
-                prefix for prefix in self._origin_map() if prefix.version == 4
-            )
-        return self._total_address_space
+        """Distinct IPv4 addresses in the whole table."""
+        cols = self.v4_columns()
+        return union_address_count(cols.firsts, cols.lasts)
 
     def __len__(self) -> int:
         return len(self._origin_map())

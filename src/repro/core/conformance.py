@@ -17,8 +17,10 @@ Propagation metrics (Action 1), computed over the IHR transit dataset:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import product
+
+import numpy as np
 
 from repro.core.classification import is_conformant, is_unconformant
 from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES, IHRDataset
@@ -51,27 +53,27 @@ class OriginationStats:
     conformant: int = 0
     unconformant: int = 0
 
-    def add(self, rpki: RPKIStatus, irr: IRRStatus, count: int = 1) -> None:
-        """Account ``count`` originated prefixes with these statuses."""
-        self.total += count
+    def add(self, rpki: RPKIStatus, irr: IRRStatus) -> None:
+        """Account one originated prefix with these statuses."""
+        self.total += 1
         if rpki is RPKIStatus.VALID:
-            self.rpki_valid += count
+            self.rpki_valid += 1
         elif rpki.is_invalid:
-            self.rpki_invalid += count
+            self.rpki_invalid += 1
         else:
-            self.rpki_not_found += count
+            self.rpki_not_found += 1
         if irr is IRRStatus.VALID:
-            self.irr_valid += count
+            self.irr_valid += 1
         elif irr is IRRStatus.INVALID_ORIGIN:
-            self.irr_invalid_origin += count
+            self.irr_invalid_origin += 1
         elif irr is IRRStatus.INVALID_LENGTH:
-            self.irr_invalid_length += count
+            self.irr_invalid_length += 1
         else:
-            self.irr_not_found += count
+            self.irr_not_found += 1
         if is_conformant(rpki, irr):
-            self.conformant += count
+            self.conformant += 1
         if is_unconformant(rpki, irr):
-            self.unconformant += count
+            self.unconformant += 1
 
     def _pct(self, count: int) -> float:
         return 100.0 * count / self.total if self.total else 0.0
@@ -121,36 +123,17 @@ class PropagationStats:
     customer_total: int = 0
     customer_unconformant: int = 0
 
-    def add(
-        self,
-        rpki: RPKIStatus,
-        irr: IRRStatus,
-        from_customer: bool,
-        count: int = 1,
-    ) -> None:
-        """Account ``count`` propagated prefixes with these statuses."""
-        self.total += count
+    def add(self, rpki: RPKIStatus, irr: IRRStatus, from_customer: bool) -> None:
+        """Account one propagated prefix with these statuses."""
+        self.total += 1
         if rpki.is_invalid:
-            self.rpki_invalid += count
+            self.rpki_invalid += 1
         if irr is IRRStatus.INVALID_ORIGIN:
-            self.irr_invalid += count
+            self.irr_invalid += 1
         if from_customer:
-            self.customer_total += count
+            self.customer_total += 1
             if is_unconformant(rpki, irr):
-                self.customer_unconformant += count
-
-    def add_tally(self, tally: "PropagationStats", from_customer: bool) -> None:
-        """Account every prefix counted in ``tally`` at once.
-
-        ``tally`` counts its prefixes as learned from a customer; its
-        customer counts carry over only when ``from_customer`` holds.
-        """
-        self.total += tally.total
-        self.rpki_invalid += tally.rpki_invalid
-        self.irr_invalid += tally.irr_invalid
-        if from_customer:
-            self.customer_total += tally.customer_total
-            self.customer_unconformant += tally.customer_unconformant
+                self.customer_unconformant += 1
 
     @property
     def pg_rpki_invalid(self) -> float:
@@ -170,60 +153,66 @@ class PropagationStats:
         return 100.0 * self.customer_unconformant / self.customer_total
 
 
-def origination_stats(dataset: IHRDataset) -> dict[int, OriginationStats]:
-    """Per-origin statistics over the IHR prefix-origin dataset.
+def _per_code(stats_class, *flags) -> np.ndarray:
+    """What ``stats_class.add`` counts for one prefix of each status
+    pair: row ``rpki * len(IRR_STATUSES) + irr``, one column per field.
+    The tallies below only gather and sum these rows."""
+    rows = []
+    for rpki, irr in product(RPKI_STATUSES, IRR_STATUSES):
+        stats = stats_class()
+        stats.add(rpki, irr, *flags)
+        rows.append(astuple(stats))
+    return np.array(rows, dtype=np.int64)
 
-    Rows are tallied per ``(origin, rpki, irr)`` code triple and each
-    combination is added once with its count.  The tally keeps
-    first-seen order, so origins keep the order of their first row.
-    """
+
+_ORIGINATION_COUNTS = _per_code(OriginationStats)
+#: A transit's counts for a prefix learned from a customer, then from anyone else.
+_PROPAGATION_COUNTS = np.hstack([_per_code(PropagationStats, c) for c in (True, False)])
+
+
+def _tally(stats_class, keys: np.ndarray, counts: np.ndarray) -> dict:
+    """A ``stats_class`` per distinct key, in first-seen order, holding
+    the sums of the key's rows of ``counts`` (one bincount per field;
+    its float64 sums of counts are exact below 2**53)."""
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.column_stack(
+        [np.bincount(inverse, column, len(unique)) for column in counts.T]
+    ).astype(np.int64)
+    order = np.argsort(first)
+    return {
+        key: stats_class(*row)
+        for key, row in zip(unique[order].tolist(), sums[order].tolist())
+    }
+
+
+def origination_stats(dataset: IHRDataset) -> dict[int, OriginationStats]:
+    """Per-origin statistics over the IHR prefix-origin dataset, origins
+    in the order of their first row."""
     columns = dataset.arrays
-    tally = Counter(
-        zip(
-            columns["po_origin"].tolist(),
-            columns["po_rpki"].tolist(),
-            columns["po_irr"].tolist(),
-        )
-    )
-    stats: dict[int, OriginationStats] = {}
-    for (origin, rpki, irr), count in tally.items():
-        stats.setdefault(origin, OriginationStats()).add(
-            RPKI_STATUSES[rpki], IRR_STATUSES[irr], count
-        )
-    return stats
+    codes = columns["po_rpki"] * len(IRR_STATUSES) + columns["po_irr"]
+    return _tally(OriginationStats, columns["po_origin"], _ORIGINATION_COUNTS[codes])
 
 
 def propagation_stats(dataset: IHRDataset) -> dict[int, PropagationStats]:
     """Per-transit statistics over the IHR transit dataset.
 
-    Every transit of a group sees the same prefix statuses, so each
-    group's ``(rpki, irr)`` combinations are counted once and the group's
-    totals are added to every transit, in the group's transit order.
+    Every transit of a group sees the same prefix statuses, so a
+    group's counts are differences of the cumulative row counts at its
+    prefix offsets.  Each of the group's transit rows takes the counts
+    for how it learned the route (from a customer or not), and they are
+    summed per transit in first-seen order.  A group with no prefix rows
+    adds no transit.
     """
     columns = dataset.arrays
-    rpki = columns["tg_rpki"].tolist()
-    irr = columns["tg_irr"].tolist()
-    prefix_offsets = columns["tg_offsets"].tolist()
-    transit_offsets = columns["tr_offsets"].tolist()
-    transits = columns["tr_asn"].tolist()
-    from_customer = columns["tr_from_customer"].tolist()
-    stats: dict[int, PropagationStats] = {}
-    for group in range(len(prefix_offsets) - 1):
-        begin, end = prefix_offsets[group], prefix_offsets[group + 1]
-        if begin == end:
-            continue
-        tally = PropagationStats()
-        for (rpki_code, irr_code), count in Counter(
-            zip(rpki[begin:end], irr[begin:end])
-        ).items():
-            tally.add(RPKI_STATUSES[rpki_code], IRR_STATUSES[irr_code], True, count)
-        rows = slice(transit_offsets[group], transit_offsets[group + 1])
-        for transit, customer in zip(transits[rows], from_customer[rows]):
-            entry = stats.get(transit)
-            if entry is None:
-                entry = stats[transit] = PropagationStats()
-            entry.add_tally(tally, customer)
-    return stats
+    codes = columns["tg_rpki"] * len(IRR_STATUSES) + columns["tg_irr"]
+    cumulative = np.pad(np.cumsum(_PROPAGATION_COUNTS[codes], 0), ((1, 0), (0, 0)))
+    offsets = columns["tg_offsets"]
+    per_group = cumulative[offsets[1:]] - cumulative[offsets[:-1]]
+    group = np.repeat(np.arange(len(per_group)), np.diff(columns["tr_offsets"]))
+    rows = np.flatnonzero(np.diff(offsets)[group] > 0)
+    customer, other = np.hsplit(per_group[group[rows]], 2)
+    per_transit = np.where(columns["tr_from_customer"][rows, None], customer, other)
+    return _tally(PropagationStats, columns["tr_asn"][rows], per_transit)
 
 
 def is_action4_conformant(stats: OriginationStats | None, program: Program) -> bool:

@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 
+import numpy as np
+
 from repro.bgp.table import Prefix2AS
+from repro.kernels.intervals import _sorted_contains, union_address_count
 from repro.manrs.registry import MANRSRegistry
-from repro.net.prefix import aggregate_address_count
 from repro.registry.rir import RIR
 from repro.topology.model import ASTopology
 
@@ -49,23 +51,23 @@ def routed_space_share_by_rir(
 ) -> dict[RIR, float]:
     """Percent of all routed IPv4 space announced by members, per member
     RIR (Figure 4b).  Shares are relative to the whole table, so the
-    stacked per-RIR series sums to the overall MANRS share."""
+    stacked per-RIR series sums to the overall MANRS share.  A share is
+    the interval union of the RIR's members' rows of the v4 columns, as
+    in :func:`repro.core.impact.rpki_saturation`."""
     total = prefix2as.total_address_space
     if total == 0:
         return {rir: 0.0 for rir in RIR}
-    members = manrs.member_asns(as_of=as_of)
-    by_rir: dict[RIR, list] = {rir: [] for rir in RIR}
-    for asn in members:
-        if asn not in topology:
-            continue
-        rir = topology.get_as(asn).rir
-        by_rir[rir].extend(
-            p for p in prefix2as.prefixes_of(asn) if p.version == 4
-        )
-    return {
-        rir: 100.0 * aggregate_address_count(prefixes) / total
-        for rir, prefixes in by_rir.items()
-    }
+    cols = prefix2as.v4_columns()
+    by_rir: dict[RIR, list[int]] = {rir: [] for rir in RIR}
+    for asn in manrs.member_asns(as_of=as_of):
+        if asn in topology:
+            by_rir[topology.get_as(asn).rir].append(asn)
+    shares = {}
+    for rir, asns in by_rir.items():
+        rows = _sorted_contains(np.array(sorted(asns), dtype=np.int64), cols.origins)
+        routed = union_address_count(cols.firsts[rows], cols.lasts[rows])
+        shares[rir] = 100.0 * routed / total
+    return shares
 
 
 @dataclass(frozen=True)

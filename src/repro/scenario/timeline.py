@@ -74,7 +74,9 @@ class Timeline:
         # validity windows are precomputed once, and each additional
         # year-end costs date comparisons only (objects whose windows the
         # year boundary does not cross keep their verdict for free).
-        self._relying_party = IncrementalRelyingParty(world.rpki_repository)
+        # Built on the first validation: growth and the RIR series never
+        # read the repository.
+        self._relying_party: IncrementalRelyingParty | None = None
         config = world.config
         self.years = list(
             range(config.first_year, config.snapshot_date.year + 1)
@@ -89,6 +91,10 @@ class Timeline:
         """ROV validator over the VRPs published by the end of ``year``."""
         validator = self._rov_cache.get(year)
         if validator is None:
+            if self._relying_party is None:
+                self._relying_party = IncrementalRelyingParty(
+                    self._world.rpki_repository
+                )
             with obs.span("timeline.rov_at", year=year), obs.gc_paused():
                 report = self._relying_party.validate(self._year_end(year))
                 validator = ROVValidator(report.vrps)
@@ -205,16 +211,17 @@ def flagship_prefix_churn(
     announcement set a few percent per quarter while retiring a smaller
     share, and almost no active prefix changes conformance status —
     matching the per-prefix stability §8.5 reports.
+
+    A network's prefix count is its rows in the RIB, which holds one
+    row per announced route whether or not a vantage point saw it.
     """
     rng = np.random.default_rng(seed)
     members = world.manrs.member_asns(
         as_of=world.snapshot_date, program=Program.CDN
     )
-    counts = {
-        asn: len(world.originations.get(asn, ()))
-        for asn in members
-        if world.originations.get(asn)
-    }
+    origins, routes = np.unique(world.rib.row_origins(), return_counts=True)
+    announced = dict(zip(origins.tolist(), routes.tolist()))
+    counts = {asn: announced[asn] for asn in members if asn in announced}
     flagships = sorted(counts, key=counts.get, reverse=True)[:3]
     churn: dict[int, PrefixChurn] = {}
     for asn in flagships:

@@ -190,7 +190,7 @@ class TestPrefix2AS:
         mapping = self._mapping()
         assert mapping.address_space_of({2}) == 2**16  # v6 excluded
         v4 = [prefix for prefix in mapping.prefixes if prefix.version == 4]
-        # The total is computed once; a second read returns the same count.
+        # A second read returns the same count.
         first = mapping.total_address_space
         second = mapping.total_address_space
         assert first == second == aggregate_address_count(v4) == 2 * 2**16

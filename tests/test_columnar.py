@@ -11,8 +11,11 @@ world.
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from repro.datasets.checkpoint import (
 )
 from repro.datasets.columnar import LazyWorld
 from repro.ihr.records import COLUMNS, IHRDataset
+
+RENDER_GOLDENS = Path(__file__).parent / "goldens" / "render_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -166,9 +171,12 @@ class TestLazyWorld:
     def test_artefacts_and_digest_decode_only_tab1_rows(
         self, saved, small_world, monkeypatch
     ):
-        """The digest and the paper artefacts walk the IHR columns; the
+        """On a reopened world every paper artefact renders its golden
+        text.  The digest and the artefacts walk the IHR columns; the
         only rows decoded into records are those of the ASNs Table 1
-        attributes, each once."""
+        attributes, each once.  No artefact decodes ``originations``,
+        and the membership series (fig2, fig4) leave the RPKI
+        repository stored."""
         from repro.experiments.registry import REGISTRY
         from repro.experiments.tab1_casestudies import case_study_targets
         from repro.scenarios import FAMILIES
@@ -194,10 +202,21 @@ class TestLazyWorld:
             return records
 
         monkeypatch.setattr(IHRDataset, "_rows", spy)
+        goldens = json.loads(RENDER_GOLDENS.read_text())["entry"]
+        assert (goldens["scale"], goldens["seed"]) == (
+            small_world.scale,
+            small_world.seed,
+        )
+        names = [name for name in REGISTRY if name not in FAMILIES]
+        assert names[:2] == ["fig2", "fig4"] and len(names) == 12
+        for name in names:
+            rendered = REGISTRY[name].render(REGISTRY[name].run(lazy))
+            digest = hashlib.sha256(rendered.encode()).hexdigest()
+            assert digest == goldens["digests"][name], name
+            if name == "fig4":
+                assert "rpki_repository" not in lazy.materialized_fields()
+        assert "originations" not in lazy.materialized_fields()
         assert world_digest(lazy) == world_digest(small_world)
-        for name in REGISTRY:
-            if name not in FAMILIES:
-                REGISTRY[name].render(REGISTRY[name].run(lazy))
         assert expected
         assert decoded == expected
         assert sum(decoded.values()) < len(lazy.ihr.arrays["po_origin"])

@@ -14,7 +14,8 @@ a mutation counter, scalar ``PropagationEngine.paths_to`` and the bisect
 cover scan ``RouteCoverIndex._affected_python`` (tested in
 ``tests/test_delta.py``) stay in the source; the per-group transit
 scoring loop ``_transit_groups_python`` and the per-prefix saturation
-loop ``_rpki_saturation_python`` are test code, defined here.
+and routed-share loops ``_rpki_saturation_python`` and
+``_routed_space_share_python`` are test code, defined here.
 """
 
 from __future__ import annotations
@@ -457,7 +458,48 @@ def _saturation_of(prefixes: list[Prefix], rov: ROVValidator) -> SaturationRepor
     )
 
 
+def _routed_space_share_python(
+    topology, manrs, prefix2as, as_of
+) -> dict[RIR, float]:
+    """The per-prefix reference for ``routed_space_share_by_rir``.
+
+    Buckets each member's IPv4 prefixes by the member's RIR and
+    aggregates each bucket's address count against the whole table's.
+    The columnar path must match it exactly.
+    """
+    total = aggregate_address_count(
+        prefix for prefix in prefix2as.prefixes if prefix.version == 4
+    )
+    if total == 0:
+        return {rir: 0.0 for rir in RIR}
+    by_rir: dict[RIR, list[Prefix]] = {rir: [] for rir in RIR}
+    for asn in manrs.member_asns(as_of=as_of):
+        if asn in topology:
+            by_rir[topology.get_as(asn).rir].extend(
+                prefix for prefix in prefix2as.prefixes_of(asn) if prefix.version == 4
+            )
+    return {
+        rir: 100.0 * aggregate_address_count(prefixes) / total
+        for rir, prefixes in by_rir.items()
+    }
+
+
 class TestEndToEndEquivalence:
+    def test_routed_share_series_matches(self, small_world):
+        timeline = Timeline(small_world)
+        series = timeline.routed_share_series()
+        for index, year in enumerate(timeline.years):
+            reference = _routed_space_share_python(
+                small_world.topology,
+                small_world.manrs,
+                small_world.prefix2as,
+                timeline._year_end(year),
+            )
+            assert {rir: points[index] for rir, points in series.items()} == {
+                rir: (year, share) for rir, share in reference.items()
+            }
+        assert any(share for points in series.values() for _, share in points)
+
     def test_saturation_series_matches(self, small_world):
         timeline = Timeline(small_world)
         series = timeline.saturation_series()

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 from datetime import timedelta
+from types import SimpleNamespace
 
+import numpy as np
+
+from repro.bgp.collector import Group, assemble_rib
+from repro.bgp.policy import RouteClass
 from repro.core.conformance import is_action4_conformant, origination_stats
 from repro.core.readiness import check_readiness, render_readiness
+from repro.delta import EVENT_KINDS, LiveWorld, synthesize_events
 from repro.manrs.actions import Program
 from repro.manrs.contacts import ContactRecord, PeeringDBLike
+from repro.net.prefix import Prefix
 from repro.scenario.timeline import flagship_prefix_churn
 
 
@@ -100,6 +107,43 @@ class TestPrefixChurn:
             assert record.stable + record.withdrawn == total
             assert record.status_changes <= record.stable
             assert record.added >= 0
+
+    def test_rib_rows_count_each_origins_announcements(self, small_world):
+        """The churn counts a network's prefixes as its RIB rows: one
+        row per announced route, seen or not, and events never change
+        what is announced."""
+
+        def assert_rows_count_originations(world):
+            origins, rows = np.unique(world.rib.row_origins(), return_counts=True)
+            assert dict(zip(origins.tolist(), rows.tolist())) == {
+                asn: len(originations)
+                for asn, originations in world.originations.items()
+                if originations
+            }
+
+        assert_rows_count_originations(small_world)
+        live = LiveWorld(small_world)
+        for event in synthesize_events(
+            small_world, kinds=list(EVENT_KINDS) * 2, seed=5
+        ):
+            live.apply(event)
+        world = live.world()
+        assert world.rib is not small_world.rib
+        assert_rows_count_originations(world)
+
+    def test_unseen_routes_count_as_announced(self):
+        prefixes = [Prefix.parse(f"10.0.{i}.0/24") for i in range(3)]
+        rib = assemble_rib(
+            (7,),
+            [
+                Group(1, RouteClass(), prefixes[:1], {7: (7, 1)}),
+                Group(1, RouteClass(rpki_invalid=True), prefixes[1:], {}),
+            ],
+        )
+        manrs = SimpleNamespace(member_asns=lambda as_of, program: frozenset({1}))
+        world = SimpleNamespace(manrs=manrs, snapshot_date=None, rib=rib)
+        [churn] = flagship_prefix_churn(world).values()
+        assert churn.stable + churn.withdrawn == 3
 
     def test_deterministic(self, small_world):
         a = flagship_prefix_churn(small_world, seed=4)
