@@ -26,12 +26,18 @@ lint:
 ## Observability tripwire: a tiny reproduce run must emit a parseable
 ## trace whose span tree covers the build and every registry experiment,
 ## and a tiny replay run one that covers the delta apply and checkpoint
-## spans and their cache counters.
+## spans and their cache counters.  A third run replays over a base
+## stored by `repro cache warm` and reopened: its trace must cover the
+## checkpoint open, the seeded memo and the copied route groups.
 trace-smoke:
 	$(PYTHON) -m repro reproduce --scale 0.05 --trace-json /tmp/trace-smoke.json > /dev/null
 	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke.json
 	$(PYTHON) -m repro replay --scale 0.05 --trace-json /tmp/trace-smoke-replay.json > /dev/null
 	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke-replay.json
+	rm -rf /tmp/trace-smoke-store
+	$(PYTHON) -m repro cache warm --scale 0.05 --cache-dir /tmp/trace-smoke-store > /dev/null
+	$(PYTHON) -m repro replay --scale 0.05 --cache-dir /tmp/trace-smoke-store --trace-json /tmp/trace-smoke-reopened.json > /dev/null
+	$(PYTHON) scripts/check_trace.py /tmp/trace-smoke-reopened.json
 
 ## Memory gate for the one build path: a fresh process builds the
 ## (1.0, 7) world and fails if its peak RSS exceeds the bound in

@@ -6,6 +6,9 @@ build and every registry experiment, and that the headline counters
 observability layer promises tooling.  A ``repro replay`` trace (one
 with a ``cli.replay`` root span) must cover the delta apply and
 checkpoint spans and their cache counters instead of the experiments.
+A replay over a stored base (no ``cli.build_world`` span) must cover
+the checkpoint open instead of the build, and count the memo entries
+the live world seeded and the route groups its checkpoints copied.
 """
 
 from __future__ import annotations
@@ -40,12 +43,16 @@ def main(argv: list[str]) -> int:
     roots = {node["name"] for node in document.get("spans", [])}
     replay = "cli.replay" in roots
     names = span_names(document.get("spans", []))
-    required_spans = ["cli.build_world", "build.topology", "build.collect_rib"]
-    required_counters = [
-        "collect.routes_propagated",
-        "rov.memo_hits",
-        "build.routes_classified",
-    ]
+    if replay and "cli.build_world" not in names:
+        required_spans = ["checkpoint.load"]
+        required_counters = ["propagation.cache_seeded", "delta.groups_copied"]
+    else:
+        required_spans = ["cli.build_world", "build.topology", "build.collect_rib"]
+        required_counters = [
+            "collect.routes_propagated",
+            "rov.memo_hits",
+            "build.routes_classified",
+        ]
     if replay:
         required_spans += [
             "delta.apply",

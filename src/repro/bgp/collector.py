@@ -12,12 +12,15 @@ per group rather than once per prefix, which keeps full-table collection
 affordable in both time and memory.
 
 The snapshot is its stored columns: :func:`assemble_rib` builds them
-once, for :func:`collect_rib` and the live world alike; a checkpoint
-writes them and the ``rib`` digest hashes them as they are, and every
-reader (prefix2as, the IHR pipeline, the counterfactual and ablation
-experiments) walks them.  Only the live world decodes the groups
-(:meth:`RibSnapshot.groups`), since its propagation memo and transit
-cache hold path dicts.
+for :func:`collect_rib` and the live world's changed groups; a
+checkpoint writes them and the ``rib`` digest hashes them as they are,
+and every reader (prefix2as, the IHR pipeline, the counterfactual and
+ablation experiments) walks them.  No runtime path decodes a group's
+paths wholesale: the live world seeds its propagation memo and transit
+cache with :class:`GroupPaths` views over its base snapshot's columns,
+and :func:`splice_rib` copies the column slices of every group whose
+view and prefix rows no event changed, encoding only the rest.
+:meth:`RibSnapshot.groups` decodes every group, for tests.
 
 Real collectors see the Internet through a limited, biased set of vantage
 points (mostly large transit networks); §11 of the paper calls this out as
@@ -32,7 +35,7 @@ bounds its own working set (DESIGN §18).
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,10 +49,12 @@ from repro.topology.model import ASTopology
 
 __all__ = [
     "COLUMNS",
+    "GroupPaths",
     "RibSnapshot",
     "assemble_rib",
     "collect_rib",
     "select_vantage_points",
+    "splice_rib",
 ]
 
 #: The stored columns, in the order a checkpoint writes them and the
@@ -169,6 +174,12 @@ class RibSnapshot:
             for (prefix, origin), route_class in zip(self.routes(), classes)
         ]
 
+    def group_paths(self) -> list["GroupPaths"]:
+        """A read-only view of each group's paths, in order; nothing is
+        decoded."""
+        count = len(self.arrays["rib_origin"])
+        return [GroupPaths(self, group) for group in range(count)]
+
     def groups(self) -> list[Group]:
         """Decode every group, in order: the inverse of
         :func:`assemble_rib`."""
@@ -200,6 +211,56 @@ class RibSnapshot:
                 zip(columns["rib_origin"].tolist(), self.route_classes())
             )
         ]
+
+
+class GroupPaths(Mapping[int, tuple[int, ...]]):
+    """The paths of group ``group`` of ``rib``, as a read-only mapping.
+
+    Vantage points iterate in reference order, as they do in the dict
+    :meth:`RibSnapshot.groups` decodes.  The size comes from the offsets;
+    the paths are decoded on the first read of a key or a value, and
+    kept.  Identity stands for "these are still the base's paths": a
+    memo hit of :meth:`~repro.bgp.propagation.PropagationEngine.paths_to_many`
+    returns the very view the memo was seeded with, so
+    :func:`splice_rib` can copy the group's columns instead of encoding
+    the mapping.
+    """
+
+    __slots__ = ("rib", "group", "_paths")
+
+    def __init__(self, rib: RibSnapshot, group: int):
+        self.rib = rib
+        self.group = group
+        self._paths: dict[int, tuple[int, ...]] | None = None
+
+    def _decoded(self) -> dict[int, tuple[int, ...]]:
+        if self._paths is None:
+            columns = self.rib.arrays
+            offsets = columns["rib_ref_offsets"]
+            begin, end = int(offsets[self.group]), int(offsets[self.group + 1])
+            bounds = columns["rib_path_offsets"][begin:end + 1].tolist()
+            values = columns["rib_path_values"][bounds[0]:bounds[-1]].tolist()
+            start = bounds[0]
+            self._paths = dict(
+                zip(
+                    columns["rib_ref_vp"][begin:end].tolist(),
+                    (
+                        tuple(values[lo - start:hi - start])
+                        for lo, hi in zip(bounds, bounds[1:])
+                    ),
+                )
+            )
+        return self._paths
+
+    def __len__(self) -> int:
+        offsets = self.rib.arrays["rib_ref_offsets"]
+        return int(offsets[self.group + 1] - offsets[self.group])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._decoded())
+
+    def __getitem__(self, vantage_point: int) -> tuple[int, ...]:
+        return self._decoded()[vantage_point]
 
 
 def _offsets(lengths: Iterable[int], count: int) -> np.ndarray:
@@ -262,6 +323,116 @@ def assemble_rib(
     }
     snapshot = RibSnapshot({"vantage_points": list(vantage_points)}, arrays)
     snapshot._prefixes = prefixes
+    return snapshot
+
+
+def _joined(
+    first: Mapping[str, np.ndarray], second: Mapping[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """The columns of ``first``'s groups followed by ``second``'s."""
+    joined = {}
+    for name in COLUMNS:
+        head, tail = first[name], second[name]
+        if name.endswith("_offsets"):
+            tail = tail[1:] + head[-1]
+        joined[name] = np.concatenate([head, tail])
+    return joined
+
+
+def _runs(ids: np.ndarray) -> list[tuple[int, int]]:
+    """``ids`` as maximal runs of consecutive ids, ``(first, last + 1)``."""
+    if not len(ids):
+        return []
+    breaks = np.flatnonzero(np.diff(ids) != 1) + 1
+    firsts = ids[np.concatenate([[0], breaks])]
+    lasts = ids[np.concatenate([breaks - 1, [len(ids) - 1]])]
+    return list(zip(firsts.tolist(), (lasts + 1).tolist()))
+
+
+def _row_runs(
+    offsets: np.ndarray, runs: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The runs of rows that ``offsets`` slices for the runs ``runs``."""
+    return [(int(offsets[begin]), int(offsets[end])) for begin, end in runs]
+
+
+def _cut(column: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+    """The rows of the runs ``runs`` of ``column``, run after run."""
+    return np.concatenate(
+        [column[:0], *(column[begin:end] for begin, end in runs)]
+    )
+
+
+def _rebased(offsets: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+    """The offsets slicing the runs ``runs`` of ``offsets`` once they
+    are cut out and joined."""
+    lengths = _cut(np.diff(offsets), runs)
+    rebased = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=rebased[1:])
+    return rebased
+
+
+def splice_rib(
+    vantage_points: Sequence[int],
+    base: RibSnapshot,
+    groups: Sequence[Group],
+    rows_from: Sequence[int],
+) -> RibSnapshot:
+    """:func:`assemble_rib` of ``groups``, copying what ``base`` holds.
+
+    ``rows_from[i]`` is -1, or the group of ``base`` whose origin, route
+    class and prefix rows are group ``i``'s own.  In the latter case
+    ``groups[i].paths`` must be a :class:`GroupPaths` view over
+    ``base``, and group ``i`` is copied as column slices: its prefix
+    rows from group ``rows_from[i]``, its references and paths from the
+    view's group.  The two differ where route classes of one origin
+    share a propagation memo entry.  Every other group is encoded by
+    :func:`assemble_rib`.  The columns are byte for byte those
+    :func:`assemble_rib` writes for ``groups``.  Consecutive groups
+    copied from consecutive groups form one run, and a run is cut as
+    one slice per column, so a checkpoint that changed few groups
+    costs a few slices.
+    """
+    row_groups = np.asarray(rows_from, dtype=np.int64)
+    copied = row_groups >= 0
+    flags = copied.tolist()
+    encoded = [group for group, copy in zip(groups, flags) if not copy]
+    # The source: the base's groups, then the encoded ones.
+    source = _joined(
+        base.arrays, assemble_rib(vantage_points, encoded).arrays
+    )
+    first = len(base.arrays["rib_origin"])
+    row_groups[~copied] = np.arange(first, first + len(encoded))
+    path_groups = row_groups.copy()
+    path_groups[copied] = [
+        group.paths.group for group in compress(groups, flags)
+    ]
+    group_runs, path_runs = _runs(row_groups), _runs(path_groups)
+    rows = _row_runs(source["rib_prefix_offsets"], group_runs)
+    refs = _row_runs(source["rib_ref_offsets"], path_runs)
+    arrays = {
+        "rib_origin": source["rib_origin"][row_groups],
+        "rib_rpki_invalid": source["rib_rpki_invalid"][row_groups],
+        "rib_irr_invalid": source["rib_irr_invalid"][row_groups],
+        **{
+            f"rib_prefix_{part}": _cut(source[f"rib_prefix_{part}"], rows)
+            for part in ("hi", "lo", "len", "ver")
+        },
+        "rib_prefix_offsets": _rebased(
+            source["rib_prefix_offsets"], group_runs
+        ),
+        "rib_path_values": _cut(
+            source["rib_path_values"],
+            _row_runs(source["rib_path_offsets"], refs),
+        ),
+        "rib_path_offsets": _rebased(source["rib_path_offsets"], refs),
+        "rib_ref_vp": _cut(source["rib_ref_vp"], refs),
+        "rib_ref_offsets": _rebased(source["rib_ref_offsets"], path_runs),
+    }
+    snapshot = RibSnapshot({"vantage_points": list(vantage_points)}, arrays)
+    snapshot._prefixes = list(
+        chain.from_iterable(group.prefixes for group in groups)
+    )
     return snapshot
 
 

@@ -44,16 +44,13 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass, covers_session
 from repro.errors import TopologyError
 from repro.kernels.csr import CollectionPlan, batch_paths
 from repro.topology.model import ASTopology
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bgp.collector import Group
 
 __all__ = ["RouteKind", "Route", "PropagationEngine"]
 
@@ -180,10 +177,11 @@ class PropagationEngine:
         # route class (as a bit pair) → interned id; avoids rehashing the
         # (potentially huge) signature tuple on every paths_to call
         self._class_sig_ids: dict[tuple[bool, bool], int] = {}
-        # (origin, signature id, vantage tuple) → paths mapping
-        self._paths_cache: OrderedDict[tuple, dict[int, tuple[int, ...]]] = (
-            OrderedDict()
-        )
+        # (origin, signature id, vantage tuple) → paths mapping: a dict,
+        # or a read-only RIB view that seed_cache installed
+        self._paths_cache: OrderedDict[
+            tuple, Mapping[int, tuple[int, ...]]
+        ] = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0
@@ -315,37 +313,45 @@ class PropagationEngine:
         self._paths_cache.clear()
 
     def seed_cache(
-        self, vantage_points: Iterable[int], groups: Sequence["Group"]
-    ) -> int:
+        self,
+        vantage_points: Iterable[int],
+        keys: Sequence[tuple[int, RouteClass]],
+        paths: Sequence[Mapping[int, tuple[int, ...]]],
+    ) -> list[Mapping[int, tuple[int, ...]]]:
         """Memoise the paths of route groups this engine's inputs produced.
 
-        ``groups`` are decoded ``(origin, route class, prefixes, paths)``
-        groups (:meth:`~repro.bgp.collector.RibSnapshot.groups`); the
-        caller vouches that each group's paths are what :meth:`paths_to`
-        returns for its ``(origin, route class)`` at ``vantage_points`` —
-        as a world's RIB is for the engine of the same world.  A
-        reopened world's engine starts with an empty memo while its RIB
-        holds exactly those paths, so seeding spares the first
-        collection over it a full re-propagation.  Existing entries are
-        kept; a no-op when the memo is disabled (``paths_cache_size=0``).
-        Returns the number of entries added.
+        ``paths[i]`` holds the paths of the ``(origin, route class)``
+        group ``keys[i]``; the caller vouches that they are what
+        :meth:`paths_to` returns for it at ``vantage_points`` — as a
+        world's RIB is for the engine of the same world.  A reopened
+        world's engine starts with an empty memo while its RIB holds
+        exactly those paths, so seeding spares the first collection
+        over it a full re-propagation.  Where keys share a filter
+        signature the first one's paths are memoised.  A seeded entry
+        replaces an existing one, which the caller's vouching makes
+        equal, so a built world's memo holds the seeded mappings too.
+        Returns, per key, the mapping its entry holds (its own
+        ``paths[i]`` when the memo is disabled, ``paths_cache_size=0``).
         """
         if self._paths_cache_size <= 0:
-            return 0
-        self.ensure_cache_capacity(len(groups))
-        cache = self._paths_cache
+            return list(paths)
         vantage_points = tuple(vantage_points)
-        seeded = 0
-        for origin, route_class, _, paths in groups:
-            key = (origin, self.signature_id(route_class), vantage_points)
-            if key not in cache:
-                cache[key] = paths
-                seeded += 1
+        seeded: dict[tuple, Mapping[int, tuple[int, ...]]] = {}
+        held = [
+            seeded.setdefault(
+                (origin, self.signature_id(route_class), vantage_points),
+                group_paths,
+            )
+            for (origin, route_class), group_paths in zip(keys, paths)
+        ]
+        self.ensure_cache_capacity(len(seeded))
+        cache = self._paths_cache
+        cache.update(seeded)
         while len(cache) > self._paths_cache_size:
             cache.popitem(last=False)
             self._cache_evictions += 1
-        obs.add("propagation.cache_seeded", seeded)
-        return seeded
+        obs.add("propagation.cache_seeded", len(seeded))
+        return held
 
     def adopt_cache(
         self,
@@ -590,14 +596,15 @@ class PropagationEngine:
         self,
         keys: Iterable[tuple[int, RouteClass]],
         vantage_points: Iterable[int],
-    ) -> list[dict[int, tuple[int, ...]]]:
+    ) -> list[Mapping[int, tuple[int, ...]]]:
         """Batched :meth:`paths_to` over many (origin, route class) pairs.
 
         Phases 2–3 of every uncached key resolve together as columnar
         sweeps (:func:`repro.kernels.csr.batch_paths`); phase 1 and the
         memo bookkeeping stay scalar, replayed key by key so the cache
         contents, LRU order and hit/miss/eviction counters end up exactly
-        as a ``paths_to`` loop would leave them.
+        as a ``paths_to`` loop would leave them.  Each result is a fresh
+        dict, except a hit on a seeded read-only view, which is that view.
         """
         keys = list(keys)
         vantage_points = tuple(vantage_points)
@@ -639,7 +646,7 @@ class PropagationEngine:
             if cache_key not in cache and cache_key not in need:
                 need[cache_key] = (origin, route_class)
         computed = self._batch_compute(need, vantage_points, order)
-        results: list[dict[int, tuple[int, ...]]] = []
+        results: list[Mapping[int, tuple[int, ...]]] = []
         for origin, sig, route_class in resolved:
             cache_key = (origin, sig, vantage_points)
             cached = cache.get(cache_key)
@@ -647,7 +654,12 @@ class PropagationEngine:
                 cache.move_to_end(cache_key)
                 self._cache_hits += 1
                 obs.add("propagation.cache_hits")
-                results.append(dict(cached))
+                # A memoised dict is copied, so a caller's edit cannot
+                # reach the memo; a read-only mapping (a seeded RIB
+                # view) is returned as it is.
+                results.append(
+                    dict(cached) if isinstance(cached, dict) else cached
+                )
                 continue
             self._cache_misses += 1
             obs.add("propagation.cache_misses")

@@ -31,8 +31,8 @@ __all__ = [
 class V4Columns:
     """Columnar view of the v4 ``(origin, prefix)`` rows of a mapping.
 
-    Rows are presorted by ``(first address, length)`` — the order the
-    interval sweep in :func:`repro.net.prefix.aggregate_address_count`
+    Rows are sorted by ``(first address, length, origin)`` — the order
+    the interval sweep in :func:`repro.net.prefix.aggregate_address_count`
     needs — so any boolean population mask selects an already-ordered
     subset and per-population address counting never re-sorts.  The
     unique-prefix columns cover the distinct ``(value, length)`` pairs;
@@ -49,25 +49,55 @@ class V4Columns:
         "unique_inverse",
     )
 
-    def __init__(self, origins: list[int], prefixes: list[Prefix]):
-        self.origins = np.array(origins, dtype=np.int64)
-        firsts = np.array([p.first for p in prefixes], dtype=np.int64)
-        lasts = np.array([p.last for p in prefixes], dtype=np.int64)
-        values = np.array([p.value for p in prefixes], dtype=np.uint64)
-        lengths = np.array([p.length for p in prefixes], dtype=np.int64)
-        order = np.lexsort((lengths, firsts))
-        self.origins = self.origins[order]
-        self.firsts = firsts[order]
-        self.lasts = lasts[order]
-        values = values[order]
+    def __init__(
+        self, origins: np.ndarray, firsts: np.ndarray, lengths: np.ndarray
+    ):
+        """The rows ``(origins[i], firsts[i]/lengths[i])``, in any order;
+        a repeated row is kept once, as the origin map keeps it."""
+        order = np.lexsort((origins, lengths, firsts))
+        origins = origins[order]
+        firsts = firsts[order]
         lengths = lengths[order]
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = (
+            (np.diff(firsts) != 0)
+            | (np.diff(lengths) != 0)
+            | (np.diff(origins) != 0)
+        )
+        self.origins = origins[keep]
+        self.firsts = firsts[keep]
+        lengths = lengths[keep]
+        self.lasts = self.firsts + (np.int64(1) << (32 - lengths)) - 1
         packed = self.firsts * np.int64(64) + lengths
         _, first_at, inverse = np.unique(
             packed, return_index=True, return_inverse=True
         )
-        self.unique_values = values[first_at]
+        self.unique_values = self.firsts[first_at].astype(np.uint64)
         self.unique_lengths = lengths[first_at]
         self.unique_inverse = inverse
+
+    @classmethod
+    def from_rib(cls, rib: RibSnapshot) -> "V4Columns":
+        """The v4 rows of the visible groups of ``rib``, read from its
+        integer prefix columns (no prefix is decoded)."""
+        columns = rib.arrays
+        rows = rib.visible_rows() & (columns["rib_prefix_ver"] == 4)
+        return cls(
+            rib.row_origins()[rows],
+            columns["rib_prefix_lo"][rows].astype(np.int64),
+            columns["rib_prefix_len"][rows].astype(np.int64),
+        )
+
+    @classmethod
+    def from_prefixes(
+        cls, origins: list[int], prefixes: list[Prefix]
+    ) -> "V4Columns":
+        """The rows ``(origins[i], prefixes[i])`` of v4 prefixes."""
+        return cls(
+            np.array(origins, dtype=np.int64),
+            np.array([prefix.first for prefix in prefixes], dtype=np.int64),
+            np.array([prefix.length for prefix in prefixes], dtype=np.int64),
+        )
 
 
 def _build_origin_map(
@@ -98,7 +128,8 @@ class Prefix2AS:
     materialises on first use, from the snapshot's origin and prefix
     columns (no path is read), since a world build constructs a
     Prefix2AS unconditionally while many callers (unit experiments,
-    cache warms) never query it.
+    cache warms) never query it.  :meth:`v4_columns` reads the
+    snapshot's integer rows and never builds the dict.
     """
 
     def __init__(self, origins: dict[Prefix, frozenset[int]]):
@@ -120,7 +151,6 @@ class Prefix2AS:
         if self._origins is None:
             rib = self._rib
             self._origins = _build_origin_map(rib.routes(rib.visible_rows()))
-            self._rib = None
         return self._origins
 
     def origins_of(self, prefix: Prefix) -> frozenset[int]:
@@ -156,17 +186,25 @@ class Prefix2AS:
         return self._origin_asns
 
     def v4_columns(self) -> V4Columns:
-        """The columnar (and cached) view of all v4 origination rows."""
+        """The columnar (and cached) view of all v4 origination rows.
+
+        Built from a RIB, they are gathered from its integer rows; a
+        parsed mapping, which has no RIB, builds them from its prefixes.
+        """
         if self._v4_columns is None:
-            index = self._origin_index()
-            origins: list[int] = []
-            prefixes: list[Prefix] = []
-            for asn in sorted(index):
-                for prefix in index[asn]:
-                    if prefix.version == 4:
-                        origins.append(asn)
-                        prefixes.append(prefix)
-            self._v4_columns = V4Columns(origins, prefixes)
+            if self._rib is not None:
+                self._v4_columns = V4Columns.from_rib(self._rib)
+            else:
+                rows = [
+                    (origin, prefix)
+                    for prefix, origins in self._origin_map().items()
+                    if prefix.version == 4
+                    for origin in origins
+                ]
+                self._v4_columns = V4Columns.from_prefixes(
+                    [origin for origin, _ in rows],
+                    [prefix for _, prefix in rows],
+                )
         return self._v4_columns
 
     def address_space_of(self, asns: frozenset[int] | set[int]) -> int:

@@ -107,8 +107,12 @@ def registration_completeness(
     prefix2as: Prefix2AS,
     as_of: date,
 ) -> CompletenessReport:
-    """Compute Finding 7.0's organisation-level statistics."""
+    """Compute Finding 7.0's organisation-level statistics.
+
+    An AS announces IPv4 space when it originates a row of the v4
+    columns."""
     member_asns = manrs.member_asns(as_of=as_of)
+    announcing = set(prefix2as.v4_columns().origins.tolist())
     total = all_asns = all_space = partial = only_unregistered = quiescent_only = 0
     for org_id in sorted(manrs.member_orgs(as_of=as_of)):
         org = topology.get_org(org_id)
@@ -120,13 +124,8 @@ def registration_completeness(
         if not unregistered:
             all_asns += 1
 
-        def announces(asn: int) -> bool:
-            return any(
-                p.version == 4 for p in prefix2as.prefixes_of(asn)
-            )
-
-        unregistered_announcing = [a for a in unregistered if announces(a)]
-        registered_announcing = [a for a in registered if announces(a)]
+        unregistered_announcing = [a for a in unregistered if a in announcing]
+        registered_announcing = [a for a in registered if a in announcing]
         if not unregistered_announcing:
             all_space += 1
             if unregistered:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from datetime import date
 from typing import TYPE_CHECKING, Union
 
+from repro import obs
 from repro.bgp.policy import ASPolicy
 from repro.errors import DatasetError, DeltaError, RPSLError, TopologyError
 from repro.irr.database import IRRCollection, IRRDatabase
@@ -135,17 +136,24 @@ Event = Union[
 def _clone_irr(irr: IRRCollection) -> IRRCollection:
     """An independent IRR collection with equal serialised form.
 
-    Route objects re-enter each database clone in ``all_routes`` address
-    order; the deferred-flush sort is stable, so per-node value order —
-    and therefore the database dump — matches the original exactly.
+    Each database's trie is rebuilt from the source's ``items()``
+    stream, which walks it in address order, the order ``insert_sorted``
+    takes, as a checkpoint restore rebuilds a registry.  The copy keeps
+    every node's value order, so ``all_routes()`` yields the source's
+    route objects in the source's order, and no route waits in the
+    pending list for the first query to sort and flush it.  The
+    mutation counter is the route count, as if each had been added
+    once.
     """
     clone = IRRCollection()
     for database in irr.databases:
         copy = IRRDatabase(
             name=database.name, authoritative_for=database.authoritative_for
         )
-        for route in database.all_routes():
-            copy.add_route(route)
+        database._flush_routes()  # noqa: SLF001
+        with obs.gc_paused():
+            copy._routes.insert_sorted(database._routes.items())  # noqa: SLF001
+        copy._version = len(copy._routes)  # noqa: SLF001
         copy._aut_nums = dict(database._aut_nums)  # noqa: SLF001
         copy._as_sets = dict(database._as_sets)  # noqa: SLF001
         clone.add_database(copy)

@@ -40,12 +40,17 @@ buckets — propagation comes from the engine memo and transit scoring
 from a per-group cache that re-scores a group only when its paths
 changed — and assembles it through
 :meth:`~repro.delta.events.DeltaState.world`, as the cold rebuild does.
-Both caches start warm: the constructor decodes the base world's RIB
-once and seeds the engine memo from its groups' paths and the transit
-cache from those and the IHR tables, so a checkpoint re-derives only
-the groups the events reached.  The verdict maps start from the base
-IHR's ``po_rpki``/``po_irr`` rows where they line up with the visible
-RIB rows, so only the routes no vantage point saw are validated.
+Both caches start warm without decoding a path: the constructor seeds
+the engine memo with read-only views over the base RIB's columns
+(:class:`~repro.bgp.collector.GroupPaths`), and the transit cache with
+the same views and the IHR tables, so a checkpoint re-derives only the
+groups the events reached.  A memo hit returns the seeded view itself,
+so the RIB of a checkpoint copies the column slices of every group
+whose view and prefix set are still the base's
+(:func:`~repro.bgp.collector.splice_rib`) and encodes only the rest.
+The verdict maps start from the base IHR's ``po_rpki``/``po_irr`` rows
+where they line up with the visible RIB rows, so only the routes no
+vantage point saw are validated, route by route.
 The result must digest-equal :func:`~repro.delta.rebuild.cold_rebuild`
 of the same events, which runs the builder's own
 :func:`~repro.scenario.build.derive_measurements` — the replay==rebuild
@@ -56,12 +61,12 @@ of ``tests/test_parity.py``.
 from __future__ import annotations
 
 from datetime import date
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.bgp.collector import Group, RibSnapshot, assemble_rib
+from repro.bgp.collector import Group, GroupPaths, RibSnapshot, splice_rib
 from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
@@ -83,7 +88,7 @@ from repro.irr.validation import (
     validate_irr,
     validate_irr_many,
 )
-from repro.net.prefix import Prefix, prefix_keys
+from repro.net.prefix import Prefix, address_key, prefix_keys
 from repro.rpki.roa import VRP
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
@@ -97,7 +102,7 @@ __all__ = ["LiveWorld", "run_job_at"]
 #: order; empty when no path has a transit AS.
 _TransitRows = tuple[np.ndarray, np.ndarray, np.ndarray]
 #: A group's vantage-point paths and their transit rows.
-_TransitEntry = tuple[dict[int, tuple[int, ...]], _TransitRows]
+_TransitEntry = tuple[Mapping[int, tuple[int, ...]], _TransitRows]
 #: No transit rows, in the scoring kernel's dtypes.
 _NO_ROWS: _TransitRows = (
     np.empty(0, dtype=np.int64),
@@ -110,6 +115,15 @@ class LiveWorld:
     """A world plus an event cursor, materialisable at any instant."""
 
     def __init__(self, base: World):
+        # What the live world builds here lives as long as it does and
+        # holds no reference cycle (the registry clone's trie, the route
+        # table, the verdict maps and groups), so it is built with the
+        # cyclic GC paused and frozen, like a built or reopened world:
+        # no later collection re-scans it.
+        with obs.gc_paused(freeze=True):
+            self._start(base)
+
+    def _start(self, base: World) -> None:
         self._base = base
         self._state = DeltaState.from_world(base)
         self._date: date = base.config.snapshot_date
@@ -144,11 +158,25 @@ class LiveWorld:
         self._engine: PropagationEngine = base.engine
         # Both caches start from the base world, whose RIB holds exactly
         # the paths its engine computes per group and whose IHR tables
-        # hold their transit scores.  This is the one decode of the
-        # base RIB's paths.
-        groups = base.rib.groups()
-        self._engine.seed_cache(base.rib.vantage_points, groups)
-        self._transit_cache = _transit_entries(base.rib, groups, base.ihr)
+        # hold their transit scores.  They hold read-only views over the
+        # RIB's columns, so no path is decoded here, and a checkpoint
+        # copies the columns of every group whose view and prefix set
+        # are still the base's.
+        rib = base.rib
+        keys = list(
+            zip(rib.arrays["rib_origin"].tolist(), rib.route_classes())
+        )
+        views = self._engine.seed_cache(
+            rib.vantage_points, keys, rib.group_paths()
+        )
+        self._transit_cache = _transit_entries(rib, keys, views, base.ihr)
+        #: (origin, route class) → its base group, while the live groups
+        #: are the base RIB's (empty when they do not line up).
+        self._base_groups = _base_group_index(rib, keys, self._groups)
+        #: Keys whose prefix set an event has changed since the base.
+        self._regrouped: set[tuple[int, RouteClass]] = set()
+        #: Key → its prefixes in address order, while its set stands.
+        self._sorted: dict[tuple[int, RouteClass], list[Prefix]] = {}
         self._events_applied = 0
         self._cached_world: World | None = base
 
@@ -302,6 +330,9 @@ class LiveWorld:
         if not old_bucket:
             del self._groups[(asn, old_class)]
         self._groups.setdefault((asn, new_class), set()).add(prefix)
+        for key in ((asn, old_class), (asn, new_class)):
+            self._regrouped.add(key)
+            self._sorted.pop(key, None)
         obs.add("delta.routes_regrouped")
 
     def _follow_link(self, event: LinkAdded) -> None:
@@ -360,10 +391,14 @@ class LiveWorld:
         with obs.span("delta.materialise.paths", groups=len(keys)):
             paths_by_key = engine.paths_to_many(keys, vantage_points)
         groups = [
-            Group(*key, sorted(self._groups[key]), paths)
+            Group(*key, self._sorted_prefixes(key), paths)
             for key, paths in zip(keys, paths_by_key)
         ]
-        rib = assemble_rib(vantage_points, groups)
+        rows_from = list(map(self._base_rows, keys, paths_by_key))
+        copied = sum(rows >= 0 for rows in rows_from)
+        obs.add("delta.groups_copied", copied)
+        obs.add("delta.groups_encoded", len(keys) - copied)
+        rib = splice_rib(vantage_points, base.rib, groups, rows_from)
         with obs.span("delta.materialise.ihr"):
             ihr = self._derive_ihr(rib, groups)
         measured = Measurements(
@@ -374,6 +409,36 @@ class LiveWorld:
             prefix2as=Prefix2AS.from_rib(rib),
         )
         return self._state.world(base, self._date, measured)
+
+    def _sorted_prefixes(self, key: tuple[int, RouteClass]) -> list[Prefix]:
+        """``key``'s prefixes in address order, sorted once per set."""
+        prefixes = self._sorted.get(key)
+        if prefixes is None:
+            prefixes = sorted(self._groups[key], key=address_key)
+            self._sorted[key] = prefixes
+        return prefixes
+
+    def _base_rows(
+        self,
+        key: tuple[int, RouteClass],
+        paths: Mapping[int, tuple[int, ...]],
+    ) -> int:
+        """The base group whose columns ``key``'s group can copy, or -1.
+
+        It can when no event touched the group: its memo entry is still
+        a view over the base RIB (any propagation change replaces it)
+        and its prefix set is still the base group's.  The view may be
+        another group's, of a route class with the same filter
+        signature; :func:`~repro.bgp.collector.splice_rib` copies its
+        paths and the prefix rows of ``key``'s own base group.
+        """
+        if (
+            isinstance(paths, GroupPaths)
+            and paths.rib is self._base.rib
+            and key not in self._regrouped
+        ):
+            return self._base_groups.get(key, -1)
+        return -1
 
     def _seed_memos(self) -> None:
         """Give the world's validators the verdict of every table route.
@@ -400,46 +465,50 @@ class LiveWorld:
         and the type of each link on them, and a link's type never
         changes (links are only added, and ``add_link`` refuses an
         existing pair), so a group whose paths are unchanged keeps its
-        cached rows.  Paths compare in vantage-point order, which the
-        scoring kernel's per-group emission order follows.  The rows
-        carry no prefix or status, so a verdict flip that moves a prefix
-        between groups forces no re-score.  The cache keeps one entry per
-        visible group.
+        cached rows.  An entry holding the very view the memo returned
+        is a hit without a compare; other paths compare in vantage-point
+        order, which the scoring kernel's per-group emission order
+        follows.  The rows carry no prefix or status, so a verdict flip
+        that moves a prefix between groups forces no re-score.  The
+        cache keeps one entry per visible group.
         """
-        visible = [index for index, group in enumerate(groups) if group.paths]
+        visible = np.flatnonzero(rib.visible()).tolist()
         previous = self._transit_cache
         cache: dict[tuple[int, RouteClass], _TransitEntry] = {}
+        per_group: list[_TransitRows] = []
         misses: list[int] = []
-        for index in visible:
+        for position, index in enumerate(visible):
             origin, route_class, _, paths = groups[index]
             entry = previous.get((origin, route_class))
-            if entry is not None and _same_paths(entry[0], paths):
+            if entry is not None and (
+                entry[0] is paths or _same_paths(entry[0], paths)
+            ):
                 cache[(origin, route_class)] = entry
+                per_group.append(entry[1])
             else:
-                misses.append(index)
+                misses.append(position)
+                per_group.append(_NO_ROWS)
         obs.add("delta.transit_hits", len(visible) - len(misses))
         obs.add("delta.transit_misses", len(misses))
         if misses:
-            scored = _transit_rows(rib, misses, self._state.topology)
-            for index, rows in zip(misses, scored):
-                origin, route_class, _, paths = groups[index]
+            scored = _transit_rows(
+                rib,
+                [visible[position] for position in misses],
+                self._state.topology,
+            )
+            for position, rows in zip(misses, scored):
+                origin, route_class, _, paths = groups[visible[position]]
                 cache[(origin, route_class)] = (paths, rows)
+                per_group[position] = rows
         self._transit_cache = cache
         return assemble_ihr(
-            rib,
-            self._rpki_status,
-            self._irr_status,
-            _joined_rows(
-                [
-                    cache[(group.origin, group.route_class)][1]
-                    for group in map(groups.__getitem__, visible)
-                ]
-            ),
+            rib, self._rpki_status, self._irr_status, _joined_rows(per_group)
         )
 
 
 def _same_paths(
-    cached: dict[int, tuple[int, ...]], current: dict[int, tuple[int, ...]]
+    cached: Mapping[int, tuple[int, ...]],
+    current: Mapping[int, tuple[int, ...]],
 ) -> bool:
     """Equal paths in the same vantage-point order (dict ``==`` alone
     ignores order)."""
@@ -510,7 +579,9 @@ def _base_verdicts(
     irr = dict(
         zip(seen, map(IRR_STATUSES.__getitem__, columns["po_irr"].tolist()))
     )
-    irr.update(validate_irr_many(base.irr, unseen))
+    # One memoised trie walk per unseen route: a bulk pass would build a
+    # registry-wide interval index that nothing reads again.
+    irr.update((route, validate_irr(base.irr, *route)) for route in unseen)
     try:
         return (
             {route: rpki[route] for route in routes},
@@ -521,16 +592,20 @@ def _base_verdicts(
 
 
 def _transit_entries(
-    rib: RibSnapshot, groups: list[Group], ihr: IHRDataset
+    rib: RibSnapshot,
+    keys: list[tuple[int, RouteClass]],
+    views: list[Mapping[int, tuple[int, ...]]],
+    ihr: IHRDataset,
 ) -> dict[tuple[int, RouteClass], _TransitEntry]:
     """The transit cache of a built world: one entry per visible group.
 
-    ``groups`` decodes ``rib``.  The transit groups are the visible
-    groups in order, restricted to those with transit rows; a transit
-    group belongs to the visible group with its origin and prefix rows
-    (one origin's groups hold disjoint prefixes), compared on the
-    integer prefix columns.  Should the tables not line up, the cache
-    starts empty instead.
+    ``keys`` are the groups of ``rib`` and ``views`` the views of their
+    paths that the engine memo holds for them.  The transit groups are
+    the visible groups in order, restricted to those with transit rows;
+    a transit group belongs to the visible group with its origin and
+    prefix rows (one origin's groups hold disjoint prefixes), compared
+    on the integer prefix columns.  Should the tables not line up, the
+    cache starts empty instead.
     """
     columns = ihr.arrays
     origins = columns["tg_origin"].tolist()
@@ -546,9 +621,8 @@ def _transit_entries(
     )
     cache: dict[tuple[int, RouteClass], _TransitEntry] = {}
     pending = 0
-    for index, (origin, route_class, _, paths) in enumerate(groups):
-        if not paths:
-            continue
+    for index in np.flatnonzero(rib.visible()).tolist():
+        origin = keys[index][0]
         rows = _NO_ROWS
         if (
             pending < len(origins)
@@ -559,8 +633,31 @@ def _transit_entries(
             begin, end = transit_offsets[pending], transit_offsets[pending + 1]
             rows = tuple(column[begin:end] for column in transit_columns)
             pending += 1
-        cache[(origin, route_class)] = (paths, rows)
+        cache[keys[index]] = (views[index], rows)
     return cache if pending == len(origins) else {}
+
+
+def _base_group_index(
+    rib: RibSnapshot,
+    keys: list[tuple[int, RouteClass]],
+    groups: dict[tuple[int, RouteClass], set[Prefix]],
+) -> dict[tuple[int, RouteClass], int]:
+    """Each key of ``keys`` (the groups of ``rib``) → its group index.
+
+    The live world copies a group's prefix rows from the base while its
+    prefix set is unchanged, which holds when the live groups start as
+    the base RIB's: the same keys, each with as many prefixes.  Both
+    group the route table by the same verdicts, so anything else means
+    ``rib`` was not derived from these inputs, and the index is empty:
+    every group is then encoded.
+    """
+    counts = np.diff(rib.arrays["rib_prefix_offsets"]).tolist()
+    index = {key: group for group, key in enumerate(keys)}
+    if len(index) != len(groups) or any(
+        len(groups.get(key, ())) != count for key, count in zip(keys, counts)
+    ):
+        return {}
+    return index
 
 
 def _customer_cones(topology: ASTopology, *roots: int) -> set[int]:

@@ -58,12 +58,13 @@ def gc_paused(freeze: bool = False) -> Iterator[None]:
     per scan at full scale, recurring until the collector's long-lived
     quota catches up.  Frozen objects are exempt from every later scan;
     acyclic ones are still freed by reference counting as usual, so a
-    dropped world releases its frozen objects.  Three callers freeze,
+    dropped world releases its frozen objects.  Four callers freeze,
     each over objects that live as long as their world:
-    ``build_world``, ``CheckpointStore.load`` and the materialisation of
-    each lazy-world field.  Everything else alive in the young
-    generations at that moment is frozen too, and a reference cycle
-    frozen that way is never collected.
+    ``build_world``, ``CheckpointStore.load``, the materialisation of
+    each lazy-world field and the construction of a ``LiveWorld``.
+    Everything else alive in the young generations at that moment is
+    frozen too, and a reference cycle frozen that way is never
+    collected.
     """
     was_enabled = gc.isenabled()
     if was_enabled:

@@ -13,6 +13,7 @@ from repro.bgp.collector import (
     assemble_rib,
     collect_rib,
     select_vantage_points,
+    splice_rib,
 )
 from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass
 from repro.bgp.propagation import PropagationEngine
@@ -139,6 +140,47 @@ class TestRibColumns:
         for name, column in rib.arrays.items():
             assert again.arrays[name].dtype == column.dtype, name
             assert again.arrays[name].tobytes() == column.tobytes(), name
+
+    def test_views_read_like_the_decoded_groups(self, small_world):
+        rib = small_world.rib
+        for view, group in zip(rib.group_paths(), rib.groups()):
+            assert len(view) == len(group.paths)
+            assert list(view.items()) == list(group.paths.items())
+
+    @pytest.mark.parametrize("copy_every", [0, 1, 2])
+    def test_splice_equals_assemble(self, small_world, copy_every):
+        """Copied and encoded groups splice into the columns
+        ``assemble_rib`` writes for the same groups: none, all or every
+        other group copied, and a copy whose paths are an equal view of
+        another group, as classes sharing a memo entry leave them."""
+        rib = small_world.rib
+        decoded = rib.groups()
+        views = rib.group_paths()
+        paths_from = list(range(len(decoded)))
+        for later in range(1, len(decoded)):
+            earlier = later - 1
+            if (
+                decoded[earlier].origin == decoded[later].origin
+                and list(decoded[earlier].paths.items())
+                == list(decoded[later].paths.items())
+            ):
+                paths_from[later] = earlier
+        assert paths_from != list(range(len(decoded)))
+        groups, rows_from = [], []
+        for index, group in enumerate(decoded):
+            if copy_every and index % copy_every == 0:
+                groups.append(group._replace(paths=views[paths_from[index]]))
+                rows_from.append(index)
+            else:
+                groups.append(group)
+                rows_from.append(-1)
+        spliced = splice_rib(rib.vantage_points, rib, groups, rows_from)
+        assert spliced.meta == rib.meta
+        assert list(spliced.arrays) == list(rib.arrays)
+        for name, column in rib.arrays.items():
+            assert spliced.arrays[name].dtype == column.dtype, name
+            assert spliced.arrays[name].tobytes() == column.tobytes(), name
+        assert spliced.prefixes() == rib.prefixes()
 
     def test_announcements_regroup_into_the_same_rib(self, small_world):
         rib = collect_rib(

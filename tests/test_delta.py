@@ -37,7 +37,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
-from repro.bgp.collector import RibSnapshot
+from repro.bgp.collector import GroupPaths, RibSnapshot
 from repro.bgp.propagation import PropagationEngine
 from repro.datasets.checkpoint import (
     CheckpointStore,
@@ -57,6 +57,7 @@ from repro.delta import (
     vrp_delta,
 )
 from repro.delta import live as live_module
+from repro.delta.events import DeltaState
 from repro.errors import DeltaError
 from repro.experiments.registry import REGISTRY
 from repro.ihr.records import IHRDataset
@@ -191,16 +192,26 @@ def test_replay_digest_equals_cold_rebuild(kinds, salt):
     )
 
 
-def test_every_event_kind_checkpoints_equal_cold_rebuild():
-    """One event of each kind, digest-checked at every instant."""
+def _reopened(world, directory):
+    """``world`` saved into a store at ``directory`` and opened again."""
+    store = CheckpointStore(directory)
+    store.save(world)
+    return store.load(world.config, world.scale, world.seed)
+
+
+def test_every_event_kind_checkpoints_equal_cold_rebuild(tmp_path):
+    """One event of each kind, digest-checked at every instant, from the
+    built base and from the base saved and reopened (whose live world
+    seeds its caches from the stored columns)."""
     world = delta_world()
     events = synthesize_events(world, kinds=list(EVENT_KINDS), seed=13)
-    live = LiveWorld(world)
-    for applied, event in enumerate(events, start=1):
-        live.apply(event)
-        assert dataset_digests(live.world()) == dataset_digests(
-            cold_rebuild(world, events[:applied])
-        ), f"diverged after {applied} events ({type(event).__name__})"
+    for base in (world, _reopened(world, tmp_path)):
+        live = LiveWorld(base)
+        for applied, event in enumerate(events, start=1):
+            live.apply(event)
+            assert dataset_digests(live.world()) == dataset_digests(
+                cold_rebuild(base, events[:applied])
+            ), f"diverged after {applied} events ({type(event).__name__})"
 
 
 def _largest_unlinked_pair(topology) -> tuple[int, int]:
@@ -421,8 +432,11 @@ def test_live_world_reads_base_verdicts_from_the_ihr(small_world, tmp_path):
         before = obs.counters().get("rov.memo_misses", 0)
         rpki, irr = live_module._base_verdicts(base, routes)
         if base is reopened:
-            # A reopened validator starts with an empty memo.
+            # A reopened validator starts with an empty memo, and the
+            # unseen routes' IRR verdicts come from trie walks, with no
+            # registry-wide interval index built for them.
             assert obs.counters()["rov.memo_misses"] - before == unseen
+            assert getattr(reopened.irr, "_interval_index", None) is None
         assert list(rpki) == list(irr) == routes
         assert rpki == dict(base.rov.validate_many(routes))
         assert irr == dict(validate_irr_many(base.irr, routes))
@@ -432,9 +446,9 @@ def test_live_world_reads_base_verdicts_from_the_ihr(small_world, tmp_path):
 
 def test_reopened_base_seeds_the_engine_memo(small_world, tmp_path):
     """A reopened world's engine starts with an empty memo; the live
-    world seeds it and the transit cache from the decoded RIB, so a
-    checkpoint after an event that moves no path re-propagates and
-    re-scores nothing."""
+    world seeds it and the transit cache with views over the stored RIB
+    columns, so a checkpoint after an event that moves no path
+    re-propagates and re-scores nothing."""
     store = CheckpointStore(tmp_path)
     store.save(small_world)
     reopened = store.load(
@@ -464,6 +478,74 @@ def test_reopened_base_seeds_the_engine_memo(small_world, tmp_path):
     assert moved("delta.transit_hits") == small_world.rib.visible().sum()
 
 
+def test_untouched_groups_copy_the_base_rib_columns(
+    small_world, tmp_path, monkeypatch
+):
+    """No path of a reopened base is decoded, and after an event that
+    moves no route every group's columns are copied: the checkpoint's
+    RIB is the base's, byte for byte."""
+    reopened = _reopened(small_world, tmp_path)
+    [event] = synthesize_events(reopened, kinds=["MemberJoined"], seed=1)
+
+    def decode(self):
+        raise AssertionError("a RIB path was decoded")
+
+    monkeypatch.setattr(RibSnapshot, "groups", decode)
+    monkeypatch.setattr(GroupPaths, "_decoded", decode)
+    before = obs.counters()
+    live = LiveWorld(reopened)
+    live.apply(event)
+    rib = live.world().rib
+    after = obs.counters()
+
+    def moved(name: str) -> float:
+        return after.get(name, 0) - before.get(name, 0)
+
+    assert moved("delta.groups_copied") == len(reopened.rib.arrays["rib_origin"])
+    assert moved("delta.groups_encoded") == 0
+    assert rib.meta == reopened.rib.meta
+    assert list(rib.arrays) == list(reopened.rib.arrays)
+    for name, column in reopened.rib.arrays.items():
+        assert rib.arrays[name].dtype == column.dtype, name
+        assert rib.arrays[name].tobytes() == column.tobytes(), name
+
+
+def test_route_classes_sharing_a_memo_entry_equal_cold_rebuild():
+    """With no AS filtering on IRR verdicts, an origin's IRR-invalid
+    routes propagate like its others, so the two groups share one memo
+    entry and its view.  A checkpoint copies such a group's paths from
+    the view's group and its prefix rows from its own; every checkpoint
+    must equal the cold rebuild."""
+    world = delta_world()
+    policies = {
+        asn: replace(policy, filter_peers_irr=False, filter_customers_irr=False)
+        for asn, policy in world.policies.items()
+    }
+    base = cold_rebuild(replace(world, policies=policies), [])
+    keys = list(
+        zip(base.rib.arrays["rib_origin"].tolist(), base.rib.route_classes())
+    )
+    shared = {
+        (origin, base.engine.signature_id(route_class))
+        for origin, route_class in keys
+    }
+    assert len(shared) < len(keys)
+    events = synthesize_events(
+        base, kinds=["MemberJoined", *EVENT_KINDS], seed=5
+    )
+    live = LiveWorld(base)
+    for applied, event in enumerate(events, start=1):
+        before = obs.counters().get("delta.groups_copied", 0)
+        live.apply(event)
+        current = live.world()
+        if applied == 1:
+            copied = obs.counters()["delta.groups_copied"] - before
+            assert copied == len(keys)
+        assert dataset_digests(current) == dataset_digests(
+            cold_rebuild(base, events[:applied])
+        ), f"diverged after {applied} events ({type(event).__name__})"
+
+
 def test_misaligned_base_ihr_falls_back_to_full_validation(small_world):
     origins = small_world.ihr.arrays["po_origin"].copy()
     origins[0] += 1
@@ -477,6 +559,32 @@ def test_misaligned_base_ihr_falls_back_to_full_validation(small_world):
     assert live._rov_seeded
     assert live._rpki_status == dict(small_world.rov.validate_many(routes))
     assert live._irr_status == dict(validate_irr_many(small_world.irr, routes))
+
+
+def test_cloned_irr_holds_the_source_route_objects_in_order(
+    small_world, tmp_path
+):
+    """Each cloned database yields the source's route objects, object
+    for object and in order, with none left pending and the mutation
+    counter at the route count; edits to the clone leave the source
+    alone."""
+    for world in (small_world, _reopened(small_world, tmp_path)):
+        clone = DeltaState.from_world(world).irr
+        pairs = list(zip(world.irr.databases, clone.databases))
+        assert [copy.name for _, copy in pairs] == [
+            source.name for source in world.irr.databases
+        ]
+        for source, copy in pairs:
+            routes = source.all_routes()
+            assert not copy._pending_routes
+            assert copy.version == len(routes)
+            cloned = copy.all_routes()
+            assert len(cloned) == len(routes)
+            assert all(a is b for a, b in zip(cloned, routes)), copy.name
+        source, copy = max(pairs, key=lambda pair: pair[0].route_count)
+        route = source.all_routes()[0]
+        assert copy.remove_route(route)
+        assert route in source.all_routes()
 
 
 def test_live_world_at_instant_zero_is_the_base():

@@ -13,9 +13,10 @@ the bulk trie walk IRR validation falls back to for registries without
 a mutation counter, scalar ``PropagationEngine.paths_to`` and the bisect
 cover scan ``RouteCoverIndex._affected_python`` (tested in
 ``tests/test_delta.py``) stay in the source; the per-group transit
-scoring loop ``_transit_groups_python`` and the per-prefix saturation
+scoring loop ``_transit_groups_python``, the per-prefix saturation
 and routed-share loops ``_rpki_saturation_python`` and
-``_routed_space_share_python`` are test code, defined here.
+``_routed_space_share_python``, and the object-path prefix2as v4
+columns ``_v4_columns_python`` are test code, defined here.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ from repro.bgp import propagation
 from repro.bgp.collector import Group, RibSnapshot, assemble_rib
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
+from repro.bgp.table import Prefix2AS, parse_prefix2as, serialize_prefix2as
 from repro.config import KERNEL_MODES, RuntimeConfig
 from repro.core.impact import SaturationReport, rpki_saturation
+from repro.datasets.checkpoint import CheckpointStore
 from repro.delta import live
+from repro.experiments.registry import REGISTRY
 from repro.hegemony.scores import DEFAULT_TRIM, hegemony_scores
 from repro.ihr import pipeline
 from repro.ihr.pipeline import assemble_ihr
@@ -482,6 +486,77 @@ def _routed_space_share_python(
         rir: 100.0 * aggregate_address_count(prefixes) / total
         for rir, prefixes in by_rir.items()
     }
+
+
+def _v4_columns_python(prefix2as) -> dict[str, np.ndarray]:
+    """The object-path reference for ``Prefix2AS.v4_columns``.
+
+    Each origin's v4 prefixes in the origin index's (ASN, prefix) order,
+    then a stable sort by (first address, length), so the origins of a
+    shared prefix stay in ASN order.  The columns gathered from the
+    RIB's integer rows must match it field for field.
+    """
+    index = prefix2as._origin_index()
+    rows = [
+        (asn, prefix)
+        for asn in sorted(index)
+        for prefix in index[asn]
+        if prefix.version == 4
+    ]
+    origins = np.array([asn for asn, _ in rows], dtype=np.int64)
+    prefixes = [prefix for _, prefix in rows]
+    firsts = np.array([p.first for p in prefixes], dtype=np.int64)
+    lasts = np.array([p.last for p in prefixes], dtype=np.int64)
+    values = np.array([p.value for p in prefixes], dtype=np.uint64)
+    lengths = np.array([p.length for p in prefixes], dtype=np.int64)
+    order = np.lexsort((lengths, firsts))
+    packed = firsts[order] * np.int64(64) + lengths[order]
+    _, first_at, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    return {
+        "origins": origins[order],
+        "firsts": firsts[order],
+        "lasts": lasts[order],
+        "unique_values": values[order][first_at],
+        "unique_lengths": lengths[order][first_at],
+        "unique_inverse": inverse,
+    }
+
+
+class TestPrefix2ASColumns:
+    @pytest.fixture(scope="class")
+    def reopened(self, small_world, tmp_path_factory):
+        store = CheckpointStore(tmp_path_factory.mktemp("store"))
+        store.save(small_world)
+        return store.load(small_world.config, small_world.scale, small_world.seed)
+
+    def test_v4_columns_match_the_object_path(self, small_world, reopened):
+        parsed = parse_prefix2as(serialize_prefix2as(small_world.prefix2as))
+        for mapping in (
+            Prefix2AS.from_rib(small_world.rib),
+            Prefix2AS.from_rib(reopened.rib),
+            parsed,
+        ):
+            columns = mapping.v4_columns()
+            reference = _v4_columns_python(mapping)
+            assert len(reference["origins"]) > 0
+            for name, expected in reference.items():
+                actual = getattr(columns, name)
+                assert actual.dtype == expected.dtype, name
+                assert np.array_equal(actual, expected), name
+
+    def test_fig4_and_f70_never_build_the_origin_map(self, small_world, reopened):
+        expected = {
+            name: REGISTRY[name].render(REGISTRY[name].run(small_world))
+            for name in ("fig4", "f70")
+        }
+
+        def origin_map(self):
+            raise AssertionError("the prefix2as origin map was built")
+
+        with patch.object(Prefix2AS, "_origin_map", origin_map):
+            for name, text in expected.items():
+                spec = REGISTRY[name]
+                assert spec.render(spec.run(reopened)) == text, name
 
 
 class TestEndToEndEquivalence:
