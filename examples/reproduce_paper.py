@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Reproduce every table and figure of the paper in one run.
 
-Builds the full-scale world and prints, in paper order, the series/rows
-behind Figures 2, 4a/4b, 5a/5b, 6, 7a/7b, 8, 9 and Tables 1, 2, plus
-Findings 7.0, 8.3/8.4 and 8.7.  Optionally exports every input dataset
-(prefix2as, as2org, AS relationships, VRPs, IRR dumps, participant list)
-to a directory.
+Builds the full-scale world and prints, in registry order, the
+series/rows behind Figures 2, 4a/4b, 5a/5b, 6, 7a/7b, 8, 9, Tables 1
+and 2 and Findings 7.0, 8.3/8.4 and 8.7, each followed by a ✓/✗ line
+per paper finding it is checked against, then the scenario families and
+two extensions beyond the paper.  Optionally exports every input
+dataset (prefix2as, as2org, AS relationships, VRPs, IRR dumps,
+participant list) to a directory.
 
 Usage::
 
@@ -18,6 +20,7 @@ import sys
 
 from repro import experiments as ex
 from repro.datasets import export_world
+from repro.experiments.findings import evaluate
 from repro.scenario import build_world
 
 
@@ -34,27 +37,20 @@ def main() -> None:
     print(f"  {len(world.topology)} ASes, {len(world.members())} MANRS members")
     print()
 
-    sections = [
-        ex.fig2_growth.render(ex.fig2_growth.run(world)),
-        ex.fig4_participation.render(ex.fig4_participation.run(world)),
-        ex.f70_completeness.render(ex.f70_completeness.run(world)),
-        ex.fig5_origination.render(ex.fig5_origination.run(world)),
-        ex.f83_action4.render(ex.f83_action4.run(world)),
-        ex.tab1_casestudies.render(ex.tab1_casestudies.run(world)),
-        ex.f87_stability.render(ex.f87_stability.run(world, seed=3)),
-        ex.fig6_saturation.render(ex.fig6_saturation.run(world)),
-        ex.fig7_filtering.render(ex.fig7_filtering.run(world)),
-        ex.fig8_unconformant.render(ex.fig8_unconformant.run(world)),
-        ex.tab2_action1.render(ex.tab2_action1.run(world)),
-        ex.fig9_preference.render(ex.fig9_preference.run(world)),
-        ex.ext_other_actions.render(ex.ext_other_actions.run(world)),
+    for spec in ex.REGISTRY.values():
+        result = spec.run(world)
+        print(spec.render(result))
+        for outcome in evaluate(spec.findings, result):
+            print(outcome.line())
+        print()
+    print(ex.ext_other_actions.render(ex.ext_other_actions.run(world)))
+    print()
+    print(
         ex.ablations.render_visibility_ablation(
             ex.ablations.visibility_ablation(world, fractions=(0.25, 1.0))
-        ),
-    ]
-    for section in sections:
-        print(section)
-        print()
+        )
+    )
+    print()
 
     if export_dir:
         path = export_world(world, export_dir)

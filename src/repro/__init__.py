@@ -8,13 +8,13 @@ methodology over it: participation (§7), Action 4 prefix-origination
 conformance (§8), Action 1 route-filtering conformance (§9), and the
 MANRS impact analyses (RPKI saturation, preference scores).
 
-Quickstart::
+Quickstart (one ✓/✗ row per declared paper finding)::
 
+    from repro.experiments import paper_findings, render_table
     from repro.scenario import build_world
-    from repro.core import build_report, render_report
 
     world = build_world(scale=0.2, seed=42)
-    print(render_report(build_report(world)))
+    print(render_table(paper_findings(world)))
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.

@@ -142,13 +142,3 @@ class ASPolicy:
                 return False
         return True
 
-    @property
-    def filters_anything(self) -> bool:
-        """True if any filter flag is set (used to fast-path propagation)."""
-        return (
-            self.rov
-            or self.filter_customers_rpki
-            or self.filter_customers_irr
-            or self.filter_peers_rpki
-            or self.filter_peers_irr
-        )

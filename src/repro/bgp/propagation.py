@@ -308,10 +308,6 @@ class PropagationEngine:
             return
         self._paths_cache_size = entries
 
-    def clear_cache(self) -> None:
-        """Drop all memoised propagation results."""
-        self._paths_cache.clear()
-
     def seed_cache(
         self,
         vantage_points: Iterable[int],

@@ -2,8 +2,9 @@
 
 Commands::
 
-    report     build a world and print the ecosystem report
-    reproduce  print paper tables/figures (all, or --only fig5,tab2)
+    report     build a world and print the paper-findings table
+    reproduce  print paper tables/figures (all, or --only fig5,tab2),
+               each followed by its findings' ✓/✗ lines
     export     write all datasets of a world to a directory
     audit      list unconformant member organisations
     hijack     run one hijack simulation and report capture
@@ -45,10 +46,10 @@ import sys
 from typing import Sequence
 
 from repro import obs
-from repro.core.report import build_report, render_report, report_as_dict
 from repro.datasets.checkpoint import CheckpointStore, default_store
 from repro.datasets.store import export_world
-from repro.experiments.registry import registry_table, select
+from repro.experiments.findings import evaluate, render_table
+from repro.experiments.registry import paper_findings, registry_table, select
 from repro.scenario.build import build_world
 from repro.scenario.config import ScenarioConfig
 
@@ -99,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser(
-        "report", parents=[common], help="print the ecosystem report"
+        "report", parents=[common], help="print the paper-findings table"
     )
     report.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
+        "--json", action="store_true", help="emit the findings as JSON rows"
     )
     reproduce = sub.add_parser(
         "reproduce", parents=[common],
@@ -301,16 +302,20 @@ def _dispatch(args: argparse.Namespace) -> int:
         world = _obtain_world(args)
 
         if args.command == "report":
-            report = build_report(world)
+            outcomes = paper_findings(world)
             if args.json:
-                print(json.dumps(report_as_dict(report), indent=2))
+                print(json.dumps([outcome.row() for outcome in outcomes], indent=2))
             else:
-                print(render_report(report))
+                print(render_table(outcomes))
         elif args.command == "reproduce":
             sections = []
             for spec in specs:
                 with obs.span(f"experiment.{spec.name}", title=spec.title):
-                    sections.append(spec.render(spec.run(world)))
+                    result = spec.run(world)
+                    section = spec.render(result)
+                for outcome in evaluate(spec.findings, result):
+                    section += "\n" + outcome.line()
+                sections.append(section)
             print("\n\n".join(sections))
         elif args.command == "export":
             path = export_world(world, args.directory)

@@ -22,13 +22,7 @@ from repro.core.participation import (
     registration_completeness,
     routed_space_share_by_rir,
 )
-from repro.core.report import (
-    Action1Summary,
-    Action4Summary,
-    EcosystemReport,
-    build_report,
-    render_report,
-)
+from repro.core.report import Action1Summary, Action4Summary
 from repro.core.stability import (
     StabilityClass,
     StabilityReport,
@@ -52,7 +46,6 @@ __all__ = [
     "CDF",
     "CaseStudyRow",
     "CompletenessReport",
-    "EcosystemReport",
     "InferenceQuality",
     "ReadinessReport",
     "check_readiness",
@@ -65,7 +58,6 @@ __all__ = [
     "StabilityClass",
     "StabilityReport",
     "attribute_unconformant",
-    "build_report",
     "conformance_stability",
     "irr_coverage",
     "is_action1_fully_conformant",
@@ -78,7 +70,6 @@ __all__ = [
     "preference_scores",
     "propagation_stats",
     "registration_completeness",
-    "render_report",
     "routed_space_share_by_rir",
     "rpki_saturation",
 ]

@@ -672,7 +672,7 @@ def _customer_cones(topology: ASTopology, *roots: int) -> set[int]:
     return cone
 
 
-def run_job_at(job, at: str) -> dict[str, dict[str, str]]:
+def run_job_at(job, at: str) -> dict[str, dict]:
     """Run a sweep/serve job against a live world advanced to ``at``.
 
     Module-level (not a closure) so the serve layer can dispatch it into
@@ -681,10 +681,8 @@ def run_job_at(job, at: str) -> dict[str, dict[str, str]]:
     :class:`LiveWorld` and moves the observation instant first — the
     serving layer's "answer as of this date" hook.
     """
-    import hashlib
-
     from repro.experiments.common import world_cache
-    from repro.experiments.registry import select
+    from repro.sweep.worker import experiment_payloads
 
     as_of = date.fromisoformat(at)
     with obs.span(
@@ -697,13 +695,4 @@ def run_job_at(job, at: str) -> dict[str, dict[str, str]]:
         base = world_cache(job.scale, job.seed, config=job.config())
         live = LiveWorld(base)
         live.advance_to(as_of)
-        world = live.world()
-        payload: dict[str, dict[str, str]] = {}
-        for spec in select(job.experiments or None):
-            with obs.span(f"sweep.experiment.{spec.name}"):
-                text = spec.render(spec.run(world))
-            payload[spec.name] = {
-                "text": text,
-                "sha256": hashlib.sha256(text.encode()).hexdigest(),
-            }
-    return payload
+        return experiment_payloads(live.world(), job.experiments)

@@ -23,12 +23,15 @@ from repro.experiments.common import (
     population_label,
     world_cache,
 )
-from repro.experiments.registry import REGISTRY, ExperimentSpec, select
+from repro.experiments.findings import render_table
+from repro.experiments.registry import REGISTRY, ExperimentSpec, paper_findings, select
 
 __all__ = [
     "POPULATIONS",
     "REGISTRY",
     "ExperimentSpec",
+    "paper_findings",
+    "render_table",
     "select",
     "ablations",
     "counterfactual",

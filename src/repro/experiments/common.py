@@ -24,6 +24,7 @@ __all__ = [
     "POPULATIONS",
     "population_label",
     "group_metric",
+    "text_table",
     "world_cache",
 ]
 
@@ -61,6 +62,17 @@ def group_metric(
         key = (world.size_of[asn], asn in members)
         samples[key].append(metric(stats))
     return {key: make_cdf(values) for key, values in samples.items()}
+
+
+def text_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-aligned columns two spaces apart, with a dashed rule under the header."""
+    widths = [max(len(row[column]) for row in (header, *rows)) for column in range(len(header))]
+    lines = [
+        "  ".join(f"{cell:<{width}}" for cell, width in zip(row, widths)).rstrip()
+        for row in (header, *rows)
+    ]
+    lines.insert(1, "  ".join("-" * width for width in widths))
+    return lines
 
 
 #: Most worlds kept alive at once (at least one is always kept).

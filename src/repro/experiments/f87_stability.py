@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.stability import StabilityReport, conformance_stability
+from repro.experiments.findings import Finding
 from repro.scenario.timeline import (
     PrefixChurn,
     WeeklyConformance,
@@ -13,7 +14,7 @@ from repro.scenario.timeline import (
 )
 from repro.scenario.world import World
 
-__all__ = ["StabilityResult", "run", "render"]
+__all__ = ["FINDINGS", "StabilityResult", "run", "render"]
 
 
 @dataclass(frozen=True)
@@ -51,3 +52,28 @@ def render(result: StabilityResult) -> str:
             f"{churn.withdrawn} withdrawn, {churn.added} new"
         )
     return "\n".join(lines)
+
+
+def _flapping_slack(result: StabilityResult) -> int:
+    """Distance of the flapping count inside [1, max(2, 6% of members)]."""
+    report = result.report
+    cap = max(2, int(0.06 * len(report.classification)))
+    return min(report.flapping - 1, cap - report.flapping)
+
+
+def _flapping_outside_churn(result: StabilityResult) -> int:
+    verdicts = result.report.classification.items()
+    flapping = {asn for asn, verdict in verdicts if verdict.value == "flapping"}
+    return len(flapping - set(result.weekly.flapped))
+
+
+FINDINGS = (
+    Finding("f87.always_conformant_majority", "Finding 8.7", "803/849 ISPs + 18/21 CDNs",
+            lambda result: result.report.always_conformant
+            - 0.8 * len(result.report.classification), ">", 0),
+    Finding("f87.always_unconformant", "Finding 8.7", "35 ISPs + 3 CDNs",
+            lambda result: result.report.always_unconformant, ">=", 1),
+    Finding("f87.flapping_slack", "Finding 8.7", "11", _flapping_slack, ">=", 0),
+    Finding("f87.flapping_outside_churn", "§8.5", "(model check)",
+            _flapping_outside_churn, "==", 0),
+)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.findings import Finding
 from repro.registry.rir import RIR
 from repro.scenario.timeline import Timeline
 from repro.scenario.world import World
 
-__all__ = ["Fig4Result", "run", "render"]
+__all__ = ["FINDINGS", "Fig4Result", "run", "render"]
 
 
 @dataclass(frozen=True)
@@ -61,3 +62,26 @@ def render(result: Fig4Result) -> str:
         )
         lines.append(row)
     return "\n".join(lines)
+
+
+def _lacnic_wave_margin(result: Fig4Result) -> int:
+    """LACNIC's 2020 member-AS increment over its largest other one."""
+    ases = dict(result.ases_by_rir[RIR.LACNIC])
+    jumps = {year: ases[year] - ases[year - 1] for year in range(2016, 2023)}
+    return jumps.pop(2020) - max(jumps.values())
+
+
+def _space_jump_2020(result: Fig4Result, rir: RIR) -> float:
+    return result.share_in(rir, 2020) - result.share_in(rir, 2019)
+
+
+FINDINGS = (
+    Finding("fig4.lacnic_as_wave_2020", "§7, Figure 4a", "+90 small Brazilian ASes in 2020",
+            _lacnic_wave_margin, ">", 0),
+    Finding("fig4.apnic_space_jump_2020", "§7, Figure 4b",
+            "China Telecom (4.0% of v4 table) joins",
+            lambda result: _space_jump_2020(result, RIR.APNIC), ">", 1.0),
+    Finding("fig4.lacnic_space_below_apnic_2020", "§7, Figure 4b", "little added space (0.24%)",
+            lambda result: _space_jump_2020(result, RIR.LACNIC)
+            - _space_jump_2020(result, RIR.APNIC), "<", 0),
+)

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from repro.core.conformance import OriginationStats, origination_stats
 from repro.core.stats import CDF
 from repro.experiments.common import POPULATIONS, group_metric, population_label
+from repro.experiments.findings import Finding
 from repro.scenario.world import World
 from repro.topology.classify import SizeClass
 
-__all__ = ["Fig5Result", "run", "render"]
+__all__ = ["FINDINGS", "Fig5Result", "run", "render"]
 
 Population = tuple[SizeClass, bool]
+SMALL_M, SMALL_N, MEDIUM_M, MEDIUM_N, LARGE_M, LARGE_N = POPULATIONS
 
 
 @dataclass(frozen=True)
@@ -103,3 +105,43 @@ def render(result: Fig5Result) -> str:
             f"{100 * mode.irr_only_registration:7.1f}%"
         )
     return "\n".join(lines)
+
+
+FINDINGS = (
+    Finding("fig5.small_rpki_bimodal", "Finding 8.1", "most ASes 0% or 100%",
+            lambda result: min(result.modes[p].only_rpki_valid + result.modes[p].no_rpki_valid
+                               for p in (SMALL_M, SMALL_N)), ">", 0.75),
+    Finding("fig5.small_all_valid_manrs_vs_non", "Finding 8.1", "60.1% vs 24.7% (2.4×)",
+            lambda result: result.modes[SMALL_M].only_rpki_valid
+            - 1.8 * result.modes[SMALL_N].only_rpki_valid, ">", 0),
+    Finding("fig5.small_no_valid_non_vs_manrs", "Finding 8.1", "68.1% vs 23.6%",
+            lambda result: result.modes[SMALL_N].no_rpki_valid
+            - 1.8 * result.modes[SMALL_M].no_rpki_valid, ">", 0),
+    Finding("fig5.medium_all_valid_manrs_vs_non", "Finding 8.1", "41.5% vs 23.8%",
+            lambda result: result.modes[MEDIUM_M].only_rpki_valid
+            - 1.4 * result.modes[MEDIUM_N].only_rpki_valid, ">", 0),
+    Finding("fig5.small_rpki_median_manrs_vs_non", "§8.1, Figure 5a", "MANRS shifted right",
+            lambda result: result.rpki_cdf[SMALL_M].median - result.rpki_cdf[SMALL_N].median,
+            ">", 0),
+    Finding("fig5.medium_rpki_median_manrs_vs_non", "§8.1, Figure 5a", "MANRS shifted right",
+            lambda result: result.rpki_cdf[MEDIUM_M].median - result.rpki_cdf[MEDIUM_N].median,
+            ">", 0),
+    Finding("fig5.large_irr_median_manrs_vs_non", "Finding 8.2", "63.5% vs 84.0%",
+            lambda result: result.irr_cdf[LARGE_M].median - result.irr_cdf[LARGE_N].median,
+            "<", 0),
+    Finding("fig5.small_irr_median_gap", "§8.2", "72.3% vs 70.0%",
+            lambda result: abs(result.irr_cdf[SMALL_M].median - result.irr_cdf[SMALL_N].median),
+            "<", 25.0),
+    Finding("fig5.small_irr_only_non_vs_manrs", "§8.2", "65.4% vs 23.6%",
+            lambda result: result.modes[SMALL_N].irr_only_registration
+            - 2 * result.modes[SMALL_M].irr_only_registration, ">", 0),
+    Finding("fig5.medium_irr_only_non_vs_manrs", "§8.2", "skews non-MANRS",
+            lambda result: result.modes[MEDIUM_N].irr_only_registration
+            - 1.5 * result.modes[MEDIUM_M].irr_only_registration, ">", 0),
+    Finding("fig5.small_manrs_invalid_originators", "§8.1", "0",
+            lambda result: result.modes[SMALL_M].originates_rpki_invalid, "<", 0.02),
+    Finding("fig5.large_vs_small_non_invalid_originators", "§8.1",
+            "rises with size (32.9% of large non-MANRS)",
+            lambda result: result.modes[LARGE_N].originates_rpki_invalid
+            - result.modes[SMALL_N].originates_rpki_invalid, ">=", 0),
+)

@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from repro.core.conformance import propagation_stats
 from repro.core.stats import CDF
 from repro.experiments.common import POPULATIONS, group_metric, population_label
+from repro.experiments.findings import Finding
 from repro.scenario.world import World
 from repro.topology.classify import SizeClass
 
-__all__ = ["Fig7Result", "run", "render"]
+__all__ = ["FINDINGS", "Fig7Result", "run", "render"]
 
 Population = tuple[SizeClass, bool]
+SMALL_M, SMALL_N, _, _, LARGE_M, LARGE_N = POPULATIONS
 
 
 @dataclass(frozen=True)
@@ -58,3 +60,22 @@ def render(result: Fig7Result) -> str:
             f"{rpki.maximum:9.2f}  {irr.maximum:8.2f}"
         )
     return "\n".join(lines)
+
+
+FINDINGS = (
+    Finding("fig7.small_zero_rpki_invalid", "§9.1, Figure 7a", "99.2%/99.1% at zero",
+            lambda result: min(result.rpki_cdf[p].fraction_at_most(0.0)
+                               for p in (SMALL_M, SMALL_N)), ">", 0.9),
+    Finding("fig7.max_rpki_invalid_share", "§9.1, Figure 7a", "≤1.1% / ≤6.4%",
+            lambda result: max(cdf.maximum for cdf in result.rpki_cdf.values() if cdf.n),
+            "<", 12.0),
+    Finding("fig7.large_non_zero_rpki_invalid", "§9.1, Figure 7a", "36.0% at zero",
+            lambda result: result.rpki_cdf[LARGE_N].fraction_at_most(0.0), "<", 1.0),
+    Finding("fig7.large_manrs_irr_invalid", "§9.1, Figure 7b", "max 25.5%",
+            lambda result: result.irr_cdf[LARGE_M].maximum, ">", 0.0),
+    Finding("fig7.large_non_irr_invalid", "§9.1, Figure 7b", "max 74.5%",
+            lambda result: result.irr_cdf[LARGE_N].maximum, ">", 0.0),
+    Finding("fig7.large_irr_tail_non_vs_manrs", "§9.1, Figure 7b", "74.5% vs 25.5% max",
+            lambda result: result.irr_cdf[LARGE_N].maximum - result.irr_cdf[LARGE_M].median,
+            ">", 0),
+)

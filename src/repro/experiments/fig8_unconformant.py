@@ -5,12 +5,14 @@ from __future__ import annotations
 from repro.core.conformance import propagation_stats
 from repro.core.stats import CDF
 from repro.experiments.common import POPULATIONS, group_metric, population_label
+from repro.experiments.findings import Finding
 from repro.scenario.world import World
 from repro.topology.classify import SizeClass
 
-__all__ = ["run", "render"]
+__all__ = ["FINDINGS", "run", "render"]
 
 Population = tuple[SizeClass, bool]
+SMALL_M, _, _, _, LARGE_M, _ = POPULATIONS
 
 
 def run(world: World) -> dict[Population, CDF]:
@@ -44,3 +46,15 @@ def render(cdfs: dict[Population, CDF]) -> str:
             f"{cdf.median:8.2f}  {cdf.maximum:6.2f}"
         )
     return "\n".join(lines)
+
+
+FINDINGS = (
+    Finding("fig8.large_manrs_transit", "§9.2, Figure 8", "24 large MANRS",
+            lambda cdfs: cdfs[LARGE_M].n, ">", 0),
+    Finding("fig8.large_manrs_max", "§9.2, Figure 8", "max <15%",
+            lambda cdfs: cdfs[LARGE_M].maximum, "<", 15.0),
+    Finding("fig8.large_manrs_median", "§9.2, Figure 8", "median 2.5%",
+            lambda cdfs: cdfs[LARGE_M].median, "<", 8.0),
+    Finding("fig8.small_manrs_median", "§9.2, Figure 8", "long tails only for non-members",
+            lambda cdfs: cdfs[SMALL_M].median, "==", 0.0),
+)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from repro.core.impact import preference_scores
 from repro.core.stats import CDF, make_cdf
+from repro.experiments.findings import Finding
 from repro.scenario.world import World
 
-__all__ = ["run", "render"]
+__all__ = ["FINDINGS", "run", "render"]
 
 
 def run(world: World) -> dict[str, CDF]:
@@ -38,3 +39,21 @@ def render(cdfs: dict[str, CDF]) -> str:
             f"{100 * cdf.fraction_above(0.0):17.1f}%  {cdf.median:7.3f}"
         )
     return "\n".join(lines)
+
+
+def _preferring(cdfs: dict[str, CDF], status: str) -> float:
+    """Fraction of ``status`` prefix-origins preferring MANRS transit."""
+    return cdfs[status].fraction_above(0.0)
+
+
+FINDINGS = (
+    Finding("fig9.invalid_vs_valid", "Finding 9.4", "14% vs 34%",
+            lambda cdfs: (_preferring(cdfs, "valid") - 0.10) - _preferring(cdfs, "invalid"),
+            ">", 0),
+    Finding("fig9.invalid_vs_not_found", "Finding 9.4", "14% vs 36%",
+            lambda cdfs: (_preferring(cdfs, "not_found") - 0.10) - _preferring(cdfs, "invalid"),
+            ">", 0),
+    Finding("fig9.valid_vs_not_found", "§9.4", "34% vs 36%",
+            lambda cdfs: abs(_preferring(cdfs, "valid") - _preferring(cdfs, "not_found")),
+            "<", 0.15),
+)

@@ -1,19 +1,19 @@
 """The experiment registry: one uniform API over every paper artefact.
 
-Each figure/table/finding module exposes ``run(world) -> result`` and
-``render(result) -> str``; the registry wraps them in
-:class:`ExperimentSpec` records keyed by a short stable name (``fig5``,
-``tab2``, ``f87``…), ordered as the paper presents them — the same order
-``reproduce`` has always printed.  Tooling (the CLI, the benchmark
-runner, a future server) iterates :data:`REGISTRY` instead of hardcoding
-module lists, and ``reproduce --only fig5,tab2`` filters by name via
-:func:`select`.
+Each figure/table/finding module exposes ``run(world) -> result``,
+``render(result) -> str`` and its paper ``FINDINGS``; the registry wraps
+them in :class:`ExperimentSpec` records keyed by a short stable name
+(``fig5``, ``tab2``, ``f87``…), ordered as the paper presents them — the
+same order ``reproduce`` has always printed.  Tooling (the CLI, the
+benchmark runner, a future server) iterates :data:`REGISTRY` instead of
+hardcoding module lists, and ``reproduce --only fig5,tab2`` filters by
+name via :func:`select`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
+from types import MappingProxyType, ModuleType
 from typing import Any, Callable, Iterable, Mapping
 
 import repro.experiments.f70_completeness as f70_completeness
@@ -28,10 +28,12 @@ import repro.experiments.fig8_unconformant as fig8_unconformant
 import repro.experiments.fig9_preference as fig9_preference
 import repro.experiments.tab1_casestudies as tab1_casestudies
 import repro.experiments.tab2_action1 as tab2_action1
+from repro.experiments.common import text_table
+from repro.experiments.findings import Finding, Outcome, evaluate
 from repro.scenario.world import World
 from repro.scenarios import FAMILIES as _SCENARIO_FAMILIES
 
-__all__ = ["REGISTRY", "ExperimentSpec", "registry_table", "select"]
+__all__ = ["REGISTRY", "ExperimentSpec", "paper_findings", "registry_table", "select"]
 
 
 @dataclass(frozen=True)
@@ -48,105 +50,37 @@ class ExperimentSpec:
     run: Callable[[World], Any] = field(repr=False)
     #: Format a ``run`` result as printable text.
     render: Callable[[Any], str] = field(repr=False)
+    #: The paper's claims about a ``run`` result (none for the scenario
+    #: families, which are not paper artefacts).
+    findings: tuple[Finding, ...] = field(default=(), repr=False)
+
+
+def _artefact(name: str, title: str, paper_ref: str, module: ModuleType) -> ExperimentSpec:
+    """A paper artefact's spec: its module's ``run``, ``render`` and ``FINDINGS``."""
+    return ExperimentSpec(name, title, paper_ref, module.run, module.render, module.FINDINGS)
 
 
 def _ordered_specs() -> tuple[ExperimentSpec, ...]:
     return (
-        ExperimentSpec(
-            "fig2",
-            "Figure 2 — MANRS growth",
-            "§7, Figure 2",
-            fig2_growth.run,
-            fig2_growth.render,
-        ),
-        ExperimentSpec(
-            "fig4",
-            "Figure 4 — participation by RIR",
-            "§7, Figure 4",
-            fig4_participation.run,
-            fig4_participation.render,
-        ),
-        ExperimentSpec(
-            "f70",
-            "Finding 7.0 — registration completeness",
-            "§7, Finding 7.0",
-            f70_completeness.run,
-            f70_completeness.render,
-        ),
-        ExperimentSpec(
-            "fig5",
-            "Figure 5 — origination conformance",
-            "§8, Figure 5",
-            fig5_origination.run,
-            fig5_origination.render,
-        ),
-        ExperimentSpec(
-            "f83",
-            "Findings 8.3/8.4 — Action 4 conformance",
-            "§8, Findings 8.3/8.4",
-            f83_action4.run,
-            f83_action4.render,
-        ),
-        ExperimentSpec(
-            "tab1",
-            "Table 1 — case studies",
-            "§8, Table 1",
-            tab1_casestudies.run,
-            tab1_casestudies.render,
-        ),
-        ExperimentSpec(
-            "f87",
-            "Finding 8.7 — conformance stability",
-            "§8.5, Finding 8.7",
-            f87_stability.run,
-            f87_stability.render,
-        ),
-        ExperimentSpec(
-            "fig6",
-            "Figure 6 — RPKI saturation",
-            "§8.6, Figure 6",
-            fig6_saturation.run,
-            fig6_saturation.render,
-        ),
-        ExperimentSpec(
-            "fig7",
-            "Figure 7 — route filtering",
-            "§9, Figure 7",
-            fig7_filtering.run,
-            fig7_filtering.render,
-        ),
-        ExperimentSpec(
-            "fig8",
-            "Figure 8 — unconformant propagation",
-            "§9, Figure 8",
-            fig8_unconformant.run,
-            fig8_unconformant.render,
-        ),
-        ExperimentSpec(
-            "tab2",
-            "Table 2 — Action 1 conformance",
-            "§9, Table 2",
-            tab2_action1.run,
-            tab2_action1.render,
-        ),
-        ExperimentSpec(
-            "fig9",
-            "Figure 9 — MANRS transit preference",
-            "§9, Figure 9",
-            fig9_preference.run,
-            fig9_preference.render,
-        ),
+        _artefact("fig2", "Figure 2 — MANRS growth", "§7, Figure 2", fig2_growth),
+        _artefact("fig4", "Figure 4 — participation by RIR", "§7, Figure 4", fig4_participation),
+        _artefact("f70", "Finding 7.0 — registration completeness", "§7, Finding 7.0",
+                  f70_completeness),
+        _artefact("fig5", "Figure 5 — origination conformance", "§8, Figure 5", fig5_origination),
+        _artefact("f83", "Findings 8.3/8.4 — Action 4 conformance", "§8, Findings 8.3/8.4",
+                  f83_action4),
+        _artefact("tab1", "Table 1 — case studies", "§8, Table 1", tab1_casestudies),
+        _artefact("f87", "Finding 8.7 — conformance stability", "§8.5, Finding 8.7", f87_stability),
+        _artefact("fig6", "Figure 6 — RPKI saturation", "§8.6, Figure 6", fig6_saturation),
+        _artefact("fig7", "Figure 7 — route filtering", "§9, Figure 7", fig7_filtering),
+        _artefact("fig8", "Figure 8 — unconformant propagation", "§9, Figure 8", fig8_unconformant),
+        _artefact("tab2", "Table 2 — Action 1 conformance", "§9, Table 2", tab2_action1),
+        _artefact("fig9", "Figure 9 — MANRS transit preference", "§9, Figure 9", fig9_preference),
         # The scenario pack (repro.scenarios, DESIGN.md §17) rides the
         # same registry: families appear after the paper artefacts, in
         # the pack's own order.
         *(
-            ExperimentSpec(
-                family.name,
-                family.title,
-                family.paper_ref,
-                family.run,
-                family.render,
-            )
+            ExperimentSpec(family.name, family.title, family.paper_ref, family.run, family.render)
             for family in _SCENARIO_FAMILIES.values()
         ),
     )
@@ -182,6 +116,20 @@ def select(names: Iterable[str] | str | None = None) -> list[ExperimentSpec]:
     return [spec for name, spec in REGISTRY.items() if name in wanted]
 
 
+def paper_findings(world: World) -> list[Outcome]:
+    """Every declared finding, evaluated on ``world`` in registry order.
+
+    Each artefact that declares findings runs once; what ``repro
+    report`` prints and the tier-1 shape tests check.
+    """
+    return [
+        outcome
+        for spec in REGISTRY.values()
+        if spec.findings
+        for outcome in evaluate(spec.findings, spec.run(world))
+    ]
+
+
 def registry_table() -> str:
     """The registry as an aligned text table (name, title, paper ref).
 
@@ -189,18 +137,8 @@ def registry_table() -> str:
     user can discover valid ``--only`` / sweep ``experiments`` names
     without reading source.
     """
-    rows = [
-        (spec.name, spec.title, spec.paper_ref)
-        for spec in REGISTRY.values()
-    ]
-    widths = [
-        max(len(row[column]) for row in (("name", "title", "paper ref"), *rows))
-        for column in range(3)
-    ]
-    lines = []
-    for name, title, ref in (("name", "title", "paper ref"), *rows):
-        lines.append(
-            f"{name:<{widths[0]}}  {title:<{widths[1]}}  {ref:<{widths[2]}}".rstrip()
-        )
-    lines.insert(1, "  ".join("-" * width for width in widths))
+    lines = text_table(
+        ("name", "title", "paper ref"),
+        [(spec.name, spec.title, spec.paper_ref) for spec in REGISTRY.values()],
+    )
     return "\n".join(lines)

@@ -12,10 +12,11 @@ from repro.core.conformance import (
     is_action4_conformant,
     origination_stats,
 )
+from repro.experiments.findings import Finding
 from repro.manrs.actions import Program
 from repro.scenario.world import World
 
-__all__ = ["run", "render", "case_study_targets"]
+__all__ = ["FINDINGS", "run", "render", "case_study_targets"]
 
 
 def case_study_targets(world: World) -> list[tuple[str, tuple[int, ...]]]:
@@ -89,3 +90,27 @@ def render(rows: list[CaseStudyRow]) -> str:
             f"{row.irr_sibling_cp:7d}  {row.irr_unrelated:5d}"
         )
     return "\n".join(lines)
+
+
+def _rows_labelled(rows: list[CaseStudyRow], prefix: str) -> list[CaseStudyRow]:
+    return [row for row in rows if row.label.startswith(prefix)]
+
+
+FINDINGS = (
+    Finding("tab1.rows", "Table 1", "3 CDNs + 3 ISPs", len, "==", 6),
+    Finding("tab1.cdn_rows", "Table 1", "3 CDNs",
+            lambda rows: len(_rows_labelled(rows, "CDN")), "==", 3),
+    Finding("tab1.cdn_rows_unattributed", "Table 1", "CDN 2–48",
+            lambda rows: sum(row.total_attributed < 1 for row in _rows_labelled(rows, "CDN")),
+            "==", 0),
+    Finding("tab1.attributed", "Table 1", "CDN 2–48, ISP1 302",
+            lambda rows: sum(row.total_attributed for row in rows), ">", 0),
+    Finding("tab1.sibling_cp_majority", "Finding 8.5", "51–100% per row",
+            lambda rows: sum(row.rpki_sibling_cp + row.irr_sibling_cp for row in rows)
+            - 0.5 * sum(row.total_attributed for row in rows), ">", 0),
+    Finding("tab1.irr_over_rpki_invalid", "Finding 8.5", "~1% RPKI-Invalid",
+            lambda rows: sum(row.irr_invalid for row in rows)
+            - sum(row.rpki_invalid for row in rows), ">", 0),
+    Finding("tab1.isp_rpki_invalid", "Table 1", "ISP1's forgotten ROAs",
+            lambda rows: sum(row.rpki_invalid for row in _rows_labelled(rows, "ISP")), ">=", 1),
+)

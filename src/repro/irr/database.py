@@ -112,11 +112,6 @@ class IRRDatabase:
         """Mutation counter for cache invalidation."""
         return self._version
 
-    def routes_exact(self, prefix: Prefix) -> list[RouteObject]:
-        """Route objects registered at exactly ``prefix``."""
-        self._flush_routes()
-        return self._routes.search_exact(prefix)
-
     def aut_num(self, asn: int) -> AutNumObject | None:
         """The aut-num object for ``asn`` if registered."""
         return self._aut_nums.get(asn)

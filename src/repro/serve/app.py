@@ -76,7 +76,7 @@ log = logging.getLogger(__name__)
 
 #: Bumped whenever the served payload shape changes; part of every
 #: result key, so a schema bump can never resurrect stale cache entries.
-SERVE_SCHEMA_VERSION = 1
+SERVE_SCHEMA_VERSION = 2
 
 #: Default bound on queued (not yet building) cold misses.
 DEFAULT_QUEUE_LIMIT = 32

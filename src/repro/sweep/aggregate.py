@@ -1,12 +1,11 @@
 """Aggregation and rendering of sweep results.
 
-A sweep's raw output is one payload per job — rendered experiment text
-plus a SHA-256 per experiment.  :func:`aggregate` regroups that by
-*experiment* across the sweep axes, which is the question a sweep
-answers: for each paper artefact, how do its results spread across
-seeds, scales and scenario variants?  Two jobs that agree byte-for-byte
-share a digest, so "is fig5 stable across 8 seeds?" reads directly off
-``distinct_results`` without diffing text.
+A sweep's raw output is one payload per job — each experiment's
+rendered text, its SHA-256 and its evaluated paper findings.
+:func:`aggregate` regroups that by *experiment* across the sweep axes,
+which is the question a sweep answers: for each paper artefact, does
+each of its findings hold across seeds, scales and scenario variants,
+and how far does its statistic move?
 
 ``render_status`` and ``render_report`` are the text views behind
 ``repro sweep status`` / ``repro sweep report``.
@@ -14,10 +13,10 @@ share a digest, so "is fig5 stable across 8 seeds?" reads directly off
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Mapping
 
 from repro import obs
+from repro.experiments.findings import format_measured
 from repro.sweep.ledger import JobState
 from repro.sweep.spec import Job
 
@@ -25,19 +24,21 @@ __all__ = ["aggregate", "render_report", "render_status"]
 
 
 def aggregate(
-    jobs: Iterable[Job], results: Mapping[str, Mapping[str, Mapping[str, str]]]
+    jobs: Iterable[Job], results: Mapping[str, Mapping[str, Mapping]]
 ) -> dict:
     """Group per-job payloads by experiment across the sweep axes.
 
     Returns a JSON-shaped mapping::
 
-        {"experiments": {name: {"jobs": [...], "groups": {...},
-                                "distinct_results": N}},
+        {"experiments": {name: {"jobs": [...], "groups": {...}}},
          "missing": [job ids with no payload]}
 
     ``groups`` keys are ``"<scenario>@scale=<scale>"`` — the axes the
     paper varies *deliberately* — and each group records the seeds it
-    covers plus the distinct digests across them (1 means seed-stable).
+    covers plus, per finding, how many seeds it held at and its measured
+    statistic at each seed (``None`` where it could not be computed).  A
+    payload without ``findings`` (written before payloads carried them)
+    contributes none.
     """
     with obs.span("sweep.aggregate"):
         experiments: dict[str, dict] = {}
@@ -48,67 +49,50 @@ def aggregate(
                 missing.append(job.job_id)
                 continue
             for name, cell in payload.items():
-                entry = experiments.setdefault(
-                    name, {"jobs": [], "groups": {}, "distinct_results": 0}
-                )
+                entry = experiments.setdefault(name, {"jobs": [], "groups": {}})
                 entry["jobs"].append(
-                    {
-                        "job_id": job.job_id,
-                        "scenario": job.scenario,
-                        "scale": job.scale,
-                        "seed": job.seed,
-                        "sha256": cell["sha256"],
-                    }
+                    {"job_id": job.job_id, "scenario": job.scenario,
+                     "scale": job.scale, "seed": job.seed}
                 )
+                group = entry["groups"].setdefault(
+                    f"{job.scenario}@scale={job.scale:g}", {"seeds": [], "findings": {}}
+                )
+                group["seeds"].append(job.seed)
+                for finding_id, value in cell.get("findings", {}).items():
+                    tally = group["findings"].setdefault(
+                        finding_id, {"passed": 0, "measured": []}
+                    )
+                    tally["passed"] += value["passed"]
+                    tally["measured"].append(value["measured"])
         for entry in experiments.values():
-            groups: dict[str, dict] = {}
-            for row in entry["jobs"]:
-                key = f"{row['scenario']}@scale={row['scale']:g}"
-                group = groups.setdefault(
-                    key, {"seeds": [], "digests": defaultdict(list)}
-                )
-                group["seeds"].append(row["seed"])
-                group["digests"][row["sha256"]].append(row["seed"])
-            entry["groups"] = {
-                key: {
-                    "seeds": sorted(group["seeds"]),
-                    "distinct": len(group["digests"]),
-                    "digests": {
-                        digest[:12]: sorted(seeds)
-                        for digest, seeds in sorted(group["digests"].items())
-                    },
-                }
-                for key, group in sorted(groups.items())
-            }
-            entry["distinct_results"] = len(
-                {row["sha256"] for row in entry["jobs"]}
-            )
+            for group in entry["groups"].values():
+                group["seeds"].sort()
+                group["findings"] = dict(sorted(group["findings"].items()))
+            entry["groups"] = dict(sorted(entry["groups"].items()))
         return {"experiments": experiments, "missing": sorted(missing)}
 
 
 def render_report(aggregated: dict) -> str:
-    """The ``sweep report`` text: one block per experiment, axis groups."""
+    """The ``sweep report`` text: per experiment and axis group, one line
+    per finding with its pass count and measured range across seeds."""
     lines = ["Sweep report", "============"]
     if not aggregated["experiments"]:
         lines.append("(no completed jobs)")
     for name, entry in aggregated["experiments"].items():
         lines.append("")
-        lines.append(
-            f"{name}: {len(entry['jobs'])} job(s), "
-            f"{entry['distinct_results']} distinct result(s)"
-        )
+        lines.append(f"{name}: {len(entry['jobs'])} job(s)")
         for key, group in entry["groups"].items():
             seeds = ",".join(str(seed) for seed in group["seeds"])
-            stability = (
-                "seed-stable"
-                if group["distinct"] == 1
-                else f"{group['distinct']} variants across seeds"
-            )
-            lines.append(f"  {key}  seeds [{seeds}]  {stability}")
-            if group["distinct"] > 1:
-                for digest, digest_seeds in group["digests"].items():
-                    seed_list = ",".join(str(s) for s in digest_seeds)
-                    lines.append(f"    {digest}  seeds [{seed_list}]")
+            lines.append(f"  {key}  seeds [{seeds}]")
+            for finding_id, tally in group["findings"].items():
+                values = [value for value in tally["measured"] if value is not None]
+                measured = format_measured(min(values, default=None))
+                if values and max(values) != min(values):
+                    measured += f" to {format_measured(max(values))}"
+                lines.append(
+                    f"    {finding_id}  {tally['passed']}/{len(tally['measured'])} "
+                    f"held  measured {measured}"
+                )
     if aggregated["missing"]:
         lines.append("")
         lines.append(

@@ -3,10 +3,9 @@
 :func:`run_job` is the *pure* unit of work — build or warm-start the
 job's world (through the two-tier :func:`~repro.experiments.common.world_cache`,
 so workers sharing a checkpoint store load shared worlds instead of
-rebuilding them), run the selected experiments and return their rendered
-text plus a SHA-256 per experiment.  It is the same call a standalone
-``repro reproduce`` performs, which is what makes sweep payloads
-byte-comparable to single runs.
+rebuilding them) and return :func:`experiment_payloads`: each selected
+experiment's rendered text (what ``repro reproduce --only <name>``
+renders), its SHA-256 and its evaluated findings.
 
 :func:`execute_job` wraps ``run_job`` with the operational envelope the
 scheduler needs: a per-attempt wall-clock alarm (SIGALRM, so even a job
@@ -34,7 +33,9 @@ from typing import Iterator
 
 from repro import obs
 from repro.experiments.common import world_cache
+from repro.experiments.findings import evaluate
 from repro.experiments.registry import select
+from repro.scenario.world import World
 from repro.sweep.spec import Job
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "InjectedFault",
     "JobTimeout",
     "execute_job",
+    "experiment_payloads",
     "run_job",
 ]
 
@@ -58,13 +60,29 @@ class InjectedFault(Exception):
     """A test-injected failure (``REPRO_SWEEP_FAIL_JOBS``)."""
 
 
-def run_job(job: Job) -> dict[str, dict[str, str]]:
-    """Run one job's experiments; returns ``{name: {text, sha256}}``.
+def experiment_payloads(world: World, experiments: tuple[str, ...]) -> dict[str, dict]:
+    """Run experiments (empty: all) on ``world``: ``{name: {text, sha256,
+    findings}}``, where ``text`` is the rendered section without the
+    finding lines ``repro reproduce`` adds and ``findings`` maps each
+    finding id to ``{"measured": float or None, "passed": bool}``."""
+    payload: dict[str, dict] = {}
+    for spec in select(experiments or None):
+        with obs.span(f"sweep.experiment.{spec.name}"):
+            result = spec.run(world)
+            text = spec.render(result)
+        payload[spec.name] = {
+            "text": text,
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "findings": {
+                outcome.finding.id: {"measured": outcome.measured, "passed": outcome.passed}
+                for outcome in evaluate(spec.findings, result)
+            },
+        }
+    return payload
 
-    The payload text is exactly what ``repro reproduce --only <name>``
-    prints for that experiment on the same (config, scale, seed) world,
-    so aggregated sweep results are byte-identical to standalone runs.
-    """
+
+def run_job(job: Job) -> dict[str, dict]:
+    """Run one job's experiments on its world (:func:`experiment_payloads`)."""
     with obs.span(
         "sweep.job",
         job=job.job_id[:12],
@@ -73,15 +91,7 @@ def run_job(job: Job) -> dict[str, dict[str, str]]:
         seed=job.seed,
     ):
         world = world_cache(job.scale, job.seed, config=job.config())
-        payload: dict[str, dict[str, str]] = {}
-        for spec in select(job.experiments or None):
-            with obs.span(f"sweep.experiment.{spec.name}"):
-                text = spec.render(spec.run(world))
-            payload[spec.name] = {
-                "text": text,
-                "sha256": hashlib.sha256(text.encode()).hexdigest(),
-            }
-    return payload
+        return experiment_payloads(world, job.experiments)
 
 
 def execute_job(job: Job, attempt: int, timeout: float) -> dict:

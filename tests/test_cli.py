@@ -7,6 +7,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.registry import REGISTRY
+
+FINDING_IDS = [finding.id for spec in REGISTRY.values() for finding in spec.findings]
 
 
 class TestParser:
@@ -58,10 +61,11 @@ class TestCommands:
     ARGS = ["--scale", "0.06", "--seed", "3"]
 
     def test_report(self, capsys):
+        """One ✓/✗ row per declared finding, whether or not it holds."""
         assert main(self.ARGS + ["report"]) == 0
-        out = capsys.readouterr().out
-        assert "MANRS ecosystem report" in out
-        assert "Action 4" in out
+        rows = capsys.readouterr().out.splitlines()[2:-1]
+        assert [row.split()[0] for row in rows] == FINDING_IDS
+        assert all(row.endswith(("✓", "✗")) for row in rows)
 
     def test_audit(self, capsys):
         assert main(self.ARGS + ["audit"]) == 0
@@ -122,8 +126,11 @@ class TestJsonOutput:
 
     def test_report_json(self, capsys):
         assert main(self.ARGS + ["report", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "completeness" in payload and "action4" in payload
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["id"] for row in rows] == FINDING_IDS
+        for row in rows:
+            assert isinstance(row["passed"], bool)
+            assert row["measured"] is None or isinstance(row["measured"], float)
 
     def test_audit_json(self, capsys):
         assert main(self.ARGS + ["audit", "--json"]) == 0
@@ -176,6 +183,9 @@ class TestSweepCli:
         assert main(["sweep", "report", str(spec_file)]) == 0
         out = capsys.readouterr().out
         assert "Sweep report" in out and "fig4: 2 job(s)" in out
+        for finding in REGISTRY["fig4"].findings:  # "<id>  <k>/2 held  measured ..."
+            lines = [line.split() for line in out.splitlines()]
+            assert [words[2] for words in lines if words[:1] == [finding.id]] == ["held"]
 
     def test_report_before_run_flags_missing(self, capsys, spec_file):
         assert main(["sweep", "report", str(spec_file)]) == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.impact import preference_scores, rpki_saturation
+from repro.core.impact import irr_coverage, preference_scores, rpki_saturation
 from repro.core.stability import (
     StabilityClass,
     conformance_stability,
@@ -137,3 +137,7 @@ class TestSaturation:
         assert 0 <= manrs_report.saturation <= 100
         assert 0 <= other_report.saturation <= 100
         assert manrs_report.covered_space <= manrs_report.routed_space
+
+    def test_irr_coverage_bounds(self, small_world):
+        for report in irr_coverage(small_world.prefix2as, small_world.irr, small_world.members()):
+            assert 0 <= report.saturation <= 100

@@ -286,6 +286,18 @@ class TestRunJob:
         spec = REGISTRY["fig4"]
         expected = spec.render(spec.run(world_cache(SCALE, 1)))
         assert payload["fig4"]["text"] == expected
+        findings = payload["fig4"]["findings"]
+        assert list(findings) == [finding.id for finding in spec.findings]
+        assert json.loads(json.dumps(findings)) == findings
+
+    def test_payload_without_findings_reads_as_none(self):
+        jobs = [job for job in grid_spec().expand() if job.experiments == ("fig4",)][:2]
+        old = {"fig4": {"text": "t", "sha256": "s"}}
+        new = {"fig4": {**old["fig4"], "findings": {"fig4.x": {"measured": 1.5, "passed": True}}}}
+        aggregated = aggregate(jobs, {jobs[0].job_id: old, jobs[1].job_id: new})
+        (group,) = aggregated["experiments"]["fig4"]["groups"].values()
+        assert group["findings"] == {"fig4.x": {"passed": 1, "measured": [1.5]}}
+        assert "fig4.x  1/1 held  measured 1.500" in render_report(aggregated)
 
     def test_empty_experiments_means_all(self):
         job = Job(
