@@ -17,8 +17,10 @@ Usage::
 
 For each world point the script prints which per-artifact digests
 changed relative to the committed file, e.g.
-``scale=0.12 seed=11 world=... changed: ihr, rib``, and likewise which
-replay checkpoints and which renders changed.
+``scale=0.12 seed=11 world=... changed: ihr, rib``, then, each on its
+own line, the entries the new digests drop (``removed: asrank``) or
+add (``added: ...``); likewise for the replay checkpoints and the
+renders.
 """
 
 from __future__ import annotations
@@ -128,13 +130,24 @@ def render_entry() -> dict:
 
 
 def _changed(before: dict, after: dict) -> str:
-    """Which artifacts' digests moved from ``before`` to ``after``."""
-    names = sorted(
-        name
-        for name in before.keys() | after.keys()
-        if before.get(name) != after.get(name)
-    )
-    return f"changed: {', '.join(names)}" if names else "unchanged"
+    """Which digests moved from ``before`` to ``after``: one line each
+    for the names whose value changed, the names only ``before`` has
+    and the names only ``after`` has, or ``unchanged``."""
+    groups = {
+        "changed": {
+            name
+            for name in before.keys() & after.keys()
+            if before[name] != after[name]
+        },
+        "removed": before.keys() - after.keys(),
+        "added": after.keys() - before.keys(),
+    }
+    lines = [
+        f"{label}: {', '.join(sorted(names))}"
+        for label, names in groups.items()
+        if names
+    ]
+    return "\n".join(lines) or "unchanged"
 
 
 def _committed(path: Path, *keys: str):

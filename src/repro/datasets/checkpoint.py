@@ -31,9 +31,12 @@ parse error logs a warning, discards the entry and reports a miss so the
 caller falls back to a cold build.  A warm-started world is
 digest-identical to a cold build (asserted by ``tests/test_checkpoint``)
 — :func:`dataset_digests` / :func:`world_digest` define that identity.
-The RIB and IHR digests hash the same columns the entry stores (the
-world's own ``rib`` and ``ihr`` columns, written and hashed as they
-are); the other artifacts hash their bundle serialisations.
+The RIB, IHR, IRR and VRP digests hash the same columns the entry
+stores (the world's own ``rib`` and ``ihr`` columns, the IRR route rows
+through the encoder ``save`` writes them with, the VRPs in one canonical
+row order); the AS-to-org map, relationships and participants hash
+their bundle text, and prefix2as and AS rank, which every world derives
+from the RIB and the topology, have no digest of their own.
 
 Hit/miss/corrupt/save counts land in the :mod:`repro.obs` metrics
 registry under ``checkpoint.*``.
@@ -57,26 +60,22 @@ import numpy as np
 
 from repro import config as _config
 from repro import obs
-from repro.bgp.table import serialize_prefix2as
 from repro.datasets.arraystore import ColumnWriter
 from repro.datasets.columnar import LazyWorld, WorldColumns
 from repro.datasets.store import PARTICIPANTS_FILE, RELATIONSHIPS_FILE
 from repro.ihr.records import LEGEND as IHR_LEGEND
 from repro.irr.database import IRRCollection, IRRDatabase
 from repro.irr.objects import AsSetObject, AutNumObject, RouteObject
-from repro.irr.rpsl import serialize_database
 from repro.manrs.actions import Program
 from repro.manrs.registry import serialize_participants
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.registry.allocation import Delegation
 from repro.registry.rir import RIR
-from repro.rpki.archive import serialize_vrps
 from repro.rpki.ca import ResourceCertificate, RPKIRepository
 from repro.rpki.roa import ROA, VRP
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.world import ASBehavior, Origination, World
 from repro.topology.as2org import serialize_as2org
-from repro.topology.asrank import build_asrank, serialize_asrank
 from repro.topology.model import (
     ASCategory,
     ASTopology,
@@ -215,15 +214,6 @@ def _sha256_text(text: str) -> str:
 
 def _sha256_bytes(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
-
-
-def _sha256_chunks(chunks) -> str:
-    """Digest a stream of text pieces: identical to hashing the joined
-    string (UTF-8 encoding concatenates chunk-wise) without holding it."""
-    digest = hashlib.sha256()
-    for chunk in chunks:
-        digest.update(chunk.encode())
-    return digest.hexdigest()
 
 
 def _sha256_file(path: Path, chunk_bytes: int = 1 << 20) -> str:
@@ -485,6 +475,66 @@ def _date_ordinal(value: date | None) -> int:
     return value.toordinal() if value is not None else 0
 
 
+def _vrp_columns(vrps: list[VRP]) -> dict[str, np.ndarray]:
+    """The stored ``vrp_*`` columns of ``vrps``, row for row."""
+    rir_index = {rir: i for i, rir in enumerate(RIR)}
+    return {
+        **prefix_columns("vrp_prefix", [v.prefix for v in vrps]),
+        "vrp_asn": _int_array([v.asn for v in vrps]),
+        "vrp_maxlen": np.asarray(
+            [v.max_length for v in vrps], dtype=np.uint8
+        ),
+        "vrp_ta": np.asarray(
+            [rir_index[v.trust_anchor] for v in vrps], dtype=np.uint8
+        ),
+    }
+
+
+def _irr_routes_payload(
+    irr: IRRCollection,
+) -> tuple[list[dict], dict[str, np.ndarray]]:
+    """The stored route objects of ``irr``: one meta per database, and
+    the ``irr_*`` columns.
+
+    Rows run database by database, each in ``all_routes()`` (address)
+    order, which the rebuild re-inserts to reproduce within-node trie
+    ordering.  A database's meta holds its name, its authoritative RIR
+    and each route's ``[mnt_by, descr]``; the route's source is the
+    database's name.
+    """
+    routes: list[RouteObject] = []
+    offsets = [0]
+    databases = []
+    for database in irr.databases:
+        rows = database.all_routes()
+        routes.extend(rows)
+        offsets.append(len(routes))
+        databases.append(
+            {
+                "name": database.name,
+                "authoritative_for": (
+                    database.authoritative_for.value
+                    if database.authoritative_for is not None
+                    else None
+                ),
+                # Per-row string fields, parallel to the route columns
+                # (route rows duplicate the RPSL dumps of the bundle;
+                # reloading them skips the RPSL parser).
+                "route_strings": [[r.mnt_by, r.descr] for r in rows],
+            }
+        )
+    arrays = {
+        **prefix_columns("irr_prefix", [r.prefix for r in routes]),
+        "irr_origin": _int_array([r.origin for r in routes]),
+        "irr_created": _int_array([_date_ordinal(r.created) for r in routes]),
+        "irr_modified": _int_array(
+            [_date_ordinal(r.last_modified) for r in routes]
+        ),
+        "irr_offsets": _int_array(offsets),
+    }
+    return databases, arrays
+
+
 def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
     """The stored scenario state: JSON meta + flat numpy columns.
 
@@ -492,8 +542,7 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
     IRR route rows) lives in integer columns of the shared ``arrays.npz``;
     the JSON side keeps the strings and small structures.  Row order is
     the respective source iteration order, which the rebuilds replay
-    exactly (IRR rows in particular must re-insert in ``all_routes()``
-    order to reproduce within-node trie ordering).
+    exactly.
     """
     rir_index = {rir: i for i, rir in enumerate(RIR)}
     originations = [
@@ -503,12 +552,29 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
     for rows in world.originations.values():
         orig_offsets.append(orig_offsets[-1] + len(rows))
     delegations = world.address_space.delegations
-    vrps = world.rov.all_vrps()
-    irr_routes: list[RouteObject] = []
-    irr_offsets = [0]
-    for database in world.irr.databases:
-        irr_routes.extend(database.all_routes())
-        irr_offsets.append(len(irr_routes))
+    irr_databases, irr_arrays = _irr_routes_payload(world.irr)
+    for db_meta, database in zip(irr_databases, world.irr.databases):
+        # aut-num and as-set objects, structured (the route dumps in the
+        # dataset bundle carry route objects only, and re-parsing RPSL
+        # text was measurably slow).
+        db_meta["aut_nums"] = [
+            [
+                a.asn,
+                a.as_name,
+                a.source,
+                a.mnt_by,
+                a.admin_c,
+                a.tech_c,
+                list(a.import_lines),
+                list(a.export_lines),
+                a.last_modified.isoformat() if a.last_modified else None,
+            ]
+            for a in database._aut_nums.values()  # noqa: SLF001
+        ]
+        db_meta["as_sets"] = [
+            [s.name, list(s.members), s.source, s.mnt_by]
+            for s in database._as_sets.values()  # noqa: SLF001
+        ]
     meta = {
         "seed": world.seed,
         "scale": world.scale,
@@ -520,51 +586,7 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
             for asn, behavior in world.behaviors.items()
         },
         "delegation_orgs": [d.org_id for d in delegations],
-        "irr_databases": [
-            {
-                "name": database.name,
-                "authoritative_for": (
-                    database.authoritative_for.value
-                    if database.authoritative_for is not None
-                    else None
-                ),
-                # Per-row string fields, parallel to the route columns
-                # in the arrays (route rows duplicate the RPSL dumps in
-                # the bundle; reloading them skips the RPSL parser).
-                "route_strings": [
-                    [route.mnt_by, route.descr]
-                    for route in irr_routes[
-                        irr_offsets[i]:irr_offsets[i + 1]
-                    ]
-                ],
-                # aut-num and as-set objects, structured (the route
-                # dumps in the dataset bundle carry route objects only,
-                # and re-parsing RPSL text was measurably slow).
-                "aut_nums": [
-                    [
-                        a.asn,
-                        a.as_name,
-                        a.source,
-                        a.mnt_by,
-                        a.admin_c,
-                        a.tech_c,
-                        list(a.import_lines),
-                        list(a.export_lines),
-                        (
-                            a.last_modified.isoformat()
-                            if a.last_modified
-                            else None
-                        ),
-                    ]
-                    for a in database._aut_nums.values()  # noqa: SLF001
-                ],
-                "as_sets": [
-                    [s.name, list(s.members), s.source, s.mnt_by]
-                    for s in database._as_sets.values()  # noqa: SLF001
-                ],
-            }
-            for i, database in enumerate(world.irr.databases)
-        ],
+        "irr_databases": irr_databases,
     }
     arrays = {
         "orig_asn": _int_array(list(world.originations)),
@@ -587,23 +609,8 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
         "del_legacy": np.asarray(
             [d.legacy for d in delegations], dtype=np.bool_
         ),
-        **prefix_columns("vrp_prefix", [v.prefix for v in vrps]),
-        "vrp_asn": _int_array([v.asn for v in vrps]),
-        "vrp_maxlen": np.asarray(
-            [v.max_length for v in vrps], dtype=np.uint8
-        ),
-        "vrp_ta": np.asarray(
-            [rir_index[v.trust_anchor] for v in vrps], dtype=np.uint8
-        ),
-        **prefix_columns("irr_prefix", [r.prefix for r in irr_routes]),
-        "irr_origin": _int_array([r.origin for r in irr_routes]),
-        "irr_created": _int_array(
-            [_date_ordinal(r.created) for r in irr_routes]
-        ),
-        "irr_modified": _int_array(
-            [_date_ordinal(r.last_modified) for r in irr_routes]
-        ),
-        "irr_offsets": _int_array(irr_offsets),
+        **_vrp_columns(world.rov.all_vrps()),
+        **irr_arrays,
     }
     return meta, arrays
 
@@ -771,39 +778,65 @@ def _rebuild_irr(meta: dict, arrays) -> IRRCollection:
 # -- world identity digests -------------------------------------------------
 
 
+def _irr_digest(irr: IRRCollection) -> str:
+    """The IRR route objects, hashed as ``save`` encodes them."""
+    databases, arrays = _irr_routes_payload(irr)
+    return _sha256_columns({"irr_databases": databases}, arrays)
+
+
+def _vrps_digest(world: World) -> str:
+    """The VRP set and snapshot date, hashed as stored columns.
+
+    Rows are hashed in one canonical order, by prefix, ASN, max length
+    and trust anchor, so two validators holding the same VRPs in another
+    load order digest equally.
+    """
+    columns = _vrp_columns(world.rov.all_vrps())
+    # np.lexsort sorts by its last key first: the prefix (version, value
+    # halves, length), then ASN, max length and trust anchor.
+    order = np.lexsort(
+        [
+            columns[f"vrp_{key}"]
+            for key in (
+                "ta", "maxlen", "asn",
+                "prefix_len", "prefix_lo", "prefix_hi", "prefix_ver",
+            )
+        ]
+    )
+    meta = {
+        "snapshot_date": world.snapshot_date.isoformat(),
+        "rir_values": [rir.value for rir in RIR],
+    }
+    return _sha256_columns(
+        meta, {name: column[order] for name, column in columns.items()}
+    )
+
+
 def dataset_digests(world: World) -> dict[str, str]:
     """Per-artifact SHA-256 digests of a world.
 
-    The RIB and the IHR tables are hashed as the columns ``world.rib``
-    and ``world.ihr`` hold, whether built or opened, which are the
-    columns a checkpoint entry stores (:func:`_sha256_columns`).  Every
-    other artifact is hashed as
-    rendered by its dataset-bundle serialiser, so two worlds with equal
-    digests export byte-identical files.  This is the identity the
+    The RIB, the IHR tables, the IRR route objects and the VRPs are
+    hashed as the columns a checkpoint entry stores for them
+    (:func:`_sha256_columns`): ``world.rib`` and ``world.ihr`` as they
+    are held, the IRR through the encoder ``save`` writes it with, and
+    the VRPs in one canonical row order beside the snapshot date.  The
+    AS-to-org map, the relationships and the MANRS participants are
+    hashed as their dataset-bundle serialisers render them (the last
+    two are the bytes ``save`` writes).  prefix2as and AS rank have no
+    entry: every world derives them from the RIB and the topology,
+    which the other entries fix.  This is the identity the
     golden-digest suite pins and the warm-equals-cold tests assert.
     """
-    # Each artifact is hashed as soon as it is rendered, so digesting
-    # never holds more than one serialisation resident at a time.
     return {
-        "prefix2as": _sha256_text(serialize_prefix2as(world.prefix2as)),
         "as2org": _sha256_text(serialize_as2org(world.as2org)),
         "relationships": _sha256_text(
             serialize_relationships(world.topology)
         ),
-        "vrps": _sha256_text(
-            serialize_vrps(world.rov.all_vrps(), world.snapshot_date)
-        ),
+        "vrps": _vrps_digest(world),
         "participants": _sha256_text(
             serialize_participants(world.manrs)
         ),
-        "asrank": _sha256_text(
-            serialize_asrank(build_asrank(world.topology))
-        ),
-        "irr": _sha256_chunks(
-            f"% {database.name}\n"
-            + serialize_database(list(database.all_routes()))
-            for database in world.irr.databases
-        ),
+        "irr": _irr_digest(world.irr),
         "rib": _sha256_columns(world.rib.meta, world.rib.arrays),
         "ihr": _sha256_columns(world.ihr.meta, world.ihr.arrays),
     }

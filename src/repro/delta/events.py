@@ -134,16 +134,15 @@ Event = Union[
 
 
 def _clone_irr(irr: IRRCollection) -> IRRCollection:
-    """An independent IRR collection with equal serialised form.
+    """An independent IRR collection with equal stored form.
 
-    Each database's trie is rebuilt from the source's ``items()``
-    stream, which walks it in address order, the order ``insert_sorted``
-    takes, as a checkpoint restore rebuilds a registry.  The copy keeps
-    every node's value order, so ``all_routes()`` yields the source's
-    route objects in the source's order, and no route waits in the
-    pending list for the first query to sort and flush it.  The
-    mutation counter is the route count, as if each had been added
-    once.
+    Each database's trie is copied node for node
+    (:meth:`RadixTree.copy`), so every node keeps its value order,
+    ``all_routes()`` yields the source's route objects in the source's
+    order, and no route waits in the pending list for the first query
+    to sort and flush it.  The route objects are shared: they are
+    frozen, and events add or remove whole objects.  The mutation
+    counter is the route count, as if each had been added once.
     """
     clone = IRRCollection()
     for database in irr.databases:
@@ -152,7 +151,7 @@ def _clone_irr(irr: IRRCollection) -> IRRCollection:
         )
         database._flush_routes()  # noqa: SLF001
         with obs.gc_paused():
-            copy._routes.insert_sorted(database._routes.items())  # noqa: SLF001
+            copy._routes = database._routes.copy()  # noqa: SLF001
         copy._version = len(copy._routes)  # noqa: SLF001
         copy._aut_nums = dict(database._aut_nums)  # noqa: SLF001
         copy._as_sets = dict(database._as_sets)  # noqa: SLF001

@@ -31,7 +31,6 @@ class PopulationModes:
     only_rpki_valid: float     # fraction of ASes with 100% RPKI Valid
     no_rpki_valid: float       # fraction with 0% RPKI Valid
     originates_rpki_invalid: float
-    only_irr_valid: float
     irr_only_registration: float
 
 
@@ -61,7 +60,7 @@ def run(world: World) -> Fig5Result:
     for population, stats_list in grouped.items():
         n = len(stats_list)
         if n == 0:
-            modes[population] = PopulationModes(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            modes[population] = PopulationModes(0, 0.0, 0.0, 0.0, 0.0)
             continue
         modes[population] = PopulationModes(
             n_ases=n,
@@ -69,10 +68,6 @@ def run(world: World) -> Fig5Result:
             no_rpki_valid=sum(s.no_rpki_valid for s in stats_list) / n,
             originates_rpki_invalid=sum(
                 s.rpki_invalid > 0 for s in stats_list
-            )
-            / n,
-            only_irr_valid=sum(
-                s.irr_valid == s.total for s in stats_list
             )
             / n,
             irr_only_registration=sum(

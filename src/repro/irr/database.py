@@ -123,13 +123,12 @@ class IRRDatabase:
     def all_routes(self) -> list[RouteObject]:
         """Every route object, in address order."""
         self._flush_routes()
-        return [route for _, route in self._routes.items()]
+        return self._routes.values()
 
     def iter_route_objects(self) -> Iterable[RouteObject]:
         """Every route object in arbitrary order, without forcing the
         pending backlog into the trie (bulk kernels don't need it)."""
-        for _, route in self._routes.items():
-            yield route
+        yield from self._routes.values()
         for _, route in self._pending_routes:
             yield route
 

@@ -13,7 +13,7 @@ key bits never collide.
 
 from __future__ import annotations
 
-from typing import Generic, Iterable, Iterator, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 from repro.net.prefix import Prefix
 
@@ -116,6 +116,34 @@ class RadixTree(Generic[V]):
             self._size += 1
             prev_value = address
             prev_length = length
+
+    def copy(self) -> "RadixTree[V]":
+        """An independent trie with the same nodes and per-node values.
+
+        Built node for node (empty interior nodes included), each node's
+        value list copied, so the copy lists the source's values in the
+        source's order and editing either trie leaves the other as it
+        was.  The values themselves are shared.  Unlike re-inserting
+        every value, no :class:`Prefix` is built and no path re-walked.
+        """
+        clone: RadixTree[V] = RadixTree()
+        stack = [
+            (root, clone._roots[version])
+            for version, root in self._roots.items()
+        ]
+        while stack:
+            node, twin = stack.pop()
+            if node.values is not None:
+                twin.values = node.values.copy()
+            zero, one = node.children
+            if zero is not None:
+                copied = twin.children[0] = _Node()
+                stack.append((zero, copied))
+            if one is not None:
+                copied = twin.children[1] = _Node()
+                stack.append((one, copied))
+        clone._size = self._size
+        return clone
 
     def remove(self, prefix: Prefix, value: V) -> bool:
         """Remove one occurrence of ``value`` at ``prefix``.
@@ -241,27 +269,25 @@ class RadixTree(Generic[V]):
                 return False
         return bool(node.values)
 
-    def items(self) -> Iterator[tuple[Prefix, V]]:
-        """Iterate over every (prefix, value) pair in address order.
+    def values(self) -> list[V]:
+        """Every stored value, in address order.
 
         A pre-order walk, 0-child first, with each node's values in
-        insertion order: ascending ``(version, value, length)``, ties in
-        insertion order.  An explicit stack keeps the per-item cost flat
-        (nested generators would re-yield each item once per trie
-        level), and each node's prefix is built once, unchecked, from
-        the bits that led to it.
+        insertion order: ascending ``(version, value, length)`` of the
+        prefixes, ties in insertion order (the order
+        :meth:`insert_sorted` takes).  No :class:`Prefix` is built;
+        callers store values that carry their own prefix.
         """
-        trusted = Prefix._from_trusted  # noqa: SLF001 - bits are a valid prefix
-        for version, bits in ((4, 32), (6, 128)):
-            stack = [(self._roots[version], 0, 0)]
+        found: list[V] = []
+        for version in (4, 6):
+            stack = [self._roots[version]]
             while stack:
-                node, value, depth = stack.pop()
+                node = stack.pop()
                 if node.values:
-                    prefix = trusted(value << (bits - depth), depth, version)
-                    for stored in node.values:
-                        yield prefix, stored
+                    found.extend(node.values)
                 zero, one = node.children
                 if one is not None:
-                    stack.append((one, (value << 1) | 1, depth + 1))
+                    stack.append(one)
                 if zero is not None:
-                    stack.append((zero, value << 1, depth + 1))
+                    stack.append(zero)
+        return found

@@ -4,8 +4,8 @@ The contract under test (DESIGN §10): a world loaded from a checkpoint
 is *digest-identical* to the cold build that produced it, and any
 corrupt, tampered, schema-skewed or legend-skewed entry is discarded
 with a warning — never surfaced to a caller.  The digest itself must see
-every element of the RIB and IHR columns it hashes: changing any single
-one moves it.
+every element of the RIB, IHR, IRR and VRP columns it hashes: changing
+any single one moves it.
 """
 
 from __future__ import annotations
@@ -33,9 +33,12 @@ from repro.datasets.checkpoint import (
     default_store,
     world_digest,
 )
+from repro.delta.events import _clone_irr
 from repro.experiments import common
 from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
+from repro.registry.rir import RIR
+from repro.rpki.rov import ROVValidator
 from repro.scenario.build import build_world
 from repro.scenario.config import ScenarioConfig
 
@@ -132,7 +135,6 @@ class TestWarmEqualsCold:
         from datetime import date
 
         from repro.errors import AllocationError
-        from repro.registry.rir import RIR
 
         store, _ = saved
         warm = store.load(
@@ -142,11 +144,15 @@ class TestWarmEqualsCold:
             warm.address_space.allocate(RIR.RIPE, 24, "ORG-X", date(2022, 1, 1))
 
 
-# -- single-element mutations move the rib/ihr digests -----------------------
+# -- single-element mutations move the artifact digests ----------------------
 
 
 def _index(draw, items) -> int:
     return draw(st.integers(min_value=0, max_value=len(items) - 1))
+
+
+def _draw(draw, items):
+    return items[_index(draw, items)]
 
 
 def _bump(draw, value: int) -> int:
@@ -375,7 +381,126 @@ def _rib_group_order(world, draw):
     return _columns_with(world, "rib", **moved)
 
 
-#: One mutator per kind of RIB/IHR element: each returns the artifact it
+def _irr_routes(irr):
+    """``(database, route)`` for every stored route object."""
+    return [
+        (database, route)
+        for database in irr.databases
+        for route in database.all_routes()
+    ]
+
+
+def _node_values(database, prefix):
+    """The value list of the trie node at ``prefix``, edited in place."""
+    node = database._routes._roots[prefix.version]
+    for i in range(prefix.length):
+        node = node.children[prefix.bit_at(i)]
+    return node.values
+
+
+def _irr_route_edit(change):
+    """Mutator: one drawn route object becomes ``change`` of it, in the
+    same database and at the same place in its trie node."""
+
+    def mutate(world, draw):
+        irr = _clone_irr(world.irr)
+        database, route = _draw(draw, _irr_routes(irr))
+        values = _node_values(database, route.prefix)
+        values[values.index(route)] = change(route, draw)
+        return "irr", replace(world, irr=irr)
+
+    return mutate
+
+
+def _route_field(field, strategy):
+    """A change of one route field to another value drawn from
+    ``strategy``."""
+
+    def change(route, draw):
+        current = getattr(route, field)
+        return replace(
+            route, **{field: draw(strategy.filter(lambda v: v != current))}
+        )
+
+    return change
+
+
+_MAYBE_DATE = st.one_of(st.none(), st.dates())
+
+
+def _irr_route_prefix(world, draw):
+    """Mutator: one route object moves to another network of its
+    length."""
+    irr = _clone_irr(world.irr)
+    database, route = _draw(draw, _irr_routes(irr))
+    prefix = _prefix_network(route.prefix, draw)
+    database._routes.remove(route.prefix, route)
+    database._routes.insert(prefix, replace(route, prefix=prefix))
+    return "irr", replace(world, irr=irr)
+
+
+def _irr_node_swap(world, draw):
+    """Mutator: two unequal route objects of one trie node swap
+    places."""
+    irr = _clone_irr(world.irr)
+    crowded = [
+        (database, values)
+        for database in irr.databases
+        for values in (
+            _node_values(database, prefix)
+            for prefix in {route.prefix for route in database.all_routes()}
+        )
+        if len(set(values)) > 1
+    ]
+    database, values = _draw(draw, crowded)
+    i = _index(draw, values)
+    j = _draw(draw, [k for k, other in enumerate(values) if other != values[i]])
+    values[i], values[j] = values[j], values[i]
+    return "irr", replace(world, irr=irr)
+
+
+def _irr_route_database(world, draw):
+    """Mutator: one route object moves to another database."""
+    irr = _clone_irr(world.irr)
+    database, route = _draw(draw, _irr_routes(irr))
+    target = _draw(
+        draw, [other for other in irr.databases if other is not database]
+    )
+    database._routes.remove(route.prefix, route)
+    target._routes.insert(route.prefix, replace(route, source=target.name))
+    return "irr", replace(world, irr=irr)
+
+
+def _vrp_edit(change, eligible=_always):
+    """Mutator: one drawn eligible VRP becomes ``change`` of it."""
+
+    def mutate(world, draw):
+        vrps = world.rov.all_vrps()
+        rows = [row for row, vrp in enumerate(vrps) if eligible(vrp)]
+        row = _draw(draw, rows)
+        vrps[row] = change(vrps[row], draw)
+        return "vrps", replace(world, rov=ROVValidator(vrps))
+
+    return mutate
+
+
+def _vrp_max_length(vrp, draw):
+    lengths = range(vrp.prefix.length, _bits(vrp.prefix) + 1)
+    return replace(
+        vrp, max_length=_other(draw, vrp.max_length, list(lengths))
+    )
+
+
+def _snapshot_date(world, draw):
+    """Mutator: the snapshot date the VRP export is stamped with."""
+    current = world.snapshot_date
+    other = draw(st.dates().filter(lambda day: day != current))
+    return "vrps", replace(
+        world, config=replace(world.config, snapshot_date=other)
+    )
+
+
+#: One mutator per kind of stored element: each returns the artifact it
 #: touched and a world differing from the base in that one element.
 MUTATIONS = {
     "rib-path-hop": _column_edit("rib", "rib_path_values", _bumped_value),
@@ -415,13 +540,58 @@ MUTATIONS = {
     "ihr-hegemony": _column_edit("ihr", "tr_hegemony", _other_hegemony),
     "ihr-from-customer": _column_edit("ihr", "tr_from_customer", _flipped),
     "ihr-transit-group-order": _group_order,
+    "irr-route-prefix": _irr_route_prefix,
+    "irr-route-origin": _irr_route_edit(
+        lambda route, draw: replace(route, origin=_bump(draw, route.origin))
+    ),
+    "irr-route-mnt-by": _irr_route_edit(_route_field("mnt_by", st.text())),
+    "irr-route-descr": _irr_route_edit(_route_field("descr", st.text())),
+    "irr-route-created": _irr_route_edit(_route_field("created", _MAYBE_DATE)),
+    "irr-route-last-modified": _irr_route_edit(
+        _route_field("last_modified", _MAYBE_DATE)
+    ),
+    "irr-node-order": _irr_node_swap,
+    "irr-route-database": _irr_route_database,
+    "vrp-prefix": _vrp_edit(
+        lambda vrp, draw: replace(
+            vrp, prefix=_prefix_network(vrp.prefix, draw)
+        )
+    ),
+    "vrp-asn": _vrp_edit(
+        lambda vrp, draw: replace(vrp, asn=_bump(draw, vrp.asn))
+    ),
+    "vrp-max-length": _vrp_edit(
+        _vrp_max_length,
+        lambda vrp: vrp.prefix.length < _bits(vrp.prefix),
+    ),
+    "vrp-trust-anchor": _vrp_edit(
+        lambda vrp, draw: replace(
+            vrp, trust_anchor=_other(draw, vrp.trust_anchor, list(RIR))
+        )
+    ),
+    "vrp-snapshot-date": _snapshot_date,
 }
+
+
+def _crowded(world):
+    """``world`` with one IRR trie node holding two route objects and
+    one prefix holding two VRPs, which no built world has: equal keys
+    are where a stored order could leak into the digest."""
+    irr = _clone_irr(world.irr)
+    database, route = _irr_routes(irr)[0]
+    database._routes.insert(
+        route.prefix, replace(route, origin=route.origin + 1, descr="twin")
+    )
+    vrps = world.rov.all_vrps()
+    twin = replace(vrps[0], asn=vrps[0].asn + 1)
+    return replace(world, irr=irr, rov=ROVValidator([*vrps, twin]))
 
 
 @pytest.fixture(scope="module")
 def digested_world():
-    """A tiny world with its per-artifact and world digests."""
-    world = build_world(scale=0.05, seed=3)
+    """A tiny world, crowded (:func:`_crowded`), with its per-artifact
+    and world digests."""
+    world = _crowded(build_world(scale=0.05, seed=3))
     return world, dataset_digests(world), world_digest(world)
 
 
@@ -440,6 +610,53 @@ class TestDigestMutations:
             name for name in digests if changed[name] != digests[name]
         } == {artifact}
         assert world_digest(mutated) != digest
+
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_vrp_load_order_leaves_the_digest(self, digested_world, data):
+        world, digests, _ = digested_world
+        vrps = world.rov.all_vrps()
+        order = data.draw(st.sampled_from([vrps[::-1]]) | st.permutations(vrps))
+        permuted = replace(world, rov=ROVValidator(order))
+        assert dataset_digests(permuted) == digests
+
+    def test_digest_renders_no_bundle_text(self, digested_world, monkeypatch):
+        """The digest hashes columns: it calls none of the IRR, VRP,
+        prefix2as or AS-rank bundle serialisers, wherever imported."""
+        import sys
+
+        from repro.bgp.table import serialize_prefix2as
+        from repro.irr.rpsl import serialize_database
+        from repro.rpki.archive import serialize_vrps
+        from repro.topology.asrank import serialize_asrank
+
+        called = []
+
+        def spy(name):
+            def serialiser(*args, **kwargs):
+                called.append(name)
+                raise AssertionError(f"the digest rendered {name}")
+
+            return serialiser
+
+        spies = {
+            id(function): spy(function.__name__)
+            for function in (
+                serialize_database,
+                serialize_vrps,
+                serialize_prefix2as,
+                serialize_asrank,
+            )
+        }
+        for module in list(sys.modules.values()):
+            if not getattr(module, "__name__", "").startswith("repro"):
+                continue
+            for attribute, value in list(vars(module).items()):
+                if id(value) in spies:
+                    monkeypatch.setattr(module, attribute, spies[id(value)])
+        world, _, digest = digested_world
+        assert world_digest(world) == digest
+        assert called == []
 
     @pytest.mark.parametrize(
         "artifact, stored", [("rib", _rib_arrays), ("ihr", _ihr_arrays)]

@@ -2,9 +2,35 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets.store import export_world, load_bundle
+from repro.datasets.store import IRR_SUFFIX, export_world, load_bundle
+
+#: SHA-256 of each file ``export_world`` writes for ``small_world``
+#: (0.12, 11).  The six non-IRR values are the text digests the world
+#: digest pinned for those datasets before it hashed columns.
+EXPORT_DIGESTS = {
+    "prefix2as.txt": "37f5d0a09431fa934248356709f8616b302669c30e72d3175fa5bd6ebdb6d1a9",
+    "as-rank.txt": "6ca152e029eff49c66d23633ddd0dcb5ab65e0c076c8f6d196012ebec5a3bf30",
+    "vrps.csv": "087e0385fd7d4e008aeae0fe3f06449274c1d7f42e30f77ede9d6061bc5759e9",
+    "as2org.txt": "fc01bf6331ec8105431ca09e7c9a62a3ac65564b2552691c1cc6c3469c284307",
+    "as-rel.txt": "d311c0571f86510fc217b9e30028dfa82518c6bff11c50c956926778873970fd",
+    "manrs-participants.csv": "171991b80dc8a4d8c6be109c45c32ac92adee165b79cb5378026f1909c436090",
+    "arin.irr.txt": "afb1fa40bc1eaa10413879dfc4a52e0627c3618aa61aa9bcce1c8e475d9b4613",
+    "ripe.irr.txt": "df8f46c645235bfdd16aac452d97febd25b1ddefe5cec0b7324ac737b0dc575d",
+    "apnic.irr.txt": "3b7341d89b62a115b843064a3e098491f4ff3674605565afe541bbce02a1d508",
+    "lacnic.irr.txt": "30f1aba1621374c9de3b7117c4da6c77f75a45d440822ab30abe8f5f2bf1d672",
+    "afrinic.irr.txt": "6ac459d220c2cc260c74b69211e3a9d6040dd95f729a202f9f2b5658214e3312",
+    "radb.irr.txt": "c227b40bd1cae6ab0e2c5e9b0d38952b178d3290c661fb94c1d33330bb12cd0d",
+}
+
+#: The IRR dumps of the same export joined as the world digest once
+#: hashed them: ``% NAME`` and the dump, database by database.
+JOINED_IRR_DIGEST = (
+    "2f546b19280cc56399f5520a268d5492234beb800d021dbfccce9db28ab934dc"
+)
 
 
 class TestExportImport:
@@ -28,6 +54,19 @@ class TestExportImport:
         assert "vrps.csv" in names
         assert "manrs-participants.csv" in names
         assert any(name.endswith(".irr.txt") for name in names)
+
+    def test_exported_files_match_pins(self, small_world, tmp_path):
+        export_world(small_world, tmp_path)
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert written == EXPORT_DIGESTS
+        joined = hashlib.sha256()
+        for database in small_world.irr.databases:
+            dump = tmp_path / f"{database.name.lower()}{IRR_SUFFIX}"
+            joined.update(f"% {database.name}\n".encode() + dump.read_bytes())
+        assert joined.hexdigest() == JOINED_IRR_DIGEST
 
     def test_reloaded_data_reproduces_validation(self, small_world, tmp_path):
         """Running ROV off the exported VRP file gives the same statuses

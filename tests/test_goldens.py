@@ -1,9 +1,13 @@
 """Golden-digest regression suite.
 
 Pins :func:`~repro.datasets.checkpoint.dataset_digests` at the
-(scale, seed) points ``scripts/update_goldens.py`` lists.  Any change to world construction or dataset
-serialisation — intended or not — shows up here as a named per-dataset
-drift, not a silent behaviour change.  Regenerate the goldens with
+(scale, seed) points ``scripts/update_goldens.py`` lists.  The RIB,
+IHR, IRR and VRP entries hash stored columns, and the as2org,
+relationships and participants entries their bundle text, so any change
+to world construction or to the stored form — intended or not — shows
+up here as a named per-dataset drift, not a silent behaviour change.
+The exported bundle's files, prefix2as and AS rank among them, are
+pinned by ``tests/test_datasets.py``.  Regenerate the goldens with
 ``PYTHONPATH=src python scripts/update_goldens.py`` only when the drift
 is intended, and justify it in the commit message.
 """

@@ -85,10 +85,10 @@ class TestBasics:
 
     def test_items_in_address_order(self):
         tree: RadixTree[str] = RadixTree()
-        tree.insert(_p("11.0.0.0/8"), "b")
-        tree.insert(_p("10.0.0.0/8"), "a")
-        tree.insert(_p("2001:db8::/32"), "c")
-        assert [str(p) for p, _ in tree.items()] == [
+        tree.insert(_p("11.0.0.0/8"), "11.0.0.0/8")
+        tree.insert(_p("10.0.0.0/8"), "10.0.0.0/8")
+        tree.insert(_p("2001:db8::/32"), "2001:db8::/32")
+        assert tree.values() == [
             "10.0.0.0/8",
             "11.0.0.0/8",
             "2001:db8::/32",
@@ -157,13 +157,57 @@ crowded_strategy = st.builds(
     )
 )
 def test_items_roundtrip(stored):
-    """``items()`` is the stable ``(version, value, length)`` sort of the
-    insertion pairs: address order, equal prefixes in insertion order."""
+    """``values()`` is the stable ``(version, value, length)`` sort of the
+    inserted values: address order, equal prefixes in insertion order."""
     tree: RadixTree[int] = RadixTree()
     for index, prefix in enumerate(stored):
         tree.insert(prefix, index)
     expected = sorted(
-        zip(stored, range(len(stored))),
-        key=lambda item: (item[0].version, item[0].value, item[0].length),
+        range(len(stored)),
+        key=lambda index: (
+            stored[index].version,
+            stored[index].value,
+            stored[index].length,
+        ),
     )
-    assert list(tree.items()) == expected
+    assert tree.values() == expected
+
+
+@given(
+    st.lists(
+        st.one_of(prefix_strategy, prefix_v6_strategy, crowded_strategy),
+        min_size=1,
+        max_size=25,
+    ),
+    st.one_of(prefix_strategy, prefix_v6_strategy, crowded_strategy),
+    st.data(),
+)
+def test_copy_is_equal_and_independent(stored, extra, data):
+    """A copy lists the source's values in the source's order (equal
+    prefixes in insertion order included) and holds the same values at
+    each prefix; inserting into or removing from either trie leaves the
+    other as it was."""
+    tree: RadixTree[int] = RadixTree()
+    for index, prefix in enumerate(stored):
+        tree.insert(prefix, index)
+    tree.remove(stored[0], 0)  # leaves an emptied node behind
+    keys = [*stored, extra]
+
+    def contents(trie: RadixTree[int]):
+        return trie.values(), [trie.search_exact(key) for key in keys]
+
+    before = contents(tree)
+    copy = tree.copy()
+    assert contents(copy) == before
+    assert len(copy) == len(tree)
+
+    kept = before[0]
+    copy.insert(extra, -1)
+    if kept:
+        victim = data.draw(st.sampled_from(kept))
+        assert copy.remove(stored[victim], victim)
+    assert contents(tree) == before
+    assert len(tree) == len(kept)
+
+    tree.insert(extra, -2)
+    assert -2 not in copy.values()
