@@ -4,8 +4,8 @@ The paper focuses on the ISP and CDN programs and leaves the MANRS IXP
 program to future work (§12); §2.2 notes that IXPs use ``as-set`` objects
 to decide which announcements to accept.  This module implements that: a
 route server builds, per member, a prefix filter from the member's own
-route objects plus its customer ``as-set`` (via
-:func:`repro.irr.filtergen.build_prefix_filter` semantics) and drops
+route objects plus its customer ``as-set`` (through
+:func:`repro.irr.filtergen.origin_filter`) and drops
 everything else — the IXP program's equivalent of Action 1.
 
 Route servers at large IXPs increasingly run ROV on top of (or instead
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.bgp.announcement import Announcement
 from repro.irr.asset import expand_as_set
 from repro.irr.database import IRRCollection, IRRDatabase
-from repro.irr.filtergen import FilterEntry, PrefixFilter
+from repro.irr.filtergen import PrefixFilter, origin_filter
 
 if TYPE_CHECKING:
     from repro.rpki.rov import ROVValidator
@@ -96,7 +96,6 @@ class RouteServer:
         self._irr_filtering = irr_filtering
         self._filters: dict[int, PrefixFilter] = {}
         self._allowed_origins: dict[int, frozenset[int]] = {}
-        self._routes_index: dict[int, list] | None = None
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -111,25 +110,7 @@ class RouteServer:
         origins = {member} | set(
             expand_as_set(self._irr, f"AS-{member}-CUSTOMERS")
         )
-        entries: list[FilterEntry] = []
-        seen: set[tuple[object, int]] = set()
-        for origin in sorted(origins):
-            for route_object in self._routes_by_origin().get(origin, ()):
-                key = (route_object.prefix, origin)
-                if key in seen:
-                    continue
-                seen.add(key)
-                prefix = route_object.prefix
-                if prefix.version == 4:
-                    max_length = max(prefix.length, self._upto)
-                else:
-                    max_length = min(prefix.length + 8, 48)
-                entries.append(
-                    FilterEntry(
-                        prefix=prefix, max_length=max_length, origin=origin
-                    )
-                )
-        prefix_filter = PrefixFilter(entries)
+        prefix_filter = origin_filter(self._irr, origins, self._upto)
         self._filters[member] = prefix_filter
         self._allowed_origins[member] = frozenset(origins)
         return prefix_filter
@@ -185,19 +166,3 @@ class RouteServer:
         for member, announcement in batch:
             report.verdicts.append(self.evaluate(member, announcement))
         return report
-
-    def _routes_by_origin(self):
-        if self._routes_index is None:
-            databases = (
-                self._irr.databases
-                if isinstance(self._irr, IRRCollection)
-                else [self._irr]
-            )
-            index: dict[int, list] = {}
-            for database in databases:
-                for route_object in database.all_routes():
-                    index.setdefault(route_object.origin, []).append(
-                        route_object
-                    )
-            self._routes_index = index
-        return self._routes_index

@@ -64,12 +64,17 @@ def attribute_unconformant(
     asn_set = set(asns)
     rpki_invalid = rpki_sibling_cp = rpki_unrelated = 0
     irr_invalid = irr_sibling_cp = irr_unrelated = 0
-    records = (
-        record for asn in sorted(asn_set) for record in dataset.records_of(asn)
+    records = [
+        record
+        for asn in sorted(asn_set)
+        for record in dataset.records_of(asn)
+        if is_unconformant(record.rpki, record.irr)
+    ]
+    # The IRR-attributed records' covering route objects, in one lookup.
+    covering = irr.routes_covering_many(
+        record.prefix for record in records if not record.rpki.is_invalid
     )
     for record in records:
-        if not is_unconformant(record.rpki, record.irr):
-            continue
         if record.rpki.is_invalid:
             registered = {
                 vrp.asn
@@ -85,7 +90,7 @@ def attribute_unconformant(
             # RPKI NotFound and IRR Invalid: attribute via route objects.
             registered = {
                 obj.origin
-                for obj in irr.routes_covering(record.prefix)
+                for obj in covering[record.prefix]
                 if obj.origin != record.origin
             }
             irr_invalid += 1

@@ -19,8 +19,12 @@ import numpy as np
 from repro.bgp.table import Prefix2AS
 from repro.ihr.records import RPKI_STATUSES, IHRDataset
 from repro.irr.database import IRRCollection, IRRDatabase
-from repro.kernels.intervals import _sorted_contains, union_address_count
-from repro.net.prefix import Prefix, aggregate_address_count
+from repro.irr.validation import interval_index
+from repro.kernels.intervals import (
+    RouteIntervalIndex,
+    _sorted_contains,
+    union_address_count,
+)
 from repro.rpki.rov import ROVValidator, RPKIStatus
 
 __all__ = [
@@ -53,19 +57,39 @@ def rpki_saturation(
     rov: ROVValidator,
     member_asns: frozenset[int],
 ) -> tuple[SaturationReport, SaturationReport]:
-    """(MANRS, non-MANRS) saturation over the routed IPv4 table.
+    """(MANRS, non-MANRS) saturation over the routed IPv4 table."""
+    return _coverage(prefix2as, rov.interval_index(), member_asns)
+
+
+def irr_coverage(
+    prefix2as: Prefix2AS,
+    irr: IRRCollection | IRRDatabase,
+    member_asns: frozenset[int],
+) -> tuple[SaturationReport, SaturationReport]:
+    """Like :func:`rpki_saturation` but for IRR route-object coverage
+    (the §8.6 comparison: 95.0% of MANRS vs 84.6% of non-MANRS space)."""
+    return _coverage(prefix2as, interval_index(irr), member_asns)
+
+
+def _coverage(
+    prefix2as: Prefix2AS,
+    index: RouteIntervalIndex,
+    member_asns: frozenset[int],
+) -> tuple[SaturationReport, SaturationReport]:
+    """(MANRS, non-MANRS) routed v4 space and the part ``index`` covers.
 
     Columnar: per-population sweeps over presorted rows.  The
     routed/covered address counts are unions of integer intervals, so
     they only depend on which rows each population selects, not on
     bucket assembly order — the presorted columns plus boolean masks
-    yield the exact integers of the per-prefix bucket loop
-    ``tests/test_kernels.py`` keeps as the oracle.
+    yield the exact integers of the per-prefix bucket loops
+    ``tests/test_kernels.py`` and ``tests/test_core_analyses.py`` keep
+    as the oracles.
     """
     cols = prefix2as.v4_columns()
-    covered = rov.interval_index().covers_v4(
-        cols.unique_values, cols.unique_lengths
-    )[cols.unique_inverse]
+    covered = index.covers_v4(cols.unique_values, cols.unique_lengths)[
+        cols.unique_inverse
+    ]
     members = np.array(sorted(member_asns), dtype=np.int64)
     member_rows = _sorted_contains(members, cols.origins)
     reports = []
@@ -82,29 +106,6 @@ def rpki_saturation(
             )
         )
     return reports[0], reports[1]
-
-
-def irr_coverage(
-    prefix2as: Prefix2AS,
-    irr: IRRCollection | IRRDatabase,
-    member_asns: frozenset[int],
-) -> tuple[SaturationReport, SaturationReport]:
-    """Like :func:`rpki_saturation` but for IRR route-object coverage
-    (the §8.6 comparison: 95.0% of MANRS vs 84.6% of non-MANRS space)."""
-    member_prefixes: list[Prefix] = []
-    other_prefixes: list[Prefix] = []
-    for asn in prefix2as.origin_asns:
-        bucket = member_prefixes if asn in member_asns else other_prefixes
-        bucket.extend(p for p in prefix2as.prefixes_of(asn) if p.version == 4)
-
-    def coverage_of(prefixes: list[Prefix]) -> SaturationReport:
-        covered = [p for p in prefixes if irr.routes_covering(p)]
-        return SaturationReport(
-            routed_space=aggregate_address_count(prefixes),
-            covered_space=aggregate_address_count(covered),
-        )
-
-    return coverage_of(member_prefixes), coverage_of(other_prefixes)
 
 
 def preference_scores(

@@ -32,11 +32,11 @@ caller falls back to a cold build.  A warm-started world is
 digest-identical to a cold build (asserted by ``tests/test_checkpoint``)
 — :func:`dataset_digests` / :func:`world_digest` define that identity.
 The RIB, IHR, IRR and VRP digests hash the same columns the entry
-stores (the world's own ``rib`` and ``ihr`` columns, the IRR route rows
-through the encoder ``save`` writes them with, the VRPs in one canonical
-row order); the AS-to-org map, relationships and participants hash
-their bundle text, and prefix2as and AS rank, which every world derives
-from the RIB and the topology, have no digest of their own.
+stores (the world's own ``rib`` and ``ihr`` columns and IRR route rows
+as it holds them, the VRPs in one canonical row order); the AS-to-org
+map, relationships and participants hash their bundle text, and
+prefix2as and AS rank, which every world derives from the RIB and the
+topology, have no digest of their own.
 
 Hit/miss/corrupt/save counts land in the :mod:`repro.obs` metrics
 registry under ``checkpoint.*``.
@@ -64,8 +64,13 @@ from repro.datasets.arraystore import ColumnWriter
 from repro.datasets.columnar import LazyWorld, WorldColumns
 from repro.datasets.store import PARTICIPANTS_FILE, RELATIONSHIPS_FILE
 from repro.ihr.records import LEGEND as IHR_LEGEND
-from repro.irr.database import IRRCollection, IRRDatabase
-from repro.irr.objects import AsSetObject, AutNumObject, RouteObject
+from repro.irr.database import (
+    ROUTE_COLUMNS,
+    IRRCollection,
+    IRRDatabase,
+    route_columns,
+)
+from repro.irr.objects import AsSetObject, AutNumObject
 from repro.manrs.actions import Program
 from repro.manrs.registry import serialize_participants
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
@@ -496,19 +501,16 @@ def _irr_routes_payload(
     """The stored route objects of ``irr``: one meta per database, and
     the ``irr_*`` columns.
 
-    Rows run database by database, each in ``all_routes()`` (address)
-    order, which the rebuild re-inserts to reproduce within-node trie
-    ordering.  A database's meta holds its name, its authoritative RIR
-    and each route's ``[mnt_by, descr]``; the route's source is the
-    database's name.
+    Rows run database by database, each as the database holds them
+    (address order, equal prefixes in insertion order).  A database's
+    meta holds its name, its authoritative RIR and each route's
+    ``[mnt_by, descr]``; the route's source is the database's name.
     """
-    routes: list[RouteObject] = []
-    offsets = [0]
     databases = []
+    offsets = [0]
     for database in irr.databases:
-        rows = database.all_routes()
-        routes.extend(rows)
-        offsets.append(len(routes))
+        _, strings = database.stored_rows()
+        offsets.append(offsets[-1] + len(strings))
         databases.append(
             {
                 "name": database.name,
@@ -520,16 +522,11 @@ def _irr_routes_payload(
                 # Per-row string fields, parallel to the route columns
                 # (route rows duplicate the RPSL dumps of the bundle;
                 # reloading them skips the RPSL parser).
-                "route_strings": [[r.mnt_by, r.descr] for r in rows],
+                "route_strings": strings,
             }
         )
     arrays = {
-        **prefix_columns("irr_prefix", [r.prefix for r in routes]),
-        "irr_origin": _int_array([r.origin for r in routes]),
-        "irr_created": _int_array([_date_ordinal(r.created) for r in routes]),
-        "irr_modified": _int_array(
-            [_date_ordinal(r.last_modified) for r in routes]
-        ),
+        **route_columns(irr.databases),
         "irr_offsets": _int_array(offsets),
     }
     return databases, arrays
@@ -684,55 +681,21 @@ def _rebuild_vrps(meta: dict, arrays) -> list[VRP]:
     ]
 
 
-def _rebuild_irr(meta: dict, arrays) -> IRRCollection:
-    prefixes = prefixes_from_columns(arrays, "irr_prefix")
-    origins = arrays["irr_origin"].tolist()
-    created = arrays["irr_created"].tolist()
-    modified = arrays["irr_modified"].tolist()
+def _open_irr(meta: dict, arrays) -> IRRCollection:
+    """The stored IRR: each database holds its slice of the ``irr_*``
+    columns and its route strings as they are; aut-num and as-set
+    objects are decoded."""
     offsets = arrays["irr_offsets"].tolist()
-    from_ordinal = date.fromordinal
     irr = IRRCollection()
     for i, db_meta in enumerate(meta["irr_databases"]):
         authoritative = db_meta["authoritative_for"]
-        name = db_meta["name"]
-        database = IRRDatabase(
-            name,
-            authoritative_for=RIR(authoritative) if authoritative else None,
+        rows = slice(offsets[i], offsets[i + 1])
+        database = IRRDatabase.from_rows(
+            db_meta["name"],
+            RIR(authoritative) if authoritative else None,
+            {name: arrays[name][rows] for name in ROUTE_COLUMNS},
+            db_meta["route_strings"],
         )
-        # Rows are stored in all_routes() (address) order; re-inserting
-        # in that order reproduces the within-node value ordering, so a
-        # re-export of the warm database is byte-identical to the dump.
-        # Inserts go straight into the trie: add_route's source and
-        # authoritative-space checks were already enforced when the cold
-        # build registered these exact routes, and re-running them
-        # dominated warm-start time.  The address ordering also makes
-        # the rows a valid insert_sorted stream.
-        start, end = offsets[i], offsets[i + 1]
-        route_objects = [
-            _replay(
-                RouteObject,
-                {
-                    "prefix": prefixes[j],
-                    "origin": origins[j],
-                    "source": name,
-                    "mnt_by": mnt_by,
-                    "descr": descr,
-                    "created": (
-                        from_ordinal(created[j]) if created[j] else None
-                    ),
-                    "last_modified": (
-                        from_ordinal(modified[j]) if modified[j] else None
-                    ),
-                },
-            )
-            for j, (mnt_by, descr) in zip(
-                range(start, end), db_meta["route_strings"]
-            )
-        ]
-        database._routes.insert_sorted(  # noqa: SLF001
-            (route.prefix, route) for route in route_objects
-        )
-        database._version = end - start  # noqa: SLF001
         for row in db_meta["aut_nums"]:
             (
                 asn,
@@ -779,7 +742,7 @@ def _rebuild_irr(meta: dict, arrays) -> IRRCollection:
 
 
 def _irr_digest(irr: IRRCollection) -> str:
-    """The IRR route objects, hashed as ``save`` encodes them."""
+    """The IRR route rows, hashed as ``save`` writes them."""
     databases, arrays = _irr_routes_payload(irr)
     return _sha256_columns({"irr_databases": databases}, arrays)
 
@@ -817,9 +780,10 @@ def dataset_digests(world: World) -> dict[str, str]:
 
     The RIB, the IHR tables, the IRR route objects and the VRPs are
     hashed as the columns a checkpoint entry stores for them
-    (:func:`_sha256_columns`): ``world.rib`` and ``world.ihr`` as they
-    are held, the IRR through the encoder ``save`` writes it with, and
-    the VRPs in one canonical row order beside the snapshot date.  The
+    (:func:`_sha256_columns`): ``world.rib``, ``world.ihr`` and the IRR
+    databases' route rows as they are held (no row is encoded or
+    decoded), and the VRPs in one canonical row order beside the
+    snapshot date.  The
     AS-to-org map, the relationships and the MANRS participants are
     hashed as their dataset-bundle serialisers render them (the last
     two are the bytes ``save`` writes).  prefix2as and AS rank have no

@@ -9,9 +9,10 @@ materialised lazily, field by field, only where an experiment actually
 touches it.  A consumer that reads nothing but the RIB never allocates a
 single ROA object, and no field decodes the RIB's half-million paths:
 ``rib`` and ``ihr`` wrap their stored columns as they are (they are the
-RIB and the tables), and prefix2as reads the RIB's origin and prefix
-columns alone.  Each field is frozen out of the cyclic GC as it
-materialises.
+RIB and the tables), ``irr``'s databases hold their slices of the
+stored route columns (only aut-num and as-set objects are decoded), and
+prefix2as reads the RIB's origin and prefix columns alone.  Each field
+is frozen out of the cyclic GC as it materialises.
 
 Materialisation is exact: every other field goes through the
 checkpoint's digest-verified ``_rebuild_*`` replay functions, so a fully
@@ -135,7 +136,7 @@ def _materializers() -> dict:
         "rpki_repository": lambda c, w: ckpt._rebuild_rpki(
             c.meta[ckpt.RPKI_FILE], c.arrays
         ),
-        "irr": lambda c, w: ckpt._rebuild_irr(scenario(c), c.arrays),
+        "irr": lambda c, w: ckpt._open_irr(scenario(c), c.arrays),
         "rov": lambda c, w: ROVValidator(
             ckpt._rebuild_vrps(scenario(c), c.arrays)
         ),

@@ -28,10 +28,9 @@ from dataclasses import dataclass, replace
 from datetime import date
 from typing import TYPE_CHECKING, Union
 
-from repro import obs
 from repro.bgp.policy import ASPolicy
 from repro.errors import DatasetError, DeltaError, RPSLError, TopologyError
-from repro.irr.database import IRRCollection, IRRDatabase
+from repro.irr.database import IRRCollection
 from repro.irr.objects import RouteObject
 from repro.manrs.actions import Program
 from repro.manrs.registry import MANRSRegistry, Participant
@@ -136,27 +135,12 @@ Event = Union[
 def _clone_irr(irr: IRRCollection) -> IRRCollection:
     """An independent IRR collection with equal stored form.
 
-    Each database's trie is copied node for node
-    (:meth:`RadixTree.copy`), so every node keeps its value order,
-    ``all_routes()`` yields the source's route objects in the source's
-    order, and no route waits in the pending list for the first query
-    to sort and flush it.  The route objects are shared: they are
-    frozen, and events add or remove whole objects.  The mutation
-    counter is the route count, as if each had been added once.
+    Each database shares the source's route columns and strings, which
+    edits replace instead of writing into (copy-on-write), so cloning
+    copies no row.  The mutation counter is the route count, as if each
+    route had been added once.
     """
-    clone = IRRCollection()
-    for database in irr.databases:
-        copy = IRRDatabase(
-            name=database.name, authoritative_for=database.authoritative_for
-        )
-        database._flush_routes()  # noqa: SLF001
-        with obs.gc_paused():
-            copy._routes = database._routes.copy()  # noqa: SLF001
-        copy._version = len(copy._routes)  # noqa: SLF001
-        copy._aut_nums = dict(database._aut_nums)  # noqa: SLF001
-        copy._as_sets = dict(database._as_sets)  # noqa: SLF001
-        clone.add_database(copy)
-    return clone
+    return IRRCollection(database.copy() for database in irr.databases)
 
 
 @dataclass

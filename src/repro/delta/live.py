@@ -14,8 +14,8 @@ what each event can affect:
   through one full (plan-cached) relying-party run and one multiset
   diff (:func:`~repro.delta.cover.vrp_delta`).
 * **IRR events** re-validate the cover set of the edited object's
-  prefix route by route through the registry's memoised trie path; no
-  registry-wide index is rebuilt.
+  prefix route by route through the registry's memoised covering
+  lookup over its stored columns; no registry-wide index is rebuilt.
 * **Membership events** touch nothing derived (the participants dataset
   serialises straight from the registry).
 * **Topology events** rebuild the propagation engine and mark size
@@ -50,7 +50,7 @@ whose view and prefix set are still the base's
 (:func:`~repro.bgp.collector.splice_rib`) and encodes only the rest.
 The verdict maps start from the base IHR's ``po_rpki``/``po_irr`` rows
 where they line up with the visible RIB rows, so only the routes no
-vantage point saw are validated, route by route.
+vantage point saw are validated, in one bulk pass per registry.
 The result must digest-equal :func:`~repro.delta.rebuild.cold_rebuild`
 of the same events, which runs the builder's own
 :func:`~repro.scenario.build.derive_measurements` — the replay==rebuild
@@ -116,7 +116,7 @@ class LiveWorld:
 
     def __init__(self, base: World):
         # What the live world builds here lives as long as it does and
-        # holds no reference cycle (the registry clone's trie, the route
+        # holds no reference cycle (the registry clone, the route
         # table, the verdict maps and groups), so it is built with the
         # cyclic GC paused and frozen, like a built or reopened world:
         # no later collection re-scans it.
@@ -297,7 +297,7 @@ class LiveWorld:
         """Re-validate the cover set of an edited route object's prefix.
 
         The edit bumped the registry's mutation counter, so its memo
-        starts empty; each covered route walks the registry trie once
+        starts empty; each covered route takes one covering lookup
         (``validate_irr``), and no registry-wide index is rebuilt.
         """
         cover = self._cover.affected([changed_prefix])
@@ -445,7 +445,7 @@ class LiveWorld:
 
         ``_rpki_status`` and ``_irr_status`` are the current verdicts of
         the whole route table, so analyses of the materialised world hit
-        the memos instead of re-walking a trie or re-indexing a registry.
+        the memos instead of re-validating routes or re-indexing a registry.
         Each memo is seeded once per state, never per event.
         """
         if not self._rov_seeded:
@@ -579,9 +579,10 @@ def _base_verdicts(
     irr = dict(
         zip(seen, map(IRR_STATUSES.__getitem__, columns["po_irr"].tolist()))
     )
-    # One memoised trie walk per unseen route: a bulk pass would build a
-    # registry-wide interval index that nothing reads again.
-    irr.update((route, validate_irr(base.irr, *route)) for route in unseen)
+    # One interval-index pass over the registry's stored columns: a
+    # covering lookup per unseen route and database cost more than the
+    # index build.
+    irr.update(validate_irr_many(base.irr, unseen))
     try:
         return (
             {route: rpki[route] for route in routes},

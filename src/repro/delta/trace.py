@@ -131,14 +131,18 @@ class _Synthesizer:
         )
 
     def _route_object_removed(self) -> Event:
-        registered = [
-            route
-            for database in self._state.irr.databases
-            for route in database.all_routes()
-        ]
-        if not registered:
+        # One draw over every route object, database by database in
+        # address order; only the drawn row is decoded.
+        databases = self._state.irr.databases
+        count = sum(database.route_count for database in databases)
+        if not count:
             return self._route_object_added()
-        return RouteObjectRemoved(route=_pick(self._rng, registered))
+        row = int(self._rng.integers(count))
+        for database in databases:
+            if row < database.route_count:
+                break
+            row -= database.route_count
+        return RouteObjectRemoved(route=database.route_at(row))
 
     def _member_joined(self) -> Event:
         topology = self._state.topology

@@ -5,43 +5,129 @@ address space they administer; non-authoritative databases (like RADB)
 accept anything, which is one source of the IRR's accuracy problems
 (§2.2, [20]).  :class:`IRRCollection` aggregates several databases the way
 RADB's mirror list does — queries search every member database.
+
+A database holds its route objects as the columns a checkpoint stores
+them in (:data:`ROUTE_COLUMNS`: the prefix as integers, the origin, the
+created and last-modified dates as ordinals) plus each row's
+``[mnt_by, descr]``, in address order with equal prefixes in insertion
+order.  A reopened world wraps its mapped column slices as they are.
+Edits replace the columns and the string list instead of writing into
+them, so a copy shares them until it is edited (copy-on-write).
+Lookups search a sorted key per row and turn only the rows they return
+into :class:`RouteObject` instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from datetime import date
 from typing import Iterable
+
+import numpy as np
 
 from repro.errors import RPSLError
 from repro.irr.objects import AsSetObject, AutNumObject, RouteObject
-from repro.net.prefix import Prefix
-from repro.net.radix import RadixTree
+from repro.net.prefix import (
+    Prefix,
+    address_key,
+    prefix_columns,
+    prefixes_from_columns,
+)
 from repro.registry.rir import RIR
 
-__all__ = ["IRRDatabase", "IRRCollection"]
+__all__ = ["ROUTE_COLUMNS", "IRRDatabase", "IRRCollection", "route_columns"]
+
+#: The stored route columns, in the order a checkpoint writes them.
+ROUTE_COLUMNS = (
+    "irr_prefix_hi",
+    "irr_prefix_lo",
+    "irr_prefix_len",
+    "irr_prefix_ver",
+    "irr_origin",
+    "irr_created",
+    "irr_modified",
+)
 
 
-@dataclass
+def _ordinal(day: date | None) -> int:
+    """Dates as proleptic-Gregorian ordinals; 0 encodes ``None``."""
+    return day.toordinal() if day is not None else 0
+
+
+def _encode(routes: list[RouteObject]) -> dict[str, np.ndarray]:
+    """The :data:`ROUTE_COLUMNS` of ``routes``, row for row."""
+    return {
+        **prefix_columns("irr_prefix", [route.prefix for route in routes]),
+        "irr_origin": np.asarray(
+            [route.origin for route in routes], dtype=np.int64
+        ),
+        "irr_created": np.asarray(
+            [_ordinal(route.created) for route in routes], dtype=np.int64
+        ),
+        "irr_modified": np.asarray(
+            [_ordinal(route.last_modified) for route in routes],
+            dtype=np.int64,
+        ),
+    }
+
+
+def _v4_keys(columns: dict[str, np.ndarray], rows: int) -> np.ndarray:
+    """``value << 8 | length`` of the first ``rows`` (v4) rows: sorted
+    like the rows, and equal exactly where the prefixes are."""
+    return (columns["irr_prefix_lo"][:rows] << np.uint64(8)) | columns[
+        "irr_prefix_len"
+    ][:rows]
+
+
 class IRRDatabase:
     """One IRR database (e.g. the RIPE IRR, or RADB)."""
 
-    name: str
-    #: Set when this database is the authoritative one for an RIR region.
-    authoritative_for: RIR | None = None
-    _routes: RadixTree[RouteObject] = field(default_factory=RadixTree)
-    _aut_nums: dict[int, AutNumObject] = field(default_factory=dict)
-    _as_sets: dict[str, AsSetObject] = field(default_factory=dict)
-    #: Bumped on every route mutation; memo owners key their caches on it.
-    _version: int = field(default=0, init=False, repr=False, compare=False)
-    #: Accepted routes not yet in the trie.  World builds register tens
-    #: of thousands of objects and may never walk the trie at all (bulk
-    #: classification goes through the interval kernel), so trie entry
-    #: is deferred until the first query and then done as one
-    #: address-sorted ``insert_sorted`` burst — the stable sort keeps
-    #: per-node value order identical to immediate per-route inserts.
-    _pending_routes: list[tuple[Prefix, RouteObject]] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
+    def __init__(self, name: str, authoritative_for: RIR | None = None):
+        self.name = name
+        #: Set when this database is the authoritative one for an RIR region.
+        self.authoritative_for = authoritative_for
+        self._aut_nums: dict[int, AutNumObject] = {}
+        self._as_sets: dict[str, AsSetObject] = {}
+        self._columns = _encode([])
+        self._strings: list[list[str]] = []
+        #: Accepted routes not yet merged into the rows.  A world build
+        #: adds ten thousand routes one at a time; they merge in one pass
+        #: when the rows are first read.
+        self._pending: list[RouteObject] = []
+        #: :meth:`_sorted_keys`, derived from the rows when first needed.
+        self._keys: tuple[np.ndarray, list[tuple[int, int]]] | None = None
+        #: Bumped on every route mutation; memo owners key their caches on it.
+        self._version = 0
+
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        authoritative_for: RIR | None,
+        columns: dict[str, np.ndarray],
+        strings: list[list[str]],
+    ) -> "IRRDatabase":
+        """A database holding stored rows as they are.
+
+        ``columns`` are the :data:`ROUTE_COLUMNS` and ``strings`` each
+        row's ``[mnt_by, descr]``, in the stored order; neither is
+        copied or written.  The mutation counter is the route count, as
+        if each route had been added once.
+        """
+        database = cls(name, authoritative_for)
+        database._columns = columns
+        database._strings = strings
+        database._version = len(strings)
+        return database
+
+    def copy(self) -> "IRRDatabase":
+        """An independent database with equal stored rows, sharing them
+        until either side is edited."""
+        rows = self.stored_rows()
+        clone = IRRDatabase.from_rows(self.name, self.authoritative_for, *rows)
+        clone._aut_nums = dict(self._aut_nums)
+        clone._as_sets = dict(self._as_sets)
+        return clone
 
     def add_route(self, route: RouteObject) -> None:
         """Register a route object.
@@ -66,26 +152,148 @@ class IRRDatabase:
                     f"{route.prefix} is outside {self.authoritative_for.value} "
                     f"space; {self.name} is authoritative"
                 )
-        self._pending_routes.append((route.prefix, route))
+        self._pending.append(route)
         self._version += 1
 
-    def _flush_routes(self) -> None:
-        pending = self._pending_routes
-        if pending:
-            pending.sort(key=lambda item: item[0])
-            from repro import obs
+    def _merge_pending(self) -> None:
+        """Merge the pending routes into the rows.
 
-            with obs.gc_paused():
-                self._routes.insert_sorted(pending)
-            self._pending_routes = []
+        Each goes in after the stored rows of its prefix (a
+        ``searchsorted(side="right")`` position), and the pending routes
+        are stably sorted among themselves first, so equal prefixes keep
+        insertion order without re-sorting the stored rows.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        pending.sort(key=lambda route: address_key(route.prefix))
+        added = _encode(pending)
+        v4_keys, v6_keys = self._sorted_keys()
+        k4 = int(np.count_nonzero(added["irr_prefix_ver"] == 4))
+        positions = v4_keys.searchsorted(
+            _v4_keys(added, k4), side="right"
+        ).tolist()
+        positions += [
+            len(v4_keys) + bisect_right(v6_keys, address_key(route.prefix)[1:])
+            for route in pending[k4:]
+        ]
+        self._columns = {
+            name: np.insert(column, positions, added[name])
+            for name, column in self._columns.items()
+        }
+        strings: list[list[str]] = []
+        start = 0
+        for position, route in zip(positions, pending):
+            strings += self._strings[start:position]
+            strings.append([route.mnt_by, route.descr])
+            start = position
+        self._strings = strings + self._strings[start:]
+        self._pending = []
+        self._keys = None
+
+    def _sorted_keys(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The v4 rows' ``value << 8 | length`` keys and the v6 rows'
+        ``(value, length)`` pairs: sorted like the rows (v4 rows first),
+        and equal exactly where the prefixes are."""
+        if self._keys is None:
+            columns = self._columns
+            n4 = int(np.searchsorted(columns["irr_prefix_ver"], 6))
+            v6 = slice(n4, None)
+            self._keys = (
+                _v4_keys(columns, n4),
+                [
+                    ((hi << 64) | lo, length)
+                    for hi, lo, length in zip(
+                        columns["irr_prefix_hi"][v6].tolist(),
+                        columns["irr_prefix_lo"][v6].tolist(),
+                        columns["irr_prefix_len"][v6].tolist(),
+                    )
+                ],
+            )
+        return self._keys
+
+    def _covering_rows(self, prefixes: list[Prefix]) -> list[list[int]]:
+        """Per prefix, the rows whose prefix contains it: least specific
+        first, equal prefixes in insertion order.
+
+        A query has one candidate key per length up to its own.  The v4
+        candidates of all queries take one ``searchsorted`` over the v4
+        keys; the v6 ones bisect the few v6 keys.
+        """
+        self._merge_pending()
+        v4_keys, v6_keys = self._sorted_keys()
+        n4 = len(v4_keys)
+        found: list[list[int]] = [[] for _ in prefixes]
+        owners: list[int] = []
+        wanted: list[int] = []
+        for i, prefix in enumerate(prefixes):
+            value = prefix.value
+            for length in range(prefix.length + 1):
+                if prefix.version == 4:
+                    shift = 32 - length
+                    wanted.append((value >> shift << shift) << 8 | length)
+                    owners.append(i)
+                else:
+                    shift = 128 - length
+                    key = (value >> shift << shift, length)
+                    start = bisect_left(v6_keys, key)
+                    end = bisect_right(v6_keys, key, start)
+                    found[i] += range(n4 + start, n4 + end)
+        if wanted and n4:
+            candidates = np.array(wanted, dtype=np.uint64)
+            for i, start, end in zip(
+                owners,
+                v4_keys.searchsorted(candidates).tolist(),
+                v4_keys.searchsorted(candidates, side="right").tolist(),
+            ):
+                found[i] += range(start, end)
+        return found
+
+    def _decode(self, rows: list[int]) -> list[RouteObject]:
+        """The route objects of the stored ``rows``, in that order: the
+        one place rows become objects."""
+        if not rows:
+            return []
+        columns = self._columns
+        index = np.asarray(rows, dtype=np.intp)
+        strings = self._strings
+        from_ordinal = date.fromordinal
+        return [
+            RouteObject(
+                prefix=prefix,
+                origin=origin,
+                source=self.name,
+                mnt_by=strings[row][0],
+                descr=strings[row][1],
+                created=from_ordinal(created) if created else None,
+                last_modified=from_ordinal(modified) if modified else None,
+            )
+            for row, prefix, origin, created, modified in zip(
+                rows,
+                prefixes_from_columns(columns, "irr_prefix", index),
+                columns["irr_origin"][index].tolist(),
+                columns["irr_created"][index].tolist(),
+                columns["irr_modified"][index].tolist(),
+            )
+        ]
 
     def remove_route(self, route: RouteObject) -> bool:
-        """Delete a route object; True if it was present."""
-        self._flush_routes()
-        removed = self._routes.remove(route.prefix, route)
-        if removed:
-            self._version += 1
-        return removed
+        """Delete the first stored route object equal to ``route``; True
+        if there was one."""
+        rows = self._covering_rows([route.prefix])[0]
+        for row, stored in zip(rows, self._decode(rows)):
+            if stored == route:
+                break
+        else:
+            return False
+        self._columns = {
+            name: np.delete(column, row)
+            for name, column in self._columns.items()
+        }
+        self._strings = self._strings[:row] + self._strings[row + 1:]
+        self._keys = None
+        self._version += 1
+        return True
 
     def add_aut_num(self, aut_num: AutNumObject) -> None:
         """Register (or replace) the aut-num object for an ASN."""
@@ -96,16 +304,42 @@ class IRRDatabase:
         self._as_sets[as_set.name.upper()] = as_set
 
     def routes_covering(self, prefix: Prefix) -> list[RouteObject]:
-        """Route objects whose prefix contains ``prefix``."""
-        self._flush_routes()
-        return self._routes.covering(prefix)
+        """Route objects whose prefix contains ``prefix``, least specific
+        first."""
+        return self._decode(self._covering_rows([prefix])[0])
 
     def routes_covering_many(
         self, prefixes: Iterable[Prefix]
     ) -> dict[Prefix, list[RouteObject]]:
-        """Covering route objects for many prefixes (one bulk trie walk)."""
-        self._flush_routes()
-        return self._routes.covering_many(prefixes)
+        """:meth:`routes_covering` for many prefixes in one lookup,
+        decoding each matching row once."""
+        queries = list(dict.fromkeys(prefixes))
+        found = self._covering_rows(queries)
+        rows = sorted({row for matches in found for row in matches})
+        objects = dict(zip(rows, self._decode(rows)))
+        return {
+            prefix: [objects[row] for row in matches]
+            for prefix, matches in zip(queries, found)
+        }
+
+    def routes_of_origins(self, origins: Iterable[int]) -> list[RouteObject]:
+        """The route objects registered for any of ``origins``, in
+        address order."""
+        self._merge_pending()
+        wanted = np.fromiter(set(origins), dtype=np.int64)
+        rows = np.flatnonzero(np.isin(self._columns["irr_origin"], wanted))
+        return self._decode(rows.tolist())
+
+    def route_at(self, row: int) -> RouteObject:
+        """The route object at position ``row`` of :meth:`all_routes`."""
+        self._merge_pending()
+        return self._decode([row])[0]
+
+    def stored_rows(self) -> tuple[dict[str, np.ndarray], list[list[str]]]:
+        """The :data:`ROUTE_COLUMNS` and the ``[mnt_by, descr]`` strings,
+        as held (read-only)."""
+        self._merge_pending()
+        return self._columns, self._strings
 
     @property
     def version(self) -> int:
@@ -121,21 +355,25 @@ class IRRDatabase:
         return self._as_sets.get(name.upper())
 
     def all_routes(self) -> list[RouteObject]:
-        """Every route object, in address order."""
-        self._flush_routes()
-        return self._routes.values()
-
-    def iter_route_objects(self) -> Iterable[RouteObject]:
-        """Every route object in arbitrary order, without forcing the
-        pending backlog into the trie (bulk kernels don't need it)."""
-        yield from self._routes.values()
-        for _, route in self._pending_routes:
-            yield route
+        """Every route object, in address order (decodes every row)."""
+        self._merge_pending()
+        return self._decode(list(range(len(self._strings))))
 
     @property
     def route_count(self) -> int:
         """Number of route objects stored."""
-        return len(self._routes) + len(self._pending_routes)
+        return len(self._strings) + len(self._pending)
+
+
+def route_columns(databases: Iterable[IRRDatabase]) -> dict[str, np.ndarray]:
+    """The stored :data:`ROUTE_COLUMNS` of ``databases``, concatenated
+    in order."""
+    held = [database.stored_rows()[0] for database in databases]
+    empty = _encode([])
+    return {
+        name: np.concatenate([empty[name], *(columns[name] for columns in held)])
+        for name in ROUTE_COLUMNS
+    }
 
 
 class IRRCollection:
@@ -171,10 +409,11 @@ class IRRCollection:
 
     def routes_covering(self, prefix: Prefix) -> list[RouteObject]:
         """Covering route objects across all member databases."""
-        found: list[RouteObject] = []
-        for database in self._databases.values():
-            found.extend(database.routes_covering(prefix))
-        return found
+        return [
+            route
+            for database in self._databases.values()
+            for route in database.routes_covering(prefix)
+        ]
 
     def routes_covering_many(
         self, prefixes: Iterable[Prefix]
@@ -183,20 +422,28 @@ class IRRCollection:
 
         Per-prefix result order matches :meth:`routes_covering`:
         database registration order first, then least- to most-specific
-        within each database.  One walk set per distinct prefix — per-
-        database bulk dicts merged afterwards were measured here and
-        lost to the merge's own dict traffic.
+        within each database.  Each database answers all prefixes in one
+        lookup.
         """
-        databases = list(self._databases.values())
-        combined: dict[Prefix, list[RouteObject]] = {}
-        for prefix in prefixes:
-            if prefix in combined:
-                continue
-            found: list[RouteObject] = []
-            for database in databases:
-                found.extend(database.routes_covering(prefix))
-            combined[prefix] = found
+        combined: dict[Prefix, list[RouteObject]] = {
+            prefix: [] for prefix in prefixes
+        }
+        for database in self._databases.values():
+            for prefix, found in database.routes_covering_many(
+                combined
+            ).items():
+                combined[prefix] += found
         return combined
+
+    def routes_of_origins(self, origins: Iterable[int]) -> list[RouteObject]:
+        """The route objects registered for any of ``origins``, database
+        by database, each in address order."""
+        origins = set(origins)
+        return [
+            route
+            for database in self._databases.values()
+            for route in database.routes_of_origins(origins)
+        ]
 
     @property
     def version(self) -> tuple[int, int]:

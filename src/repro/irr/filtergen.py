@@ -16,13 +16,15 @@ more-specifics) and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.irr.asset import expand_as_set
 from repro.irr.database import IRRCollection, IRRDatabase
+from repro.irr.objects import RouteObject
 from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
 
-__all__ = ["FilterEntry", "PrefixFilter", "build_prefix_filter"]
+__all__ = ["FilterEntry", "PrefixFilter", "build_prefix_filter", "origin_filter"]
 
 
 @dataclass(frozen=True)
@@ -89,16 +91,29 @@ def build_prefix_filter(
     IPv6 route objects get the registered length + 8, capped at /48.
     """
     asns = expand_as_set(registry, as_set_name, strict=strict)
-    by_origin = _routes_by_origin(registry)
+    return origin_filter(registry, asns, upto)
+
+
+def origin_filter(
+    registry: IRRCollection | IRRDatabase,
+    origins: Iterable[int],
+    upto: int = 24,
+) -> PrefixFilter:
+    """The filter admitting the route objects registered for ``origins``,
+    origin by origin in ascending order (see :func:`build_prefix_filter`
+    for the lengths each entry admits)."""
+    by_origin: dict[int, list[RouteObject]] = {}
+    for route_object in registry.routes_of_origins(origins):
+        by_origin.setdefault(route_object.origin, []).append(route_object)
     entries: list[FilterEntry] = []
     seen: set[tuple[Prefix, int]] = set()
-    for asn in sorted(asns):
-        for route_object in by_origin.get(asn, ()):
+    for asn in sorted(by_origin):
+        for route_object in by_origin[asn]:
             prefix = route_object.prefix
             if prefix.version == 4:
                 max_length = max(prefix.length, upto)
             else:
-                max_length = min(max(prefix.length, prefix.length + 8), 48)
+                max_length = min(prefix.length + 8, 48)
             key = (prefix, asn)
             if key in seen:
                 continue
@@ -107,17 +122,3 @@ def build_prefix_filter(
                 FilterEntry(prefix=prefix, max_length=max_length, origin=asn)
             )
     return PrefixFilter(entries)
-
-
-def _routes_by_origin(registry: IRRCollection | IRRDatabase):
-    """Index every route object by origin ASN (one scan, then O(1))."""
-    databases = (
-        registry.databases
-        if isinstance(registry, IRRCollection)
-        else [registry]
-    )
-    index: dict[int, list] = {}
-    for database in databases:
-        for route_object in database.all_routes():
-            index.setdefault(route_object.origin, []).append(route_object)
-    return index

@@ -24,7 +24,7 @@ exactly those of the per-route reference classifiers in
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,8 +87,11 @@ class _V6Bucket:
 class RouteIntervalIndex:
     """A frozen registry snapshot indexed for bulk classification.
 
-    ``rows`` are ``(prefix, asn, max_length)`` triples — one per VRP or
-    route object.  For the IRR, ``max_length`` is the object's own
+    Each row is one VRP or route object, held as integer columns: the
+    prefix as :func:`~repro.net.prefix.prefix_columns` stores it
+    (``hi``, ``lo``, ``lengths``, ``versions``), the ASN and the max
+    length.  No :class:`Prefix` is built; only the v6 rows become Python
+    integers.  For the IRR, ``max_length`` is the object's own
     prefix length, which makes the paper's IRR procedure (§6.1) the
     exact RFC 6811 verdict function: a covering entry with matching
     origin is VALID iff the announcement is no more specific than
@@ -100,35 +103,37 @@ class RouteIntervalIndex:
 
     def __init__(
         self,
-        rows: Iterable[tuple[Prefix, int, int]],
+        hi: np.ndarray,
+        lo: np.ndarray,
+        lengths: np.ndarray,
+        versions: np.ndarray,
+        asns: np.ndarray,
+        max_lengths: np.ndarray,
         zero_asn_matches: bool = False,
     ):
-        v4_vals: list[int] = []
-        v4_lens: list[int] = []
-        v4_asns: list[int] = []
-        v4_maxs: list[int] = []
-        v6_buckets: dict[int, _V6Bucket] = {}
-        for prefix, asn, max_length in rows:
-            if prefix.version == 4:
-                v4_vals.append(prefix.value)
-                v4_lens.append(prefix.length)
-                v4_asns.append(asn)
-                v4_maxs.append(max_length)
-            else:
-                bucket = v6_buckets.get(prefix.length)
-                if bucket is None:
-                    bucket = _V6Bucket(prefix.length)
-                    v6_buckets[prefix.length] = bucket
-                key = prefix.value >> (_V6_BITS - prefix.length)
-                bucket.keys.add(key)
-                if asn != 0 or zero_asn_matches:
-                    pair = (key, asn)
-                    known = bucket.maxlen_by_origin.get(pair)
-                    if known is None or max_length > known:
-                        bucket.maxlen_by_origin[pair] = max_length
+        v4 = versions == 4
         self._v4_buckets = _build_v4_buckets(
-            v4_vals, v4_lens, v4_asns, v4_maxs, zero_asn_matches
+            lo[v4], lengths[v4], asns[v4], max_lengths[v4], zero_asn_matches
         )
+        v6 = ~v4
+        v6_buckets: dict[int, _V6Bucket] = {}
+        for high, low, length, asn, max_length in zip(
+            hi[v6].tolist(),
+            lo[v6].tolist(),
+            lengths[v6].tolist(),
+            asns[v6].tolist(),
+            max_lengths[v6].tolist(),
+        ):
+            bucket = v6_buckets.get(length)
+            if bucket is None:
+                bucket = v6_buckets[length] = _V6Bucket(length)
+            key = ((high << 64) | low) >> (_V6_BITS - length)
+            bucket.keys.add(key)
+            if asn != 0 or zero_asn_matches:
+                pair = (key, asn)
+                known = bucket.maxlen_by_origin.get(pair)
+                if known is None or max_length > known:
+                    bucket.maxlen_by_origin[pair] = max_length
         self._v6_buckets = sorted(v6_buckets.values(), key=lambda b: b.length)
 
     # -- bulk classification ----------------------------------------------
@@ -259,14 +264,12 @@ class RouteIntervalIndex:
 
 
 def _build_v4_buckets(
-    vals: list[int],
-    lens: list[int],
-    asns: list[int],
-    maxs: list[int],
+    vals: np.ndarray,
+    lens: np.ndarray,
+    asns: np.ndarray,
+    maxs: np.ndarray,
     zero_asn_matches: bool,
 ) -> list[_V4Bucket]:
-    if not vals:
-        return []
     values = np.array(vals, dtype=np.uint64)
     lengths = np.array(lens, dtype=np.int64)
     origins = np.array(asns, dtype=np.uint64)

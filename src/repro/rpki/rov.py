@@ -21,9 +21,11 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 from repro import obs
 from repro.kernels.intervals import RouteIntervalIndex
-from repro.net.prefix import Prefix, address_key
+from repro.net.prefix import Prefix, address_key, prefix_columns
 from repro.net.radix import RadixTree
 from repro.rpki.roa import VRP
 
@@ -110,8 +112,11 @@ class ROVValidator:
         """The searchsorted form of the VRP set (built on first use)."""
         index = self._index
         if index is None:
+            vrps = self._vrps
             index = RouteIntervalIndex(
-                (vrp.prefix, vrp.asn, vrp.max_length) for vrp in self._vrps
+                *prefix_columns("vrp", [vrp.prefix for vrp in vrps]).values(),
+                np.array([vrp.asn for vrp in vrps], dtype=np.int64),
+                np.array([vrp.max_length for vrp in vrps], dtype=np.int64),
             )
             self._index = index
         return index

@@ -4,7 +4,8 @@
 API.  Requests for rendered experiment payloads are answered in three
 tiers, fastest first:
 
-1. **memory** — a small LRU of recently served payloads;
+1. **memory** — a small LRU of recently served payloads, each held as
+   the JSON body and ETag it is answered with (encoded once);
 2. **disk** — the checkpoint store's digest-verified result entries
    (``<cache dir>/results/<key>.json``), shared with every other
    process using the store;
@@ -49,7 +50,7 @@ import asyncio
 import json
 import logging
 from collections import OrderedDict
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from repro import obs
 from repro.config import RuntimeConfig
@@ -134,6 +135,18 @@ def _etag_for(body: bytes) -> str:
     return '"' + hashlib.sha256(body).hexdigest() + '"'
 
 
+class _Encoded(NamedTuple):
+    """A served payload's JSON body and strong ETag, encoded once."""
+
+    body: bytes
+    etag: str
+
+
+def _encoded(payload: object) -> _Encoded:
+    body = _json_body(payload)
+    return _Encoded(body, _etag_for(body))
+
+
 def _matches(etag: str, if_none_match: str) -> bool:
     if if_none_match.strip() == "*":
         return True
@@ -172,7 +185,8 @@ class ReproService:
         self._build_at_fn = build_at_fn or run_job_at
         self._executor = executor
         self._owns_executor = executor is None
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        #: Served payloads, as the body and ETag every hit answers with.
+        self._memory: OrderedDict[str, _Encoded] = OrderedDict()
         self._memory_entries = max(1, memory_entries)
         self._inflight: dict[str, asyncio.Future] = {}
         self._queue: asyncio.Queue | None = None
@@ -290,8 +304,10 @@ class ReproService:
                 dict(_JSON_HEADERS),
                 _json_body({"error": f"{type(error).__name__}: {error}"}),
             )
-        body = _json_body(payload)
-        etag = _etag_for(body)
+        if isinstance(payload, _Encoded):
+            body, etag = payload
+        else:
+            body, etag = _encoded(payload)
         headers = dict(_JSON_HEADERS)
         headers.update(extra)
         headers["etag"] = etag
@@ -482,27 +498,30 @@ class ReproService:
 
     # -- cache tiers ---------------------------------------------------------
 
-    def _cached(self, key: str) -> dict | None:
-        payload = self._memory.get(key)
-        if payload is not None:
+    def _cached(self, key: str) -> _Encoded | None:
+        encoded = self._memory.get(key)
+        if encoded is not None:
             self._memory.move_to_end(key)
-            return payload
+            return encoded
         if self.store is not None:
             payload = self.store.load_result(key)
             if payload is not None:
-                self._remember(key, payload)
-                return payload
+                return self._remember(key, payload)
         return None
 
-    def _remember(self, key: str, payload: dict) -> None:
-        self._memory[key] = payload
+    def _remember(self, key: str, payload: dict) -> _Encoded:
+        """Encode ``payload`` once and keep it in the memory tier."""
+        encoded = self._memory[key] = _encoded(payload)
         self._memory.move_to_end(key)
         while len(self._memory) > self._memory_entries:
             self._memory.popitem(last=False)
+        return encoded
 
     # -- the build queue -----------------------------------------------------
 
-    async def _build(self, key: str, job: Job, at: str | None = None) -> dict:
+    async def _build(
+        self, key: str, job: Job, at: str | None = None
+    ) -> _Encoded:
         """Resolve a cold miss: coalesce onto in-flight work or enqueue."""
         assert self._queue is not None, "start() first"
         future = self._inflight.get(key)
@@ -572,7 +591,7 @@ class ReproService:
         job: Job,
         raw: Mapping[str, dict],
         at: str | None = None,
-    ) -> dict:
+    ) -> _Encoded:
         """Wrap a built result into the served payload and cache it."""
         name = job.experiments[0]
         if name not in raw:
@@ -591,11 +610,11 @@ class ReproService:
         }
         if at is not None:
             payload["at"] = at
-        self._remember(key, payload)
+        encoded = self._remember(key, payload)
         if self.store is not None:
             self.store.save_result(key, payload)
         obs.add("serve.built")
-        return payload
+        return encoded
 
 
 async def serve_forever(

@@ -36,6 +36,7 @@ from repro.datasets.checkpoint import (
 from repro.delta.events import _clone_irr
 from repro.experiments import common
 from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES
+from repro.irr.database import _encode
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.registry.rir import RIR
 from repro.rpki.rov import ROVValidator
@@ -55,6 +56,35 @@ ENTRY_FILES = (
     "as-rel.txt",
     "manrs-participants.csv",
 )
+
+
+#: SHA-256 of each file ``save(small_world)`` writes (schema version 2).
+ENTRY_PINS = {
+    ARRAYS_FILE: (
+        "50767d095566ab3ee11bc969ad253adadad55c7290bd11d440a671d3f18a8cdd"
+    ),
+    "topology.json": (
+        "5eb76399ce7ea3fa4c5c552be687b2d658a26e6ca5c4d4e158101e0aeb25f70f"
+    ),
+    "scenario.json": (
+        "c63f93657f53f1db344e0eb1f580271ba5dbe9372361f7116c52049706efc596"
+    ),
+    "rpki.json": (
+        "6f7c9e01bdb67b16cfea6e240fad686d255fa9cc0fc9e3f28e4020816a483890"
+    ),
+    "rib.json": (
+        "5317b22080d80aa29908650faf1ddf7a5ef4cda8613c1300c2917efea318276e"
+    ),
+    "ihr.json": (
+        "4a892cbac2bf9e8d260adb8e2a48c51bcbfa595e4db9cde4e33b2d4a4906b1b4"
+    ),
+    "as-rel.txt": (
+        "d311c0571f86510fc217b9e30028dfa82518c6bff11c50c956926778873970fd"
+    ),
+    "manrs-participants.csv": (
+        "171991b80dc8a4d8c6be109c45c32ac92adee165b79cb5378026f1909c436090"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -382,31 +412,44 @@ def _rib_group_order(world, draw):
 
 
 def _irr_routes(irr):
-    """``(database, route)`` for every stored route object."""
+    """``(database, row, route)`` for every stored route object."""
     return [
-        (database, route)
+        (database, row, route)
         for database in irr.databases
-        for route in database.all_routes()
+        for row, route in enumerate(database.all_routes())
     ]
 
 
-def _node_values(database, prefix):
-    """The value list of the trie node at ``prefix``, edited in place."""
-    node = database._routes._roots[prefix.version]
-    for i in range(prefix.length):
-        node = node.children[prefix.bit_at(i)]
-    return node.values
+def _set_row(database, row, route):
+    """Store ``route`` at ``row`` of ``database`` in place of what is
+    there.  New columns replace the held ones, which a clone shares with
+    its source and so must not be written."""
+    columns, strings = database.stored_rows()
+    encoded = _encode([route])
+    database._columns = {
+        name: np.concatenate([column[:row], encoded[name], column[row + 1:]])
+        for name, column in columns.items()
+    }
+    database._strings = [
+        *strings[:row], [route.mnt_by, route.descr], *strings[row + 1:]
+    ]
+    database._keys = None
+
+
+def _insert_row(database, route):
+    """Add ``route`` to ``database`` without the authoritative-space
+    check: it merges at its address-order place on the next read."""
+    database._pending.append(route)
 
 
 def _irr_route_edit(change):
     """Mutator: one drawn route object becomes ``change`` of it, in the
-    same database and at the same place in its trie node."""
+    same database and at the same row."""
 
     def mutate(world, draw):
         irr = _clone_irr(world.irr)
-        database, route = _draw(draw, _irr_routes(irr))
-        values = _node_values(database, route.prefix)
-        values[values.index(route)] = change(route, draw)
+        database, row, route = _draw(draw, _irr_routes(irr))
+        _set_row(database, row, change(route, draw))
         return "irr", replace(world, irr=irr)
 
     return mutate
@@ -432,42 +475,43 @@ def _irr_route_prefix(world, draw):
     """Mutator: one route object moves to another network of its
     length."""
     irr = _clone_irr(world.irr)
-    database, route = _draw(draw, _irr_routes(irr))
+    database, _, route = _draw(draw, _irr_routes(irr))
     prefix = _prefix_network(route.prefix, draw)
-    database._routes.remove(route.prefix, route)
-    database._routes.insert(prefix, replace(route, prefix=prefix))
+    assert database.remove_route(route)
+    _insert_row(database, replace(route, prefix=prefix))
     return "irr", replace(world, irr=irr)
 
 
 def _irr_node_swap(world, draw):
-    """Mutator: two unequal route objects of one trie node swap
-    places."""
+    """Mutator: two unequal route objects of one prefix swap rows."""
     irr = _clone_irr(world.irr)
-    crowded = [
-        (database, values)
-        for database in irr.databases
-        for values in (
-            _node_values(database, prefix)
-            for prefix in {route.prefix for route in database.all_routes()}
-        )
-        if len(set(values)) > 1
-    ]
-    database, values = _draw(draw, crowded)
-    i = _index(draw, values)
-    j = _draw(draw, [k for k, other in enumerate(values) if other != values[i]])
-    values[i], values[j] = values[j], values[i]
+    crowded = []
+    for database in irr.databases:
+        rows: dict = {}
+        for row, route in enumerate(database.all_routes()):
+            rows.setdefault(route.prefix, []).append((row, route))
+        crowded += [
+            (database, group)
+            for group in rows.values()
+            if len({route for _, route in group}) > 1
+        ]
+    database, group = _draw(draw, crowded)
+    i, first = _draw(draw, group)
+    j, second = _draw(draw, [item for item in group if item[1] != first])
+    _set_row(database, i, second)
+    _set_row(database, j, first)
     return "irr", replace(world, irr=irr)
 
 
 def _irr_route_database(world, draw):
     """Mutator: one route object moves to another database."""
     irr = _clone_irr(world.irr)
-    database, route = _draw(draw, _irr_routes(irr))
+    database, _, route = _draw(draw, _irr_routes(irr))
     target = _draw(
         draw, [other for other in irr.databases if other is not database]
     )
-    database._routes.remove(route.prefix, route)
-    target._routes.insert(route.prefix, replace(route, source=target.name))
+    assert database.remove_route(route)
+    _insert_row(target, replace(route, source=target.name))
     return "irr", replace(world, irr=irr)
 
 
@@ -574,13 +618,13 @@ MUTATIONS = {
 
 
 def _crowded(world):
-    """``world`` with one IRR trie node holding two route objects and
-    one prefix holding two VRPs, which no built world has: equal keys
-    are where a stored order could leak into the digest."""
+    """``world`` with one IRR prefix holding two route objects and one
+    prefix holding two VRPs, which no built world has: equal keys are
+    where a stored order could leak into the digest."""
     irr = _clone_irr(world.irr)
-    database, route = _irr_routes(irr)[0]
-    database._routes.insert(
-        route.prefix, replace(route, origin=route.origin + 1, descr="twin")
+    database, _, route = _irr_routes(irr)[0]
+    _insert_row(
+        database, replace(route, origin=route.origin + 1, descr="twin")
     )
     vrps = world.rov.all_vrps()
     twin = replace(vrps[0], asn=vrps[0].asn + 1)
@@ -785,6 +829,21 @@ class TestMaintenance:
         assert sorted(
             path.name for path in store.path_for(key).iterdir()
         ) == sorted([*ENTRY_FILES, MANIFEST_FILE])
+
+    def test_saved_files_match_pins(self, saved, small_world, tmp_path):
+        """``save(small_world)`` writes the pinned bytes of schema
+        version 2, file for file, and so does saving the world reopened
+        from that entry (its IRR is the stored columns it holds)."""
+        store, key = saved
+        reopened = store.load(
+            small_world.config, small_world.scale, small_world.seed
+        )
+        resaved = CheckpointStore(tmp_path).save(reopened)
+        for entry in (store.path_for(key), resaved):
+            assert {
+                name: hashlib.sha256((entry / name).read_bytes()).hexdigest()
+                for name in ENTRY_FILES
+            } == ENTRY_PINS
 
     def test_stored_rib_is_the_world_rib(self, saved, small_world):
         """The entry's ``rib_*`` members and ``rib.json`` are the built

@@ -174,21 +174,43 @@ class TestLazyWorld:
         """On a reopened world every paper artefact renders its golden
         text.  The digest and the artefacts walk the IHR columns; the
         only rows decoded into records are those of the ASNs Table 1
-        attributes, each once.  No artefact decodes ``originations``,
-        and the membership series (fig2, fig4) leave the RPKI
-        repository stored."""
+        attributes, each once.  The only IRR rows decoded into route
+        objects are those covering Table 1's IRR-attributed records,
+        once per case-study row, and a live world over the reopened
+        world decodes none.  No artefact decodes ``originations``, and
+        the membership series (fig2, fig4) leave the RPKI repository
+        stored."""
+        from repro.core.classification import is_unconformant
+        from repro.delta import LiveWorld
         from repro.experiments.registry import REGISTRY
         from repro.experiments.tab1_casestudies import case_study_targets
+        from repro.irr.database import IRRDatabase
         from repro.scenarios import FAMILIES
 
-        tab1_asns = {
-            asn for _, asns in case_study_targets(small_world) for asn in asns
-        }
+        targets = case_study_targets(small_world)
+        tab1_asns = {asn for _, asns in targets for asn in asns}
         expected = Counter(
             (record.prefix, record.origin)
             for record in small_world.ihr.prefix_origins()
             if record.origin in tab1_asns
         )
+        expected_rows: Counter = Counter()
+        for _, asns in targets:
+            attributed = [
+                record.prefix
+                for asn in sorted(set(asns))
+                for record in small_world.ihr.records_of(asn)
+                if is_unconformant(record.rpki, record.irr)
+                and not record.rpki.is_invalid
+            ]
+            for database in small_world.irr.databases:
+                expected_rows.update(
+                    {
+                        (database.name, row)
+                        for rows in database._covering_rows(attributed)
+                        for row in rows
+                    }
+                )
         store, _ = saved
         lazy = store.load(
             small_world.config, small_world.scale, small_world.seed
@@ -202,6 +224,14 @@ class TestLazyWorld:
             return records
 
         monkeypatch.setattr(IHRDataset, "_rows", spy)
+        decoded_rows: Counter = Counter()
+        decode_rows = IRRDatabase._decode
+
+        def irr_spy(database, rows):
+            decoded_rows.update((database.name, row) for row in rows)
+            return decode_rows(database, rows)
+
+        monkeypatch.setattr(IRRDatabase, "_decode", irr_spy)
         goldens = json.loads(RENDER_GOLDENS.read_text())["entry"]
         assert (goldens["scale"], goldens["seed"]) == (
             small_world.scale,
@@ -220,6 +250,12 @@ class TestLazyWorld:
         assert expected
         assert decoded == expected
         assert sum(decoded.values()) < len(lazy.ihr.arrays["po_origin"])
+        assert expected_rows
+        assert decoded_rows == expected_rows
+        assert sum(decoded_rows.values()) < lazy.irr.route_count
+        decoded_rows.clear()
+        LiveWorld(lazy)
+        assert not decoded_rows
 
     def test_lazy_world_survives_entry_pruning(
         self, saved, small_world, tmp_path

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.impact import irr_coverage, preference_scores, rpki_saturation
+from repro.core.impact import (
+    SaturationReport,
+    irr_coverage,
+    preference_scores,
+    rpki_saturation,
+)
 from repro.core.stability import (
     StabilityClass,
     conformance_stability,
@@ -12,7 +17,7 @@ from repro.core.stability import (
 from repro.core.stats import make_cdf
 from repro.ihr.records import RPKI_STATUSES, IHRDataset
 from repro.irr.validation import IRRStatus
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, aggregate_address_count
 from repro.rpki.rov import RPKIStatus
 from tests.ihr_tables import ihr_dataset
 
@@ -141,3 +146,36 @@ class TestSaturation:
     def test_irr_coverage_bounds(self, small_world):
         for report in irr_coverage(small_world.prefix2as, small_world.irr, small_world.members()):
             assert 0 <= report.saturation <= 100
+
+    @pytest.mark.parametrize("members", ["manrs", "half"])
+    def test_irr_coverage_matches_the_per_prefix_loop(self, small_world, members):
+        """The interval-index reduction gives the exact routed and
+        covered space of one covering lookup per routed v4 prefix."""
+        member_asns = small_world.members()
+        if members == "half":
+            member_asns = frozenset(sorted(small_world.prefix2as.origin_asns)[::2])
+        reports = irr_coverage(small_world.prefix2as, small_world.irr, member_asns)
+        reference = _irr_coverage_python(
+            small_world.prefix2as, small_world.irr, member_asns
+        )
+        assert reports == reference
+        assert all(report.covered_space > 0 for report in reports)
+
+
+def _irr_coverage_python(prefix2as, irr, member_asns):
+    """The per-prefix reference for ``irr_coverage``: one covering
+    lookup per routed v4 prefix of each population."""
+    member_prefixes: list[Prefix] = []
+    other_prefixes: list[Prefix] = []
+    for asn in prefix2as.origin_asns:
+        bucket = member_prefixes if asn in member_asns else other_prefixes
+        bucket.extend(p for p in prefix2as.prefixes_of(asn) if p.version == 4)
+
+    def coverage_of(prefixes: list[Prefix]) -> SaturationReport:
+        covered = [p for p in prefixes if irr.routes_covering(p)]
+        return SaturationReport(
+            routed_space=aggregate_address_count(prefixes),
+            covered_space=aggregate_address_count(covered),
+        )
+
+    return coverage_of(member_prefixes), coverage_of(other_prefixes)

@@ -33,6 +33,7 @@ from datetime import date
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -57,7 +58,7 @@ from repro.delta import (
     vrp_delta,
 )
 from repro.delta import live as live_module
-from repro.delta.events import DeltaState
+from repro.delta.events import DeltaState, RouteObjectRemoved, apply_raw
 from repro.errors import DeltaError
 from repro.experiments.registry import REGISTRY
 from repro.ihr.records import IHRDataset
@@ -433,10 +434,10 @@ def test_live_world_reads_base_verdicts_from_the_ihr(small_world, tmp_path):
         rpki, irr = live_module._base_verdicts(base, routes)
         if base is reopened:
             # A reopened validator starts with an empty memo, and the
-            # unseen routes' IRR verdicts come from trie walks, with no
-            # registry-wide interval index built for them.
+            # unseen routes' IRR verdicts come from one pass over the
+            # interval index built from the stored route columns.
             assert obs.counters()["rov.memo_misses"] - before == unseen
-            assert getattr(reopened.irr, "_interval_index", None) is None
+            assert reopened.irr._interval_index[0] == reopened.irr.version
         assert list(rpki) == list(irr) == routes
         assert rpki == dict(base.rov.validate_many(routes))
         assert irr == dict(validate_irr_many(base.irr, routes))
@@ -564,10 +565,10 @@ def test_misaligned_base_ihr_falls_back_to_full_validation(small_world):
 def test_cloned_irr_holds_the_source_route_objects_in_order(
     small_world, tmp_path
 ):
-    """Each cloned database yields the source's route objects, object
-    for object and in order, with none left pending and the mutation
-    counter at the route count; edits to the clone leave the source
-    alone."""
+    """Each cloned database shares the source's stored route columns and
+    strings, so it lists equal route objects in the same order, with
+    the mutation counter at the route count; edits to the clone replace
+    its columns and leave the source alone."""
     for world in (small_world, _reopened(small_world, tmp_path)):
         clone = DeltaState.from_world(world).irr
         pairs = list(zip(world.irr.databases, clone.databases))
@@ -575,17 +576,66 @@ def test_cloned_irr_holds_the_source_route_objects_in_order(
             source.name for source in world.irr.databases
         ]
         for source, copy in pairs:
-            routes = source.all_routes()
-            assert not copy._pending_routes
-            assert copy.version == len(routes)
-            cloned = copy.all_routes()
-            assert len(cloned) == len(routes)
-            assert all(a is b for a, b in zip(cloned, routes)), copy.name
+            columns, strings = source.stored_rows()
+            cloned_columns, cloned_strings = copy.stored_rows()
+            assert cloned_strings is strings
+            assert all(
+                cloned_columns[name] is column
+                for name, column in columns.items()
+            )
+            assert copy.version == len(strings)
+            assert copy.all_routes() == source.all_routes()
         source, copy = max(pairs, key=lambda pair: pair[0].route_count)
-        route = source.all_routes()[0]
-        assert copy.remove_route(route)
-        assert route in source.all_routes()
+        routes = source.all_routes()
+        assert copy.remove_route(routes[0])
+        assert source.all_routes() == routes
+        assert copy.all_routes() == routes[1:]
 
+
+def test_route_object_events_leave_a_built_base_irr(small_world):
+    """Route-object events on a live world over a built base edit the
+    cloned registry copy-on-write: the base's IRR digest and rows stay
+    as they were."""
+    before = dataset_digests(small_world)["irr"]
+    rows = {
+        database.name: database.stored_rows()[1][:]
+        for database in small_world.irr.databases
+    }
+    events = synthesize_events(
+        small_world,
+        kinds=["RouteObjectAdded", "RouteObjectRemoved"] * 3,
+        seed=4,
+    )
+    live = LiveWorld(small_world)
+    for event in events:
+        live.apply(event)
+    after = live.world()
+    assert dataset_digests(after)["irr"] != before
+    assert dataset_digests(small_world)["irr"] == before
+    assert {
+        database.name: database.stored_rows()[1]
+        for database in small_world.irr.databases
+    } == rows
+
+
+def test_route_object_removals_draw_like_a_list(small_world):
+    """A removal draws one integer over every route object, database by
+    database in address order, as indexing the concatenated
+    ``all_routes()`` lists would; only the drawn row is decoded."""
+    events = synthesize_events(
+        small_world, kinds=["RouteObjectRemoved"] * 8, seed=9
+    )
+    rng = np.random.default_rng(9)
+    state = DeltaState.from_world(small_world)
+    for event in events:
+        registered = [
+            route
+            for database in state.irr.databases
+            for route in database.all_routes()
+        ]
+        assert isinstance(event, RouteObjectRemoved)
+        assert event.route == registered[int(rng.integers(len(registered)))]
+        apply_raw(state, event)
 
 def test_live_world_at_instant_zero_is_the_base():
     world = delta_world()

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RPSLError
 from repro.irr.asset import expand_as_set
@@ -24,7 +25,8 @@ from repro.irr.rpsl import (
     serialize_object,
 )
 from repro.irr.validation import IRRStatus, validate_irr
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, address_key
+from repro.net.radix import RadixTree
 from repro.registry.rir import RIR
 
 
@@ -233,6 +235,104 @@ class TestDatabases:
         assert collection.aut_num(1) is not None
         assert collection.aut_num(2) is None
         assert collection.as_set("as-x") is not None
+
+
+#: v4 prefixes in and out of ARIN's pools, crowded into few networks so
+#: that lists repeat and nest prefixes, and v6 prefixes in and out of
+#: ARIN's v6 pool.
+_ARIN_V4 = RIR.ARIN.v4_pools[0]
+_STORE_PREFIXES = st.one_of(
+    st.builds(
+        lambda key, length: Prefix.from_host(
+            _ARIN_V4.value + (key << 20), length, 4
+        ),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=_ARIN_V4.length, max_value=14),
+    ),
+    st.builds(
+        lambda key, length: Prefix.from_host(key << 28, length, 4),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=6),
+    ),
+    st.builds(
+        lambda key, length: Prefix.from_host(
+            RIR.ARIN.v6_pool.value + (key << 96), length, 6
+        ),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=RIR.ARIN.v6_pool.length, max_value=34),
+    ),
+    st.builds(
+        lambda key, length: Prefix.from_host(key << 124, length, 6),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=6),
+    ),
+)
+
+
+class TestColumnStore:
+    """One column-store database against a reference: a radix trie plus
+    a list, fed the same interleaved adds and removes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        authoritative=st.booleans(),
+        queries=st.lists(_STORE_PREFIXES, max_size=6),
+        data=st.data(),
+    )
+    def test_matches_trie_and_list(self, authoritative, queries, data):
+        name = "ARIN" if authoritative else "RADB"
+        database = IRRDatabase(
+            name, authoritative_for=RIR.ARIN if authoritative else None
+        )
+        pools = (*RIR.ARIN.v4_pools, RIR.ARIN.v6_pool)
+        listed: list[RouteObject] = []
+        version = 0
+        for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
+            if listed and data.draw(st.booleans()):
+                # Remove a stored route (maybe one with equal twins) or
+                # a copy that differs in one field.
+                route = data.draw(st.sampled_from(listed))
+                if data.draw(st.booleans()):
+                    route = replace(route, descr=route.descr + "x")
+                removed = route in listed
+                assert database.remove_route(route) is removed
+                if removed:
+                    listed.remove(route)
+                    version += 1
+            else:
+                prefix = data.draw(_STORE_PREFIXES)
+                if listed and data.draw(st.booleans()):
+                    route = data.draw(st.sampled_from(listed))
+                else:
+                    route = RouteObject(
+                        prefix=prefix,
+                        origin=data.draw(st.integers(1, 4)),
+                        source=name,
+                        descr=data.draw(st.sampled_from(["", "a"])),
+                        created=data.draw(
+                            st.sampled_from([None, date(2020, 1, 2)])
+                        ),
+                    )
+                accepted = not authoritative or any(
+                    pool.contains(route.prefix) for pool in pools
+                )
+                if accepted:
+                    database.add_route(route)
+                    listed.append(route)
+                    version += 1
+                else:
+                    with pytest.raises(RPSLError):
+                        database.add_route(route)
+            tree: RadixTree[RouteObject] = RadixTree()
+            for route in listed:
+                tree.insert(route.prefix, route)
+            for query in [*queries, *(route.prefix for route in listed)]:
+                assert database.routes_covering(query) == tree.covering(query)
+            assert database.all_routes() == sorted(
+                listed, key=lambda route: address_key(route.prefix)
+            )
+            assert database.route_count == len(listed)
+            assert database.version == version
 
 
 class TestValidation:

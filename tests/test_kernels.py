@@ -9,8 +9,8 @@ world may never hit, and on the built ``small_world``.
 The golden-digest suite pins the kernels end to end.
 
 The oracles: the radix-trie classifier behind ``ROVValidator.validate``,
-the bulk trie walk IRR validation falls back to for registries without
-a mutation counter, scalar ``PropagationEngine.paths_to`` and the bisect
+the per-route classification IRR validation falls back to for
+registries without a mutation counter, scalar ``PropagationEngine.paths_to`` and the bisect
 cover scan ``RouteCoverIndex._affected_python`` (tested in
 ``tests/test_delta.py``) stay in the source; the per-group transit
 scoring loop ``_transit_groups_python``, the per-prefix saturation
@@ -47,7 +47,7 @@ from repro.ihr import pipeline
 from repro.ihr.pipeline import assemble_ihr
 from repro.irr.database import IRRDatabase
 from repro.irr.objects import RouteObject
-from repro.irr.validation import _classify_pending, validate_irr_many
+from repro.irr.validation import _classify, validate_irr_many
 from repro.kernels.intervals import union_address_count
 from repro.net.asn import strip_prepending
 from repro.net.prefix import Prefix, aggregate_address_count, prefixes_from_columns
@@ -70,8 +70,10 @@ GOLDENS = Path(__file__).parent / "goldens" / "world_digests.json"
 class Unversioned:
     """A registry without a mutation counter.
 
-    IRR validation cannot memoise or index such a registry, so it walks
-    the radix trie: the reference path the interval kernel must match.
+    IRR validation cannot memoise or index such a registry, so it
+    classifies each route from the column lookup's covering objects
+    (``_classify`` over ``routes_covering``): the reference path the
+    interval kernel must match.
     """
 
     def __init__(self, database: IRRDatabase):
@@ -79,9 +81,6 @@ class Unversioned:
 
     def routes_covering(self, prefix: Prefix) -> list[RouteObject]:
         return self._database.routes_covering(prefix)
-
-    def routes_covering_many(self, prefixes):
-        return self._database.routes_covering_many(prefixes)
 
 
 # -- strategies -------------------------------------------------------------
@@ -149,10 +148,10 @@ class TestClassificationEquivalence:
             )
         columnar = validate_irr_many(database, routes)
         reference = Unversioned(database)
-        pending = list(dict.fromkeys(routes))
-        assert columnar == dict(
-            zip(pending, _classify_pending(reference, pending))
-        )
+        assert columnar == {
+            route: _classify(reference.routes_covering(route[0]), *route)
+            for route in routes
+        }
         assert columnar == validate_irr_many(reference, routes)
 
 

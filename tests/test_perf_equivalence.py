@@ -349,19 +349,26 @@ class TestRibSnapshotIndex:
 
 class TestBulkValidation:
     def test_covering_many_matches_covering(self):
+        """The IRR column lookup answers many prefixes in one call
+        exactly as one call per prefix, and both match a radix trie fed
+        the same routes."""
         rng = random.Random(7)
-        tree: RadixTree[int] = RadixTree()
+        database = IRRDatabase("RADB")
+        tree: RadixTree[RouteObject] = RadixTree()
         stored = []
         for i in range(200):
             length = rng.choice([8, 12, 16, 20, 24])
             prefix = Prefix.from_host(rng.randrange(0, 2**32), length)
-            tree.insert(prefix, i)
+            route = RouteObject(prefix=prefix, origin=i + 1, source="RADB")
+            database.add_route(route)
+            tree.insert(prefix, route)
             stored.append(prefix)
         queries = stored[:50] + [
             Prefix.from_host(rng.randrange(0, 2**32), 24) for _ in range(100)
         ]
-        bulk = tree.covering_many(queries)
+        bulk = database.routes_covering_many(queries)
         for prefix in queries:
+            assert bulk[prefix] == database.routes_covering(prefix)
             assert bulk[prefix] == tree.covering(prefix)
 
     def test_validate_irr_many_matches_single(self, small_world):

@@ -1,9 +1,17 @@
-"""Unit and property tests for the radix trie."""
+"""Unit and property tests for covering lookups.
+
+The radix trie serves ROV, address-space lookups and prefix filters.
+The IRR holds its route objects as stored columns instead; the trie
+operations only the IRR needed (removal, address-order listing,
+copying) are tested here on that column store.
+"""
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
+from repro.irr.database import IRRDatabase
+from repro.irr.objects import RouteObject
 from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
 
@@ -12,25 +20,32 @@ def _p(text: str) -> Prefix:
     return Prefix.parse(text)
 
 
+def _route(prefix: Prefix, origin: int) -> RouteObject:
+    return RouteObject(prefix=prefix, origin=origin, source="RADB")
+
+
+def _origins(routes: list[RouteObject]) -> list[int]:
+    return [route.origin for route in routes]
+
+
 class TestBasics:
     def test_empty(self):
         tree: RadixTree[str] = RadixTree()
         assert len(tree) == 0
         assert tree.covering(_p("10.0.0.0/8")) == []
-        assert not tree.has_covering(_p("10.0.0.0/8"))
 
     def test_insert_and_exact(self):
         tree: RadixTree[str] = RadixTree()
         tree.insert(_p("10.0.0.0/8"), "a")
-        assert tree.search_exact(_p("10.0.0.0/8")) == ["a"]
-        assert tree.search_exact(_p("10.0.0.0/9")) == []
+        assert tree.covering(_p("10.0.0.0/8")) == ["a"]
+        assert tree.covering(_p("10.0.0.0/7")) == []
         assert len(tree) == 1
 
     def test_duplicate_values_allowed(self):
         tree: RadixTree[str] = RadixTree()
         tree.insert(_p("10.0.0.0/8"), "a")
         tree.insert(_p("10.0.0.0/8"), "b")
-        assert sorted(tree.search_exact(_p("10.0.0.0/8"))) == ["a", "b"]
+        assert tree.covering(_p("10.0.0.0/8")) == ["a", "b"]
 
     def test_covering_order_least_specific_first(self):
         tree: RadixTree[str] = RadixTree()
@@ -58,24 +73,22 @@ class TestBasics:
         tree.insert(_p("0.0.0.0/0"), "default")
         assert tree.covering(_p("203.0.113.0/24")) == ["default"]
 
-    def test_covered_returns_subtree(self):
-        tree: RadixTree[str] = RadixTree()
-        tree.insert(_p("10.0.0.0/16"), "a")
-        tree.insert(_p("10.0.1.0/24"), "b")
-        tree.insert(_p("11.0.0.0/8"), "c")
-        assert sorted(tree.covered(_p("10.0.0.0/8"))) == ["a", "b"]
-
     def test_remove(self):
-        tree: RadixTree[str] = RadixTree()
-        tree.insert(_p("10.0.0.0/8"), "a")
-        assert tree.remove(_p("10.0.0.0/8"), "a")
-        assert not tree.remove(_p("10.0.0.0/8"), "a")
-        assert len(tree) == 0
-        assert tree.covering(_p("10.0.0.0/24")) == []
+        """The IRR column store removes one equal route object."""
+        database = IRRDatabase("RADB")
+        route = _route(_p("10.0.0.0/8"), 1)
+        database.add_route(route)
+        assert database.remove_route(route)
+        assert not database.remove_route(route)
+        assert database.route_count == 0
+        assert database.routes_covering(_p("10.0.0.0/24")) == []
 
     def test_remove_missing_prefix(self):
-        tree: RadixTree[str] = RadixTree()
-        assert not tree.remove(_p("10.0.0.0/8"), "a")
+        database = IRRDatabase("RADB")
+        database.add_route(_route(_p("10.0.0.0/16"), 1))
+        assert not database.remove_route(_route(_p("10.0.0.0/8"), 1))
+        assert not database.remove_route(_route(_p("10.0.0.0/16"), 2))
+        assert database.route_count == 1
 
     def test_versions_do_not_collide(self):
         tree: RadixTree[str] = RadixTree()
@@ -84,11 +97,11 @@ class TestBasics:
         assert tree.covering(_p("2001:db8::/32")) == ["v6-default"]
 
     def test_items_in_address_order(self):
-        tree: RadixTree[str] = RadixTree()
-        tree.insert(_p("11.0.0.0/8"), "11.0.0.0/8")
-        tree.insert(_p("10.0.0.0/8"), "10.0.0.0/8")
-        tree.insert(_p("2001:db8::/32"), "2001:db8::/32")
-        assert tree.values() == [
+        """The IRR column store lists its rows in address order."""
+        database = IRRDatabase("RADB")
+        for text in ("11.0.0.0/8", "2001:db8::/32", "10.0.0.0/8"):
+            database.add_route(_route(_p(text), 1))
+        assert [str(r.prefix) for r in database.all_routes()] == [
             "10.0.0.0/8",
             "11.0.0.0/8",
             "2001:db8::/32",
@@ -116,21 +129,6 @@ def test_covering_matches_bruteforce(stored, query):
         index for index, prefix in enumerate(stored) if prefix.contains(query)
     )
     assert sorted(tree.covering(query)) == expected
-    assert tree.has_covering(query) == bool(expected)
-
-
-@given(
-    st.lists(prefix_strategy, min_size=0, max_size=40),
-    prefix_strategy,
-)
-def test_covered_matches_bruteforce(stored, query):
-    tree: RadixTree[int] = RadixTree()
-    for index, prefix in enumerate(stored):
-        tree.insert(prefix, index)
-    expected = sorted(
-        index for index, prefix in enumerate(stored) if query.contains(prefix)
-    )
-    assert sorted(tree.covered(query)) == expected
 
 
 prefix_v6_strategy = st.builds(
@@ -157,11 +155,12 @@ crowded_strategy = st.builds(
     )
 )
 def test_items_roundtrip(stored):
-    """``values()`` is the stable ``(version, value, length)`` sort of the
-    inserted values: address order, equal prefixes in insertion order."""
-    tree: RadixTree[int] = RadixTree()
+    """The IRR column store's ``all_routes()`` is the stable
+    ``(version, value, length)`` sort of the added routes: address
+    order, equal prefixes in insertion order."""
+    database = IRRDatabase("RADB")
     for index, prefix in enumerate(stored):
-        tree.insert(prefix, index)
+        database.add_route(_route(prefix, index + 1))
     expected = sorted(
         range(len(stored)),
         key=lambda index: (
@@ -170,7 +169,7 @@ def test_items_roundtrip(stored):
             stored[index].length,
         ),
     )
-    assert tree.values() == expected
+    assert _origins(database.all_routes()) == [i + 1 for i in expected]
 
 
 @given(
@@ -183,31 +182,31 @@ def test_items_roundtrip(stored):
     st.data(),
 )
 def test_copy_is_equal_and_independent(stored, extra, data):
-    """A copy lists the source's values in the source's order (equal
-    prefixes in insertion order included) and holds the same values at
-    each prefix; inserting into or removing from either trie leaves the
-    other as it was."""
-    tree: RadixTree[int] = RadixTree()
+    """An IRR column store's copy lists the source's routes in the
+    source's order and finds the same covering routes; adding to or
+    removing from either leaves the other as it was."""
+    database = IRRDatabase("RADB")
     for index, prefix in enumerate(stored):
-        tree.insert(prefix, index)
-    tree.remove(stored[0], 0)  # leaves an emptied node behind
+        database.add_route(_route(prefix, index + 1))
+    database.remove_route(_route(stored[0], 1))
     keys = [*stored, extra]
 
-    def contents(trie: RadixTree[int]):
-        return trie.values(), [trie.search_exact(key) for key in keys]
+    def contents(store: IRRDatabase):
+        return store.all_routes(), [store.routes_covering(key) for key in keys]
 
-    before = contents(tree)
-    copy = tree.copy()
+    before = contents(database)
+    copy = database.copy()
     assert contents(copy) == before
-    assert len(copy) == len(tree)
+    assert copy.route_count == database.route_count
+    assert copy.version == database.route_count
 
     kept = before[0]
-    copy.insert(extra, -1)
+    copy.add_route(_route(extra, 999))
     if kept:
         victim = data.draw(st.sampled_from(kept))
-        assert copy.remove(stored[victim], victim)
-    assert contents(tree) == before
-    assert len(tree) == len(kept)
+        assert copy.remove_route(victim)
+    assert contents(database) == before
+    assert database.route_count == len(kept)
 
-    tree.insert(extra, -2)
-    assert -2 not in copy.values()
+    database.add_route(_route(extra, 998))
+    assert 998 not in _origins(copy.all_routes())

@@ -105,6 +105,56 @@ class TestCacheAndEtags:
         assert payload["result"]["text"] == "fig2 scale=0.1 seed=3"
         assert payload["key"] == result_key("fig2", 0.1, 3, {})
 
+    def test_hits_answer_with_the_body_encoded_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A payload is encoded once, when it enters the memory tier
+        (built, or loaded from the store by a fresh server); hits and
+        304s re-send that body and ETag byte for byte."""
+        from repro.serve import app
+
+        encodes = []
+        encode = app._json_body
+
+        def counting(payload):
+            encodes.append(payload)
+            return encode(payload)
+
+        monkeypatch.setattr(app, "_json_body", counting)
+        builder = CountingBuilder()
+        target = "/experiments/fig2?scale=0.1&seed=3"
+
+        async def scenario():
+            answers = []
+            for _ in range(2):
+                service = await started_service(
+                    CheckpointStore(tmp_path), builder
+                )
+                try:
+                    first = await http_get("127.0.0.1", service.port, target)
+                    tag = first[1]["etag"]
+                    hit = await http_get("127.0.0.1", service.port, target)
+                    revalidated = await http_get(
+                        "127.0.0.1",
+                        service.port,
+                        target,
+                        headers={"if-none-match": tag},
+                    )
+                    answers.append((first, hit, revalidated))
+                finally:
+                    await service.stop()
+            return answers
+
+        answers = run(scenario())
+        assert len(builder.calls) == 1
+        assert len(encodes) == 2  # the build, then the store load
+        bodies = {answer[0][2] for answer in answers} | {
+            answer[1][2] for answer in answers
+        }
+        etags = {answer[i][1]["etag"] for answer in answers for i in (0, 1, 2)}
+        assert len(bodies) == 1 and len(etags) == 1
+        assert [answer[2][0] for answer in answers] == [304, 304]
+
     def test_if_none_match_yields_304(self, tmp_path):
         builder = CountingBuilder()
 
