@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "NeighborKind",
@@ -39,9 +40,13 @@ class NeighborKind(str, Enum):
     PROVIDER = "provider"
 
 
-@dataclass(frozen=True)
-class RouteClass:
-    """Filter-relevant classification of a prefix-origin pair."""
+class RouteClass(NamedTuple):
+    """Filter-relevant classification of a prefix-origin pair.
+
+    A named pair of bits: it hashes and compares as a tuple, in C, which
+    matters where route groups keyed by ``(origin, RouteClass)`` are
+    looked up tens of thousands of times per snapshot.
+    """
 
     rpki_invalid: bool = False
     irr_invalid: bool = False

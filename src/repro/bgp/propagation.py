@@ -37,6 +37,10 @@ Two fast paths keep full-table collection affordable:
   LRU keyed by ``(origin, signature id, vantage points)``; repeated
   snapshots (timelines, counterfactual reruns, benchmarks) hit the cache
   instead of re-propagating.
+
+An engine never changes its inputs.  :meth:`PropagationEngine.derive`
+gives the engine of changed policies or one new link, sharing every
+frozen table and memo entry the change provably leaves alone.
 """
 
 from __future__ import annotations
@@ -44,10 +48,10 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro import obs
-from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass, covers_session
+from repro.bgp.policy import ASPolicy, RouteClass, covers_session
 from repro.errors import TopologyError
 from repro.kernels.csr import CollectionPlan, batch_paths
 from repro.topology.model import ASTopology
@@ -71,6 +75,48 @@ DEFAULT_PATHS_CACHE_SIZE = 8192
 #: origin's paths do not depend on the batch it is resolved in, so the
 #: bound is an identity transform (DESIGN §18).
 BATCH_ORIGINS = 512
+
+#: The engine's dict-valued caches besides the ``paths_to`` memo: filter
+#: tables and signature ids (which read only policies) and per-vantage
+#: closures, orders and collection plans (which read only adjacency).
+_TABLE_CACHES = (
+    "_class_filters",
+    "_signature_ids",
+    "_class_sig_ids",
+    "_target_closures",
+    "_target_orders",
+    "_batch_plans",
+)
+
+
+#: What one AS does with one route class: drop it from every neighbour,
+#: drop it at peer sessions, and its customer-session filter
+#: ``(coverage, unfiltered customers)`` or None.
+_Rule = tuple[bool, bool, tuple[float, frozenset[int]] | None]
+
+
+def _filter_rule(policy: ASPolicy, route_class: RouteClass) -> _Rule:
+    """How ``policy`` treats ``route_class``: the one per-AS rule behind
+    every :class:`_ClassFilters` table."""
+    rpki, irr = route_class
+    if rpki and policy.rov:
+        return True, True, None
+    customers = None
+    if (rpki and policy.filter_customers_rpki) or (
+        irr and policy.filter_customers_irr
+    ):
+        customers = (
+            policy.customer_filter_coverage,
+            policy.unfiltered_customers,
+        )
+    return (
+        False,
+        bool(
+            (rpki and policy.filter_peers_rpki)
+            or (irr and policy.filter_peers_irr)
+        ),
+        customers,
+    )
 
 
 class _ClassFilters:
@@ -97,13 +143,33 @@ class _ClassFilters:
         self.customer_filters = customer_filters
         #: Canonical hashable form: equal signatures ⇒ identical propagation.
         self.signature = (
-            tuple(sorted(drops_everywhere)),
-            tuple(sorted(drops_peers)),
-            tuple(
-                (asn, coverage, tuple(sorted(unfiltered)))
-                for asn, (coverage, unfiltered) in sorted(customer_filters.items())
-            ),
+            drops_everywhere,
+            drops_peers,
+            frozenset(customer_filters.items()),
         )
+
+    def with_rules(self, rules: Mapping[int, _Rule]) -> "_ClassFilters":
+        """These tables with the rule of each AS in ``rules`` replaced."""
+        drops_everywhere = set(self.drops_everywhere)
+        drops_peers = set(self.drops_peers)
+        customer_filters = dict(self.customer_filters)
+        for asn, (everywhere, peers, customers) in rules.items():
+            (drops_everywhere.add if everywhere else drops_everywhere.discard)(asn)
+            (drops_peers.add if peers else drops_peers.discard)(asn)
+            if customers is None:
+                customer_filters.pop(asn, None)
+            else:
+                customer_filters[asn] = customers
+        return _ClassFilters(
+            frozenset(drops_everywhere), frozenset(drops_peers), customer_filters
+        )
+
+
+#: The rule of an AS that filters nothing.
+_NO_RULE: _Rule = (False, False, None)
+
+#: The tables of a class no AS filters (the conformant class always).
+_UNFILTERED = _ClassFilters(frozenset(), frozenset(), {})
 
 
 class RouteKind(IntEnum):
@@ -200,16 +266,11 @@ class PropagationEngine:
         # the pickle without changing any result.
         state = self.__dict__.copy()
         for transient in (
-            "_class_filters",
-            "_signature_ids",
-            "_class_sig_ids",
+            *_TABLE_CACHES,
             "_paths_cache",
             "_cache_hits",
             "_cache_misses",
             "_cache_evictions",
-            "_target_closures",
-            "_target_orders",
-            "_batch_plans",
         ):
             state.pop(transient, None)
         return state
@@ -235,36 +296,19 @@ class PropagationEngine:
         The tables capture *everything* :meth:`ASPolicy.accepts` can do
         with this class, so propagation needs no policy calls afterwards.
         """
-        key = (route_class.rpki_invalid, route_class.irr_invalid)
-        filters = self._class_filters.get(key)
+        filters = self._class_filters.get(route_class)
         if filters is None:
-            rpki, irr = key
-            drops_everywhere: set[int] = set()
-            drops_peers: set[int] = set()
-            customer_filters: dict[int, tuple[float, frozenset[int]]] = {}
-            if rpki or irr:
-                for asn, policy in self._policies.items():
-                    if rpki and policy.rov:
-                        drops_everywhere.add(asn)
-                        drops_peers.add(asn)
-                        continue
-                    if (rpki and policy.filter_peers_rpki) or (
-                        irr and policy.filter_peers_irr
-                    ):
-                        drops_peers.add(asn)
-                    if (rpki and policy.filter_customers_rpki) or (
-                        irr and policy.filter_customers_irr
-                    ):
-                        customer_filters[asn] = (
-                            policy.customer_filter_coverage,
-                            policy.unfiltered_customers,
-                        )
-            filters = _ClassFilters(
-                frozenset(drops_everywhere),
-                frozenset(drops_peers),
-                customer_filters,
-            )
-            self._class_filters[key] = filters
+            filters = _UNFILTERED
+            if any(route_class):
+                filters = filters.with_rules(
+                    {
+                        asn: rule
+                        for asn, policy in self._policies.items()
+                        if (rule := _filter_rule(policy, route_class))
+                        != _NO_RULE
+                    }
+                )
+            self._class_filters[route_class] = filters
         return filters
 
     def signature_id(self, route_class: RouteClass) -> int:
@@ -273,17 +317,22 @@ class PropagationEngine:
         Two route classes with the same id propagate identically from
         every origin (e.g. RPKI-Valid and NotFound announcements, or any
         two classes when no AS filters at all), so they share memoised
-        results.
+        results.  Derived engines inherit the ids: a signature keeps its
+        id while some class of the lineage has it.
         """
-        key = (route_class.rpki_invalid, route_class.irr_invalid)
-        sig_id = self._class_sig_ids.get(key)
+        sig_id = self._class_sig_ids.get(route_class)
         if sig_id is None:
-            signature = self.class_filters(route_class).signature
-            sig_id = self._signature_ids.get(signature)
-            if sig_id is None:
-                sig_id = len(self._signature_ids)
-                self._signature_ids[signature] = sig_id
-            self._class_sig_ids[key] = sig_id
+            sig_id = self._intern(self.class_filters(route_class).signature)
+            self._class_sig_ids[route_class] = sig_id
+        return sig_id
+
+    def _intern(self, signature: tuple) -> int:
+        sig_id = self._signature_ids.get(signature)
+        if sig_id is None:
+            # Past every id in use, which may not be contiguous after a
+            # derivation dropped signatures.
+            sig_id = max(self._signature_ids.values(), default=-1) + 1
+            self._signature_ids[signature] = sig_id
         return sig_id
 
     def cache_info(self) -> dict[str, int]:
@@ -349,54 +398,126 @@ class PropagationEngine:
         obs.add("propagation.cache_seeded", len(seeded))
         return held
 
-    def adopt_cache(
+    def derive(
         self,
-        other: "PropagationEngine",
-        skip_origins: Collection[int] = (),
-    ) -> int:
-        """Carry memoised paths over from another engine where sound.
+        policies: Mapping[int, ASPolicy] | None = None,
+        link: tuple[int, int] | None = None,
+        topology: ASTopology | None = None,
+    ) -> "PropagationEngine":
+        """The engine of this one's inputs after a change.
 
-        An entry transfers when its route class has identical
-        effective-filter signatures in both engines and its origin is
-        not in ``skip_origins``.  Propagation is a pure function of
-        (topology, class filters), so the caller vouches that the two
-        topologies route every origin outside ``skip_origins`` alike.
-        The delta layer pairs engines two ways: after a policy flip the
-        topology is the same and nothing is skipped (typically half the
-        route classes keep their signatures); after a new peer link it
-        skips every origin inside either endpoint's customer cone, the
-        only origins whose routes can cross that link (DESIGN §16).
-        Returns the number of entries adopted.
+        ``policies`` maps each AS whose import policy changes to its new
+        policy.  ``link`` names the endpoints of one new link, and
+        ``topology`` is this engine's topology with that link added.
+        The successor shares everything the change leaves alone, and
+        this engine is not modified:
+
+        * a policy change keeps the frozen adjacency, closure orders and
+          collection plans, re-resolves only the route classes whose
+          tables a changed AS's rule alters, and carries every memo
+          entry whose filter signature some class still has (equal
+          signatures propagate identically, DESIGN §8);
+        * a new link re-freezes the adjacency of its two endpoints and
+          keeps the filter tables and signature ids.  After a peer link
+          it carries every memo entry whose origin lies outside both
+          endpoints' customer cones: only holders of a customer or
+          origin route export over a peer link, and toward an origin
+          those are the origin and its transitive providers, so no
+          route toward an origin outside both cones can cross it.  A
+          provider–customer link changes customer routes themselves,
+          and nothing is carried (DESIGN §16).
         """
-        classes = ROUTE_CLASSES.values()
-        mine = {
-            self.class_filters(rc).signature: self.signature_id(rc)
-            for rc in classes
-        }
-        id_map = {}
-        for rc in classes:
-            signature = other.class_filters(rc).signature
-            my_id = mine.get(signature)
-            if my_id is not None:
-                id_map[other.signature_id(rc)] = my_id
-        if not id_map:
-            return 0
-        self.ensure_cache_capacity(len(other._paths_cache))
-        cache = self._paths_cache
-        adopted = 0
-        for (origin, sig_id, vantage_points), paths in other._paths_cache.items():
-            my_id = id_map.get(sig_id)
-            if my_id is None or origin in skip_origins:
+        if (link is None) != (topology is None):
+            raise ValueError("a new link needs the topology that holds it")
+        engine = PropagationEngine.__new__(PropagationEngine)
+        engine.__dict__.update(self.__dict__)
+        for name in _TABLE_CACHES:
+            setattr(engine, name, dict(getattr(self, name)))
+        engine._paths_cache = self._paths_cache.copy()
+        engine._cache_hits = engine._cache_misses = engine._cache_evictions = 0
+        if policies:
+            engine._change_policies(policies)
+        if link is not None:
+            engine._add_link(topology, *link)
+        obs.add("propagation.cache_carried", len(engine._paths_cache))
+        return engine
+
+    def _change_policies(self, changed: Mapping[int, ASPolicy]) -> None:
+        previous = self._policies
+        for asn in changed:
+            if asn not in previous:
+                raise TopologyError(f"policy for unknown AS{asn}")
+        self._policies = {**previous, **changed}
+        old_ids = set(self._class_sig_ids.values())
+        for route_class, filters in list(self._class_filters.items()):
+            moved = {}
+            for asn, policy in changed.items():
+                rule = _filter_rule(policy, route_class)
+                if rule != _filter_rule(previous[asn], route_class):
+                    moved[asn] = rule
+            if not moved:
                 continue
-            key = (origin, my_id, vantage_points)
-            if key not in cache:
-                cache[key] = paths
-                adopted += 1
-        while len(cache) > self._paths_cache_size:
-            cache.popitem(last=False)
-            self._cache_evictions += 1
-        obs.add("propagation.cache_adopted", adopted)
-        return adopted
+            filters = filters.with_rules(moved)
+            self._class_filters[route_class] = filters
+            if route_class in self._class_sig_ids:
+                self._class_sig_ids[route_class] = self._intern(
+                    filters.signature
+                )
+            obs.add("propagation.classes_reresolved")
+        dropped = old_ids - set(self._class_sig_ids.values())
+        if dropped:
+            self._forget([key for key in self._paths_cache if key[1] in dropped])
+            # No class has a dropped signature, so the lineage keeps
+            # none of them: its interned signatures stay one per class.
+            self._signature_ids = {
+                signature: sig_id
+                for signature, sig_id in self._signature_ids.items()
+                if sig_id not in dropped
+            }
+
+    def _add_link(self, topology: ASTopology, a: int, b: int) -> None:
+        for asn in (a, b):
+            if asn not in self._policies:
+                raise TopologyError(f"link references unknown AS{asn}")
+        self._topology = topology
+        self._providers, self._customers, self._peers = (
+            dict(self._providers),
+            dict(self._customers),
+            dict(self._peers),
+        )
+        for asn in (a, b):
+            self._providers[asn] = tuple(sorted(topology.providers_of(asn)))
+            self._customers[asn] = tuple(sorted(topology.customers_of(asn)))
+            self._peers[asn] = tuple(sorted(topology.peers_of(asn)))
+        # A vantage tuple's closure, order and plan read only the
+        # providers and peers of closure members.
+        for targets, closure in list(self._target_closures.items()):
+            if a in closure or b in closure:
+                del self._target_closures[targets]
+                self._target_orders.pop(targets, None)
+                self._batch_plans.pop(targets, None)
+        if b in self._peers[a]:
+            cones = self._customer_cones(a, b)
+            self._forget([key for key in self._paths_cache if key[0] in cones])
+        else:
+            self._paths_cache = OrderedDict()
+
+    def _forget(self, keys: list[tuple]) -> None:
+        cache = self._paths_cache
+        for key in keys:
+            del cache[key]
+
+    def _customer_cones(self, *roots: int) -> set[int]:
+        """``roots`` and every AS below them along customer links."""
+        cone = set(roots)
+        stack = list(cone)
+        customers = self._customers
+        while stack:
+            for customer in customers[stack.pop()]:
+                if customer not in cone:
+                    cone.add(customer)
+                    stack.append(customer)
+        return cone
 
     # -- public API ---------------------------------------------------------
 

@@ -6,7 +6,8 @@ registries as they stood at build time.  The delta layer models *change*
 as a stream of small events — ROA churn, IRR edits, MANRS membership
 moves, topology growth, policy flips — applied to a
 :class:`DeltaState`: independent clones of the world's mutable inputs
-(registries, topology, policies) that events mutate in place.
+(registries, topology, policies) that events edit, each in place until
+a world holds it and on a fresh copy from then on.
 
 Two consumers share :func:`apply_raw` and :meth:`DeltaState.world`:
 
@@ -24,7 +25,7 @@ independent interpretations of the same event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import TYPE_CHECKING, Union
 
@@ -143,10 +144,34 @@ def _clone_irr(irr: IRRCollection) -> IRRCollection:
     return IRRCollection(database.copy() for database in irr.databases)
 
 
+def _clone_repository(repository: RPKIRepository) -> RPKIRepository:
+    """An independent repository holding the same certificates and ROAs."""
+    return RPKIRepository(
+        certificates=dict(repository.certificates),
+        roas=list(repository.roas),
+        _next_cert=repository._next_cert,  # noqa: SLF001
+    )
+
+
+#: How each component of a :class:`DeltaState` is cloned.
+_CLONE = {
+    "topology": ASTopology.copy,
+    "policies": dict,
+    "repository": _clone_repository,
+    "irr": _clone_irr,
+    "manrs": MANRSRegistry.copy,
+}
+
+
 @dataclass
 class DeltaState:
     """The mutable inputs of a world, cloned so events never touch the
-    base ``World`` (which stays valid as the rebuild/replay baseline)."""
+    base ``World`` (which stays valid as the rebuild/replay baseline).
+
+    :meth:`world` hands the components out as they are, so the next
+    event to edit one edits a fresh clone instead (:meth:`edit`): a
+    world, once returned, never changes.
+    """
 
     topology: ASTopology
     policies: dict[int, ASPolicy]
@@ -156,22 +181,29 @@ class DeltaState:
     #: Set once any event mutates the topology; consumers re-derive
     #: topology-dependent artifacts (size classes) only when this is set.
     topology_changed: bool = False
+    #: Components a world returned by :meth:`world` holds.
+    held: set[str] = field(default_factory=set)
 
     @classmethod
     def from_world(cls, world: World) -> "DeltaState":
         """Clone a built world's mutable inputs."""
-        repository = world.rpki_repository
         return cls(
-            topology=world.topology.copy(),
-            policies=dict(world.policies),
-            repository=RPKIRepository(
-                certificates=dict(repository.certificates),
-                roas=list(repository.roas),
-                _next_cert=repository._next_cert,  # noqa: SLF001
-            ),
-            irr=_clone_irr(world.irr),
-            manrs=world.manrs.copy(),
+            topology=_CLONE["topology"](world.topology),
+            policies=_CLONE["policies"](world.policies),
+            repository=_CLONE["repository"](world.rpki_repository),
+            irr=_CLONE["irr"](world.irr),
+            manrs=_CLONE["manrs"](world.manrs),
         )
+
+    def edit(self, name: str):
+        """The component ``name``, ready to edit in place: cloned first
+        when a world holds it."""
+        component = getattr(self, name)
+        if name in self.held:
+            component = _CLONE[name](component)
+            setattr(self, name, component)
+            self.held.discard(name)
+        return component
 
     def world(self, base: World, as_of: date, measured: "Measurements") -> World:
         """The world this state and ``measured`` describe at ``as_of``.
@@ -188,11 +220,14 @@ class DeltaState:
           comes from ``base``.  Vantage points are never re-selected:
           re-selection depends on size classes, which a topology event
           may shift, and would make every downstream artifact
-          incomparable with the base.
+          incomparable with the base;
+        * the world holds this state's components, so later edits clone
+          them first.
         """
         config = base.config
         if as_of != config.snapshot_date:
             config = replace(config, snapshot_date=as_of)
+        self.held.update(_CLONE)
         size_of = (
             classify_all(self.topology)
             if self.topology_changed
@@ -229,23 +264,25 @@ def apply_raw(state: DeltaState, event: Event) -> str:
     linking unknown ASes, ...).
     """
     if isinstance(event, RoaIssued):
-        state.repository.add_roa(event.roa)
+        state.edit("repository").add_roa(event.roa)
         return "rpki"
     if isinstance(event, RoaExpired):
-        if not state.repository.remove_roa(event.roa):
+        if not state.edit("repository").remove_roa(event.roa):
             raise DeltaError(
                 f"cannot expire unpublished ROA for {event.roa.prefix}"
             )
         return "rpki"
     if isinstance(event, RouteObjectAdded):
         try:
-            state.irr.database(event.route.source).add_route(event.route)
+            state.edit("irr").database(event.route.source).add_route(
+                event.route
+            )
         except RPSLError as error:
             raise DeltaError(str(error)) from error
         return "irr"
     if isinstance(event, RouteObjectRemoved):
         try:
-            database = state.irr.database(event.route.source)
+            database = state.edit("irr").database(event.route.source)
         except RPSLError as error:
             raise DeltaError(str(error)) from error
         if not database.remove_route(event.route):
@@ -260,19 +297,21 @@ def apply_raw(state: DeltaState, event: Event) -> str:
             state.topology.get_org(participant.org_id)
             for asn in participant.asns:
                 state.topology.get_as(asn)
-            state.manrs.add(participant)
+            state.edit("manrs").add(participant)
         except (DatasetError, TopologyError) as error:
             raise DeltaError(str(error)) from error
         return "manrs"
     if isinstance(event, MemberLeft):
         try:
-            state.manrs.remove(event.org_id, event.program)
+            state.edit("manrs").remove(event.org_id, event.program)
         except DatasetError as error:
             raise DeltaError(str(error)) from error
         return "manrs"
     if isinstance(event, LinkAdded):
         try:
-            state.topology.add_link(event.a, event.b, event.relationship)
+            state.edit("topology").add_link(
+                event.a, event.b, event.relationship
+            )
         except TopologyError as error:
             raise DeltaError(str(error)) from error
         state.topology_changed = True
@@ -286,7 +325,7 @@ def apply_raw(state: DeltaState, event: Event) -> str:
             raise DeltaError(
                 f"policy field {event.field!r} is not a boolean toggle"
             )
-        state.policies[event.asn] = replace(
+        state.edit("policies")[event.asn] = replace(
             policy, **{event.field: not current}
         )
         return "policy"

@@ -7,31 +7,39 @@ what each event can affect:
 * **RPKI events** take their VRP delta from the event: the relying
   party evaluates that one ROA at the live instant
   (:meth:`~repro.rpki.validator.IncrementalRelyingParty.vrp_at`), the
-  successor :class:`~repro.rpki.rov.ROVValidator` is the current VRP
-  list with that VRP appended or one equal copy removed, and only the
-  routes its prefix covers (:class:`~repro.delta.cover.RouteCoverIndex`)
-  are re-validated.  :meth:`LiveWorld.advance_to` reaches the same step
+  successor :class:`~repro.rpki.rov.ROVValidator` is derived from the
+  current one with that VRP appended or its first equal copy removed —
+  its VRP columns by one row and its interval index by the one
+  prefix-length bucket the VRP falls in — and only the routes its
+  prefix covers (:class:`~repro.delta.cover.RouteCoverIndex`) are
+  re-validated.  :meth:`LiveWorld.advance_to` reaches the same step
   through one full (plan-cached) relying-party run and one multiset
   diff (:func:`~repro.delta.cover.vrp_delta`).
 * **IRR events** re-validate the cover set of the edited object's
-  prefix route by route through the registry's memoised covering
-  lookup over its stored columns; no registry-wide index is rebuilt.
+  prefix through one covering lookup over the registry's stored
+  columns (:func:`~repro.irr.validation.validate_irr_covering`); no
+  registry-wide index is rebuilt.
 * **Membership events** touch nothing derived (the participants dataset
   serialises straight from the registry).
-* **Topology events** rebuild the propagation engine and mark size
-  classes stale.  After a new *peer* link the engine adopts every cached
-  path whose origin lies outside both endpoints' customer cones: only
-  ASes holding a customer or origin route export over a peer link, and
-  for an origin those are the origin and its transitive providers, so
-  no route toward an origin outside both cones can cross the link.  A
-  new provider–customer link invalidates every cached path.
-* **Policy flips** rebuild the engine against the new policy table but
-  adopt every cached path whose effective-filter signature is unchanged
-  (:meth:`~repro.bgp.propagation.PropagationEngine.adopt_cache`).
+* **Topology and policy events** derive the successor engine
+  (:meth:`~repro.bgp.propagation.PropagationEngine.derive`), and a
+  topology event marks size classes stale.  A policy flip re-resolves
+  only the route classes whose filter tables the flipped AS's rule
+  changes and carries every cached path whose effective-filter
+  signature is unchanged.  A new link re-freezes its two endpoints'
+  adjacency; after a *peer* link every cached path whose origin lies
+  outside both endpoints' customer cones is carried, since only ASes
+  holding a customer or origin route export over a peer link, and for
+  an origin those are the origin and its transitive providers.  A new
+  provider–customer link carries no cached path.
 
-No event copies a table-sized memo: :meth:`LiveWorld.world` seeds the
-materialised world's ROV and IRR memos once per state, from the live
-verdict maps that hold every table route's current verdict.
+No event modifies an engine, a validator or a registry a world holds:
+successors are derived, and the state's components are edited
+copy-on-write once a world holds them
+(:meth:`~repro.delta.events.DeltaState.edit`).  No event copies a
+table-sized memo: :meth:`LiveWorld.world` seeds the materialised
+world's ROV and IRR memos once per state, from the live verdict maps
+that hold every table route's current verdict.
 
 Verdict changes *regroup* routes among (origin, route class) buckets;
 :meth:`LiveWorld.world` then materialises a full ``World`` by replaying
@@ -61,7 +69,7 @@ of ``tests/test_parity.py``.
 from __future__ import annotations
 
 from datetime import date
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,7 +82,6 @@ from repro.delta.cover import RouteCoverIndex, vrp_delta
 from repro.delta.events import (
     DeltaState,
     Event,
-    LinkAdded,
     RoaExpired,
     RoaIssued,
     apply_raw,
@@ -85,7 +92,7 @@ from repro.ihr.records import IRR_STATUSES, RPKI_STATUSES, IHRDataset
 from repro.irr.validation import (
     IRRStatus,
     seed_memo,
-    validate_irr,
+    validate_irr_covering,
     validate_irr_many,
 )
 from repro.net.prefix import Prefix, address_key, prefix_keys
@@ -94,7 +101,7 @@ from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
 from repro.scenario.build import Measurements, route_table
 from repro.scenario.world import World
-from repro.topology.model import ASTopology, Relationship
+from repro.topology.model import ASTopology
 
 __all__ = ["LiveWorld", "run_job_at"]
 
@@ -130,9 +137,9 @@ class LiveWorld:
         self._rp = IncrementalRelyingParty(self._state.repository)
         # The base validator is reused as-is until the first VRP change:
         # its VRP set is exactly what the relying party emits for the
-        # unmutated repository.  Successors are always new validators,
-        # so neither it nor one an earlier world() handed out ever
-        # changes its VRP set.
+        # unmutated repository.  Successors are always derived, new
+        # validators, so neither it nor one an earlier world() handed
+        # out ever changes its VRP set.
         self._rov: ROVValidator = base.rov
         self._routes = route_table(base.originations)
         self._cover = RouteCoverIndex(self._routes)
@@ -220,9 +227,13 @@ class LiveWorld:
             elif domain == "irr":
                 self._reclassify_irr(event.route.prefix)
             elif domain == "topology":
-                self._follow_link(event)
+                self._engine = self._engine.derive(
+                    link=(event.a, event.b), topology=self._state.topology
+                )
             elif domain == "policy":
-                self._rebuild_engine()
+                self._engine = self._engine.derive(
+                    policies={event.asn: self._state.policies[event.asn]}
+                )
             # "manrs" events only touch the participants dataset, which
             # serialises straight from the (already mutated) registry.
             self._events_applied += 1
@@ -258,6 +269,9 @@ class LiveWorld:
         instant — and every other verdict stands (cf. RRDP deltas,
         RFC 8182).
         """
+        # The event may have cloned the repository (a world held it),
+        # and it invalidated the relying party's plans either way.
+        self._rp = IncrementalRelyingParty(self._state.repository)
         vrp = self._rp.vrp_at(event.roa, self._date)
         if vrp is None:
             return
@@ -297,16 +311,16 @@ class LiveWorld:
         """Re-validate the cover set of an edited route object's prefix.
 
         The edit bumped the registry's mutation counter, so its memo
-        starts empty; each covered route takes one covering lookup
-        (``validate_irr``), and no registry-wide index is rebuilt.
+        starts empty; the covered routes take one covering lookup
+        (``validate_irr_covering``), and no registry-wide index is
+        rebuilt.
         """
-        cover = self._cover.affected([changed_prefix])
+        cover = [self._routes[i] for i in self._cover.affected([changed_prefix])]
         obs.add("delta.irr_cover_routes", len(cover))
-        registry = self._state.irr
-        for index in cover:
-            key = self._routes[index]
+        new_status = validate_irr_covering(self._state.irr, cover)
+        for key in cover:
             old = self._irr_status[key]
-            new = validate_irr(registry, *key)
+            new = new_status[key]
             if new is old:
                 continue
             if (new is IRRStatus.INVALID_ORIGIN) != (
@@ -334,35 +348,6 @@ class LiveWorld:
             self._regrouped.add(key)
             self._sorted.pop(key, None)
         obs.add("delta.routes_regrouped")
-
-    def _follow_link(self, event: LinkAdded) -> None:
-        """Rebuild the engine over the grown topology.
-
-        A new peer link only carries routes toward origins inside either
-        endpoint's customer cone (see the module docstring), so every
-        other origin's cached paths stay sound.  A new provider–customer
-        link changes customer routes themselves; nothing is carried.
-        """
-        if event.relationship is Relationship.PEER:
-            self._rebuild_engine(
-                skip_origins=_customer_cones(
-                    self._state.topology, event.a, event.b
-                )
-            )
-        else:
-            self._rebuild_engine(adopt=False)
-
-    def _rebuild_engine(
-        self, adopt: bool = True, skip_origins: Collection[int] = ()
-    ) -> None:
-        previous = self._engine
-        self._engine = PropagationEngine(
-            self._state.topology, self._state.policies
-        )
-        obs.add("delta.engine_rebuilds")
-        if adopt:
-            carried = self._engine.adopt_cache(previous, skip_origins)
-            obs.add("delta.paths_carried", carried)
 
     # -- materialisation -----------------------------------------------------
 
@@ -659,18 +644,6 @@ def _base_group_index(
     ):
         return {}
     return index
-
-
-def _customer_cones(topology: ASTopology, *roots: int) -> set[int]:
-    """``roots`` and every AS below them along customer links."""
-    cone = set(roots)
-    stack = list(cone)
-    while stack:
-        for customer in topology.customers_of(stack.pop()):
-            if customer not in cone:
-                cone.add(customer)
-                stack.append(customer)
-    return cone
 
 
 def run_job_at(job, at: str) -> dict[str, dict]:

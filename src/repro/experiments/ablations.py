@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.bgp.collector import collect_rib
-from repro.bgp.propagation import PropagationEngine
 from repro.core.conformance import (
     is_action4_conformant,
     origination_stats,
@@ -55,8 +54,10 @@ def rov_deployment_ablation(
     """Recompute Figure 9 while sweeping ROV among large MANRS transits.
 
     Re-propagates the world's announcements under modified policies and
-    rebuilds the transit dataset per level — the full measurement loop,
-    not a shortcut on cached paths.
+    rebuilds the transit dataset per level — the full measurement loop.
+    Only route classes whose filter tables no ROV setting changes reuse
+    the world's memoised paths, which is sound because equal tables
+    propagate identically.
     """
     members = world.members()
     large_members = sorted(
@@ -71,12 +72,14 @@ def rov_deployment_ablation(
     points = []
     for level in levels:
         n_deployed = round(level * len(large_members))
-        policies = dict(world.policies)
-        for index, asn in enumerate(large_members):
-            policies[asn] = replace(
-                policies[asn], rov=index < n_deployed
-            )
-        engine = PropagationEngine(world.topology, policies)
+        # Derived from the world's engine: the classes no ROV setting
+        # touches keep their memoised paths.
+        engine = world.engine.derive(
+            policies={
+                asn: replace(world.policies[asn], rov=index < n_deployed)
+                for index, asn in enumerate(large_members)
+            }
+        )
         rib = collect_rib(engine, announcements, world.vantage_points)
         dataset = build_ihr_dataset(rib, world.rov, world.irr, world.topology)
         scores = preference_scores(dataset, members)

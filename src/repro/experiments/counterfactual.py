@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.bgp.collector import collect_rib
-from repro.bgp.propagation import PropagationEngine
 from repro.core.impact import preference_scores
 from repro.ihr.pipeline import build_ihr_dataset
 from repro.ihr.records import RPKI_STATUSES, IHRDataset
@@ -65,19 +64,22 @@ def run(world: World) -> CounterfactualResult:
     """Compare the measured world against full member compliance."""
     measured = _scenario("measured", world, world.ihr)
 
-    members = world.members()
-    policies = dict(world.policies)
-    for asn in members:
-        if asn not in policies:
-            continue
-        policies[asn] = replace(
-            policies[asn],
-            rov=True,
-            filter_customers_rpki=True,
-            filter_customers_irr=True,
-            customer_filter_coverage=1.0,
-        )
-    engine = PropagationEngine(world.topology, policies)
+    # Derived from the world's engine, the route classes the stricter
+    # policies leave alone (above all the unfiltered Valid/NotFound
+    # class) keep their memoised paths.
+    engine = world.engine.derive(
+        policies={
+            asn: replace(
+                world.policies[asn],
+                rov=True,
+                filter_customers_rpki=True,
+                filter_customers_irr=True,
+                customer_filter_coverage=1.0,
+            )
+            for asn in world.members()
+            if asn in world.policies
+        }
+    )
     rib = collect_rib(engine, world.rib.announcements(), world.vantage_points)
     compliant = _scenario(
         "full compliance",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from datetime import date
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -214,40 +214,39 @@ class IRRDatabase:
 
     def _covering_rows(self, prefixes: list[Prefix]) -> list[list[int]]:
         """Per prefix, the rows whose prefix contains it: least specific
-        first, equal prefixes in insertion order.
+        first, equal prefixes in insertion order."""
+        return self._rows_matching(_candidate_keys(prefixes))
 
-        A query has one candidate key per length up to its own.  The v4
-        candidates of all queries take one ``searchsorted`` over the v4
-        keys; the v6 ones bisect the few v6 keys.
+    def _rows_matching(self, keys: "_CandidateKeys") -> list[list[int]]:
+        """:meth:`_covering_rows` of the queries ``keys`` were built for.
+
+        The v4 candidates of all queries take one ``searchsorted`` over
+        the v4 keys; the v6 ones bisect the few v6 keys.
         """
         self._merge_pending()
         v4_keys, v6_keys = self._sorted_keys()
         n4 = len(v4_keys)
-        found: list[list[int]] = [[] for _ in prefixes]
-        owners: list[int] = []
-        wanted: list[int] = []
-        for i, prefix in enumerate(prefixes):
-            value = prefix.value
-            for length in range(prefix.length + 1):
-                if prefix.version == 4:
-                    shift = 32 - length
-                    wanted.append((value >> shift << shift) << 8 | length)
-                    owners.append(i)
-                else:
-                    shift = 128 - length
-                    key = (value >> shift << shift, length)
-                    start = bisect_left(v6_keys, key)
-                    end = bisect_right(v6_keys, key, start)
-                    found[i] += range(n4 + start, n4 + end)
-        if wanted and n4:
-            candidates = np.array(wanted, dtype=np.uint64)
+        found: list[list[int]] = [[] for _ in range(keys.count)]
+        for i, key in keys.v6:
+            start = bisect_left(v6_keys, key)
+            end = bisect_right(v6_keys, key, start)
+            found[i] += range(n4 + start, n4 + end)
+        if len(keys.v4) and n4:
             for i, start, end in zip(
-                owners,
-                v4_keys.searchsorted(candidates).tolist(),
-                v4_keys.searchsorted(candidates, side="right").tolist(),
+                keys.v4_owners,
+                v4_keys.searchsorted(keys.v4).tolist(),
+                v4_keys.searchsorted(keys.v4, side="right").tolist(),
             ):
                 found[i] += range(start, end)
         return found
+
+    def _covering(self, keys: "_CandidateKeys") -> list[list[RouteObject]]:
+        """Per query of ``keys``, its covering route objects, decoding
+        each matching row once."""
+        found = self._rows_matching(keys)
+        rows = sorted({row for matches in found for row in matches})
+        objects = dict(zip(rows, self._decode(rows)))
+        return [[objects[row] for row in matches] for matches in found]
 
     def _decode(self, rows: list[int]) -> list[RouteObject]:
         """The route objects of the stored ``rows``, in that order: the
@@ -314,13 +313,7 @@ class IRRDatabase:
         """:meth:`routes_covering` for many prefixes in one lookup,
         decoding each matching row once."""
         queries = list(dict.fromkeys(prefixes))
-        found = self._covering_rows(queries)
-        rows = sorted({row for matches in found for row in matches})
-        objects = dict(zip(rows, self._decode(rows)))
-        return {
-            prefix: [objects[row] for row in matches]
-            for prefix, matches in zip(queries, found)
-        }
+        return dict(zip(queries, self._covering(_candidate_keys(queries))))
 
     def routes_of_origins(self, origins: Iterable[int]) -> list[RouteObject]:
         """The route objects registered for any of ``origins``, in
@@ -363,6 +356,41 @@ class IRRDatabase:
     def route_count(self) -> int:
         """Number of route objects stored."""
         return len(self._strings) + len(self._pending)
+
+
+class _CandidateKeys(NamedTuple):
+    """Every key a row covering one of ``count`` queries can have: one
+    per prefix length up to the query's own, in the form
+    :meth:`IRRDatabase._sorted_keys` holds."""
+
+    count: int
+    #: ``value << 8 | length`` of each v4 candidate, and its query.
+    v4: np.ndarray
+    v4_owners: list[int]
+    #: ``(query, (value, length))`` of each v6 candidate.
+    v6: list[tuple[int, tuple[int, int]]]
+
+
+def _candidate_keys(prefixes: list[Prefix]) -> _CandidateKeys:
+    """The candidate keys of ``prefixes``, built once for any number of
+    databases to search."""
+    v4: list[int] = []
+    owners: list[int] = []
+    v6: list[tuple[int, tuple[int, int]]] = []
+    for i, prefix in enumerate(prefixes):
+        value = prefix.value
+        if prefix.version == 4:
+            for length in range(prefix.length + 1):
+                shift = 32 - length
+                v4.append((value >> shift << shift) << 8 | length)
+            owners += [i] * (prefix.length + 1)
+        else:
+            for length in range(prefix.length + 1):
+                shift = 128 - length
+                v6.append((i, (value >> shift << shift, length)))
+    return _CandidateKeys(
+        len(prefixes), np.array(v4, dtype=np.uint64), owners, v6
+    )
 
 
 def route_columns(databases: Iterable[IRRDatabase]) -> dict[str, np.ndarray]:
@@ -409,31 +437,25 @@ class IRRCollection:
 
     def routes_covering(self, prefix: Prefix) -> list[RouteObject]:
         """Covering route objects across all member databases."""
-        return [
-            route
-            for database in self._databases.values()
-            for route in database.routes_covering(prefix)
-        ]
+        return self.routes_covering_many([prefix])[prefix]
 
     def routes_covering_many(
         self, prefixes: Iterable[Prefix]
     ) -> dict[Prefix, list[RouteObject]]:
         """Covering route objects for many deduplicated prefixes.
 
-        Per-prefix result order matches :meth:`routes_covering`:
-        database registration order first, then least- to most-specific
-        within each database.  Each database answers all prefixes in one
-        lookup.
+        Per-prefix result order is database registration order first,
+        then least- to most-specific within each database.  The
+        candidate keys are built once, and each database answers all
+        prefixes in one lookup.
         """
-        combined: dict[Prefix, list[RouteObject]] = {
-            prefix: [] for prefix in prefixes
-        }
+        queries = list(dict.fromkeys(prefixes))
+        keys = _candidate_keys(queries)
+        combined: list[list[RouteObject]] = [[] for _ in queries]
         for database in self._databases.values():
-            for prefix, found in database.routes_covering_many(
-                combined
-            ).items():
-                combined[prefix] += found
-        return combined
+            for found, more in zip(combined, database._covering(keys)):
+                found += more
+        return dict(zip(queries, combined))
 
     def routes_of_origins(self, origins: Iterable[int]) -> list[RouteObject]:
         """The route objects registered for any of ``origins``, database

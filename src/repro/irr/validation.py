@@ -31,7 +31,13 @@ from repro.irr.database import IRRCollection, IRRDatabase, route_columns
 from repro.irr.objects import RouteObject
 from repro.net.prefix import Prefix
 
-__all__ = ["IRRStatus", "interval_index", "validate_irr", "validate_irr_many"]
+__all__ = [
+    "IRRStatus",
+    "interval_index",
+    "validate_irr",
+    "validate_irr_covering",
+    "validate_irr_many",
+]
 
 
 class IRRStatus(str, Enum):
@@ -149,15 +155,42 @@ def validate_irr(
     registry: IRRCollection | IRRDatabase, prefix: Prefix, origin: int
 ) -> IRRStatus:
     """Classify one route against the registry's route objects."""
+    key = (prefix, origin)
+    return validate_irr_covering(registry, [key])[key]
+
+
+def validate_irr_covering(
+    registry: IRRCollection | IRRDatabase,
+    routes: Iterable[tuple[Prefix, int]],
+) -> dict[tuple[Prefix, int], IRRStatus]:
+    """Classify a few routes from their covering route objects.
+
+    Equivalent to :func:`validate_irr_many`, but the not-yet-memoised
+    routes take one covering lookup over the stored rows
+    (``routes_covering_many``) instead of the registry's interval index.
+    After an edit the index is stale, and for the handful of routes an
+    edit can affect one lookup costs far less than re-indexing the
+    registry.
+    """
     memo = _memo_of(registry)
     if memo is None:
-        return _classify(registry.routes_covering(prefix), prefix, origin)
-    key = (prefix, origin)
-    status = memo.get(key)
-    if status is None:
-        status = _classify(registry.routes_covering(prefix), prefix, origin)
-        memo[key] = status
-    return status
+        memo = {}
+    results: dict[tuple[Prefix, int], IRRStatus] = {}
+    pending: list[tuple[Prefix, int]] = []
+    for key in routes:
+        status = memo.get(key)
+        if status is None:
+            pending.append(key)
+        else:
+            results[key] = status
+    if pending:
+        covering = registry.routes_covering_many(
+            prefix for prefix, _ in pending
+        )
+        for key in pending:
+            status = _classify(covering[key[0]], *key)
+            memo[key] = results[key] = status
+    return results
 
 
 def validate_irr_many(

@@ -111,30 +111,51 @@ class RouteIntervalIndex:
         max_lengths: np.ndarray,
         zero_asn_matches: bool = False,
     ):
+        self._zero_asn_matches = zero_asn_matches
         v4 = versions == 4
         self._v4_buckets = _build_v4_buckets(
             lo[v4], lengths[v4], asns[v4], max_lengths[v4], zero_asn_matches
         )
         v6 = ~v4
-        v6_buckets: dict[int, _V6Bucket] = {}
-        for high, low, length, asn, max_length in zip(
-            hi[v6].tolist(),
-            lo[v6].tolist(),
-            lengths[v6].tolist(),
-            asns[v6].tolist(),
-            max_lengths[v6].tolist(),
-        ):
-            bucket = v6_buckets.get(length)
-            if bucket is None:
-                bucket = v6_buckets[length] = _V6Bucket(length)
-            key = ((high << 64) | low) >> (_V6_BITS - length)
-            bucket.keys.add(key)
-            if asn != 0 or zero_asn_matches:
-                pair = (key, asn)
-                known = bucket.maxlen_by_origin.get(pair)
-                if known is None or max_length > known:
-                    bucket.maxlen_by_origin[pair] = max_length
-        self._v6_buckets = sorted(v6_buckets.values(), key=lambda b: b.length)
+        self._v6_buckets = _build_v6_buckets(
+            hi[v6], lo[v6], lengths[v6], asns[v6], max_lengths[v6],
+            zero_asn_matches,
+        )
+
+    def rebucketed(
+        self,
+        version: int,
+        length: int,
+        hi: np.ndarray,
+        lo: np.ndarray,
+        lengths: np.ndarray,
+        versions: np.ndarray,
+        asns: np.ndarray,
+        max_lengths: np.ndarray,
+    ) -> "RouteIntervalIndex":
+        """The index of the given columns, which hold this index's rows
+        except in the IPv``version`` rows of prefix length ``length``.
+
+        That one bucket is rebuilt from the columns; every other bucket
+        is this index's own, shared (buckets are never modified).
+        """
+        rows = (lengths == length) & (versions == version)
+        index = RouteIntervalIndex.__new__(RouteIntervalIndex)
+        index._zero_asn_matches = zero = self._zero_asn_matches
+        index._v4_buckets = self._v4_buckets
+        index._v6_buckets = self._v6_buckets
+        if version == 4:
+            fresh = _build_v4_buckets(
+                lo[rows], lengths[rows], asns[rows], max_lengths[rows], zero
+            )
+            index._v4_buckets = _with_bucket(self._v4_buckets, length, fresh)
+        else:
+            fresh = _build_v6_buckets(
+                hi[rows], lo[rows], lengths[rows], asns[rows],
+                max_lengths[rows], zero,
+            )
+            index._v6_buckets = _with_bucket(self._v6_buckets, length, fresh)
+        return index
 
     # -- bulk classification ----------------------------------------------
 
@@ -303,6 +324,38 @@ def _build_v4_buckets(
             _V4Bucket(int(length), np.unique(keys), packed, packed_maxlen)
         )
     return buckets
+
+
+def _build_v6_buckets(
+    his: np.ndarray,
+    los: np.ndarray,
+    lens: np.ndarray,
+    asns: np.ndarray,
+    maxs: np.ndarray,
+    zero_asn_matches: bool,
+) -> list[_V6Bucket]:
+    buckets: dict[int, _V6Bucket] = {}
+    for high, low, length, asn, max_length in zip(
+        his.tolist(), los.tolist(), lens.tolist(), asns.tolist(), maxs.tolist()
+    ):
+        bucket = buckets.get(length)
+        if bucket is None:
+            bucket = buckets[length] = _V6Bucket(length)
+        key = ((high << 64) | low) >> (_V6_BITS - length)
+        bucket.keys.add(key)
+        if asn != 0 or zero_asn_matches:
+            pair = (key, asn)
+            known = bucket.maxlen_by_origin.get(pair)
+            if known is None or max_length > known:
+                bucket.maxlen_by_origin[pair] = max_length
+    return sorted(buckets.values(), key=lambda bucket: bucket.length)
+
+
+def _with_bucket(buckets: list, length: int, fresh: list) -> list:
+    """``buckets`` (ascending lengths) with the bucket of ``length``
+    replaced by ``fresh``: one bucket, or none when no row is left."""
+    kept = [bucket for bucket in buckets if bucket.length != length]
+    return sorted(kept + fresh, key=lambda bucket: bucket.length)
 
 
 def _sorted_contains(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:

@@ -59,6 +59,15 @@ def _classify(covering: list[VRP], prefix: Prefix, origin: int) -> RPKIStatus:
     return RPKIStatus.INVALID_LENGTH if asn_match else RPKIStatus.INVALID_ASN
 
 
+def _columns_of(vrps: list[VRP]) -> tuple[np.ndarray, ...]:
+    """The :class:`RouteIntervalIndex` columns of ``vrps``, row for row."""
+    return (
+        *prefix_columns("vrp", [vrp.prefix for vrp in vrps]).values(),
+        np.array([vrp.asn for vrp in vrps], dtype=np.int64),
+        np.array([vrp.max_length for vrp in vrps], dtype=np.int64),
+    )
+
+
 #: Interval-kernel verdict code → RFC 6811 status (see kernels.intervals).
 _STATUS_BY_CODE = (
     RPKIStatus.NOT_FOUND,
@@ -86,6 +95,10 @@ class ROVValidator:
         # through one path never builds the other.
         self._tree: RadixTree[VRP] | None = None
         self._index: RouteIntervalIndex | None = None
+        #: The VRPs as the index's integer columns (prefix hi, lo,
+        #: length, version; ASN; max length), kept once a successor is
+        #: derived from them (see :meth:`_vrp_columns`).
+        self._columns: tuple[np.ndarray, ...] | None = None
         obs.add("rov.validators_built")
         obs.add("rov.vrps_loaded", self._count)
         self._memo: dict[tuple[Prefix, int], RPKIStatus] = {}
@@ -112,14 +125,24 @@ class ROVValidator:
         """The searchsorted form of the VRP set (built on first use)."""
         index = self._index
         if index is None:
-            vrps = self._vrps
-            index = RouteIntervalIndex(
-                *prefix_columns("vrp", [vrp.prefix for vrp in vrps]).values(),
-                np.array([vrp.asn for vrp in vrps], dtype=np.int64),
-                np.array([vrp.max_length for vrp in vrps], dtype=np.int64),
-            )
+            columns = self._columns
+            if columns is None:
+                columns = _columns_of(self._vrps)
+            index = RouteIntervalIndex(*columns)
             self._index = index
         return index
+
+    def _vrp_columns(self) -> tuple[np.ndarray, ...]:
+        """The VRP columns, built once a successor needs them.
+
+        Only validators that successors derive from keep their columns:
+        the many year validators of a timeline build an index and never
+        derive.
+        """
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = _columns_of(self._vrps)
+        return columns
 
     def all_vrps(self) -> list[VRP]:
         """Every loaded VRP, in address order.
@@ -182,17 +205,66 @@ class ROVValidator:
         return results
 
     def with_vrp(self, vrp: VRP) -> "ROVValidator":
-        """A new validator over this VRP list with ``vrp`` appended."""
-        return ROVValidator([*self._vrps, vrp])
+        """A new validator over this VRP list with ``vrp`` appended.
+
+        When this validator's interval index is built, the successor's
+        columns and index derive from this validator's (see
+        :meth:`_successor`); otherwise it builds its own on first use.
+        """
+        successor = ROVValidator([*self._vrps, vrp])
+        if self._index is not None:
+            self._successor(
+                successor,
+                vrp,
+                tuple(
+                    np.concatenate(pair)
+                    for pair in zip(self._vrp_columns(), _columns_of([vrp]))
+                ),
+            )
+        return successor
 
     def without_vrp(self, vrp: VRP) -> "ROVValidator":
-        """A new validator over this VRP list minus one copy of ``vrp``.
+        """A new validator over this VRP list minus its first copy of
+        ``vrp``.
 
-        Raises ``ValueError`` when no equal VRP is loaded.
+        The copy is found on the columns: only rows whose prefix, ASN
+        and max length all match are compared as VRPs.  Raises
+        ``ValueError`` when no equal VRP is loaded.
         """
-        vrps = list(self._vrps)
-        vrps.remove(vrp)
-        return ROVValidator(vrps)
+        columns = self._vrp_columns()
+        matches = np.logical_and.reduce(
+            [
+                column == value
+                for column, value in zip(columns, _columns_of([vrp]))
+            ]
+        )
+        for row in np.flatnonzero(matches).tolist():
+            if self._vrps[row] == vrp:
+                break
+        else:
+            raise ValueError(f"{vrp} is not loaded")
+        successor = ROVValidator(self._vrps[:row] + self._vrps[row + 1:])
+        self._successor(
+            successor,
+            vrp,
+            tuple(np.delete(column, row) for column in columns),
+        )
+        return successor
+
+    def _successor(
+        self,
+        successor: "ROVValidator",
+        vrp: VRP,
+        columns: tuple[np.ndarray, ...],
+    ) -> None:
+        """Give ``successor``, which differs from this validator by
+        ``vrp``, its ``columns`` and, when this validator's interval
+        index is built, an index sharing every bucket but ``vrp``'s."""
+        successor._columns = columns
+        if self._index is not None:
+            successor._index = self._index.rebucketed(
+                vrp.prefix.version, vrp.prefix.length, *columns
+            )
 
     def seed_memo(
         self, verdicts: dict[tuple[Prefix, int], RPKIStatus]

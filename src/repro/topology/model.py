@@ -164,6 +164,9 @@ class ASTopology:
         self._providers: dict[int, set[int]] = {}
         self._customers: dict[int, set[int]] = {}
         self._peers: dict[int, set[int]] = {}
+        #: ASes whose adjacency sets this topology may edit in place;
+        #: None while it shares no set (it neither is nor has a copy).
+        self._owned: set[int] | None = None
         self._cone_cache: dict[int, frozenset[int]] | None = None
         self._rank_cache: dict[int, int] | None = None
         self._csr_cache: TopologyCSR | None = None
@@ -187,6 +190,8 @@ class ASTopology:
         self._providers[asys.asn] = set()
         self._customers[asys.asn] = set()
         self._peers[asys.asn] = set()
+        if self._owned is not None:
+            self._owned.add(asys.asn)
         self._invalidate()
 
     def add_link(self, a: int, b: int, relationship: Relationship) -> None:
@@ -197,6 +202,7 @@ class ASTopology:
             raise TopologyError(f"self-link on AS{a}")
         if self._linked(a, b):
             raise TopologyError(f"duplicate link AS{a}-AS{b}")
+        self._own(a, b)
         if relationship is Relationship.PROVIDER_CUSTOMER:
             self._customers[a].add(b)
             self._providers[b].add(a)
@@ -221,18 +227,34 @@ class ASTopology:
     def copy(self) -> "ASTopology":
         """An independent topology sharing the immutable AS/org records.
 
-        Adjacency sets are copied so mutations (``add_link``) on the copy
-        never leak into the original; :class:`AutonomousSystem` and
-        :class:`Organization` records are shared (append-only worlds never
-        replace them).  Derived caches start cold on the copy.
+        :class:`AutonomousSystem` and :class:`Organization` records are
+        shared (append-only worlds never replace them).  The adjacency
+        sets are shared too, copy-on-write: from now on each side copies
+        an AS's sets before its first ``add_link`` touching that AS, so
+        mutations never leak between them, and a copy costs a few
+        dictionaries instead of a set per AS.  Derived caches start cold
+        on the copy.
         """
         clone = ASTopology()
         clone._ases = dict(self._ases)
         clone._orgs = dict(self._orgs)
-        clone._providers = {asn: set(s) for asn, s in self._providers.items()}
-        clone._customers = {asn: set(s) for asn, s in self._customers.items()}
-        clone._peers = {asn: set(s) for asn, s in self._peers.items()}
+        clone._providers = dict(self._providers)
+        clone._customers = dict(self._customers)
+        clone._peers = dict(self._peers)
+        clone._owned = set()
+        self._owned = set()
         return clone
+
+    def _own(self, *asns: int) -> None:
+        """Copy the adjacency sets of ``asns`` that a copy may share."""
+        owned = self._owned
+        if owned is None:
+            return
+        for asn in asns:
+            if asn not in owned:
+                for table in (self._providers, self._customers, self._peers):
+                    table[asn] = set(table[asn])
+                owned.add(asn)
 
     def _invalidate(self) -> None:
         self._cone_cache = None

@@ -11,8 +11,12 @@ containment scan, through both its searchsorted kernel and the bisect
 reference it keeps for IPv6.  Link events the synthesizer never draws
 (a provider–customer link, a peer link between large transits) get a
 hand-built checkpoint walk, and what a checkpoint re-derives is pinned
-twice: paths adopted across a peer link against an uncached engine,
-and the re-propagation and re-scoring counts after a stub–stub link.
+twice: paths a derived engine carries across a peer link against an
+uncached engine, and the re-propagation and re-scoring counts after a
+stub–stub link.  Derived successors are pinned against fresh ones
+(engines under policy flips and links, validators under VRP adds and
+removes), spies show events build no engine or full interval index,
+and neither the base nor a returned world changes under later events.
 
 The satellites ride along: the ``repro.perf`` removal-window guards, the
 tampered year-snapshot counter, and the serving layer's ``at=``
@@ -22,6 +26,7 @@ live-world hook.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import json
 import subprocess
@@ -39,6 +44,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.bgp.collector import GroupPaths, RibSnapshot
+from repro.bgp.policy import ASPolicy
 from repro.bgp.propagation import PropagationEngine
 from repro.datasets.checkpoint import (
     CheckpointStore,
@@ -62,6 +68,7 @@ from repro.delta.events import DeltaState, RouteObjectRemoved, apply_raw
 from repro.errors import DeltaError
 from repro.experiments.registry import REGISTRY
 from repro.ihr.records import IHRDataset
+from repro.kernels.intervals import RouteIntervalIndex
 from repro.irr.validation import _classify as classify_irr
 from repro.irr.validation import validate_irr, validate_irr_many
 from repro.manrs.actions import Program
@@ -359,9 +366,10 @@ def _paths_in_order(engine, keys, vantage_points):
 
 
 def test_peer_link_adoption_matches_an_uncached_engine(small_world):
-    """Paths adopted across a new peer link, skipping both endpoints'
-    customer cones, are what an uncached engine computes; adopting every
-    path is not (the control that shows this test can fail)."""
+    """Paths a derived engine carries across a new peer link, dropping
+    both endpoints' customer cones, are what an uncached engine
+    computes; carrying every path is not (the control that shows this
+    test can fail).  The parent engine answers as before."""
     topology, policies = small_world.topology, small_world.policies
     vantage_points = small_world.vantage_points
     keys = list(
@@ -372,24 +380,290 @@ def test_peer_link_adoption_matches_an_uncached_engine(small_world):
     )
     previous = PropagationEngine(topology, policies)
     previous.paths_to_many(keys, vantage_points)
+    before = _paths_in_order(previous, keys, vantage_points)
     large = _largest_unlinked_pair(topology)
     stubs = _unlinked_stubs(small_world)
     for a, b in (large, stubs):
         grown = topology.copy()
         grown.add_link(a, b, Relationship.PEER)
-        cones = grown.customer_cone(a) | grown.customer_cone(b)
         expected = _paths_in_order(
             PropagationEngine(grown, policies, paths_cache_size=0),
             keys,
             vantage_points,
         )
-        adopting = PropagationEngine(grown, policies)
-        assert adopting.adopt_cache(previous, cones) > 0
-        assert _paths_in_order(adopting, keys, vantage_points) == expected, (a, b)
+        derived = previous.derive(link=(a, b), topology=grown)
+        assert 0 < derived.cache_info()["size"] < previous.cache_info()["size"]
+        assert _paths_in_order(derived, keys, vantage_points) == expected, (a, b)
         if (a, b) == large:
-            careless = PropagationEngine(grown, policies)
-            careless.adopt_cache(previous)
+            careless = previous.derive(link=(a, b), topology=grown)
+            careless._paths_cache = previous._paths_cache.copy()
             assert _paths_in_order(careless, keys, vantage_points) != expected
+    assert _paths_in_order(previous, keys, vantage_points) == before
+    assert previous.topology is topology
+
+
+#: Every boolean field of an import policy: what a PolicyFlipped toggles.
+POLICY_TOGGLES = tuple(
+    field.name
+    for field in dataclasses.fields(ASPolicy)
+    if isinstance(field.default, bool)
+)
+
+
+def _group_paths(engine, keys, vantage_points):
+    return [
+        list(paths.items())
+        for paths in engine.paths_to_many(keys, vantage_points)
+    ]
+
+
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("flip"),
+                st.integers(min_value=0, max_value=5),
+                st.sampled_from(POLICY_TOGGLES),
+            ),
+            st.tuples(
+                st.sampled_from(["peer", "provider"]),
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=0, max_value=11),
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_derived_engine_matches_an_uncached_engine(small_world, steps):
+    """Policy flips of every boolean field (the first one flipped back
+    at the end, to an earlier signature) and new peer and
+    provider–customer links, each derived from the previous engine:
+    after every step the derived engine's paths over every RIB group
+    are an uncached engine's over the same inputs."""
+    topology = small_world.topology
+    keys = list(
+        zip(
+            small_world.rib.arrays["rib_origin"].tolist(),
+            small_world.rib.route_classes(),
+        )
+    )
+    vantage_points = small_world.vantage_points
+    cone = {asn: len(topology.customer_cone(asn)) for asn in topology.asns}
+    transits = sorted(topology.asns, key=lambda asn: (-cone[asn], asn))[:6]
+    stubs = [asn for asn in sorted(topology.asns) if cone[asn] == 1]
+    stubs = stubs[:: len(stubs) // 12][:12]
+    flips = [step for step in steps if step[0] == "flip"]
+    steps = steps + flips[:1]
+    policies = dict(small_world.policies)
+    engine = small_world.engine
+    for kind, first, second in steps:
+        if kind == "flip":
+            asn = transits[first]
+            policy = policies.get(asn, ASPolicy())
+            policies[asn] = replace(
+                policy, **{second: not getattr(policy, second)}
+            )
+            engine = engine.derive(policies={asn: policies[asn]})
+        else:
+            a, b = transits[first], stubs[second]
+            if topology.linked(a, b):
+                continue
+            topology = topology.copy()
+            relationship = (
+                Relationship.PEER
+                if kind == "peer"
+                else Relationship.PROVIDER_CUSTOMER
+            )
+            topology.add_link(a, b, relationship)
+            engine = engine.derive(link=(a, b), topology=topology)
+        uncached = PropagationEngine(topology, policies, paths_cache_size=0)
+        assert _group_paths(engine, keys, vantage_points) == _group_paths(
+            uncached, keys, vantage_points
+        ), (kind, first, second)
+
+
+def _vrp(prefix: Prefix, asn: int, extra: int) -> VRP:
+    return VRP(
+        prefix=prefix,
+        asn=asn,
+        max_length=min(prefix.length + extra, prefix.bits),
+        trust_anchor=list(RIR)[0],
+    )
+
+
+derivable_vrp = st.builds(
+    _vrp,
+    prefix_strategy,
+    st.sampled_from([0, 1, 2, 64_500]),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+@given(
+    start=st.lists(derivable_vrp, min_size=1, max_size=10),
+    changes=st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), derivable_vrp),
+            st.tuples(st.just("copy"), st.integers(min_value=0)),
+            st.tuples(st.just("remove"), st.integers(min_value=0)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    extra_routes=st.lists(route_strategy, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_derived_validator_matches_a_fresh_one(start, changes, extra_routes):
+    """VRP adds (new VRPs and duplicates of loaded ones, AS0, IPv6)
+    and removals, each derived from the previous validator with its
+    interval index built: after every step the derived validator
+    classifies every route — its VRPs' own prefixes, one bit more
+    specific than their maxLength, and others — as a fresh validator
+    over the same VRP list does."""
+    vrps = list(start)
+    routes = set(extra_routes)
+    for vrp in vrps + [change[1] for change in changes if change[0] == "add"]:
+        prefix, max_length = vrp.prefix, vrp.max_length
+        routes.add((prefix, vrp.asn or 1))
+        if max_length < prefix.bits:
+            routes.add(
+                (Prefix.from_host(prefix.value, max_length + 1, prefix.version), vrp.asn)
+            )
+    validator = ROVValidator(vrps)
+    validator.validate_many(routes)
+    for kind, value in changes:
+        if kind == "add":
+            vrp = value
+        else:
+            if not vrps:
+                continue
+            vrp = vrps[value % len(vrps)]
+        if kind == "remove":
+            validator = validator.without_vrp(vrp)
+            vrps.remove(vrp)
+        else:
+            validator = validator.with_vrp(vrp)
+            vrps.append(vrp)
+        fresh = ROVValidator(vrps)
+        assert validator.all_vrps() == fresh.all_vrps()
+        assert validator.validate_many(routes) == fresh.validate_many(routes)
+        assert validator.covered_space(
+            [prefix for prefix, _ in routes]
+        ) == fresh.covered_space([prefix for prefix, _ in routes])
+    stranger = _vrp(Prefix.parse("203.0.113.0/24"), 64_501, 0)
+    with pytest.raises(ValueError):
+        validator.without_vrp(stranger)
+
+
+def _hand_built_links(world) -> list[LinkAdded]:
+    """A provider–customer link and a peer link the synthesizer never
+    draws (see test_link_events_checkpoint_equal_cold_rebuild)."""
+    topology = world.topology
+    transit = max(
+        topology.asns,
+        key=lambda asn: (len(topology.customer_cone(asn)), -asn),
+    )
+    stub = next(
+        asn
+        for asn in world.vantage_points
+        if not topology.customers_of(asn)
+        and not topology.linked(transit, asn)
+    )
+    return [
+        LinkAdded(transit, stub, Relationship.PROVIDER_CUSTOMER),
+        LinkAdded(*_largest_unlinked_pair(topology), Relationship.PEER),
+    ]
+
+
+def test_events_derive_instead_of_rebuilding(monkeypatch):
+    """Once the base validator's interval index exists, no ROA event
+    builds a full index, and no policy or link event constructs a
+    propagation engine: each derives its successor."""
+    world = delta_world()
+    world.rov.interval_index()
+    events = synthesize_events(
+        world,
+        kinds=["RoaIssued", "RoaExpired", "PolicyFlipped", "LinkAdded"] * 2,
+        seed=21,
+    ) + _hand_built_links(world)
+    live = LiveWorld(world)
+    built = []
+    for cls in (PropagationEngine, RouteIntervalIndex):
+        original = cls.__init__
+
+        def spy(self, *args, original=original, **kwargs):
+            built.append(type(self).__name__)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    for event in events:
+        live.apply(event)
+        assert built == [], type(event).__name__
+    assert dataset_digests(live.world()) == dataset_digests(
+        cold_rebuild(world, events)
+    )
+
+
+def test_replay_leaves_the_base_answering_as_before():
+    """After events of every kind and both hand-built links, the base
+    world's engine, validator and digest answer as before."""
+    world = build_world(scale=0.05, seed=4)
+    keys = list(
+        zip(world.rib.arrays["rib_origin"].tolist(), world.rib.route_classes())
+    )
+    routes = route_table(world.originations)
+    events = synthesize_events(
+        world, kinds=list(EVENT_KINDS) * 2, seed=17
+    ) + _hand_built_links(world)
+    digest = world_digest(world)
+    paths = _group_paths(world.engine, keys, world.vantage_points)
+    verdicts = dict(world.rov.validate_many(routes))
+    engine, rov, topology = world.engine, world.rov, world.topology
+    policies = dict(world.policies)
+    live = LiveWorld(world)
+    for event in events:
+        live.apply(event)
+    assert live.world().engine is not engine
+    assert world.engine is engine and world.rov is rov
+    assert world.topology is topology and world.policies == policies
+    assert engine.topology is topology
+    assert all(engine.policy_of(asn) == policy for asn, policy in policies.items())
+    assert _group_paths(engine, keys, world.vantage_points) == paths
+    assert ROVValidator(rov.all_vrps()).validate_many(routes) == verdicts
+    assert dict(rov.validate_many(routes)) == verdicts
+    assert world_digest(world) == digest
+
+
+def test_a_returned_world_never_changes(tmp_path):
+    """A checkpoint world digests as the cold rebuild of the events
+    before it, and still does after one more event of every kind: the
+    state edits a world's topology, policies, registries and
+    membership copy-on-write."""
+    world = delta_world()
+    events = synthesize_events(world, kinds=list(EVENT_KINDS) * 2, seed=29)
+    events += _hand_built_links(world)
+    k = len(EVENT_KINDS)
+    for base in (world, _reopened(world, tmp_path)):
+        live = LiveWorld(base)
+        for event in events[:k]:
+            live.apply(event)
+        checkpoint = live.world()
+        expected = dataset_digests(cold_rebuild(base, events[:k]))
+        assert dataset_digests(checkpoint) == expected
+        policies = dict(checkpoint.policies)
+        for event in events[k:]:
+            live.apply(event)
+        assert dataset_digests(checkpoint) == expected
+        assert checkpoint.policies == policies
+        assert dataset_digests(live.world()) == dataset_digests(
+            cold_rebuild(base, events)
+        )
 
 
 def test_stub_peer_link_rederives_only_the_stubs_groups(small_world):

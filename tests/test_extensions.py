@@ -230,3 +230,31 @@ class TestCounterfactual:
             assert tables(
                 build_ihr_dataset(world.rib, world.rov, world.irr, world.topology)
             ) == tables(world.ihr)
+
+
+def test_derived_engines_answer_like_fresh_ones(small_world, monkeypatch):
+    """The counterfactual and the ROV ablation derive their engines from
+    the world's, reusing its memo for the route classes their policy
+    change leaves alone; both give what fresh, uncached engines over
+    the same policies give."""
+    from repro.bgp.propagation import PropagationEngine
+    from repro.experiments import counterfactual
+
+    derived = (
+        counterfactual.run(small_world),
+        ablations.rov_deployment_ablation(small_world),
+    )
+
+    def fresh(engine, policies=None, link=None, topology=None):
+        assert link is None and topology is None
+        return PropagationEngine(
+            engine.topology,
+            {**small_world.policies, **policies},
+            paths_cache_size=0,
+        )
+
+    monkeypatch.setattr(PropagationEngine, "derive", fresh)
+    assert derived == (
+        counterfactual.run(small_world),
+        ablations.rov_deployment_ablation(small_world),
+    )

@@ -104,6 +104,25 @@ class TestModel:
     def test_validate_passes_on_consistent(self):
         build_chain().validate()
 
+    def test_copies_link_independently(self):
+        """A copy shares the adjacency sets until either side links an
+        AS; then only that side sees the link, copy of a copy too."""
+        original = build_chain()
+        copy = original.copy()
+        copy.add_link(1, 4, Relationship.PEER)
+        original.add_link(3, 4, Relationship.PROVIDER_CUSTOMER)
+        second = copy.copy()
+        second.add_link(1, 3, Relationship.PROVIDER_CUSTOMER)
+        copy.add_link(4, 3, Relationship.PEER)
+        assert original.peers_of(1) == set() and original.peers_of(4) == {2}
+        assert original.customers_of(3) == {4} and original.customers_of(1) == {2}
+        assert copy.peers_of(1) == {4} and copy.customers_of(3) == set()
+        assert copy.peers_of(4) == {1, 2, 3} and copy.customers_of(1) == {2}
+        assert second.peers_of(4) == {1, 2} and second.customers_of(1) == {2, 3}
+        assert second.providers_of(3) == {1, 2} and copy.providers_of(3) == {2}
+        for topo in (original, copy, second):
+            topo.validate()
+
 
 class TestClassify:
     @pytest.mark.parametrize(
