@@ -14,13 +14,15 @@ an unexplained golden update defeats the regression suite.
 Usage::
 
     PYTHONPATH=src python scripts/update_goldens.py
+    PYTHONPATH=src python scripts/update_goldens.py --check
 
 For each world point the script prints which per-artifact digests
 changed relative to the committed file, e.g.
 ``scale=0.12 seed=11 world=... changed: ihr, rib``, then, each on its
 own line, the entries the new digests drop (``removed: asrank``) or
 add (``added: ...``); likewise for the replay checkpoints and the
-renders.
+renders.  ``--check`` computes and prints the same, writes nothing, and
+exits 1 if any golden file would change.
 """
 
 from __future__ import annotations
@@ -161,8 +163,28 @@ def _committed(path: Path, *keys: str):
     return value
 
 
+def _store(path: Path, payload: dict, check: bool) -> bool:
+    """Write ``payload`` to ``path`` unless ``check``; True if that
+    changes the file."""
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    try:
+        drifted = path.read_text() != text
+    except OSError:
+        drifted = True
+    if not check:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return drifted
+
+
 def main(argv: list[str] | None = None) -> int:
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 if any golden file would change",
+    )
+    check = parser.parse_args(argv).check
     committed_points = {
         (entry["scale"], entry["seed"]): entry["datasets"]
         for entry in _committed(GOLDENS_PATH, "entries") or []
@@ -174,8 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "entries": [golden_entry(scale, seed) for scale, seed in DEFAULT_POINTS],
     }
-    GOLDENS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDENS_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    drifted = _store(GOLDENS_PATH, payload, check)
     for entry in payload["entries"]:
         before = committed_points.get((entry["scale"], entry["seed"]), {})
         print(
@@ -183,7 +204,8 @@ def main(argv: list[str] | None = None) -> int:
             f"world={entry['world_digest'][:16]} "
             f"{_changed(before, entry['datasets'])}"
         )
-    print(f"wrote {len(payload['entries'])} entries to {GOLDENS_PATH}")
+    if not check:
+        print(f"wrote {len(payload['entries'])} entries to {GOLDENS_PATH}")
     committed_replay = {
         str(point["applied"]): point["world_digest"]
         for point in _committed(REPLAY_GOLDENS_PATH, "entry", "checkpoints")
@@ -197,9 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "entry": replay_entry(),
     }
-    REPLAY_GOLDENS_PATH.write_text(
-        json.dumps(replay, indent=1, sort_keys=True) + "\n"
-    )
+    drifted |= _store(REPLAY_GOLDENS_PATH, replay, check)
     replayed = {
         str(point["applied"]): point["world_digest"]
         for point in replay["entry"]["checkpoints"]
@@ -207,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     for applied, digest in replayed.items():
         print(f"replay applied={applied} world={digest[:16]}")
     print(f"replay {_changed(committed_replay, replayed)}")
-    print(f"wrote replay golden to {REPLAY_GOLDENS_PATH}")
+    if not check:
+        print(f"wrote replay golden to {REPLAY_GOLDENS_PATH}")
     committed_renders = (
         _committed(RENDER_GOLDENS_PATH, "entry", "digests") or {}
     )
@@ -219,13 +240,14 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "entry": render_entry(),
     }
-    RENDER_GOLDENS_PATH.write_text(
-        json.dumps(renders, indent=1, sort_keys=True) + "\n"
-    )
+    drifted |= _store(RENDER_GOLDENS_PATH, renders, check)
     digests = renders["entry"]["digests"]
     print(f"renders {_changed(committed_renders, digests)}")
-    print(f"wrote {len(digests)} render digests to {RENDER_GOLDENS_PATH}")
-    return 0
+    if not check:
+        print(f"wrote {len(digests)} render digests to {RENDER_GOLDENS_PATH}")
+    elif drifted:
+        print("drift: the golden files above would change")
+    return 1 if check and drifted else 0
 
 
 if __name__ == "__main__":

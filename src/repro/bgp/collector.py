@@ -45,6 +45,7 @@ from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.topology.classify import SizeClass, classify_all
+from repro.topology.generator import uniform_picks
 from repro.topology.model import ASTopology
 
 __all__ = [
@@ -450,18 +451,16 @@ def select_vantage_points(
     rng = np.random.default_rng(seed)
     sizes = classify_all(topology)
     # Sorted explicitly: inheriting dict-iteration order from classify_all
-    # would tie the rng.choice draw to topology insertion order, making
+    # would tie the uniform picks to topology insertion order, making
     # vantage-point selection fragile across refactors and numpy versions.
     larges = sorted(asn for asn, size in sizes.items() if size is SizeClass.LARGE)
     mediums = sorted(asn for asn, size in sizes.items() if size is SizeClass.MEDIUM)
     smalls = sorted(asn for asn, size in sizes.items() if size is SizeClass.SMALL)
     chosen = list(larges)
-    if mediums:
-        count = min(n_medium, len(mediums))
-        chosen.extend(int(a) for a in rng.choice(mediums, size=count, replace=False))
-    if smalls:
-        count = min(n_small, len(smalls))
-        chosen.extend(int(a) for a in rng.choice(smalls, size=count, replace=False))
+    for pool, wanted in ((mediums, n_medium), (smalls, n_small)):
+        if pool:
+            picks = uniform_picks(rng, len(pool), min(wanted, len(pool)))
+            chosen.extend(pool[i] for i in picks)
     return tuple(sorted(set(chosen)))
 
 

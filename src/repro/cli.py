@@ -608,6 +608,7 @@ def _hijack(world, sub_prefix: bool, protected: bool) -> None:
     from repro.bgp.hijack import HijackKind, simulate_hijack
     from repro.bgp.policy import RouteClass
     from repro.topology.classify import SizeClass
+    from repro.topology.generator import uniform_picks
 
     rng = np.random.default_rng(world.seed)
     stubs = [
@@ -615,7 +616,7 @@ def _hijack(world, sub_prefix: bool, protected: bool) -> None:
         for asn, size in world.size_of.items()
         if size is SizeClass.SMALL and world.originations.get(asn)
     ]
-    victim_asn, attacker = (int(a) for a in rng.choice(stubs, 2, replace=False))
+    victim_asn, attacker = (stubs[i] for i in uniform_picks(rng, len(stubs), 2))
     victim = Announcement(world.originations[victim_asn][0].prefix, victim_asn)
     outcome = simulate_hijack(
         world.engine,

@@ -107,9 +107,13 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
     for dump in sorted(directory.glob(f"*{IRR_SUFFIX}")):
         name = dump.name[: -len(IRR_SUFFIX)].upper()
         database = IRRDatabase(name)
-        for obj in parse_database(dump.read_text()):
-            if hasattr(obj, "prefix"):
-                database.add_route(obj)
+        database.add_routes(
+            [
+                obj
+                for obj in parse_database(dump.read_text())
+                if hasattr(obj, "prefix")
+            ]
+        )
         irr.add_database(database)
     return DatasetBundle(
         prefix2as=parse_prefix2as((directory / PREFIX2AS_FILE).read_text()),

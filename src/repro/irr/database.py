@@ -11,31 +11,36 @@ them in (:data:`ROUTE_COLUMNS`: the prefix as integers, the origin, the
 created and last-modified dates as ordinals) plus each row's
 ``[mnt_by, descr]``, in address order with equal prefixes in insertion
 order.  A reopened world wraps its mapped column slices as they are.
-Edits replace the columns and the string list instead of writing into
-them, so a copy shares them until it is edited (copy-on-write).
-Lookups search a sorted key per row and turn only the rows they return
-into :class:`RouteObject` instances.
+Routes enter by one path, :meth:`IRRDatabase.insert_rows`: encoded rows,
+checked over the columns and merged in one pass (a world build hands
+each database all its rows in one call, so a built route is never an
+object).  Edits replace the columns and the string list instead of
+writing into them, so a copy shares them until it is edited
+(copy-on-write).  Lookups search a sorted key per row and turn only the
+rows they return into :class:`RouteObject` instances.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from datetime import date
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import RPSLError
 from repro.irr.objects import AsSetObject, AutNumObject, RouteObject
-from repro.net.prefix import (
-    Prefix,
-    address_key,
-    prefix_columns,
-    prefixes_from_columns,
-)
+from repro.net.asn import MAX_ASN, validate_asn
+from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.registry.rir import RIR
 
-__all__ = ["ROUTE_COLUMNS", "IRRDatabase", "IRRCollection", "route_columns"]
+__all__ = [
+    "ROUTE_COLUMNS",
+    "IRRDatabase",
+    "IRRCollection",
+    "route_columns",
+    "route_rows",
+]
 
 #: The stored route columns, in the order a checkpoint writes them.
 ROUTE_COLUMNS = (
@@ -54,21 +59,30 @@ def _ordinal(day: date | None) -> int:
     return day.toordinal() if day is not None else 0
 
 
-def _encode(routes: list[RouteObject]) -> dict[str, np.ndarray]:
-    """The :data:`ROUTE_COLUMNS` of ``routes``, row for row."""
+def route_rows(
+    prefixes: Sequence[Prefix],
+    origins: Sequence[int],
+    created: Sequence[int],
+    modified: Sequence[int],
+) -> dict[str, np.ndarray]:
+    """The :data:`ROUTE_COLUMNS` of routes given field by field, row for
+    row; ``created`` and ``modified`` are date ordinals (0 for none)."""
     return {
-        **prefix_columns("irr_prefix", [route.prefix for route in routes]),
-        "irr_origin": np.asarray(
-            [route.origin for route in routes], dtype=np.int64
-        ),
-        "irr_created": np.asarray(
-            [_ordinal(route.created) for route in routes], dtype=np.int64
-        ),
-        "irr_modified": np.asarray(
-            [_ordinal(route.last_modified) for route in routes],
-            dtype=np.int64,
-        ),
+        **prefix_columns("irr_prefix", prefixes),
+        "irr_origin": np.asarray(origins, dtype=np.int64),
+        "irr_created": np.asarray(created, dtype=np.int64),
+        "irr_modified": np.asarray(modified, dtype=np.int64),
     }
+
+
+def _encode(routes: Sequence[RouteObject]) -> dict[str, np.ndarray]:
+    """The :data:`ROUTE_COLUMNS` of ``routes``, row for row."""
+    return route_rows(
+        [route.prefix for route in routes],
+        [route.origin for route in routes],
+        [_ordinal(route.created) for route in routes],
+        [_ordinal(route.last_modified) for route in routes],
+    )
 
 
 def _v4_keys(columns: dict[str, np.ndarray], rows: int) -> np.ndarray:
@@ -77,6 +91,40 @@ def _v4_keys(columns: dict[str, np.ndarray], rows: int) -> np.ndarray:
     return (columns["irr_prefix_lo"][:rows] << np.uint64(8)) | columns[
         "irr_prefix_len"
     ][:rows]
+
+
+def _v6_keys(columns: dict[str, np.ndarray], start: int) -> list[tuple[int, int]]:
+    """``(value, length)`` of the rows from ``start`` on (all v6)."""
+    rows = slice(start, None)
+    return [
+        ((hi << 64) | lo, length)
+        for hi, lo, length in zip(
+            columns["irr_prefix_hi"][rows].tolist(),
+            columns["irr_prefix_lo"][rows].tolist(),
+            columns["irr_prefix_len"][rows].tolist(),
+        )
+    ]
+
+
+_U64 = (1 << 64) - 1
+
+
+def _outside(columns: dict[str, np.ndarray], pools: Sequence[Prefix]) -> np.ndarray:
+    """Per row, whether no prefix of ``pools`` contains the row's."""
+    version = columns["irr_prefix_ver"]
+    length = columns["irr_prefix_len"]
+    hi = columns["irr_prefix_hi"]
+    lo = columns["irr_prefix_lo"]
+    inside = np.zeros(len(version), dtype=bool)
+    for pool in pools:
+        mask = ((1 << pool.length) - 1) << (pool.bits - pool.length)
+        inside |= (
+            (version == pool.version)
+            & (length >= pool.length)
+            & ((hi & np.uint64(mask >> 64)) == np.uint64(pool.value >> 64))
+            & ((lo & np.uint64(mask & _U64)) == np.uint64(pool.value & _U64))
+        )
+    return ~inside
 
 
 class IRRDatabase:
@@ -90,10 +138,6 @@ class IRRDatabase:
         self._as_sets: dict[str, AsSetObject] = {}
         self._columns = _encode([])
         self._strings: list[list[str]] = []
-        #: Accepted routes not yet merged into the rows.  A world build
-        #: adds ten thousand routes one at a time; they merge in one pass
-        #: when the rows are first read.
-        self._pending: list[RouteObject] = []
         #: :meth:`_sorted_keys`, derived from the rows when first needed.
         self._keys: tuple[np.ndarray, list[tuple[int, int]]] | None = None
         #: Bumped on every route mutation; memo owners key their caches on it.
@@ -130,66 +174,108 @@ class IRRDatabase:
         return clone
 
     def add_route(self, route: RouteObject) -> None:
-        """Register a route object.
+        """Register one route object: :meth:`add_routes` of it alone."""
+        self.add_routes([route])
 
-        Authoritative databases enforce that the prefix belongs to their
-        RIR's pools; mirrors accept anything (that laxity is load-bearing
-        for modelling stale/inaccurate registrations).
+    def add_routes(self, routes: Sequence[RouteObject]) -> None:
+        """Register route objects, in order, in one :meth:`insert_rows`;
+        each must name this database as its source."""
+        for route in routes:
+            self._check_source(route.source)
+        self.insert_rows(
+            self.name,
+            _encode(routes),
+            [[route.mnt_by, route.descr] for route in routes],
+        )
+
+    def insert_rows(
+        self,
+        source: str,
+        columns: dict[str, np.ndarray],
+        strings: list[list[str]],
+    ) -> None:
+        """Register route objects given as encoded rows from ``source``:
+        their :data:`ROUTE_COLUMNS` and each row's ``[mnt_by, descr]``.
+
+        The one path by which routes enter a database.  It runs, over
+        the columns, the checks a route object and this database make:
+        the source names this database, every origin is a valid ASN, and
+        an authoritative database takes only its RIR's pools (mirrors
+        accept anything; that laxity is load-bearing for modelling
+        stale and inaccurate registrations).  A failed check inserts
+        nothing.
         """
-        if route.source != self.name:
+        if not source:
+            raise RPSLError("route object requires a source attribute")
+        origins = columns["irr_origin"]
+        invalid = (origins < 0) | (origins > MAX_ASN)
+        if invalid.any():
+            validate_asn(int(origins[invalid.argmax()]))
+        self._check_source(source)
+        rir = self.authoritative_for
+        if rir is not None:
+            outside = _outside(columns, (*rir.v4_pools, rir.v6_pool))
+            if outside.any():
+                (prefix,) = prefixes_from_columns(
+                    columns, "irr_prefix", [int(outside.argmax())]
+                )
+                raise RPSLError(
+                    f"{prefix} is outside {rir.value} space; "
+                    f"{self.name} is authoritative"
+                )
+        self._merge(columns, strings)
+
+    def _check_source(self, source: str) -> None:
+        if source != self.name:
             raise RPSLError(
-                f"route object source {route.source!r} does not match "
+                f"route object source {source!r} does not match "
                 f"database {self.name!r}"
             )
-        if self.authoritative_for is not None:
-            pools: tuple[Prefix, ...]
-            if route.prefix.version == 4:
-                pools = self.authoritative_for.v4_pools
-            else:
-                pools = (self.authoritative_for.v6_pool,)
-            if not any(pool.contains(route.prefix) for pool in pools):
-                raise RPSLError(
-                    f"{route.prefix} is outside {self.authoritative_for.value} "
-                    f"space; {self.name} is authoritative"
-                )
-        self._pending.append(route)
-        self._version += 1
 
-    def _merge_pending(self) -> None:
-        """Merge the pending routes into the rows.
+    def _merge(
+        self, columns: dict[str, np.ndarray], strings: list[list[str]]
+    ) -> None:
+        """Insert encoded rows, unchecked.
 
-        Each goes in after the stored rows of its prefix (a
-        ``searchsorted(side="right")`` position), and the pending routes
-        are stably sorted among themselves first, so equal prefixes keep
-        insertion order without re-sorting the stored rows.
+        The rows are stably sorted into address order among themselves,
+        then each goes in after the stored rows of its prefix (a
+        ``searchsorted(side="right")`` position), so equal prefixes keep
+        insertion order without re-sorting the stored rows.  The
+        mutation counter counts each row, as if each had been added on
+        its own.
         """
-        pending = self._pending
-        if not pending:
-            return
-        pending.sort(key=lambda route: address_key(route.prefix))
-        added = _encode(pending)
+        order = np.lexsort(
+            (
+                columns["irr_prefix_len"],
+                columns["irr_prefix_lo"],
+                columns["irr_prefix_hi"],
+                columns["irr_prefix_ver"],
+            )
+        )
+        added = {name: columns[name][order] for name in ROUTE_COLUMNS}
         v4_keys, v6_keys = self._sorted_keys()
         k4 = int(np.count_nonzero(added["irr_prefix_ver"] == 4))
         positions = v4_keys.searchsorted(
             _v4_keys(added, k4), side="right"
         ).tolist()
         positions += [
-            len(v4_keys) + bisect_right(v6_keys, address_key(route.prefix)[1:])
-            for route in pending[k4:]
+            len(v4_keys) + bisect_right(v6_keys, key)
+            for key in _v6_keys(added, k4)
         ]
         self._columns = {
             name: np.insert(column, positions, added[name])
             for name, column in self._columns.items()
         }
-        strings: list[list[str]] = []
+        held = self._strings
+        merged: list[list[str]] = []
         start = 0
-        for position, route in zip(positions, pending):
-            strings += self._strings[start:position]
-            strings.append([route.mnt_by, route.descr])
+        for position, row in zip(positions, order.tolist()):
+            merged += held[start:position]
+            merged.append(strings[row])
             start = position
-        self._strings = strings + self._strings[start:]
-        self._pending = []
+        self._strings = merged + held[start:]
         self._keys = None
+        self._version += len(positions)
 
     def _sorted_keys(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """The v4 rows' ``value << 8 | length`` keys and the v6 rows'
@@ -198,18 +284,7 @@ class IRRDatabase:
         if self._keys is None:
             columns = self._columns
             n4 = int(np.searchsorted(columns["irr_prefix_ver"], 6))
-            v6 = slice(n4, None)
-            self._keys = (
-                _v4_keys(columns, n4),
-                [
-                    ((hi << 64) | lo, length)
-                    for hi, lo, length in zip(
-                        columns["irr_prefix_hi"][v6].tolist(),
-                        columns["irr_prefix_lo"][v6].tolist(),
-                        columns["irr_prefix_len"][v6].tolist(),
-                    )
-                ],
-            )
+            self._keys = (_v4_keys(columns, n4), _v6_keys(columns, n4))
         return self._keys
 
     def _covering_rows(self, prefixes: list[Prefix]) -> list[list[int]]:
@@ -223,7 +298,6 @@ class IRRDatabase:
         The v4 candidates of all queries take one ``searchsorted`` over
         the v4 keys; the v6 ones bisect the few v6 keys.
         """
-        self._merge_pending()
         v4_keys, v6_keys = self._sorted_keys()
         n4 = len(v4_keys)
         found: list[list[int]] = [[] for _ in range(keys.count)]
@@ -318,20 +392,17 @@ class IRRDatabase:
     def routes_of_origins(self, origins: Iterable[int]) -> list[RouteObject]:
         """The route objects registered for any of ``origins``, in
         address order."""
-        self._merge_pending()
         wanted = np.fromiter(set(origins), dtype=np.int64)
         rows = np.flatnonzero(np.isin(self._columns["irr_origin"], wanted))
         return self._decode(rows.tolist())
 
     def route_at(self, row: int) -> RouteObject:
         """The route object at position ``row`` of :meth:`all_routes`."""
-        self._merge_pending()
         return self._decode([row])[0]
 
     def stored_rows(self) -> tuple[dict[str, np.ndarray], list[list[str]]]:
         """The :data:`ROUTE_COLUMNS` and the ``[mnt_by, descr]`` strings,
         as held (read-only)."""
-        self._merge_pending()
         return self._columns, self._strings
 
     @property
@@ -349,13 +420,12 @@ class IRRDatabase:
 
     def all_routes(self) -> list[RouteObject]:
         """Every route object, in address order (decodes every row)."""
-        self._merge_pending()
         return self._decode(list(range(len(self._strings))))
 
     @property
     def route_count(self) -> int:
         """Number of route objects stored."""
-        return len(self._strings) + len(self._pending)
+        return len(self._strings)
 
 
 class _CandidateKeys(NamedTuple):

@@ -25,6 +25,7 @@ import numpy as np
 from repro.manrs.actions import Program
 from repro.manrs.registry import MANRSRegistry, Participant
 from repro.registry.rir import RIR
+from repro.topology.generator import WeightedPick, uniform_picks
 from repro.topology.model import ASCategory, ASTopology, Organization
 
 __all__ = ["RecruitmentConfig", "recruit"]
@@ -74,8 +75,7 @@ def recruit(
     rng = np.random.default_rng(seed)
     registry = MANRSRegistry()
     years = list(range(config.first_year, config.last_year + 1))
-    weights = np.array(config.year_weights, dtype=float)
-    weights /= weights.sum()
+    year_pick = WeightedPick(config.year_weights)
 
     flagship = _flagship_apnic_transit(topology)
 
@@ -101,7 +101,7 @@ def recruit(
             continue
 
         if join_year is None:
-            join_year = int(rng.choice(years, p=weights))
+            join_year = years[year_pick.one(rng)]
         if program is Program.CDN:
             join_year = max(join_year, config.cdn_program_start)
         joined = date(join_year, 1, 1) + timedelta(days=int(rng.integers(0, 364)))
@@ -131,12 +131,12 @@ def _registered_subset(
             # The primary AS is always among the registered ones in the
             # common case: members register their main network first.
             chosen = {asns[0]}
-            extra = rng.choice(asns[1:], size=keep - 1, replace=False) if keep > 1 else []
-            chosen.update(int(a) for a in np.atleast_1d(extra))
+            chosen.update(
+                asns[1 + i] for i in uniform_picks(rng, len(asns) - 1, keep - 1)
+            )
             return tuple(sorted(chosen))
     keep = min(keep, len(pool))
-    chosen_subset = rng.choice(pool, size=keep, replace=False)
-    return tuple(sorted(int(a) for a in np.atleast_1d(chosen_subset)))
+    return tuple(sorted(pool[i] for i in uniform_picks(rng, len(pool), keep)))
 
 
 def _flagship_apnic_transit(topology: ASTopology) -> str | None:

@@ -38,31 +38,44 @@ class Delegation:
 
 @dataclass
 class _Pool:
-    """Buddy free lists for one RIR, keyed by prefix length."""
+    """Buddy free lists for one RIR and IP version: the network values of
+    the free blocks, keyed by prefix length.  Only the block handed out
+    becomes a :class:`Prefix`."""
 
-    free: dict[int, list[Prefix]] = field(default_factory=dict)
+    version: int
+    free: dict[int, list[int]] = field(default_factory=dict)
 
-    def add(self, prefix: Prefix) -> None:
-        self.free.setdefault(prefix.length, []).append(prefix)
+    @classmethod
+    def of(cls, blocks: Iterable[Prefix], version: int) -> "_Pool":
+        """A pool of ``blocks``, each free list ordered so that ``pop``
+        serves its lowest address first."""
+        pool = cls(version)
+        for block in blocks:
+            pool.free.setdefault(block.length, []).append(block.value)
+        for values in pool.free.values():
+            values.sort(reverse=True)
+        return pool
 
     def take(self, length: int) -> Prefix:
         """Pop a block of exactly ``length``, splitting larger blocks."""
-        if length in self.free and self.free[length]:
-            return self.free[length].pop()
+        free = self.free
+        values = free.get(length)
+        if values:
+            return Prefix(values.pop(), length, self.version)
         # Find the longest available block shorter than `length` to split.
         for shorter in range(length - 1, -1, -1):
-            blocks = self.free.get(shorter)
-            if blocks:
-                block = blocks.pop()
+            values = free.get(shorter)
+            if values:
+                value = values.pop()
                 break
         else:
             raise AllocationError(f"no free block for /{length}")
-        # Split down to the requested size, returning halves to free lists.
-        while block.length < length:
-            low, high = block.subnets()
-            self.add(high)
-            block = low
-        return block
+        # Split down to the requested size: the block keeps its low half
+        # at each length, and the high half returns to that free list.
+        bits = 32 if self.version == 4 else 128
+        for split in range(shorter + 1, length + 1):
+            free.setdefault(split, []).append(value | 1 << (bits - split))
+        return Prefix(value, length, self.version)
 
 
 class AddressSpace:
@@ -76,16 +89,8 @@ class AddressSpace:
     def __init__(self) -> None:
         self._pools: dict[tuple[RIR, int], _Pool] = {}
         for rir in RIR:
-            v4_pool = _Pool()
-            for block in rir.v4_pools:
-                v4_pool.add(block)
-            # Reverse so .pop() serves lowest-address blocks first.
-            for blocks in v4_pool.free.values():
-                blocks.sort(reverse=True)
-            self._pools[(rir, 4)] = v4_pool
-            v6_pool = _Pool()
-            v6_pool.add(rir.v6_pool)
-            self._pools[(rir, 6)] = v6_pool
+            self._pools[(rir, 4)] = _Pool.of(rir.v4_pools, 4)
+            self._pools[(rir, 6)] = _Pool.of((rir.v6_pool,), 6)
         self._delegations: list[Delegation] = []
         self._by_org: dict[str, list[Delegation]] = {}
         self._index: RadixTree[Delegation] = RadixTree()
@@ -133,7 +138,7 @@ class AddressSpace:
         delegations was one of the larger warm-start costs.
         """
         space = cls()
-        space._pools = {key: _Pool() for key in space._pools}
+        space._pools = {key: _Pool(key[1]) for key in space._pools}
         for delegation in delegations:
             space._delegations.append(delegation)
             space._by_org.setdefault(delegation.org_id, []).append(delegation)

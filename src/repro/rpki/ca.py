@@ -178,13 +178,19 @@ class RPKIRepository:
         self._version += 1
 
     def remove_roa(self, roa: ROA) -> bool:
-        """Withdraw one published copy of ``roa``; True if it was present."""
-        try:
-            self.roas.remove(roa)
-        except ValueError:
-            return False
-        self._version += 1
-        return True
+        """Withdraw the first published copy of ``roa``; True if it was
+        present.
+
+        A ROA of another ASN is skipped on one integer compare, so only
+        the few ROAs of ``roa``'s ASN pay the field-by-field equality.
+        """
+        asn = roa.asn
+        for index, held in enumerate(self.roas):
+            if held.asn == asn and held == roa:
+                del self.roas[index]
+                self._version += 1
+                return True
+        return False
 
     @property
     def version(self) -> int:

@@ -37,8 +37,8 @@ from repro.bgp.table import Prefix2AS
 from repro.errors import AllocationError
 from repro.ihr.pipeline import build_ihr_dataset
 from repro.ihr.records import IHRDataset
-from repro.irr.database import IRRCollection, IRRDatabase
-from repro.irr.objects import AsSetObject, AutNumObject, RouteObject, as_set_member
+from repro.irr.database import IRRCollection, IRRDatabase, route_rows
+from repro.irr.objects import AsSetObject, AutNumObject, as_set_member
 from repro.irr.validation import IRRStatus, validate_irr_many
 from repro.manrs.actions import Program
 from repro.manrs.recruitment import RecruitmentConfig, recruit
@@ -54,7 +54,11 @@ from repro.scenario.config import ScenarioConfig
 from repro.scenario.world import ASBehavior, Origination, World, derive_policies
 from repro.topology.as2org import As2Org
 from repro.topology.classify import SizeClass, classify_all
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.generator import (
+    TopologyConfig,
+    WeightedPick,
+    generate_topology,
+)
 from repro.topology.model import ASCategory, ASTopology
 
 __all__ = ["Measurements", "build_world", "derive_measurements", "route_table"]
@@ -349,22 +353,12 @@ class _BuildContext:
     def sample_behaviors(self) -> None:
         snapshot = self.config.snapshot_date
         behavior_config = self.config.behavior
-        # Adoption-year cdfs, one per membership arm; drawing through
-        # cdf.searchsorted(rng.random()) consumes the same bit-stream
-        # rng.choice(years, p=...) would.
-        adoption_draws: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
-        for member_arm, adoption_weights in (
-            (True, self.config.member_adoption_weights),
-            (False, self.config.nonmember_adoption_weights),
-        ):
-            weights = np.array(adoption_weights, dtype=float)
-            years = np.arange(
-                self.config.first_year,
-                self.config.first_year + len(weights),
-            )
-            cdf = (weights / weights.sum()).cumsum()
-            cdf /= cdf[-1]
-            adoption_draws[member_arm] = (years, cdf)
+        # Adoption-year picks (offsets from first_year), one per
+        # membership arm.
+        adoption_picks = {
+            True: WeightedPick(self.config.member_adoption_weights),
+            False: WeightedPick(self.config.nonmember_adoption_weights),
+        }
         for asn in self.topology.asns:
             member = self.manrs.is_member(asn, snapshot)
             program = self.manrs.program_of(asn, snapshot)
@@ -403,16 +397,8 @@ class _BuildContext:
                 # accurate — staleness concentrates in RPKI adopters
                 # whose IRR records rot (§8.2's explanation).
                 stale_fraction *= 0.25
-            years, adoption_cdf = adoption_draws[member]
-            adoption_year = int(
-                years[
-                    int(
-                        adoption_cdf.searchsorted(
-                            self.rng.random(), side="right"
-                        )
-                    )
-                ]
-            )
+            adoption_pick = adoption_picks[member]
+            adoption_year = self.config.first_year + adoption_pick.one(self.rng)
             if is_cdn_member:
                 adoption_year = max(adoption_year, 2020)
 
@@ -529,12 +515,9 @@ class _BuildContext:
     def allocate_originations(self) -> None:
         origination_config = self.config.origination
         allocated_on = date(2012, 1, 1)
-        # Per-category prefix-length cdf, built once.  Drawing through
-        # cdf.searchsorted(rng.random()) consumes the identical bit-stream
-        # ``rng.choice(lengths, p=...)`` does (choice normalises p to a
-        # cdf and inverts one uniform double through it), at a fraction
-        # of choice's per-call validation overhead.
-        length_cdfs: dict[str, np.ndarray] = {}
+        v6_lengths = origination_config.v6_lengths
+        # Per-category prefix-length picks, built once.
+        length_picks: dict[str, WeightedPick] = {}
         for asn in self.topology.asns:
             record = self.topology.get_as(asn)
             if asn in self.quiescent:
@@ -550,13 +533,9 @@ class _BuildContext:
             lengths, weights = origination_config.prefix_lengths.get(
                 key, ((22, 23, 24), (0.3, 0.3, 0.4))
             )
-            length_cdf = length_cdfs.get(key)
-            if length_cdf is None:
-                weight_array = np.array(weights, dtype=float)
-                weight_array /= weight_array.sum()
-                length_cdf = weight_array.cumsum()
-                length_cdf /= length_cdf[-1]
-                length_cdfs[key] = length_cdf
+            length_pick = length_picks.get(key)
+            if length_pick is None:
+                length_pick = length_picks[key] = WeightedPick(weights)
             originations: list[Origination] = []
             org_id = record.org_id
             # Legacy space predates the RIR system and sits almost
@@ -573,15 +552,12 @@ class _BuildContext:
                 )
                 else 0.1
             )
+            legacy_chance = legacy_scale * origination_config.legacy_probability.get(
+                record.rir.value, 0.0
+            )
             for _ in range(count):
-                length = lengths[
-                    int(length_cdf.searchsorted(self.rng.random(), side="right"))
-                ]
-                legacy = (
-                    self.rng.random()
-                    < legacy_scale
-                    * origination_config.legacy_probability.get(record.rir.value, 0.0)
-                )
+                length = lengths[length_pick.one(self.rng)]
+                legacy = self.rng.random() < legacy_chance
                 block = self._allocate_block(
                     record.rir, length, org_id, allocated_on, legacy
                 )
@@ -593,7 +569,13 @@ class _BuildContext:
                     < origination_config.deaggregation_probability
                 )
                 announced = (
-                    next(block.prefix.subnets()) if deaggregated else block.prefix
+                    Prefix(
+                        block.prefix.value,
+                        block.prefix.length + 1,
+                        block.prefix.version,
+                    )
+                    if deaggregated
+                    else block.prefix
                 )
                 originations.append(
                     Origination(
@@ -607,7 +589,7 @@ class _BuildContext:
             if self.rng.random() < origination_config.v6_probability.get(key, 0.0):
                 low6, high6 = origination_config.v6_count_range
                 for _ in range(int(self.rng.integers(low6, high6 + 1))):
-                    length = int(self.rng.choice(origination_config.v6_lengths))
+                    length = v6_lengths[self.rng.integers(0, len(v6_lengths))]
                     try:
                         block = self.address_space.allocate(
                             record.rir, length, org_id, allocated_on, version=6
@@ -671,7 +653,7 @@ class _BuildContext:
                 days=int(self.rng.integers(0, 330))
             )
             n_registered = int(round(behavior.rpki_fraction * len(certifiable)))
-            order = list(self.rng.permutation(len(certifiable)))
+            order = self.rng.permutation(len(certifiable)).tolist()
             registered = [certifiable[i] for i in order[:n_registered]]
             victims = registered[: behavior.rpki_misconfig_count]
             if behavior.rpki_misconfig_count and not victims:
@@ -785,13 +767,24 @@ class _BuildContext:
             self.irr.add_database(IRRDatabase(rir.value, authoritative_for=rir))
         self.irr.add_database(IRRDatabase(_RADB))
         created = date(2016, 1, 1)
+        # Dates as ordinals: stale objects were last modified when
+        # created, fresh ones on the snapshot date.
+        created_on = created.toordinal()
+        fresh_on = self.config.snapshot_date.toordinal()
+        # Each database's route rows, field by field, inserted in one
+        # call at the end: prefixes, origins, last-modified ordinals and
+        # [mnt_by, descr] strings.
+        rows: dict[str, tuple[list, list, list, list]] = {
+            database.name: ([], [], [], []) for database in self.irr.databases
+        }
         for asn in sorted(self.originations):
             originations = self.originations[asn]
             record = self.topology.get_as(asn)
+            rir_name = record.rir.value
             behavior = self.behaviors[asn]
             # aut-num objects: contact info for MANRS Action 3.
             if self.rng.random() < 0.9:
-                database = self.irr.database(record.rir.value)
+                database = self.irr.database(rir_name)
                 # Contact freshness varies: members touch their objects
                 # when joining; the long tail never updates after creation
                 # (feeds the Action 3 extension check).
@@ -803,7 +796,7 @@ class _BuildContext:
                     AutNumObject(
                         asn=asn,
                         as_name=f"AS-NAME-{asn}",
-                        source=record.rir.value,
+                        source=rir_name,
                         admin_c=f"ADM-{asn}",
                         tech_c=f"TEC-{asn}",
                         last_modified=modified,
@@ -814,7 +807,7 @@ class _BuildContext:
             n_registered = max(
                 1, int(round(behavior.irr_fraction * len(originations)))
             ) if behavior.irr_fraction > 0 else 0
-            order = list(self.rng.permutation(len(originations)))
+            order = self.rng.permutation(len(originations)).tolist()
             if behavior.member:
                 # Members register the union: IRR objects go to prefixes
                 # missing from the RPKI first, so partial coverage in both
@@ -842,23 +835,24 @@ class _BuildContext:
                     key=lambda i: registered[i].prefix not in roa_covered
                 )
             stale_set = set(stale_order[:n_stale])
+            mnt_by, descr = f"MAINT-{record.org_id}", f"route of AS{asn}"
             for index, origination in enumerate(registered):
                 stale = index in stale_set
                 origin = self._wrong_origin(asn) if stale else asn
-                source = (
-                    record.rir.value if self.rng.random() < 0.55 else _RADB
-                )
-                self.irr.database(source).add_route(
-                    RouteObject(
-                        prefix=origination.block,
-                        origin=origin,
-                        source=source,
-                        mnt_by=f"MAINT-{record.org_id}",
-                        descr=f"route of AS{asn}",
-                        created=created,
-                        last_modified=created if stale else self.config.snapshot_date,
-                    )
-                )
+                source = rir_name if self.rng.random() < 0.55 else _RADB
+                prefixes, origins, modified, strings = rows[source]
+                prefixes.append(origination.block)
+                origins.append(origin)
+                modified.append(created_on if stale else fresh_on)
+                strings.append([mnt_by, descr])
+        for source, (prefixes, origins, modified, strings) in rows.items():
+            self.irr.database(source).insert_rows(
+                source,
+                route_rows(
+                    prefixes, origins, [created_on] * len(prefixes), modified
+                ),
+                strings,
+            )
         self._populate_as_sets()
 
     def _populate_as_sets(self) -> None:

@@ -29,6 +29,7 @@ from repro.registry.rir import RIR
 from repro.rpki.rov import ROVValidator
 from repro.rpki.validator import IncrementalRelyingParty
 from repro.scenario.world import World
+from repro.topology.generator import uniform_picks
 
 __all__ = [
     "GrowthPoint",
@@ -294,14 +295,10 @@ def weekly_member_conformance(
         asn for asn, pct in base.items() if pct >= thresholds[asn]
     ]
     n_flap = int(round(flap_fraction * len(conformant_asns)))
-    flapped = (
-        set(
-            int(a)
-            for a in rng.choice(conformant_asns, size=n_flap, replace=False)
-        )
-        if n_flap
-        else set()
-    )
+    flapped = {
+        conformant_asns[i]
+        for i in uniform_picks(rng, len(conformant_asns), n_flap)
+    }
     # Each flap is an event pair — the registration problem appearing
     # (+1) and clearing (-1) — replayed in week order against a set of
     # active dips, the same stream-of-changes shape the delta layer uses

@@ -17,12 +17,18 @@ partial-registration behaviour of Finding 7.0 and the Sibling column of
 Table 1.
 
 Everything is driven by a seeded ``numpy`` generator, so a (config, seed)
-pair always yields the same topology.
+pair always yields the same topology.  Weighted and uniform picks go
+through :class:`WeightedPick` and :func:`uniform_picks`, which make the
+draws ``Generator.choice`` makes for them; the rest of the world's
+synthesis picks through them too.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +42,13 @@ from repro.topology.model import (
     Relationship,
 )
 
-__all__ = ["TopologyConfig", "GeneratedTopology", "generate_topology"]
+__all__ = [
+    "TopologyConfig",
+    "GeneratedTopology",
+    "WeightedPick",
+    "generate_topology",
+    "uniform_picks",
+]
 
 #: Country weights per category: large networks concentrate in ARIN/RIPE
 #: (as §7 observes), small networks are spread worldwide with a strong
@@ -48,6 +60,143 @@ _COUNTRY_POOL = {
              ("IN", 0.08), ("GB", 0.07), ("ID", 0.07), ("CN", 0.06),
              ("AR", 0.06), ("ZA", 0.05), ("NG", 0.04), ("AU", 0.04),
              ("MX", 0.03)),
+}
+
+
+#: How far from 1 ``choice`` lets the probabilities sum.
+_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The cumulative sums of ``probabilities`` scaled to end at 1, as
+    ``choice`` normalises them."""
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+class WeightedPick:
+    """Weighted picks of indices that draw what ``Generator.choice`` draws.
+
+    ``WeightedPick(weights)`` stands for ``p = weights / weights.sum()``.
+    :meth:`one` returns what ``rng.choice(len(p), p=p)`` returns, and
+    :meth:`distinct` what ``rng.choice(len(p), size=k, replace=False,
+    p=p)`` returns; each makes the same draws, so ``rng`` ends where that
+    call leaves it.  They run numpy's algorithm without its per-call
+    validation, copies and ``np.unique``, and the cdf of one set of
+    weights is built once for any number of picks.  The constructor and
+    :meth:`distinct` raise :class:`ValueError` where ``choice`` would:
+    when ``p`` is not a probability vector (a NaN or infinite weight,
+    weights of both signs, a zero or overflowing total) or has fewer
+    positive entries than picks.
+    """
+
+    __slots__ = ("_probabilities", "_cdf", "_cdf_list")
+
+    def __init__(self, weights: Sequence[float] | np.ndarray) -> None:
+        weights = np.asarray(weights, dtype=float)
+        probabilities = weights / weights.sum()
+        # choice's checks of p, in an order that needs no special case
+        # for an empty or NaN p.
+        if not (
+            abs(probabilities.sum() - 1.0) <= _SUM_TOLERANCE
+            and probabilities.min() >= 0
+        ):
+            raise ValueError(f"weights do not normalise to probabilities: {weights}")
+        self._probabilities = probabilities
+        self._cdf = _cdf(probabilities)
+        self._cdf_list: list[float] | None = None
+
+    def one(self, rng: np.random.Generator) -> int:
+        """One index: a uniform double inverted through the cdf (as
+        ``searchsorted(side="right")`` inverts it)."""
+        if self._cdf_list is None:
+            # Bisecting a list beats an array search for one value.
+            self._cdf_list = self._cdf.tolist()
+        return bisect_right(self._cdf_list, rng.random())
+
+    def distinct(self, rng: np.random.Generator, count: int) -> list[int]:
+        """``count`` distinct indices, in the order ``choice`` returns.
+
+        Each round draws one uniform per missing pick, inverts them
+        through the cdf of the weights not yet picked and keeps each new
+        index at its first occurrence; a repeat leaves its pick to the
+        next round, which zeroes the found weights first.
+        """
+        if not 0 <= count <= np.count_nonzero(self._probabilities):
+            raise ValueError(
+                f"cannot pick {count} distinct indices of "
+                f"{np.count_nonzero(self._probabilities)} positive weights"
+            )
+        cdf = self._cdf
+        picks: list[int] = []
+        while len(picks) < count:
+            draws = rng.random(count - len(picks))
+            if picks:
+                rest = self._probabilities.copy()
+                rest[picks] = 0.0
+                cdf = _cdf(rest)
+            for index in cdf.searchsorted(draws, side="right").tolist():
+                if index not in picks:
+                    picks.append(index)
+        return picks
+
+
+def uniform_picks(
+    rng: np.random.Generator, population: int, count: int
+) -> list[int]:
+    """``count`` distinct indices below ``population``, uniformly: what
+    ``rng.choice(population, size=count, replace=False)`` returns, from
+    the same draws.
+
+    numpy runs Floyd's algorithm and shuffles its picks, or, when more
+    than a fiftieth of a population above 10,000 is picked, shuffles the
+    tail of ``range(population)``.  Every draw of either is a bounded
+    integer whose bound is known before the first, so one
+    ``integers(0, highs)`` call makes them all, in order.
+    """
+    if not 0 <= count <= population:
+        raise ValueError(
+            f"cannot pick {count} of {population} without replacement"
+        )
+    if not count:
+        return []
+    if population > 10_000 and count > population // 50:
+        first = max(population - count, 1)
+        order = list(range(population))
+        highs = np.arange(population, first, -1)
+        for i, j in zip(
+            range(population - 1, first - 1, -1),
+            rng.integers(0, highs).tolist(),
+        ):
+            order[i], order[j] = order[j], order[i]
+        return order[population - count:]
+    # Floyd's draws are integers(0, j + 1) for j = population - count ..
+    # population - 1, the shuffle's integers(0, i + 1) for i = count - 1
+    # down to 1.
+    highs = np.concatenate(
+        [
+            np.arange(population - count + 1, population + 1),
+            np.arange(count, 1, -1),
+        ]
+    )
+    draws = rng.integers(0, highs).tolist()
+    picks: list[int] = []
+    seen: set[int] = set()
+    for j, value in zip(range(population - count, population), draws):
+        if value in seen:
+            value = j
+        seen.add(value)
+        picks.append(value)
+    for i, j in zip(range(count - 1, 0, -1), draws[count:]):
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
+#: One pick per country pool, in ``_COUNTRY_POOL`` order.
+_COUNTRY_PICKS = {
+    pool: WeightedPick([weight for _, weight in countries])
+    for pool, countries in _COUNTRY_POOL.items()
 }
 
 
@@ -112,39 +261,18 @@ class _Builder:
     by_category: dict[ASCategory, list[int]] = field(default_factory=dict)
     #: Running customer degree for preferential attachment.
     degree: dict[int, int] = field(default_factory=dict)
-    #: Memoised attachment weight per AS — recomputed only on a degree
-    #: bump (~one per edge) instead of per candidate scan (~one per
-    #: candidate per choose_providers call).  Each cached value comes
-    #: from the same scalar expression the scan used, so the sampling
-    #: probabilities (and hence every rng draw) are bit-identical.
-    weight_of: dict[int, float] = field(default_factory=dict)
-    #: The same weights as parallel per-category lists (aligned with
-    #: ``by_category``), so sampling from a whole category pool skips
-    #: the per-candidate dict walk.
+    #: Each category's attachment weights, aligned with ``by_category``
+    #: and recomputed only on a degree bump (~one per edge) instead of
+    #: per candidate scan.
     weight_lists: dict[ASCategory, list[float]] = field(default_factory=dict)
     #: AS → (category, index into its ``by_category`` list).
     _cat_pos: dict[int, tuple[ASCategory, int]] = field(default_factory=dict)
     #: ASNs that exist only as quiescent siblings.
     quiescent: set[int] = field(default_factory=set)
-    _country_cache: dict[str, tuple[list[str], np.ndarray]] = field(
-        default_factory=dict
-    )
 
     def pick_country(self, pool: str) -> str:
-        cached = self._country_cache.get(pool)
-        if cached is None:
-            names = [c for c, _ in _COUNTRY_POOL[pool]]
-            weights = np.array([w for _, w in _COUNTRY_POOL[pool]])
-            p = weights / weights.sum()
-            # rng.choice(names, p=p) draws one uniform double and inverts
-            # it through p's cdf; doing that directly skips choice's
-            # per-call validation while consuming the same bit-stream.
-            cdf = p.cumsum()
-            cdf /= cdf[-1]
-            cached = (names, cdf)
-            self._country_cache[pool] = cached
-        names, cdf = cached
-        return names[int(cdf.searchsorted(self.rng.random(), side="right"))]
+        country, _ = _COUNTRY_POOL[pool][_COUNTRY_PICKS[pool].one(self.rng)]
+        return country
 
     def new_org(self, name_prefix: str, country: str) -> Organization:
         org = Organization(f"ORG-{self.next_org:05d}", f"{name_prefix}-{self.next_org}", country)
@@ -167,18 +295,14 @@ class _Builder:
         self._cat_pos[asn] = (category, len(pool))
         pool.append(asn)
         self.degree[asn] = 0
-        weight = self._weight(asn)
-        self.weight_of[asn] = weight
-        self.weight_lists.setdefault(category, []).append(weight)
+        self.weight_lists.setdefault(category, []).append(self._weight(asn))
         return asn
 
     def add_provider(self, provider: int, customer: int) -> None:
         self.topology.add_link(provider, customer, Relationship.PROVIDER_CUSTOMER)
         self.degree[provider] += 1
-        weight = self._weight(provider)
-        self.weight_of[provider] = weight
         category, position = self._cat_pos[provider]
-        self.weight_lists[category][position] = weight
+        self.weight_lists[category][position] = self._weight(provider)
 
     def _weight(self, asn: int) -> float:
         bias = 1.0
@@ -187,21 +311,20 @@ class _Builder:
         return (self.degree[asn] + bias) ** self.config.alpha
 
     def choose_providers(self, candidates: list[int], count: int) -> list[int]:
-        """Preferentially sample ``count`` distinct providers."""
+        """Preferentially sample ``count`` distinct providers from one
+        category's pool (a list of ``by_category``)."""
         if not candidates:
             raise TopologyError("no provider candidates available")
-        count = min(count, len(candidates))
         for category, pool in self.by_category.items():
             if candidates is pool:
-                weights = np.array(self.weight_lists[category])
+                weights = self.weight_lists[category]
                 break
         else:
-            weight_of = self.weight_of
-            weights = np.array([weight_of[c] for c in candidates])
-        picks = self.rng.choice(
-            len(candidates), size=count, replace=False, p=weights / weights.sum()
+            raise TopologyError("provider candidates must be a category pool")
+        picks = WeightedPick(weights).distinct(
+            self.rng, min(count, len(candidates))
         )
-        return [candidates[int(i)] for i in picks]
+        return [candidates[i] for i in picks]
 
 
 def _geometric_extra(rng: np.random.Generator, mean: float) -> int:
@@ -263,8 +386,10 @@ def _make_cdns(builder: _Builder) -> None:
             builder.add_provider(provider, asn)
         n_peerings = int(builder.rng.integers(3, min(10, len(larges)) + 1))
         peer_pool = [p for p in larges if p not in builder.topology.providers_of(asn)]
-        for peer in builder.rng.choice(peer_pool, size=min(n_peerings, len(peer_pool)), replace=False):
-            builder.topology.add_link(asn, int(peer), Relationship.PEER)
+        for i in uniform_picks(
+            builder.rng, len(peer_pool), min(n_peerings, len(peer_pool))
+        ):
+            builder.topology.add_link(asn, peer_pool[i], Relationship.PEER)
 
 
 def _make_medium_isps(builder: _Builder) -> None:

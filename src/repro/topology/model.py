@@ -11,7 +11,7 @@ as2org sibling structure (§7, Table 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator
 
@@ -167,6 +167,8 @@ class ASTopology:
         #: ASes whose adjacency sets this topology may edit in place;
         #: None while it shares no set (it neither is nor has a copy).
         self._owned: set[int] | None = None
+        #: Likewise the organisations whose records it may edit.
+        self._owned_orgs: set[str] | None = None
         self._cone_cache: dict[int, frozenset[int]] | None = None
         self._rank_cache: dict[int, int] | None = None
         self._csr_cache: TopologyCSR | None = None
@@ -178,6 +180,8 @@ class ASTopology:
         if org.org_id in self._orgs:
             raise TopologyError(f"duplicate org {org.org_id}")
         self._orgs[org.org_id] = org
+        if self._owned_orgs is not None:
+            self._owned_orgs.add(org.org_id)
 
     def add_as(self, asys: AutonomousSystem) -> None:
         """Register an AS under an already-registered organisation."""
@@ -186,7 +190,7 @@ class ASTopology:
         if asys.org_id not in self._orgs:
             raise TopologyError(f"unknown org {asys.org_id} for AS{asys.asn}")
         self._ases[asys.asn] = asys
-        self._orgs[asys.org_id].asns.append(asys.asn)
+        self._own_org(asys.org_id).asns.append(asys.asn)
         self._providers[asys.asn] = set()
         self._customers[asys.asn] = set()
         self._peers[asys.asn] = set()
@@ -225,15 +229,16 @@ class ASTopology:
         return self._linked(a, b)
 
     def copy(self) -> "ASTopology":
-        """An independent topology sharing the immutable AS/org records.
+        """An independent topology sharing the AS and organisation
+        records.
 
-        :class:`AutonomousSystem` and :class:`Organization` records are
-        shared (append-only worlds never replace them).  The adjacency
-        sets are shared too, copy-on-write: from now on each side copies
-        an AS's sets before its first ``add_link`` touching that AS, so
-        mutations never leak between them, and a copy costs a few
-        dictionaries instead of a set per AS.  Derived caches start cold
-        on the copy.
+        :class:`AutonomousSystem` records are immutable and shared.  The
+        :class:`Organization` records and the adjacency sets are shared
+        copy-on-write: from now on each side copies an organisation
+        before its first ``add_as`` into it, and an AS's sets before its
+        first ``add_link`` touching that AS, so mutations never leak
+        between them, and a copy costs a few dictionaries instead of a
+        set per AS.  Derived caches start cold on the copy.
         """
         clone = ASTopology()
         clone._ases = dict(self._ases)
@@ -243,7 +248,18 @@ class ASTopology:
         clone._peers = dict(self._peers)
         clone._owned = set()
         self._owned = set()
+        clone._owned_orgs = set()
+        self._owned_orgs = set()
         return clone
+
+    def _own_org(self, org_id: str) -> Organization:
+        """The record of ``org_id``, copied first if a copy may share it."""
+        org = self._orgs[org_id]
+        owned = self._owned_orgs
+        if owned is not None and org_id not in owned:
+            org = self._orgs[org_id] = replace(org, asns=list(org.asns))
+            owned.add(org_id)
+        return org
 
     def _own(self, *asns: int) -> None:
         """Copy the adjacency sets of ``asns`` that a copy may share."""

@@ -87,6 +87,36 @@ ENTRY_PINS = {
 }
 
 
+#: SHA-256 of each file ``save`` writes for the (0.3, 7) world that
+#: ``tests/test_parity.py`` saves and reopens (schema version 2).
+PARITY_ENTRY_PINS = {
+    ARRAYS_FILE: (
+        "29796f6e6453ecf829874ccb67e4d89ed01d97f9dc02e99dd636c060df64a3c7"
+    ),
+    "topology.json": (
+        "1fe2a3cd67eef59cc1b68f7e9b800f730a87104c31da797869991eaae2e0a24b"
+    ),
+    "scenario.json": (
+        "83745038be593d273ce4e9ab60c4077ac5eb4fff215f66ec59c011959e2a20fe"
+    ),
+    "rpki.json": (
+        "0e101a6cab39bca551e4209ed90086a3c70331306e3dd3d8bfeee0180fc33796"
+    ),
+    "rib.json": (
+        "5dd8fe4abbe77bf0a9b0544c806df7a11b51ab6a6a08f2c42fd5445d990be943"
+    ),
+    "ihr.json": (
+        "4a892cbac2bf9e8d260adb8e2a48c51bcbfa595e4db9cde4e33b2d4a4906b1b4"
+    ),
+    "as-rel.txt": (
+        "45a750bedd0cb7c3c22e18bd1217f71f6908e3f92fbf9d695f499d5a71bbe747"
+    ),
+    "manrs-participants.csv": (
+        "59ddbf6efdb24e3b0057e6d53a330fd973aa7d156b5b3f52ae7ad617fd75b608"
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def saved(small_world, tmp_path_factory):
     """A store holding one pristine entry for ``small_world``."""
@@ -437,9 +467,9 @@ def _set_row(database, row, route):
 
 
 def _insert_row(database, route):
-    """Add ``route`` to ``database`` without the authoritative-space
-    check: it merges at its address-order place on the next read."""
-    database._pending.append(route)
+    """Add ``route`` to ``database`` at its address-order place, without
+    the authoritative-space check."""
+    database._merge(_encode([route]), [[route.mnt_by, route.descr]])
 
 
 def _irr_route_edit(change):

@@ -14,6 +14,7 @@ is intended, and justify it in the commit message.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -70,3 +71,41 @@ def test_goldens_file_shape():
         assert entry["datasets"], "entry pins at least one dataset digest"
         for digest in entry["datasets"].values():
             assert len(digest) == 64
+
+
+def test_update_goldens_check_reports_drift_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    """``update_goldens.py --check`` exits 0 when every computed pin
+    equals the committed file and 1 when one differs, printing the same
+    per-artifact lines, and leaves the golden files as they were.  The
+    computed pins are stubbed: the goldens tests above build them."""
+    script_path = Path(__file__).parent.parent / "scripts" / "update_goldens.py"
+    spec = importlib.util.spec_from_file_location("update_goldens", script_path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for name in ("GOLDENS_PATH", "REPLAY_GOLDENS_PATH", "RENDER_GOLDENS_PATH"):
+        committed = getattr(script, name)
+        copy = tmp_path / committed.name
+        copy.write_text(committed.read_text())
+        monkeypatch.setattr(script, name, copy)
+    points = {
+        (entry["scale"], entry["seed"]): entry
+        for entry in json.loads(script.GOLDENS_PATH.read_text())["entries"]
+    }
+    replay = json.loads(script.REPLAY_GOLDENS_PATH.read_text())["entry"]
+    renders = json.loads(script.RENDER_GOLDENS_PATH.read_text())["entry"]
+    monkeypatch.setattr(script, "golden_entry", lambda *point: points[point])
+    monkeypatch.setattr(script, "replay_entry", lambda: replay)
+    monkeypatch.setattr(script, "render_entry", lambda: renders)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    assert script.main(["--check"]) == 0
+    out = capsys.readouterr().out
+    assert "renders unchanged" in out and "wrote" not in out
+
+    drifted = {**renders, "digests": {**renders["digests"], "fig2": "0" * 64}}
+    monkeypatch.setattr(script, "render_entry", lambda: drifted)
+    assert script.main(["--check"]) == 1
+    assert "renders changed: fig2" in capsys.readouterr().out
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before

@@ -8,9 +8,9 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import RPSLError
+from repro.errors import ASNError, RPSLError
 from repro.irr.asset import expand_as_set
-from repro.irr.database import IRRCollection, IRRDatabase
+from repro.irr.database import IRRCollection, IRRDatabase, route_rows
 from repro.irr.objects import (
     AsSetObject,
     AutNumObject,
@@ -206,6 +206,47 @@ class TestDatabases:
         with pytest.raises(RPSLError):
             db.add_route(_route("12.0.0.0/16", 1, source="RIPE"))
 
+    def test_insert_rows_checks_the_columns(self):
+        """``insert_rows`` runs a route object's and ``add_route``'s
+        checks over the columns, and a failed check inserts nothing."""
+        db = IRRDatabase("ARIN", authoritative_for=RIR.ARIN)
+
+        def rows(*routes):
+            prefixes, origins = zip(*routes)
+            columns = route_rows(
+                [_p(prefix) for prefix in prefixes],
+                origins,
+                [0] * len(routes),
+                [0] * len(routes),
+            )
+            return columns, [["MAINT-X", ""] for _ in routes]
+
+        db.insert_rows("ARIN", *rows(("12.0.0.0/16", 1), ("2600::/32", 2)))
+        with pytest.raises(RPSLError, match="31.0.0.0/16 is outside ARIN"):
+            db.insert_rows(
+                "ARIN", *rows(("13.0.0.0/16", 3), ("31.0.0.0/16", 3))
+            )
+        with pytest.raises(RPSLError, match="2a00::/32 is outside ARIN"):
+            db.insert_rows("ARIN", *rows(("2a00::/32", 3)))
+        # Covering a pool is not being inside one.
+        with pytest.raises(RPSLError, match="12.0.0.0/7 is outside ARIN"):
+            db.insert_rows("ARIN", *rows(("12.0.0.0/7", 3)))
+        with pytest.raises(RPSLError, match="2600::/19 is outside ARIN"):
+            db.insert_rows("ARIN", *rows(("2600::/19", 3)))
+        with pytest.raises(ASNError):
+            db.insert_rows("ARIN", *rows(("13.0.0.0/16", 2**32)))
+        with pytest.raises(ASNError):
+            db.insert_rows("ARIN", *rows(("13.0.0.0/16", -1)))
+        with pytest.raises(RPSLError, match="does not match"):
+            db.insert_rows("RADB", *rows(("13.0.0.0/16", 3)))
+        with pytest.raises(RPSLError, match="requires a source"):
+            db.insert_rows("", *rows(("13.0.0.0/16", 3)))
+        assert [str(route.prefix) for route in db.all_routes()] == [
+            "12.0.0.0/16",
+            "2600::/32",
+        ]
+        assert db.version == 2
+
     def test_remove_route(self):
         db = IRRDatabase("RADB")
         route = _route("12.0.0.0/16", 1)
@@ -333,6 +374,54 @@ class TestColumnStore:
             )
             assert database.route_count == len(listed)
             assert database.version == version
+
+
+class TestBulkInsert:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        authoritative=st.booleans(),
+        batches=st.lists(
+            st.lists(
+                st.builds(
+                    lambda prefix, origin, descr: (prefix, origin, descr),
+                    _STORE_PREFIXES,
+                    st.integers(min_value=1, max_value=3),
+                    st.sampled_from(["", "a", "b"]),
+                ),
+                max_size=6,
+            ),
+            max_size=5,
+        ),
+    )
+    def test_batches_store_what_single_adds_store(self, authoritative, batches):
+        """Routes added a batch at a time are stored as if added one at
+        a time: the same rows, equal prefixes in insertion order, and the
+        same mutation counter; a batch with one route outside an
+        authoritative database's space adds nothing."""
+        name = "ARIN" if authoritative else "RADB"
+        rir = RIR.ARIN if authoritative else None
+        bulk = IRRDatabase(name, authoritative_for=rir)
+        single = IRRDatabase(name, authoritative_for=rir)
+        pools = (*RIR.ARIN.v4_pools, RIR.ARIN.v6_pool)
+        for batch in batches:
+            routes = [
+                RouteObject(prefix, origin, name, descr=descr)
+                for prefix, origin, descr in batch
+            ]
+            accepted = not authoritative or all(
+                any(pool.contains(route.prefix) for pool in pools)
+                for route in routes
+            )
+            if accepted:
+                bulk.add_routes(routes)
+                for route in routes:
+                    single.add_route(route)
+            else:
+                with pytest.raises(RPSLError):
+                    bulk.add_routes(routes)
+        assert bulk.all_routes() == single.all_routes()
+        assert bulk.stored_rows()[1] == single.stored_rows()[1]
+        assert bulk.version == single.version
 
 
 class TestValidation:

@@ -20,13 +20,18 @@ The build itself is pinned by ``tests/test_goldens.py``.  Here it runs
 under a spy that shows the one build path stays in this process and
 bounds its working set: no ``batch_paths`` call takes more than
 ``BATCH_ORIGINS`` origins, and hegemony scores more than one partition.
-The scenario families are pinned by ``tests/test_scenarios.py``.
+The same spy shows that synthesis pays only for its draws: no
+``Generator.choice`` call, no route made into a route object, and each
+IRR database's rows inserted once.  The saved entry's files are pinned
+beside ``tests/test_checkpoint.py``'s ``ENTRY_PINS``.  The scenario
+families are pinned by ``tests/test_scenarios.py``.
 """
 
 from __future__ import annotations
 
 import _posixsubprocess
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -34,17 +39,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import config, obs
 from repro.bgp import propagation
 from repro.config import RuntimeConfig
-from repro.datasets.checkpoint import CheckpointStore, world_digest
+from repro.datasets.checkpoint import (
+    CheckpointStore,
+    checkpoint_key,
+    world_digest,
+)
 from repro.datasets.columnar import LazyWorld
 from repro.delta import cold_rebuild
+from repro.irr.database import IRRDatabase
+from repro.irr.objects import RouteObject
 from repro.scenario.build import build_world
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.world import World
+from tests.test_checkpoint import ENTRY_FILES, PARITY_ENTRY_PINS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_PATH = Path(__file__).parent / "goldens" / "world_digests.json"
@@ -72,11 +85,23 @@ def _counted(action):
     return result, moved
 
 
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its ``choice`` calls."""
+
+    choices = 0
+
+    def choice(self, *args, **kwargs):
+        type(self).choices += 1
+        return super().choice(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def built():
     """The pinned world, built with every ``batch_paths`` batch size
-    recorded and process creation forbidden; returns (world, counters
-    moved, batch sizes)."""
+    recorded, process creation forbidden, and every generator counting
+    its ``choice`` calls, every route object and every IRR row insert
+    recorded; returns (world, counters moved, batch sizes, synthesis
+    counts)."""
     sizes: list[int] = []
     real = propagation.batch_paths
 
@@ -87,8 +112,28 @@ def built():
     def forbidden(*args, **kwargs):
         raise AssertionError("the build started a process")
 
+    synthesis = {"route_objects": 0, "inserts": []}
+    made = RouteObject.__post_init__
+    merge = IRRDatabase._merge
+
+    def route_object(route):
+        synthesis["route_objects"] += 1
+        made(route)
+
+    def insert(database, columns, strings):
+        synthesis["inserts"].append((database.name, len(strings)))
+        merge(database, columns, strings)
+
+    _CountingGenerator.choices = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(propagation, "batch_paths", spy)
+        patch.setattr(
+            np.random,
+            "default_rng",
+            lambda seed=None: _CountingGenerator(np.random.PCG64(seed)),
+        )
+        patch.setattr(RouteObject, "__post_init__", route_object)
+        patch.setattr(IRRDatabase, "_merge", insert)
         # Every way Python starts a process: fork-started pools,
         # spawn/forkserver pools, and subprocess.
         for owner, name in (
@@ -98,7 +143,8 @@ def built():
         ):
             patch.setattr(owner, name, forbidden)
         world, moved = _counted(lambda: build_world(SCALE, SEED))
-    return world, moved, sizes
+    synthesis["choices"] = _CountingGenerator.choices
+    return world, moved, sizes, synthesis
 
 
 @pytest.fixture(scope="module")
@@ -109,12 +155,39 @@ def store(built, tmp_path_factory):
 
 
 def test_build_bounds_batches_and_partitions(built):
-    world, moved, sizes = built
+    world, moved, sizes, _ = built
     assert world_digest(world) == _golden_digest()
     assert max(sizes) <= propagation.BATCH_ORIGINS, sizes
     assert propagation.BATCH_ORIGINS in sizes, "the bound never cut a batch"
     assert moved["propagation.batches"] == len(sizes)
     assert moved["hegemony.partitions"] > 1
+
+
+def test_synthesis_pays_only_for_draws(built):
+    """The build (on the pinned digest) calls ``Generator.choice`` zero
+    times, makes no route object, and inserts each IRR database's rows
+    in one call, so every route is encoded once."""
+    world, _, _, synthesis = built
+    assert world_digest(world) == _golden_digest()
+    assert synthesis["choices"] == 0
+    assert synthesis["route_objects"] == 0
+    names = [database.name for database in world.irr.databases]
+    assert [name for name, _ in synthesis["inserts"]] == names
+    assert sum(rows for _, rows in synthesis["inserts"]) == (
+        world.irr.route_count
+    )
+
+
+def test_saved_entry_matches_pins(built, store):
+    """Saving the pinned world writes the pinned bytes, file for file:
+    the entry covers the delegations, originations, behaviours and IRR
+    objects that the world digest leaves out."""
+    world = built[0]
+    entry = store.path_for(checkpoint_key(world.config, SCALE, SEED))
+    assert {
+        name: hashlib.sha256((entry / name).read_bytes()).hexdigest()
+        for name in ENTRY_FILES
+    } == PARITY_ENTRY_PINS
 
 
 def _reopened_axis(request):
@@ -134,7 +207,7 @@ def _reopened_axis(request):
 
 
 def _rebuilt_axis(request):
-    base, _, _ = request.getfixturevalue("built")
+    base, _, _, _ = request.getfixturevalue("built")
     world, moved = _counted(lambda: cold_rebuild(base, []))
     assert moved.get("propagation.batches", 0) > 1, moved
     assert moved.get("hegemony.partitions", 0) > 1, moved

@@ -5,6 +5,7 @@ from __future__ import annotations
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError
 from repro.net.prefix import Prefix, aggregate_address_count
@@ -124,3 +125,106 @@ class TestAllocation:
         space.allocate(RIR.RIPE, 16, "B", date(2020, 1, 1))
         text = space.serialize()
         assert "ARIN|A" in text and "RIPE|B" in text
+
+
+class _PrefixPool:
+    """The buddy allocator over :class:`Prefix` objects, as it stood
+    before the pools held plain network values: the reference
+    ``AddressSpace`` must match, delegation for delegation."""
+
+    def __init__(self, blocks) -> None:
+        self.free: dict[int, list[Prefix]] = {}
+        for block in blocks:
+            self.free.setdefault(block.length, []).append(block)
+        # Reverse so .pop() serves lowest-address blocks first.
+        for free in self.free.values():
+            free.sort(reverse=True)
+
+    def take(self, length: int) -> Prefix:
+        if length in self.free and self.free[length]:
+            return self.free[length].pop()
+        for shorter in range(length - 1, -1, -1):
+            blocks = self.free.get(shorter)
+            if blocks:
+                block = blocks.pop()
+                break
+        else:
+            raise AllocationError(f"no free block for /{length}")
+        while block.length < length:
+            low, high = block.subnets()
+            self.free.setdefault(high.length, []).append(high)
+            block = low
+        return block
+
+
+def _reference_allocate(pools, rir: RIR, length: int, version: int) -> Prefix:
+    if not 0 < length <= (32 if version == 4 else 128):
+        raise AllocationError(f"/{length} invalid for IPv{version}")
+    return pools[(rir, version)].take(length)
+
+
+#: Request lengths per IP version: invalid ones, ones no pool block can
+#: serve, and ones that split the /8 (v4) and /20 (v6) pool blocks.
+_LENGTHS = {
+    4: [0, 1, 7, 8, 9, 10, 11, 12, 33],
+    6: [0, 19, 20, 21, 22, 23, 24, 129],
+}
+
+_REQUESTS = st.lists(
+    st.tuples(
+        st.sampled_from(list(RIR)),
+        st.sampled_from([4, 6]).flatmap(
+            lambda version: st.tuples(
+                st.just(version), st.sampled_from(_LENGTHS[version])
+            )
+        ),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(requests=_REQUESTS)
+def test_integer_pools_allocate_like_prefix_pools(requests):
+    """Random requests (both versions, every RIR, legacy or not), then
+    /12 (v4) and /24 (v6) requests until every pool is exhausted: the
+    integer pools hand out the reference's blocks and raise
+    ``AllocationError`` at the same requests."""
+    space = AddressSpace()
+    pools = {}
+    for rir in RIR:
+        pools[(rir, 4)] = _PrefixPool(rir.v4_pools)
+        pools[(rir, 6)] = _PrefixPool((rir.v6_pool,))
+    exhaust = [
+        (rir, (version, 12 if version == 4 else 24), False)
+        for rir in RIR
+        for version in (4, 6)
+        # The most blocks any pool holds at that length, plus one.
+        for _ in range(len(RIR.ARIN.v4_pools) * 16 + 1)
+    ]
+    failed = 0
+    for index, (rir, (version, length), legacy) in enumerate(
+        [*requests, *exhaust]
+    ):
+        org_id = f"ORG-{index}"
+        try:
+            expected = _reference_allocate(pools, rir, length, version)
+        except AllocationError:
+            with pytest.raises(AllocationError):
+                space.allocate(
+                    rir, length, org_id, date(2020, 1, 1), version, legacy
+                )
+            failed += 1
+            continue
+        delegation = space.allocate(
+            rir, length, org_id, date(2020, 1, 1), version, legacy
+        )
+        assert (delegation.prefix, delegation.rir) == (expected, rir)
+        assert (delegation.org_id, delegation.legacy) == (org_id, legacy)
+    assert failed >= 2 * len(RIR)
+    for rir in RIR:
+        for version in (4, 6):
+            with pytest.raises(AllocationError):
+                space.allocate(rir, 32 if version == 4 else 128, "X",
+                               date(2020, 1, 1), version)

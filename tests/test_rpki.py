@@ -51,6 +51,47 @@ class TestROA:
         assert not roa.is_current(date(2019, 1, 1))
 
 
+class TestRepository:
+    def test_remove_roa_withdraws_the_first_equal_copy(self):
+        """``remove_roa`` removes the first ROA equal to its argument,
+        also when it holds another object, leaves later duplicates and
+        other ROAs in order, and bumps the version once per removal."""
+        repo, cert_id = make_repo()
+        kept = ROA(_p("12.1.0.0/16"), 65001, 16, cert_id, T0, T1)
+        other_asn = ROA(_p("12.2.0.0/16"), 65002, 24, cert_id, T0, T1)
+        first = ROA(_p("12.2.0.0/16"), 65001, 24, cert_id, T0, T1)
+        second = ROA(_p("12.2.0.0/16"), 65001, 24, cert_id, T0, T1)
+        for roa in (kept, other_asn, first, second):
+            repo.add_roa(roa)
+        version = repo.version
+        equal = ROA(
+            Prefix(first.prefix.value, 16), 65001, 24, cert_id, T0, T1
+        )
+        assert equal == first
+        assert equal is not first and equal.prefix is not first.prefix
+        assert repo.remove_roa(equal)
+        assert repo.roas == [kept, other_asn, second]
+        assert repo.roas[2] is second
+        assert repo.version == version + 1
+        assert repo.remove_roa(equal)
+        assert repo.roas == [kept, other_asn]
+        assert repo.version == version + 2
+
+    def test_remove_absent_roa_changes_nothing(self):
+        repo, cert_id = make_repo()
+        held = ROA(_p("12.1.0.0/16"), 65001, 24, cert_id, T0, T1)
+        repo.add_roa(held)
+        version = repo.version
+        for absent in (
+            ROA(_p("12.1.0.0/16"), 65001, 25, cert_id, T0, T1),
+            ROA(_p("12.1.0.0/16"), 65002, 24, cert_id, T0, T1),
+            ROA(_p("12.1.0.0/17"), 65001, 24, cert_id, T0, T1),
+        ):
+            assert not repo.remove_roa(absent)
+        assert repo.roas == [held]
+        assert repo.version == version
+
+
 class TestVRP:
     def test_matches(self):
         vrp = VRP(_p("12.0.0.0/16"), 65001, 24, RIR.ARIN)

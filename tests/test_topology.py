@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.registry.rir import RIR
 from repro.topology.classify import SizeClass, classify_all, classify_size
-from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.generator import (
+    TopologyConfig,
+    WeightedPick,
+    generate_topology,
+    uniform_picks,
+)
 from repro.topology.model import (
     ASCategory,
     ASTopology,
@@ -123,6 +132,25 @@ class TestModel:
         for topo in (original, copy, second):
             topo.validate()
 
+    def test_copies_add_ases_independently(self):
+        """A copy shares the organisation records until either side adds
+        an AS to one; then only that side lists the AS, in both
+        directions and for a copy of a copy."""
+        original = build_chain()
+        copy = original.copy()
+        copy.add_as(_as(5))
+        original.add_as(_as(6))
+        second = copy.copy()
+        second.add_as(_as(7))
+        assert original.get_org("O1").asns == [1, 2, 3, 4, 6]
+        assert copy.get_org("O1").asns == [1, 2, 3, 4, 5]
+        assert second.get_org("O1").asns == [1, 2, 3, 4, 5, 7]
+        assert 5 not in original and 6 not in copy and 7 not in copy
+        assert original.siblings(1) == {2, 3, 4, 6}
+        assert copy.siblings(1) == {2, 3, 4, 5}
+        for topo in (original, copy, second):
+            topo.validate()
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -200,3 +228,124 @@ class TestGenerator:
         config = TopologyConfig().scaled(0.5)
         assert config.n_stub == round(TopologyConfig().n_stub * 0.5)
         assert config.n_large_transit >= 3
+
+
+#: Weights that tie, that are tiny enough to vanish from a normalised
+#: probability (5e-324 next to 1.0), or large enough to overflow a total.
+_SPECIAL_WEIGHTS = [0.0, 1.0, 2.0, 1e-12, 1e-300, 5e-324, 1e308]
+#: Weights ``Generator.choice`` rejects.
+_INVALID_WEIGHTS = [-1.0, -5e-324, math.nan, math.inf, -math.inf]
+
+_WEIGHTS = st.lists(
+    st.one_of(
+        st.sampled_from(_SPECIAL_WEIGHTS),
+        st.floats(0.0, 1e6, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _outcome(draw, *args, **kwargs):
+    """``draw(*args, **kwargs)`` as a list, or the ValueError it raises
+    (invalid weights warn on the way; they are meant to)."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.atleast_1d(draw(*args, **kwargs)).tolist()
+        except ValueError as error:
+            return error
+
+
+def _same_outcome(expected, got) -> bool:
+    if isinstance(expected, ValueError):
+        return isinstance(got, ValueError)
+    return got == expected
+
+
+class TestWeightedPick:
+    """:class:`WeightedPick` against the ``Generator.choice`` calls it
+    replaces: the same indices from the same draws (so both generators
+    then draw the same next double), and ValueError in the same cases."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=_WEIGHTS,
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distinct_draws_what_choice_draws(self, weights, data, seed):
+        if data.draw(st.booleans()):
+            position = data.draw(st.integers(0, len(weights)))
+            weights.insert(position, data.draw(st.sampled_from(_INVALID_WEIGHTS)))
+        count = data.draw(st.integers(0, len(weights) + 1))
+        weights = np.array(weights)
+        reference = np.random.default_rng(seed)
+        candidate = np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            p = weights / weights.sum()
+        expected = _outcome(
+            reference.choice, len(weights), size=count, replace=False, p=p
+        )
+        got = _outcome(lambda: WeightedPick(weights).distinct(candidate, count))
+        assert _same_outcome(expected, got), (expected, got)
+        assert candidate.random() == reference.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=_WEIGHTS, seed=st.integers(0, 2**32 - 1))
+    def test_one_draws_what_choice_draws(self, weights, seed):
+        weights = np.array(weights)
+        reference = np.random.default_rng(seed)
+        candidate = np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            p = weights / weights.sum()
+        expected = _outcome(reference.choice, len(weights), size=3, p=p)
+        got = _outcome(
+            lambda: [WeightedPick(weights).one(candidate) for _ in range(3)]
+        )
+        assert _same_outcome(expected, got), (expected, got)
+        assert candidate.random() == reference.random()
+
+    def test_collisions_redraw_like_choice(self):
+        """A dominant weight makes repeats (and so later rounds) certain."""
+        weights = np.array([1e9, 1.0, 1.0, 1.0, 1.0])
+        for seed in range(20):
+            reference = np.random.default_rng(seed)
+            candidate = np.random.default_rng(seed)
+            expected = reference.choice(5, size=5, replace=False, p=weights / weights.sum())
+            assert WeightedPick(weights).distinct(candidate, 5) == expected.tolist()
+            assert candidate.random() == reference.random()
+
+
+class TestUniformPicks:
+    """:func:`uniform_picks` against ``Generator.choice(n, size=k,
+    replace=False)``: Floyd's algorithm below the tail-shuffle cut-over
+    and the tail shuffle above it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        population=st.integers(0, 60),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_what_choice_draws(self, population, data, seed):
+        count = data.draw(st.integers(0, population + 1))
+        reference = np.random.default_rng(seed)
+        candidate = np.random.default_rng(seed)
+        expected = _outcome(
+            reference.choice, population, size=count, replace=False
+        )
+        got = _outcome(uniform_picks, candidate, population, count)
+        assert _same_outcome(expected, got), (expected, got)
+        assert candidate.random() == reference.random()
+
+    @pytest.mark.parametrize(
+        "population,count",
+        [(10_000, 9_000), (10_001, 200), (10_001, 201), (20_000, 400),
+         (20_000, 401), (12_000, 12_000)],
+    )
+    def test_large_populations(self, population, count):
+        reference = np.random.default_rng(population + count)
+        candidate = np.random.default_rng(population + count)
+        expected = reference.choice(population, size=count, replace=False)
+        assert uniform_picks(candidate, population, count) == expected.tolist()
+        assert candidate.random() == reference.random()
