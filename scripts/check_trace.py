@@ -1,9 +1,10 @@
 """Validate a ``--trace-json`` snapshot (the ``make trace-smoke`` gate).
 
 Checks that the document parses, that the span tree covers the world
-build and every registry experiment, and that the headline counters
-(routes propagated, memo hits) are present — the invariants the
-observability layer promises tooling.  A ``repro replay`` trace (one
+build (its classification, collection and IHR validation) and every
+registry experiment, and that the headline counters (routes
+propagated, the verdict memos' hits and misses) are present — the
+invariants the observability layer promises tooling.  A ``repro replay`` trace (one
 with a ``cli.replay`` root span) must cover the delta apply and
 checkpoint spans and their cache counters instead of the experiments.
 A replay over a stored base (no ``cli.build_world`` span) must cover
@@ -47,10 +48,21 @@ def main(argv: list[str]) -> int:
         required_spans = ["checkpoint.load"]
         required_counters = ["propagation.cache_seeded", "delta.groups_copied"]
     else:
-        required_spans = ["cli.build_world", "build.topology", "build.collect_rib"]
+        required_spans = [
+            "cli.build_world",
+            "build.topology",
+            "build.classify",
+            "build.collect_rib",
+            "ihr.validate",
+        ]
+        # Classification memoises every route without validate_many,
+        # and the memo hit ratios are read from these four counters.
         required_counters = [
             "collect.routes_propagated",
             "rov.memo_hits",
+            "rov.memo_misses",
+            "irr.memo_hits",
+            "irr.memo_misses",
             "build.routes_classified",
         ]
     if replay:

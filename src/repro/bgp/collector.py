@@ -1,8 +1,8 @@
 """Route collectors: the RouteViews / RIPE RIS substitute.
 
 A collector has a set of *vantage points* (peer ASes exporting their full
-tables).  :func:`collect_rib` runs propagation for every announcement and
-records the AS path each vantage point selects, producing a
+tables).  :func:`collect_rib` runs propagation for every announced route
+and records the AS path each vantage point selects, producing a
 :class:`RibSnapshot` — the raw material for the prefix2as dataset and the
 IHR pipeline.
 
@@ -11,16 +11,22 @@ the snapshot stores one route group per such pair — paths are kept once
 per group rather than once per prefix, which keeps full-table collection
 affordable in both time and memory.
 
+Routes enter collection as one integer table (:class:`RouteRows`): a
+row per route, its origin, prefix columns and route class flags.  One
+stable ``lexsort`` of the table gives the groups and each group's
+prefix rows in address order.
+
 The snapshot is its stored columns: :func:`assemble_rib` builds them
-for :func:`collect_rib` and the live world's changed groups; a
+for :func:`collect_rib` and for the live world's checkpoints; a
 checkpoint writes them and the ``rib`` digest hashes them as they are,
 and every reader (prefix2as, the IHR pipeline, the counterfactual and
 ablation experiments) walks them.  No runtime path decodes a group's
-paths wholesale: the live world seeds its propagation memo and transit
-cache with :class:`GroupPaths` views over its base snapshot's columns,
-and :func:`splice_rib` copies the column slices of every group whose
-view and prefix rows no event changed, encoding only the rest.
-:meth:`RibSnapshot.groups` decodes every group, for tests.
+paths wholesale: propagation returns :class:`GroupPaths` views over the
+path columns each batch writes, the live world seeds its propagation
+memo and transit cache with views over its base snapshot's columns, and
+:func:`assemble_rib` copies the column slices a view or a
+:class:`PrefixRows` covers, encoding only plain mappings and prefix
+lists.  :meth:`RibSnapshot.groups` decodes every group, for tests.
 
 Real collectors see the Internet through a limited, biased set of vantage
 points (mostly large transit networks); §11 of the paper calls this out as
@@ -34,15 +40,16 @@ bounds its own working set (DESIGN §18).
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain, compress
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.bgp.announcement import Announcement
 from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
+from repro.kernels.csr import GroupPaths
+from repro.kernels.intervals import route_key_columns
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
 from repro.topology.classify import SizeClass, classify_all
 from repro.topology.generator import uniform_picks
@@ -51,11 +58,12 @@ from repro.topology.model import ASTopology
 __all__ = [
     "COLUMNS",
     "GroupPaths",
+    "PrefixRows",
     "RibSnapshot",
+    "RouteRows",
     "assemble_rib",
     "collect_rib",
     "select_vantage_points",
-    "splice_rib",
 ]
 
 #: The stored columns, in the order a checkpoint writes them and the
@@ -83,13 +91,82 @@ class Group(NamedTuple):
     ``paths`` maps each vantage point that selected a route to its AS
     path (vantage point first, origin last).  Vantage points missing
     from the mapping did not receive the announcement — typically
-    because filters dropped it on every valley-free path.
+    because filters dropped it on every valley-free path.  ``prefixes``
+    are the group's distinct prefixes in address order; a
+    :class:`PrefixRows` and a :class:`GroupPaths` are copied from the
+    columns they cover.
     """
 
     origin: int
     route_class: RouteClass
     prefixes: Sequence[Prefix]
     paths: Mapping[int, tuple[int, ...]]
+
+
+class RouteRows(NamedTuple):
+    """Announced routes as one integer table, a row per route.
+
+    ``hi``, ``lo``, ``length`` and ``version`` hold the prefix as
+    :func:`~repro.net.prefix.prefix_columns` stores it and ``origin``
+    the origin AS (the columns, in order, of
+    :func:`~repro.kernels.intervals.route_key_columns`); the two flags are
+    the route's class.  ``prefixes`` holds the decoded prefixes, row for
+    row: the snapshot :func:`collect_rib` builds keeps them.
+    """
+
+    hi: np.ndarray
+    lo: np.ndarray
+    length: np.ndarray
+    version: np.ndarray
+    origin: np.ndarray
+    rpki_invalid: np.ndarray
+    irr_invalid: np.ndarray
+    prefixes: Sequence[Prefix]
+
+    @classmethod
+    def of(
+        cls, routes: Sequence[tuple[Prefix, int, RouteClass]]
+    ) -> "RouteRows":
+        """The table of ``(prefix, origin, route class)`` routes."""
+        return cls(
+            *route_key_columns([(prefix, origin) for prefix, origin, _ in routes]),
+            np.array([c.rpki_invalid for *_, c in routes], dtype=bool),
+            np.array([c.irr_invalid for *_, c in routes], dtype=bool),
+            [prefix for prefix, _, _ in routes],
+        )
+
+
+class PrefixRows(Sequence[Prefix]):
+    """Rows ``begin:end`` of the ``rib_prefix_*`` columns of
+    ``columns``, whose decoded prefixes are ``prefixes``.
+
+    As a group's prefixes it reads as ``prefixes``, and
+    :func:`assemble_rib` copies its column slices instead of encoding
+    them.
+    """
+
+    __slots__ = ("columns", "begin", "end", "prefixes")
+
+    def __init__(
+        self,
+        columns: Mapping[str, np.ndarray],
+        begin: int,
+        end: int,
+        prefixes: Sequence[Prefix],
+    ):
+        self.columns = columns
+        self.begin = begin
+        self.end = end
+        self.prefixes = prefixes
+
+    def __len__(self) -> int:
+        return self.end - self.begin
+
+    def __getitem__(self, index):
+        return self.prefixes[index]
+
+    def __iter__(self):
+        return iter(self.prefixes)
 
 
 class RibSnapshot:
@@ -165,21 +242,24 @@ class RibSnapshot:
             )
         ]
 
-    def announcements(self) -> list[tuple[Announcement, RouteClass]]:
-        """Every route with its route class, in row order: the input
+    def route_rows(self) -> RouteRows:
+        """Every route with its route class, in row order: the table
         :func:`collect_rib` regroups into this snapshot's groups."""
-        counts = np.diff(self.arrays["rib_prefix_offsets"]).tolist()
-        classes = chain.from_iterable(map(repeat, self.route_classes(), counts))
-        return [
-            (Announcement(prefix, origin), route_class)
-            for (prefix, origin), route_class in zip(self.routes(), classes)
-        ]
+        columns = self.arrays
+        counts = np.diff(columns["rib_prefix_offsets"])
+        return RouteRows(
+            *(columns[f"rib_prefix_{part}"] for part in ("hi", "lo", "len", "ver")),
+            self.row_origins(),
+            np.repeat(columns["rib_rpki_invalid"], counts),
+            np.repeat(columns["rib_irr_invalid"], counts),
+            self.prefixes(),
+        )
 
-    def group_paths(self) -> list["GroupPaths"]:
+    def group_paths(self) -> list[GroupPaths]:
         """A read-only view of each group's paths, in order; nothing is
         decoded."""
         count = len(self.arrays["rib_origin"])
-        return [GroupPaths(self, group) for group in range(count)]
+        return [GroupPaths(self.arrays, group) for group in range(count)]
 
     def groups(self) -> list[Group]:
         """Decode every group, in order: the inverse of
@@ -214,62 +294,57 @@ class RibSnapshot:
         ]
 
 
-class GroupPaths(Mapping[int, tuple[int, ...]]):
-    """The paths of group ``group`` of ``rib``, as a read-only mapping.
-
-    Vantage points iterate in reference order, as they do in the dict
-    :meth:`RibSnapshot.groups` decodes.  The size comes from the offsets;
-    the paths are decoded on the first read of a key or a value, and
-    kept.  Identity stands for "these are still the base's paths": a
-    memo hit of :meth:`~repro.bgp.propagation.PropagationEngine.paths_to_many`
-    returns the very view the memo was seeded with, so
-    :func:`splice_rib` can copy the group's columns instead of encoding
-    the mapping.
-    """
-
-    __slots__ = ("rib", "group", "_paths")
-
-    def __init__(self, rib: RibSnapshot, group: int):
-        self.rib = rib
-        self.group = group
-        self._paths: dict[int, tuple[int, ...]] | None = None
-
-    def _decoded(self) -> dict[int, tuple[int, ...]]:
-        if self._paths is None:
-            columns = self.rib.arrays
-            offsets = columns["rib_ref_offsets"]
-            begin, end = int(offsets[self.group]), int(offsets[self.group + 1])
-            bounds = columns["rib_path_offsets"][begin:end + 1].tolist()
-            values = columns["rib_path_values"][bounds[0]:bounds[-1]].tolist()
-            start = bounds[0]
-            self._paths = dict(
-                zip(
-                    columns["rib_ref_vp"][begin:end].tolist(),
-                    (
-                        tuple(values[lo - start:hi - start])
-                        for lo, hi in zip(bounds, bounds[1:])
-                    ),
-                )
-            )
-        return self._paths
-
-    def __len__(self) -> int:
-        offsets = self.rib.arrays["rib_ref_offsets"]
-        return int(offsets[self.group + 1] - offsets[self.group])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._decoded())
-
-    def __getitem__(self, vantage_point: int) -> tuple[int, ...]:
-        return self._decoded()[vantage_point]
-
-
-def _offsets(lengths: Iterable[int], count: int) -> np.ndarray:
+def _offsets(lengths, count: int) -> np.ndarray:
     """Slice boundaries of consecutive runs of ``lengths``."""
     offsets = np.zeros(count + 1, dtype=np.int64)
     offsets[1:] = np.fromiter(lengths, dtype=np.int64, count=count)
     np.cumsum(offsets, out=offsets)
     return offsets
+
+
+def _encoded_paths(
+    mappings: Sequence[Mapping[int, tuple[int, ...]]],
+) -> dict[str, np.ndarray]:
+    """The path columns of ``mappings``, one group each, flattened
+    straight into preallocated columns."""
+
+    def paths():
+        return chain.from_iterable(mapping.values() for mapping in mappings)
+
+    references = sum(map(len, mappings))
+    path_offsets = _offsets(map(len, paths()), references)
+    return {
+        "rib_path_values": np.fromiter(
+            chain.from_iterable(paths()),
+            dtype=np.int64,
+            count=int(path_offsets[-1]),
+        ),
+        "rib_path_offsets": path_offsets,
+        "rib_ref_vp": np.fromiter(
+            chain.from_iterable(mappings), dtype=np.int64, count=references
+        ),
+        "rib_ref_offsets": _offsets(map(len, mappings), len(mappings)),
+    }
+
+
+def _runs(pieces) -> list[list]:
+    """``(columns, begin, end)`` row ranges, consecutive ranges of the
+    same columns merged into one run."""
+    runs: list[list] = []
+    for columns, begin, end in pieces:
+        if runs and runs[-1][0] is columns and runs[-1][2] == begin:
+            runs[-1][2] = end
+        else:
+            runs.append([columns, begin, end])
+    return runs
+
+
+def _cut(runs: list[list], name: str, empty: np.ndarray) -> np.ndarray:
+    """Column ``name`` of each run's columns, its rows cut and joined
+    (``empty`` fixes the dtype when there is no run)."""
+    return np.concatenate(
+        [empty, *(columns[name][begin:end] for columns, begin, end in runs)]
+    )
 
 
 def assemble_rib(
@@ -278,21 +353,73 @@ def assemble_rib(
     """The snapshot of ``groups``, in order.
 
     Ragged structure is flattened into value + offset columns, which
-    hash, store and map without a transform.  Paths are not
-    deduplicated: that would remove only ~4% of the rows on real worlds
-    but needs a tuple-keyed hash table spanning the whole RIB, which at
-    large scales cost hundreds of MB; the rows stream straight into
-    preallocated columns instead.
+    hash, store and map without a transform.  A group's prefixes that
+    are a :class:`PrefixRows` and its paths that are a
+    :class:`GroupPaths` view are copied as slices of the columns they
+    cover: a RIB's, a route table's or a propagation batch's.  Other
+    prefixes and paths (plain mappings, from the scalar propagation
+    path) are encoded.  Consecutive groups covering consecutive rows of
+    the same columns form one run, cut as one slice per column, so the
+    columns are byte for byte those of encoding every group.  Paths are
+    not deduplicated: that would remove only ~4% of the rows on real
+    worlds but needs a tuple-keyed hash table spanning the whole RIB,
+    which at large scales cost hundreds of MB.
     """
     n = len(groups)
-
-    def paths():
-        return chain.from_iterable(group.paths.values() for group in groups)
-
-    prefixes = list(chain.from_iterable(group.prefixes for group in groups))
-    path_offsets = _offsets(
-        map(len, paths()), sum(len(group.paths) for group in groups)
+    plain_prefixes = [
+        group.prefixes
+        for group in groups
+        if not isinstance(group.prefixes, PrefixRows)
+    ]
+    plain_paths = [
+        group.paths for group in groups if not isinstance(group.paths, GroupPaths)
+    ]
+    encoded_prefixes = prefix_columns(
+        "rib_prefix", list(chain.from_iterable(plain_prefixes))
     )
+    encoded_paths = _encoded_paths(plain_paths)
+    prefix_pieces = []
+    row = 0
+    for group in groups:
+        prefixes = group.prefixes
+        if isinstance(prefixes, PrefixRows):
+            prefix_pieces.append((prefixes.columns, prefixes.begin, prefixes.end))
+        else:
+            prefix_pieces.append((encoded_prefixes, row, row + len(prefixes)))
+            row += len(prefixes)
+    # Each group's references, as the row range of its columns' refs.
+    ref_offsets: dict[int, list[int]] = {}
+    ref_pieces = []
+    plain = 0
+    for group in groups:
+        paths = group.paths
+        if isinstance(paths, GroupPaths):
+            columns, index = paths.columns, paths.group
+        else:
+            columns, index = encoded_paths, plain
+            plain += 1
+        offsets = ref_offsets.get(id(columns))
+        if offsets is None:
+            offsets = ref_offsets[id(columns)] = columns["rib_ref_offsets"].tolist()
+        ref_pieces.append((columns, offsets[index], offsets[index + 1]))
+    prefix_runs = _runs(prefix_pieces)
+    ref_runs = _runs(ref_pieces)
+    path_runs = []
+    for columns, begin, end in ref_runs:
+        bounds = columns["rib_path_offsets"]
+        path_runs.append([columns, int(bounds[begin]), int(bounds[end])])
+    path_lengths = np.concatenate(
+        [
+            np.empty(0, dtype=np.int64),
+            *(
+                np.diff(columns["rib_path_offsets"][begin:end + 1])
+                for columns, begin, end in ref_runs
+            ),
+        ]
+    )
+    path_offsets = np.zeros(len(path_lengths) + 1, dtype=np.int64)
+    np.cumsum(path_lengths, out=path_offsets[1:])
+    no_ints = np.empty(0, dtype=np.int64)
     arrays = {
         "rib_origin": np.fromiter(
             (group.origin for group in groups), dtype=np.int64, count=n
@@ -307,128 +434,19 @@ def assemble_rib(
             dtype=np.bool_,
             count=n,
         ),
-        **prefix_columns("rib_prefix", prefixes),
-        "rib_prefix_offsets": _offsets((len(group.prefixes) for group in groups), n),
-        "rib_path_values": np.fromiter(
-            chain.from_iterable(paths()),
-            dtype=np.int64,
-            count=int(path_offsets[-1]),
-        ),
-        "rib_path_offsets": path_offsets,
-        "rib_ref_vp": np.fromiter(
-            chain.from_iterable(group.paths for group in groups),
-            dtype=np.int64,
-            count=len(path_offsets) - 1,
-        ),
-        "rib_ref_offsets": _offsets((len(group.paths) for group in groups), n),
-    }
-    snapshot = RibSnapshot({"vantage_points": list(vantage_points)}, arrays)
-    snapshot._prefixes = prefixes
-    return snapshot
-
-
-def _joined(
-    first: Mapping[str, np.ndarray], second: Mapping[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """The columns of ``first``'s groups followed by ``second``'s."""
-    joined = {}
-    for name in COLUMNS:
-        head, tail = first[name], second[name]
-        if name.endswith("_offsets"):
-            tail = tail[1:] + head[-1]
-        joined[name] = np.concatenate([head, tail])
-    return joined
-
-
-def _runs(ids: np.ndarray) -> list[tuple[int, int]]:
-    """``ids`` as maximal runs of consecutive ids, ``(first, last + 1)``."""
-    if not len(ids):
-        return []
-    breaks = np.flatnonzero(np.diff(ids) != 1) + 1
-    firsts = ids[np.concatenate([[0], breaks])]
-    lasts = ids[np.concatenate([breaks - 1, [len(ids) - 1]])]
-    return list(zip(firsts.tolist(), (lasts + 1).tolist()))
-
-
-def _row_runs(
-    offsets: np.ndarray, runs: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The runs of rows that ``offsets`` slices for the runs ``runs``."""
-    return [(int(offsets[begin]), int(offsets[end])) for begin, end in runs]
-
-
-def _cut(column: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
-    """The rows of the runs ``runs`` of ``column``, run after run."""
-    return np.concatenate(
-        [column[:0], *(column[begin:end] for begin, end in runs)]
-    )
-
-
-def _rebased(offsets: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
-    """The offsets slicing the runs ``runs`` of ``offsets`` once they
-    are cut out and joined."""
-    lengths = _cut(np.diff(offsets), runs)
-    rebased = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=rebased[1:])
-    return rebased
-
-
-def splice_rib(
-    vantage_points: Sequence[int],
-    base: RibSnapshot,
-    groups: Sequence[Group],
-    rows_from: Sequence[int],
-) -> RibSnapshot:
-    """:func:`assemble_rib` of ``groups``, copying what ``base`` holds.
-
-    ``rows_from[i]`` is -1, or the group of ``base`` whose origin, route
-    class and prefix rows are group ``i``'s own.  In the latter case
-    ``groups[i].paths`` must be a :class:`GroupPaths` view over
-    ``base``, and group ``i`` is copied as column slices: its prefix
-    rows from group ``rows_from[i]``, its references and paths from the
-    view's group.  The two differ where route classes of one origin
-    share a propagation memo entry.  Every other group is encoded by
-    :func:`assemble_rib`.  The columns are byte for byte those
-    :func:`assemble_rib` writes for ``groups``.  Consecutive groups
-    copied from consecutive groups form one run, and a run is cut as
-    one slice per column, so a checkpoint that changed few groups
-    costs a few slices.
-    """
-    row_groups = np.asarray(rows_from, dtype=np.int64)
-    copied = row_groups >= 0
-    flags = copied.tolist()
-    encoded = [group for group, copy in zip(groups, flags) if not copy]
-    # The source: the base's groups, then the encoded ones.
-    source = _joined(
-        base.arrays, assemble_rib(vantage_points, encoded).arrays
-    )
-    first = len(base.arrays["rib_origin"])
-    row_groups[~copied] = np.arange(first, first + len(encoded))
-    path_groups = row_groups.copy()
-    path_groups[copied] = [
-        group.paths.group for group in compress(groups, flags)
-    ]
-    group_runs, path_runs = _runs(row_groups), _runs(path_groups)
-    rows = _row_runs(source["rib_prefix_offsets"], group_runs)
-    refs = _row_runs(source["rib_ref_offsets"], path_runs)
-    arrays = {
-        "rib_origin": source["rib_origin"][row_groups],
-        "rib_rpki_invalid": source["rib_rpki_invalid"][row_groups],
-        "rib_irr_invalid": source["rib_irr_invalid"][row_groups],
         **{
-            f"rib_prefix_{part}": _cut(source[f"rib_prefix_{part}"], rows)
-            for part in ("hi", "lo", "len", "ver")
+            name: _cut(prefix_runs, name, empty[:0])
+            for name, empty in encoded_prefixes.items()
         },
-        "rib_prefix_offsets": _rebased(
-            source["rib_prefix_offsets"], group_runs
+        "rib_prefix_offsets": _offsets(
+            (end - begin for _, begin, end in prefix_pieces), n
         ),
-        "rib_path_values": _cut(
-            source["rib_path_values"],
-            _row_runs(source["rib_path_offsets"], refs),
+        "rib_path_values": _cut(path_runs, "rib_path_values", no_ints),
+        "rib_path_offsets": path_offsets,
+        "rib_ref_vp": _cut(ref_runs, "rib_ref_vp", no_ints),
+        "rib_ref_offsets": _offsets(
+            (end - begin for _, begin, end in ref_pieces), n
         ),
-        "rib_path_offsets": _rebased(source["rib_path_offsets"], refs),
-        "rib_ref_vp": _cut(source["rib_ref_vp"], refs),
-        "rib_ref_offsets": _rebased(source["rib_ref_offsets"], path_runs),
     }
     snapshot = RibSnapshot({"vantage_points": list(vantage_points)}, arrays)
     snapshot._prefixes = list(
@@ -466,39 +484,77 @@ def select_vantage_points(
 
 def collect_rib(
     engine: PropagationEngine,
-    announcements: Iterable[tuple[Announcement, RouteClass]],
+    routes: RouteRows,
     vantage_points: Sequence[int],
 ) -> RibSnapshot:
-    """Propagate every announcement and record vantage-point routes.
+    """Propagate every route of the table and record vantage-point routes.
 
-    Groups are keyed and emitted in one deterministic order, and each
-    group's paths depend only on (origin, route class, vantage points).
+    One stable ``lexsort`` orders the rows by origin, route class and
+    prefix (address order: version, value, length); rows equal in all of
+    them are one route, kept once.  Each run of one (origin, route
+    class) is a group, whose prefix rows are copied from the sorted
+    table.  Groups are emitted in that order, and each group's paths
+    depend only on (origin, route class, vantage points).
     """
-    grouped: dict[tuple[int, RouteClass], list[Prefix]] = {}
-    for announcement, route_class in announcements:
-        grouped.setdefault((announcement.origin, route_class), []).append(
-            announcement.prefix
-        )
-    keys = sorted(
-        grouped,
-        key=lambda key: (key[0], key[1].rpki_invalid, key[1].irr_invalid),
+    # np.lexsort sorts by its last key first.
+    keys = (
+        routes.origin,
+        routes.rpki_invalid,
+        routes.irr_invalid,
+        routes.version,
+        routes.hi,
+        routes.lo,
+        routes.length,
     )
+    order = np.lexsort(keys[::-1])
+    changed = [
+        column[1:] != column[:-1] for column in (key[order] for key in keys)
+    ]
+    starts_group = np.ones(len(order), dtype=bool)
+    starts_group[1:] = changed[0] | changed[1] | changed[2]
+    distinct = starts_group.copy()
+    distinct[1:] |= np.logical_or.reduce(changed[3:])
+    rows = order[distinct]
+    starts_group = starts_group[distinct]
+    bounds = np.append(np.flatnonzero(starts_group), len(rows)).tolist()
+    firsts = rows[starts_group]
+    group_keys = list(
+        zip(
+            routes.origin[firsts].tolist(),
+            map(
+                ROUTE_CLASSES.__getitem__,
+                zip(
+                    routes.rpki_invalid[firsts].tolist(),
+                    routes.irr_invalid[firsts].tolist(),
+                ),
+            ),
+        )
+    )
+    table = {
+        f"rib_prefix_{part}": column[rows]
+        for part, column in zip(("hi", "lo", "len", "ver"), routes)
+    }
+    prefixes = list(map(routes.prefixes.__getitem__, rows.tolist()))
     vantage_points = tuple(vantage_points)
-    obs.add("collect.route_groups", len(keys))
+    obs.add("collect.route_groups", len(group_keys))
     obs.gauge("collect.vantage_points", len(vantage_points))
-    obs.annotate(groups=len(keys))
+    obs.annotate(groups=len(group_keys))
     # Size the propagation memo to this snapshot's working set before any
     # lookups, so one snapshot's groups never evict each other.
-    engine.ensure_cache_capacity(len(keys))
-    paths_by_key = engine.paths_to_many(keys, vantage_points)
-    obs.add(
-        "collect.routes_propagated",
-        sum(len(paths) for paths in paths_by_key),
-    )
+    engine.ensure_cache_capacity(len(group_keys))
+    paths_by_key = engine.paths_to_many(group_keys, vantage_points)
+    obs.add("collect.routes_propagated", sum(map(len, paths_by_key)))
     return assemble_rib(
         vantage_points,
         [
-            Group(*key, sorted(set(grouped[key])), paths)
-            for key, paths in zip(keys, paths_by_key)
+            Group(
+                origin,
+                route_class,
+                PrefixRows(table, begin, end, prefixes[begin:end]),
+                paths,
+            )
+            for (origin, route_class), paths, begin, end in zip(
+                group_keys, paths_by_key, bounds, bounds[1:]
+            )
         ],
     )

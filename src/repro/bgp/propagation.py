@@ -34,9 +34,12 @@ Two fast paths keep full-table collection affordable:
   one signature id, and the hot loops test set membership instead of
   calling :meth:`~repro.bgp.policy.ASPolicy.accepts` per neighbour.
 * **Result memoisation.**  ``paths_to`` results are cached in a bounded
-  LRU keyed by ``(origin, signature id, vantage points)``; repeated
+  LRU keyed by ``(origin, signature id, vantage id)``, the vantage id
+  being a small interned id of the vantage-point tuple; repeated
   snapshots (timelines, counterfactual reruns, benchmarks) hit the cache
-  instead of re-propagating.
+  instead of re-propagating.  Batched collection
+  (:meth:`PropagationEngine.paths_to_many`) memoises read-only views
+  over the path columns each batch writes.
 
 An engine never changes its inputs.  :meth:`PropagationEngine.derive`
 gives the engine of changed policies or one new link, sharing every
@@ -53,7 +56,7 @@ from typing import Iterable, Mapping, Sequence
 from repro import obs
 from repro.bgp.policy import ASPolicy, RouteClass, covers_session
 from repro.errors import TopologyError
-from repro.kernels.csr import CollectionPlan, batch_paths
+from repro.kernels.csr import CollectionPlan, GroupPaths, Tree, batch_paths
 from repro.topology.model import ASTopology
 
 __all__ = ["RouteKind", "Route", "PropagationEngine"]
@@ -77,12 +80,14 @@ DEFAULT_PATHS_CACHE_SIZE = 8192
 BATCH_ORIGINS = 512
 
 #: The engine's dict-valued caches besides the ``paths_to`` memo: filter
-#: tables and signature ids (which read only policies) and per-vantage
-#: closures, orders and collection plans (which read only adjacency).
+#: tables and signature ids (which read only policies), vantage ids,
+#: and per-vantage closures, orders and collection plans (which read
+#: only adjacency).
 _TABLE_CACHES = (
     "_class_filters",
     "_signature_ids",
     "_class_sig_ids",
+    "_vantage_ids",
     "_target_closures",
     "_target_orders",
     "_batch_plans",
@@ -243,10 +248,13 @@ class PropagationEngine:
         # route class (as a bit pair) → interned id; avoids rehashing the
         # (potentially huge) signature tuple on every paths_to call
         self._class_sig_ids: dict[tuple[bool, bool], int] = {}
-        # (origin, signature id, vantage tuple) → paths mapping: a dict,
-        # or a read-only RIB view that seed_cache installed
+        # vantage tuple → small interned id, so memo keys hash three ints
+        self._vantage_ids: dict[tuple[int, ...], int] = {}
+        # (origin, signature id, vantage id) → paths mapping: a dict the
+        # scalar path computed, or a read-only view over path columns
+        # (a batch's, or a RIB's that seed_cache installed)
         self._paths_cache: OrderedDict[
-            tuple, Mapping[int, tuple[int, ...]]
+            tuple[int, int, int], Mapping[int, tuple[int, ...]]
         ] = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
@@ -326,6 +334,16 @@ class PropagationEngine:
             self._class_sig_ids[route_class] = sig_id
         return sig_id
 
+    def _vantage_id(self, vantage_points: tuple[int, ...]) -> int:
+        """Interned id of a vantage-point tuple.  Ids are never reused,
+        and derived engines inherit them as they inherit signature ids."""
+        vantage_id = self._vantage_ids.get(vantage_points)
+        if vantage_id is None:
+            vantage_id = self._vantage_ids[vantage_points] = len(
+                self._vantage_ids
+            )
+        return vantage_id
+
     def _intern(self, signature: tuple) -> int:
         sig_id = self._signature_ids.get(signature)
         if sig_id is None:
@@ -380,11 +398,11 @@ class PropagationEngine:
         """
         if self._paths_cache_size <= 0:
             return list(paths)
-        vantage_points = tuple(vantage_points)
+        vantage_id = self._vantage_id(tuple(vantage_points))
         seeded: dict[tuple, Mapping[int, tuple[int, ...]]] = {}
         held = [
             seeded.setdefault(
-                (origin, self.signature_id(route_class), vantage_points),
+                (origin, self.signature_id(route_class), vantage_id),
                 group_paths,
             )
             for (origin, route_class), group_paths in zip(keys, paths)
@@ -674,7 +692,11 @@ class PropagationEngine:
         cache = self._paths_cache
         key = None
         if self._paths_cache_size > 0:
-            key = (origin, self.signature_id(route_class), vantage_points)
+            key = (
+                origin,
+                self.signature_id(route_class),
+                self._vantage_id(vantage_points),
+            )
             cached = cache.get(key)
             if cached is not None:
                 cache.move_to_end(key)
@@ -717,11 +739,14 @@ class PropagationEngine:
         """Batched :meth:`paths_to` over many (origin, route class) pairs.
 
         Phases 2–3 of every uncached key resolve together as columnar
-        sweeps (:func:`repro.kernels.csr.batch_paths`); phase 1 and the
-        memo bookkeeping stay scalar, replayed key by key so the cache
-        contents, LRU order and hit/miss/eviction counters end up exactly
-        as a ``paths_to`` loop would leave them.  Each result is a fresh
-        dict, except a hit on a seeded read-only view, which is that view.
+        sweeps (:func:`repro.kernels.csr.batch_paths`), which write
+        each batch's paths as RIB-shaped columns; phase 1 and the memo
+        bookkeeping stay scalar, replayed key by key so the cache
+        contents, LRU order and hit/miss/eviction counters end up
+        exactly as a ``paths_to`` loop would leave them.  A computed
+        key's result is a read-only :class:`~repro.kernels.csr.GroupPaths`
+        view over its batch's columns, and the memo holds that view; a
+        hit returns the memoised view, or a copy of a memoised dict.
         """
         keys = list(keys)
         vantage_points = tuple(vantage_points)
@@ -733,47 +758,34 @@ class PropagationEngine:
                 self.paths_to(origin, vantage_points, route_class)
                 for origin, route_class in keys
             ]
+        vantage_id = self._vantage_id(vantage_points)
         resolved = [
-            (origin, self.signature_id(route_class), route_class)
+            ((origin, self.signature_id(route_class), vantage_id), route_class)
             for origin, route_class in keys
         ]
         cache = self._paths_cache
         if self._paths_cache_size <= 0:
             # Caching disabled: every call computes (and counts nothing),
-            # so just batch the distinct keys and copy for duplicates.
+            # so just batch the distinct keys; duplicates share a view.
             need = {}
-            for origin, sig, route_class in resolved:
-                need.setdefault((origin, sig), (origin, route_class))
+            for cache_key, route_class in resolved:
+                need.setdefault(cache_key, (cache_key[0], route_class))
             computed = self._batch_compute(need, vantage_points, order)
-            results = []
-            seen: set[tuple[int, int]] = set()
-            for origin, sig, _ in resolved:
-                paths = computed[(origin, sig)]
-                if (origin, sig) in seen:
-                    # Duplicate keys get independent dicts, like repeated
-                    # calls of the scalar path.
-                    paths = dict(paths)
-                else:
-                    seen.add((origin, sig))
-                results.append(paths)
-            return results
+            return [computed[cache_key] for cache_key, _ in resolved]
         need = {}
-        for origin, sig, route_class in resolved:
-            cache_key = (origin, sig, vantage_points)
+        for cache_key, route_class in resolved:
             if cache_key not in cache and cache_key not in need:
-                need[cache_key] = (origin, route_class)
+                need[cache_key] = (cache_key[0], route_class)
         computed = self._batch_compute(need, vantage_points, order)
         results: list[Mapping[int, tuple[int, ...]]] = []
-        for origin, sig, route_class in resolved:
-            cache_key = (origin, sig, vantage_points)
+        for cache_key, route_class in resolved:
             cached = cache.get(cache_key)
             if cached is not None:
                 cache.move_to_end(cache_key)
                 self._cache_hits += 1
                 obs.add("propagation.cache_hits")
                 # A memoised dict is copied, so a caller's edit cannot
-                # reach the memo; a read-only mapping (a seeded RIB
-                # view) is returned as it is.
+                # reach the memo; a read-only view is returned as it is.
                 results.append(
                     dict(cached) if isinstance(cached, dict) else cached
                 )
@@ -785,13 +797,15 @@ class PropagationEngine:
                 # Pre-computed entry was evicted from the memo between
                 # its insertion and this reuse: recompute like the
                 # scalar loop would.
-                paths = self._compute_paths(origin, route_class, vantage_points)
+                paths = self._compute_paths(
+                    cache_key[0], route_class, vantage_points
+                )
             cache[cache_key] = paths
             if len(cache) > self._paths_cache_size:
                 cache.popitem(last=False)
                 self._cache_evictions += 1
                 obs.add("propagation.cache_evictions")
-            results.append(dict(paths))
+            results.append(dict(paths) if isinstance(paths, dict) else paths)
         return results
 
     def _batch_compute(
@@ -799,10 +813,11 @@ class PropagationEngine:
         need: dict,
         vantage_points: tuple[int, ...],
         order: tuple[int, ...],
-    ) -> dict:
-        """Compute ``{key: paths}`` for every ``key: (origin, class)`` in
-        ``need`` via the columnar phase-2/3 kernel, grouped by signature
-        and fed to it :data:`BATCH_ORIGINS` origins at a time."""
+    ) -> dict[tuple[int, int, int], GroupPaths]:
+        """Compute a view ``{key: paths}`` for every ``key: (origin,
+        class)`` in ``need`` via the columnar phase-2/3 kernel, grouped
+        by signature and fed to it :data:`BATCH_ORIGINS` origins at a
+        time: each batch's keys view one block of path columns."""
         if not need:
             return {}
         plan = self._batch_plans.get(vantage_points)
@@ -825,20 +840,14 @@ class PropagationEngine:
             )
             for start in range(0, len(entries), BATCH_ORIGINS):
                 batch = entries[start : start + BATCH_ORIGINS]
-                bases = [
-                    {
-                        asn: route.path
-                        for asn, route in self._customer_routes(
-                            origin, filters
-                        ).items()
-                    }
+                trees = [
+                    self._customer_tree(origin, filters)
                     for _, origin, _ in batch
                 ]
                 obs.add("propagation.batches")
-                for (key, _, _), paths in zip(
-                    batch, batch_paths(plan, bases, p2_keep, level_keeps)
-                ):
-                    computed[key] = paths
+                block = batch_paths(plan, trees, p2_keep, level_keeps)
+                for group, (key, _, _) in enumerate(batch):
+                    computed[key] = GroupPaths(block, group)
         return computed
 
     def _fast_paths(
@@ -905,19 +914,37 @@ class PropagationEngine:
     def _customer_routes(
         self, origin: int, filters: _ClassFilters
     ) -> dict[int, Route]:
-        routes: dict[int, Route] = {
-            origin: Route(RouteKind.ORIGIN, (origin,))
-        }
+        asns, hops, _ = self._customer_tree(origin, filters)
+        routes: dict[int, Route] = {}
+        paths: list[tuple[int, ...]] = []
+        for asn, hop in zip(asns, hops):
+            if hop < 0:
+                path, kind = (asn,), RouteKind.ORIGIN
+            else:
+                path, kind = (asn,) + paths[hop], RouteKind.CUSTOMER
+            paths.append(path)
+            routes[asn] = Route(kind, path)
+        return routes
+
+    def _customer_tree(self, origin: int, filters: _ClassFilters) -> Tree:
+        """Phase 1 as a tree (see :data:`repro.kernels.csr.Tree`): the
+        origin, then every AS holding a customer route in breadth-first
+        order, each pointing at the route it extends."""
+        asns = [origin]
+        hops = [-1]
+        lengths = [1]
+        position = {origin: 0}
         frontier = [origin]
         drops = filters.drops_everywhere
         customer_filters = filters.customer_filters
         filtered = bool(drops) or bool(customer_filters)
+        providers_of = self._providers
         while frontier:
             # children proposing a route to each not-yet-routed provider
             candidates: defaultdict[int, list[int]] = defaultdict(list)
             for child in frontier:
-                for provider in self._providers[child]:
-                    if provider in routes:
+                for provider in providers_of[child]:
+                    if provider in position:
                         continue
                     candidates[provider].append(child)
             frontier = []
@@ -939,12 +966,13 @@ class PropagationEngine:
                         ]
                         if not children:
                             continue
-                child = min(children)
-                routes[provider] = Route(
-                    RouteKind.CUSTOMER, (provider,) + routes[child].path
-                )
+                hop = position[min(children)]
+                position[provider] = len(asns)
+                asns.append(provider)
+                hops.append(hop)
+                lengths.append(lengths[hop] + 1)
                 frontier.append(provider)
-        return routes
+        return asns, hops, lengths
 
     # -- phase 2: peer routes -------------------------------------------------
 

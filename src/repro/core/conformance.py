@@ -17,6 +17,7 @@ Propagation metrics (Action 1), computed over the IHR transit dataset:
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import astuple, dataclass
 from itertools import product
 
@@ -170,7 +171,41 @@ _ORIGINATION_COUNTS = _per_code(OriginationStats)
 _PROPAGATION_COUNTS = np.hstack([_per_code(PropagationStats, c) for c in (True, False)])
 
 
-def _tally(stats_class, keys: np.ndarray, counts: np.ndarray) -> dict:
+class _Tally(Mapping):
+    """Per-key stats, read-only, a key's ``stats_class`` built when the
+    key is first read.
+
+    Keys iterate in first-seen order; ``sums`` holds each key's field
+    sums, row for row.  Most readers look up a few hundred of the
+    thousands of keys, so the rest never become objects.
+    """
+
+    __slots__ = ("_stats_class", "_rows", "_sums", "_built")
+
+    def __init__(self, stats_class, keys: list, sums: np.ndarray):
+        self._stats_class = stats_class
+        self._rows = dict(zip(keys, range(len(keys))))
+        self._sums = sums
+        self._built: dict = {}
+
+    def __getitem__(self, key):
+        stats = self._built.get(key)
+        if stats is None:
+            stats = self._stats_class(*self._sums[self._rows[key]].tolist())
+            self._built[key] = stats
+        return stats
+
+    def __contains__(self, key) -> bool:
+        return key in self._rows
+
+    def __iter__(self) -> Iterator:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _tally(stats_class, keys: np.ndarray, counts: np.ndarray) -> _Tally:
     """A ``stats_class`` per distinct key, in first-seen order, holding
     the sums of the key's rows of ``counts`` (one bincount per field;
     its float64 sums of counts are exact below 2**53)."""
@@ -179,22 +214,21 @@ def _tally(stats_class, keys: np.ndarray, counts: np.ndarray) -> dict:
         [np.bincount(inverse, column, len(unique)) for column in counts.T]
     ).astype(np.int64)
     order = np.argsort(first)
-    return {
-        key: stats_class(*row)
-        for key, row in zip(unique[order].tolist(), sums[order].tolist())
-    }
+    return _Tally(stats_class, unique[order].tolist(), sums[order])
 
 
-def origination_stats(dataset: IHRDataset) -> dict[int, OriginationStats]:
+def origination_stats(dataset: IHRDataset) -> Mapping[int, OriginationStats]:
     """Per-origin statistics over the IHR prefix-origin dataset, origins
-    in the order of their first row."""
+    in the order of their first row (a read-only mapping that builds an
+    origin's stats when it is read)."""
     columns = dataset.arrays
     codes = columns["po_rpki"] * len(IRR_STATUSES) + columns["po_irr"]
     return _tally(OriginationStats, columns["po_origin"], _ORIGINATION_COUNTS[codes])
 
 
-def propagation_stats(dataset: IHRDataset) -> dict[int, PropagationStats]:
-    """Per-transit statistics over the IHR transit dataset.
+def propagation_stats(dataset: IHRDataset) -> Mapping[int, PropagationStats]:
+    """Per-transit statistics over the IHR transit dataset, as a
+    read-only mapping that builds a transit's stats when it is read.
 
     Every transit of a group sees the same prefix statuses, so a
     group's counts are differences of the cumulative row counts at its

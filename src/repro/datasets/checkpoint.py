@@ -70,7 +70,6 @@ from repro.irr.database import (
     IRRDatabase,
     route_columns,
 )
-from repro.irr.objects import AsSetObject, AutNumObject
 from repro.manrs.actions import Program
 from repro.manrs.registry import serialize_participants
 from repro.net.prefix import Prefix, prefix_columns, prefixes_from_columns
@@ -553,25 +552,9 @@ def _scenario_payload(world: World) -> tuple[dict, dict[str, np.ndarray]]:
     for db_meta, database in zip(irr_databases, world.irr.databases):
         # aut-num and as-set objects, structured (the route dumps in the
         # dataset bundle carry route objects only, and re-parsing RPSL
-        # text was measurably slow).
-        db_meta["aut_nums"] = [
-            [
-                a.asn,
-                a.as_name,
-                a.source,
-                a.mnt_by,
-                a.admin_c,
-                a.tech_c,
-                list(a.import_lines),
-                list(a.export_lines),
-                a.last_modified.isoformat() if a.last_modified else None,
-            ]
-            for a in database._aut_nums.values()  # noqa: SLF001
-        ]
-        db_meta["as_sets"] = [
-            [s.name, list(s.members), s.source, s.mnt_by]
-            for s in database._as_sets.values()  # noqa: SLF001
-        ]
+        # text was measurably slow); rows a reopened database never
+        # decoded are written back as held.
+        db_meta["aut_nums"], db_meta["as_sets"] = database.object_rows()
     meta = {
         "seed": world.seed,
         "scale": world.scale,
@@ -683,8 +666,8 @@ def _rebuild_vrps(meta: dict, arrays) -> list[VRP]:
 
 def _open_irr(meta: dict, arrays) -> IRRCollection:
     """The stored IRR: each database holds its slice of the ``irr_*``
-    columns and its route strings as they are; aut-num and as-set
-    objects are decoded."""
+    columns, its route strings and its aut-num and as-set rows as they
+    are (an object is decoded when a lookup reads it)."""
     offsets = arrays["irr_offsets"].tolist()
     irr = IRRCollection()
     for i, db_meta in enumerate(meta["irr_databases"]):
@@ -696,44 +679,7 @@ def _open_irr(meta: dict, arrays) -> IRRCollection:
             {name: arrays[name][rows] for name in ROUTE_COLUMNS},
             db_meta["route_strings"],
         )
-        for row in db_meta["aut_nums"]:
-            (
-                asn,
-                as_name,
-                source,
-                mnt_by,
-                admin_c,
-                tech_c,
-                import_lines,
-                export_lines,
-                last_modified,
-            ) = row
-            database.add_aut_num(
-                AutNumObject(
-                    asn=asn,
-                    as_name=as_name,
-                    source=source,
-                    mnt_by=mnt_by,
-                    admin_c=admin_c,
-                    tech_c=tech_c,
-                    import_lines=tuple(import_lines),
-                    export_lines=tuple(export_lines),
-                    last_modified=(
-                        date.fromisoformat(last_modified)
-                        if last_modified
-                        else None
-                    ),
-                )
-            )
-        for s_name, members, source, mnt_by in db_meta["as_sets"]:
-            database.add_as_set(
-                AsSetObject(
-                    name=s_name,
-                    members=tuple(members),
-                    source=source,
-                    mnt_by=mnt_by,
-                )
-            )
+        database.add_object_rows(db_meta["aut_nums"], db_meta["as_sets"])
         irr.add_database(database)
     return irr
 

@@ -52,10 +52,12 @@ Both caches start warm without decoding a path: the constructor seeds
 the engine memo with read-only views over the base RIB's columns
 (:class:`~repro.bgp.collector.GroupPaths`), and the transit cache with
 the same views and the IHR tables, so a checkpoint re-derives only the
-groups the events reached.  A memo hit returns the seeded view itself,
-so the RIB of a checkpoint copies the column slices of every group
-whose view and prefix set are still the base's
-(:func:`~repro.bgp.collector.splice_rib`) and encodes only the rest.
+groups the events reached.  A memo hit returns the seeded view itself
+and a re-propagated group a view over its batch's path columns, so
+:func:`~repro.bgp.collector.assemble_rib` builds a checkpoint's RIB
+from column slices: every group's paths, and the prefix rows of every
+group whose prefix set is still the base's.  Only regrouped prefix sets
+and the scalar fallback's plain path mappings are encoded.
 The verdict maps start from the base IHR's ``po_rpki``/``po_irr`` rows
 where they line up with the visible RIB rows, so only the routes no
 vantage point saw are validated, in one bulk pass per registry.
@@ -74,7 +76,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro import obs
-from repro.bgp.collector import Group, GroupPaths, RibSnapshot, splice_rib
+from repro.bgp.collector import (
+    Group,
+    GroupPaths,
+    PrefixRows,
+    RibSnapshot,
+    assemble_rib,
+)
 from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
@@ -180,6 +188,7 @@ class LiveWorld:
         #: (origin, route class) → its base group, while the live groups
         #: are the base RIB's (empty when they do not line up).
         self._base_groups = _base_group_index(rib, keys, self._groups)
+        self._base_offsets = rib.arrays["rib_prefix_offsets"].tolist()
         #: Keys whose prefix set an event has changed since the base.
         self._regrouped: set[tuple[int, RouteClass]] = set()
         #: Key → its prefixes in address order, while its set stands.
@@ -376,14 +385,17 @@ class LiveWorld:
         with obs.span("delta.materialise.paths", groups=len(keys)):
             paths_by_key = engine.paths_to_many(keys, vantage_points)
         groups = [
-            Group(*key, self._sorted_prefixes(key), paths)
+            Group(*key, self._prefix_rows(key), paths)
             for key, paths in zip(keys, paths_by_key)
         ]
-        rows_from = list(map(self._base_rows, keys, paths_by_key))
-        copied = sum(rows >= 0 for rows in rows_from)
+        copied = sum(
+            isinstance(group.prefixes, PrefixRows)
+            and isinstance(group.paths, GroupPaths)
+            for group in groups
+        )
         obs.add("delta.groups_copied", copied)
         obs.add("delta.groups_encoded", len(keys) - copied)
-        rib = splice_rib(vantage_points, base.rib, groups, rows_from)
+        rib = assemble_rib(vantage_points, groups)
         with obs.span("delta.materialise.ihr"):
             ihr = self._derive_ihr(rib, groups)
         measured = Measurements(
@@ -395,35 +407,24 @@ class LiveWorld:
         )
         return self._state.world(base, self._date, measured)
 
-    def _sorted_prefixes(self, key: tuple[int, RouteClass]) -> list[Prefix]:
-        """``key``'s prefixes in address order, sorted once per set."""
+    def _prefix_rows(self, key: tuple[int, RouteClass]) -> Sequence[Prefix]:
+        """``key``'s prefixes in address order, sorted once per set.
+
+        While no event has changed the set since the base, they are the
+        prefix rows of ``key``'s base group, which
+        :func:`~repro.bgp.collector.assemble_rib` copies.
+        """
         prefixes = self._sorted.get(key)
         if prefixes is None:
             prefixes = sorted(self._groups[key], key=address_key)
             self._sorted[key] = prefixes
-        return prefixes
-
-    def _base_rows(
-        self,
-        key: tuple[int, RouteClass],
-        paths: Mapping[int, tuple[int, ...]],
-    ) -> int:
-        """The base group whose columns ``key``'s group can copy, or -1.
-
-        It can when no event touched the group: its memo entry is still
-        a view over the base RIB (any propagation change replaces it)
-        and its prefix set is still the base group's.  The view may be
-        another group's, of a route class with the same filter
-        signature; :func:`~repro.bgp.collector.splice_rib` copies its
-        paths and the prefix rows of ``key``'s own base group.
-        """
-        if (
-            isinstance(paths, GroupPaths)
-            and paths.rib is self._base.rib
-            and key not in self._regrouped
-        ):
-            return self._base_groups.get(key, -1)
-        return -1
+        group = self._base_groups.get(key)
+        if group is None or key in self._regrouped:
+            return prefixes
+        offsets = self._base_offsets
+        return PrefixRows(
+            self._base.rib.arrays, offsets[group], offsets[group + 1], prefixes
+        )
 
     def _seed_memos(self) -> None:
         """Give the world's validators the verdict of every table route.

@@ -68,7 +68,7 @@ def rov_deployment_ablation(
         ),
         key=lambda a: -len(world.topology.customer_cone(a)),
     )
-    announcements = world.rib.announcements()
+    routes = world.rib.route_rows()
     points = []
     for level in levels:
         n_deployed = round(level * len(large_members))
@@ -80,7 +80,7 @@ def rov_deployment_ablation(
                 for index, asn in enumerate(large_members)
             }
         )
-        rib = collect_rib(engine, announcements, world.vantage_points)
+        rib = collect_rib(engine, routes, world.vantage_points)
         dataset = build_ihr_dataset(rib, world.rov, world.irr, world.topology)
         scores = preference_scores(dataset, members)
         points.append(
@@ -121,12 +121,12 @@ def visibility_ablation(
     member_isps = world.manrs.member_asns(
         as_of=world.snapshot_date, program=Program.ISP
     )
-    announcements = world.rib.announcements()
+    routes = world.rib.route_rows()
     points = []
     for fraction in fractions:
         count = max(1, round(fraction * len(world.vantage_points)))
         vantage_points = world.vantage_points[:count]
-        rib = collect_rib(world.engine, announcements, vantage_points)
+        rib = collect_rib(world.engine, routes, vantage_points)
         dataset = build_ihr_dataset(rib, world.rov, world.irr, world.topology)
         stats = origination_stats(dataset)
         conformant = sum(

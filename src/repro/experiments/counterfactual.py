@@ -80,7 +80,7 @@ def run(world: World) -> CounterfactualResult:
             if asn in world.policies
         }
     )
-    rib = collect_rib(engine, world.rib.announcements(), world.vantage_points)
+    rib = collect_rib(engine, world.rib.route_rows(), world.vantage_points)
     compliant = _scenario(
         "full compliance",
         world,

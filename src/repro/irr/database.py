@@ -17,7 +17,10 @@ each database all its rows in one call, so a built route is never an
 object).  Edits replace the columns and the string list instead of
 writing into them, so a copy shares them until it is edited
 (copy-on-write).  Lookups search a sorted key per row and turn only the
-rows they return into :class:`RouteObject` instances.
+rows they return into :class:`RouteObject` instances.  Aut-num and
+as-set objects reopened from a checkpoint stay its stored rows
+(:func:`aut_num_row`, :func:`as_set_row`) until a lookup reads one, and
+are written back as held.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = [
     "ROUTE_COLUMNS",
     "IRRDatabase",
     "IRRCollection",
+    "as_set_row",
+    "aut_num_row",
     "route_columns",
     "route_rows",
 ]
@@ -52,6 +57,62 @@ ROUTE_COLUMNS = (
     "irr_created",
     "irr_modified",
 )
+
+
+def aut_num_row(aut_num: AutNumObject) -> list:
+    """An aut-num object as a checkpoint stores it."""
+    return [
+        aut_num.asn,
+        aut_num.as_name,
+        aut_num.source,
+        aut_num.mnt_by,
+        aut_num.admin_c,
+        aut_num.tech_c,
+        list(aut_num.import_lines),
+        list(aut_num.export_lines),
+        aut_num.last_modified.isoformat() if aut_num.last_modified else None,
+    ]
+
+
+def _aut_num_of(row: list) -> AutNumObject:
+    """The aut-num object of an :func:`aut_num_row`."""
+    (
+        asn,
+        as_name,
+        source,
+        mnt_by,
+        admin_c,
+        tech_c,
+        import_lines,
+        export_lines,
+        last_modified,
+    ) = row
+    return AutNumObject(
+        asn=asn,
+        as_name=as_name,
+        source=source,
+        mnt_by=mnt_by,
+        admin_c=admin_c,
+        tech_c=tech_c,
+        import_lines=tuple(import_lines),
+        export_lines=tuple(export_lines),
+        last_modified=(
+            date.fromisoformat(last_modified) if last_modified else None
+        ),
+    )
+
+
+def as_set_row(as_set: AsSetObject) -> list:
+    """An as-set object as a checkpoint stores it."""
+    return [as_set.name, list(as_set.members), as_set.source, as_set.mnt_by]
+
+
+def _as_set_of(row: list) -> AsSetObject:
+    """The as-set object of an :func:`as_set_row`."""
+    name, members, source, mnt_by = row
+    return AsSetObject(
+        name=name, members=tuple(members), source=source, mnt_by=mnt_by
+    )
 
 
 def _ordinal(day: date | None) -> int:
@@ -134,8 +195,10 @@ class IRRDatabase:
         self.name = name
         #: Set when this database is the authoritative one for an RIR region.
         self.authoritative_for = authoritative_for
-        self._aut_nums: dict[int, AutNumObject] = {}
-        self._as_sets: dict[str, AsSetObject] = {}
+        #: ASN → aut-num object, or its stored row until first read.
+        self._aut_nums: dict[int, AutNumObject | list] = {}
+        #: Upper-cased name → as-set object, or its stored row.
+        self._as_sets: dict[str, AsSetObject | list] = {}
         self._columns = _encode([])
         self._strings: list[list[str]] = []
         #: :meth:`_sorted_keys`, derived from the rows when first needed.
@@ -376,6 +439,31 @@ class IRRDatabase:
         """Register (or replace) an as-set by name."""
         self._as_sets[as_set.name.upper()] = as_set
 
+    def add_object_rows(
+        self, aut_nums: Iterable[list], as_sets: Iterable[list]
+    ) -> None:
+        """Register stored aut-num and as-set rows (:func:`aut_num_row`,
+        :func:`as_set_row`) as they are: each is decoded when a lookup
+        first reads it."""
+        for row in aut_nums:
+            self._aut_nums[row[0]] = row
+        for row in as_sets:
+            self._as_sets[row[0].upper()] = row
+
+    def object_rows(self) -> tuple[list[list], list[list]]:
+        """Every aut-num and as-set as a stored row, in registration
+        order; a row never decoded is the row held."""
+        return (
+            [
+                row if isinstance(row, list) else aut_num_row(row)
+                for row in self._aut_nums.values()
+            ],
+            [
+                row if isinstance(row, list) else as_set_row(row)
+                for row in self._as_sets.values()
+            ],
+        )
+
     def routes_covering(self, prefix: Prefix) -> list[RouteObject]:
         """Route objects whose prefix contains ``prefix``, least specific
         first."""
@@ -412,11 +500,18 @@ class IRRDatabase:
 
     def aut_num(self, asn: int) -> AutNumObject | None:
         """The aut-num object for ``asn`` if registered."""
-        return self._aut_nums.get(asn)
+        aut_num = self._aut_nums.get(asn)
+        if isinstance(aut_num, list):
+            aut_num = self._aut_nums[asn] = _aut_num_of(aut_num)
+        return aut_num
 
     def as_set(self, name: str) -> AsSetObject | None:
         """The as-set object by (case-insensitive) name."""
-        return self._as_sets.get(name.upper())
+        key = name.upper()
+        as_set = self._as_sets.get(key)
+        if isinstance(as_set, list):
+            as_set = self._as_sets[key] = _as_set_of(as_set)
+        return as_set
 
     def all_routes(self) -> list[RouteObject]:
         """Every route object, in address order (decodes every row)."""

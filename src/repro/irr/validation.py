@@ -23,10 +23,16 @@ adding or removing route objects transparently invalidates it.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro import obs
-from repro.kernels.intervals import RouteIntervalIndex
+from repro.kernels.intervals import (
+    RouteIntervalIndex,
+    memoise_verdicts,
+    route_key_columns,
+)
 from repro.irr.database import IRRCollection, IRRDatabase, route_columns
 from repro.irr.objects import RouteObject
 from repro.net.prefix import Prefix
@@ -37,6 +43,7 @@ __all__ = [
     "validate_irr",
     "validate_irr_covering",
     "validate_irr_many",
+    "validate_irr_rows",
 ]
 
 
@@ -193,6 +200,24 @@ def validate_irr_covering(
     return results
 
 
+def validate_irr_rows(
+    registry: IRRCollection | IRRDatabase,
+    routes: Sequence[tuple[Prefix, int]],
+    columns: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Verdict codes of ``routes``, row for row, from one pass of the
+    registry's interval index over their ``columns``
+    (:func:`~repro.kernels.intervals.route_key_columns`).
+
+    Every route is classified, memoised or not, and each one the memo
+    does not hold is memoised, counted as :func:`validate_irr_many`
+    counts it.
+    """
+    codes = interval_index(registry).classify_rows(*columns)
+    memoise_verdicts(_memo_of(registry), routes, codes, _STATUS_BY_CODE, "irr")
+    return codes
+
+
 def validate_irr_many(
     registry: IRRCollection | IRRDatabase,
     routes: Iterable[tuple[Prefix, int]],
@@ -200,10 +225,10 @@ def validate_irr_many(
     """Classify a batch of routes with one interval-kernel pass.
 
     Equivalent to calling :func:`validate_irr` per route; every
-    not-yet-memoised route is classified in one ``searchsorted`` sweep
-    over the registry's interval index.  A registry without a mutation
-    counter has no memo or index, and each route is classified from its
-    covering objects.
+    not-yet-memoised route is classified by :func:`validate_irr_rows`
+    in one ``searchsorted`` sweep over the registry's interval index.
+    A registry without a mutation counter has no memo or index, and
+    each route is classified from its covering objects.
     """
     routes = set(routes)
     memo = _memo_of(registry)
@@ -221,16 +246,9 @@ def validate_irr_many(
         else:
             results[key] = status
     if pending:
-        codes = interval_index(registry).classify_routes(pending).tolist()
-        statuses = [_STATUS_BY_CODE[code] for code in codes]
-        tallies: dict[IRRStatus, int] = {}
-        for key, status in zip(pending, statuses):
-            memo[key] = status
-            results[key] = status
-            tallies[status] = tallies.get(status, 0) + 1
-        for status, tally in tallies.items():
-            obs.add(f"irr.verdict.{status.value}", tally)
+        validate_irr_rows(registry, pending, route_key_columns(pending))
+        results.update(zip(pending, map(memo.__getitem__, pending)))
+    # The pending routes were counted as misses (and no hits).
     obs.add("irr.memo_hits", len(routes) - len(pending))
-    obs.add("irr.memo_misses", len(pending))
+    obs.add("irr.memo_misses", 0)
     return results
-

@@ -18,15 +18,25 @@ Selection semantics are bit-identical to the scalar reference
 phase 3 runs level-by-level over the provider-first closure ordering —
 every provider of a level-``k`` AS sits in a level below ``k``, so the
 per-level sweep sees exactly the state the sequential loop saw.
+
+No path is built as a tuple.  Every selected route is "an AS, then the
+route it was learned from", so the batch's routes form one pointer
+table: each phase-1 route points at its child's, a phase-2 route at its
+exporter's phase-1 route and a phase-3 route at its provider's.  The
+vantage points' paths are written straight into RIB-shaped columns by
+chasing those pointers for every path at once, one AS per step
+(:func:`batch_paths`); :class:`GroupPaths` reads one origin's paths
+back as a mapping.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from itertools import chain
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["CollectionPlan", "batch_paths"]
+__all__ = ["CollectionPlan", "GroupPaths", "batch_paths"]
 
 #: Rank base for packed (path length, neighbour rank) candidate keys.
 _RANK = np.int64(1) << np.int64(16)
@@ -48,8 +58,11 @@ class CollectionPlan:
     __slots__ = (
         "casn",
         "cidx",
-        "vp_pairs",
+        "vp_asns",
+        "vp_columns",
+        "closure_lookup",
         "exporter_asns",
+        "exporter_lookup",
         "p2_members",
         "p2_starts",
         "p2_slot_exporter",
@@ -66,7 +79,11 @@ class CollectionPlan:
     ):
         self.casn = list(order)
         self.cidx = {asn: i for i, asn in enumerate(order)}
-        self.vp_pairs = [(vp, self.cidx[vp]) for vp in vantage_points]
+        self.vp_asns = np.array(vantage_points, dtype=np.int64)
+        self.vp_columns = np.array(
+            [self.cidx[vp] for vp in vantage_points], dtype=np.int64
+        )
+        self.closure_lookup = _Lookup(order)
 
         # Phase-2 slots: per closure member with peers, its peers mapped
         # into one exporter pool (slot order = ascending-ASN peer order).
@@ -89,6 +106,7 @@ class CollectionPlan:
                     exporter_asns.append(peer)
                 slot_exporter.append(e)
         self.exporter_asns = exporter_asns
+        self.exporter_lookup = _Lookup(exporter_asns)
         self.p2_members = np.array(members, dtype=np.int64)
         self.p2_starts = np.array(starts, dtype=np.int64)
         self.p2_slot_exporter = np.array(slot_exporter, dtype=np.int64)
@@ -161,57 +179,90 @@ class CollectionPlan:
         return p2_keep, level_keeps
 
 
+class _Lookup:
+    """ASN → position in a list of distinct ASNs, for whole columns."""
+
+    __slots__ = ("order", "asns")
+
+    def __init__(self, asns: Sequence[int]):
+        values = np.array(asns, dtype=np.int64)
+        self.order = np.argsort(values, kind="stable")
+        self.asns = values[self.order]
+
+    def find(self, asns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of ``asns`` are listed, and the positions of those."""
+        if not len(self.asns):
+            return np.zeros(len(asns), dtype=bool), np.empty(0, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.asns, asns), len(self.asns) - 1)
+        hit = self.asns[at] == asns
+        return hit, self.order[at[hit]]
+
+
+#: One origin's phase-1 routes, in breadth-first order from the origin:
+#: the AS holding each, the position of the route it extends (-1 for
+#: the origin's own), and its path length in ASes.
+Tree = tuple[list[int], list[int], list[int]]
+
+
 def batch_paths(
     plan: CollectionPlan,
-    bases: list[dict[int, tuple[int, ...]]],
+    trees: Sequence[Tree],
     p2_keep: np.ndarray,
     level_keeps: list[np.ndarray],
-) -> list[dict[int, tuple[int, ...]]]:
+) -> dict[str, np.ndarray]:
     """Resolve phases 2–3 for every origin in one sweep per phase.
 
-    ``bases`` holds each origin's phase-1 routes (AS → path).  Returns
-    one ``{vantage_point: path}`` dict per origin, identical to the
-    scalar reference in content and iteration order.
+    ``trees`` holds each origin's phase-1 routes.  Returns the RIB's
+    path columns (``rib_ref_vp``, ``rib_ref_offsets``,
+    ``rib_path_values``, ``rib_path_offsets``; see
+    :class:`repro.bgp.collector.RibSnapshot`) of one route group per
+    origin, in order: its references are the vantage points holding a
+    route, in vantage-point order, and each path runs from the vantage
+    point to the origin — the paths, and the order, of the scalar
+    reference.
     """
-    n_origins = len(bases)
+    n_origins = len(trees)
     n_closure = len(plan.casn)
     n_exporters = len(plan.exporter_asns)
-    base_len = np.zeros((n_origins, n_exporters), dtype=np.int64)
+    counts = [len(asns) for asns, _, _ in trees]
+    n_base = sum(counts)
+    # The phase-1 routes of the batch, one node each.
+    base_asn = np.fromiter(
+        chain.from_iterable(tree[0] for tree in trees), np.int64, n_base
+    )
+    hops = np.fromiter(
+        chain.from_iterable(tree[1] for tree in trees), np.int64, n_base
+    )
+    base_len = np.fromiter(
+        chain.from_iterable(tree[2] for tree in trees), np.int64, n_base
+    )
+    origin_of = np.repeat(np.arange(n_origins), counts)
+    firsts = np.cumsum([0, *counts[:-1]], dtype=np.int64)
+    base_next = np.where(hops >= 0, hops + firsts[origin_of], -1)
+    nodes = np.arange(n_base, dtype=np.int64)
+
+    # Scatter phase-1 path lengths (and nodes) into the exporter and
+    # closure columns.
+    exporter_len = np.zeros((n_origins, n_exporters), dtype=np.int64)
+    exporter_node = np.zeros((n_origins, n_exporters), dtype=np.int64)
+    hit, column = plan.exporter_lookup.find(base_asn)
+    exporter_len[origin_of[hit], column] = base_len[hit]
+    exporter_node[origin_of[hit], column] = nodes[hit]
     merged_len = np.zeros((n_origins, n_closure), dtype=np.int64)
     kind = np.zeros((n_origins, n_closure), dtype=np.int8)
+    #: The node of each closure member's route: its phase-1 node, or
+    #: (set below) its own closure node.
+    start = np.zeros((n_origins, n_closure), dtype=np.int64)
+    hit, column = plan.closure_lookup.find(base_asn)
+    merged_len[origin_of[hit], column] = base_len[hit]
+    kind[origin_of[hit], column] = 1
+    start[origin_of[hit], column] = nodes[hit]
     peer_bp = np.zeros((n_origins, n_closure), dtype=np.int32)
     provider_bp = np.zeros((n_origins, n_closure), dtype=np.int32)
 
-    # Scatter phase-1 path lengths into the exporter and closure columns.
-    eidx = {asn: i for i, asn in enumerate(plan.exporter_asns)}
-    cidx = plan.cidx
-    rows: list[int] = []
-    e_cols: list[int] = []
-    e_vals: list[int] = []
-    c_rows: list[int] = []
-    c_cols: list[int] = []
-    c_vals: list[int] = []
-    for g, base in enumerate(bases):
-        for asn, path in base.items():
-            e = eidx.get(asn)
-            if e is not None:
-                rows.append(g)
-                e_cols.append(e)
-                e_vals.append(len(path))
-            c = cidx.get(asn)
-            if c is not None:
-                c_rows.append(g)
-                c_cols.append(c)
-                c_vals.append(len(path))
-    if rows:
-        base_len[rows, e_cols] = e_vals
-    if c_rows:
-        merged_len[c_rows, c_cols] = c_vals
-        kind[c_rows, c_cols] = 1
-
     # Phase 2: best (shortest, lowest-rank) exporting peer per member.
     if len(plan.p2_members):
-        gathered = base_len[:, plan.p2_slot_exporter]
+        gathered = exporter_len[:, plan.p2_slot_exporter]
         packed = np.where(
             gathered > 0, gathered * _RANK + plan.p2_slot_rank, _NONE
         )
@@ -249,35 +300,93 @@ def batch_paths(
             chosen, providers.astype(np.int32), provider_bp[:, members]
         )
 
-    # Path reconstruction: one forward pass per origin.  Columns follow
-    # the provider-first closure order, so a phase-3 back-pointer always
-    # references an already-built column (``p_row[c] < c``) and phase-3
-    # tuples share their providers' tuples structurally.
-    casn = plan.casn
-    exporter_asns = plan.exporter_asns
-    vp_pairs = plan.vp_pairs
-    kind_rows = kind.tolist()
-    peer_rows = peer_bp.tolist()
-    provider_rows = provider_bp.tolist()
-    results: list[dict[int, tuple[int, ...]]] = []
-    for g, base in enumerate(bases):
-        k_row = kind_rows[g]
-        e_row = peer_rows[g]
-        p_row = provider_rows[g]
-        built: list[tuple[int, ...] | None] = [None] * n_closure
-        for c, k in enumerate(k_row):
-            if k == 0:
-                continue
-            if k == 3:
-                built[c] = (casn[c],) + built[p_row[c]]
-            elif k == 1:
-                built[c] = base[casn[c]]
-            else:
-                built[c] = (casn[c],) + base[exporter_asns[e_row[c]]]
-        paths: dict[int, tuple[int, ...]] = {}
-        for vp, c in vp_pairs:
-            path = built[c]
-            if path is not None:
-                paths[vp] = path
-        results.append(paths)
-    return results
+    # The pointer table: phase-1 nodes, then one node per (origin,
+    # closure member).  A phase-2 node points at its exporter's phase-1
+    # node, a phase-3 node at its provider's route.
+    own = n_base + np.arange(n_origins * n_closure, dtype=np.int64).reshape(
+        n_origins, n_closure
+    )
+    start = np.where(kind == 1, start, own)
+    closure_next = np.full((n_origins, n_closure), -1, dtype=np.int64)
+    rows, columns = np.nonzero(kind == 2)
+    closure_next[rows, columns] = exporter_node[rows, peer_bp[rows, columns]]
+    rows, columns = np.nonzero(kind == 3)
+    closure_next[rows, columns] = start[rows, provider_bp[rows, columns]]
+    node_asn = np.concatenate(
+        [base_asn, np.tile(np.array(plan.casn, dtype=np.int64), n_origins)]
+    )
+    node_next = np.concatenate([base_next, closure_next.ravel()])
+
+    # One reference per (origin, vantage point holding a route), and
+    # its path written by chasing the pointers, one AS per step.
+    held = kind[:, plan.vp_columns] != 0
+    ref_offsets = np.zeros(n_origins + 1, dtype=np.int64)
+    np.cumsum(held.sum(axis=1), out=ref_offsets[1:])
+    path_offsets = np.zeros(int(ref_offsets[-1]) + 1, dtype=np.int64)
+    np.cumsum(merged_len[:, plan.vp_columns][held], out=path_offsets[1:])
+    values = np.empty(int(path_offsets[-1]), dtype=np.int64)
+    at = path_offsets[:-1].copy()
+    node = start[:, plan.vp_columns][held]
+    while len(node):
+        values[at] = node_asn[node]
+        node = node_next[node]
+        going = node >= 0
+        node = node[going]
+        at = at[going] + 1
+    return {
+        "rib_path_values": values,
+        "rib_path_offsets": path_offsets,
+        "rib_ref_vp": np.broadcast_to(plan.vp_asns, held.shape)[held],
+        "rib_ref_offsets": ref_offsets,
+    }
+
+
+class GroupPaths(Mapping[int, tuple[int, ...]]):
+    """The paths of group ``group`` of the RIB-shaped path columns in
+    ``columns``, as a read-only mapping.
+
+    The columns are a RIB's (:meth:`repro.bgp.collector.RibSnapshot.group_paths`)
+    or a block :func:`batch_paths` wrote.  Vantage points iterate in
+    reference order, as they do in the dict
+    :meth:`~repro.bgp.collector.RibSnapshot.groups` decodes.  The size
+    comes from the offsets; the paths are decoded on the first read of
+    a key or a value, and kept.  A view is never decoded to be stored:
+    :func:`~repro.bgp.collector.assemble_rib` copies the group's column
+    slices.
+    """
+
+    __slots__ = ("columns", "group", "_paths")
+
+    def __init__(self, columns: Mapping[str, np.ndarray], group: int):
+        self.columns = columns
+        self.group = group
+        self._paths: dict[int, tuple[int, ...]] | None = None
+
+    def _decoded(self) -> dict[int, tuple[int, ...]]:
+        if self._paths is None:
+            columns = self.columns
+            offsets = columns["rib_ref_offsets"]
+            begin, end = int(offsets[self.group]), int(offsets[self.group + 1])
+            bounds = columns["rib_path_offsets"][begin:end + 1].tolist()
+            values = columns["rib_path_values"][bounds[0]:bounds[-1]].tolist()
+            start = bounds[0]
+            self._paths = dict(
+                zip(
+                    columns["rib_ref_vp"][begin:end].tolist(),
+                    (
+                        tuple(values[lo - start:hi - start])
+                        for lo, hi in zip(bounds, bounds[1:])
+                    ),
+                )
+            )
+        return self._paths
+
+    def __len__(self) -> int:
+        offsets = self.columns["rib_ref_offsets"]
+        return int(offsets[self.group + 1] - offsets[self.group])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._decoded())
+
+    def __getitem__(self, vantage_point: int) -> tuple[int, ...]:
+        return self._decoded()[vantage_point]

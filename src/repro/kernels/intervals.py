@@ -20,15 +20,21 @@ IPv6 values exceed 64 bits; v6 entries use per-length Python dict
 lookups instead (v6 populations in the model are small).  Verdicts are
 exactly those of the per-route reference classifiers in
 :mod:`repro.rpki.rov` and :mod:`repro.irr.validation`.
+
+Routes are classified as a table (:meth:`RouteIntervalIndex.classify_rows`
+over :func:`route_key_columns`), and both validators memoise the
+verdicts the same way (:func:`memoise_verdicts`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
-from repro.net.prefix import Prefix
+from repro import obs
+from repro.net.prefix import Prefix, prefix_columns
 
 __all__ = [
     "NOT_FOUND",
@@ -36,6 +42,8 @@ __all__ = [
     "INVALID_LENGTH",
     "INVALID_ORIGIN",
     "RouteIntervalIndex",
+    "memoise_verdicts",
+    "route_key_columns",
     "union_address_count",
 ]
 
@@ -49,12 +57,13 @@ INVALID_ORIGIN = 3
 
 _V4_BITS = 32
 _V6_BITS = 128
+_U32 = np.uint64(_V4_BITS)
 
 
 class _V4Bucket:
     """All v4 entries of one prefix length, in searchsorted form."""
 
-    __slots__ = ("length", "keys", "packed", "packed_maxlen")
+    __slots__ = ("length", "shift", "keys", "packed", "packed_maxlen")
 
     def __init__(
         self,
@@ -64,6 +73,8 @@ class _V4Bucket:
         packed_maxlen: np.ndarray,
     ):
         self.length = length
+        #: Right shift turning a v4 address into its ``length``-bit key.
+        self.shift = np.uint64(_V4_BITS - length)
         #: Sorted unique top-``length``-bit keys (coverage test).
         self.keys = keys
         #: Sorted unique ``(key << 32) | asn`` pairs (origin-match test).
@@ -175,29 +186,32 @@ class RouteIntervalIndex:
         matched = np.zeros(n, dtype=bool)
         valid = np.zeros(n, dtype=bool)
         for bucket in self._v4_buckets:
-            mask = lengths >= bucket.length
-            if not mask.any():
-                continue
-            keys = values[mask] >> np.uint64(_V4_BITS - bucket.length)
-            covered[mask] |= _sorted_contains(bucket.keys, keys)
-            if len(bucket.packed):
-                pk = (keys << np.uint64(_V4_BITS)) | origins[mask]
-                pos = np.searchsorted(bucket.packed, pk)
-                pos_safe = np.minimum(pos, len(bucket.packed) - 1)
-                hit = bucket.packed[pos_safe] == pk
-                matched[mask] |= hit
-                ok = hit & (bucket.packed_maxlen[pos_safe] >= lengths[mask])
-                valid[mask] |= ok
+            # The routes at least as long as the bucket's prefixes; whole
+            # columns when all are, which spares the gathers (a few routes,
+            # as an event re-validates, are usually all).
+            rows = lengths >= bucket.length
+            if rows.all():
+                rows = slice(None)
+            elif not rows.any():
+                break  # buckets ascend by length: none later applies
+            keys = values[rows] >> bucket.shift
+            covered[rows] |= _sorted_contains(bucket.keys, keys)
+            packed = bucket.packed
+            if len(packed):
+                pk = (keys << _U32) | origins[rows]
+                pos = np.minimum(np.searchsorted(packed, pk), len(packed) - 1)
+                hit = packed[pos] == pk
+                matched[rows] |= hit
+                valid[rows] |= hit & (bucket.packed_maxlen[pos] >= lengths[rows])
         codes = np.full(n, NOT_FOUND, dtype=np.int8)
         codes[covered] = INVALID_ORIGIN
         codes[matched] = INVALID_LENGTH
         codes[valid] = VALID
         return codes
 
-    def classify_one_v6(self, prefix: Prefix, origin: int) -> int:
+    def _classify_v6(self, value: int, qlen: int, origin: int) -> int:
         """Verdict code for a single v6 route (dict-backed)."""
         covered = matched = False
-        value, qlen = prefix.value, prefix.length
         for bucket in self._v6_buckets:
             if bucket.length > qlen:
                 break
@@ -214,30 +228,39 @@ class RouteIntervalIndex:
             return INVALID_LENGTH
         return INVALID_ORIGIN if covered else NOT_FOUND
 
-    def classify_routes(
-        self, routes: Sequence[tuple[Prefix, int]]
+    def classify_rows(
+        self,
+        hi: np.ndarray,
+        lo: np.ndarray,
+        lengths: np.ndarray,
+        versions: np.ndarray,
+        origins: np.ndarray,
     ) -> np.ndarray:
-        """Verdict codes aligned with ``routes`` (mixed v4/v6)."""
-        codes = np.empty(len(routes), dtype=np.int8)
-        v4_pos: list[int] = []
-        v4_vals: list[int] = []
-        v4_lens: list[int] = []
-        v4_origins: list[int] = []
-        for i, (prefix, origin) in enumerate(routes):
-            if prefix.version == 4:
-                v4_pos.append(i)
-                v4_vals.append(prefix.value)
-                v4_lens.append(prefix.length)
-                v4_origins.append(origin)
-            else:
-                codes[i] = self.classify_one_v6(prefix, origin)
-        if v4_pos:
-            v4_codes = self.classify_v4(
-                np.array(v4_vals, dtype=np.uint64),
-                np.array(v4_lens, dtype=np.int64),
-                np.array(v4_origins, dtype=np.uint64),
+        """Verdict codes of a table of routes, row for row.
+
+        Each row is a route: its prefix as
+        :func:`~repro.net.prefix.prefix_columns` stores it and its
+        origin.  The v4 rows take one :meth:`classify_v4` sweep; the
+        few v6 rows are classified one by one.  Returns an int8 column
+        of the module-level verdict codes.
+        """
+        lengths = lengths.astype(np.int64)
+        origins = origins.astype(np.uint64)
+        v6 = np.flatnonzero(versions != 4)
+        if not len(v6):
+            return self.classify_v4(lo, lengths, origins)
+        codes = np.empty(len(origins), dtype=np.int8)
+        v4 = versions == 4
+        codes[v4] = self.classify_v4(lo[v4], lengths[v4], origins[v4])
+        codes[v6] = [
+            self._classify_v6((high << 64) | low, length, origin)
+            for high, low, length, origin in zip(
+                hi[v6].tolist(),
+                lo[v6].tolist(),
+                lengths[v6].tolist(),
+                origins[v6].tolist(),
             )
-            codes[np.array(v4_pos, dtype=np.int64)] = v4_codes
+        ]
         return codes
 
     # -- bulk coverage ------------------------------------------------------
@@ -249,7 +272,7 @@ class RouteIntervalIndex:
             mask = (lengths >= bucket.length) & ~covered
             if not mask.any():
                 continue
-            keys = values[mask] >> np.uint64(_V4_BITS - bucket.length)
+            keys = values[mask] >> bucket.shift
             covered[mask] = _sorted_contains(bucket.keys, keys)
         return covered
 
@@ -282,6 +305,44 @@ class RouteIntervalIndex:
                 np.array(v4_lens, dtype=np.int64),
             )
         return covered
+
+
+def route_key_columns(
+    routes: Sequence[tuple[Prefix, int]],
+) -> tuple[np.ndarray, ...]:
+    """The :meth:`RouteIntervalIndex.classify_rows` columns of
+    ``(prefix, origin)`` routes, row for row."""
+    return (
+        *prefix_columns("route", [prefix for prefix, _ in routes]).values(),
+        np.fromiter(
+            (origin for _, origin in routes), dtype=np.int64, count=len(routes)
+        ),
+    )
+
+
+def memoise_verdicts(
+    memo: dict,
+    routes: Sequence[tuple[Prefix, int]],
+    codes: np.ndarray,
+    statuses: Sequence,
+    domain: str,
+) -> None:
+    """Memoise the status of each route of ``routes`` (``codes[i]`` is
+    route ``i``'s verdict code) that ``memo`` does not hold yet.
+
+    Counts what a validator's bulk call counts under ``domain``: each
+    distinct route is a memo hit or a miss, and each miss a verdict
+    (``{domain}.verdict.{status}``).
+    """
+    verdicts = dict(zip(routes, map(statuses.__getitem__, codes.tolist())))
+    fresh = verdicts
+    if memo:
+        fresh = {key: status for key, status in verdicts.items() if key not in memo}
+    memo.update(fresh)
+    for status, tally in Counter(fresh.values()).items():
+        obs.add(f"{domain}.verdict.{status.value}", tally)
+    obs.add(f"{domain}.memo_hits", len(verdicts) - len(fresh))
+    obs.add(f"{domain}.memo_misses", len(fresh))
 
 
 def _build_v4_buckets(

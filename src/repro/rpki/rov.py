@@ -10,21 +10,27 @@ Given the VRP set, classify a route (prefix, origin AS):
 * **INVALID_ASN** — covering VRPs exist but none matches the origin ASN
   (this includes AS0 ROAs, which can never match).
 
-Bulk classification (:meth:`ROVValidator.validate_many`) runs the
-``searchsorted`` interval kernel over the whole VRP set; the per-route
-:meth:`ROVValidator.validate` walks the radix trie, which makes it the
-reference the kernel is tested against.
+Bulk classification (:meth:`ROVValidator.validate_rows` over a route
+table's integer columns, and :meth:`ROVValidator.validate_many` over
+its not-yet-memoised routes) runs the ``searchsorted`` interval kernel
+over the whole VRP set; the per-route :meth:`ROVValidator.validate`
+walks the radix trie, which makes it the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.kernels.intervals import RouteIntervalIndex
+from repro.kernels.intervals import (
+    RouteIntervalIndex,
+    memoise_verdicts,
+    route_key_columns,
+)
 from repro.net.prefix import Prefix, address_key, prefix_columns
 from repro.net.radix import RadixTree
 from repro.rpki.roa import VRP
@@ -166,12 +172,22 @@ class ROVValidator:
             self._memo[key] = status
         return status
 
-    def _classify_pending(
-        self, pending: list[tuple[Prefix, int]]
-    ) -> list[RPKIStatus]:
-        """Bulk-classify not-yet-memoised routes, aligned with ``pending``."""
-        codes = self.interval_index().classify_routes(pending)
-        return [_STATUS_BY_CODE[code] for code in codes.tolist()]
+    def validate_rows(
+        self,
+        routes: Sequence[tuple[Prefix, int]],
+        columns: tuple[np.ndarray, ...],
+    ) -> np.ndarray:
+        """Verdict codes of ``routes``, row for row, from one
+        interval-kernel pass over their ``columns``
+        (:func:`~repro.kernels.intervals.route_key_columns`).
+
+        Every route is classified, memoised or not, and each one the
+        memo does not hold is memoised, counted as
+        :meth:`validate_many` counts it.
+        """
+        codes = self.interval_index().classify_rows(*columns)
+        memoise_verdicts(self._memo, routes, codes, _STATUS_BY_CODE, "rov")
+        return codes
 
     def validate_many(
         self, routes: Iterable[tuple[Prefix, int]]
@@ -179,29 +195,25 @@ class ROVValidator:
         """Classify a batch of routes with one interval-kernel pass.
 
         Equivalent to calling :meth:`validate` per route, but every
-        not-yet-memoised route is classified in one ``searchsorted``
-        sweep over the VRP intervals.
+        not-yet-memoised route is classified by :meth:`validate_rows`
+        in one ``searchsorted`` sweep over the VRP intervals.
         """
         routes = set(routes)
+        memo = self._memo
         results: dict[tuple[Prefix, int], RPKIStatus] = {}
         pending: list[tuple[Prefix, int]] = []
         for key in routes:
-            status = self._memo.get(key)
+            status = memo.get(key)
             if status is None:
                 pending.append(key)
             else:
                 results[key] = status
         if pending:
-            statuses = self._classify_pending(pending)
-            tallies: dict[RPKIStatus, int] = {}
-            for key, status in zip(pending, statuses):
-                self._memo[key] = status
-                results[key] = status
-                tallies[status] = tallies.get(status, 0) + 1
-            for status, tally in tallies.items():
-                obs.add(f"rov.verdict.{status.value}", tally)
+            self.validate_rows(pending, route_key_columns(pending))
+            results.update(zip(pending, map(memo.__getitem__, pending)))
+        # The pending routes were counted as misses (and no hits).
         obs.add("rov.memo_hits", len(routes) - len(pending))
-        obs.add("rov.memo_misses", len(pending))
+        obs.add("rov.memo_misses", 0)
         return results
 
     def with_vrp(self, vrp: VRP) -> "ROVValidator":

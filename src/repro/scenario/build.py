@@ -22,16 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import config as _runtime_config
 from repro import obs
-from repro.bgp.announcement import Announcement
 from repro.config import RuntimeConfig
-from repro.bgp.collector import RibSnapshot, collect_rib, select_vantage_points
-from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass
+from repro.bgp.collector import (
+    RibSnapshot,
+    RouteRows,
+    collect_rib,
+    select_vantage_points,
+)
+from repro.bgp.policy import ASPolicy
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS
 from repro.errors import AllocationError
@@ -39,7 +43,12 @@ from repro.ihr.pipeline import build_ihr_dataset
 from repro.ihr.records import IHRDataset
 from repro.irr.database import IRRCollection, IRRDatabase, route_rows
 from repro.irr.objects import AsSetObject, AutNumObject, as_set_member
-from repro.irr.validation import IRRStatus, validate_irr_many
+from repro.irr.validation import validate_irr_rows
+from repro.kernels.intervals import (
+    INVALID_LENGTH,
+    INVALID_ORIGIN,
+    route_key_columns,
+)
 from repro.manrs.actions import Program
 from repro.manrs.recruitment import RecruitmentConfig, recruit
 from repro.manrs.registry import MANRSRegistry
@@ -139,13 +148,15 @@ def _build_world(
         ctx.populate_irr()
         obs.add("build.irr_routes", ctx.irr.route_count)
 
-    policies = derive_policies(topology, ctx.behaviors)
-    vantage_points = select_vantage_points(
-        topology,
-        n_medium=config.n_medium_vantage_points,
-        n_small=config.n_small_vantage_points,
-        seed=seed + 2,
-    )
+    with obs.span("build.policies"):
+        policies = derive_policies(topology, ctx.behaviors)
+    with obs.span("build.vantage_points"):
+        vantage_points = select_vantage_points(
+            topology,
+            n_medium=config.n_medium_vantage_points,
+            n_small=config.n_small_vantage_points,
+            seed=seed + 2,
+        )
     measured = derive_measurements(
         topology=topology,
         policies=policies,
@@ -222,45 +233,34 @@ def derive_measurements(
         rov = ROVValidator(RelyingParty(repository).validate(snapshot).vrps)
 
     with obs.span("build.classify"):
+        # Each route is a row of one integer table, from classification
+        # to the stored RIB.  Classification also warms the validators'
+        # per-route memos, which the IHR pipeline re-queries for the
+        # visible routes below.
         routes = route_table(originations)
-        # Bulk classification also warms the validators' per-route memos,
-        # which the IHR pipeline re-queries for the visible routes below.
-        rpki_by_route = rov.validate_many(routes)
-        irr_by_route = validate_irr_many(irr, routes)
+        columns = route_key_columns(routes)
+        rpki = rov.validate_rows(routes, columns)
+        irr_codes = validate_irr_rows(irr, routes, columns)
+        rows = RouteRows(
+            *columns,
+            rpki >= INVALID_LENGTH,
+            irr_codes == INVALID_ORIGIN,
+            [prefix for prefix, _ in routes],
+        )
         obs.add("build.routes_classified", len(routes))
-        obs.add(
-            "build.routes_rpki_invalid",
-            sum(1 for r in routes if rpki_by_route[r].is_invalid),
-        )
-        obs.add(
-            "build.routes_irr_invalid",
-            sum(
-                1
-                for r in routes
-                if irr_by_route[r] is IRRStatus.INVALID_ORIGIN
-            ),
-        )
+        obs.add("build.routes_rpki_invalid", int(rows.rpki_invalid.sum()))
+        obs.add("build.routes_irr_invalid", int(rows.irr_invalid.sum()))
 
-    # Classified announcements stream straight into collection instead of
-    # materialising a per-route dataclass list: RouteClass is a frozen
-    # value type (four interned instances cover the whole space), and
-    # collect_rib groups by (origin, class) on first iteration, so the
-    # generator is digest-neutral and the per-route pairs never coexist.
-    def announcements() -> Iterator[tuple[Announcement, RouteClass]]:
-        for prefix, asn in routes:
-            yield (
-                Announcement(prefix, asn),
-                ROUTE_CLASSES[
-                    (
-                        rpki_by_route[(prefix, asn)].is_invalid,
-                        irr_by_route[(prefix, asn)] is IRRStatus.INVALID_ORIGIN,
-                    )
-                ],
-            )
-
-    engine = PropagationEngine(topology, policies)
     with obs.span("build.collect_rib"):
-        rib = collect_rib(engine, announcements(), vantage_points)
+        engine = PropagationEngine(topology, policies)
+        rib = collect_rib(engine, rows, vantage_points)
+        # The memo now holds views over the batches' path columns; held
+        # as views over the RIB instead, no batch outlives the build.
+        engine.seed_cache(
+            rib.vantage_points,
+            zip(rib.arrays["rib_origin"].tolist(), rib.route_classes()),
+            rib.group_paths(),
+        )
     prefix2as = Prefix2AS.from_rib(rib)
     with obs.span("build.ihr"):
         ihr = build_ihr_dataset(rib, rov, irr, topology)

@@ -9,11 +9,12 @@ from repro.bgp.announcement import Announcement
 from repro.bgp.collector import (
     COLUMNS,
     Group,
+    PrefixRows,
     RibSnapshot,
+    RouteRows,
     assemble_rib,
     collect_rib,
     select_vantage_points,
-    splice_rib,
 )
 from repro.bgp.policy import ROUTE_CLASSES, ASPolicy, RouteClass
 from repro.bgp.propagation import PropagationEngine
@@ -47,6 +48,13 @@ def _ann(text: str, origin: int) -> Announcement:
     return Announcement(Prefix.parse(text), origin)
 
 
+def _rows(announcements) -> RouteRows:
+    """The route table of ``(announcement, route class)`` pairs."""
+    return RouteRows.of(
+        [(a.prefix, a.origin, route_class) for a, route_class in announcements]
+    )
+
+
 class TestRibEntry:
     """A RIB entry is one vantage point's route: a stored reference's
     path for each prefix of its group."""
@@ -72,7 +80,7 @@ class TestCollectRib:
             (_ann("12.0.0.0/16", 4), RouteClass()),
             (_ann("12.1.0.0/16", 4), RouteClass()),
         ]
-        rib = collect_rib(engine, announcements, [1, 3])
+        rib = collect_rib(engine, _rows(announcements), [1, 3])
         assert rib.arrays["rib_origin"].tolist() == [4]
         assert rib.arrays["rib_prefix_offsets"].tolist() == [0, 2]
 
@@ -82,7 +90,7 @@ class TestCollectRib:
             (_ann("12.0.0.0/16", 4), RouteClass()),
             (_ann("12.1.0.0/16", 4), RouteClass(rpki_invalid=True)),
         ]
-        rib = collect_rib(engine, announcements, [1, 3])
+        rib = collect_rib(engine, _rows(announcements), [1, 3])
         assert rib.route_classes() == [
             RouteClass(),
             RouteClass(rpki_invalid=True),
@@ -90,7 +98,9 @@ class TestCollectRib:
 
     def test_entries_expand(self):
         engine = PropagationEngine(simple_topology())
-        rib = collect_rib(engine, [(_ann("12.0.0.0/16", 4), RouteClass())], [1, 3])
+        rib = collect_rib(
+            engine, _rows([(_ann("12.0.0.0/16", 4), RouteClass())]), [1, 3]
+        )
         assert {
             (vantage_point, prefix, origin)
             for origin, _, prefixes, paths in rib.groups()
@@ -106,7 +116,7 @@ class TestCollectRib:
         engine = PropagationEngine(simple_topology(), policies)
         rib = collect_rib(
             engine,
-            [(_ann("12.0.0.0/16", 4), RouteClass(rpki_invalid=True))],
+            _rows([(_ann("12.0.0.0/16", 4), RouteClass(rpki_invalid=True))]),
             [1, 3],
         )
         assert rib.visible().tolist() == [False]
@@ -116,7 +126,7 @@ class TestCollectRib:
     def test_paths_for(self):
         engine = PropagationEngine(simple_topology())
         announcement = _ann("12.0.0.0/16", 4)
-        rib = collect_rib(engine, [(announcement, RouteClass())], [1, 3])
+        rib = collect_rib(engine, _rows([(announcement, RouteClass())]), [1, 3])
         [(origin, _, prefixes, paths)] = rib.groups()
         assert (origin, prefixes) == (4, (announcement.prefix,))
         assert sorted(paths.values()) == [(1, 2, 4), (3, 1, 2, 4)]
@@ -149,13 +159,15 @@ class TestRibColumns:
 
     @pytest.mark.parametrize("copy_every", [0, 1, 2])
     def test_splice_equals_assemble(self, small_world, copy_every):
-        """Copied and encoded groups splice into the columns
-        ``assemble_rib`` writes for the same groups: none, all or every
-        other group copied, and a copy whose paths are an equal view of
+        """Copied and encoded groups assemble into the columns
+        ``assemble_rib`` writes for the decoded groups: none, all or
+        every other group copied (its prefix rows and paths as views
+        over the RIB), and a copy whose paths are an equal view of
         another group, as classes sharing a memo entry leave them."""
         rib = small_world.rib
         decoded = rib.groups()
         views = rib.group_paths()
+        offsets = rib.arrays["rib_prefix_offsets"].tolist()
         paths_from = list(range(len(decoded)))
         for later in range(1, len(decoded)):
             earlier = later - 1
@@ -166,15 +178,21 @@ class TestRibColumns:
             ):
                 paths_from[later] = earlier
         assert paths_from != list(range(len(decoded)))
-        groups, rows_from = [], []
+        groups = []
         for index, group in enumerate(decoded):
             if copy_every and index % copy_every == 0:
-                groups.append(group._replace(paths=views[paths_from[index]]))
-                rows_from.append(index)
+                rows = PrefixRows(
+                    rib.arrays,
+                    offsets[index],
+                    offsets[index + 1],
+                    group.prefixes,
+                )
+                groups.append(
+                    group._replace(prefixes=rows, paths=views[paths_from[index]])
+                )
             else:
                 groups.append(group)
-                rows_from.append(-1)
-        spliced = splice_rib(rib.vantage_points, rib, groups, rows_from)
+        spliced = assemble_rib(rib.vantage_points, groups)
         assert spliced.meta == rib.meta
         assert list(spliced.arrays) == list(rib.arrays)
         for name, column in rib.arrays.items():
@@ -185,7 +203,7 @@ class TestRibColumns:
     def test_announcements_regroup_into_the_same_rib(self, small_world):
         rib = collect_rib(
             small_world.engine,
-            small_world.rib.announcements(),
+            small_world.rib.route_rows(),
             small_world.vantage_points,
         )
         for name, column in small_world.rib.arrays.items():
@@ -216,7 +234,7 @@ class TestPrefix2AS:
             (_ann("12.1.0.0/16", 2), RouteClass()),
             (_ann("2600::/32", 2), RouteClass()),
         ]
-        rib = collect_rib(engine, announcements, [1, 3])
+        rib = collect_rib(engine, _rows(announcements), [1, 3])
         return Prefix2AS.from_rib(rib)
 
     def test_origins_of(self):
@@ -257,7 +275,7 @@ class TestPrefix2AS:
             (Announcement(prefix, 2), RouteClass()),
             (Announcement(prefix, 3), RouteClass()),
         ]
-        rib = collect_rib(engine, announcements, [1])
+        rib = collect_rib(engine, _rows(announcements), [1])
         mapping = Prefix2AS.from_rib(rib)
         assert mapping.origins_of(prefix) == {2, 3}
 

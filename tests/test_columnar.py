@@ -169,7 +169,7 @@ class TestLazyWorld:
         assert lazy.ihr.meta is lazy._columns.meta["ihr.json"]
 
     def test_artefacts_and_digest_decode_only_tab1_rows(
-        self, saved, small_world, monkeypatch
+        self, saved, small_world, monkeypatch, tmp_path
     ):
         """On a reopened world every paper artefact renders its golden
         text.  The digest and the artefacts walk the IHR columns; the
@@ -177,13 +177,15 @@ class TestLazyWorld:
         attributes, each once.  The only IRR rows decoded into route
         objects are those covering Table 1's IRR-attributed records,
         once per case-study row, and a live world over the reopened
-        world decodes none.  No artefact decodes ``originations``, and
+        world decodes none.  No aut-num or as-set object is decoded, not
+        even by a re-save.  No artefact decodes ``originations``, and
         the membership series (fig2, fig4) leave the RPKI repository
         stored."""
         from repro.core.classification import is_unconformant
         from repro.delta import LiveWorld
         from repro.experiments.registry import REGISTRY
         from repro.experiments.tab1_casestudies import case_study_targets
+        from repro.irr import database as irr_database
         from repro.irr.database import IRRDatabase
         from repro.scenarios import FAMILIES
 
@@ -232,6 +234,14 @@ class TestLazyWorld:
             return decode_rows(database, rows)
 
         monkeypatch.setattr(IRRDatabase, "_decode", irr_spy)
+        objects: Counter = Counter()
+        for name in ("_aut_num_of", "_as_set_of"):
+
+            def object_spy(row, name=name, real=getattr(irr_database, name)):
+                objects[name] += 1
+                return real(row)
+
+            monkeypatch.setattr(irr_database, name, object_spy)
         goldens = json.loads(RENDER_GOLDENS.read_text())["entry"]
         assert (goldens["scale"], goldens["seed"]) == (
             small_world.scale,
@@ -256,6 +266,10 @@ class TestLazyWorld:
         decoded_rows.clear()
         LiveWorld(lazy)
         assert not decoded_rows
+        CheckpointStore(tmp_path).save(lazy)
+        assert not objects
+        assert lazy.irr.aut_num(next(iter(lazy.irr.databases[0]._aut_nums)))
+        assert objects == {"_aut_num_of": 1}
 
     def test_lazy_world_survives_entry_pruning(
         self, saved, small_world, tmp_path

@@ -191,9 +191,12 @@ def test_tallied_stats_match_per_record_reference(dataset):
     reference = reference_origination_stats(dataset)
     assert tallied == reference
     assert list(tallied) == list(reference)
+    assert list(tallied.items()) == list(reference.items())
 
     tallied = propagation_stats(dataset)
     reference = reference_propagation_stats(dataset)
     assert tallied == reference
     assert list(tallied) == list(reference)
+    assert list(tallied.items()) == list(reference.items())
     assert 99 not in tallied
+    assert tallied.get(99) is None

@@ -1054,6 +1054,70 @@ def test_replay_golden_matches(small_world):
         )
 
 
+#: After each event of the replay golden stream, with a checkpoint
+#: after each: the live engine's ``cache_info()`` (hits, misses,
+#: evictions, size, max size) and the ``propagation.cache_*`` counters
+#: (hits, misses, evictions, seeded) moved since the live world started.
+#: Recorded when the memo keys held the whole vantage-point tuple.
+GOLDEN_STREAM_MEMO = [
+    ((1153 + 1152 * k, 1151, 0, 1151, 8192), (1152 * (k + 1), 0, 0, 1151))
+    for k in range(6)
+]
+
+
+def _three_ints(key) -> bool:
+    return (
+        type(key) is tuple
+        and len(key) == 3
+        and all(type(part) is int for part in key)
+    )
+
+
+def test_replay_golden_stream_memo_counts_and_keys():
+    """Interning the vantage tuple changes no memo outcome: on the
+    replay golden stream the live engine's ``cache_info()`` and the
+    ``propagation.cache_*`` counters are those recorded when keys held
+    the tuple, and every memo key is ``(origin, signature id, vantage
+    id)``, three ints, also in engines derived after a policy flip and
+    a new link, which inherit the vantage ids."""
+    golden = json.loads(GOLDEN_PATH.read_text())["entry"]
+    world = build_world(golden["scale"], golden["seed"])
+    events = synthesize_events(
+        world, n=golden["events"], seed=golden["event_seed"]
+    )
+    assert len(events) == len(GOLDEN_STREAM_MEMO)
+    names = (
+        "propagation.cache_hits",
+        "propagation.cache_misses",
+        "propagation.cache_evictions",
+        "propagation.cache_seeded",
+    )
+    before = obs.counters()
+    live = LiveWorld(world)
+    for event, (info, moved) in zip(events, GOLDEN_STREAM_MEMO):
+        live.apply(event)
+        live.world()
+        engine = live._engine
+        after = obs.counters()
+        assert tuple(engine.cache_info().values()) == info
+        assert (
+            tuple(after.get(name, 0) - before.get(name, 0) for name in names)
+            == moved
+        )
+        assert all(map(_three_ints, engine._paths_cache))
+    engine = live._engine
+    asn = next(iter(world.policies))
+    a, b = _unlinked_stubs(world)
+    grown = world.topology.copy()
+    grown.add_link(a, b, Relationship.PEER)
+    derived = engine.derive(
+        policies={asn: replace(world.policies[asn], rov=True)}
+    ).derive(link=(a, b), topology=grown)
+    assert derived._vantage_ids == engine._vantage_ids
+    assert derived._paths_cache
+    assert all(map(_three_ints, derived._paths_cache))
+
+
 def test_replay_golden_file_shape():
     golden = json.loads(GOLDEN_PATH.read_text())["entry"]
     assert set(golden) == {

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bgp.announcement import Announcement
-from repro.bgp.collector import collect_rib
+from repro.bgp.collector import RouteRows, collect_rib
 from repro.bgp.policy import RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.hegemony.scores import hegemony_scores
@@ -108,8 +107,8 @@ class TestIHRPipeline:
         topo = _star_topology()
         engine = PropagationEngine(topo)
         prefix = Prefix.parse("12.0.0.0/16")
-        announcements = [(Announcement(prefix, 5), RouteClass())]
-        rib = collect_rib(engine, announcements, [3, 4])
+        routes = RouteRows.of([(prefix, 5, RouteClass())])
+        rib = collect_rib(engine, routes, [3, 4])
         rov = ROVValidator([VRP(prefix, 5, 16, RIR.ARIN)])
         irr = IRRDatabase("RADB")
         irr.add_route(RouteObject(prefix, 5, "RADB"))
@@ -154,7 +153,7 @@ class TestIHRPipeline:
         topo.add_link(1, 3, Relationship.PROVIDER_CUSTOMER)  # VP 3 below 1
         engine = PropagationEngine(topo)
         prefix = Prefix.parse("12.0.0.0/16")
-        rib = collect_rib(engine, [(Announcement(prefix, 2), RouteClass())], [3])
+        rib = collect_rib(engine, RouteRows.of([(prefix, 2, RouteClass())]), [3])
         dataset = build_ihr_dataset(
             rib, ROVValidator([]), IRRDatabase("RADB"), topo
         )

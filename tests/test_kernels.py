@@ -28,13 +28,20 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.bgp import propagation
-from repro.bgp.collector import Group, RibSnapshot, assemble_rib
-from repro.bgp.policy import RouteClass
+from repro.bgp.collector import (
+    Group,
+    GroupPaths,
+    RibSnapshot,
+    RouteRows,
+    assemble_rib,
+    collect_rib,
+)
+from repro.bgp.policy import ROUTE_CLASSES, RouteClass
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.table import Prefix2AS, parse_prefix2as, serialize_prefix2as
 from repro.config import KERNEL_MODES, RuntimeConfig
@@ -47,12 +54,24 @@ from repro.ihr import pipeline
 from repro.ihr.pipeline import assemble_ihr
 from repro.irr.database import IRRDatabase
 from repro.irr.objects import RouteObject
-from repro.irr.validation import _classify, validate_irr_many
-from repro.kernels.intervals import union_address_count
+from repro.irr.validation import (
+    _STATUS_BY_CODE as IRR_BY_CODE,
+    IRRStatus,
+    _classify,
+    validate_irr_many,
+    validate_irr_rows,
+)
+from repro.kernels.intervals import (
+    INVALID_LENGTH,
+    INVALID_ORIGIN,
+    route_key_columns,
+    union_address_count,
+)
 from repro.net.asn import strip_prepending
 from repro.net.prefix import Prefix, aggregate_address_count, prefixes_from_columns
 from repro.registry.rir import RIR
 from repro.rpki.roa import VRP
+from repro.rpki.rov import _STATUS_BY_CODE as RPKI_BY_CODE
 from repro.rpki.rov import ROVValidator, RPKIStatus
 from repro.scenario.build import build_world
 from repro.scenario.timeline import Timeline
@@ -153,6 +172,198 @@ class TestClassificationEquivalence:
             for route in routes
         }
         assert columnar == validate_irr_many(reference, routes)
+
+
+@st.composite
+def registries_and_routes(draw):
+    """VRPs and route objects, and routes that probe their edges: each
+    entry's own prefix and one bit more specific, under its own ASN
+    and another, besides random routes."""
+    vrp_list = draw(st.lists(vrps(), max_size=20))
+    objects = draw(st.lists(st.tuples(PREFIXES, ASNS), max_size=20))
+    routes = list(draw(ROUTES))
+    entries = [(vrp.prefix, vrp.asn, vrp.max_length) for vrp in vrp_list]
+    entries += [(prefix, origin, prefix.length) for prefix, origin in objects]
+    for prefix, asn, max_length in entries:
+        for length in {prefix.length, max_length, max_length + 1}:
+            if length > prefix.bits:
+                continue
+            probe = Prefix(prefix.value, length, prefix.version)
+            routes += [(probe, asn), (probe, draw(ASNS))]
+    return vrp_list, objects, routes
+
+
+class TestRowClassifier:
+    """``validate_rows``/``validate_irr_rows`` over a route table's
+    integer columns against the per-route references: the radix-trie
+    ``ROVValidator.validate`` and the IRR ``_classify`` over the
+    covering objects.  The route-class flags are column reductions of
+    the codes, and an IRR INVALID_LENGTH is not IRR-invalid."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=registries_and_routes())
+    def test_rows_match_per_route_references(self, case):
+        vrp_list, objects, routes = case
+        database = IRRDatabase("TEST")
+        for prefix, origin in objects:
+            database.add_route(
+                RouteObject(prefix=prefix, origin=origin, source="TEST")
+            )
+        columns = route_key_columns(routes)
+        trie = ROVValidator(vrp_list)
+        rov = ROVValidator(vrp_list)
+        rpki = rov.validate_rows(routes, columns)
+        irr = validate_irr_rows(database, routes, columns)
+        reference = Unversioned(database)
+        rpki_reference = [trie.validate(*route) for route in routes]
+        irr_reference = [
+            _classify(reference.routes_covering(route[0]), *route)
+            for route in routes
+        ]
+        assert [RPKI_BY_CODE[code] for code in rpki.tolist()] == rpki_reference
+        assert [IRR_BY_CODE[code] for code in irr.tolist()] == irr_reference
+        assert (rpki >= INVALID_LENGTH).tolist() == [
+            status.is_invalid for status in rpki_reference
+        ]
+        assert (irr == INVALID_ORIGIN).tolist() == [
+            status is IRRStatus.INVALID_ORIGIN for status in irr_reference
+        ]
+        # Every route is memoised with its verdict.
+        assert rov._memo == dict(zip(routes, rpki_reference))
+        assert validate_irr_many(database, routes) == dict(
+            zip(routes, irr_reference)
+        )
+
+    def test_edges_are_covered(self):
+        """The strategy's edge probes reach every verdict the flags
+        tell apart, AS0 and both address families included."""
+        as0 = VRP(Prefix.parse("10.0.0.0/16"), 0, 24, RIR.RIPE)
+        vrp = VRP(Prefix.parse("2001:db8::/32"), 5, 48, RIR.RIPE)
+        routes = [
+            (Prefix.parse("10.0.1.0/24"), 0),
+            (Prefix.parse("2001:db8::/48"), 5),
+            (Prefix.parse("2001:db8::/49"), 5),
+            (Prefix.parse("2001:db8::/48"), 6),
+            (Prefix.parse("11.0.0.0/8"), 5),
+        ]
+        codes = ROVValidator([as0, vrp]).validate_rows(
+            routes, route_key_columns(routes)
+        )
+        assert [RPKI_BY_CODE[code] for code in codes.tolist()] == [
+            RPKIStatus.INVALID_ASN,
+            RPKIStatus.VALID,
+            RPKIStatus.INVALID_LENGTH,
+            RPKIStatus.INVALID_ASN,
+            RPKIStatus.NOT_FOUND,
+        ]
+        database = IRRDatabase("TEST")
+        database.add_route(
+            RouteObject(prefix=Prefix.parse("10.0.0.0/16"), origin=5, source="TEST")
+        )
+        routes = [
+            (Prefix.parse("10.0.0.0/16"), 5),
+            (Prefix.parse("10.0.0.0/17"), 5),
+            (Prefix.parse("10.0.0.0/17"), 6),
+        ]
+        codes = validate_irr_rows(database, routes, route_key_columns(routes))
+        assert [IRR_BY_CODE[code] for code in codes.tolist()] == [
+            IRRStatus.VALID,
+            IRRStatus.INVALID_LENGTH,
+            IRRStatus.INVALID_ORIGIN,
+        ]
+        assert (codes == INVALID_ORIGIN).tolist() == [False, False, True]
+
+
+# -- route grouping ---------------------------------------------------------
+
+
+def _collector_topology() -> ASTopology:
+    """1 provides transit to 2 and 3, 2 to 4; 3 peers with 4."""
+    topology = ASTopology()
+    topology.add_org(Organization("ORG-T", "Test Org", "ZZ"))
+    for asn in (1, 2, 3, 4):
+        topology.add_as(
+            AutonomousSystem(
+                asn=asn,
+                org_id="ORG-T",
+                country="ZZ",
+                rir=RIR.RIPE,
+                category=ASCategory.STUB,
+            )
+        )
+    topology.add_link(1, 2, Relationship.PROVIDER_CUSTOMER)
+    topology.add_link(1, 3, Relationship.PROVIDER_CUSTOMER)
+    topology.add_link(2, 4, Relationship.PROVIDER_CUSTOMER)
+    topology.add_link(3, 4, Relationship.PEER)
+    return topology
+
+
+#: A few prefixes of both families, so draws repeat and interleave them.
+POOL = (
+    Prefix.parse("10.0.0.0/8"),
+    Prefix.parse("10.0.0.0/16"),
+    Prefix.parse("10.1.0.0/16"),
+    Prefix.parse("2001:db8::/32"),
+    Prefix.parse("2001:db8::/48"),
+    Prefix.parse("192.0.2.0/24"),
+)
+
+
+def _dict_grouping(routes) -> list:
+    """The grouping ``collect_rib`` did before it sorted rows: a dict
+    of each (origin, route class)'s prefixes, keys sorted by origin
+    then class flags, each group's distinct prefixes sorted."""
+    grouped: dict = {}
+    for prefix, origin, route_class in routes:
+        grouped.setdefault((origin, route_class), []).append(prefix)
+    keys = sorted(
+        grouped, key=lambda key: (key[0], key[1].rpki_invalid, key[1].irr_invalid)
+    )
+    return [(key, sorted(set(grouped[key]))) for key in keys]
+
+
+class TestRowGrouping:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        routes=st.lists(
+            st.tuples(
+                # A fresh, equal object per draw: duplicates keep the
+                # first one, as a set did.
+                st.sampled_from(POOL).map(
+                    lambda p: Prefix(p.value, p.length, p.version)
+                ),
+                st.sampled_from([2, 3, 4]),
+                st.sampled_from(sorted(ROUTE_CLASSES.values())),
+            ),
+            max_size=30,
+        )
+    )
+    def test_lexsort_groups_like_the_dict_grouping(self, routes):
+        engine = PropagationEngine(_collector_topology())
+        rib = collect_rib(engine, RouteRows.of(routes), [1, 3])
+        reference = _dict_grouping(routes)
+        groups = rib.groups()
+        assert [
+            ((group.origin, group.route_class), list(group.prefixes))
+            for group in groups
+        ] == reference
+        for group, (_, prefixes) in zip(groups, reference):
+            assert all(a is b for a, b in zip(group.prefixes, prefixes))
+        expected = assemble_rib(
+            (1, 3),
+            [
+                Group(
+                    origin,
+                    route_class,
+                    prefixes,
+                    engine.paths_to(origin, (1, 3), route_class),
+                )
+                for (origin, route_class), prefixes in reference
+            ],
+        )
+        for name, column in expected.arrays.items():
+            assert rib.arrays[name].dtype == column.dtype, name
+            assert rib.arrays[name].tobytes() == column.tobytes(), name
 
 
 # -- address-space accounting ----------------------------------------------
@@ -379,6 +590,53 @@ def _group_keys(rib: RibSnapshot) -> list[tuple[int, RouteClass]]:
 
 
 class TestBatchPaths:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_views_read_like_scalar_paths(self, small_world, data):
+        """``paths_to_many``'s results are views over its batches'
+        columns that read as scalar ``paths_to`` does (equal, same
+        order, same length), with one origin per batch and with the
+        default bound, memo on and off."""
+        origins = sorted(set(small_world.rib.arrays["rib_origin"].tolist()))
+        keys = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(origins),
+                    st.sampled_from(sorted(ROUTE_CLASSES.values())),
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        vantage_points = small_world.vantage_points
+        scalar = PropagationEngine(
+            small_world.topology, small_world.policies, paths_cache_size=0
+        )
+        expected = [
+            scalar.paths_to(origin, vantage_points, route_class)
+            for origin, route_class in keys
+        ]
+        for bound in (1, propagation.BATCH_ORIGINS):
+            for size in (0, None):
+                engine = PropagationEngine(
+                    small_world.topology,
+                    small_world.policies,
+                    paths_cache_size=size,
+                )
+                with patch.object(propagation, "BATCH_ORIGINS", bound):
+                    views = engine.paths_to_many(keys, vantage_points)
+                for view, reference in zip(views, expected):
+                    assert isinstance(view, GroupPaths)
+                    assert view == reference
+                    assert list(view) == list(reference)
+                    assert list(view.items()) == list(reference.items())
+                    assert len(view) == len(reference)
+
+
     def test_paths_to_many_matches_scalar(self, small_world):
         engine = PropagationEngine(
             small_world.topology, small_world.policies, paths_cache_size=0

@@ -22,7 +22,10 @@ bounds its working set: no ``batch_paths`` call takes more than
 ``BATCH_ORIGINS`` origins, and hegemony scores more than one partition.
 The same spy shows that synthesis pays only for its draws: no
 ``Generator.choice`` call, no route made into a route object, and each
-IRR database's rows inserted once.  The saved entry's files are pinned
+IRR database's rows inserted once.  It also shows that the derive half
+keys routes by row: no ``Announcement`` is made, no route group is
+encoded from a path mapping, and the engine's memo ends holding views
+over the world's RIB.  The saved entry's files are pinned
 beside ``tests/test_checkpoint.py``'s ``ENTRY_PINS``.  The scenario
 families are pinned by ``tests/test_scenarios.py``.
 """
@@ -43,7 +46,9 @@ import numpy as np
 import pytest
 
 from repro import config, obs
-from repro.bgp import propagation
+from repro.bgp import collector, propagation
+from repro.bgp.announcement import Announcement
+from repro.bgp.collector import GroupPaths
 from repro.config import RuntimeConfig
 from repro.datasets.checkpoint import (
     CheckpointStore,
@@ -100,8 +105,9 @@ def built():
     """The pinned world, built with every ``batch_paths`` batch size
     recorded, process creation forbidden, and every generator counting
     its ``choice`` calls, every route object and every IRR row insert
-    recorded; returns (world, counters moved, batch sizes, synthesis
-    counts)."""
+    recorded, and every ``Announcement`` and every path mapping the RIB
+    assembler encodes counted; returns (world, counters moved, batch
+    sizes, call counts)."""
     sizes: list[int] = []
     real = propagation.batch_paths
 
@@ -112,9 +118,24 @@ def built():
     def forbidden(*args, **kwargs):
         raise AssertionError("the build started a process")
 
-    synthesis = {"route_objects": 0, "inserts": []}
+    synthesis = {
+        "route_objects": 0,
+        "inserts": [],
+        "announcements": 0,
+        "encoded_groups": 0,
+    }
     made = RouteObject.__post_init__
     merge = IRRDatabase._merge
+    announced = Announcement.__post_init__
+    encode = collector._encoded_paths
+
+    def announcement(route):
+        synthesis["announcements"] += 1
+        announced(route)
+
+    def encoded(mappings):
+        synthesis["encoded_groups"] += len(mappings)
+        return encode(mappings)
 
     def route_object(route):
         synthesis["route_objects"] += 1
@@ -134,6 +155,8 @@ def built():
         )
         patch.setattr(RouteObject, "__post_init__", route_object)
         patch.setattr(IRRDatabase, "_merge", insert)
+        patch.setattr(Announcement, "__post_init__", announcement)
+        patch.setattr(collector, "_encoded_paths", encoded)
         # Every way Python starts a process: fork-started pools,
         # spawn/forkserver pools, and subprocess.
         for owner, name in (
@@ -176,6 +199,30 @@ def test_synthesis_pays_only_for_draws(built):
     assert sum(rows for _, rows in synthesis["inserts"]) == (
         world.irr.route_count
     )
+
+
+def test_derive_keys_routes_by_row(built):
+    """The build (on the pinned digest) makes no ``Announcement`` and
+    encodes no route group's paths from a mapping: every group is
+    copied from the path columns its propagation batch wrote.  After
+    the build the engine's memo holds one view over ``world.rib`` per
+    (origin, filter signature), so no batch outlives it."""
+    world, _, _, counts = built
+    assert world_digest(world) == _golden_digest()
+    assert counts["announcements"] == 0
+    assert counts["encoded_groups"] == 0
+    memo = world.engine._paths_cache
+    keys = {
+        (origin, world.engine.signature_id(route_class))
+        for origin, route_class in zip(
+            world.rib.arrays["rib_origin"].tolist(), world.rib.route_classes()
+        )
+    }
+    assert {key[:2] for key in memo} == keys
+    assert len(memo) == len(keys)
+    for view in memo.values():
+        assert isinstance(view, GroupPaths)
+        assert view.columns is world.rib.arrays
 
 
 def test_saved_entry_matches_pins(built, store):

@@ -96,7 +96,7 @@ class TestParallelCollect:
         """Re-collection reproduces the committed world RIB."""
         snapshot = collect_rib(
             small_world.engine,
-            small_world.rib.announcements(),
+            small_world.rib.route_rows(),
             small_world.vantage_points,
         )
         assert [paths for *_, paths in snapshot.groups()] == [
